@@ -14,7 +14,7 @@ Usage::
     python benchmarks/bench_perf_suite.py --quick    # CI smoke (N<=1024)
     python benchmarks/bench_perf_suite.py --sizes 256 512
     python benchmarks/bench_perf_suite.py --output /tmp/bench.json
-    python benchmarks/bench_perf_suite.py --scale  # + sharded scale matrix
+    python benchmarks/bench_perf_suite.py --scale  # + scale matrix
 
 See ``benchmarks/perf_harness.py`` for the methodology and the pinned
 seed baseline the emitted ``speedup_vs_seed`` section compares against.
@@ -49,10 +49,10 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--scale",
         action="store_true",
-        help="also run the sharded-kernel scale bench (bench_scale.py): the "
-        "N x shard-count throughput matrix, determinism audit and "
-        "heap-health bounds, merged into the same snapshot's 'scale' "
-        "section",
+        help="also run the scale bench (bench_scale.py): the N x "
+        "slice-count throughput matrix (single kernel vs sliced-ensemble "
+        "worker mode) and heap-health bounds, merged into the same "
+        "snapshot's 'scale' section",
     )
     parser.add_argument(
         "--output",

@@ -1,23 +1,17 @@
 #!/usr/bin/env python
-"""Sharded-kernel scale bench: the ``scale`` section of ``BENCH_core.json``.
+"""Scale bench: the ``scale`` section of ``BENCH_core.json``.
 
-Measures what the sharded simulation kernel buys and proves what it must
-never cost, in one run:
+Measures how far the message backend reaches, in one run:
 
 * **Throughput matrix** -- events/sec and wall-clock for the
   uniform-baseline scenario at N in {4096, 16384, 65536} crossed with
-  shard counts {1, 4, 8}.  ``shards=1`` runs the classic single-process
+  slice counts {1, 4, 8}.  ``shards=1`` runs the single-process
   :class:`~repro.simnet.engine.Simulator`; ``shards>1`` runs worker
-  mode (:func:`~repro.scenarios.message_runner.run_sharded_scenario`):
+  mode (:func:`~repro.scenarios.message_runner.run_sliced_ensemble`):
   the keyspace sliced into independent per-process populations, merged
   into one report.  This is the path that makes N=65,536 reachable in
-  one bench run.
-* **Determinism audit** -- the same spec executed on the in-process
-  barrier kernel (:class:`~repro.simnet.shard.ShardedSimulator`) at
-  ``shards=8`` must produce a report digest byte-identical to the
-  ``shards=1`` single-heap run.  The digests and the kernel's
-  cross-shard counters (barriers crossed, events staged, cross-shard
-  wire traffic) are recorded; a mismatch fails the bench.
+  one bench run.  (The cells keep the ``shards``/``mode`` keys so
+  ``check_regression.compare_scale`` matches them across snapshots.)
 * **Heap-health audit** -- every cell records the simulator's
   pending-event peak, lazy-cancel backlog and compaction count (the
   observable heap-compaction stats on
@@ -31,22 +25,64 @@ Modes::
     python benchmarks/bench_scale.py --nightly   # N=16,384 x shards {1,4,8}
     python benchmarks/bench_scale.py --smoke     # CI: N=8192, shards=4, budgeted
 
-``--smoke`` is the CI ``scale-smoke`` job's workload: one sharded cell
-plus the determinism audit at a small population, with a hard
-wall-clock budget (``--budget-s``, default 480) enforced in-script on
-top of the job's ``timeout-minutes``.
+``--smoke`` is the CI ``scale-smoke`` job's workload: one worker-mode
+cell with a hard wall-clock budget (``--budget-s``, default 480)
+enforced in-script on top of the job's ``timeout-minutes``.
 
 The section is merged into the snapshot alongside the perf and
 scenario sections (same idiom as ``bench_scenarios.py``), and
-``check_regression.py`` gates it: intra-snapshot digest equality and
-pending bounds, plus events/sec and wall-clock ratios against the
-committed numbers when the populations are comparable.
+``check_regression.py`` gates it: intra-snapshot pending bounds, plus
+events/sec and wall-clock ratios against the committed numbers when
+the populations are comparable.
+
+Decision: one kernel, one scale mechanism (ROADMAP item 3)
+---------------------------------------------------------
+Until PR 12 a second path existed: an in-process conservative-PDES
+kernel (per-shard heaps, cross-shard staging inboxes, barrier windows
+of one lookahead) selected by ``MessageNetConfig.shards``.  It executed
+the byte-identical ``(time, seq)`` order of the plain kernel on one
+core, so it could only cost; the question was whether carrying its
+barrier protocol across processes could beat ``shards=1`` by the
+ROADMAP's >=1.5x on 2-4 cores.  Measured at the last commit that had
+it, on the 2-core builder box (uniform-baseline, seed 20050830, best
+of 6 interleaved runs):
+
+* N=2048, ``duration_scale=0.3`` (165,116 events): ``shards=1`` 3.37 s
+  vs 3.91 / 4.04 / 3.91 s at ``shards=2/4/8`` -- the barrier kernel is
+  16-20% slower.  All three shard counts cross the same 10,519 barriers
+  (10 ms windows) and stage 26,579 / 44,112 / 57,585 events, i.e.
+  15.7 events (~293 us of ``run_until`` work at 18.7 us/event) and
+  2.5 / 4.2 / 5.5 staged messages per window.
+* A pipe round-trip between two forked processes costs 12.3-13.0 us
+  and one staged message 1.9 us to pickle and unpickle.  A
+  cross-process kernel pays at least one round-trip per worker per
+  barrier plus the staged traffic: on 2 cores a perfectly balanced
+  window is 147 us of work + ~26 us of synchronisation + ~10 us of
+  pickling, a 1.6x ceiling on ``run_until`` (91% of this run, so
+  1.5x on the whole run) before any load imbalance.  With 15.7 events
+  per window the busier of two shards carries ~60% of them (binomial
+  spread), which already lowers the ceiling to 1.4x / 1.3x.
+* At the committed scale knobs (N=16,384, ``duration_scale=0.05``:
+  15,456 events, 5,896 barriers) a window holds 2.6 events (~50 us of
+  work, less than two round-trips), and ``run_until`` is 1.03 s of a
+  3.83 s cell (27%), so even a free 2x on the event loop caps the cell
+  at 1.16x.
+* Determinism rests on one global ``seq`` counter assigned at schedule
+  time and one shared transport RNG drawn in global event order.  Two
+  processes cannot both advance them without serialising every
+  schedule and every send, which is the single-core kernel again.
+
+No configuration clears 1.5x even before the ``seq``/RNG
+serialisation is paid for, so the barrier kernel, its config fields
+and its hooks in the plain kernel were deleted.  Worker mode stays: its
+slices share nothing, so it needs no barrier at all -- at the price
+stated in :func:`~repro.scenarios.message_runner.run_sliced_ensemble`
+(an ensemble of independent overlays, not one overlay).
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import sys
 import time
 from pathlib import Path
@@ -61,9 +97,8 @@ from bench_scenarios import merge_into_snapshot  # noqa: E402
 from profile_kernel import format_profile  # noqa: E402
 
 from repro.scenarios import (  # noqa: E402
-    MessageNetConfig,
     MessageScenarioRunner,
-    run_sharded_scenario,
+    run_sliced_ensemble,
     scenario,
 )
 
@@ -88,12 +123,6 @@ FULL_CELLS = (
 NIGHTLY_CELLS = ((16384, 1), (16384, 4), (16384, 8))
 SMOKE_CELLS = ((8192, 4),)
 
-#: Population for the in-process barrier-kernel determinism audit
-#: (small: the audit runs the same spec twice in one process).
-DETERMINISM_N = 1024
-SMOKE_DETERMINISM_N = 256
-DETERMINISM_SHARDS = 8
-
 #: Pending-heap bound: no kernel may ever hold more than this many
 #: live-or-cancelled events per resident peer (plus slack for control
 #: timers).  Measured peaks sit well under 0.1/peer, so 4/peer is an
@@ -101,35 +130,6 @@ DETERMINISM_SHARDS = 8
 #: re-schedules without cancelling or a compactor that stops firing.
 PENDING_PER_PEER = 4
 PENDING_SLACK = 1024
-
-
-def _digest(report) -> str:
-    return hashlib.sha256(report.to_json().encode()).hexdigest()
-
-
-def run_determinism(n_peers: int, *, seed: int, duration_scale: float) -> dict:
-    """Barrier-kernel audit: shards=8 digest must equal shards=1."""
-    spec = scenario(
-        SCENARIO, n_peers=n_peers, seed=seed, duration_scale=duration_scale
-    )
-    single = MessageScenarioRunner(spec)
-    digest_1 = _digest(single.run())
-    sharded = MessageScenarioRunner(
-        spec, net_config=MessageNetConfig(shards=DETERMINISM_SHARDS)
-    )
-    digest_8 = _digest(sharded.run())
-    sim = sharded.simulator
-    return {
-        "n_peers": n_peers,
-        "shards": DETERMINISM_SHARDS,
-        "digest_shards1": digest_1,
-        "digest_shards8": digest_8,
-        "match": digest_1 == digest_8,
-        "barriers": sim.barriers,
-        "cross_shard_staged": sim.cross_shard_staged,
-        "cross_shard_messages": sharded.transport.cross_shard_messages,
-        "cross_shard_bytes": sharded.transport.cross_shard_bytes,
-    }
 
 
 def run_cell_best(
@@ -180,7 +180,7 @@ def run_cell(n_peers: int, shards: int, *, seed: int, duration_scale: float) -> 
         mode = "single"
     else:
         kernels = []
-        report = run_sharded_scenario(spec, shards=shards, kernel_stats=kernels)
+        report = run_sliced_ensemble(spec, shards=shards, kernel_stats=kernels)
         wall_s = time.perf_counter() - start
         mode = "workers"
     events = sum(k["events_processed"] for k in kernels)
@@ -212,7 +212,7 @@ def main(argv=None) -> int:
     profile_group = parser.add_mutually_exclusive_group()
     profile_group.add_argument(
         "--smoke", action="store_true",
-        help=f"CI mode: one sharded cell at N={SMOKE_CELLS[0][0]}, "
+        help=f"CI mode: one worker-mode cell at N={SMOKE_CELLS[0][0]}, "
              f"shards={SMOKE_CELLS[0][1]}, hard wall-clock budget",
     )
     profile_group.add_argument(
@@ -252,11 +252,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.smoke:
-        profile, cells, det_n = "smoke", SMOKE_CELLS, SMOKE_DETERMINISM_N
+        profile, cells = "smoke", SMOKE_CELLS
     elif args.nightly:
-        profile, cells, det_n = "nightly", NIGHTLY_CELLS, DETERMINISM_N
+        profile, cells = "nightly", NIGHTLY_CELLS
     else:
-        profile, cells, det_n = "full", FULL_CELLS, DETERMINISM_N
+        profile, cells = "full", FULL_CELLS
     budget_s = args.budget_s
     if budget_s is None and args.smoke:
         budget_s = 480.0
@@ -266,24 +266,6 @@ def main(argv=None) -> int:
 
     failures = []
     bench_start = time.perf_counter()
-
-    determinism = run_determinism(
-        det_n, seed=args.seed, duration_scale=args.scale
-    )
-    verdict = "ok" if determinism["match"] else "MISMATCH"
-    print(
-        f"determinism @ N={det_n} shards={DETERMINISM_SHARDS}: {verdict}  "
-        f"barriers {determinism['barriers']}  "
-        f"staged {determinism['cross_shard_staged']}  "
-        f"cross-shard msgs {determinism['cross_shard_messages']}"
-    )
-    if not determinism["match"]:
-        failures.append(
-            f"shards={DETERMINISM_SHARDS} report digest differs from "
-            f"shards=1 at N={det_n}: "
-            f"{determinism['digest_shards8'][:12]}... vs "
-            f"{determinism['digest_shards1'][:12]}..."
-        )
 
     profiler = None
     if args.profile is not None:
@@ -338,7 +320,6 @@ def main(argv=None) -> int:
         "seed": args.seed,
         "duration_scale": args.scale,
         "total_wall_s": round(total_wall, 3),
-        "determinism": determinism,
         "cells": results,
     }
     path = merge_into_snapshot(section, args.output, "scale")

@@ -81,17 +81,10 @@ means the knob stopped being wired through.
 The ``scale`` section (written by ``bench_scale.py``) gets both kinds
 of gate: cells matched on ``(n_peers, shards, mode)`` compare
 ``wall_s`` growth and ``events_per_s`` shrinkage against the committed
-matrix at the ratio tolerance (:func:`compare_scale`), and two
-intra-snapshot invariants hold on the candidate alone
-(:func:`check_scale`) -- the sharded-kernel determinism audit's
-shards=8 digest must equal the shards=1 digest, and every cell's
-pending-event peak must sit under its recorded bound.  On top of
-those, a one-time **throughput ratchet** (:func:`check_scale_ratchet`)
-pins the events/sec floors from the snapshot committed *before* the
-wire-kernel fast path landed: any candidate cell matching a pinned
-``(n_peers, shards, mode)`` at the canonical scenario knobs must beat
-its pre-fast-path number by >=1.5x, proving the fast-path win stays
-landed.
+matrix at the ratio tolerance (:func:`compare_scale`), and one
+intra-snapshot invariant holds on the candidate alone
+(:func:`check_scale`) -- every cell's pending-event peak must sit
+under its recorded bound.
 
 Scenario sections are only compared when both snapshots ran the same
 population and duration scale (the quick CI candidate at N=256 is
@@ -108,9 +101,9 @@ inversions, query fast paths), the PR-4 message-level route-repair
 success floor, the PR-5 write-path success/divergence floors, the
 PR-6 persistence/recovery floors (warm-beats-cold, zero loss on clean
 shutdown), the PR-7 serving-layer floors (cache-on beats cache-off
-on tail latency and load spread, bounded staleness), and the PR-8
-sharded-kernel floors (shard-count-invisible digests, bounded event
-heaps, N=16,384/65,536 throughput), and the PR-10 multi-dimensional
+on tail latency and load spread, bounded staleness), the PR-8 scale
+floors (bounded event heaps, N=16,384/65,536 throughput), and the
+PR-10 multi-dimensional
 floors (box recall, budget-bounded z-order decomposition), as
 committed in ``BENCH_core.json``.
 """
@@ -507,8 +500,7 @@ def compare_scale(
     pins nothing.  Per overlapping cell:
 
     * ``wall_s`` growth beyond ``tolerance`` fails;
-    * ``events_per_s`` dropping below ``baseline / tolerance`` fails
-      (the sharded kernel's throughput is the tentpole claim).
+    * ``events_per_s`` dropping below ``baseline / tolerance`` fails.
 
     Returns ``(rows, failures, skip_reason)``; rows are ``(cell,
     metric, baseline, candidate, ratio, breached)``.
@@ -557,18 +549,13 @@ def compare_scale(
 
 
 def check_scale(candidate: dict) -> Tuple[List[Tuple[str, str, str, bool]], List[str]]:
-    """Intra-snapshot scale gates on the *candidate* alone.
+    """Intra-snapshot scale gate on the *candidate* alone.
 
-    Two invariants the sharded kernel must always satisfy, checkable
-    without a baseline because ``bench_scale.py`` records them inline:
-
-    * **shards are invisible** -- the determinism audit's shards=8
-      report digest must equal the shards=1 digest (the tentpole
-      acceptance: the barrier kernel is an execution detail, never a
-      semantic one);
-    * **heaps stay bounded** -- every cell's pending-event peak must
-      sit under its recorded per-peer bound (``pending_bound_ok``),
-      so a wall-clock win can't smuggle in an unbounded event heap.
+    **Heaps stay bounded**, checkable without a baseline because
+    ``bench_scale.py`` records it inline: every cell's pending-event
+    peak must sit under its recorded per-peer bound
+    (``pending_bound_ok``), so a wall-clock win can't smuggle in an
+    unbounded event heap.
 
     Returns ``(rows, failures)``; rows are ``(cell, check, detail,
     breached)`` for printing.
@@ -578,20 +565,6 @@ def check_scale(candidate: dict) -> Tuple[List[Tuple[str, str, str, bool]], List
     scale = candidate.get("scale")
     if not scale:
         return rows, failures
-    det = scale.get("determinism")
-    if det:
-        where = f"scale/determinism@N={det.get('n_peers')}"
-        match = bool(det.get("match"))
-        rows.append(
-            (where, "digest_shards8==shards1",
-             f"{det.get('digest_shards8', '')[:12]} vs "
-             f"{det.get('digest_shards1', '')[:12]}", not match)
-        )
-        if not match:
-            failures.append(
-                f"{where}: sharded-kernel report digest differs from the "
-                f"single-process digest -- shard count leaked into results"
-            )
     for cell in scale.get("cells", []):
         where = f"scale/N={cell.get('n_peers')}/shards={cell.get('shards')}"
         ok = bool(cell.get("pending_bound_ok", True))
@@ -605,81 +578,6 @@ def check_scale(candidate: dict) -> Tuple[List[Tuple[str, str, str, bool]], List
                 f"{where}: pending peak {cell.get('pending_peak')} exceeds "
                 f"bound {cell.get('pending_bound')} -- event heap no longer "
                 f"bounded"
-            )
-    return rows, failures
-
-
-#: One-time throughput ratchet: the committed ``scale`` cells as of the
-#: snapshot immediately *before* the wire-kernel fast path landed
-#: (events/sec keyed on ``(n_peers, shards, mode)``).  The fast-path
-#: PR's acceptance is that the regenerated matrix beats every one of
-#: these by at least :data:`RATCHET_MIN_RATIO`; keeping the floors in
-#: the gate stops a later "cleanup" from quietly giving the win back.
-SCALE_RATCHET_BASELINE = {
-    (4096, 1, "single"): 4492.8,
-    (4096, 4, "workers"): 3180.2,
-    (4096, 8, "workers"): 3504.3,
-    (16384, 1, "single"): 2848.3,
-    (16384, 4, "workers"): 2588.3,
-    (16384, 8, "workers"): 2793.2,
-    (65536, 8, "workers"): 1729.9,
-}
-
-#: Minimum candidate/pre-fast-path events-per-second ratio.
-RATCHET_MIN_RATIO = 1.5
-
-#: The ratchet floors were measured at these knobs; a scale section run
-#: with any other scenario/seed/duration scale is incomparable to them
-#: and skips the ratchet rather than mis-gating.
-RATCHET_KNOBS = {
-    "scenario": "uniform-baseline",
-    "seed": 20050830,
-    "duration_scale": 0.05,
-}
-
-
-def check_scale_ratchet(candidate: dict) -> Tuple[List[Tuple[str, str, str, bool]], List[str]]:
-    """Intra-snapshot throughput ratchet on the *candidate* alone.
-
-    Every candidate cell with a counterpart in
-    :data:`SCALE_RATCHET_BASELINE` must report ``events_per_s`` at
-    least :data:`RATCHET_MIN_RATIO` times the pre-fast-path committed
-    number.  Unlike :func:`compare_scale` this needs no baseline
-    snapshot -- the floor is pinned in the gate itself -- so it also
-    guards the *committed* snapshot whenever a CI job feeds it back
-    through as the candidate.  Cells without a pinned counterpart (the
-    CI smoke cell at N=8192) and sections run at non-canonical knobs
-    pin nothing.
-
-    Returns ``(rows, failures)``; rows are ``(cell, check, detail,
-    breached)``, same shape as :func:`check_scale` for printing.
-    """
-    rows: List[Tuple[str, str, str, bool]] = []
-    failures: List[str] = []
-    scale = candidate.get("scale")
-    if not scale:
-        return rows, failures
-    if any(scale.get(knob) != value for knob, value in RATCHET_KNOBS.items()):
-        return rows, failures
-    for cell in scale.get("cells", []):
-        key = (cell.get("n_peers"), cell.get("shards"), cell.get("mode"))
-        floor = SCALE_RATCHET_BASELINE.get(key)
-        eps = cell.get("events_per_s")
-        if floor is None or eps is None:
-            continue
-        eps = float(eps)
-        ratio = eps / floor
-        ok = ratio >= RATCHET_MIN_RATIO
-        where = f"scale/N={key[0]}/shards={key[1]}"
-        rows.append(
-            (where, f"ev/s>={RATCHET_MIN_RATIO:g}x pre-fast-path",
-             f"{eps:g} vs {floor:g} ({ratio:.2f}x)", not ok)
-        )
-        if not ok:
-            failures.append(
-                f"{where}: events/sec {eps:g} is only {ratio:.2f}x the "
-                f"pre-fast-path floor {floor:g} (ratchet requires "
-                f">={RATCHET_MIN_RATIO:g}x)"
             )
     return rows, failures
 
@@ -770,7 +668,7 @@ def build_step_summary(
             verdict = "❌ fail" if breached else "✅ ok"
             lines.append(f"| {where} | `{check}` | {detail} | {verdict} |")
     if scale_rows or scale_skip or scale_intra_rows:
-        lines += ["", f"### Scale (sharded kernel, tolerance {tolerance:g}x)", ""]
+        lines += ["", f"### Scale (tolerance {tolerance:g}x)", ""]
         if scale_skip is not None:
             lines.append(f"_cell comparison skipped: {scale_skip}_")
         if scale_rows:
@@ -933,28 +831,17 @@ def main(argv=None) -> int:
 
     scale_intra_rows, scale_intra_failures = check_scale(candidate)
     if scale_intra_rows:
-        print("scale gate (intra-snapshot: digest equality, pending bounds)")
+        print("scale gate (intra-snapshot: pending bounds)")
         for where, check, detail, breached in scale_intra_rows:
             verdict = "FAIL" if breached else "ok  "
             print(f"  [{verdict}] {where:40s} {check:26s}  {detail}")
     failures += scale_intra_failures
 
-    ratchet_rows, ratchet_failures = check_scale_ratchet(candidate)
-    if ratchet_rows:
-        print(
-            f"scale ratchet (events/sec >= {RATCHET_MIN_RATIO:g}x the "
-            f"pre-fast-path committed cells)"
-        )
-        for where, check, detail, breached in ratchet_rows:
-            verdict = "FAIL" if breached else "ok  "
-            print(f"  [{verdict}] {where:40s} {check:26s}  {detail}")
-    failures += ratchet_failures
-
     write_step_summary(
         build_step_summary(
             rows, args.tolerance, scenario_results, args.scenario_tolerance,
             failures, recovery_rows, serving_rows, mdim_rows,
-            scale_rows, scale_skip, scale_intra_rows + ratchet_rows,
+            scale_rows, scale_skip, scale_intra_rows,
         ),
         args.summary or os.environ.get("GITHUB_STEP_SUMMARY"),
     )

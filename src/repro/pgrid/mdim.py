@@ -5,10 +5,10 @@ construction to multi-attribute records (ROADMAP open item 4) by
 bit-interleaving d quantized attributes into a single
 :data:`~repro.pgrid.keyspace.KEY_BITS`-bit key.  Because interleaving
 is order-preserving per dimension *prefix*, the existing prefix
-routing, :class:`~repro.pgrid.store.KeyStore`, replication, writes,
-caching and the sharded kernel serve d-dimensional point and box
-queries unchanged -- a d-dimensional box becomes a small set of 1-D
-key ranges issued through the ordinary range machinery.
+routing, :class:`~repro.pgrid.store.KeyStore`, replication, writes
+and caching serve d-dimensional point and box queries unchanged -- a
+d-dimensional box becomes a small set of 1-D key ranges issued through
+the ordinary range machinery.
 
 Quantization contract
 ---------------------

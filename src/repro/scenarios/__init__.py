@@ -83,7 +83,7 @@ from .library import SCENARIOS, scenario  # noqa: F401
 from .message_runner import (  # noqa: F401
     MessageNetConfig,
     MessageScenarioRunner,
-    run_sharded_scenario,
+    run_sliced_ensemble,
     slice_spec,
 )
 from .report import ScenarioReport, merge_reports  # noqa: F401
@@ -157,7 +157,7 @@ __all__ = [
     "BACKENDS",
     "runner_for",
     "run_scenario",
-    "run_sharded_scenario",
+    "run_sliced_ensemble",
     "slice_spec",
     "merge_reports",
     "ScenarioReport",

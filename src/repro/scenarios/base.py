@@ -290,7 +290,7 @@ class ScenarioRunnerBase:
             seed=keys_rng,
             codec=spec.codec,
         )
-        sim = self._make_simulator()
+        sim = Simulator()
         self.simulator = sim
         self._setup(peer_keys, build_rng)
         if self._writes_active:
@@ -424,13 +424,6 @@ class ScenarioRunnerBase:
         return self._shard_stream_root
 
     # -- backend hook surface ----------------------------------------------
-
-    def _make_simulator(self) -> Simulator:
-        """The event loop this run executes on.  The message backend
-        swaps in the sharded kernel
-        (:class:`repro.simnet.shard.ShardedSimulator`) when
-        ``MessageNetConfig.shards`` > 1."""
-        return Simulator()
 
     def _derive_extra_streams(self, master) -> None:
         """Derive backend-specific RNG streams (after the six shared ones)."""

@@ -63,15 +63,8 @@ from ..pgrid.state import DurabilityPolicy
 from ..pgrid.replication import divergence_stats
 from ..pgrid.routing import RoutingTable
 from ..simnet import protocol as P
-from ..simnet.engine import Simulator
 from ..simnet.node import NodeConfig, PGridNode, QueryOutcome
-from ..simnet.shard import (
-    DEFAULT_MIN_LOOKAHEAD_S,
-    ShardCodec,
-    ShardPlan,
-    ShardedSimulator,
-    derive_shard_streams,
-)
+from ..simnet.shard import ShardCodec, derive_shard_streams
 from ..simnet.stats import StatsCollector
 from ..simnet.transport import LatencyModel, LogNormalLatency, Network
 from ..workloads.queries import POINT, RANGE, QuerySampler
@@ -83,7 +76,7 @@ __all__ = [
     "MessageNetConfig",
     "MessageScenarioRunner",
     "run_message_scenario",
-    "run_sharded_scenario",
+    "run_sliced_ensemble",
     "slice_spec",
 ]
 
@@ -134,20 +127,6 @@ class MessageNetConfig:
     #: ``DurabilityPolicy(enabled=False)`` is the cold-rejoin baseline
     #: (every restarted node re-enters via a sponsored join).
     durability: DurabilityPolicy = field(default_factory=DurabilityPolicy)
-    #: Event-loop shard count.  ``1`` (default) runs the legacy
-    #: single-heap :class:`~repro.simnet.engine.Simulator`; ``>= 2``
-    #: swaps in the barrier-synchronized sharded kernel
-    #: (:class:`~repro.simnet.shard.ShardedSimulator`), partitioning
-    #: the trie regions across shards via
-    #: :class:`~repro.simnet.shard.ShardPlan`.  The kernel executes in
-    #: globally merged event order, so the report -- and its digest --
-    #: is byte-identical at every shard count.
-    shards: int = 1
-    #: Barrier window of the sharded kernel; ``None`` derives it from
-    #: the latency model's floor (conservative lookahead), clamped to
-    #: :data:`~repro.simnet.shard.DEFAULT_MIN_LOOKAHEAD_S` for
-    #: zero-floor models.
-    lookahead_s: Optional[float] = None
 
 
 @dataclass
@@ -189,8 +168,6 @@ class MessageScenarioRunner(ScenarioRunnerBase):
         self.nodes: Dict[int, PGridNode] = {}
         self.transport: Optional[Network] = None
         self.stats: Optional[StatsCollector] = None
-        #: Trie-region shard assignment (sharded kernel runs only).
-        self.shard_plan: Optional[ShardPlan] = None
         self._node_tuple: Optional[Tuple[PGridNode, ...]] = None
         #: Query-origin gateway tier (``CachePolicy.front_ends``);
         #: ``None`` = unrestricted random origins.
@@ -222,19 +199,6 @@ class MessageScenarioRunner(ScenarioRunnerBase):
         # Appended after the six shared streams (determinism contract).
         self._transport_rng = make_rng(master.randrange(2**31))
         self._node_seed_rng = make_rng(master.randrange(2**31))
-
-    def _make_simulator(self):
-        cfg = self.net_config
-        if cfg.shards <= 1:
-            return Simulator()
-        lookahead = cfg.lookahead_s
-        if lookahead is None:
-            # Conservative lookahead = the per-link latency floor; a
-            # zero floor (log-normal) falls back to the minimum window.
-            # Either way execution order is provably unchanged -- the
-            # window only sizes how much cross-shard traffic stages.
-            lookahead = max(cfg.latency.floor(), DEFAULT_MIN_LOOKAHEAD_S)
-        return ShardedSimulator(cfg.shards, lookahead=lookahead)
 
     def _setup(self, peer_keys, build_rng) -> None:
         spec, cfg, sim = self.spec, self.net_config, self.simulator
@@ -278,18 +242,6 @@ class MessageScenarioRunner(ScenarioRunnerBase):
                 if refs
             }
             node.replicas = set(peer.replicas)
-        if isinstance(sim, ShardedSimulator):
-            # Partition the trie regions across shards and route every
-            # delivery onto its destination's shard; node-local timers
-            # inherit the executing shard, runner control events stay on
-            # shard 0.  Installed after the initial spawn (which sends
-            # nothing); later joiners fall back to the plan's stable
-            # id-hash assignment.
-            self.shard_plan = ShardPlan.from_paths(
-                {pid: node.path for pid, node in self.nodes.items()},
-                cfg.shards,
-            )
-            self.transport.shard_of = self.shard_plan.shard_of
         cache = spec.cache
         if cache is not None and cache.front_ends > 0:
             # Gateway tier: queries enter through a fixed, evenly spaced
@@ -1050,18 +1002,18 @@ def run_message_scenario(
     return MessageScenarioRunner(spec, net_config=net_config).run()
 
 
-# -- worker-mode sharding ----------------------------------------------------
+# -- worker mode: a sliced ensemble ------------------------------------------
 #
-# The second half of the scale story (SNIPPETS #3 shape: independent
-# shards + a thin merge layer).  Where ``MessageNetConfig.shards`` runs
-# ONE spec on a barrier-synchronized kernel inside one process --
-# byte-identical reports at any shard count -- worker mode carves the
-# *population itself* into independent keyspace slices, runs each slice
-# as its own scenario in its own process, and merges the per-shard
-# reports into one with the identical schema.  Each worker's report
-# depends only on its own sub-spec and seed, so the merged result is
-# deterministic regardless of process scheduling; this is what makes
-# N=65,536 reachable in one bench run.
+# The repo's one scale mechanism (SNIPPETS #3 shape: independent
+# workers + a thin merge layer).  Worker mode carves the *population
+# itself* into independent keyspace slices, runs each slice as its own
+# scenario in its own process, and merges the per-slice reports into
+# one with the identical schema.  Each worker's report depends only on
+# its own sub-spec and seed, so the merged result is deterministic
+# regardless of process scheduling; this is what makes N=65,536
+# reachable in one bench run.  Why slices and not one overlay on a
+# multi-process kernel: the decision note in
+# ``benchmarks/bench_scale.py``.
 
 
 def slice_spec(
@@ -1160,7 +1112,7 @@ def _run_shard_worker(args: Tuple[ScenarioSpec, Optional[MessageNetConfig]]) -> 
     return ShardCodec.encode({"report": report, "kernel": kernel})
 
 
-def run_sharded_scenario(
+def run_sliced_ensemble(
     spec: ScenarioSpec,
     *,
     shards: int,
@@ -1170,15 +1122,36 @@ def run_sharded_scenario(
 ) -> ScenarioReport:
     """Run ``spec`` as ``shards`` independent keyspace slices and merge.
 
-    Per-shard seeds come off the spec's shard stream root (the master
+    **This is an ensemble of independent overlays, not one overlay.**
+    Each slice (:func:`slice_spec`) is a complete, self-contained
+    P-Grid over its ``1/shards`` of the keyspace with ``1/shards`` of
+    the peers and traffic; the merged report answers "what do
+    ``shards`` such overlays cost together", which approximates one
+    large overlay only where its behaviour is local to a key region.
+    What the slices cannot see:
+
+    * **no cross-slice routing** -- every query, write and range is
+      confined to its slice, so hop counts and latencies are those of
+      an overlay of ``n_peers / shards`` peers, and a range never spans
+      a slice boundary;
+    * **no cross-slice partitions, replica grants or gossip** -- each
+      :class:`~repro.scenarios.spec.PartitionSpec`, hot-range
+      ``REPLICA_GRANT`` and anti-entropy exchange acts within one slice
+      only;
+    * **``dims > 1`` is rejected** -- z-order interleaving breaks the
+      per-slice key confinement (:func:`slice_spec` raises).
+
+    Per-slice seeds come off the spec's shard stream root (the master
     chain's final draw -- see
     :meth:`~repro.scenarios.base.ScenarioRunnerBase.shard_stream_root`),
     so worker randomness extends the existing stream tree without
     shifting any stream a golden trace depends on.  ``processes=None``
-    forks one worker per shard when the platform supports it and falls
+    forks one worker per slice when the platform supports it and falls
     back to sequential in-process execution otherwise; either way the
     result is identical, because each worker's report is a pure function
-    of its sub-spec.
+    of its sub-spec.  A worker process that dies (OOM-kill, hard exit)
+    raises :class:`~repro.exceptions.SimulationError` naming the first
+    slice left without a result.
 
     Pass a list as ``kernel_stats`` to receive one dict per worker
     (events processed, pending-heap peak, compactions, per-worker wall
@@ -1189,27 +1162,42 @@ def run_sharded_scenario(
         raise SimulationError(f"need at least one shard, got {shards}")
     if shards == 1:
         return run_message_scenario(spec, net_config=net_config)
+    # Imported here, not at module level: single-process runs (every
+    # library scenario) never pay for the process-pool machinery.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     root = MessageScenarioRunner(spec, net_config=net_config).shard_stream_root()
     seeds = derive_shard_streams(root, shards)
-    sub_specs = [
-        slice_spec(spec, index, shards, seed=seeds[index])
+    jobs = [
+        (slice_spec(spec, index, shards, seed=seeds[index]), net_config)
         for index in range(shards)
     ]
-    jobs = [(sub, net_config) for sub in sub_specs]
     encoded: List[bytes]
     use_processes = processes
     if use_processes is None:
-        import multiprocessing
-
         use_processes = "fork" in multiprocessing.get_all_start_methods()
     if use_processes:
-        import multiprocessing
-
         # fork (not spawn): workers inherit the loaded code and the job
-        # objects only cross once, encoded results cross back once.
+        # objects only cross once, encoded results cross back once.  An
+        # executor (not ``Pool.map``) because it notices a dead worker
+        # and breaks the outstanding futures instead of waiting forever.
         context = multiprocessing.get_context("fork")
-        with context.Pool(processes=min(shards, context.cpu_count())) as pool:
-            encoded = pool.map(_run_shard_worker, jobs)
+        with ProcessPoolExecutor(
+            max_workers=min(shards, context.cpu_count()), mp_context=context
+        ) as pool:
+            futures = [pool.submit(_run_shard_worker, job) for job in jobs]
+            encoded = []
+            for (sub_spec, _), future in zip(jobs, futures):
+                try:
+                    encoded.append(future.result())
+                except BrokenProcessPool:
+                    raise SimulationError(
+                        f"a worker process died before slice "
+                        f"{sub_spec.name!r} returned (killed or out of "
+                        f"memory?); no merged report"
+                    ) from None
     else:
         encoded = [_run_shard_worker(job) for job in jobs]
     payloads = [ShardCodec.decode(blob) for blob in encoded]

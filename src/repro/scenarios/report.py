@@ -221,7 +221,7 @@ class ScenarioReport:
 # -- worker-shard merging ----------------------------------------------------
 #
 # The thin merge layer of worker-mode sharding
-# (:func:`repro.scenarios.message_runner.run_sharded_scenario`): per-shard
+# (:func:`repro.scenarios.message_runner.run_sliced_ensemble`): per-shard
 # reports over disjoint keyspace slices fold into ONE report with the
 # identical schema.  Counts and bytes add; ratios are recomputed from
 # their merged numerators/denominators wherever both survive in the

@@ -25,11 +25,8 @@ under controlled, reproducible networking conditions:
 ``experiment``
     The five-phase timeline driver reproducing the Sec. 5 deployment.
 ``shard``
-    Sharded simulation kernel: per-shard event heaps merged at
-    deterministic time barriers (conservative lookahead = per-link
-    latency floor), plus the worker-mode protocol pieces (shard plans,
-    per-shard RNG streams, message codec) behind the N=65,536 scale
-    runs.
+    Worker-mode support for the sliced-ensemble scale runs: per-slice
+    RNG seed derivation and the versioned result codec.
 """
 
 from . import churn, engine, experiment, node, protocol, shard, stats, topology, transport, vote  # noqa: F401

@@ -15,9 +15,7 @@ counter assigned at schedule time, so
   event object (``seq`` is unique -- no tie can fall through to it);
 * ties at equal ``time`` break by schedule order, deterministically.
 
-Execution order is therefore exactly global ``(time, seq)`` order --
-the same contract the sharded kernel (:mod:`repro.simnet.shard`)
-preserves across per-shard heaps and staging inboxes.
+Execution order is therefore exactly global ``(time, seq)`` order.
 
 Lazy deadline timers
 --------------------
@@ -76,16 +74,13 @@ class _Event:
     (the heap orders ``(time, seq, event)`` tuples and never compares
     events)."""
 
-    __slots__ = ("time", "seq", "callback", "cancelled", "shard")
+    __slots__ = ("time", "seq", "callback", "cancelled")
 
-    def __init__(self, time: float, seq: int, callback: Callable[[], None], shard: int):
+    def __init__(self, time: float, seq: int, callback: Callable[[], None]):
         self.time = time
         self.seq = seq
         self.callback = callback
         self.cancelled = False
-        #: Owning shard under a sharded kernel (:mod:`repro.simnet.shard`);
-        #: the single-heap simulator stores but ignores it.
-        self.shard = shard
 
 
 #: Heap entry: ``(time, seq, event)``.
@@ -156,37 +151,26 @@ class Simulator:
         """How many times the heap was compacted (see :meth:`cancel`)."""
         return self._compactions
 
-    def schedule(
-        self,
-        delay: float,
-        callback: Callable[[], None],
-        *,
-        shard: Optional[int] = None,
-    ) -> _Event:
+    def schedule(self, delay: float, callback: Callable[[], None]) -> _Event:
         """Schedule ``callback`` to run ``delay`` seconds from now.
 
         Returns a handle whose ``cancelled`` attribute can be set through
         :meth:`cancel`.  Negative delays are rejected -- the simulator
-        never travels back in time.  ``shard`` names the event's owning
-        shard under a sharded kernel; the single-heap simulator accepts
-        and records it (so callers can be shard-annotated unconditionally)
-        but execution ignores it.
+        never travels back in time.
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         seq = self._seq
         self._seq = seq + 1
-        event = _Event(self._now + delay, seq, callback, self._resolve_shard(shard))
-        self._push(event)
+        time = self._now + delay
+        event = _Event(time, seq, callback)
+        queue = self._queue
+        heapq.heappush(queue, (time, seq, event))
+        if len(queue) > self._pending_peak:
+            self._pending_peak = len(queue)
         return event
 
-    def schedule_at(
-        self,
-        time: float,
-        callback: Callable[[], None],
-        *,
-        shard: Optional[int] = None,
-    ) -> _Event:
+    def schedule_at(self, time: float, callback: Callable[[], None]) -> _Event:
         """Schedule ``callback`` at an **exact** absolute simulated time.
 
         The event's time is ``time`` itself, not ``now + (time - now)``
@@ -200,21 +184,12 @@ class Simulator:
             )
         seq = self._seq
         self._seq = seq + 1
-        event = _Event(time, seq, callback, self._resolve_shard(shard))
-        self._push(event)
-        return event
-
-    def _resolve_shard(self, shard: Optional[int]) -> int:
-        """Map an optional shard tag to the event's owning shard (the
-        sharded kernel defaults to the currently executing shard)."""
-        return 0 if shard is None else shard
-
-    def _push(self, event: _Event) -> None:
-        """Enqueue one event (the sharded kernel reroutes this)."""
+        event = _Event(time, seq, callback)
         queue = self._queue
-        heapq.heappush(queue, (event.time, event.seq, event))
+        heapq.heappush(queue, (time, seq, event))
         if len(queue) > self._pending_peak:
             self._pending_peak = len(queue)
+        return event
 
     def cancel(self, event: _Event) -> None:
         """Cancel a scheduled event.

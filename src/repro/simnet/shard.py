@@ -1,318 +1,24 @@
-"""Sharded simulation kernel: barrier-synchronized per-shard event heaps.
+"""Worker-mode support: per-slice RNG seeds and the result codec.
 
-The message backend tops out around N=4096 on the single event loop of
-:class:`~repro.simnet.engine.Simulator` (ROADMAP open item 1).  This
-module provides the two halves of the scale story:
-
-* :class:`ShardedSimulator` -- a conservative parallel-discrete-event
-  kernel *inside one process*: the keyspace (trie regions, via
-  :class:`ShardPlan`) is partitioned across shards, each shard owns an
-  event heap, and cross-shard messages whose delivery time falls beyond
-  the current barrier window are **staged** into the destination shard's
-  inbox and flushed at the next deterministic time barrier.  The
-  conservative lookahead is the per-link latency floor
-  (:meth:`~repro.simnet.transport.LatencyModel.floor`): when the floor
-  is at least one lookahead window, *every* cross-shard delivery lands
-  at or beyond the next barrier, which is exactly the classic
-  null-message-free conservative PDES contract.
-* :func:`derive_shard_streams` + :class:`ShardCodec` -- the worker-mode
-  half (see :func:`repro.scenarios.message_runner.run_sharded_scenario`):
-  per-shard RNG seeds derived from the scenario's existing master stream
-  tree, and a versioned serialization of protocol messages / shard
-  results for the worker processes.
-
-Determinism
------------
-:class:`ShardedSimulator` executes events in **globally merged
-``(time, seq)`` order**: ``seq`` is a single global counter (inherited
-from :class:`Simulator`), staging preserves each event's original
-``(time, seq)``, and the pop loop always selects the minimum over all
-shard heads within the open window.  Any event with a time inside the
-current window is guaranteed to sit in a heap (only events at or beyond
-the next barrier are ever staged), so the execution order -- and with it
-every callback sequence and every shared-RNG draw -- is byte-identical
-to the single-heap :class:`Simulator`.  That is what makes the
-``shards=1`` and ``shards=8`` report digests of the same
-:class:`~repro.scenarios.spec.ScenarioSpec` identical, and it holds for
-*any* positive lookahead: a lookahead below the latency floor merely
-stages fewer events (more get pushed directly), never reorders them.
+The two pieces :func:`repro.scenarios.message_runner.run_sliced_ensemble`
+needs to run independent keyspace slices in worker processes:
+:func:`derive_shard_streams` derives each slice's seed from the
+scenario's existing master stream tree, and :class:`ShardCodec` carries
+a worker's result back to the parent as versioned bytes.
 """
 
 from __future__ import annotations
 
-import heapq
-import math
 import pickle
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import List
 
 from .._util import make_rng
 from ..exceptions import SimulationError
-from .engine import Simulator, _Entry, _Event
-from .transport import Message
 
 __all__ = [
-    "DEFAULT_MIN_LOOKAHEAD_S",
-    "ShardPlan",
-    "ShardedSimulator",
     "ShardCodec",
     "derive_shard_streams",
 ]
-
-#: Lower bound on the barrier window: latency models with a zero floor
-#: (log-normal) would otherwise degenerate to one barrier per event.
-#: Correctness is lookahead-independent (see the module docstring), so
-#: this is purely a window-granularity choice.
-DEFAULT_MIN_LOOKAHEAD_S = 0.01
-
-
-@dataclass(frozen=True)
-class ShardPlan:
-    """Assignment of node ids to shards by trie region.
-
-    Built from the overlay's paths: a node whose path covers the
-    keyspace interval starting at ``bits / 2**length`` belongs to the
-    shard owning that point -- contiguous trie regions land on the same
-    shard, so intra-region traffic (replica sync, most routing hops at
-    deep levels) stays shard-local.  Ids the plan never saw (peers
-    joining after construction) fall back to ``id % n_shards``; any
-    assignment is *correct* (the kernel's determinism does not depend on
-    placement, see the module docstring), placement only shifts how much
-    traffic crosses shards.
-    """
-
-    n_shards: int
-    assignment: Mapping[int, int] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.n_shards < 1:
-            raise SimulationError(f"need at least one shard, got {self.n_shards}")
-
-    @classmethod
-    def from_paths(cls, paths: Mapping[int, object], n_shards: int) -> "ShardPlan":
-        """Partition by each node's trie position (``path.bits/length``)."""
-        assignment: Dict[int, int] = {}
-        for pid in sorted(paths):
-            path = paths[pid]
-            length = path.length
-            frac = (path.bits / (1 << length)) if length else 0.0
-            assignment[pid] = min(n_shards - 1, int(frac * n_shards))
-        return cls(n_shards=n_shards, assignment=assignment)
-
-    def shard_of(self, node_id: int) -> int:
-        shard = self.assignment.get(node_id)
-        if shard is None:
-            return node_id % self.n_shards
-        return shard
-
-    def populations(self) -> List[int]:
-        """Assigned node count per shard (diagnostics)."""
-        counts = [0] * self.n_shards
-        for shard in self.assignment.values():
-            counts[shard] += 1
-        return counts
-
-
-class ShardedSimulator(Simulator):
-    """Per-shard event heaps merged at deterministic time barriers.
-
-    Drop-in for :class:`Simulator`: same ``schedule`` / ``cancel`` /
-    ``run_until`` surface, same event budgets, same ``events_processed``
-    accounting.  Every event belongs to a shard -- explicitly via
-    ``schedule(..., shard=...)`` (the transport tags deliveries with the
-    destination's shard) or inherited from the shard whose event is
-    currently executing (node-local timers stay on the node's shard;
-    runner control events stay on shard 0).
-
-    Time advances in barrier windows of ``lookahead`` seconds.  Within a
-    window each shard's events run from its own heap, merged in global
-    ``(time, seq)`` order; an event scheduled *across* shards with a
-    time at or beyond the next barrier is staged into the destination's
-    inbox and flushed when the barrier is crossed.  Empty windows are
-    skipped in O(1): the barrier jumps straight to the window containing
-    the earliest pending event.
-    """
-
-    def __init__(self, n_shards: int, *, lookahead: float = DEFAULT_MIN_LOOKAHEAD_S):
-        super().__init__()
-        if n_shards < 1:
-            raise SimulationError(f"need at least one shard, got {n_shards}")
-        if lookahead <= 0:
-            raise SimulationError(f"lookahead must be positive, got {lookahead}")
-        self.n_shards = n_shards
-        self.lookahead = lookahead
-        self._heaps: List[List[_Entry]] = [[] for _ in range(n_shards)]
-        self._staged: List[List[_Entry]] = [[] for _ in range(n_shards)]
-        self._staged_count = 0
-        self._current_shard = 0
-        #: End of the currently open barrier window.
-        self._barrier = 0.0
-        #: Barrier crossings (windows actually opened; empty ones skip).
-        self.barriers = 0
-        #: Events that crossed shards through an inbox (vs direct push).
-        self.cross_shard_staged = 0
-
-    # -- accounting ---------------------------------------------------------
-
-    @property
-    def pending(self) -> int:
-        return sum(len(h) for h in self._heaps) + self._staged_count
-
-    @property
-    def current_shard(self) -> int:
-        """Shard whose event is executing (0 outside any event)."""
-        return self._current_shard
-
-    @property
-    def staged_pending(self) -> int:
-        """Cross-shard events awaiting the next barrier flush."""
-        return self._staged_count
-
-    # -- scheduling ---------------------------------------------------------
-
-    def _resolve_shard(self, shard: Optional[int]) -> int:
-        if shard is None:
-            return self._current_shard
-        if not 0 <= shard < self.n_shards:
-            raise SimulationError(
-                f"shard {shard} out of range for {self.n_shards} shards"
-            )
-        return shard
-
-    def _push(self, event: _Event) -> None:
-        # The conservative-staging rule: only a *cross-shard* event that
-        # cannot run in the open window goes through the inbox.  An
-        # event inside the window is pushed straight into its heap, so
-        # the merged pop below always sees every in-window event.
-        entry = (event.time, event.seq, event)
-        if event.shard != self._current_shard and event.time >= self._barrier:
-            self._staged[event.shard].append(entry)
-            self._staged_count += 1
-            self.cross_shard_staged += 1
-        else:
-            heapq.heappush(self._heaps[event.shard], entry)
-        total = self.pending
-        if total > self._pending_peak:
-            self._pending_peak = total
-
-    def _compact(self) -> None:
-        for shard in range(self.n_shards):
-            heap = [e for e in self._heaps[shard] if not e[2].cancelled]
-            heapq.heapify(heap)
-            self._heaps[shard] = heap
-            self._staged[shard] = [
-                e for e in self._staged[shard] if not e[2].cancelled
-            ]
-        self._staged_count = sum(len(inbox) for inbox in self._staged)
-        self._cancelled = 0
-        self._compactions += 1
-
-    # -- the merged pop loop ------------------------------------------------
-
-    def _peek_shard(self, shard: int) -> Optional[_Entry]:
-        """Live head of one shard's heap (drops cancelled placeholders)."""
-        heap = self._heaps[shard]
-        while heap:
-            head = heap[0]
-            if head[2].cancelled:
-                heapq.heappop(heap)
-                self._cancelled -= 1
-                continue
-            return head
-        return None
-
-    def _flush_staged(self) -> None:
-        for shard in range(self.n_shards):
-            inbox = self._staged[shard]
-            if not inbox:
-                continue
-            self._staged[shard] = []
-            heap = self._heaps[shard]
-            for entry in inbox:
-                if entry[2].cancelled:
-                    self._cancelled -= 1
-                    continue
-                heapq.heappush(heap, entry)
-        self._staged_count = 0
-
-    def _advance_barrier(self) -> bool:
-        """Cross the barrier: flush inboxes, open the window containing
-        the earliest pending event.  False when nothing is pending."""
-        self._flush_staged()
-        earliest: Optional[float] = None
-        for shard in range(self.n_shards):
-            head = self._peek_shard(shard)
-            if head is not None and (earliest is None or head[0] < earliest):
-                earliest = head[0]
-        if earliest is None:
-            return False
-        # Jump straight to the window containing the earliest event
-        # instead of stepping one lookahead at a time -- long idle gaps
-        # (drain tails) cost one barrier, not thousands.
-        self._barrier = (math.floor(earliest / self.lookahead) + 1) * self.lookahead
-        while self._barrier <= earliest:  # float-edge guard
-            self._barrier += self.lookahead
-        self.barriers += 1
-        return True
-
-    def _pop_next(self, end_time: Optional[float] = None) -> Optional[_Entry]:
-        """The globally earliest live event, advancing barriers as
-        needed; ``None`` when drained or the next event is past
-        ``end_time``."""
-        while True:
-            best_shard = -1
-            best_time = 0.0
-            best_seq = 0
-            barrier = self._barrier
-            for shard in range(self.n_shards):
-                head = self._peek_shard(shard)
-                if head is None or head[0] >= barrier:
-                    continue
-                time, seq = head[0], head[1]
-                if (
-                    best_shard < 0
-                    or time < best_time
-                    or (time == best_time and seq < best_seq)
-                ):
-                    best_shard, best_time, best_seq = shard, time, seq
-            if best_shard >= 0:
-                if end_time is not None and best_time > end_time:
-                    return None
-                return heapq.heappop(self._heaps[best_shard])
-            if not self._advance_barrier():
-                return None
-
-    def _execute(self, entry: _Entry) -> None:
-        event = entry[2]
-        self._now = entry[0]
-        self._current_shard = event.shard
-        event.callback()
-        self._processed += 1
-
-    def step(self) -> bool:
-        entry = self._pop_next()
-        if entry is None:
-            return False
-        self._execute(entry)
-        return True
-
-    def run_until(self, end_time: float, *, max_events: Optional[int] = None) -> None:
-        budget = max_events if max_events is not None else float("inf")
-        while budget > 0:
-            entry = self._pop_next(end_time)
-            if entry is None:
-                break
-            self._execute(entry)
-            budget -= 1
-        if budget <= 0:
-            raise SimulationError(
-                f"event budget exhausted at t={self._now:.1f}s "
-                f"({self._processed} events processed)"
-            )
-        self._now = max(self._now, end_time)
-
-
-# -- worker-mode support ----------------------------------------------------
 
 
 def derive_shard_streams(root_seed: int, n_shards: int) -> List[int]:
@@ -334,13 +40,11 @@ def derive_shard_streams(root_seed: int, n_shards: int) -> List[int]:
 class ShardCodec:
     """Versioned serialization for the worker protocol.
 
-    Workers return their shard's results (and may forward protocol
-    :class:`~repro.simnet.transport.Message` objects) as bytes; the
-    parent decodes.  Message envelopes get an explicit field-by-field
-    schema so a codec mismatch fails loudly instead of resurfacing as a
-    corrupted simulation; arbitrary payloads (report dicts) ride pickled
-    at a pinned protocol version, so parent and worker agree regardless
-    of interpreter defaults.
+    Workers return their slice's result (report + kernel counters) as
+    bytes; the parent decodes.  The payload rides pickled at a pinned
+    protocol version under an explicit schema version, so a
+    parent/worker mismatch fails loudly instead of resurfacing as a
+    corrupted merge.
     """
 
     #: Pinned pickle protocol (parent and workers must agree).
@@ -361,33 +65,3 @@ class ShardCodec:
                 f"expected {cls.VERSION}"
             )
         return obj
-
-    @classmethod
-    def encode_message(cls, message: Message) -> bytes:
-        return cls.encode(
-            {
-                "src": message.src,
-                "dst": message.dst,
-                "kind": message.kind,
-                "payload": message.payload,
-                "size_bytes": message.size_bytes,
-                "category": message.category,
-            }
-        )
-
-    @classmethod
-    def decode_message(cls, data: bytes) -> Message:
-        fields = cls.decode(data)
-        if not isinstance(fields, dict):
-            raise SimulationError("shard codec: not a message envelope")
-        try:
-            return Message(
-                src=fields["src"],
-                dst=fields["dst"],
-                kind=fields["kind"],
-                payload=fields["payload"],
-                size_bytes=fields["size_bytes"],
-                category=fields["category"],
-            )
-        except KeyError as exc:  # pragma: no cover - defensive
-            raise SimulationError(f"shard codec: missing field {exc}") from None

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Optional, Tuple, TYPE_CHECKING
+from typing import Dict, Iterable, Optional, Tuple, TYPE_CHECKING
 
 from .._util import RngLike, make_rng
 from ..exceptions import SimulationError
@@ -63,17 +63,6 @@ class LatencyModel:
         """
         return self.sample(rng)
 
-    def floor(self) -> float:
-        """Greatest lower bound on any link's delay, in seconds.
-
-        The sharded kernel (:mod:`repro.simnet.shard`) uses this as its
-        conservative lookahead: no cross-shard message can arrive sooner
-        than the floor, so barrier windows of that width never reorder
-        deliveries.  Unbounded-below models (log-normal) return 0.0 and
-        the kernel falls back to its minimum window.
-        """
-        return 0.0
-
 
 @dataclass
 class ConstantLatency(LatencyModel):
@@ -82,9 +71,6 @@ class ConstantLatency(LatencyModel):
     delay: float = 0.05
 
     def sample(self, rng) -> float:
-        return self.delay
-
-    def floor(self) -> float:
         return self.delay
 
 
@@ -97,9 +83,6 @@ class UniformLatency(LatencyModel):
 
     def sample(self, rng) -> float:
         return rng.uniform(self.lo, self.hi)
-
-    def floor(self) -> float:
-        return self.lo
 
 
 @dataclass
@@ -173,14 +156,6 @@ class PerLinkLatency(LatencyModel):
             delay += self.jitter.sample(rng)
         return delay
 
-    def floor(self) -> float:
-        # Pinned links may undercut [lo, hi]; jitter only ever adds its
-        # own floor on top of the base delay.
-        base = min([self.lo, *self.overrides.values()])
-        if self.jitter is not None:
-            base += self.jitter.floor()
-        return base
-
 
 @dataclass(slots=True)
 class Message:
@@ -248,12 +223,6 @@ class Network:
         self.link_bytes: Dict[Tuple[int, int], int] = {}
         self.delivered: Dict[int, int] = {}
         self._partition_of: Optional[Dict[int, int]] = None
-        #: Shard lookup (node id -> shard) under a sharded kernel; when
-        #: set, deliveries are scheduled onto the destination's shard
-        #: and boundary-crossing traffic is accounted below.
-        self.shard_of: Optional[Callable[[int], int]] = None
-        self.cross_shard_messages = 0
-        self.cross_shard_bytes = 0
 
     def register(self, node: "SimNode") -> None:
         """Attach a node; its ``node_id`` becomes its address."""
@@ -363,17 +332,7 @@ class Network:
         self.inflight += 1
         if self.inflight > self.inflight_peak:
             self.inflight_peak = self.inflight
-        shard_of = self.shard_of
-        dst_shard = None
-        if shard_of is not None:
-            # Delivery executes on the destination's shard; a message
-            # crossing a shard boundary is the staged-at-the-barrier
-            # traffic the scale benchmarks account for.
-            dst_shard = shard_of(dst)
-            if shard_of(src) != dst_shard:
-                self.cross_shard_messages += 1
-                self.cross_shard_bytes += size
-        self.sim.schedule(delay, lambda: self._deliver(message), shard=dst_shard)
+        self.sim.schedule(delay, lambda: self._deliver(message))
         return None
 
     def _deliver(self, message: Message) -> None:

@@ -8,13 +8,7 @@ shifts them.  Two tiers live in one file:
 * ``digests`` -- every library scenario at N=1024 (the acceptance-level
   full-population pin, checked by ``tests/test_message_scenarios.py``);
 * ``smoke`` -- the same scenarios at a small population, cheap enough
-  for the CI digest-staleness step to recompute on every PR.  Its
-  ``shard_digests`` sub-block pins one scenario re-run on the sharded
-  barrier kernel (``MessageNetConfig(shards=4)``): because shard count
-  must be invisible, the sharded digest equals the single-process one,
-  and ``--check`` recomputes it so a drift in the shard streams, the
-  barrier kernel or cross-shard staging fails CI like any other
-  determinism break.
+  for the CI digest-staleness step to recompute on every PR.
 
 Regenerate only when a protocol/report change is intentional, and say so
 in the commit message::
@@ -38,21 +32,10 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[2] / "src"))
 
-from repro.scenarios import (  # noqa: E402
-    SCENARIOS,
-    MessageNetConfig,
-    run_scenario,
-    scenario,
-)
+from repro.scenarios import SCENARIOS, run_scenario, scenario  # noqa: E402
 
 PARAMS = dict(n_peers=1024, seed=5, duration_scale=0.1)
 SMOKE_PARAMS = dict(n_peers=96, seed=5, duration_scale=0.05)
-
-#: The sharded-kernel smoke pin: one scenario recomputed on the
-#: in-process barrier kernel; its digest must equal the single-process
-#: smoke digest of the same scenario.
-SHARD_SMOKE_SCENARIO = "uniform-baseline"
-SHARD_SMOKE_SHARDS = 4
 DATA = pathlib.Path(__file__).parent
 OUT = DATA / "scenario_message_digests.json"
 
@@ -71,17 +54,6 @@ def compute_digests(params: dict) -> dict:
         report = run_scenario(spec, backend="message")
         digests[name] = hashlib.sha256(report.to_json().encode()).hexdigest()
     return digests
-
-
-def compute_shard_digest(params: dict) -> str:
-    """The shard-smoke scenario's digest on the sharded barrier kernel."""
-    spec = scenario(SHARD_SMOKE_SCENARIO, **params)
-    report = run_scenario(
-        spec,
-        backend="message",
-        net_config=MessageNetConfig(shards=SHARD_SMOKE_SHARDS),
-    )
-    return hashlib.sha256(report.to_json().encode()).hexdigest()
 
 
 def golden_json(backend: str) -> str:
@@ -104,11 +76,6 @@ def regenerate() -> None:
         "smoke": {
             **SMOKE_PARAMS,
             "digests": compute_digests(SMOKE_PARAMS),
-            "shard_digests": {
-                "scenario": SHARD_SMOKE_SCENARIO,
-                "shards": SHARD_SMOKE_SHARDS,
-                "digest": compute_shard_digest(SMOKE_PARAMS),
-            },
         },
     }
     OUT.write_text(json.dumps(payload, indent=2) + "\n")
@@ -131,24 +98,6 @@ def check() -> int:
                     f"smoke digest of {name!r}: committed "
                     f"{smoke['digests'].get(name, '<missing>')[:12]}... vs "
                     f"code {fresh.get(name, '<missing>')[:12]}..."
-                )
-        shard_pin = smoke.get("shard_digests")
-        if not shard_pin:
-            drift.append(f"{OUT.name} has no shard_digests pin -- regenerate it")
-        else:
-            fresh_shard = compute_shard_digest(params)
-            if fresh_shard != shard_pin.get("digest"):
-                drift.append(
-                    f"sharded smoke digest ({shard_pin.get('scenario')!r} @ "
-                    f"shards={shard_pin.get('shards')}): committed "
-                    f"{shard_pin.get('digest', '<missing>')[:12]}... vs "
-                    f"code {fresh_shard[:12]}..."
-                )
-            if fresh_shard != fresh.get(SHARD_SMOKE_SCENARIO):
-                drift.append(
-                    f"sharded smoke digest of {SHARD_SMOKE_SCENARIO!r} differs "
-                    f"from its single-process digest -- shard count leaked "
-                    f"into the report"
                 )
     for filename, backend in GOLDENS:
         committed = (DATA / filename).read_text().strip()

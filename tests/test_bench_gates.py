@@ -779,7 +779,6 @@ def scale_section(
     wall=6.5,
     eps=6400.0,
     *,
-    match=True,
     pending_peak=935,
     pending_bound=66560,
     pending_ok=True,
@@ -808,21 +807,14 @@ def scale_section(
         "scenario": scenario,
         "seed": seed,
         "duration_scale": scale,
-        "determinism": {
-            "n_peers": 1024,
-            "shards": 8,
-            "digest_shards1": "a" * 64,
-            "digest_shards8": ("a" if match else "b") * 64,
-            "match": match,
-        },
         "cells": cells,
     }
 
 
 class TestScaleGate:
-    """The sharded-kernel scale gates: cell ratios vs the committed
-    matrix, plus the intra-snapshot digest-equality and bounded-heap
-    invariants that hold on the candidate alone."""
+    """The scale gates: cell ratios vs the committed matrix, plus the
+    intra-snapshot bounded-heap invariant that holds on the candidate
+    alone."""
 
     def pair(self, tmp_path, base_section, cand_section):
         base = write(tmp_path, "base.json", snapshot(extra={"scale": base_section}))
@@ -857,16 +849,21 @@ class TestScaleGate:
         )
         assert check_regression.main(argv) == 0
 
-    def test_digest_mismatch_fails_without_baseline_overlap(self, tmp_path, capsys):
-        # The determinism audit is intra-snapshot: it must trip even when
-        # the baseline has no scale section at all.
-        base = write(tmp_path, "base.json", snapshot())
-        cand = write(tmp_path, "cand.json",
-                     snapshot(extra={"scale": scale_section(match=False)}))
-        assert check_regression.main(
-            ["--baseline", str(base), "--candidate", str(cand)]
-        ) == 1
-        assert "digest" in capsys.readouterr().err
+    def test_stale_determinism_block_in_baseline_is_ignored(self, tmp_path, capsys):
+        # The committed BENCH_core.json still carries the deleted barrier
+        # kernel's ``scale.determinism`` audit until its next full regen;
+        # the gate must accept such a snapshot on either side (CI also
+        # feeds the committed file back as the candidate) and compare
+        # the cells as usual.
+        stale = scale_section()
+        stale["determinism"] = {
+            "n_peers": 1024, "shards": 8, "match": False,
+            "digest_shards1": "a" * 64, "digest_shards8": "b" * 64,
+        }
+        argv = self.pair(tmp_path, stale, stale)
+        assert check_regression.main(argv) == 0
+        out = capsys.readouterr().out
+        assert "scale gate" in out and "determinism" not in out
 
     def test_pending_bound_breach_fails(self, tmp_path, capsys):
         argv = self.pair(
@@ -907,47 +904,6 @@ class TestScaleGate:
         ) == 0
         assert "no scale section" in capsys.readouterr().out
 
-    def test_ratchet_trips_below_pre_fast_path_floor(self, tmp_path, capsys):
-        # Both snapshots agree at eps=3000, so the baseline ratio gate is
-        # silent -- but 3000 ev/s is under 1.5x the pinned pre-fast-path
-        # floors for the N=16384 cells, and the ratchet must catch it.
-        argv = self.pair(tmp_path, scale_section(eps=3000.0),
-                         scale_section(eps=3000.0))
-        assert check_regression.main(argv) == 1
-        assert "pre-fast-path floor" in capsys.readouterr().err
-
-    def test_ratchet_skips_non_canonical_knobs(self, tmp_path):
-        # A scale section run at a different seed is incomparable to the
-        # pinned floors: the ratchet (and the cell ratio gate) skip.
-        argv = self.pair(tmp_path, scale_section(seed=1, eps=100.0),
-                         scale_section(seed=1, eps=100.0))
-        assert check_regression.main(argv) == 0
-
-    def test_ratchet_ignores_unpinned_cells(self, tmp_path):
-        # The CI smoke cell (N=8192) has no pre-fast-path counterpart;
-        # even a slow one pins nothing.
-        smoke_cells = [{
-            "n_peers": 8192, "shards": 4, "mode": "workers",
-            "wall_s": 2.0, "events": 7084, "events_per_s": 100.0,
-            "pending_peak": 136, "pending_bound": 9216,
-            "pending_bound_ok": True,
-        }]
-        argv = self.pair(tmp_path, scale_section(cells=smoke_cells),
-                         scale_section(cells=smoke_cells))
-        assert check_regression.main(argv) == 0
-
-    def test_ratchet_rows_reach_the_step_summary(self, tmp_path):
-        base = write(tmp_path, "base.json",
-                     snapshot(extra={"scale": scale_section()}))
-        cand = write(tmp_path, "cand.json",
-                     snapshot(extra={"scale": scale_section()}))
-        summary = tmp_path / "summary.md"
-        assert check_regression.main([
-            "--baseline", str(base), "--candidate", str(cand),
-            "--summary", str(summary),
-        ]) == 0
-        assert "pre-fast-path" in summary.read_text()
-
     def test_scale_rows_reach_the_step_summary(self, tmp_path):
         base = write(tmp_path, "base.json",
                      snapshot(extra={"scale": scale_section()}))
@@ -960,5 +916,4 @@ class TestScaleGate:
         ]) == 0
         text = summary.read_text()
         assert "### Scale" in text
-        assert "digest_shards8==shards1" in text
         assert "pending_peak<=bound" in text

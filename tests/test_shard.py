@@ -1,209 +1,26 @@
-"""Tests for the sharded simulation kernel and worker-mode sharding.
+"""Tests for worker mode: the sliced ensemble and its support pieces.
 
-Three layers:
-
-* **Kernel units** -- :class:`~repro.simnet.shard.ShardedSimulator`
-  staging/barrier mechanics, cancellation across the inbox, compaction,
-  and the globally merged ``(time, seq)`` pop order that makes shard
-  count invisible.
-* **Shard invisibility** -- the tentpole acceptance: one
-  :class:`~repro.scenarios.spec.ScenarioSpec` run at shards 1, 2 and 8
-  yields byte-identical report digests, including a write scenario
-  (replica sync crossing shards) and a restart scenario
-  (``abort_inflight`` must fire exactly once per in-flight message even
-  when the flight crosses a shard boundary).
-* **Worker mode** -- :func:`slice_spec` conservation arithmetic,
-  :func:`derive_shard_streams` determinism, :class:`ShardCodec`
-  round-trips, and process-pool vs sequential equivalence of
-  :func:`run_sharded_scenario`.
+:func:`slice_spec` conservation arithmetic,
+:func:`derive_shard_streams` determinism, :class:`ShardCodec`
+round-trips, and :func:`run_sliced_ensemble`: process-pool vs
+sequential equivalence, schema parity with a single run, and a dead
+worker surfacing as an error instead of a hang.
 """
 
-import hashlib
+import os
+import signal
+import time
 
 import pytest
 
 from repro.exceptions import SimulationError
-from repro.pgrid.bits import Path
 from repro.scenarios import (
-    MessageNetConfig,
     MessageScenarioRunner,
-    run_sharded_scenario,
+    run_sliced_ensemble,
     scenario,
     slice_spec,
 )
-from repro.simnet.engine import Simulator
-from repro.simnet.shard import (
-    DEFAULT_MIN_LOOKAHEAD_S,
-    ShardCodec,
-    ShardPlan,
-    ShardedSimulator,
-    derive_shard_streams,
-)
-from repro.simnet.transport import Message
-
-
-def digest(report) -> str:
-    return hashlib.sha256(report.to_json().encode()).hexdigest()
-
-
-def run_digest(name: str, shards: int, **params) -> str:
-    spec = scenario(name, **params)
-    cfg = MessageNetConfig(shards=shards) if shards > 1 else None
-    return digest(MessageScenarioRunner(spec, net_config=cfg).run())
-
-
-class TestShardedSimulatorKernel:
-    def test_rejects_bad_construction(self):
-        with pytest.raises(SimulationError):
-            ShardedSimulator(0)
-        with pytest.raises(SimulationError):
-            ShardedSimulator(2, lookahead=0.0)
-
-    def test_rejects_out_of_range_shard(self):
-        sim = ShardedSimulator(2)
-        with pytest.raises(SimulationError):
-            sim.schedule(1.0, lambda: None, shard=2)
-        with pytest.raises(SimulationError):
-            sim.schedule(1.0, lambda: None, shard=-1)
-
-    def test_merged_order_matches_single_heap(self):
-        # The determinism linchpin: whatever lands on whichever shard,
-        # execution follows global (time, seq) order -- byte-identical
-        # to the single-heap Simulator.
-        def workload(sim, shard_of):
-            log = []
-            for i, delay in enumerate([3.0, 1.0, 2.0, 1.0, 2.5]):
-                sim.schedule(
-                    delay, lambda i=i: log.append((sim.now, i)),
-                    shard=shard_of(i),
-                )
-            sim.run_all()
-            return log
-
-        plain = workload(Simulator(), lambda i: 0)
-        sharded = workload(ShardedSimulator(4, lookahead=0.5), lambda i: i % 4)
-        assert sharded == plain
-
-    def test_ties_across_shards_break_by_seq(self):
-        sim = ShardedSimulator(2, lookahead=10.0)
-        log = []
-        sim.schedule(1.0, lambda: log.append("a"), shard=1)
-        sim.schedule(1.0, lambda: log.append("b"), shard=0)
-        sim.run_all()
-        assert log == ["a", "b"]  # insertion order, not shard order
-
-    def test_cross_shard_events_stage_through_inbox(self):
-        sim = ShardedSimulator(2, lookahead=1.0)
-        log = []
-
-        def on_shard_zero():
-            # Cross-shard, beyond the current barrier: must stage.
-            sim.schedule(5.0, lambda: log.append(sim.current_shard), shard=1)
-            assert sim.staged_pending == 1
-
-        sim.schedule(0.5, on_shard_zero, shard=0)
-        sim.run_all()
-        assert log == [1]
-        assert sim.cross_shard_staged == 1
-        assert sim.staged_pending == 0
-
-    def test_same_shard_events_never_stage(self):
-        sim = ShardedSimulator(4, lookahead=0.001)
-        sim.schedule(100.0, lambda: None)  # shard 0 -> current shard 0
-        assert sim.staged_pending == 0
-
-    def test_empty_windows_skip_in_one_barrier(self):
-        # A long idle gap must cost O(1) barriers, not gap/lookahead.
-        sim = ShardedSimulator(2, lookahead=0.01)
-        log = []
-        sim.schedule(0.005, lambda: log.append("early"), shard=1)
-        sim.schedule(1000.0, lambda: log.append("late"), shard=1)
-        sim.run_all()
-        assert log == ["early", "late"]
-        assert sim.barriers <= 4
-
-    def test_shard_inheritance_of_nested_events(self):
-        sim = ShardedSimulator(3, lookahead=1.0)
-        seen = []
-
-        def outer():
-            sim.schedule(0.1, lambda: seen.append(sim.current_shard))
-
-        sim.schedule(0.2, outer, shard=2)
-        sim.run_all()
-        assert seen == [2]  # timer stays on the scheduling event's shard
-
-    def test_cancel_of_staged_event(self):
-        sim = ShardedSimulator(2, lookahead=1.0)
-        log = []
-        handles = []
-
-        def on_shard_zero():
-            handles.append(
-                sim.schedule(5.0, lambda: log.append("x"), shard=1)
-            )
-            sim.cancel(handles[0])
-
-        sim.schedule(0.5, on_shard_zero, shard=0)
-        sim.run_all()
-        assert log == []
-        assert sim.pending == 0
-
-    def test_pending_bounded_under_cancel_churn(self):
-        # The heap-compaction invariant must hold per shard too.
-        sim = ShardedSimulator(4, lookahead=1.0)
-        live = [
-            sim.schedule(1000.0 + i, lambda: None, shard=i % 4)
-            for i in range(8)
-        ]
-        for i in range(5_000):
-            handle = sim.schedule(1.0 + i * 1e-3, lambda: None, shard=i % 4)
-            sim.cancel(handle)
-            assert sim.pending <= 2 * (len(live) + 1) + 8
-        assert sim.compactions > 0
-        sim.run_all()
-        assert sim.events_processed == len(live)
-
-    def test_run_until_boundary_and_budget(self):
-        sim = ShardedSimulator(2, lookahead=0.5)
-        log = []
-        sim.schedule(1.0, lambda: log.append("in"), shard=1)
-        sim.schedule(10.0, lambda: log.append("out"), shard=0)
-        sim.run_until(5.0)
-        assert log == ["in"] and sim.now == 5.0
-        sim.run_until(20.0)
-        assert log == ["in", "out"]
-
-        storm_sim = ShardedSimulator(2)
-
-        def storm():
-            storm_sim.schedule(0.001, storm)
-
-        storm_sim.schedule(0.0, storm, shard=1)
-        with pytest.raises(SimulationError):
-            storm_sim.run_until(1e9, max_events=500)
-
-
-class TestShardPlan:
-    def test_partitions_trie_regions_contiguously(self):
-        paths = {
-            0: Path(0b00, 2),   # keyspace [0.00, 0.25)
-            1: Path(0b01, 2),   # [0.25, 0.50)
-            2: Path(0b10, 2),   # [0.50, 0.75)
-            3: Path(0b11, 2),   # [0.75, 1.00)
-        }
-        plan = ShardPlan.from_paths(paths, 2)
-        assert plan.shard_of(0) == 0 and plan.shard_of(1) == 0
-        assert plan.shard_of(2) == 1 and plan.shard_of(3) == 1
-        assert plan.populations() == [2, 2]
-
-    def test_unseen_ids_fall_back_to_modulo(self):
-        plan = ShardPlan.from_paths({}, 3)
-        assert [plan.shard_of(i) for i in range(6)] == [0, 1, 2, 0, 1, 2]
-
-    def test_rejects_zero_shards(self):
-        with pytest.raises(SimulationError):
-            ShardPlan(n_shards=0)
+from repro.simnet.shard import ShardCodec, derive_shard_streams
 
 
 class TestShardCodec:
@@ -218,15 +35,6 @@ class TestShardCodec:
         with pytest.raises(SimulationError):
             ShardCodec.decode(stale)
 
-    def test_message_round_trip(self):
-        message = Message(
-            src=3, dst=9, kind="query", payload={"key": 42},
-            size_bytes=128, category="query",
-        )
-        assert ShardCodec.decode_message(
-            ShardCodec.encode_message(message)
-        ) == message
-
 
 class TestDeriveShardStreams:
     def test_deterministic_and_prefix_stable(self):
@@ -237,59 +45,6 @@ class TestDeriveShardStreams:
     def test_rejects_zero_shards(self):
         with pytest.raises(SimulationError):
             derive_shard_streams(1, 0)
-
-
-class TestShardInvisibility:
-    """Same spec, any shard count, byte-identical reports."""
-
-    PARAMS = dict(n_peers=96, seed=5, duration_scale=0.05)
-
-    @pytest.mark.parametrize("shards", [2, 8])
-    def test_read_scenario_digest_invariant(self, shards):
-        assert run_digest("uniform-baseline", shards, **self.PARAMS) == \
-            run_digest("uniform-baseline", 1, **self.PARAMS)
-
-    def test_write_scenario_digest_invariant(self):
-        # Replica-sync fan-out crosses shard boundaries constantly.
-        assert run_digest("read-write-balanced", 4, **self.PARAMS) == \
-            run_digest("read-write-balanced", 1, **self.PARAMS)
-
-    def test_restart_scenario_digest_invariant(self):
-        # Restarts abort in-flight messages; an abort that fired twice
-        # (or missed a flight staged in a cross-shard inbox) would shift
-        # drop accounting and the digest with it.
-        assert run_digest("restart-storm", 4, **self.PARAMS) == \
-            run_digest("restart-storm", 1, **self.PARAMS)
-
-    def test_barrier_ordering_stable_under_queue_drain_races(self):
-        # Tiny lookahead forces maximal staging (every cross-shard
-        # delivery rides an inbox and many barrier flushes interleave
-        # with heap drains); the digest must still be identical.
-        spec = scenario("uniform-baseline", **self.PARAMS)
-        baseline = digest(MessageScenarioRunner(spec).run())
-        tiny = MessageNetConfig(shards=8, lookahead_s=1e-4)
-        assert digest(MessageScenarioRunner(spec, net_config=tiny).run()) == \
-            baseline
-
-    def test_sharded_runner_reports_cross_shard_traffic(self):
-        spec = scenario("uniform-baseline", **self.PARAMS)
-        runner = MessageScenarioRunner(
-            spec, net_config=MessageNetConfig(shards=4)
-        )
-        runner.run()
-        assert isinstance(runner.simulator, ShardedSimulator)
-        assert runner.simulator.barriers > 0
-        assert runner.transport.cross_shard_messages > 0
-        assert runner.shard_plan is not None
-        assert sum(runner.shard_plan.populations()) == self.PARAMS["n_peers"]
-
-    def test_default_lookahead_is_latency_floor(self):
-        spec = scenario("uniform-baseline", **self.PARAMS)
-        cfg = MessageNetConfig(shards=2)
-        runner = MessageScenarioRunner(spec, net_config=cfg)
-        runner.run()
-        expected = max(cfg.latency.floor(), DEFAULT_MIN_LOOKAHEAD_S)
-        assert runner.simulator.lookahead == pytest.approx(expected)
 
 
 class TestSliceSpec:
@@ -334,14 +89,14 @@ class TestWorkerMode:
 
     def test_processes_and_sequential_agree(self):
         spec = scenario("uniform-baseline", **self.PARAMS)
-        sequential = run_sharded_scenario(spec, shards=4, processes=False)
-        forked = run_sharded_scenario(spec, shards=4, processes=True)
+        sequential = run_sliced_ensemble(spec, shards=4, processes=False)
+        forked = run_sliced_ensemble(spec, shards=4, processes=True)
         assert sequential.to_json() == forked.to_json()
 
     def test_merged_schema_matches_single_run(self):
         spec = scenario("uniform-baseline", **self.PARAMS)
         single = MessageScenarioRunner(spec).run()
-        merged = run_sharded_scenario(spec, shards=4, processes=False)
+        merged = run_sliced_ensemble(spec, shards=4, processes=False)
         assert set(merged.totals) == set(single.totals)
         assert set(merged.message_level) == set(single.message_level)
         assert len(merged.series) == len(single.series)
@@ -350,7 +105,7 @@ class TestWorkerMode:
     def test_kernel_stats_out_param(self):
         spec = scenario("uniform-baseline", **self.PARAMS)
         stats = []
-        run_sharded_scenario(
+        run_sliced_ensemble(
             spec, shards=4, processes=False, kernel_stats=stats
         )
         assert len(stats) == 4
@@ -361,10 +116,42 @@ class TestWorkerMode:
 
     def test_shards_one_is_the_legacy_path(self):
         spec = scenario("uniform-baseline", **self.PARAMS)
-        assert run_sharded_scenario(spec, shards=1).to_json() == \
+        assert run_sliced_ensemble(spec, shards=1).to_json() == \
             MessageScenarioRunner(spec).run().to_json()
 
     def test_rejects_zero_shards(self):
         spec = scenario("uniform-baseline", **self.PARAMS)
         with pytest.raises(SimulationError):
-            run_sharded_scenario(spec, shards=0)
+            run_sliced_ensemble(spec, shards=0)
+
+    @pytest.mark.skipif(
+        not hasattr(signal, "SIGALRM") or not hasattr(os, "fork"),
+        reason="needs fork workers and SIGALRM as the hang guard",
+    )
+    def test_dead_worker_raises_instead_of_hanging(self, monkeypatch):
+        # A worker that dies without returning (OOM-kill, hard exit)
+        # must surface as an error naming a slice.  The patched ``run``
+        # is inherited by the forked workers; the parent never calls it.
+        spec = scenario("uniform-baseline", **self.PARAMS)
+        real_run = MessageScenarioRunner.run
+
+        def run_or_die(runner):
+            if runner.spec.name.endswith("@1/4"):
+                os._exit(1)
+            return real_run(runner)
+
+        monkeypatch.setattr(MessageScenarioRunner, "run", run_or_die)
+
+        def hung(signum, frame):
+            raise AssertionError("run_sliced_ensemble hung on a dead worker")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(30)
+        start = time.perf_counter()
+        try:
+            with pytest.raises(SimulationError, match="worker process died"):
+                run_sliced_ensemble(spec, shards=4, processes=True)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert time.perf_counter() - start < 10.0
