@@ -9,7 +9,6 @@ Guards: Fig. 8 -- maintenance-vs-query bandwidth over the timeline.
 
 from repro.experiments import fig789
 from repro.experiments.reporting import print_table
-from repro.simnet import protocol as P
 
 
 def test_fig8_bandwidth_timeline(benchmark):

@@ -14,8 +14,6 @@ the repo root -- run ``python benchmarks/bench_perf_suite.py --quick``
 for the CI smoke variant).
 """
 
-import pytest
-
 collect_ignore_glob: list = []
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import os
 import random
-from typing import Optional, Union
+from typing import Union
 
 RngLike = Union[random.Random, int, None]
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .._util import check_probability
 from ..core.probabilities import (
     P_STAR,
     beta_of_p,
@@ -72,7 +71,6 @@ def phi_factor(p: float, n: int) -> float:
     beta = beta_of_p(p)
     t_star = int(round(n * math.log(2.0)))
     y = 0.0
-    accum = 0.0
     decay = 1.0 - beta / n
     # Contribution of a perturbation at step i is -(y_i/n) * decay^(t-i).
     # Accumulate exactly by iterating forward.

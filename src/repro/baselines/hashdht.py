@@ -24,7 +24,7 @@ from __future__ import annotations
 import hashlib
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .._util import RngLike, make_rng

@@ -12,7 +12,7 @@ parallel construction so benches can print side-by-side rows:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Sequence
 
 from .._util import RngLike, make_rng
 from ..core.construction import ConstructionConfig, construct_overlay

@@ -22,7 +22,7 @@ attributed mass always equals the peer count.
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Sequence
+from typing import List, Sequence
 
 from ..exceptions import PartitionError
 from ..pgrid.bits import Path

@@ -27,9 +27,8 @@ step exactly as the paper's analysis does.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 from .._util import RngLike, check_probability, make_rng
 from ..exceptions import DomainError

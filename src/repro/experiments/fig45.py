@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List
 
-from .._util import env_reps, env_seed, make_rng, mean, scaled
+from .._util import env_reps, env_seed, mean, scaled
 from ..core.bisection import simulate_aep, simulate_aut
 from ..core.mva import run_mva, run_sam
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from .._util import env_reps, env_seed, mean, scaled, std
 from ..core.construction import ConstructionConfig, construct_overlay

@@ -19,8 +19,8 @@ runners thread *one* codec instead of scattering module-level calls.
 :class:`ScalarCodec` wraps the two encoders above (``dims == 1``);
 :class:`~repro.pgrid.mdim.ZOrderCodec` interleaves d attributes into
 one key for multi-dimensional workloads.  The module-level functions
-remain as thin aliases of the scalar path -- existing callers and the
-committed goldens are unaffected.
+are the implementation :class:`ScalarCodec` wraps, not aliases of it,
+and stay the direct way to encode one scalar key.
 """
 
 from __future__ import annotations

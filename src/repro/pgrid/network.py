@@ -18,7 +18,7 @@ import random as _random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from math import ceil as _ceil, log as _log
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .._util import RngLike, make_rng, mean, sample_online
 from ..exceptions import PartitionError, RoutingError

@@ -21,7 +21,7 @@ re-insert of a previously deleted key becomes durable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List
 
 from .._util import RngLike, make_rng, mean
 from ..exceptions import DomainError

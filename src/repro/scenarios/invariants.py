@@ -25,10 +25,9 @@ scenario runner reports the coverage ratio as part of replication health.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Set, Tuple
 
 from ..exceptions import PartitionError, RoutingError
-from ..pgrid.bits import Path
 from ..pgrid.keyspace import KEY_BITS
 from ..pgrid.network import PGridNetwork
 

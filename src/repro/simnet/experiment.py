@@ -27,10 +27,10 @@ this module's churn orchestration (:func:`repro.simnet.churn.start_churn`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .._util import RngLike, ensure_monotonic, make_rng, mean
+from .._util import ensure_monotonic, make_rng, mean
 from ..core.deviation import load_balance_deviation
 from ..core.reference import reference_partition
 from ..exceptions import SimulationError
@@ -269,8 +269,8 @@ def run_experiment(config: Optional[ExperimentConfig] = None) -> ExperimentRepor
 
     # -- harvest query stats into the collector -----------------------------------------------
     for node in nodes.values():
-        for issued_at, latency, hops, success in node.query_results:
-            stats.record_query(issued_at, latency, hops, success)
+        for out in node.query_results:
+            stats.record_query(out.issued_at, out.latency, out.hops, out.success)
 
     # -- final structural measurements ----------------------------------------------------------
     all_keys = sorted({k for keys in peer_keys for k in keys})

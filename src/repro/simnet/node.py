@@ -7,13 +7,34 @@ timers, subject to latency, loss and churn, and with every byte
 accounted.  Optimistic concurrency handles in-flight races: an exchange
 response that no longer matches the initiator's state is discarded, just
 as a real implementation would abort a stale handshake.
+
+**The pending-operation machine.**  Point queries, writes and range
+queries share one origin-side retry machine (``_attempt`` /
+``_op_timeout`` / ``_dead_end`` / ``_retry_or_fail`` / ``_finish``)
+over a ``_PendingOp`` record; a kind adds only its ``_launch_*`` (first
+payload of an attempt) and its outcome fields.  A record is *pending*
+(in its kind's table, timer armed at the current attempt's deadline)
+until ``_finish`` makes it *done* exactly once: table entry popped,
+timer disarmed, observer fired, and -- unless ``moot`` because the
+origin itself was offline or restarting -- the outcome appended to
+``*_results``.  Only a terminal reply (``_complete_*``, a covering
+``range_part``), an exhausted ``_retry_or_fail`` (from a timeout or a
+dead-end report of the *current* attempt) and ``abort_inflight`` may
+call ``_finish``; all test ``done`` first, so duplicated replies and
+stale reports are no-ops.  The first attempt is a zero-delay event
+scheduled by ``issue_*``, never a re-entrant call: an operation the
+origin can answer itself would otherwise fire its observer before the
+caller learned the id.  The timer callback holds the operation *id*
+and looks the record up: a record -> timer -> callback -> record cycle
+would leave every finished operation to the cyclic collector.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from functools import partial
+from typing import Callable, ClassVar, Dict, List, Optional, Set, Tuple
 
 from .._util import RngLike, make_rng
 from ..core.estimators import (
@@ -65,17 +86,47 @@ class NodeConfig:
     serving: Optional[CachePolicy] = None
 
 
-@dataclass
-class _PendingQuery:
-    key: int
+@dataclass(kw_only=True)
+class _PendingOp:
+    """Origin-side state of one routed operation (module docstring).
+    A kind's class attributes name the node attributes holding its
+    pending table, first-payload builder, results list and observer."""
+
+    table: ClassVar[str]
+    launch: ClassVar[str]
+    results: ClassVar[str]
+    observer: ClassVar[str]
+
     issued_at: float
     attempts: int = 0
     timeouts: int = 0
     done: bool = False
+    #: Routed hops of the answering attempt (ranges: longest chain seen).
     hops: int = 0
     #: First-hop reference the current attempt left through (liveness
     #: evidence: a timed-out attempt marks it suspect).
     via: Optional[int] = None
+    #: Lazy attempt timer: re-armed per attempt, disarmed on completion
+    #: (one heap entry per pending op -- see ``engine.DeadlineTimer``).
+    timer: Optional[DeadlineTimer] = None
+
+    # The kind-specific fields of the terminal ``QueryOutcome``:
+
+    def messages(self) -> int:
+        return self.hops + (1 if self.hops else 0)
+
+    def found_keys(self) -> Tuple[int, ...]:
+        return ()
+
+
+@dataclass(kw_only=True)
+class _PendingQuery(_PendingOp):
+    table = "_queries"
+    launch = "_launch_query"
+    results = "query_results"
+    observer = "on_query_done"
+
+    key: int
     #: Served from the local result cache (no wire traffic at all).
     cached: bool = False
     #: Joined an identical in-flight lookup as a waiter: resolves with
@@ -86,49 +137,50 @@ class _PendingQuery:
     direct: Optional[int] = None
     #: Presence flag learned from the answering node (rides QUERY_HIT).
     present: Optional[bool] = None
-    #: Lazy attempt timer: re-armed per attempt, disarmed on completion
-    #: (one heap entry per pending op -- see ``engine.DeadlineTimer``).
-    timer: Optional[DeadlineTimer] = None
+
+    def messages(self) -> int:
+        # A waiter shares the primary's wire traffic: its outcome
+        # reports the path length but zero messages, or the dedup
+        # would double-bill every shared hop.
+        return 0 if self.shared else super().messages()
 
 
-@dataclass
-class _PendingWrite:
+@dataclass(kw_only=True)
+class _PendingWrite(_PendingOp):
     """Origin-side state of one routed mutation (insert or delete)."""
+
+    table = "_writes"
+    launch = "_launch_write"
+    results = "write_results"
+    observer = "on_write_done"
 
     op: str
     key: int
-    issued_at: float
-    attempts: int = 0
-    timeouts: int = 0
-    done: bool = False
-    hops: int = 0
-    #: First-hop reference of the current attempt (liveness evidence).
-    via: Optional[int] = None
-    #: Lazy attempt timer (see ``_PendingQuery.timer``).
-    timer: Optional[DeadlineTimer] = None
 
 
-@dataclass
-class _PendingRange:
+@dataclass(kw_only=True)
+class _PendingRange(_PendingOp):
     """Origin-side state of one range query (sequential traversal)."""
+
+    table = "_ranges"
+    launch = "_launch_range"
+    results = "range_results"
+    observer = "on_range_done"
 
     lo: int
     hi: int
-    issued_at: float
-    attempts: int = 0
-    timeouts: int = 0
-    done: bool = False
     parts: int = 0
-    chain_hops: int = 0
-    #: First-hop reference of the current attempt (liveness evidence).
-    via: Optional[int] = None
     keys: Set[int] = field(default_factory=set)
     #: Slice intervals received so far (any attempt -- every attempt
     #: restarts from ``lo`` and keys deduplicate, so all slices are
     #: valid completeness evidence).  Checked before accepting ``done``.
     covered: List[tuple] = field(default_factory=list)
-    #: Lazy attempt timer (see ``_PendingQuery.timer``).
-    timer: Optional[DeadlineTimer] = None
+
+    def messages(self) -> int:
+        return self.parts + self.hops
+
+    def found_keys(self) -> Tuple[int, ...]:
+        return tuple(sorted(self.keys))
 
 
 def _intervals_cover(intervals: List[tuple], lo: int, hi: int) -> bool:
@@ -142,7 +194,7 @@ def _intervals_cover(intervals: List[tuple], lo: int, hi: int) -> bool:
     return cursor >= hi
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QueryOutcome:
     """Terminal record of one (point or range) query, as handed to the
     ``on_query_done`` / ``on_range_done`` observer callbacks.
@@ -232,7 +284,7 @@ class PGridNode:
         self._ranges: Dict[int, _PendingRange] = {}
         self._writes: Dict[int, _PendingWrite] = {}
         self._query_seq = 0
-        self.query_results: List[tuple[float, float, int, bool]] = []
+        self.query_results: List[QueryOutcome] = []
         self.range_results: List[QueryOutcome] = []
         self.write_results: List[QueryOutcome] = []
         # Optional observers (the message-level scenario backend hooks
@@ -380,17 +432,14 @@ class PGridNode:
         pending entry when they expire -- no leaked timers, no stale
         attempts burning retry budgets after a warm rejoin.
         """
-        for qid, pending in list(self._queries.items()):
-            if pending.done:
-                # Already resolved as a waiter of an earlier entry in
-                # this very loop -- finishing it again would fire the
-                # observer twice (double-counted moot query).
-                continue
-            self._finish_query(qid, pending, pending.hops, False, moot=True)
-        for wid, pending in list(self._writes.items()):
-            self._finish_write(wid, pending, pending.hops, False, moot=True)
-        for qid, pending in list(self._ranges.items()):
-            self._finish_range(qid, pending, False, moot=True)
+        for table in (self._queries, self._writes, self._ranges):
+            for opid, pending in list(table.items()):
+                if pending.done:
+                    # Already resolved as a waiter of an earlier entry in
+                    # this very loop -- finishing it again would fire the
+                    # observer twice (double-counted moot query).
+                    continue
+                self._finish(opid, pending, False, moot=True)
 
     def add_route(self, level: int, other: int) -> None:
         """Record a complementary-subtree reference at ``level``."""
@@ -1008,18 +1057,16 @@ class PGridNode:
         useful = False
         if self._overloaded(their_keys, their_replicas, union, level):
             probs, minority = self._split_policy(their_keys, their_replicas, union, level)
-            partner_side = their_path.bit(level)
-            if partner_side == minority:
-                side, via = 1 - minority, initiator
-            elif self.rng.random() < probs.beta:
-                side, via = minority, initiator
-            else:
-                side = partner_side
-                via = their_routes.get(level)
-                if via is None:
-                    side, via = 1 - partner_side, initiator
-            keys_back = self._self_apply_side(side, level, via, their_path)
-            deliver |= keys_back
+            side, via = self._decide_side(
+                initiator, their_path.bit(level), minority, probs.beta,
+                their_routes.get(level),
+            )
+            # Displaced keys of the initiator's partition ship back in
+            # the reply; the rest wait in the outbox.
+            leaving = self._extend_path(side, via)
+            back = {k for k in leaving if their_path.contains_key(k, KEY_BITS)}
+            self.outbox |= leaving - back
+            deliver |= back
             useful = True
             self.wake()
         else:
@@ -1040,12 +1087,28 @@ class PGridNode:
             "useful": useful,
         }
 
-    def _self_apply_side(
-        self, side: int, level: int, via: Optional[int], their_path: Path
-    ) -> Set[int]:
-        """Extend own path by ``side``; return displaced keys belonging to
-        the initiator's partition (shipped back in the reply), queue the
-        rest in the outbox."""
+    def _decide_side(
+        self, decided: int, decided_side: int, minority: int, beta: float,
+        same_side_ref: Optional[int],
+    ) -> Tuple[int, int]:
+        """Rules 3/4 for a peer refining its path against the already
+        ``decided`` one: the side to take and the reference that covers
+        the other side.  ``same_side_ref`` is a reference into the
+        subtree opposite ``decided_side`` (or ``None``), which joining
+        the decided peer's side needs."""
+        if decided_side == minority:
+            return 1 - minority, decided  # rule 3
+        if self.rng.random() < beta:
+            return minority, decided  # rule 4, join the minority
+        if same_side_ref is None:
+            return 1 - decided_side, decided
+        return decided_side, same_side_ref  # rule 4, same side: share the ref
+
+    def _extend_path(self, side: int, via: Optional[int]) -> Set[int]:
+        """Extend own path by ``side`` (split or rules 3/4), learning
+        ``via`` as the reference for the other side; returns the keys
+        the narrower partition displaced."""
+        level = self.path.length
         self.path = self.path.extend(side)
         if via is not None:
             self.add_route(level, via)
@@ -1054,9 +1117,7 @@ class PGridNode:
         self.keys = stay
         self.replicas = set()
         self._shed_foreign_tombstones()
-        back = {k for k in leaving if their_path.contains_key(k, KEY_BITS)}
-        self.outbox |= leaving - back
-        return back
+        return leaving
 
     def _shed_foreign_tombstones(self) -> None:
         """Drop tombstones outside the partition after a path change.
@@ -1096,7 +1157,7 @@ class PGridNode:
                 # Balanced split: the contacted node takes one side now and
                 # instructs the initiator to take the other.
                 my_side = self.rng.randrange(2)
-                keys_for_them = self._take_side(my_side, initiator)
+                keys_for_them = self._extend_path(my_side, initiator)
                 self.wake()
                 return {
                     "action": "split",
@@ -1146,19 +1207,10 @@ class PGridNode:
                 "keys": list(deliver | catch_up),
             }
         probs, minority = self._split_policy(their_keys, set(), union, level)
-        my_side = self.path.bit(level)
-        if my_side == minority:
-            side = 1 - minority  # rule 3
-            via = self.node_id
-        elif self.rng.random() < probs.beta:
-            side = minority  # rule 4, join the minority
-            via = self.node_id
-        else:
-            side = my_side  # rule 4, same side: share an opposite ref
-            via = self._opposite_ref(level)
-            if via is None:
-                side = 1 - my_side
-                via = self.node_id
+        side, via = self._decide_side(
+            self.node_id, self.path.bit(level), minority, probs.beta,
+            self._opposite_ref(level),
+        )
         return {
             "action": "decide",
             "your_side": side,
@@ -1207,13 +1259,13 @@ class PGridNode:
             return
         incoming = set(payload.get("keys", ()))
         action = payload["action"]
-        if action == "split":
-            self._apply_side(payload["your_side"], payload["level"], msg.src, incoming)
-            self.idle_strikes = 0
-        elif action == "decide":
-            self._apply_side(
-                payload["your_side"], payload["level"], payload["counterpart"], incoming
-            )
+        if action in ("split", "decide"):
+            # Split: the partner took the other side itself; decide
+            # (rules 3/4): it names the counterpart for the other side.
+            if payload["level"] == self.path.length:  # else: stale directive
+                counterpart = msg.src if action == "split" else payload["counterpart"]
+                self.outbox |= self._extend_path(payload["your_side"], counterpart)
+                self._accept_keys(incoming)
             self.idle_strikes = 0
         elif action == "replicate":
             tombs = payload.get("tombstones")
@@ -1261,36 +1313,6 @@ class PGridNode:
             mine -= self.tombstones  # delete-wins: dead keys stay dead
         self.keys |= mine
         self.outbox |= incoming - mine - self.tombstones
-
-    def _apply_side(
-        self, side: int, level: int, counterpart: Optional[int], incoming: Set[int]
-    ) -> None:
-        """Extend the path by ``side`` at ``level`` (split or rules 3/4)."""
-        if level != self.path.length:
-            return  # stale directive
-        self.path = self.path.extend(side)
-        if counterpart is not None:
-            self.add_route(level, counterpart)
-        stay = {k for k in self.keys if bit_at(k, level) == side}
-        leaving = self.keys - stay
-        self.keys = stay
-        self.outbox |= leaving
-        self.replicas = set()
-        self._shed_foreign_tombstones()
-        self._accept_keys(incoming)
-
-    def _take_side(self, side: int, counterpart: int) -> Set[int]:
-        """Contacted half of a balanced split: extend own path, return the
-        keys that belong to the other side (shipped to the initiator)."""
-        level = self.path.length
-        self.path = self.path.extend(side)
-        self.add_route(level, counterpart)
-        stay = {k for k in self.keys if bit_at(k, level) == side}
-        leaving = self.keys - stay
-        self.keys = stay
-        self.replicas = set()
-        self._shed_foreign_tombstones()
-        return leaving
 
     # -- overload estimation (Sec. 4.2) -----------------------------------------
 
@@ -1358,9 +1380,7 @@ class PGridNode:
                 pending.present = present
                 if self.on_cache_hit is not None:
                     self.on_cache_hit(self.node_id, key, present)
-                self.sim.schedule(
-                    0.0, lambda: self._complete_query(qid, 0, True)
-                )
+                self.sim.schedule(0.0, lambda: self._complete_query(qid, 0))
                 return qid
             self.serving_stats["result_misses"] += 1
             primary = self._inflight_by_key.get(key)
@@ -1370,117 +1390,145 @@ class PGridNode:
                 self.serving_stats["dedup_joined"] += 1
                 return qid
             self._inflight_by_key[key] = qid
-        self.sim.schedule(0.0, lambda: self._send_query_attempt(qid))
+        self.sim.schedule(0.0, lambda: self._attempt(qid, pending))
         return qid
 
-    def _send_query_attempt(self, qid: int) -> None:
-        pending = self._queries.get(qid)
-        if pending is None or pending.done:
-            return
-        pending.attempts += 1
-        pending.via = None  # evidence belongs to the attempt that used it
+    def _launch_query(self, qid: int, pending: _PendingQuery) -> None:
         pending.direct = None
-        attempt = pending.attempts
-        if self._serving is not None and attempt == 1:
+        key = pending.key
+        payload = {
+            "key": key,
+            "origin": self.node_id,
+            "qid": qid,
+            "attempt": pending.attempts,
+            "hops": 0,
+        }
+        if self._serving is not None and pending.attempts == 1:
             # First attempt may shortcut straight to a remembered
             # responder (rotating across the owner's advertised replica
             # set); a visible connect failure or a timeout falls back to
             # trie routing and drops the route entry.
-            target = self.route_cache.pick(pending.key, self.sim.now)
+            target = self.route_cache.pick(key, self.sim.now)
             if target is not None and target != self.node_id:
                 self.serving_stats["route_uses"] += 1
-                pending.direct = target
-                pending.via = target
+                pending.direct = pending.via = target
                 cause = self.send(
-                    target,
-                    P.QUERY,
-                    {
-                        "key": pending.key,
-                        "origin": self.node_id,
-                        "qid": qid,
-                        "attempt": attempt,
-                        "hops": 1,
-                    },
-                    category=P.QUERY_TRAFFIC,
+                    target, P.QUERY, {**payload, "hops": 1}, category=P.QUERY_TRAFFIC
                 )
                 if cause in (None, "loss", "offline"):
-                    self._arm_query_timer(qid, pending)
                     return
                 self.serving_stats["route_invalidations"] += 1
-                self.route_cache.invalidate(pending.key)
-                pending.direct = None
-                pending.via = None
-        self._route_query(
-            {
-                "key": pending.key,
-                "origin": self.node_id,
-                "qid": qid,
-                "attempt": attempt,
-                "hops": 0,
-            }
-        )
+                self.route_cache.invalidate(key)
+                pending.direct = pending.via = None
+        self._route_query(payload)
+
+    # -- the pending-operation machine (module docstring): all three kinds -----
+
+    def _attempt(self, opid: int, pending: _PendingOp) -> None:
+        """Start the next attempt: launch it, then bind the deadline."""
+        if pending.done:
+            return
+        pending.attempts += 1
+        pending.via = None  # evidence belongs to the attempt that used it
+        getattr(self, pending.launch)(opid, pending)
+        if pending.done:
+            # Finished inside its own launch (the origin is responsible,
+            # or local dead ends used up the retries): nothing to time.
+            return
         # The deadline belongs to *this* attempt: a dead-end reply that
         # already triggered a retry re-armed the timer, so a stale
         # deadline never burns the retry budget against newer attempts.
-        self._arm_query_timer(qid, pending)
-
-    def _arm_query_timer(self, qid: int, pending: _PendingQuery) -> None:
-        """(Re-)arm the pending query's lazy attempt timer.
-
-        One :class:`DeadlineTimer` per pending operation replaces the
-        schedule-per-attempt idiom: the heap holds at most one entry
-        for the op's whole retry chain and never accumulates cancelled
-        placeholders (see the ``engine`` module docstring).
-        """
+        # One :class:`DeadlineTimer` per pending operation: the heap
+        # holds at most one entry for the op's whole retry chain and
+        # never accumulates cancelled placeholders (see ``engine``).
         timer = pending.timer
         if timer is None:
-            timer = pending.timer = DeadlineTimer(
-                self.sim, lambda: self._query_timeout(qid)
-            )
+            # The callback looks the record up by id (module docstring).
+            timeout = partial(self._op_timeout, getattr(self, pending.table), opid)
+            timer = pending.timer = DeadlineTimer(self.sim, timeout)
         timer.arm(self.sim.now + self.config.query_timeout)
 
-    def _finish_query(
-        self,
-        qid: int,
-        pending: _PendingQuery,
-        hops: int,
-        success: bool,
-        *,
-        moot: bool = False,
+    def _op_timeout(self, table: dict, opid: int) -> None:
+        # No attempt guard needed: the lazy timer fires only when the
+        # *current* deadline is reached -- every attempt re-arms it, and
+        # a superseded deadline chases forward instead of firing.
+        pending = table.get(opid)
+        if pending is None or pending.done:
+            return
+        pending.timeouts += 1
+        if not self.online:
+            # The origin itself went offline: the operation is moot, not
+            # a failure of the overlay (it could never receive the
+            # reply).  A moot write may still have been applied at the
+            # owner -- at-least-once, like any retried write protocol.
+            self._finish(opid, pending, False, moot=True)
+            return
+        if pending.via is not None:
+            # The attempt died somewhere past our first hop; that hop is
+            # the only reference we used ourselves, so it takes the
+            # suspicion (an innocent one answers the probe and is
+            # cleared).
+            self._suspect_ref(pending.via)
+        if (
+            isinstance(pending, _PendingQuery)
+            and pending.direct is not None
+            and self._serving is not None
+        ):
+            # The remembered responder did not answer: routing evidence,
+            # the one thing (besides TTL) that kills a route entry.
+            self.serving_stats["route_invalidations"] += 1
+            self.route_cache.invalidate(pending.key)
+            pending.direct = None
+        self._retry_or_fail(opid, pending)
+
+    def _dead_end(self, table: dict, opid: int, attempt: Optional[int]) -> None:
+        """A routing dead end (remote miss/stuck report or local
+        no-route) for the current attempt: retry immediately or fail."""
+        pending = table.get(opid)
+        if pending is None or pending.done:
+            return
+        if attempt is not None and attempt != pending.attempts:
+            return  # dead end of a superseded attempt; a newer one is out
+        self._retry_or_fail(opid, pending)
+
+    def _retry_or_fail(self, opid: int, pending: _PendingOp) -> None:
+        if pending.attempts <= self.config.query_retries:
+            self._attempt(opid, pending)
+        else:
+            self._finish(opid, pending, False)
+
+    def _finish(
+        self, opid: int, pending: _PendingOp, success: bool, *, moot: bool = False
     ) -> None:
-        """Terminal bookkeeping shared by every point-query outcome."""
+        """Terminal bookkeeping shared by every outcome of every kind."""
         pending.done = True
-        pending.hops = hops
         if pending.timer is not None:
             pending.timer.disarm()
-        self._queries.pop(qid, None)
-        latency = self.sim.now - pending.issued_at
+        getattr(self, pending.table).pop(opid, None)
+        found = pending.found_keys()
+        outcome = QueryOutcome(
+            issued_at=pending.issued_at,
+            latency=self.sim.now - pending.issued_at,
+            hops=pending.hops,
+            success=success,
+            attempts=pending.attempts,
+            timeouts=pending.timeouts,
+            messages=pending.messages(),
+            keys_found=len(found),
+            moot=moot,
+            found_keys=found,
+        )
         if not moot:
-            # Moot queries (origin went offline) are invisible to the
-            # experiment-level success statistics, as before.
-            self.query_results.append((pending.issued_at, latency, hops, success))
-        if self.on_query_done is not None:
-            self.on_query_done(
-                self.node_id,
-                qid,
-                QueryOutcome(
-                    issued_at=pending.issued_at,
-                    latency=latency,
-                    hops=hops,
-                    success=success,
-                    attempts=pending.attempts,
-                    timeouts=pending.timeouts,
-                    # A waiter shares the primary's wire traffic: its
-                    # outcome reports the path length but zero messages,
-                    # or the dedup would double-bill every shared hop.
-                    messages=0 if pending.shared else hops + (1 if hops else 0),
-                    moot=moot,
-                ),
-            )
-        if self._serving is not None:
-            if self._inflight_by_key.get(pending.key) == qid:
+            # Moot operations (origin went offline) are invisible to the
+            # experiment-level success statistics.
+            getattr(self, pending.results).append(outcome)
+        observer = getattr(self, pending.observer)
+        if observer is not None:
+            observer(self.node_id, opid, outcome)
+        if self._serving is not None and isinstance(pending, _PendingQuery):
+            if self._inflight_by_key.get(pending.key) == opid:
                 del self._inflight_by_key[pending.key]
-            waiters = self._waiters.pop(qid, None)
+            waiters = self._waiters.pop(opid, None)
             if waiters:
                 # Resolve every waiter exactly once with the primary's
                 # outcome -- including the moot path, where the abort
@@ -1490,37 +1538,8 @@ class PGridNode:
                     if wpending is None or wpending.done:
                         continue
                     wpending.present = pending.present
-                    self._finish_query(wqid, wpending, hops, success, moot=moot)
-
-    def _query_timeout(self, qid: int) -> None:
-        # No attempt guard needed: the lazy timer fires only when the
-        # *current* deadline is reached -- every attempt re-arms it, and
-        # a superseded deadline chases forward instead of firing.
-        pending = self._queries.get(qid)
-        if pending is None or pending.done:
-            return
-        pending.timeouts += 1
-        if not self.online:
-            # The origin itself went offline: the query is moot, not a
-            # failure of the overlay (it could never receive the reply).
-            self._finish_query(qid, pending, pending.hops, False, moot=True)
-            return
-        if pending.via is not None:
-            # The attempt died somewhere past our first hop; that hop is
-            # the only reference we used ourselves, so it takes the
-            # suspicion (an innocent one answers the probe and is
-            # cleared).
-            self._suspect_ref(pending.via)
-        if pending.direct is not None and self._serving is not None:
-            # The remembered responder did not answer: routing evidence,
-            # the one thing (besides TTL) that kills a route entry.
-            self.serving_stats["route_invalidations"] += 1
-            self.route_cache.invalidate(pending.key)
-            pending.direct = None
-        if pending.attempts <= self.config.query_retries:
-            self._send_query_attempt(qid)
-        else:
-            self._finish_query(qid, pending, pending.hops, False)
+                    wpending.hops = pending.hops
+                    self._finish(wqid, wpending, success, moot=moot)
 
     def _route_query(self, payload: dict) -> None:
         # Hot per-hop handler: payload fields are hoisted once, and the
@@ -1555,7 +1574,7 @@ class PGridNode:
                     reply["present"] = grant_present
                     reply["targets"] = [self.node_id]
             if origin == self.node_id:
-                self._complete_query(qid, hops, True, info=reply)
+                self._complete_query(qid, hops, info=reply)
             else:
                 self.send(origin, P.QUERY_HIT, reply, category=P.QUERY_TRAFFIC)
             return
@@ -1584,7 +1603,7 @@ class PGridNode:
                 # retry or fail now instead of burning the timeout
                 # window (the origin-side twin of the QUERY_MISS path;
                 # ranges get this via their own stuck-slice handling).
-                self._query_dead_end(qid, payload.get("attempt", 0))
+                self._dead_end(self._queries, qid, payload.get("attempt", 0))
             return
         if origin == self.node_id and hops == 0:
             # Remember the current attempt's first hop: a timeout is
@@ -1599,44 +1618,21 @@ class PGridNode:
 
     def _on_query_hit(self, msg: Message) -> None:
         self._complete_query(
-            msg.payload["qid"], msg.payload["hops"], True,
-            info=msg.payload, responder=msg.src,
+            msg.payload["qid"], msg.payload["hops"], info=msg.payload, responder=msg.src
         )
 
     def _on_query_miss(self, msg: Message) -> None:
         # A dead-end report lets the origin retry sooner than the timeout.
-        self._query_dead_end(msg.payload["qid"], msg.payload.get("attempt"))
-
-    def _query_dead_end(self, qid: int, attempt: Optional[int]) -> None:
-        """A routing dead end (remote miss or local no-route) for the
-        current attempt: retry immediately or fail."""
-        pending = self._queries.get(qid)
-        if pending is None or pending.done:
-            return
-        if attempt is not None and attempt != pending.attempts:
-            return  # dead end of a superseded attempt; a newer one is out
-        if pending.attempts <= self.config.query_retries:
-            self._send_query_attempt(qid)
-        else:
-            self._finish_query(qid, pending, pending.hops, False)
+        self._dead_end(self._queries, msg.payload["qid"], msg.payload.get("attempt"))
 
     def _complete_query(
-        self,
-        qid: int,
-        hops: int,
-        success: bool,
-        info: Optional[dict] = None,
+        self, qid: int, hops: int, info: Optional[dict] = None,
         responder: Optional[int] = None,
     ) -> None:
         pending = self._queries.get(qid)
         if pending is None or pending.done:
             return
-        if (
-            success
-            and self._serving is not None
-            and info is not None
-            and "present" in info
-        ):
+        if self._serving is not None and info is not None and "present" in info:
             pending.present = info["present"]
             now = self.sim.now
             if not pending.cached:
@@ -1647,7 +1643,8 @@ class PGridNode:
                     if t != self.node_id and t != responder
                 ]
                 self.route_cache.put(pending.key, targets, now)
-        self._finish_query(qid, pending, hops, success)
+        pending.hops = hops
+        self._finish(qid, pending, True)
 
     # -- writes (routed inserts/deletes with eager replica sync) -----------------
     #
@@ -1671,40 +1668,23 @@ class PGridNode:
     def _issue_write(self, op: str, key: int) -> int:
         self._query_seq += 1
         wid = (self.node_id << 20) | self._query_seq
-        self._writes[wid] = _PendingWrite(op=op, key=key, issued_at=self.sim.now)
+        pending = _PendingWrite(op=op, key=key, issued_at=self.sim.now)
+        self._writes[wid] = pending
         # Zero-delay first attempt, for the same reason as issue_query.
-        self.sim.schedule(0.0, lambda: self._send_write_attempt(wid))
+        self.sim.schedule(0.0, lambda: self._attempt(wid, pending))
         return wid
 
-    def _send_write_attempt(self, wid: int) -> None:
-        pending = self._writes.get(wid)
-        if pending is None or pending.done:
-            return
-        pending.attempts += 1
-        pending.via = None  # see _send_query_attempt
-        attempt = pending.attempts
+    def _launch_write(self, wid: int, pending: _PendingWrite) -> None:
         self._route_write(
             {
                 "op": pending.op,
                 "key": pending.key,
                 "origin": self.node_id,
                 "qid": wid,
-                "attempt": attempt,
+                "attempt": pending.attempts,
                 "hops": 0,
             }
         )
-        # Lazy attempt timer, like _send_query_attempt.
-        self._arm_write_timer(wid, pending)
-
-    def _arm_write_timer(self, wid: int, pending: _PendingWrite) -> None:
-        """(Re-)arm the pending write's lazy attempt timer (see
-        :meth:`_arm_query_timer`)."""
-        timer = pending.timer
-        if timer is None:
-            timer = pending.timer = DeadlineTimer(
-                self.sim, lambda: self._write_timeout(wid)
-            )
-        timer.arm(self.sim.now + self.config.query_timeout)
 
     def _route_write(self, payload: dict) -> None:
         # Hot per-hop handler: hoisted fields + minimal fresh forward
@@ -1722,7 +1702,7 @@ class PGridNode:
             self.apply_mutation(op, key)
             self._sync_replicas(op, key)
             if origin == self.node_id:
-                self._complete_write(qid, hops, True)
+                self._complete_write(qid, hops)
             else:
                 self.send(
                     origin,
@@ -1756,7 +1736,7 @@ class PGridNode:
                     category=P.UPDATE_TRAFFIC,
                 )
             else:
-                self._write_dead_end(qid, payload.get("attempt", 0))
+                self._dead_end(self._writes, qid, payload.get("attempt", 0))
             return
         if origin == self.node_id and hops == 0:
             pending = self._writes.get(qid)
@@ -1956,76 +1936,17 @@ class PGridNode:
         self._grants.pop(str(msg.payload["path"]), None)
 
     def _on_update_ack(self, msg: Message) -> None:
-        self._complete_write(msg.payload["qid"], msg.payload["hops"], True)
+        self._complete_write(msg.payload["qid"], msg.payload["hops"])
 
     def _on_update_miss(self, msg: Message) -> None:
-        self._write_dead_end(msg.payload["qid"], msg.payload.get("attempt"))
+        self._dead_end(self._writes, msg.payload["qid"], msg.payload.get("attempt"))
 
-    def _write_dead_end(self, wid: int, attempt: Optional[int]) -> None:
+    def _complete_write(self, wid: int, hops: int) -> None:
         pending = self._writes.get(wid)
         if pending is None or pending.done:
             return
-        if attempt is not None and attempt != pending.attempts:
-            return  # dead end of a superseded attempt; a newer one is out
-        if pending.attempts <= self.config.query_retries:
-            self._send_write_attempt(wid)
-        else:
-            self._finish_write(wid, pending, pending.hops, False)
-
-    def _write_timeout(self, wid: int) -> None:
-        # Lazy timer: fires only at the current attempt's deadline (see
-        # _query_timeout).
-        pending = self._writes.get(wid)
-        if pending is None or pending.done:
-            return
-        pending.timeouts += 1
-        if not self.online:
-            # The origin itself went offline mid-write: moot, like a
-            # query whose reply could never be heard.  (The mutation may
-            # still have been applied at the owner -- at-least-once
-            # semantics, like any retried write protocol.)
-            self._finish_write(wid, pending, pending.hops, False, moot=True)
-            return
-        if pending.via is not None:
-            self._suspect_ref(pending.via)  # see _query_timeout
-        if pending.attempts <= self.config.query_retries:
-            self._send_write_attempt(wid)
-        else:
-            self._finish_write(wid, pending, pending.hops, False)
-
-    def _complete_write(self, wid: int, hops: int, success: bool) -> None:
-        pending = self._writes.get(wid)
-        if pending is None or pending.done:
-            return
-        self._finish_write(wid, pending, hops, success)
-
-    def _finish_write(
-        self,
-        wid: int,
-        pending: _PendingWrite,
-        hops: int,
-        success: bool,
-        *,
-        moot: bool = False,
-    ) -> None:
-        pending.done = True
-        if pending.timer is not None:
-            pending.timer.disarm()
-        self._writes.pop(wid, None)
-        outcome = QueryOutcome(
-            issued_at=pending.issued_at,
-            latency=self.sim.now - pending.issued_at,
-            hops=hops,
-            success=success,
-            attempts=pending.attempts,
-            timeouts=pending.timeouts,
-            messages=hops + (1 if hops else 0),
-            moot=moot,
-        )
-        if not moot:
-            self.write_results.append(outcome)
-        if self.on_write_done is not None:
-            self.on_write_done(self.node_id, wid, outcome)
+        pending.hops = hops
+        self._finish(wid, pending, True)
 
     # -- range queries (sequential key-order traversal, Sec. 2.3) ---------------
 
@@ -2046,18 +1967,13 @@ class PGridNode:
         """
         self._query_seq += 1
         qid = (self.node_id << 20) | self._query_seq
-        self._ranges[qid] = _PendingRange(lo=lo, hi=hi, issued_at=self.sim.now)
+        pending = _PendingRange(lo=lo, hi=hi, issued_at=self.sim.now)
+        self._ranges[qid] = pending
         # Zero-delay first attempt, for the same reason as issue_query.
-        self.sim.schedule(0.0, lambda: self._send_range_attempt(qid))
+        self.sim.schedule(0.0, lambda: self._attempt(qid, pending))
         return qid
 
-    def _send_range_attempt(self, qid: int) -> None:
-        pending = self._ranges.get(qid)
-        if pending is None or pending.done:
-            return
-        pending.attempts += 1
-        pending.via = None  # see _send_query_attempt
-        attempt = pending.attempts
+    def _launch_range(self, qid: int, pending: _PendingRange) -> None:
         self._route_range(
             {
                 "lo": pending.lo,
@@ -2065,22 +1981,10 @@ class PGridNode:
                 "cursor": pending.lo,
                 "origin": self.node_id,
                 "qid": qid,
-                "attempt": attempt,
+                "attempt": pending.attempts,
                 "hops": 0,
             }
         )
-        # Lazy attempt timer, like _send_query_attempt.
-        self._arm_range_timer(qid, pending)
-
-    def _arm_range_timer(self, qid: int, pending: _PendingRange) -> None:
-        """(Re-)arm the pending range query's lazy attempt timer (see
-        :meth:`_arm_query_timer`)."""
-        timer = pending.timer
-        if timer is None:
-            timer = pending.timer = DeadlineTimer(
-                self.sim, lambda: self._range_timeout(qid)
-            )
-        timer.arm(self.sim.now + self.config.query_timeout)
 
     def _route_range(self, payload: dict) -> None:
         # Hot per-hop handler: hoisted fields + minimal fresh forward
@@ -2175,69 +2079,19 @@ class PGridNode:
         # coverage evidence); only retry *control* is attempt-gated.
         pending.parts += 1
         pending.keys.update(payload["keys"])
-        if payload["hops"] > pending.chain_hops:
-            pending.chain_hops = payload["hops"]
+        if payload["hops"] > pending.hops:
+            pending.hops = payload["hops"]
         if payload.get("slice") is not None:
             pending.covered.append(tuple(payload["slice"]))
-        current = payload.get("attempt", pending.attempts) == pending.attempts
         if payload["done"]:
             if _intervals_cover(pending.covered, pending.lo, pending.hi):
-                self._finish_range(qid, pending, True)
-            elif current:
+                self._finish(qid, pending, True)
+            elif payload.get("attempt", pending.attempts) == pending.attempts:
                 # The chain finished but a result slice was lost on the
                 # wire: an incomplete answer is a retry, not a success.
-                self._retry_or_fail_range(qid, pending)
+                self._retry_or_fail(qid, pending)
             # A stale done with a coverage gap proves nothing about the
             # current attempt; let the live attempt decide.
         elif payload["stuck"]:
-            if not current:
-                return  # dead end of a superseded attempt
             # Dead end mid-traversal: retry early, like a query miss.
-            self._retry_or_fail_range(qid, pending)
-
-    def _retry_or_fail_range(self, qid: int, pending: _PendingRange) -> None:
-        if pending.attempts <= self.config.query_retries:
-            self._send_range_attempt(qid)
-        else:
-            self._finish_range(qid, pending, False)
-
-    def _range_timeout(self, qid: int) -> None:
-        # Lazy timer: fires only at the current attempt's deadline (see
-        # _query_timeout).
-        pending = self._ranges.get(qid)
-        if pending is None or pending.done:
-            return
-        pending.timeouts += 1
-        if not self.online:
-            self._finish_range(qid, pending, False, moot=True)
-            return
-        if pending.via is not None:
-            self._suspect_ref(pending.via)  # see _query_timeout
-        if pending.attempts <= self.config.query_retries:
-            self._send_range_attempt(qid)
-        else:
-            self._finish_range(qid, pending, False)
-
-    def _finish_range(
-        self, qid: int, pending: _PendingRange, success: bool, *, moot: bool = False
-    ) -> None:
-        pending.done = True
-        if pending.timer is not None:
-            pending.timer.disarm()
-        self._ranges.pop(qid, None)
-        outcome = QueryOutcome(
-            issued_at=pending.issued_at,
-            latency=self.sim.now - pending.issued_at,
-            hops=pending.chain_hops,
-            success=success,
-            attempts=pending.attempts,
-            timeouts=pending.timeouts,
-            messages=pending.parts + pending.chain_hops,
-            keys_found=len(pending.keys),
-            moot=moot,
-            found_keys=tuple(sorted(pending.keys)),
-        )
-        if not moot:
-            self.range_results.append(outcome)
-        if self.on_range_done is not None:
-            self.on_range_done(self.node_id, qid, outcome)
+            self._dead_end(self._ranges, qid, payload.get("attempt"))

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set
 
-from .._util import RngLike, make_rng
 from ..exceptions import SimulationError
 from .topology import UnstructuredOverlay
 

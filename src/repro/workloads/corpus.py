@@ -15,7 +15,6 @@ properties instead of its content:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Set
 

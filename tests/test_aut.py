@@ -1,6 +1,5 @@
 """Tests for the AUT fluid model."""
 
-import math
 import statistics
 
 import pytest

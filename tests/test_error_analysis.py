@@ -11,7 +11,6 @@ from repro.analysis.error import (
     psi_factor,
 )
 from repro.core import mva
-from repro.core.probabilities import P_STAR
 from repro.exceptions import DomainError
 
 

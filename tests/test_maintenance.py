@@ -78,7 +78,7 @@ class TestSingleJoin:
         rand = random.Random(3)
         sequential_join(net, 0, keys[:20], d_max=8, n_min=1, rng=rand)
         sequential_join(net, 1, keys[20:], d_max=8, n_min=1, rng=rand)
-        stats = sequential_join(net, 2, [float_to_key(0.99)], d_max=8, n_min=1, rng=rand)
+        sequential_join(net, 2, [float_to_key(0.99)], d_max=8, n_min=1, rng=rand)
         assert any(p.path.length > 0 for p in net.peers.values())
         assert net.is_consistent()
 

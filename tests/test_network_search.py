@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.core.construction import ConstructionConfig
-from repro.exceptions import DomainError, PartitionError, RoutingError
+from repro.exceptions import PartitionError, RoutingError
 from repro.pgrid.keyspace import KEY_BITS, float_to_key
 from repro.pgrid.network import PGridNetwork, build_overlay
 from repro.workloads.datasets import flatten, workload_keys

@@ -28,13 +28,12 @@ import pytest
 
 from repro.exceptions import DomainError, PartitionError, SimulationError
 from repro.pgrid.bits import Path
-from repro.pgrid.keyspace import KEY_BITS, float_to_key
+from repro.pgrid.keyspace import float_to_key
 from repro.pgrid.network import PGridNetwork
 from repro.pgrid.state import (
     SCHEMA,
     DurabilityPolicy,
     StateStore,
-    snapshot_node,
 )
 from repro.scenarios import (
     MessageNetConfig,

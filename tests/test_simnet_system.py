@@ -1,12 +1,9 @@
 """Integration tests: the full five-phase experiment (compressed)."""
 
-import math
-
 import pytest
 
 from repro.exceptions import SimulationError
 from repro.simnet.experiment import ExperimentConfig, run_experiment
-from repro.simnet import protocol as P
 
 
 @pytest.fixture(scope="module")

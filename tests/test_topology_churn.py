@@ -1,7 +1,5 @@
 """Tests for the unstructured overlay, random walks, churn and votes."""
 
-import statistics
-
 import pytest
 
 from repro.exceptions import SimulationError
