@@ -47,6 +47,7 @@ from repro.pgrid.network import PGridNetwork, build_overlay  # noqa: E402
 __all__ = [
     "SEED_BASELINE",
     "bench_queries",
+    "construction_keys",
     "bench_construction",
     "run_suite",
     "emit",
@@ -115,16 +116,22 @@ def bench_queries(
     }
 
 
+def construction_keys(n_peers: int, keys_per_peer: int) -> list:
+    """The construction benchmark's input: seeded uniform keys per peer
+    (shared with ``profile_kernel.py --target build``)."""
+    rand = random.Random(7)
+    return [
+        [float_to_key(rand.random()) for _ in range(keys_per_peer)]
+        for _ in range(n_peers)
+    ]
+
+
 def bench_construction(
     n_peers: int, *, keys_per_peer: int = 10, repeats: int = 2
 ) -> Dict[str, float]:
     """Time end-to-end :func:`build_overlay` runs at ``n_peers`` (best of
     ``repeats``, same seeds, to shed scheduler noise)."""
-    rand = random.Random(7)
-    peer_keys = [
-        [float_to_key(rand.random()) for _ in range(keys_per_peer)]
-        for _ in range(n_peers)
-    ]
+    peer_keys = construction_keys(n_peers, keys_per_peer)
     elapsed = math.inf
     net = None
     for _ in range(repeats):

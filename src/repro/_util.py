@@ -11,6 +11,8 @@ import os
 import random
 from typing import Union
 
+from .exceptions import DomainError, SimulationError
+
 RngLike = Union[random.Random, int, None]
 
 
@@ -89,8 +91,6 @@ def ensure_monotonic(times, what: str = "phases") -> None:
     :class:`repro.scenarios.spec.ScenarioSpec`; raises
     :class:`~repro.exceptions.SimulationError` on the first inversion.
     """
-    from .exceptions import SimulationError
-
     times = list(times)
     if any(b < a for a, b in zip(times, times[1:])):
         raise SimulationError(f"{what} out of order: {times}")
@@ -98,8 +98,6 @@ def ensure_monotonic(times, what: str = "phases") -> None:
 
 def check_probability(value: float, name: str = "p") -> float:
     """Validate that ``value`` is a probability in ``[0, 1]`` and return it."""
-    from .exceptions import DomainError
-
     if not 0.0 <= value <= 1.0:
         raise DomainError(f"{name} must lie in [0, 1], got {value!r}")
     return float(value)
@@ -107,8 +105,6 @@ def check_probability(value: float, name: str = "p") -> float:
 
 def check_positive(value: float, name: str) -> float:
     """Validate that ``value`` is strictly positive and return it."""
-    from .exceptions import DomainError
-
     if value <= 0:
         raise DomainError(f"{name} must be positive, got {value!r}")
     return value

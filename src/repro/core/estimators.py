@@ -16,6 +16,13 @@ The replica estimator satisfies the paper's calibration anchor: two peers
 with identical key sets of size ``d_max`` yield an estimate of exactly
 ``n_min``, because the initial replication phase copies every key to
 ``n_min`` peers.
+
+Each overlap formula is stated once, on counts
+(:func:`replica_count_from_overlap`, :func:`partition_keys_from_overlap`);
+the public functions count ``|A|``, ``|B|`` and ``|A ∩ B|`` on sets or
+:class:`KeyStore`\\ s and delegate, and the construction engine, which
+holds keys as bitmaps and already has the three counts, calls the cores
+directly.
 """
 
 from __future__ import annotations
@@ -93,6 +100,26 @@ def _overlap_size(keys_a: KeySetLike, keys_b: KeySetLike) -> int:
     return len(keys_a & keys_b)
 
 
+def replica_count_from_overlap(size_a: int, size_b: int, overlap: int, n_min: int) -> float:
+    """``R_hat = 1 + (n_min - 1) (|A| + |B|) / (2 |A ∩ B|)`` on counts; ``inf``
+    when either sample or the overlap is empty.  The one statement of the
+    formula :func:`estimate_replica_count` derives."""
+    if size_a == 0 or size_b == 0 or overlap == 0:
+        return math.inf
+    return 1.0 + (n_min - 1) * (size_a + size_b) / (2.0 * overlap)
+
+
+def partition_keys_from_overlap(size_a: int, size_b: int, overlap: int) -> float:
+    """Lincoln--Petersen ``|A| |B| / |A ∩ B|`` on counts; ``|A| + |B|`` when a
+    sample is empty and ``inf`` when the samples are disjoint.  The one
+    statement of the formula behind :func:`estimate_partition_keys`."""
+    if size_a == 0 or size_b == 0:
+        return float(size_a + size_b)
+    if overlap == 0:
+        return math.inf
+    return size_a * size_b / overlap
+
+
 def estimate_replica_count(
     keys_a: KeySetLike,
     keys_b: KeySetLike,
@@ -115,17 +142,13 @@ def estimate_replica_count(
     were initially replicated n_min times").  With disjoint sets the
     population is unbounded from the two samples and ``inf`` is
     returned, which callers treat as "definitely enough peers to split".
+    The arithmetic is :func:`replica_count_from_overlap`.
     """
     if n_min < 1:
         raise DomainError(f"n_min must be >= 1, got {n_min}")
-    size_a = len(keys_a)
-    size_b = len(keys_b)
-    if size_a == 0 or size_b == 0:
-        return math.inf
-    overlap = _overlap_size(keys_a, keys_b)
-    if overlap == 0:
-        return math.inf
-    return 1.0 + (n_min - 1) * (size_a + size_b) / (2.0 * overlap)
+    return replica_count_from_overlap(
+        len(keys_a), len(keys_b), _overlap_size(keys_a, keys_b), n_min
+    )
 
 
 def estimate_partition_keys(
@@ -137,13 +160,9 @@ def estimate_partition_keys(
 
     Returns ``inf`` for disjoint samples -- the two peers have evidence
     of at least ``|A| + |B|`` keys and no upper bound, so an overload
-    test against any finite ``d_max`` should pass.
+    test against any finite ``d_max`` should pass.  The arithmetic is
+    :func:`partition_keys_from_overlap`.
     """
-    size_a = len(keys_a)
-    size_b = len(keys_b)
-    if size_a == 0 or size_b == 0:
-        return float(size_a + size_b)
-    overlap = _overlap_size(keys_a, keys_b)
-    if overlap == 0:
-        return math.inf
-    return size_a * size_b / overlap
+    return partition_keys_from_overlap(
+        len(keys_a), len(keys_b), _overlap_size(keys_a, keys_b)
+    )

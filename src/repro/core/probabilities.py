@@ -365,7 +365,7 @@ def _binomial_pmf(m: int, k: int, q: float) -> float:
     return math.exp(log_p)
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=65536)
 def _expected_raw_pair(q: float, m: int) -> tuple[float, float]:
     """Expected plug-in ``(alpha, beta)`` over ``p_hat ~ Binomial(m, q)/m``.
 

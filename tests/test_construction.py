@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro._util import make_rng
 from repro.core.construction import (
     ConstructionConfig,
+    ConstructionPeer,
+    _Construction,
     construct_overlay,
 )
 from repro.core.deviation import load_balance_deviation
@@ -59,6 +62,14 @@ class TestStructuralInvariants:
     def test_outboxes_empty_after_construction(self, uniform_run):
         _, res = uniform_run
         assert all(not peer.outbox for peer in res.peers)
+
+    def test_result_holds_plain_key_sets(self, skewed_run):
+        # The engine's key bitmaps never leave it.
+        _, res = skewed_run
+        assert all(type(peer.keys) is set for peer in res.peers)
+        assert all(type(peer.outbox) is set and not peer.outbox for peer in res.peers)
+        assert all(type(key) is int for peer in res.peers for key in peer.keys)
+        assert res.storage_is_consistent()
 
 
 class TestLoadBalancing:
@@ -166,3 +177,60 @@ class TestStrategies:
             pk, ConstructionConfig(n_min=5, d_max=50, sample_size=2), rng=1
         )
         assert res.storage_is_consistent()
+
+
+def full_scan_referral(peers, initiator, partner):
+    """The referral rule stated over the partner's *whole* routing table:
+    the contact sharing the longest prefix with the initiator, beyond what
+    the partner itself shares; ties go to the shorter path, then to the
+    first found."""
+    best = None
+    best_cpl = initiator.path.common_prefix_length(partner.path)
+    for refs in partner.routing.values():
+        for ref in refs:
+            if ref == initiator.peer_id:
+                continue
+            candidate = peers[ref]
+            c = initiator.path.common_prefix_length(candidate.path)
+            if c > best_cpl or (
+                best is not None and c == best_cpl and candidate.path.length < best.path.length
+            ):
+                best, best_cpl = candidate, c
+    return best
+
+
+class _AuditedConstruction(_Construction):
+    """Checks, while the process runs, what ``_refer``'s one-level scan
+    rests on: routing entries always point into the complementary subtree
+    (after every round), hence every referral equals the full-table scan."""
+
+    refers = 0
+    audited_round = 0
+
+    def _interact(self, initiator, partner):
+        if self.rounds != self.audited_round:  # first meeting of a new round
+            self.audited_round = self.rounds
+            assert self.result().routing_is_consistent()
+        super()._interact(initiator, partner)
+
+    def _refer(self, initiator, partner):
+        best = super()._refer(initiator, partner)
+        assert best is full_scan_referral(self.peers, initiator, partner)
+        self.refers += 1
+        return best
+
+
+class TestReferral:
+    @pytest.mark.parametrize("workload", ["U", "P1.0"])
+    def test_one_level_scan_equals_full_table_scan(self, workload):
+        pk = workload_keys(workload, peers=128, keys_per_peer=10, seed=5)
+        peers = [ConstructionPeer(peer_id=i, keys=set(keys)) for i, keys in enumerate(pk)]
+        state = _AuditedConstruction(peers, ConstructionConfig(), make_rng(11))
+        state.replication_phase()
+        state.frame_keys()
+        state.run_rounds()
+        state.flush_outboxes()
+        result = state.result()
+        assert result.routing_is_consistent()
+        assert state.audited_round == result.rounds > 1
+        assert state.refers == result.refer_meetings > 100

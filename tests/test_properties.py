@@ -4,7 +4,21 @@ import math
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.estimators import estimate_replica_count, estimate_split_fraction
+from repro.core.construction import (
+    ConstructionConfig,
+    ConstructionPeer,
+    _compare,
+    _Construction,
+    _positions,
+    _reframe,
+)
+from repro.core.estimators import (
+    estimate_partition_keys,
+    estimate_replica_count,
+    estimate_split_fraction,
+    partition_keys_from_overlap,
+    replica_count_from_overlap,
+)
 from repro.core.probabilities import (
     P_STAR,
     alpha_of_p,
@@ -14,7 +28,7 @@ from repro.core.probabilities import (
     t_star,
 )
 from repro.core.reference import reference_partition
-from repro.pgrid.bits import Path
+from repro.pgrid.bits import ROOT, Path
 from repro.pgrid.keyspace import KEY_BITS, MAX_KEY, bit_at, float_to_key, string_to_key
 
 paths = st.builds(
@@ -119,6 +133,113 @@ class TestEstimatorProperties:
     def test_split_fraction_in_unit_interval(self, key_list):
         frac = estimate_split_fraction(key_list, 0)
         assert 0.0 <= frac <= 1.0
+
+
+# Keys crowded under the first six levels of the trie, so that short
+# random paths select partitions holding several of them.
+crowded_keys = st.builds(
+    lambda top, low: (top << (KEY_BITS - 6)) | low,
+    st.integers(0, 63),
+    st.integers(0, 7),
+)
+key_sets = st.sets(crowded_keys, max_size=40)
+path_bits = st.lists(st.integers(0, 1), max_size=6)
+
+
+def framed(*sets):
+    """A construction engine holding nothing but the universe of ``sets``."""
+    peers = [ConstructionPeer(peer_id=0, keys=set().union(*sets))]
+    state = _Construction(peers, ConstructionConfig(), None)
+    state.frame_keys()
+    return state
+
+
+def walk(state, bits):
+    """``(path, frame)`` reached from the root the way the engine gets
+    there: one ``_lower_width`` per level."""
+    path, (offset, end) = ROOT, (0, len(state.universe))
+    for bit in bits:
+        mid = offset + state._lower_width(path, offset, end)
+        offset, end = (offset, mid) if bit == 0 else (mid, end)
+        path = path.extend(bit)
+    return path, (offset, end)
+
+
+def inside(key_set, path):
+    return {k for k in key_set if path.contains_key(k, KEY_BITS)}
+
+
+def unpack(state, bitmap, frame):
+    return {state.universe[frame[0] + i] for i in _positions(bitmap)}
+
+
+class TestKeyBitmapProperties:
+    """The construction engine's framed bitmaps against the plain-set model."""
+
+    @given(key_sets, path_bits)
+    def test_frame_is_the_partition_slice_of_the_universe(self, a, bits):
+        state = framed(a)
+        path, (offset, end) = walk(state, bits)
+        assert state.universe[offset:end] == sorted(inside(a, path))
+
+    @given(key_sets, key_sets, path_bits)
+    def test_pack_round_trip(self, a, others, bits):
+        state = framed(a, others)
+        path, frame = walk(state, bits)
+        bitmap = state._pack(inside(a, path), *frame)
+        assert bitmap.bit_count() == len(inside(a, path))
+        assert unpack(state, bitmap, frame) == inside(a, path)
+
+    @given(key_sets, key_sets, path_bits, path_bits)
+    def test_reframe_between_nested_and_disjoint_frames(self, a, others, bits, more):
+        state = framed(a, others)
+        outer, outer_frame = walk(state, bits)
+        inner, inner_frame = walk(state, bits + more)
+        in_outer = state._pack(inside(a, outer), *outer_frame)
+        in_inner = state._pack(inside(a, inner), *inner_frame)
+        # narrowing keeps the inner partition's keys, widening keeps all
+        assert _reframe(in_outer, outer_frame[0], *inner_frame) == in_inner
+        widened = _reframe(in_inner, inner_frame[0], *outer_frame)
+        assert unpack(state, widened, outer_frame) == inside(a, inner)
+        # ... which is the shift a decided peer's keys take into an
+        # undecided peer's frame
+        assert widened == in_inner << (inner_frame[0] - outer_frame[0])
+        if inner.length:
+            _, sibling_frame = walk(state, list(inner.sibling()))
+            assert _reframe(in_inner, inner_frame[0], *sibling_frame) == 0
+
+    @given(key_sets, key_sets, path_bits)
+    def test_split_halves_and_count_below(self, a, others, bits):
+        state = framed(a, others)
+        path, frame = walk(state, bits)
+        here = inside(a, path)
+        bitmap = state._pack(here, *frame)
+        lower = state._lower_width(path, *frame)
+        low, high = bitmap & ((1 << lower) - 1), bitmap >> lower
+        child0, frame0 = walk(state, bits + [0])
+        child1, frame1 = walk(state, bits + [1])
+        assert frame0 == (frame[0], frame[0] + lower)
+        assert frame1 == (frame[0] + lower, frame[1])
+        assert unpack(state, low, frame0) == inside(a, child0)
+        assert unpack(state, high, frame1) == inside(a, child1)
+        if here:
+            assert low.bit_count() / len(here) == estimate_split_fraction(here, path.length)
+
+    @given(key_sets, key_sets, path_bits, st.integers(1, 8))
+    def test_compare_and_estimator_cores(self, a, b, bits, n_min):
+        state = framed(a, b)
+        path, frame = walk(state, bits)
+        a, b = inside(a, path), inside(b, path)
+        seen = _compare(state._pack(a, *frame), state._pack(b, *frame))
+        assert unpack(state, seen.union, frame) == a | b
+        assert (seen.size_a, seen.size_b, seen.overlap) == (len(a), len(b), len(a & b))
+        assert seen.total == len(a | b)
+        assert replica_count_from_overlap(
+            seen.size_a, seen.size_b, seen.overlap, n_min
+        ) == estimate_replica_count(a, b, n_min)
+        assert partition_keys_from_overlap(
+            seen.size_a, seen.size_b, seen.overlap
+        ) == estimate_partition_keys(a, b)
 
 
 class TestReferencePartitionProperties:
