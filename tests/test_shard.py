@@ -5,9 +5,19 @@
 round-trips, and :func:`run_sliced_ensemble`: process-pool vs
 sequential equivalence, schema parity with a single run, and a dead
 worker surfacing as an error instead of a hang.
+
+``tests/data/sliced_ensemble_digests.json`` pins one SHA-256 per slice
+report (plus the ensemble's query total) for two specs.  Regenerate
+only when a change of the protocol or the report is intended, and say
+so::
+
+    PYTHONPATH=src python tests/test_shard.py
 """
 
+import hashlib
+import json
 import os
+import pathlib
 import signal
 import time
 
@@ -21,6 +31,36 @@ from repro.scenarios import (
     slice_spec,
 )
 from repro.simnet.shard import ShardCodec, derive_shard_streams
+
+DATA = pathlib.Path(__file__).parent / "data" / "sliced_ensemble_digests.json"
+SHARDS = 4
+#: A read-only spec at the worker-mode test size and a write-carrying
+#: one whose population does not divide evenly.
+PINNED = {
+    "uniform-baseline": dict(n_peers=64, seed=7, duration_scale=0.25),
+    "read-write-balanced": dict(n_peers=101, seed=9),
+}
+
+
+def slice_reports(spec):
+    root = MessageScenarioRunner(spec).shard_stream_root()
+    seeds = derive_shard_streams(root, SHARDS)
+    return [
+        MessageScenarioRunner(
+            slice_spec(spec, index, SHARDS, seed=seeds[index])
+        ).run()
+        for index in range(SHARDS)
+    ]
+
+
+def pinned_entry(reports) -> dict:
+    return {
+        "slices": [
+            hashlib.sha256(report.to_json().encode()).hexdigest()
+            for report in reports
+        ],
+        "queries": sum(report.totals["queries"] for report in reports),
+    }
 
 
 class TestShardCodec:
@@ -86,6 +126,15 @@ class TestSliceSpec:
 
 class TestWorkerMode:
     PARAMS = dict(n_peers=64, seed=7, duration_scale=0.25)
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_slice_digests_unchanged(self, name):
+        spec = scenario(name, **PINNED[name])
+        reports = slice_reports(spec)
+        assert pinned_entry(reports) == json.loads(DATA.read_text())[name]
+        merged = run_sliced_ensemble(spec, shards=SHARDS, processes=False)
+        assert merged.totals["queries"] == pinned_entry(reports)["queries"]
+        assert sum(r.n_peers_start for r in reports) == spec.n_peers
 
     def test_processes_and_sequential_agree(self):
         spec = scenario("uniform-baseline", **self.PARAMS)
@@ -155,3 +204,15 @@ class TestWorkerMode:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
         assert time.perf_counter() - start < 10.0
+
+
+if __name__ == "__main__":
+    payload = {
+        "_comment": "sha256 per slice report of a 4-slice ensemble; see tests/test_shard.py",
+        **{
+            name: pinned_entry(slice_reports(scenario(name, **params)))
+            for name, params in sorted(PINNED.items())
+        },
+    }
+    DATA.write_text(json.dumps(payload, indent=2) + "\n")
+    print(f"wrote {DATA}")
