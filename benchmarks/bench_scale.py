@@ -8,10 +8,11 @@ Measures how far the message backend reaches, in one run:
   slice counts {1, 4, 8}.  ``shards=1`` runs the single-process
   :class:`~repro.simnet.engine.Simulator`; ``shards>1`` runs worker
   mode (:func:`~repro.scenarios.message_runner.run_sliced_ensemble`):
-  the keyspace sliced into independent per-process populations, merged
-  into one report.  This is the path that makes N=65,536 reachable in
-  one bench run.  (The cells keep the ``shards``/``mode`` keys so
-  ``check_regression.compare_scale`` matches them across snapshots.)
+  the keyspace sliced into independent per-process populations, whose
+  per-slice reports the cell sums.  This is the path that makes
+  N=65,536 reachable in one bench run.  (The cells keep the
+  ``shards``/``mode`` keys so ``check_regression.compare_scale``
+  matches them across snapshots.)
 * **Heap-health audit** -- every cell records the simulator's
   pending-event peak, lazy-cancel backlog and compaction count (the
   observable heap-compaction stats on
@@ -96,11 +97,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from bench_scenarios import merge_into_snapshot  # noqa: E402
 from profile_kernel import format_profile  # noqa: E402
 
-from repro.scenarios import (  # noqa: E402
-    MessageScenarioRunner,
-    run_sliced_ensemble,
-    scenario,
-)
+from repro.scenarios import run_sliced_ensemble, scenario  # noqa: E402
 
 DEFAULT_OUTPUT = REPO_ROOT / "BENCH_core.json"
 
@@ -164,26 +161,13 @@ def run_cell(n_peers: int, shards: int, *, seed: int, duration_scale: float) -> 
     spec = scenario(
         SCENARIO, n_peers=n_peers, seed=seed, duration_scale=duration_scale
     )
+    kernels = []
     start = time.perf_counter()
-    if shards == 1:
-        runner = MessageScenarioRunner(spec)
-        report = runner.run()
-        wall_s = time.perf_counter() - start
-        sim = runner.simulator
-        kernels = [{
-            "events_processed": sim.events_processed,
-            "pending_peak": sim.pending_peak,
-            "pending_cancelled": sim.pending_cancelled,
-            "compactions": sim.compactions,
-            "wall_s": wall_s,
-        }]
-        mode = "single"
-    else:
-        kernels = []
-        report = run_sliced_ensemble(spec, shards=shards, kernel_stats=kernels)
-        wall_s = time.perf_counter() - start
-        mode = "workers"
+    reports = run_sliced_ensemble(spec, shards=shards, kernel_stats=kernels)
+    wall_s = time.perf_counter() - start
     events = sum(k["events_processed"] for k in kernels)
+    queries = sum(r.totals["queries"] for r in reports)
+    successes = sum(r.totals["successes"] for r in reports)
     pending_peak = max(k["pending_peak"] for k in kernels)
     # The bound applies per kernel: each worker hosts ~n/shards peers.
     resident = -(-n_peers // shards)
@@ -191,14 +175,14 @@ def run_cell(n_peers: int, shards: int, *, seed: int, duration_scale: float) -> 
     return {
         "n_peers": n_peers,
         "shards": shards,
-        "mode": mode,
+        "mode": "single" if shards == 1 else "workers",
         "wall_s": round(wall_s, 3),
         "worker_wall_s": round(max(k["wall_s"] for k in kernels), 3),
         "events": events,
         "events_per_s": round(events / wall_s, 1) if wall_s > 0 else None,
-        "queries": report.totals["queries"],
-        "success_rate": report.totals["success_rate"],
-        "n_peers_end": report.n_peers_end,
+        "queries": queries,
+        "success_rate": successes / queries if queries else None,
+        "n_peers_end": sum(r.n_peers_end for r in reports),
         "pending_peak": pending_peak,
         "pending_bound": pending_bound,
         "pending_bound_ok": pending_peak <= pending_bound,

@@ -31,7 +31,7 @@ Fig. 2 interaction rules fire:
     contacts next (prefix routing during construction).
 
 Synchronization and termination follow Sec. 4.2: peers that cannot find a
-useful interaction stop initiating after ``max_idle_attempts`` attempts
+useful interaction stop initiating after :data:`MAX_IDLE_ATTEMPTS` attempts
 and only react to incoming contacts; the process ends when every peer is
 passive.  Overload decisions use only *local* estimates (Sec. 4.2's
 overlap estimators), and split ratios use the corrected decision
@@ -93,6 +93,14 @@ __all__ = [
 
 #: Strategies for choosing the split probabilities (Fig. 6(d) ablation).
 STRATEGIES = ("theory", "uncorrected", "heuristic")
+#: Consecutive useless interactions before a peer stops initiating (the
+#: paper uses 2).
+MAX_IDLE_ATTEMPTS = 2
+#: Hard safety bound on rounds.
+MAX_ROUNDS = 400
+#: Maximum directed follow-up contacts after a refer interaction
+#: (prefix-routing during construction).
+REFER_HOPS = 8
 
 
 def _keys_in_partition(keys, path: Path) -> set:
@@ -163,42 +171,33 @@ class ConstructionConfig:
         minimal replication factor (Sec. 2.2, criterion 2);
     ``d_max``
         maximal storage load per partition; ``None`` derives the paper's
-        default ``d_max_factor * n_min`` (figure captions use factors
-        10/20/30);
-    ``d_max_factor``
-        multiplier used when ``d_max`` is ``None``;
+        default ``DEFAULT_D_MAX_FACTOR * n_min`` (figure captions use
+        factors 10/20/30; a caller wanting another factor passes the
+        product);
     ``strategy``
         ``"theory"`` = corrected probabilities of Eqs. (9)/(10) (COR),
         ``"uncorrected"`` = plain ``alpha``/``beta`` (AEP),
         ``"heuristic"`` = the Fig. 6(d) straw-man functions;
     ``sample_size``
         number of local keys sampled for the ``p`` estimate (``None`` =
-        use every locally stored key);
-    ``max_idle_attempts``
-        consecutive useless interactions before a peer stops initiating
-        (the paper uses 2);
-    ``max_rounds``
-        hard safety bound on rounds;
-    ``refer_hops``
-        maximum directed follow-up contacts after a refer interaction
-        (prefix-routing during construction).
+        use every locally stored key).
+
+    The paper's two global parameters plus the Fig. 6 ablation axes; the
+    termination and referral bounds are the module constants
+    :data:`MAX_IDLE_ATTEMPTS`, :data:`MAX_ROUNDS` and :data:`REFER_HOPS`.
     """
 
     n_min: int = DEFAULT_N_MIN
     d_max: Optional[float] = None
-    d_max_factor: float = DEFAULT_D_MAX_FACTOR
     strategy: str = "theory"
     sample_size: Optional[int] = None
-    max_idle_attempts: int = 2
-    max_rounds: int = 400
-    refer_hops: int = 8
     seed: Optional[int] = None
 
     def resolved_d_max(self) -> float:
         """The storage-load bound actually used."""
         if self.d_max is not None:
             return float(self.d_max)
-        return self.d_max_factor * self.n_min
+        return DEFAULT_D_MAX_FACTOR * self.n_min
 
     def validate(self) -> None:
         """Raise :class:`DomainError` on out-of-range parameters."""
@@ -212,8 +211,6 @@ class ConstructionConfig:
             )
         if self.sample_size is not None and self.sample_size < 1:
             raise DomainError(f"sample_size must be >= 1, got {self.sample_size}")
-        if self.max_idle_attempts < 1:
-            raise DomainError("max_idle_attempts must be >= 1")
 
 
 @dataclass
@@ -471,7 +468,7 @@ class _Construction:
     def run_rounds(self) -> None:
         """Round-based concurrent process with Sec. 4.2 termination."""
         n = len(self.peers)
-        while self.rounds < self.config.max_rounds:
+        while self.rounds < MAX_ROUNDS:
             active_ids = [p.peer_id for p in self.peers if p.active]
             if not active_ids:
                 break
@@ -487,7 +484,7 @@ class _Construction:
                 self._interact(peer, self.peers[partner_id])
         else:
             raise ConstructionError(
-                f"construction did not settle within {self.config.max_rounds} rounds"
+                f"construction did not settle within {MAX_ROUNDS} rounds"
             )
 
     # -- interaction dispatch (Fig. 2) -------------------------------------
@@ -525,7 +522,7 @@ class _Construction:
             self.refer_meetings += 1
             next_partner = self._refer(initiator, partner)
             hops += 1
-            if next_partner is None or hops >= self.config.refer_hops:
+            if next_partner is None or hops >= REFER_HOPS:
                 self._strike(initiator, useful=delivered)
                 return
             partner = next_partner
@@ -556,7 +553,7 @@ class _Construction:
             peer.idle_strikes = 0
         else:
             peer.idle_strikes += 1
-            if peer.idle_strikes >= self.config.max_idle_attempts:
+            if peer.idle_strikes >= MAX_IDLE_ATTEMPTS:
                 peer.active = False
 
     @staticmethod

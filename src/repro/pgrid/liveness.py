@@ -4,9 +4,12 @@ The paper's PlanetLab results (Sec. 5, 95-100% query success under
 churn) assume peers *repair* their routing tables when references die.
 Operationally that is two separable concerns:
 
-* a **policy** -- when is a reference suspect, how hard do we probe it,
-  when do we give up and evict, and how do replacements travel
-  (:class:`RouteRepairPolicy`);
+* a **policy** -- whether routes are repaired at all
+  (:class:`RouteRepairPolicy`, the on/off A/B), and the module
+  constants that say when a reference is suspect, how hard it is
+  probed, when it is evicted and how replacements travel
+  (:data:`EVICT_AFTER` ... :data:`READD_COOLDOWN_S`; no caller ever gave
+  one a second value, so they are not options);
 * a **mechanism** -- the bookkeeping that turns failure/liveness
   evidence into those decisions.
 
@@ -21,10 +24,9 @@ evidence comes from:
   liveness from the traffic it already sends, Kademlia-style: every
   query timeout or partition-refused send marks the used reference
   suspect, every delivered message refreshes the sender, suspects are
-  probed with ``ping``/``pong`` and evicted after
-  :attr:`RouteRepairPolicy.evict_after` silent probes, and evicted
-  references are replaced by candidate references gossiped on
-  anti-entropy exchanges.  :class:`LivenessTracker` is that state
+  probed with ``ping``/``pong`` and evicted after :data:`EVICT_AFTER`
+  silent probes, and evicted references are replaced by candidate
+  references gossiped on anti-entropy exchanges.  :class:`LivenessTracker` is that state
   machine (per node, simulator-agnostic -- the node supplies timers and
   messages).
 """
@@ -40,40 +42,41 @@ from .network import PGridNetwork
 __all__ = ["RouteRepairPolicy", "LivenessTracker", "repair_routes"]
 
 
+#: Strikes (failure evidence + silent probes) before eviction.
+EVICT_AFTER = 2
+#: Seconds a probe waits for its ``pong`` before striking.
+PROBE_TIMEOUT_S = 10.0
+#: Re-confirm a reference in active use after this many seconds of
+#: silence (confirm-on-use: probes track traffic, not a global clock).
+CONFIRM_INTERVAL_S = 60.0
+#: Stale references probed per node per maintenance tick (the
+#: Kademlia-style bucket refresh, stalest first).  Confirm-on-use alone
+#: discovers a dead reference only by paying a query timeout for it;
+#: the refresh budget drains the reservoir of never-used dead
+#: references at a bounded maintenance cost.
+REFRESH_PROBES = 8
+#: Candidate references gossiped per routing level on every
+#: anti-entropy exchange and every ``pong``.
+GOSSIP_REFS = 2
+#: Seconds during which gossip may not re-install a reference this
+#: node just evicted (a negative cache: peers that have not noticed
+#: the death yet keep gossiping it; direct traffic from the
+#: reference clears the tombstone early).
+READD_COOLDOWN_S = 60.0
+
+
 @dataclass(frozen=True)
 class RouteRepairPolicy:
-    """Knobs of the shared route-repair subsystem.
+    """The on/off switch of the shared route-repair subsystem.
 
-    ``enabled`` gates the whole machinery (``False`` reproduces the
-    repair-less PR-3 wire behavior and skips the data plane's repair
-    sweep).  The remaining knobs drive the evidence-based mechanism of
-    the message backend; the oracle mechanism only reads ``enabled``.
+    ``enabled=False`` reproduces the repair-less PR-3 wire behavior and
+    skips the data plane's repair sweep.  How the evidence-based
+    mechanism of the message backend behaves when on is fixed by the
+    module constants above.
     """
 
     #: Master switch: ``False`` = route blindly (the degradation baseline).
     enabled: bool = True
-    #: Strikes (failure evidence + silent probes) before eviction.
-    evict_after: int = 2
-    #: Seconds a probe waits for its ``pong`` before striking.
-    probe_timeout_s: float = 10.0
-    #: Re-confirm a reference in active use after this many seconds of
-    #: silence (confirm-on-use: probes track traffic, not a global clock).
-    confirm_interval_s: float = 60.0
-    #: Stale references probed per node per maintenance tick (the
-    #: Kademlia-style bucket refresh, stalest first; 0 disables).
-    #: Confirm-on-use alone discovers a dead reference only by paying a
-    #: query timeout for it; the refresh budget drains the reservoir of
-    #: never-used dead references at a bounded maintenance cost.
-    refresh_probes: int = 8
-    #: Candidate references gossiped per routing level on every
-    #: anti-entropy exchange and every ``pong`` (0 disables gossip
-    #: replenishment).
-    gossip_refs: int = 2
-    #: Seconds during which gossip may not re-install a reference this
-    #: node just evicted (a negative cache: peers that have not noticed
-    #: the death yet keep gossiping it; direct traffic from the
-    #: reference clears the tombstone early).
-    readd_cooldown_s: float = 60.0
 
 
 class LivenessTracker:
@@ -91,8 +94,7 @@ class LivenessTracker:
     section.
     """
 
-    def __init__(self, policy: RouteRepairPolicy):
-        self.policy = policy
+    def __init__(self):
         #: Accumulated failure evidence per reference.
         self.strikes: Dict[int, int] = {}
         #: Outstanding probe nonce per reference (at most one in flight).
@@ -136,7 +138,7 @@ class LivenessTracker:
         if ref in self.probe_nonce:
             return False
         last = self.last_confirmed.get(ref, 0.0)
-        return now - last >= self.policy.confirm_interval_s
+        return now - last >= CONFIRM_INTERVAL_S
 
     # -- probe chain -------------------------------------------------------
 
@@ -154,7 +156,7 @@ class LivenessTracker:
         del self.probe_nonce[ref]
         strikes = self.strikes.get(ref, 0) + 1
         self.strikes[ref] = strikes
-        if strikes >= self.policy.evict_after:
+        if strikes >= EVICT_AFTER:
             return "evict"
         return "probe"
 
@@ -177,10 +179,7 @@ class LivenessTracker:
     def recently_evicted(self, ref: int, now: float) -> bool:
         """True while ``ref``'s eviction tombstone blocks gossip re-adds."""
         evicted = self.evicted_at.get(ref)
-        return (
-            evicted is not None
-            and now - evicted < self.policy.readd_cooldown_s
-        )
+        return evicted is not None and now - evicted < READD_COOLDOWN_S
 
     def note_replacement(self, n: int = 1) -> None:
         """Count references installed from gossip."""

@@ -78,6 +78,14 @@ from ..exceptions import DomainError
 
 __all__ = ["CachePolicy", "ResultCache", "RouteCache", "gini"]
 
+# Fixed cache sizes: no scenario, benchmark or test ever asked for
+# another, so they are not fields of the policy (reports still echo
+# them under ``serving.policy``).
+#: Per-node result-cache capacity (oldest-inserted evicted first).
+RESULT_CAPACITY = 256
+#: Per-node route-cache capacity.
+ROUTE_CAPACITY = 128
+
 
 @dataclass(frozen=True)
 class CachePolicy:
@@ -94,12 +102,6 @@ class CachePolicy:
     result_ttl_s: float = 30.0
     #: Route entries older than this are ignored.
     route_ttl_s: float = 240.0
-    #: Per-node result-cache capacity (oldest-inserted evicted first).
-    result_capacity: int = 256
-    #: Per-node route-cache capacity.
-    route_capacity: int = 128
-    #: Master switch for the grant/revoke machinery.
-    adaptive_replication: bool = True
     #: Queries served within one decay window that make an owner "hot".
     hot_threshold: int = 32
     #: Helpers granted to a hot owner.
@@ -121,8 +123,6 @@ class CachePolicy:
     def validate(self) -> None:
         if self.result_ttl_s < 0 or self.route_ttl_s < 0:
             raise DomainError("cache TTLs must be >= 0")
-        if self.result_capacity < 1 or self.route_capacity < 1:
-            raise DomainError("cache capacities must be >= 1")
         if self.hot_threshold < 1:
             raise DomainError("hot_threshold must be >= 1")
         if self.replica_boost < 0:

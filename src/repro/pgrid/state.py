@@ -48,7 +48,7 @@ Two shutdown flavours, driven by the scenario runners:
   tombstones survive by construction (property-tested).
 * **crash** -- the in-memory state is lost; restore falls back to the
   last *periodic* checkpoint, which is stale by up to
-  ``DurabilityPolicy.snapshot_interval_s``.  Writes, replica syncs, and
+  :data:`SNAPSHOT_INTERVAL_S`.  Writes, replica syncs, and
   tombstones that landed after that checkpoint are gone and must be
   re-learned (or are genuinely lost, which the scenario report's
   ``recovery`` section quantifies as ``lost_acked_writes`` /
@@ -84,6 +84,7 @@ from typing import Any, Dict, Optional
 
 from ..exceptions import DomainError
 from .bits import Path
+from .liveness import CONFIRM_INTERVAL_S
 
 __all__ = [
     "SCHEMA",
@@ -97,30 +98,24 @@ __all__ = [
 
 #: Snapshot schema version; bump when the dict layout changes.
 SCHEMA = "pgrid-state/v1"
+#: Periodic checkpoint cadence while restarts are in play -- the
+#: staleness bound a *crash* restore pays.  Clean shutdowns checkpoint
+#: at the shutdown instant regardless.
+SNAPSHOT_INTERVAL_S = 60.0
 
 
 @dataclass(frozen=True)
 class DurabilityPolicy:
-    """Knobs for the persistence subsystem.
+    """The on/off switch of the persistence subsystem.
 
     ``enabled=False`` is the cold-join baseline: no snapshots are taken
     and every restart rebuilds from a sponsored join (the pre-existing
     behaviour, kept behind the flag for A/B benchmarking like
-    :class:`~repro.pgrid.liveness.RouteRepairPolicy`).
-
-    ``snapshot_interval_s`` is the periodic checkpoint cadence while
-    restarts are in play -- the staleness bound a *crash* restore pays.
-    Clean shutdowns checkpoint at the shutdown instant regardless.
+    :class:`~repro.pgrid.liveness.RouteRepairPolicy`).  The checkpoint
+    cadence is :data:`SNAPSHOT_INTERVAL_S`.
     """
 
     enabled: bool = True
-    snapshot_interval_s: float = 60.0
-
-    def validate(self) -> None:
-        if self.snapshot_interval_s <= 0:
-            raise DomainError(
-                f"snapshot_interval_s must be > 0, got {self.snapshot_interval_s}"
-            )
 
 
 class StateStore:
@@ -130,9 +125,7 @@ class StateStore:
     reads older ones), so the store is O(peers) regardless of cadence.
     """
 
-    def __init__(self, policy: Optional[DurabilityPolicy] = None):
-        self.policy = policy or DurabilityPolicy()
-        self.policy.validate()
+    def __init__(self):
         self._latest: Dict[int, Dict[str, Any]] = {}
         self.checkpoints = 0
         self.restores = 0
@@ -275,12 +268,11 @@ def restore_node(node, snapshot: Dict[str, Any], now: float) -> None:
     liveness = node.liveness
     liveness.strikes.clear()
     liveness.probe_nonce.clear()
-    confirm_interval = node.config.repair.confirm_interval_s
     liveness.last_confirmed = {
         # Rebase, then cap so needs_confirmation() is True for every
         # restored ref: restored refs are handed to the liveness state
         # machine, never trusted blindly.
-        ref: min(now - age, now - confirm_interval)
+        ref: min(now - age, now - CONFIRM_INTERVAL_S)
         for ref, age in snapshot["liveness"]["last_confirmed"]
     }
     liveness.evicted_at = {

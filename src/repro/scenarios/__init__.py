@@ -26,8 +26,8 @@ This package turns the repo's stress ingredients -- churn processes
     ``message_level`` report section (latency percentiles,
     timeout/retry counts, drop breakdown, in-flight peak, per-link
     bandwidth, and the route-repair counters).  Route repair is
-    configured per run via ``MessageNetConfig(repair=RouteRepairPolicy
-    (...))`` -- see :mod:`repro.pgrid.liveness`.
+    switched per run via ``MessageNetConfig(repair=RouteRepairPolicy
+    (enabled=...))`` -- see :mod:`repro.pgrid.liveness`.
 ``report``
     :class:`ScenarioReport`: hop counts, success under churn,
     message/bandwidth totals, per-peer load imbalance and replication
@@ -86,7 +86,7 @@ from .message_runner import (  # noqa: F401
     run_sliced_ensemble,
     slice_spec,
 )
-from .report import ScenarioReport, merge_reports  # noqa: F401
+from .report import ScenarioReport  # noqa: F401
 from .runner import ScenarioRunner  # noqa: F401
 from .spec import (  # noqa: F401
     CachePolicy,
@@ -159,7 +159,6 @@ __all__ = [
     "run_scenario",
     "run_sliced_ensemble",
     "slice_spec",
-    "merge_reports",
     "ScenarioReport",
     "SCENARIOS",
     "scenario",

@@ -41,9 +41,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .._util import make_rng, mean, std
 from ..pgrid.network import PGridNetwork
-from ..pgrid.serving import gini
+from ..pgrid.serving import RESULT_CAPACITY, ROUTE_CAPACITY, gini
 from ..pgrid.state import SCHEMA as STATE_SCHEMA
-from ..pgrid.state import DurabilityPolicy, StateStore
+from ..pgrid.state import SNAPSHOT_INTERVAL_S, DurabilityPolicy, StateStore
 from ..simnet.churn import start_churn
 from ..simnet.engine import Simulator
 from ..workloads.datasets import workload_keys
@@ -203,12 +203,11 @@ class ScenarioRunnerBase:
         #: every persistence/recovery branch, so restart-free runs stay
         #: bit-identical to the pre-persistence engine.
         self._restarts_active = any(p.restarts is not None for p in spec.phases)
-        #: The crash model's knobs; ``enabled=False`` is the cold-join
+        #: The crash model's switch; ``enabled=False`` is the cold-join
         #: baseline (every restart rebuilds from a sponsored join).
         self._durability = durability if durability is not None else DurabilityPolicy()
-        self._durability.validate()
         #: The simulated disk holding per-peer checkpoints.
-        self._state_store = StateStore(self._durability)
+        self._state_store = StateStore()
         #: Recovery bookkeeping (populated by :meth:`run` when restarts
         #: are active; ``None`` otherwise).
         self._recovery: Optional[dict] = None
@@ -408,7 +407,7 @@ class ScenarioRunnerBase:
         write_rng = make_rng(master.randrange(2**31))
         restart_rng = make_rng(master.randrange(2**31))
         #: Root of the shard stream tree: worker-mode sharding
-        #: (:func:`repro.simnet.shard.derive_shard_streams`) seeds its
+        #: (``message_runner.derive_shard_streams``) seeds its
         #: per-shard sub-runs from this final draw.
         self._shard_stream_root = master.randrange(2**31)
         return (
@@ -779,14 +778,14 @@ class ScenarioRunnerBase:
 
         With durability enabled, a baseline checkpoint of the whole
         online population is taken at the phase start and refreshed
-        every ``snapshot_interval_s`` -- the staleness bound a crash
+        every :data:`SNAPSHOT_INTERVAL_S` -- the staleness bound a crash
         restore pays.  Clean shutdowns additionally checkpoint at their
         shutdown instant inside :meth:`_restart_shutdown`.
         """
         restarts = phase.restarts
         if self._durability.enabled:
             self._checkpoint_all(tally)
-            interval = self._durability.snapshot_interval_s
+            interval = SNAPSHOT_INTERVAL_S
 
             def checkpoint_tick() -> None:
                 if sim.now >= end:
@@ -1154,9 +1153,11 @@ class ScenarioRunnerBase:
             "policy": {
                 "result_ttl_s": policy.result_ttl_s,
                 "route_ttl_s": policy.route_ttl_s,
-                "result_capacity": policy.result_capacity,
-                "route_capacity": policy.route_capacity,
-                "adaptive_replication": policy.adaptive_replication,
+                # Constants, not policy fields; the keys stay so
+                # reports and goldens keep their shape.
+                "result_capacity": RESULT_CAPACITY,
+                "route_capacity": ROUTE_CAPACITY,
+                "adaptive_replication": True,
                 "hot_threshold": policy.hot_threshold,
                 "replica_boost": policy.replica_boost,
                 "decay_interval_s": policy.decay_interval_s,
@@ -1200,7 +1201,7 @@ class ScenarioRunnerBase:
         out = {
             "schema": STATE_SCHEMA,
             "durability_enabled": self._durability.enabled,
-            "snapshot_interval_s": self._durability.snapshot_interval_s,
+            "snapshot_interval_s": SNAPSHOT_INTERVAL_S,
             "restarts": rec["restarts"],
             "clean_shutdowns": rec["clean"],
             "crashes": rec["crashes"],

@@ -26,8 +26,9 @@ How phases compile here
   its partition travel via the protocol's outbox piggy-backing.  Other
   replicas learn about the newcomer through ordinary anti-entropy
   exchanges, never by fiat.
-* **Maintenance** ticks make a configurable fraction of online nodes
-  initiate one protocol exchange (anti-entropy with a replica, or a
+* **Maintenance** ticks make a fixed fraction of online nodes
+  (:data:`MAINTENANCE_FRACTION`) initiate one protocol exchange
+  (anti-entropy with a replica, or a
   random peer when a node knows none), so repair traffic is real
   messages, unlike the data-plane backend's nominal byte model.  With
   route repair enabled (:class:`~repro.pgrid.liveness.RouteRepairPolicy`
@@ -64,12 +65,11 @@ from ..pgrid.replication import divergence_stats
 from ..pgrid.routing import RoutingTable
 from ..simnet import protocol as P
 from ..simnet.node import NodeConfig, PGridNode, QueryOutcome
-from ..simnet.shard import ShardCodec, derive_shard_streams
 from ..simnet.stats import StatsCollector
 from ..simnet.transport import LatencyModel, LogNormalLatency, Network
 from ..workloads.queries import POINT, RANGE, QuerySampler
 from .base import ScenarioRunnerBase, _Tally
-from .report import ScenarioReport, merge_reports
+from .report import ScenarioReport
 from .spec import Hotspot, Phase, ScenarioSpec
 
 __all__ = [
@@ -79,6 +79,15 @@ __all__ = [
     "run_sliced_ensemble",
     "slice_spec",
 ]
+
+#: Origin-side timeout of one query or write attempt before a retry
+#: (retries come from ``ScenarioSpec.query_retries``, shared with the
+#: data plane).  After the last phase the run drains for one full
+#: ``(retries + 1)`` window of it, so every issued operation resolves.
+QUERY_TIMEOUT_S = 30.0
+#: Fraction of online nodes initiating one anti-entropy exchange per
+#: maintenance tick.
+MAINTENANCE_FRACTION = 0.05
 
 
 @dataclass
@@ -91,22 +100,14 @@ class MessageNetConfig:
     :class:`~repro.simnet.transport.PerLinkLatency` to give every link
     its own characteristic delay, or a
     :class:`~repro.simnet.transport.ConstantLatency` for analytically
-    predictable tests.
+    predictable tests.  The query timeout and the maintenance fraction
+    are not knobs: :data:`QUERY_TIMEOUT_S`, :data:`MAINTENANCE_FRACTION`.
     """
 
     latency: LatencyModel = field(
         default_factory=lambda: LogNormalLatency(median=0.12)
     )
     loss_rate: float = 0.01
-    #: Origin-side query timeout before a retry (retries come from
-    #: ``ScenarioSpec.query_retries``, shared with the data plane).
-    query_timeout_s: float = 30.0
-    #: Fraction of online nodes initiating one anti-entropy exchange
-    #: per maintenance tick.
-    maintenance_fraction: float = 0.05
-    #: Extra simulated seconds after the last phase for in-flight
-    #: queries to resolve; ``None`` = one full timeout*attempts window.
-    drain_s: Optional[float] = None
     #: Evidence-driven liveness & route repair
     #: (:class:`~repro.pgrid.liveness.RouteRepairPolicy`):
     #: timeouts/partition refusals mark the used reference suspect,
@@ -163,6 +164,12 @@ class MessageScenarioRunner(ScenarioRunnerBase):
 
     def __init__(self, spec: ScenarioSpec, *, net_config: Optional[MessageNetConfig] = None):
         cfg = net_config or MessageNetConfig()
+        if cfg.tombstone_ttl_s <= 0:
+            # Same rule as ScenarioSpec.validate: a certificate that
+            # expires before its first exchange resurrects deleted keys.
+            raise SimulationError(
+                f"tombstone_ttl_s must be > 0, got {cfg.tombstone_ttl_s}"
+            )
         super().__init__(spec, durability=cfg.durability)
         self.net_config = cfg
         self.nodes: Dict[int, PGridNode] = {}
@@ -214,7 +221,7 @@ class MessageScenarioRunner(ScenarioRunnerBase):
         self._node_config = NodeConfig(
             n_min=spec.n_min,
             d_max=spec.d_max,
-            query_timeout=cfg.query_timeout_s,
+            query_timeout=QUERY_TIMEOUT_S,
             query_retries=spec.query_retries,
             max_refs_per_level=spec.max_refs,
             repair=cfg.repair,
@@ -255,7 +262,7 @@ class MessageScenarioRunner(ScenarioRunnerBase):
             self._gateways = tuple(
                 self.nodes[pids[int(i * step)]] for i in range(count)
             )
-        if cache is not None and cache.enabled and cache.adaptive_replication:
+        if cache is not None and cache.enabled:
             # The decay-window heartbeat of adaptive replication: every
             # node examines its served-query counter and grants/revokes
             # helper replicas.  Runner-driven (sorted ids) so the event
@@ -352,7 +359,7 @@ class MessageScenarioRunner(ScenarioRunnerBase):
         if not crash and self._durability.enabled:
             # Clean shutdown flushes state at the shutdown instant; a
             # crash keeps only the last *periodic* checkpoint, losing
-            # up to snapshot_interval_s of acknowledged progress.
+            # up to SNAPSHOT_INTERVAL_S of acknowledged progress.
             self._state_store.put(pid, node.snapshot_state())
         node.abort_inflight()
         node.set_online(False)
@@ -422,9 +429,7 @@ class MessageScenarioRunner(ScenarioRunnerBase):
         online = [pid for pid, node in sorted(self.nodes.items()) if node.online]
         if len(online) < 2:
             return
-        count = max(
-            1, int(round(self.net_config.maintenance_fraction * len(online)))
-        )
+        count = max(1, int(round(MAINTENANCE_FRACTION * len(online))))
         initiators = set(rng.sample(online, min(count, len(online))))
         exchanges = 0
         for pid in sorted(initiators):
@@ -749,40 +754,19 @@ class MessageScenarioRunner(ScenarioRunnerBase):
         # Let in-flight queries resolve: every pending query is bounded
         # by (retries + 1) timeout windows.  All phase generators have
         # stopped (they check phase end), so only completions run.
-        cfg = self.net_config
-        drain = cfg.drain_s
-        if drain is None:
-            drain = cfg.query_timeout_s * (self.spec.query_retries + 1) + 1.0
+        drain = QUERY_TIMEOUT_S * (self.spec.query_retries + 1) + 1.0
         self.simulator.run_until(
             self.spec.duration_s + drain, max_events=self.MAX_EVENTS
         )
-        # Anything still unresolved (possible only when drain_s is set
-        # shorter than the timeout window) counts as a failure of its
-        # real kind, binned at its real issue time.
-        for qid, (idx, kind, issued_at) in sorted(self._meta.items()):
-            if kind == RANGE:
-                tally.range_incomplete += 1
-            tally.record_query(
-                issued_at, idx, kind=kind, success=False,
-                hops=0, messages=0, size=0,
+        # The drain covers the longest an operation can stay pending, so
+        # each one has reached its observer and been tallied exactly
+        # once.  A leftover is a bug in the pending-operation machine,
+        # not a failure to count.
+        if self._meta or self._boxes or self._wmeta:
+            raise SimulationError(
+                f"{len(self._meta)} queries, {len(self._boxes)} boxes and "
+                f"{len(self._wmeta)} writes still pending after the drain"
             )
-        self._meta.clear()
-        # Boxes with unresolved sub-ranges fail as a whole, with
-        # whatever partial results arrived feeding the recall audit.
-        for box_id, box in sorted(self._boxes.items()):
-            tally.range_incomplete += 1
-            self._mdim_box_done(box.oracle, box.found, False)
-            tally.record_query(
-                box.issued_at, box.idx, kind=RANGE, success=False,
-                hops=box.messages, messages=box.messages, size=0,
-            )
-        self._boxes.clear()
-        self._box_of.clear()
-        for wid, (idx, op, _key, issued_at) in sorted(self._wmeta.items()):
-            tally.record_write(
-                issued_at, idx, op=op, success=False, messages=0, size=0
-            )
-        self._wmeta.clear()
 
     # -- assembly hooks ----------------------------------------------------
 
@@ -908,8 +892,8 @@ class MessageScenarioRunner(ScenarioRunnerBase):
             "config": {
                 "latency_model": type(cfg.latency).__name__,
                 "loss_rate": cfg.loss_rate,
-                "query_timeout_s": cfg.query_timeout_s,
-                "maintenance_fraction": cfg.maintenance_fraction,
+                "query_timeout_s": QUERY_TIMEOUT_S,
+                "maintenance_fraction": MAINTENANCE_FRACTION,
                 "repair_enabled": cfg.repair.enabled,
             },
         }
@@ -1005,15 +989,32 @@ def run_message_scenario(
 # -- worker mode: a sliced ensemble ------------------------------------------
 #
 # The repo's one scale mechanism (SNIPPETS #3 shape: independent
-# workers + a thin merge layer).  Worker mode carves the *population
-# itself* into independent keyspace slices, runs each slice as its own
-# scenario in its own process, and merges the per-slice reports into
-# one with the identical schema.  Each worker's report depends only on
-# its own sub-spec and seed, so the merged result is deterministic
-# regardless of process scheduling; this is what makes N=65,536
-# reachable in one bench run.  Why slices and not one overlay on a
-# multi-process kernel: the decision note in
-# ``benchmarks/bench_scale.py``.
+# workers, nothing shared).  Worker mode carves the *population itself*
+# into independent keyspace slices and runs each slice as its own
+# scenario in its own process.  The caller gets the per-slice reports
+# back, in slice order, and adds up what it needs: counts, bytes and
+# populations add exactly; means and percentiles do not add, so none
+# are folded here.  Each worker's report depends only on its own
+# sub-spec and seed, so the result is deterministic regardless of
+# process scheduling; this is what makes N=65,536 reachable in one
+# bench run.  Why slices and not one overlay on a multi-process kernel:
+# the decision note in ``benchmarks/bench_scale.py``.
+
+
+def derive_shard_streams(root_seed: int, n_shards: int) -> List[int]:
+    """Per-shard RNG seeds from the scenario's shard stream root.
+
+    The root is the *final* draw of the scenario master chain
+    (:meth:`repro.scenarios.base.ScenarioRunnerBase.shard_stream_root`),
+    so deriving any number of shard streams can never shift a stream an
+    existing golden trace depends on.  Each shard's seed is one
+    ``randrange`` off a master seeded with the root -- the same
+    one-master-many-streams idiom the scenario runner itself uses.
+    """
+    if n_shards < 1:
+        raise SimulationError(f"need at least one shard, got {n_shards}")
+    master = make_rng(root_seed)
+    return [master.randrange(2**31) for _ in range(n_shards)]
 
 
 def slice_spec(
@@ -1040,7 +1041,8 @@ def slice_spec(
         # interval; a z-order codec interleaves per-dimension bits, so a
         # per-dimension hotspot would NOT confine the interleaved keys
         # to the slice and the sub-overlays would no longer be
-        # self-contained.  Refuse loudly rather than merge garbage.
+        # self-contained.  Refuse loudly rather than run slices that
+        # leak into each other.
         raise SimulationError(
             "worker-mode sharding does not support multi-dimensional codecs"
         )
@@ -1083,16 +1085,15 @@ def slice_spec(
     )
 
 
-def _run_shard_worker(args: Tuple[ScenarioSpec, Optional[MessageNetConfig]]) -> bytes:
-    """Worker entry point: run one slice, return its encoded result.
-
-    Results cross the process boundary through :class:`ShardCodec`
-    (versioned, pinned pickle protocol) so a parent/worker codec
-    mismatch fails loudly instead of silently merging garbage.  The
-    payload pairs the report with the worker's kernel counters
-    (events processed, pending-heap peak, compactions, wall time) so
-    the scale bench can audit heap health without touching the report
-    schema.
+def _run_shard_worker(
+    args: Tuple[ScenarioSpec, Optional[MessageNetConfig]]
+) -> Tuple[ScenarioReport, dict]:
+    """Worker entry point: run one slice, return its report and the
+    kernel counters (events processed, pending-heap peak, lazy-cancel
+    backlog, compactions, wall time) the scale bench audits heap health
+    with -- kept off the report so its schema is a single run's.  The
+    executor pickles the pair between the forked image and its parent,
+    one program on both ends, so there is no version to check.
     """
     import time
 
@@ -1109,7 +1110,7 @@ def _run_shard_worker(args: Tuple[ScenarioSpec, Optional[MessageNetConfig]]) -> 
         "compactions": sim.compactions,
         "wall_s": wall_s,
     }
-    return ShardCodec.encode({"report": report, "kernel": kernel})
+    return report, kernel
 
 
 def run_sliced_ensemble(
@@ -1119,15 +1120,18 @@ def run_sliced_ensemble(
     net_config: Optional[MessageNetConfig] = None,
     processes: Optional[bool] = None,
     kernel_stats: Optional[List[dict]] = None,
-) -> ScenarioReport:
-    """Run ``spec`` as ``shards`` independent keyspace slices and merge.
+) -> List[ScenarioReport]:
+    """Run ``spec`` as ``shards`` independent keyspace slices; returns
+    the per-slice reports in slice order.
 
     **This is an ensemble of independent overlays, not one overlay.**
     Each slice (:func:`slice_spec`) is a complete, self-contained
     P-Grid over its ``1/shards`` of the keyspace with ``1/shards`` of
-    the peers and traffic; the merged report answers "what do
+    the peers and traffic; summed, the reports answer "what do
     ``shards`` such overlays cost together", which approximates one
     large overlay only where its behaviour is local to a key region.
+    Populations, counts and bytes add across the list (:func:`slice_spec`
+    divides them without remainder loss); means and percentiles do not.
     What the slices cannot see:
 
     * **no cross-slice routing** -- every query, write and range is
@@ -1151,17 +1155,21 @@ def run_sliced_ensemble(
     result is identical, because each worker's report is a pure function
     of its sub-spec.  A worker process that dies (OOM-kill, hard exit)
     raises :class:`~repro.exceptions.SimulationError` naming the first
-    slice left without a result.
+    slice left without a result.  ``shards=1`` is the spec itself, run
+    in this process: one report, equal to
+    ``MessageScenarioRunner(spec).run()``.
 
-    Pass a list as ``kernel_stats`` to receive one dict per worker
-    (events processed, pending-heap peak, compactions, per-worker wall
-    time) -- the scale bench's heap-health audit channel, kept off the
-    report so the merged schema stays identical to a single run's.
+    Pass a list as ``kernel_stats`` to receive one dict per kernel
+    (events processed, pending-heap peak, compactions, per-kernel wall
+    time) -- the scale bench's heap-health audit channel.
     """
     if shards < 1:
         raise SimulationError(f"need at least one shard, got {shards}")
     if shards == 1:
-        return run_message_scenario(spec, net_config=net_config)
+        report, kernel = _run_shard_worker((spec, net_config))
+        if kernel_stats is not None:
+            kernel_stats.append(kernel)
+        return [report]
     # Imported here, not at module level: single-process runs (every
     # library scenario) never pay for the process-pool machinery.
     import multiprocessing
@@ -1174,13 +1182,13 @@ def run_sliced_ensemble(
         (slice_spec(spec, index, shards, seed=seeds[index]), net_config)
         for index in range(shards)
     ]
-    encoded: List[bytes]
+    results: List[Tuple[ScenarioReport, dict]]
     use_processes = processes
     if use_processes is None:
         use_processes = "fork" in multiprocessing.get_all_start_methods()
     if use_processes:
         # fork (not spawn): workers inherit the loaded code and the job
-        # objects only cross once, encoded results cross back once.  An
+        # objects only cross once, results cross back once.  An
         # executor (not ``Pool.map``) because it notices a dead worker
         # and breaks the outstanding futures instead of waiting forever.
         context = multiprocessing.get_context("fork")
@@ -1188,20 +1196,18 @@ def run_sliced_ensemble(
             max_workers=min(shards, context.cpu_count()), mp_context=context
         ) as pool:
             futures = [pool.submit(_run_shard_worker, job) for job in jobs]
-            encoded = []
+            results = []
             for (sub_spec, _), future in zip(jobs, futures):
                 try:
-                    encoded.append(future.result())
+                    results.append(future.result())
                 except BrokenProcessPool:
                     raise SimulationError(
                         f"a worker process died before slice "
                         f"{sub_spec.name!r} returned (killed or out of "
-                        f"memory?); no merged report"
+                        f"memory?); no reports"
                     ) from None
     else:
-        encoded = [_run_shard_worker(job) for job in jobs]
-    payloads = [ShardCodec.decode(blob) for blob in encoded]
+        results = [_run_shard_worker(job) for job in jobs]
     if kernel_stats is not None:
-        kernel_stats.extend(payload["kernel"] for payload in payloads)
-    reports = [payload["report"] for payload in payloads]
-    return merge_reports(reports, scenario=spec.name, seed=spec.seed)
+        kernel_stats.extend(kernel for _, kernel in results)
+    return [report for report, _ in results]

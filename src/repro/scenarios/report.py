@@ -22,11 +22,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from ..exceptions import SimulationError
-
-__all__ = ["ScenarioReport", "merge_reports", "HEADER_BYTES", "KEY_BYTES"]
+__all__ = ["ScenarioReport", "HEADER_BYTES", "KEY_BYTES"]
 
 #: Nominal bytes per inter-peer message (addressing + framing).
 HEADER_BYTES = 48
@@ -216,316 +214,3 @@ class ScenarioReport:
                 ("box recall", _f(self.mdim.get("box_recall"))),
             ]
         return rows
-
-
-# -- worker-shard merging ----------------------------------------------------
-#
-# The thin merge layer of worker-mode sharding
-# (:func:`repro.scenarios.message_runner.run_sliced_ensemble`): per-shard
-# reports over disjoint keyspace slices fold into ONE report with the
-# identical schema.  Counts and bytes add; ratios are recomputed from
-# their merged numerators/denominators wherever both survive in the
-# report (success rates, hit rates); aggregates whose inputs the report
-# does not carry (hop means, latency percentiles, Gini/CV) merge as
-# count-weighted means of the per-shard values -- exact for the sums,
-# a documented approximation for the order statistics.
-
-#: Keys taking the maximum across shards (peaks, worst cases).
-_MERGE_MAX = frozenset({
-    "max", "max_bytes", "max_over_mean", "last_return_min",
-    "time_to_converged_divergence_s", "ranges_per_box_max",
-})
-#: Keys taking the minimum (first occurrence across shards).
-_MERGE_MIN = frozenset({"first_shutdown_min"})
-#: Keys merged as weighted means (ratios/means with no recomputable
-#: numerator+denominator pair in the report).
-_MERGE_MEAN = frozenset({
-    "mean", "mean_bytes", "mean_hops", "cv", "p50", "p90", "p99", "p999",
-    "load_gini", "partition_availability", "mean_online_replicas",
-    "final_partition_availability", "final_coverage",
-    "divergence_baseline", "divergence_final",
-})
-#: Values copied from the first shard verbatim (configuration echoes,
-#: identical across shards by construction).
-_MERGE_FIRST = frozenset({"config", "policy", "dims", "bits_per_dim", "split_budget"})
-#: Per-key sibling count fields used as weights for _MERGE_MEAN keys,
-#: tried in order before falling back to the caller-supplied weights.
-_WEIGHT_SIBLINGS = {
-    "mean": ("count", "replicas"),
-    "p50": ("count",), "p90": ("count",), "p99": ("count",),
-    "p999": ("count",),
-    "mean_bytes": ("used",),
-    "mean_hops": ("successes", "point_queries"),
-}
-
-
-def _weighted_mean(values: Sequence[float], weights: Sequence[float]) -> float:
-    total = sum(weights)
-    if total <= 0:
-        return sum(values) / len(values)
-    return sum(v * w for v, w in zip(values, weights)) / total
-
-
-def _merge_value(key: str, values: list, weights: Sequence[float]):
-    """One key's merged value across the shards carrying it."""
-    if all(v is None for v in values):
-        return None
-    pairs = [(v, w) for v, w in zip(values, weights) if v is not None]
-    vals = [v for v, _ in pairs]
-    wts = [w for _, w in pairs]
-    first = vals[0]
-    if isinstance(first, bool):
-        return all(vals)
-    if isinstance(first, str):
-        return first
-    if isinstance(first, dict):
-        return _merge_section(vals, wts)
-    if isinstance(first, list):
-        if key == "top":
-            # Busiest links across all shards, re-ranked.
-            merged = [row for v in vals for row in v]
-            merged.sort(key=lambda row: (-row[2], row[0], row[1]))
-            return merged[:5]
-        if key == "selectivity_per_dim":
-            # Element-wise weighted mean across shards.
-            out = []
-            for i in range(len(first)):
-                entries = [
-                    (v[i], w) for v, w in zip(vals, wts) if v[i] is not None
-                ]
-                out.append(
-                    _weighted_mean([e for e, _ in entries], [w for _, w in entries])
-                    if entries
-                    else None
-                )
-            return out
-        return first
-    if key in _MERGE_MAX:
-        return max(vals)
-    if key in _MERGE_MIN:
-        return min(vals)
-    if key in _MERGE_MEAN:
-        return _weighted_mean(vals, wts)
-    return sum(vals)
-
-
-def _merge_section(dicts: List[dict], weights: Sequence[float]) -> dict:
-    """Generic schema-preserving dict merge (key order from shard 0)."""
-    out: Dict[str, Any] = {}
-    for key in dicts[0]:
-        present = [(d[key], w) for d, w in zip(dicts, weights) if key in d]
-        values = [v for v, _ in present]
-        wts = [w for _, w in present]
-        if key in _MERGE_FIRST:
-            out[key] = values[0]
-            continue
-        siblings = _WEIGHT_SIBLINGS.get(key)
-        if siblings is not None and key in _MERGE_MEAN:
-            for sibling in siblings:
-                candidate = [d.get(sibling) for d in dicts if key in d]
-                if all(isinstance(c, (int, float)) for c in candidate):
-                    wts = candidate
-                    break
-        out[key] = _merge_value(key, values, wts)
-    _recompute_rates(out)
-    return out
-
-
-def _recompute_rates(section: Dict[str, Any]) -> None:
-    """Rebuild ratio keys from their merged numerator/denominator."""
-    if "success_rate" in section and "successes" in section:
-        if "queries" in section:
-            denominator = section["queries"]
-        elif "writes" in section and isinstance(section["writes"], (int, float)):
-            denominator = section["writes"]
-        else:
-            denominator = None
-        if denominator is not None:
-            section["success_rate"] = (
-                section["successes"] / denominator if denominator else None
-            )
-    if "write_success_rate" in section and "write_successes" in section:
-        writes = section.get("writes")
-        if isinstance(writes, (int, float)):
-            section["write_success_rate"] = (
-                section["write_successes"] / writes if writes else None
-            )
-    if "cache_hit_rate" in section:
-        hits = section.get("cache_hits", 0)
-        lookups = hits + section.get("cache_misses", 0)
-        section["cache_hit_rate"] = (hits / lookups) if lookups else 0.0
-    if "stale_read_rate" in section:
-        audited = section.get("audited_hits", 0)
-        section["stale_read_rate"] = (
-            section.get("stale_reads", 0) / audited if audited else 0.0
-        )
-    if "max_over_mean" in section and "max" in section and "mean" in section:
-        mean_v = section["mean"]
-        section["max_over_mean"] = (section["max"] / mean_v) if mean_v else 0.0
-    if "box_success_rate" in section:
-        boxes = section.get("boxes", 0)
-        section["box_success_rate"] = (
-            section.get("box_successes", 0) / boxes if boxes else None
-        )
-        section["ranges_per_box_mean"] = (
-            section.get("ranges_total", 0) / boxes if boxes else None
-        )
-    if "box_recall" in section:
-        expected = section.get("recall_expected", 0)
-        section["box_recall"] = (
-            section.get("recall_found", 0) / expected if expected else None
-        )
-
-
-def _merge_series(all_series: List[List[dict]]) -> List[dict]:
-    """Merge per-shard series row-wise by report bin (``minute``)."""
-    by_minute: Dict[float, List[dict]] = {}
-    for series in all_series:
-        for row in series:
-            by_minute.setdefault(row["minute"], []).append(row)
-    merged = []
-    for minute in sorted(by_minute):
-        rows = by_minute[minute]
-        queries = sum(r["queries"] for r in rows)
-        successes = sum(r["successes"] for r in rows)
-        online_vals = [r["online"] for r in rows if r["online"] is not None]
-        hop_rows = [r for r in rows if r["mean_hops"] is not None]
-        avail_rows = [
-            r for r in rows if r["partition_availability"] is not None
-        ]
-        out = {
-            "minute": minute,
-            "online": sum(online_vals) if online_vals else None,
-            "queries": queries,
-            "successes": successes,
-            "success_rate": (successes / queries) if queries else None,
-            # Success-weighted: the per-row point-success counts behind
-            # each shard's hop mean are not in the report.
-            "mean_hops": (
-                _weighted_mean(
-                    [r["mean_hops"] for r in hop_rows],
-                    [r["successes"] for r in hop_rows],
-                )
-                if hop_rows
-                else None
-            ),
-            "query_Bps": sum(r["query_Bps"] for r in rows),
-            "maint_Bps": sum(r["maint_Bps"] for r in rows),
-            "partition_availability": (
-                _weighted_mean(
-                    [r["partition_availability"] for r in avail_rows],
-                    [r["online"] or 0 for r in avail_rows],
-                )
-                if avail_rows
-                else None
-            ),
-            "mean_online_replicas": (
-                _weighted_mean(
-                    [r["mean_online_replicas"] for r in avail_rows],
-                    [r["online"] or 0 for r in avail_rows],
-                )
-                if avail_rows
-                else None
-            ),
-        }
-        if any("update_Bps" in r for r in rows):
-            out["update_Bps"] = sum(r.get("update_Bps", 0.0) for r in rows)
-        merged.append(out)
-    return merged
-
-
-def _merge_phases(all_phases: List[List[dict]]) -> List[dict]:
-    """Merge per-shard phase summaries positionally (same spec shape)."""
-    merged = []
-    for rows in zip(*all_phases):
-        queries = sum(r["queries"] for r in rows)
-        rated = [r for r in rows if r["success_rate"] is not None]
-        out = {
-            "name": rows[0]["name"],
-            "start_min": rows[0]["start_min"],
-            "end_min": rows[0]["end_min"],
-            "queries": queries,
-            "point_queries": sum(r["point_queries"] for r in rows),
-            "range_queries": sum(r["range_queries"] for r in rows),
-            "success_rate": (
-                _weighted_mean(
-                    [r["success_rate"] for r in rated],
-                    [r["queries"] for r in rated],
-                )
-                if rated
-                else None
-            ),
-            "query_bytes": sum(r["query_bytes"] for r in rows),
-        }
-        if any("writes" in r for r in rows):
-            writes = sum(r.get("writes", 0) for r in rows)
-            wrated = [r for r in rows if r.get("write_success_rate") is not None]
-            out["writes"] = writes
-            out["write_success_rate"] = (
-                _weighted_mean(
-                    [r["write_success_rate"] for r in wrated],
-                    [r.get("writes", 0) for r in wrated],
-                )
-                if wrated
-                else None
-            )
-            out["update_bytes"] = sum(r.get("update_bytes", 0) for r in rows)
-        merged.append(out)
-    return merged
-
-
-def merge_reports(
-    reports: Sequence["ScenarioReport"],
-    *,
-    scenario: Optional[str] = None,
-    seed: Optional[int] = None,
-) -> "ScenarioReport":
-    """Fold per-shard reports (disjoint sub-populations of one sliced
-    scenario) into a single report with the identical schema.
-
-    All shards must share the timeline (``duration_s``/``bin_s``) --
-    they come from one spec split by
-    :func:`~repro.scenarios.message_runner.slice_spec`.  Populations,
-    counts and bytes add; rates are recomputed from merged counts;
-    means/percentiles merge count-weighted (see the module comment).
-    """
-    if not reports:
-        raise SimulationError("cannot merge zero shard reports")
-    first = reports[0]
-    for other in reports[1:]:
-        if (
-            abs(other.duration_s - first.duration_s) > 1e-9
-            or abs(other.bin_s - first.bin_s) > 1e-9
-        ):
-            raise SimulationError(
-                "shard reports disagree on the timeline; they must come "
-                "from one sliced spec"
-            )
-    weights = [max(r.n_peers_start, 1) for r in reports]
-
-    def optional_section(getter) -> Optional[dict]:
-        sections = [getter(r) for r in reports]
-        present = [
-            (s, w) for s, w in zip(sections, weights) if s is not None
-        ]
-        if not present:
-            return None
-        return _merge_section([s for s, _ in present], [w for _, w in present])
-
-    return ScenarioReport(
-        scenario=scenario if scenario is not None else first.scenario,
-        seed=seed if seed is not None else first.seed,
-        n_peers_start=sum(r.n_peers_start for r in reports),
-        n_peers_end=sum(r.n_peers_end for r in reports),
-        duration_s=first.duration_s,
-        bin_s=first.bin_s,
-        phases=_merge_phases([r.phases for r in reports]),
-        series=_merge_series([r.series for r in reports]),
-        totals=_merge_section([r.totals for r in reports], weights),
-        load=_merge_section([r.load for r in reports], weights),
-        message_level=optional_section(lambda r: r.message_level),
-        writes=optional_section(lambda r: r.writes),
-        recovery=optional_section(lambda r: r.recovery),
-        serving=optional_section(lambda r: r.serving),
-        mdim=optional_section(lambda r: r.mdim),
-    )

@@ -33,7 +33,7 @@ from ..pgrid.maintenance import sequential_join
 from ..pgrid.network import PGridNetwork
 from ..pgrid.replication import anti_entropy_sweep, divergence_stats
 from ..pgrid.routing import RoutingTable
-from ..pgrid.serving import ResultCache
+from ..pgrid.serving import RESULT_CAPACITY, ResultCache
 from ..pgrid.state import DurabilityPolicy
 from ..workloads.queries import POINT, QuerySampler
 from .base import ScenarioRunnerBase, _Tally
@@ -82,7 +82,7 @@ class ScenarioRunner(ScenarioRunnerBase):
         self.network = self._build_blueprint(peer_keys, build_rng)
         cache = self._cache
         if cache is not None and cache.enabled:
-            self._dp_cache = ResultCache(cache.result_ttl_s, cache.result_capacity)
+            self._dp_cache = ResultCache(cache.result_ttl_s, RESULT_CAPACITY)
 
     def _first_free_id(self) -> int:
         net = self.network

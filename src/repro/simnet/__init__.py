@@ -24,9 +24,6 @@ under controlled, reproducible networking conditions:
     query latency -- exactly the series of Figs. 7, 8 and 9.
 ``experiment``
     The five-phase timeline driver reproducing the Sec. 5 deployment.
-``shard``
-    Worker-mode support for the sliced-ensemble scale runs: per-slice
-    RNG seed derivation and the versioned result codec.
 """
 
-from . import churn, engine, experiment, node, protocol, shard, stats, topology, transport, vote  # noqa: F401
+from . import churn, engine, experiment, node, protocol, stats, topology, transport, vote  # noqa: F401

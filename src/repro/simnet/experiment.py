@@ -23,6 +23,14 @@ N=4096), use the scenario engine instead --
 :mod:`repro.scenarios` compiles :class:`~repro.scenarios.spec.ScenarioSpec`
 phases onto the same :class:`~repro.simnet.engine.Simulator` and shares
 this module's churn orchestration (:func:`repro.simnet.churn.start_churn`).
+
+**Frozen.**  This driver is the reproduction of the paper's Figs. 7-9 and
+nothing else: it is outside the perf and coverage budget, new workloads
+go to the scenario engine, and it is configured by what the paper varies
+-- population, timeline, ``n_min`` / ``d_max`` and the seed.  The
+workload (ten ``"A"``-distributed keys per peer, a query every one to two
+minutes) and the wire (1% loss, 120 ms median latency) are the module
+constants below.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .._util import ensure_monotonic, make_rng, mean
+from ..core.constants import DEFAULT_KEYS_PER_PEER
 from ..core.deviation import load_balance_deviation
 from ..core.reference import reference_partition
 from ..exceptions import SimulationError
@@ -46,6 +55,13 @@ from .transport import LogNormalLatency, Network
 __all__ = ["ExperimentConfig", "ExperimentReport", "run_experiment"]
 
 _MIN = 60.0  # seconds per simulated minute
+#: Key distribution of the Sec. 5 workload.
+DISTRIBUTION = "A"
+#: Minutes between one peer's queries (uniform in the interval).
+QUERY_INTERVAL = (1.0, 2.0)
+#: Uniform message loss and PlanetLab-ish median latency (seconds).
+LOSS_RATE = 0.01
+LATENCY_MEDIAN = 0.12
 
 
 @dataclass
@@ -53,8 +69,6 @@ class ExperimentConfig:
     """Knobs of the full-system experiment (times in minutes)."""
 
     peers: int = 296
-    keys_per_peer: int = 10
-    distribution: str = "A"
     n_min: int = 5
     d_max: Optional[float] = None  # default: 10 * n_min (figure captions)
     join_end: float = 75.0
@@ -63,10 +77,6 @@ class ExperimentConfig:
     query_start: float = 300.0
     churn_start: float = 475.0
     end: float = 525.0
-    query_interval: Tuple[float, float] = (1.0, 2.0)  # minutes between queries
-    interaction_interval: float = 20.0  # seconds
-    loss_rate: float = 0.01
-    latency_median: float = 0.12
     seed: int = 20050830
 
     def resolved_d_max(self) -> float:
@@ -151,20 +161,16 @@ def run_experiment(config: Optional[ExperimentConfig] = None) -> ExperimentRepor
     stats = StatsCollector(bin_seconds=_MIN)
     network = Network(
         sim,
-        latency=LogNormalLatency(median=config.latency_median),
-        loss_rate=config.loss_rate,
+        latency=LogNormalLatency(median=LATENCY_MEDIAN),
+        loss_rate=LOSS_RATE,
         rng=rand,
         stats=stats,
     )
     overlay = UnstructuredOverlay()
-    node_config = NodeConfig(
-        n_min=config.n_min,
-        d_max=config.resolved_d_max(),
-        interaction_interval=config.interaction_interval,
-    )
+    node_config = NodeConfig(n_min=config.n_min, d_max=config.resolved_d_max())
 
     peer_keys = workload_keys(
-        config.distribution, config.peers, config.keys_per_peer, seed=rand
+        DISTRIBUTION, config.peers, DEFAULT_KEYS_PER_PEER, seed=rand
     )
     nodes: Dict[int, PGridNode] = {}
     for i in range(config.peers):
@@ -216,7 +222,7 @@ def run_experiment(config: Optional[ExperimentConfig] = None) -> ExperimentRepor
     sim.schedule(config.query_start * _MIN, stop_constructing)
 
     # -- phase 4: queries -----------------------------------------------------------
-    lo_q, hi_q = config.query_interval
+    lo_q, hi_q = QUERY_INTERVAL
 
     def schedule_query(node: PGridNode):
         delay = rand.uniform(lo_q * _MIN, hi_q * _MIN)

@@ -45,13 +45,36 @@ from ..core.estimators import (
 from ..core.probabilities import decision_probabilities
 from ..pgrid.bits import Path, ROOT
 from ..pgrid.keyspace import KEY_BITS, bit_at
-from ..pgrid.liveness import LivenessTracker, RouteRepairPolicy
-from ..pgrid.serving import CachePolicy, ResultCache, RouteCache
+from ..pgrid.liveness import (
+    CONFIRM_INTERVAL_S,
+    GOSSIP_REFS,
+    PROBE_TIMEOUT_S,
+    REFRESH_PROBES,
+    LivenessTracker,
+    RouteRepairPolicy,
+)
+from ..pgrid.serving import (
+    RESULT_CAPACITY,
+    ROUTE_CAPACITY,
+    CachePolicy,
+    ResultCache,
+    RouteCache,
+)
 from . import protocol as P
 from .engine import DeadlineTimer, Simulator
 from .transport import HEADER_BYTES, Message, Network, REF_BYTES
 
 __all__ = ["PGridNode", "NodeConfig", "QueryOutcome"]
+
+# Construction-phase pacing (only :mod:`repro.simnet.experiment` runs
+# this phase, and never gave any of the three a second value).
+#: Seconds between a constructing node's interaction attempts: each
+#: delay is uniform in ``[0.2, 1.8]`` times this.
+INTERACTION_INTERVAL = 20.0
+#: Hops of the uniform-sampling random walk that picks a partner.
+WALK_LENGTH = 6
+#: Fruitless interactions in a row before a node turns passive.
+MAX_IDLE_ATTEMPTS = 4
 
 
 @dataclass
@@ -60,9 +83,6 @@ class NodeConfig:
 
     n_min: int = 5
     d_max: float = 50.0
-    interaction_interval: float = 20.0
-    walk_length: int = 6
-    max_idle_attempts: int = 4
     query_timeout: float = 30.0
     query_retries: int = 4
     max_refs_per_level: int = 4
@@ -262,7 +282,7 @@ class PGridNode:
         self.joined = False
         # Evidence-driven liveness of routing references (suspect ->
         # probe -> evict -> replace-from-gossip; see pgrid.liveness).
-        self.liveness = LivenessTracker(self.config.repair)
+        self.liveness = LivenessTracker()
         # Refresh-sweep skip cache: after a sweep that found nothing
         # stale, no reference can become stale while
         # ``now - min(last_confirmed) < confirm_interval`` (float
@@ -302,8 +322,8 @@ class PGridNode:
             sv if (sv is not None and sv.enabled) else None
         )
         if self._serving is not None:
-            self.result_cache = ResultCache(sv.result_ttl_s, sv.result_capacity)
-            self.route_cache = RouteCache(sv.route_ttl_s, sv.route_capacity)
+            self.result_cache = ResultCache(sv.result_ttl_s, RESULT_CAPACITY)
+            self.route_cache = RouteCache(sv.route_ttl_s, ROUTE_CAPACITY)
         else:
             self.result_cache = None
             self.route_cache = None
@@ -491,7 +511,7 @@ class PGridNode:
     #
     # suspect: failure evidence (query timeout, partition-refused send)
     #          -> route around the reference, start a ping probe chain;
-    # probe:   unanswered pings strike until ``evict_after``;
+    # probe:   unanswered pings strike until ``EVICT_AFTER``;
     # evict:   drop the reference from every level;
     # replace: anti-entropy exchanges gossip candidate references per
     #          level, refilling depleted levels (the wire analogue of the
@@ -524,12 +544,11 @@ class PGridNode:
         if cause in ("refused", "partition"):
             # The connect itself failed: the probe's verdict is in
             # already, no need to wait out the timeout.  (Bounded
-            # recursion: each round strikes once, evict_after caps it.)
+            # recursion: each round strikes once, EVICT_AFTER caps it.)
             self._probe_verdict(ref, nonce)
             return
         self.sim.schedule(
-            self.config.repair.probe_timeout_s,
-            lambda: self._probe_timeout(ref, nonce),
+            PROBE_TIMEOUT_S, lambda: self._probe_timeout(ref, nonce)
         )
 
     def _probe_verdict(self, ref: int, nonce: int) -> None:
@@ -596,7 +615,7 @@ class PGridNode:
             self._accept_gossip(Path.from_string(path), gossip)
 
     def refresh_routes(self) -> int:
-        """Probe up to ``refresh_probes`` stalest routing references.
+        """Probe up to ``REFRESH_PROBES`` stalest routing references.
 
         The periodic half of failure detection (the maintenance cadence
         calls this): confirm-on-use only ever probes references traffic
@@ -604,14 +623,13 @@ class PGridNode:
         each cost a query its timeout on discovery.  Returns the number
         of probes launched.
         """
-        policy = self.config.repair
-        if not policy.enabled or policy.refresh_probes <= 0 or not self.online:
+        if not self.config.repair.enabled or not self.online:
             return 0
         # Hot maintenance sweep: this runs every tick over every routing
         # reference, so ``LivenessTracker.needs_confirmation`` is inlined
         # with the lookups hoisted (same float expressions, same order).
         now = self.sim.now
-        interval = policy.confirm_interval_s
+        interval = CONFIRM_INTERVAL_S
         routing = self.routing
         cached = self._route_sweep_min_last
         if cached is not None and now - cached < interval:
@@ -653,7 +671,6 @@ class PGridNode:
             return 0
         self._route_sweep_min_last = None
         stale.sort()
-        budget = policy.refresh_probes
         launched = 0
         prev = None
         for item in stale:
@@ -662,7 +679,7 @@ class PGridNode:
             prev = item
             self._send_probe(item[1])
             launched += 1
-            if launched >= budget:
+            if launched >= REFRESH_PROBES:
                 break
         return launched
 
@@ -705,11 +722,9 @@ class PGridNode:
         Only live-believed references travel: gossiping a suspect would
         spread exactly the staleness repair exists to remove.
         """
-        policy = self.config.repair
-        if not policy.enabled or policy.gossip_refs <= 0:
+        if not self.config.repair.enabled:
             return {}
         out = {}
-        limit = policy.gossip_refs
         strikes = self.liveness.strikes  # suspected(r) == r in strikes
         routing = self.routing
         for level in sorted(routing):
@@ -717,7 +732,7 @@ class PGridNode:
             if strikes:
                 refs = [r for r in refs if r not in strikes]
             if refs:
-                out[level] = refs[:limit]
+                out[level] = refs[:GOSSIP_REFS]
         return out
 
     def _accept_gossip(self, their_path: Path, gossip: dict) -> None:
@@ -731,8 +746,7 @@ class PGridNode:
         the redundancy bound accept candidates -- gossip replenishes, it
         never displaces a reference we still trust.
         """
-        policy = self.config.repair
-        if not policy.enabled or not gossip:
+        if not self.config.repair.enabled or not gossip:
             return
         max_refs = self.config.max_refs_per_level
         # Pure int math on (bits, length) pairs: the prefix
@@ -837,7 +851,7 @@ class PGridNode:
             P.WALK,
             {
                 "origin": self.node_id,
-                "steps": self.config.walk_length - 1,
+                "steps": WALK_LENGTH - 1,
                 "purpose": purpose,
             },
         )
@@ -904,7 +918,7 @@ class PGridNode:
         self._schedule_interaction(initial=True)
 
     def _schedule_interaction(self, initial: bool = False) -> None:
-        spread = self.config.interaction_interval
+        spread = INTERACTION_INTERVAL
         delay = self.rng.uniform(0.2 * spread, 1.8 * spread)
         if initial:
             delay = self.rng.uniform(0.0, spread)
@@ -917,7 +931,7 @@ class PGridNode:
             # Keep the timer chain alive through offline periods.
             self._schedule_interaction()
             return
-        passive = self.idle_strikes >= self.config.max_idle_attempts
+        passive = self.idle_strikes >= MAX_IDLE_ATTEMPTS
         if not passive:
             self.start_walk("exchange")
         elif self.rng.random() < 0.15:
@@ -1881,7 +1895,7 @@ class PGridNode:
         """One decay-window boundary: examine the served-query counter
         and grant/revoke helper replicas accordingly."""
         sv = self._serving
-        if sv is None or not sv.adaptive_replication:
+        if sv is None:
             return
         load = self._served_window
         self._served_window = 0

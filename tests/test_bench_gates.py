@@ -849,22 +849,6 @@ class TestScaleGate:
         )
         assert check_regression.main(argv) == 0
 
-    def test_stale_determinism_block_in_baseline_is_ignored(self, tmp_path, capsys):
-        # The committed BENCH_core.json still carries the deleted barrier
-        # kernel's ``scale.determinism`` audit until its next full regen;
-        # the gate must accept such a snapshot on either side (CI also
-        # feeds the committed file back as the candidate) and compare
-        # the cells as usual.
-        stale = scale_section()
-        stale["determinism"] = {
-            "n_peers": 1024, "shards": 8, "match": False,
-            "digest_shards1": "a" * 64, "digest_shards8": "b" * 64,
-        }
-        argv = self.pair(tmp_path, stale, stale)
-        assert check_regression.main(argv) == 0
-        out = capsys.readouterr().out
-        assert "scale gate" in out and "determinism" not in out
-
     def test_pending_bound_breach_fails(self, tmp_path, capsys):
         argv = self.pair(
             tmp_path, scale_section(),

@@ -132,8 +132,6 @@ class TestConfig:
             ConstructionConfig(strategy="nope").validate()
         with pytest.raises(DomainError):
             ConstructionConfig(sample_size=0).validate()
-        with pytest.raises(DomainError):
-            ConstructionConfig(max_idle_attempts=0).validate()
 
     def test_rejects_tiny_population(self):
         with pytest.raises(ConstructionError):

@@ -42,35 +42,35 @@ from repro.simnet.transport import ConstantLatency, Network
 
 class TestLivenessTracker:
     def test_failure_marks_suspect_and_requests_probe(self):
-        t = LivenessTracker(RouteRepairPolicy())
+        t = LivenessTracker()
         assert not t.suspected(7)
         assert t.note_failure(7) is True  # caller should probe
         assert t.suspected(7)
         assert t.suspects == 1
 
     def test_second_failure_does_not_request_concurrent_probe(self):
-        t = LivenessTracker(RouteRepairPolicy())
+        t = LivenessTracker()
         t.note_failure(7)
         t.begin_probe(7)
         assert t.note_failure(7) is False  # probe already in flight
         assert t.suspects == 1  # one suspect, however many strikes
 
     def test_probe_chain_evicts_after_threshold(self):
-        t = LivenessTracker(RouteRepairPolicy(evict_after=2))
+        t = LivenessTracker()
         t.note_failure(7)  # strike 1
         nonce = t.begin_probe(7)
         assert t.probe_expired(7, nonce) == "evict"  # strike 2
 
     def test_fresh_probe_chain_takes_two_silences(self):
         # A confirm-on-use probe starts with no failure evidence.
-        t = LivenessTracker(RouteRepairPolicy(evict_after=2))
+        t = LivenessTracker()
         nonce = t.begin_probe(7)
         assert t.probe_expired(7, nonce) == "probe"
         nonce = t.begin_probe(7)
         assert t.probe_expired(7, nonce) == "evict"
 
     def test_alive_clears_suspicion_and_pending_probe(self):
-        t = LivenessTracker(RouteRepairPolicy())
+        t = LivenessTracker()
         t.note_failure(7)
         nonce = t.begin_probe(7)
         t.note_alive(7, now=12.0)
@@ -79,7 +79,7 @@ class TestLivenessTracker:
         assert t.last_confirmed[7] == 12.0
 
     def test_stale_nonce_is_ignored(self):
-        t = LivenessTracker(RouteRepairPolicy())
+        t = LivenessTracker()
         old = t.begin_probe(7)
         t.note_alive(7, now=1.0)
         new = t.begin_probe(7)
@@ -87,14 +87,14 @@ class TestLivenessTracker:
         assert t.probe_expired(7, new) == "probe"
 
     def test_cancel_probe_voids_without_striking(self):
-        t = LivenessTracker(RouteRepairPolicy())
+        t = LivenessTracker()
         nonce = t.begin_probe(7)
         t.cancel_probe(7, nonce)
         assert t.probe_expired(7, nonce) == ""
         assert not t.suspected(7)
 
     def test_needs_confirmation_tracks_staleness(self):
-        t = LivenessTracker(RouteRepairPolicy(confirm_interval_s=60.0))
+        t = LivenessTracker()
         assert t.needs_confirmation(7, now=60.0)  # never heard from
         t.note_alive(7, now=100.0)
         assert not t.needs_confirmation(7, now=130.0)
@@ -103,7 +103,7 @@ class TestLivenessTracker:
         assert not t.needs_confirmation(7, now=500.0)  # probe in flight
 
     def test_eviction_resets_state_for_gossip_readd(self):
-        t = LivenessTracker(RouteRepairPolicy())
+        t = LivenessTracker()
         t.note_failure(7)
         t.begin_probe(7)
         t.note_evicted(7)

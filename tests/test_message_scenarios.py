@@ -29,7 +29,7 @@ import pathlib
 
 import pytest
 
-from repro.exceptions import DomainError
+from repro.exceptions import DomainError, SimulationError
 from repro.pgrid.bits import Path
 from repro.pgrid.keyspace import float_to_key
 from repro.scenarios import (
@@ -169,6 +169,18 @@ class TestMessageLevelReport:
         assert report.totals["churn_transitions"] > 0
         ml = report.message_level
         assert ml["timeouts"] + ml["retries"] + ml["messages_dropped"] > 0
+
+
+class TestExactlyOnceTally:
+    def test_operation_left_pending_after_the_drain_is_an_error(self):
+        # The drain outlasts every retry window, so each issued op has
+        # reached its observer; one that has not must fail the run, not
+        # be counted quietly as a failed query.
+        spec = scenario("uniform-baseline", n_peers=24, seed=3, duration_scale=0.1)
+        runner = MessageScenarioRunner(spec)
+        runner._wmeta[-1] = (0, "insert", 1, 0.0)  # a write no node holds
+        with pytest.raises(SimulationError, match="still pending after the drain"):
+            runner.run()
 
 
 class TestMembershipAndStructure:

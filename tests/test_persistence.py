@@ -6,8 +6,7 @@ Four layers, mirroring the subsystem's span (see
 * **Snapshot layer**: versioned dict round-trips on both backends
   (data-plane ``PGridPeer`` via ``PGridNetwork.checkpoint_peer`` /
   ``restore_peer``; message-backend ``PGridNode.snapshot_state`` /
-  ``restore_state``), schema/identity guards, ``StateStore`` and
-  ``DurabilityPolicy`` validation.
+  ``restore_state``), schema/identity guards, ``StateStore``.
 * **Clock semantics**: tombstone TTLs keep aging across downtime;
   re-gossip does not refresh a certificate's birth stamp; restored
   routing refs come back *unconfirmed* so the liveness machine probes
@@ -29,6 +28,7 @@ import pytest
 from repro.exceptions import DomainError, PartitionError, SimulationError
 from repro.pgrid.bits import Path
 from repro.pgrid.keyspace import float_to_key
+from repro.pgrid.liveness import CONFIRM_INTERVAL_S
 from repro.pgrid.network import PGridNetwork
 from repro.pgrid.state import (
     SCHEMA,
@@ -89,14 +89,6 @@ def build_wire(*, latency=0.01, config=None):
 
 
 class TestDurabilityPolicyAndStore:
-    def test_policy_defaults_are_valid(self):
-        DurabilityPolicy().validate()
-        DurabilityPolicy(enabled=False).validate()
-
-    def test_policy_rejects_nonpositive_interval(self):
-        with pytest.raises(DomainError):
-            DurabilityPolicy(snapshot_interval_s=0.0).validate()
-
     def test_store_keeps_latest_only_and_counts(self):
         store = StateStore()
         snap = {"schema": SCHEMA, "x": 1}
@@ -169,7 +161,7 @@ class TestNodeSnapshotRoundTrip:
         after = node.snapshot_state()
         # Liveness ages are deliberately NOT identity: restore caps
         # last_confirmed so every ref reads as due for re-confirmation.
-        confirm = node.config.repair.confirm_interval_s
+        confirm = CONFIRM_INTERVAL_S
         assert {k: v for k, v in before.items() if k != "liveness"} == {
             k: v for k, v in after.items() if k != "liveness"
         }
@@ -278,13 +270,15 @@ class TestTombstoneClocks:
         with pytest.raises(SimulationError):
             replace(spec, tombstone_ttl_s=0.0).validate()
 
-    def test_runner_validates_durability_policy(self):
+    @pytest.mark.parametrize("ttl", [0.0, -5.0])
+    def test_net_config_ttl_validation(self, ttl):
+        # The wire default the spec defers to gets the spec's own rule:
+        # a zero TTL expires every certificate before its first exchange.
         spec = scenario("uniform-baseline", n_peers=24, seed=1, duration_scale=0.1)
-        bad = DurabilityPolicy(snapshot_interval_s=-1.0)
-        with pytest.raises(DomainError):
-            MessageScenarioRunner(spec, net_config=MessageNetConfig(durability=bad))
-        with pytest.raises(DomainError):
-            ScenarioRunner(spec, durability=bad)
+        with pytest.raises(SimulationError):
+            MessageScenarioRunner(
+                spec, net_config=MessageNetConfig(tombstone_ttl_s=ttl)
+            )
 
 
 class TestOfflineTimerHygiene:

@@ -46,8 +46,6 @@ class TestCachePolicy:
         [
             {"result_ttl_s": -1.0},
             {"route_ttl_s": -0.5},
-            {"result_capacity": 0},
-            {"route_capacity": 0},
             {"hot_threshold": 0},
             {"replica_boost": -1},
             {"decay_interval_s": 0.0},
@@ -62,7 +60,7 @@ class TestCachePolicy:
     def test_scaled_dilates_time_knobs_only(self):
         policy = CachePolicy(
             result_ttl_s=30.0, route_ttl_s=240.0, decay_interval_s=60.0,
-            grant_ttl_s=300.0, result_capacity=256, front_ends=16,
+            grant_ttl_s=300.0, front_ends=16,
         )
         half = policy.scaled(0.5)
         assert half.result_ttl_s == pytest.approx(15.0)
@@ -70,7 +68,6 @@ class TestCachePolicy:
         assert half.decay_interval_s == pytest.approx(30.0)
         assert half.grant_ttl_s == pytest.approx(150.0)
         # Structural knobs are not time quantities.
-        assert half.result_capacity == 256
         assert half.hot_threshold == policy.hot_threshold
         assert half.front_ends == 16
 

@@ -1,9 +1,9 @@
 """Tests for worker mode: the sliced ensemble and its support pieces.
 
 :func:`slice_spec` conservation arithmetic,
-:func:`derive_shard_streams` determinism, :class:`ShardCodec`
-round-trips, and :func:`run_sliced_ensemble`: process-pool vs
-sequential equivalence, schema parity with a single run, and a dead
+:func:`derive_shard_streams` determinism, and
+:func:`run_sliced_ensemble`: pinned per-slice reports from forked and
+sequential runs, conservation over the returned list, and a dead
 worker surfacing as an error instead of a hang.
 
 ``tests/data/sliced_ensemble_digests.json`` pins one SHA-256 per slice
@@ -30,7 +30,7 @@ from repro.scenarios import (
     scenario,
     slice_spec,
 )
-from repro.simnet.shard import ShardCodec, derive_shard_streams
+from repro.scenarios.message_runner import derive_shard_streams
 
 DATA = pathlib.Path(__file__).parent / "data" / "sliced_ensemble_digests.json"
 SHARDS = 4
@@ -42,17 +42,6 @@ PINNED = {
 }
 
 
-def slice_reports(spec):
-    root = MessageScenarioRunner(spec).shard_stream_root()
-    seeds = derive_shard_streams(root, SHARDS)
-    return [
-        MessageScenarioRunner(
-            slice_spec(spec, index, SHARDS, seed=seeds[index])
-        ).run()
-        for index in range(SHARDS)
-    ]
-
-
 def pinned_entry(reports) -> dict:
     return {
         "slices": [
@@ -61,19 +50,6 @@ def pinned_entry(reports) -> dict:
         ],
         "queries": sum(report.totals["queries"] for report in reports),
     }
-
-
-class TestShardCodec:
-    def test_round_trip(self):
-        payload = {"report": {"queries": 7}, "kernel": {"events": 3}}
-        assert ShardCodec.decode(ShardCodec.encode(payload)) == payload
-
-    def test_version_mismatch_fails_loudly(self):
-        import pickle
-
-        stale = pickle.dumps((ShardCodec.VERSION + 1, {}), protocol=4)
-        with pytest.raises(SimulationError):
-            ShardCodec.decode(stale)
 
 
 class TestDeriveShardStreams:
@@ -127,29 +103,21 @@ class TestSliceSpec:
 class TestWorkerMode:
     PARAMS = dict(n_peers=64, seed=7, duration_scale=0.25)
 
+    @pytest.mark.parametrize("processes", [False, True], ids=["sequential", "forked"])
     @pytest.mark.parametrize("name", sorted(PINNED))
-    def test_slice_digests_unchanged(self, name):
+    def test_slice_digests_unchanged(self, name, processes):
+        # "queries" was recorded from the merged report of the commit
+        # that still merged, so the sum below is that total, conserved.
         spec = scenario(name, **PINNED[name])
-        reports = slice_reports(spec)
+        reports = run_sliced_ensemble(spec, shards=SHARDS, processes=processes)
         assert pinned_entry(reports) == json.loads(DATA.read_text())[name]
-        merged = run_sliced_ensemble(spec, shards=SHARDS, processes=False)
-        assert merged.totals["queries"] == pinned_entry(reports)["queries"]
         assert sum(r.n_peers_start for r in reports) == spec.n_peers
 
     def test_processes_and_sequential_agree(self):
         spec = scenario("uniform-baseline", **self.PARAMS)
         sequential = run_sliced_ensemble(spec, shards=4, processes=False)
         forked = run_sliced_ensemble(spec, shards=4, processes=True)
-        assert sequential.to_json() == forked.to_json()
-
-    def test_merged_schema_matches_single_run(self):
-        spec = scenario("uniform-baseline", **self.PARAMS)
-        single = MessageScenarioRunner(spec).run()
-        merged = run_sliced_ensemble(spec, shards=4, processes=False)
-        assert set(merged.totals) == set(single.totals)
-        assert set(merged.message_level) == set(single.message_level)
-        assert len(merged.series) == len(single.series)
-        assert merged.n_peers_start == single.n_peers_start
+        assert [r.to_json() for r in sequential] == [r.to_json() for r in forked]
 
     def test_kernel_stats_out_param(self):
         spec = scenario("uniform-baseline", **self.PARAMS)
@@ -158,6 +126,9 @@ class TestWorkerMode:
             spec, shards=4, processes=False, kernel_stats=stats
         )
         assert len(stats) == 4
+        # One kernel, one entry: the unsliced path fills the list too.
+        run_sliced_ensemble(spec, shards=1, kernel_stats=stats)
+        assert len(stats) == 5
         for entry in stats:
             assert entry["events_processed"] > 0
             assert entry["pending_peak"] > 0
@@ -165,8 +136,8 @@ class TestWorkerMode:
 
     def test_shards_one_is_the_legacy_path(self):
         spec = scenario("uniform-baseline", **self.PARAMS)
-        assert run_sliced_ensemble(spec, shards=1).to_json() == \
-            MessageScenarioRunner(spec).run().to_json()
+        (only,) = run_sliced_ensemble(spec, shards=1)
+        assert only.to_json() == MessageScenarioRunner(spec).run().to_json()
 
     def test_rejects_zero_shards(self):
         spec = scenario("uniform-baseline", **self.PARAMS)
@@ -210,7 +181,9 @@ if __name__ == "__main__":
     payload = {
         "_comment": "sha256 per slice report of a 4-slice ensemble; see tests/test_shard.py",
         **{
-            name: pinned_entry(slice_reports(scenario(name, **params)))
+            name: pinned_entry(
+                run_sliced_ensemble(scenario(name, **params), shards=SHARDS)
+            )
             for name, params in sorted(PINNED.items())
         },
     }
