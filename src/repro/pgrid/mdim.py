@@ -50,12 +50,47 @@ filtered by the same predicate -- is compared against it, and reports
 carry ``recall = |served ∩ oracle| / |oracle|`` summed over boxes.
 Both sides use the same cell-level membership predicate, so a
 maintenance-free run must audit at exactly 1.0.
+
+Kernels
+-------
+Everything above is computed on integer z-codes, never bit by bit.
+
+*Byte-spread table.*  ``_tables(d)`` holds, per ``dims``, the 256
+values "byte with ``d - 1`` zero bits between neighbouring bits".
+``interleave`` spreads each cell index a byte at a time and shifts the
+dimensions together; ``deinterleave`` shifts one dimension's bits down,
+masks a spread byte and reads it back through the inverse mapping.
+Spreading is strictly monotone, so ``box_contains`` compares one
+dimension's masked bits of the key with the same bits of the box
+corners and never deinterleaves.
+
+*Clipped corners.*  ``box_ranges`` carries a trie node as ``(width,
+zlo, zhi)``: the number of z-code bits below its prefix and the z-codes
+of the lowest and highest corner of the box *clipped to the node*.
+Both codes start with the node's prefix, so the prefix is not stored;
+the node lies inside the box exactly when ``zlo`` / ``zhi`` are its
+first / last code.  The next interleaved bit halves one dimension:
+the low child keeps ``zlo`` and its ``zhi`` gets that dimension's bit
+cleared and its lower bits set (litmax); the high child keeps ``zhi``
+and its ``zlo`` gets the bit set and the lower bits cleared (bigmin) --
+three mask operations with the dimension's bit mask.
+
+*Chain jump.*  Where ``zlo`` and ``zhi`` agree in the next bit the box
+lies in one half and the node has a single child with the same corners,
+so ``(zlo ^ zhi).bit_length()`` names the width of the last node of
+that chain.  No node of a chain is inside the box (its corners agree in
+a bit its first and last code differ in), and walking it neither emits
+nor stacks anything, so the split-budget test ``len(out) + len(stack)
++ 2 > budget`` has one value along the whole chain: testing it once,
+at the chain's top, and over-covering with the *top* node when it
+binds emits the same ranges as visiting every level.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..exceptions import DomainError
 from .keyspace import KEY_BITS, MAX_KEY, KeyCodec
@@ -64,6 +99,41 @@ __all__ = ["ZOrderCodec", "DEFAULT_SPLIT_BUDGET"]
 
 #: Default cap on the number of 1-D ranges a box may decompose into.
 DEFAULT_SPLIT_BUDGET: int = 16
+
+
+@lru_cache(maxsize=None)
+def _tables(dims: int) -> Tuple[Tuple[int, ...], Dict[int, int], int]:
+    """``(spread, compact, lane)`` of the ``dims``-dimensional codec.
+
+    ``spread[byte]`` is the byte with ``dims - 1`` zero bits between
+    neighbouring bits, ``compact`` is its inverse, and ``lane`` is the
+    spread of a whole all-ones cell index: the z-code bits of the last
+    dimension (``lane << s`` are those of dimension ``dims - 1 - s``).
+    """
+    spread = tuple(
+        sum(1 << (bit * dims) for bit in range(8) if byte >> bit & 1)
+        for byte in range(256)
+    )
+    compact = {wide: byte for byte, wide in enumerate(spread)}
+    lane = sum(1 << (bit * dims) for bit in range(KEY_BITS // dims))
+    return spread, compact, lane
+
+
+def _zcode(cells: Sequence[int], dims: int) -> int:
+    """Interleave ``dims`` cell indices the caller has range-checked."""
+    spread, _, _ = _tables(dims)
+    step = 8 * dims
+    z = 0
+    for q in cells:
+        wide = spread[q & 255]
+        shift = step
+        q >>= 8
+        while q:
+            wide |= spread[q & 255] << shift
+            shift += step
+            q >>= 8
+        z = (z << 1) | wide
+    return z
 
 
 @dataclass(frozen=True)
@@ -120,38 +190,50 @@ class ZOrderCodec(KeyCodec):
 
     def interleave(self, cells: Sequence[int]) -> int:
         """Interleave per-dimension cell indices into one z-value."""
-        d, b = self.dims, self.bits_per_dim
+        d = self.dims
         if len(cells) != d:
             raise DomainError(f"expected {d} cells, got {len(cells)}")
-        top = self.cells_per_dim
+        top = 1 << (KEY_BITS // d)
         for q in cells:
             if not 0 <= q < top:
                 raise DomainError(f"cell {q!r} out of range [0, {top})")
-        z = 0
-        for bit in range(b - 1, -1, -1):
-            for q in cells:
-                z = (z << 1) | ((q >> bit) & 1)
-        return z
+        return _zcode(cells, d)
 
     def deinterleave(self, z: int) -> Tuple[int, ...]:
         """Per-dimension cell indices of a z-value."""
-        d, b = self.dims, self.bits_per_dim
-        if not 0 <= z < (1 << (d * b)):
+        d = self.dims
+        if not 0 <= z < (1 << (d * (KEY_BITS // d))):
             raise DomainError(f"z-value {z!r} out of range")
-        cells = [0] * d
-        for bit in range(b):
-            chunk = z >> ((b - 1 - bit) * d)
-            for j in range(d):
-                cells[j] = (cells[j] << 1) | ((chunk >> (d - 1 - j)) & 1)
+        spread, compact, _ = _tables(d)
+        byte, step = spread[255], 8 * d
+        cells = []
+        for down in range(d - 1, -1, -1):
+            rest = z >> down
+            q = compact[rest & byte]
+            shift = 8
+            rest >>= step
+            while rest:
+                q |= compact[rest & byte] << shift
+                shift += 8
+                rest >>= step
+            cells.append(q)
         return tuple(cells)
 
     # -- KeyCodec protocol -------------------------------------------------
 
     def encode(self, point: Sequence[float]) -> int:
         """Quantize and interleave a d-tuple of attributes into a key."""
-        if self.dims == 1:
-            return self.quantize(point[0]) << self.pad_bits
-        return self.interleave([self.quantize(x) for x in point]) << self.pad_bits
+        d = self.dims
+        if len(point) != d:
+            raise DomainError(f"expected {d} attributes, got {len(point)}")
+        bits = KEY_BITS // d
+        cells, top = 1 << bits, (1 << bits) - 1
+        quantized = []
+        for x in point:
+            if not 0.0 <= x < 1.0:
+                raise DomainError(f"attribute value must lie in [0, 1), got {x!r}")
+            quantized.append(min(int(x * cells), top))
+        return _zcode(quantized, d) << (KEY_BITS - d * bits)
 
     def decode(self, key: int) -> Tuple[float, ...]:
         """Cell-representative attributes of a key."""
@@ -170,10 +252,18 @@ class ZOrderCodec(KeyCodec):
         self, key: int, lo_cells: Sequence[int], hi_cells: Sequence[int]
     ) -> bool:
         """Whether a key's cell lies inside the inclusive cell box."""
-        cells = self.cells_of(key)
-        return all(
-            lo_cells[j] <= cells[j] <= hi_cells[j] for j in range(self.dims)
-        )
+        if not 0 <= key < MAX_KEY:
+            raise DomainError(f"key {key!r} out of range [0, 2^{KEY_BITS})")
+        z = key >> self.pad_bits
+        zlo, zhi = self.interleave(lo_cells), self.interleave(hi_cells)
+        _, _, lane = _tables(self.dims)
+        for _ in range(self.dims):
+            # Spreading is strictly monotone, so one dimension's bits
+            # compare like its cell indices.
+            if not zlo & lane <= z & lane <= zhi & lane:
+                return False
+            lane <<= 1
+        return True
 
     def box_cells(self, lows: Sequence[float], highs: Sequence[float]):
         """Inclusive per-dimension cell bounds of a float box.
@@ -214,7 +304,9 @@ class ZOrderCodec(KeyCodec):
         budget = self.split_budget if max_ranges is None else max_ranges
         if budget < 1:
             raise DomainError(f"max_ranges must be >= 1, got {budget}")
-        d, b = self.dims, self.bits_per_dim
+        d = self.dims
+        if len(lo_cells) != d or len(hi_cells) != d:
+            raise DomainError(f"box must have {d} dimensions")
         top = self.cells_per_dim - 1
         for j in range(d):
             if not 0 <= lo_cells[j] <= hi_cells[j] <= top:
@@ -222,48 +314,40 @@ class ZOrderCodec(KeyCodec):
                     f"cell bounds [{lo_cells[j]}, {hi_cells[j]}] invalid "
                     f"in dimension {j}"
                 )
-        total_bits = d * b
+        pad = self.pad_bits
+        _, _, lane = _tables(d)
         out: List[Tuple[int, int]] = []
-        # Stack entries: (depth, z-prefix, per-dim inclusive cell bounds).
-        # Children are pushed high-half first so nodes pop in ascending
-        # z order, making `out` sorted by construction.
-        stack = [(0, 0, tuple(zip((0,) * d, (top,) * d)))]
+        # Stack entries: (width, zlo, zhi) -- a trie node by the number of
+        # z-code bits below its prefix and the z-codes of the box clipped
+        # to it (see "Kernels").  Children are pushed high-half first so
+        # nodes pop in ascending z order, making `out` sorted by
+        # construction.
+        stack = [(d * self.bits_per_dim, _zcode(lo_cells, d), _zcode(hi_cells, d))]
         while stack:
-            depth, prefix, bounds = stack.pop()
-            inside = all(
-                lo_cells[j] <= bounds[j][0] and bounds[j][1] <= hi_cells[j]
-                for j in range(d)
-            )
-            width = total_bits - depth
-            node_lo = prefix << (width + self.pad_bits)
-            node_hi = (prefix + 1) << (width + self.pad_bits)
-            if inside or depth == total_bits:
-                self._emit(out, node_lo, node_hi)
+            width, zlo, zhi = stack.pop()
+            # zlo and zhi first differ in bit `split - 1`: every node from
+            # this one down to the one `split` bits wide has one child.
+            split = (zlo ^ zhi).bit_length()
+            rest = (1 << split) - 1
+            inside = zlo & rest == 0 and zhi & rest == rest
+            over = len(out) + len(stack) + 2 > budget
+            if inside and (split == width or not over):
+                width = split  # the chain's last node is inside the box
+            elif not over:
+                # Split at the z-midpoint (litmax | bigmin): `bit` halves
+                # its dimension's cell interval, `below` are that
+                # dimension's lower bits.
+                bit = 1 << (split - 1)
+                below = (lane << ((split - 1) % d)) & (bit - 1)
+                stack.append((split - 1, (zlo & ~below) | bit, zhi))  # [bigmin, hi]
+                stack.append((split - 1, zlo, (zhi | below) ^ bit))  # [lo, litmax]
                 continue
-            if len(out) + len(stack) + 2 > budget:
-                # Splitting could exceed the budget: over-cover instead.
-                self._emit(out, node_lo, node_hi)
-                continue
-            # Split at the z-midpoint (litmax | bigmin): the next
-            # interleaved bit belongs to dimension `depth % d` and
-            # halves that dimension's cell interval.
-            j = depth % d
-            n_lo, n_hi = bounds[j]
-            mid = (n_lo + n_hi) // 2  # top half starts at mid + 1
-            for side in (1, 0):  # high child first: ascending pop order
-                if side == 0:
-                    child = bounds[:j] + ((n_lo, mid),) + bounds[j + 1 :]
-                else:
-                    child = bounds[:j] + ((mid + 1, n_hi),) + bounds[j + 1 :]
-                c_lo, c_hi = child[j]
-                if c_hi < lo_cells[j] or c_lo > hi_cells[j]:
-                    continue  # disjoint from the box
-                stack.append((depth + 1, (prefix << 1) | side, child))
+            # Emit the node whole: inside the box, or over-covering because
+            # splitting it could exceed the budget.
+            prefix = zlo >> width
+            lo, hi = prefix << (width + pad), (prefix + 1) << (width + pad)
+            if out and out[-1][1] == lo:
+                out[-1] = (out[-1][0], hi)  # merge adjacent intervals
+            else:
+                out.append((lo, hi))
         return out
-
-    @staticmethod
-    def _emit(out: List[Tuple[int, int]], lo: int, hi: int) -> None:
-        if out and out[-1][1] == lo:
-            out[-1] = (out[-1][0], hi)  # merge adjacent intervals
-        else:
-            out.append((lo, hi))

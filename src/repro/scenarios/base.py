@@ -252,9 +252,6 @@ class ScenarioRunnerBase:
         #: Sorted workload-key universe (oracle ground truth for the
         #: box recall audit; only kept when mdim is active).
         self._universe: Optional[List[int]] = None
-        #: key -> per-dimension cells memo for the oracle's membership
-        #: filter (universe keys repeat across boxes).
-        self._cell_cache: Dict[int, Tuple[int, ...]] = {}
 
     # -- public API --------------------------------------------------------
 
@@ -880,22 +877,13 @@ class ScenarioRunnerBase:
         span = codec.cells_per_dim
         for j in range(codec.dims):
             stats["sel_sums"][j] += (hi_cells[j] - lo_cells[j] + 1) / span
-        oracle: Set[int] = set()
         universe = self._universe
-        cache = self._cell_cache
-        dims = codec.dims
-        for lo, hi in ranges:
-            i = bisect_left(universe, lo)
-            j = bisect_left(universe, hi)
-            for key in universe[i:j]:
-                cells = cache.get(key)
-                if cells is None:
-                    cells = codec.cells_of(key)
-                    cache[key] = cells
-                if all(
-                    lo_cells[t] <= cells[t] <= hi_cells[t] for t in range(dims)
-                ):
-                    oracle.add(key)
+        oracle = {
+            key
+            for lo, hi in ranges
+            for key in universe[bisect_left(universe, lo) : bisect_left(universe, hi)]
+            if codec.box_contains(key, lo_cells, hi_cells)
+        }
         return ranges, oracle
 
     def _mdim_box_done(

@@ -1,6 +1,6 @@
 """Multi-dimensional keyspace: z-order codec, box decomposition, scenarios.
 
-Three layers:
+Four layers:
 
 * **Codec properties**: quantize/interleave round trips for d in
   {2, 3, 4}, prefix containment (a z-trie node's cell block is an
@@ -9,6 +9,12 @@ Three layers:
   (checked against brute-force cell enumeration on SMALL boxes; exact
   splitting is intractable for wide boxes at 2^26 cells per dimension)
   and the budgeted over-cover guarantee.
+* **Kernels against the reference**: the bit-loop ``interleave`` /
+  ``deinterleave`` and the tuple-bounds ``box_ranges`` that
+  :mod:`repro.pgrid.mdim` shipped before its table and clipped-corner
+  kernels live on here as the oracle; Hypothesis compares them with the
+  shipped code for d in {1, 2, 3, 4, 7, 53} and budgets in {1, 2, 3, 5,
+  16, 64}, and checks the properties the module docstring promises.
 * **Workload/spec plumbing**: ``KeyDistribution.sample_points`` (the
   scalar fast path must consume the RNG exactly like ``sample_floats``),
   ``QueryMix.box_spans`` validation through ``ScenarioSpec.validate``.
@@ -22,6 +28,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import DomainError, SimulationError
 from repro.pgrid.keyspace import KEY_BITS, MAX_KEY
@@ -215,6 +222,231 @@ class TestBoxDecomposition:
         assert lo_cells == (0, 0)
         # Half-open [0, 0.5) must not include the cell starting at 0.5.
         assert hi_cells == (codec.cells_per_dim // 2 - 1,) * 2
+
+
+# -- reference oracle: the kernels as they were before the tables ---------
+
+
+def ref_interleave(codec, cells):
+    """One bit per iteration, most-significant first, cycling dimensions."""
+    z = 0
+    for bit in range(codec.bits_per_dim - 1, -1, -1):
+        for q in cells:
+            z = (z << 1) | ((q >> bit) & 1)
+    return z
+
+
+def ref_deinterleave(codec, z):
+    d, b = codec.dims, codec.bits_per_dim
+    cells = [0] * d
+    for bit in range(b):
+        chunk = z >> ((b - 1 - bit) * d)
+        for j in range(d):
+            cells[j] = (cells[j] << 1) | ((chunk >> (d - 1 - j)) & 1)
+    return tuple(cells)
+
+
+def ref_box_ranges(codec, lo_cells, hi_cells, max_ranges=None):
+    """Litmax/bigmin over trie nodes carried as per-dimension bounds,
+    one node per level: no chain jump, the budget tested at every node."""
+    budget = codec.split_budget if max_ranges is None else max_ranges
+    d, b, pad = codec.dims, codec.bits_per_dim, codec.pad_bits
+    top = codec.cells_per_dim - 1
+    total_bits = d * b
+    out = []
+
+    def emit(lo, hi):
+        if out and out[-1][1] == lo:
+            out[-1] = (out[-1][0], hi)
+        else:
+            out.append((lo, hi))
+
+    stack = [(0, 0, tuple(zip((0,) * d, (top,) * d)))]
+    while stack:
+        depth, prefix, bounds = stack.pop()
+        inside = all(
+            lo_cells[j] <= bounds[j][0] and bounds[j][1] <= hi_cells[j]
+            for j in range(d)
+        )
+        width = total_bits - depth
+        node_lo = prefix << (width + pad)
+        node_hi = (prefix + 1) << (width + pad)
+        if inside or depth == total_bits:
+            emit(node_lo, node_hi)
+            continue
+        if len(out) + len(stack) + 2 > budget:
+            emit(node_lo, node_hi)
+            continue
+        j = depth % d
+        n_lo, n_hi = bounds[j]
+        mid = (n_lo + n_hi) // 2
+        for side in (1, 0):
+            if side == 0:
+                child = bounds[:j] + ((n_lo, mid),) + bounds[j + 1 :]
+            else:
+                child = bounds[:j] + ((mid + 1, n_hi),) + bounds[j + 1 :]
+            c_lo, c_hi = child[j]
+            if c_hi < lo_cells[j] or c_lo > hi_cells[j]:
+                continue
+            stack.append((depth + 1, (prefix << 1) | side, child))
+    return out
+
+
+DIMS = (1, 2, 3, 4, 7, 53)
+BUDGETS = (1, 2, 3, 5, 16, 64)
+codecs = st.builds(
+    ZOrderCodec, dims=st.sampled_from(DIMS), split_budget=st.sampled_from(BUDGETS)
+)
+
+
+@st.composite
+def codec_and_cells(draw):
+    codec = draw(codecs)
+    cell = st.integers(0, codec.cells_per_dim - 1)
+    return codec, tuple(draw(cell) for _ in range(codec.dims))
+
+
+@st.composite
+def codec_and_box(draw, brute_force=False):
+    """A codec and an inclusive cell box with sides from one cell to the
+    whole dimension -- or, for brute force, of at most 4**4 cells."""
+    codec = draw(codecs)
+    d, bits, cells = codec.dims, codec.bits_per_dim, codec.cells_per_dim
+    wide = draw(st.sets(st.integers(0, d - 1), max_size=4))
+    lo_cells, hi_cells = [], []
+    for j in range(d):
+        if brute_force:
+            side = min(cells, 4 if j in wide else 1)
+        else:
+            side = 1 << draw(st.integers(0, bits))
+        lo = draw(st.integers(0, cells - side))
+        lo_cells.append(lo)
+        hi_cells.append(lo + draw(st.integers(0, side - 1)))
+    return codec, tuple(lo_cells), tuple(hi_cells)
+
+
+class TestKernelsAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(codec_and_cells())
+    def test_interleave_matches_bit_loop_and_round_trips(self, drawn):
+        codec, cells = drawn
+        z = codec.interleave(cells)
+        assert z == ref_interleave(codec, cells)
+        assert codec.deinterleave(z) == ref_deinterleave(codec, z) == cells
+
+    @settings(max_examples=300, deadline=None)
+    @given(codec_and_cells(), st.data())
+    def test_spread_preserves_order_per_dimension(self, drawn, data):
+        """Raising one dimension's cell raises the z-value: what lets
+        ``box_contains`` compare one dimension's bits in place."""
+        codec, cells = drawn
+        j = data.draw(st.integers(0, codec.dims - 1))
+        other = data.draw(st.integers(0, codec.cells_per_dim - 1))
+        moved = cells[:j] + (other,) + cells[j + 1 :]
+        z, z_moved = codec.interleave(cells), codec.interleave(moved)
+        assert (z < z_moved) == (cells[j] < other)
+        assert (z == z_moved) == (cells[j] == other)
+
+    @settings(max_examples=400, deadline=None)
+    @given(codec_and_box(), st.sampled_from((None, 1, 4)))
+    def test_box_ranges_match_tuple_bounds_reference(self, drawn, max_ranges):
+        codec, lo_cells, hi_cells = drawn
+        ranges = codec.box_ranges(lo_cells, hi_cells, max_ranges)
+        assert ranges == ref_box_ranges(codec, lo_cells, hi_cells, max_ranges)
+        # Ascending, disjoint, merged, within the budget, cell-aligned.
+        assert 1 <= len(ranges) <= (max_ranges or codec.split_budget)
+        for lo, hi in ranges:
+            assert 0 <= lo < hi <= MAX_KEY
+            assert lo % (1 << codec.pad_bits) == hi % (1 << codec.pad_bits) == 0
+        for (_, ahi), (blo, _) in zip(ranges, ranges[1:]):
+            assert ahi < blo  # adjacent ranges would have merged
+
+    @settings(max_examples=200, deadline=None)
+    @given(codec_and_box(brute_force=True))
+    def test_ranges_never_undercover(self, drawn):
+        codec, lo_cells, hi_cells = drawn
+        ranges = codec.box_ranges(lo_cells, hi_cells)
+        assert ranges == ref_box_ranges(codec, lo_cells, hi_cells)
+        for key in brute_force_cells(codec, lo_cells, hi_cells):
+            assert any(lo <= key < hi for lo, hi in ranges)
+
+    @settings(max_examples=400, deadline=None)
+    @given(codec_and_box(), st.data())
+    def test_box_contains_matches_cells_of(self, drawn, data):
+        codec, lo_cells, hi_cells = drawn
+        top = codec.cells_per_dim - 1
+        # A cell at most two off the box per dimension, so both answers
+        # occur; the pad bits below it must not matter.
+        cells = tuple(
+            data.draw(st.integers(max(0, lo - 2), min(top, hi + 2)))
+            for lo, hi in zip(lo_cells, hi_cells)
+        )
+        pad = data.draw(st.integers(0, (1 << codec.pad_bits) - 1))
+        key = (codec.interleave(cells) << codec.pad_bits) | pad
+        assert codec.cells_of(key) == cells
+        assert codec.box_contains(key, lo_cells, hi_cells) == all(
+            lo <= q <= hi for lo, q, hi in zip(lo_cells, cells, hi_cells)
+        )
+
+
+class TestArityAndDomain:
+    """Wrong-length points and bounds are rejected at every entry point,
+    for scalar codecs too (``dims=1`` used to read ``point[0]`` and
+    ignore the rest)."""
+
+    @pytest.mark.parametrize("dims", [1, 2, 3])
+    def test_encode_rejects_wrong_arity(self, dims):
+        codec = ZOrderCodec(dims=dims)
+        for n in (dims - 1, dims + 1, dims + 2):
+            with pytest.raises(DomainError):
+                codec.encode((0.5,) * n)
+
+    @pytest.mark.parametrize("dims", [1, 2, 3])
+    def test_interleave_rejects_wrong_arity(self, dims):
+        codec = ZOrderCodec(dims=dims)
+        for n in (dims - 1, dims + 1):
+            with pytest.raises(DomainError):
+                codec.interleave((0,) * n)
+
+    @pytest.mark.parametrize("dims", [1, 2, 3])
+    def test_box_ranges_rejects_wrong_arity(self, dims):
+        codec = ZOrderCodec(dims=dims)
+        good = (0,) * dims
+        for n in (dims - 1, dims + 1):
+            with pytest.raises(DomainError):
+                codec.box_ranges((0,) * n, good)
+            with pytest.raises(DomainError):
+                codec.box_ranges(good, (0,) * n)
+
+    @pytest.mark.parametrize("dims", [1, 2, 3])
+    def test_box_contains_rejects_wrong_arity(self, dims):
+        codec = ZOrderCodec(dims=dims)
+        good = (0,) * dims
+        for n in (dims - 1, dims + 1):
+            with pytest.raises(DomainError):
+                codec.box_contains(0, (0,) * n, good)
+            with pytest.raises(DomainError):
+                codec.box_contains(0, good, (0,) * n)
+
+    def test_box_contains_rejects_out_of_range_key_and_cells(self):
+        codec = ZOrderCodec(dims=2)
+        top = codec.cells_per_dim - 1
+        for key in (-1, MAX_KEY):
+            with pytest.raises(DomainError):
+                codec.box_contains(key, (0, 0), (top, top))
+        with pytest.raises(DomainError):
+            codec.box_contains(0, (0, 0), (top, top + 1))
+        with pytest.raises(DomainError):
+            codec.box_contains(0, (-1, 0), (top, top))
+
+    def test_box_ranges_rejects_invalid_bounds_and_budget(self):
+        codec = ZOrderCodec(dims=2)
+        top = codec.cells_per_dim - 1
+        for lo_cells, hi_cells in (((3, 0), (2, 5)), ((0, 0), (top + 1, 0)), ((-1, 0), (0, 0))):
+            with pytest.raises(DomainError):
+                codec.box_ranges(lo_cells, hi_cells)
+        with pytest.raises(DomainError):
+            codec.box_ranges((0, 0), (1, 1), max_ranges=0)
 
 
 class TestSamplePoints:
