@@ -6,12 +6,10 @@ claim it protects); the pytest-benchmark fixture times the regeneration
 and the printed tables carry the actual series (run with ``-s`` to see
 them inline).
 
-Two perf-tracking entry points sit alongside the figure suites:
-``bench_micro_core.py`` (statistical micro-benchmarks of the hot
-primitives, via pytest-benchmark) and ``bench_perf_suite.py`` (one-shot
-absolute timings across overlay sizes, emitting ``BENCH_core.json`` at
-the repo root -- run ``python benchmarks/bench_perf_suite.py --quick``
-for the CI smoke variant).
+One perf-tracking entry point sits alongside the figure suites:
+``bench_perf_suite.py`` (one-shot absolute timings across overlay
+sizes, emitting ``BENCH_core.json`` at the repo root -- run ``python
+benchmarks/bench_perf_suite.py --quick`` for the CI smoke variant).
 """
 
 collect_ignore_glob: list = []

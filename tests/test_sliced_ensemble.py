@@ -11,7 +11,7 @@ report (plus the ensemble's query total) for two specs.  Regenerate
 only when a change of the protocol or the report is intended, and say
 so::
 
-    PYTHONPATH=src python tests/test_shard.py
+    PYTHONPATH=src python tests/test_sliced_ensemble.py
 """
 
 import hashlib
@@ -179,7 +179,7 @@ class TestWorkerMode:
 
 if __name__ == "__main__":
     payload = {
-        "_comment": "sha256 per slice report of a 4-slice ensemble; see tests/test_shard.py",
+        "_comment": "sha256 per slice report of a 4-slice ensemble; see tests/test_sliced_ensemble.py",
         **{
             name: pinned_entry(
                 run_sliced_ensemble(scenario(name, **params), shards=SHARDS)
