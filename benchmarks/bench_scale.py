@@ -13,10 +13,8 @@ Measures how far the message backend reaches, in one run:
   N=65,536 reachable in one bench run.  (The cells keep the
   ``shards``/``mode`` keys so ``check_regression.compare_scale``
   matches them across snapshots.)
-* **Heap-health audit** -- every cell records the simulator's
-  pending-event peak, lazy-cancel backlog and compaction count (the
-  observable heap-compaction stats on
-  :class:`~repro.simnet.engine.Simulator`), and the bench fails if any
+* **Heap-health audit** -- every cell records the pending-event peak
+  of :class:`~repro.simnet.engine.Simulator`, and the bench fails if any
   kernel's pending peak exceeds a generous per-peer bound -- the guard
   against an unbounded-heap regression hiding inside a wall-clock win.
 
@@ -121,10 +119,10 @@ NIGHTLY_CELLS = ((16384, 1), (16384, 4), (16384, 8))
 SMOKE_CELLS = ((8192, 4),)
 
 #: Pending-heap bound: no kernel may ever hold more than this many
-#: live-or-cancelled events per resident peer (plus slack for control
-#: timers).  Measured peaks sit well under 0.1/peer, so 4/peer is an
-#: order of magnitude of headroom while still catching a leak that
-#: re-schedules without cancelling or a compactor that stops firing.
+#: events per resident peer (plus slack for control timers).  Measured
+#: peaks sit well under 0.1/peer, so 4/peer is an order of magnitude of
+#: headroom while still catching a leak that schedules one event per
+#: attempt instead of re-arming a timer.
 PENDING_PER_PEER = 4
 PENDING_SLACK = 1024
 
@@ -186,8 +184,6 @@ def run_cell(n_peers: int, shards: int, *, seed: int, duration_scale: float) -> 
         "pending_peak": pending_peak,
         "pending_bound": pending_bound,
         "pending_bound_ok": pending_peak <= pending_bound,
-        "pending_cancelled": sum(k["pending_cancelled"] for k in kernels),
-        "compactions": sum(k["compactions"] for k in kernels),
     }
 
 

@@ -120,7 +120,10 @@ class LivenessTracker:
     def note_alive(self, ref: int, now: float) -> None:
         """A message from ``ref`` was delivered: refresh, clear suspicion."""
         self.last_confirmed[ref] = now
-        self.evicted_at.pop(ref, None)  # demonstrably back: clear tombstone
+        # Runs once per delivered message; the tombstone table is almost
+        # always empty, so it is only touched when it holds something.
+        if self.evicted_at:
+            self.evicted_at.pop(ref, None)  # demonstrably back: clear tombstone
         if ref in self.strikes or ref in self.probe_nonce:
             self.strikes.pop(ref, None)
             self.probe_nonce.pop(ref, None)

@@ -1089,9 +1089,9 @@ def _run_shard_worker(
     args: Tuple[ScenarioSpec, Optional[MessageNetConfig]]
 ) -> Tuple[ScenarioReport, dict]:
     """Worker entry point: run one slice, return its report and the
-    kernel counters (events processed, pending-heap peak, lazy-cancel
-    backlog, compactions, wall time) the scale bench audits heap health
-    with -- kept off the report so its schema is a single run's.  The
+    kernel counters (events processed, pending-heap peak, wall time)
+    the scale bench audits heap health with -- kept off the report so
+    its schema is a single run's.  The
     executor pickles the pair between the forked image and its parent,
     one program on both ends, so there is no version to check.
     """
@@ -1106,8 +1106,6 @@ def _run_shard_worker(
     kernel = {
         "events_processed": sim.events_processed,
         "pending_peak": sim.pending_peak,
-        "pending_cancelled": sim.pending_cancelled,
-        "compactions": sim.compactions,
         "wall_s": wall_s,
     }
     return report, kernel
@@ -1160,8 +1158,8 @@ def run_sliced_ensemble(
     ``MessageScenarioRunner(spec).run()``.
 
     Pass a list as ``kernel_stats`` to receive one dict per kernel
-    (events processed, pending-heap peak, compactions, per-kernel wall
-    time) -- the scale bench's heap-health audit channel.
+    (events processed, pending-heap peak, per-kernel wall time) -- the
+    scale bench's heap-health audit channel.
     """
     if shards < 1:
         raise SimulationError(f"need at least one shard, got {shards}")

@@ -7,21 +7,25 @@ so that report digests stay byte-identical across kernel changes.
 
 Event layout
 ------------
-The heap holds ``(time, seq, event)`` tuples, where ``event`` is a
-``__slots__`` :class:`_Event` handle.  ``seq`` is a single global
-counter assigned at schedule time, so
+The heap holds ``(time, seq, callback)`` tuples and nothing else: one
+tuple per scheduled event, no handle object.  ``seq`` is a single
+global counter assigned at schedule time, so
 
 * heap comparisons are pure C tuple comparisons that never reach the
-  event object (``seq`` is unique -- no tie can fall through to it);
+  callback (``seq`` is unique -- no tie can fall through to it);
 * ties at equal ``time`` break by schedule order, deterministically.
 
 Execution order is therefore exactly global ``(time, seq)`` order.
+
+There is no cancel: the lazy timers below made it unreachable (no
+caller since PR 9), and a callback that finds its work done and
+returns is the cancellation idiom.
 
 Lazy deadline timers
 --------------------
 Timeout/retry patterns (query, write, range attempts in
 :mod:`repro.simnet.node`) must **not** schedule one heap entry per
-attempt and cancel or abandon the stale ones: that grows the heap with
+attempt and abandon the stale ones: that grows the heap with
 placeholders that live a full timeout window.  Instead they keep one
 :class:`DeadlineTimer` per pending operation:
 
@@ -69,22 +73,8 @@ from ..exceptions import SimulationError
 __all__ = ["Simulator", "DeadlineTimer"]
 
 
-class _Event:
-    """Schedule handle: lean ``__slots__`` layout, no ordering methods
-    (the heap orders ``(time, seq, event)`` tuples and never compares
-    events)."""
-
-    __slots__ = ("time", "seq", "callback", "cancelled")
-
-    def __init__(self, time: float, seq: int, callback: Callable[[], None]):
-        self.time = time
-        self.seq = seq
-        self.callback = callback
-        self.cancelled = False
-
-
-#: Heap entry: ``(time, seq, event)``.
-_Entry = Tuple[float, int, _Event]
+#: Heap entry: ``(time, seq, callback)``.
+_Entry = Tuple[float, int, Callable[[], None]]
 
 
 class Simulator:
@@ -102,8 +92,6 @@ class Simulator:
         self._seq = 0
         self._now = 0.0
         self._processed = 0
-        self._cancelled = 0
-        self._compactions = 0
         self._pending_peak = 0
 
     @property
@@ -118,24 +106,8 @@ class Simulator:
 
     @property
     def pending(self) -> int:
-        """Events still queued (including cancelled placeholders).
-
-        Bounded: cancelled placeholders never exceed half the queue --
-        :meth:`cancel` compacts the heap beyond that ratio, so workloads
-        that schedule-and-cancel heavily (timeout patterns under churn)
-        cannot grow the heap without bound.
-        """
+        """Events still queued; every one of them will run."""
         return len(self._queue)
-
-    @property
-    def pending_live(self) -> int:
-        """Queued events that will actually run (placeholders excluded)."""
-        return len(self._queue) - self._cancelled
-
-    @property
-    def pending_cancelled(self) -> int:
-        """Cancelled placeholders still sitting in the heap."""
-        return self._cancelled
 
     @property
     def pending_peak(self) -> int:
@@ -146,31 +118,22 @@ class Simulator:
         """
         return self._pending_peak
 
-    @property
-    def compactions(self) -> int:
-        """How many times the heap was compacted (see :meth:`cancel`)."""
-        return self._compactions
-
-    def schedule(self, delay: float, callback: Callable[[], None]) -> _Event:
+    def schedule(self, delay: float, callback: Callable[[], None]) -> None:
         """Schedule ``callback`` to run ``delay`` seconds from now.
 
-        Returns a handle whose ``cancelled`` attribute can be set through
-        :meth:`cancel`.  Negative delays are rejected -- the simulator
-        never travels back in time.
+        Negative delays are rejected -- the simulator never travels
+        back in time.
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         seq = self._seq
         self._seq = seq + 1
-        time = self._now + delay
-        event = _Event(time, seq, callback)
         queue = self._queue
-        heapq.heappush(queue, (time, seq, event))
+        heapq.heappush(queue, (self._now + delay, seq, callback))
         if len(queue) > self._pending_peak:
             self._pending_peak = len(queue)
-        return event
 
-    def schedule_at(self, time: float, callback: Callable[[], None]) -> _Event:
+    def schedule_at(self, time: float, callback: Callable[[], None]) -> None:
         """Schedule ``callback`` at an **exact** absolute simulated time.
 
         The event's time is ``time`` itself, not ``now + (time - now)``
@@ -184,96 +147,61 @@ class Simulator:
             )
         seq = self._seq
         self._seq = seq + 1
-        event = _Event(time, seq, callback)
         queue = self._queue
-        heapq.heappush(queue, (time, seq, event))
+        heapq.heappush(queue, (time, seq, callback))
         if len(queue) > self._pending_peak:
             self._pending_peak = len(queue)
-        return event
-
-    def cancel(self, event: _Event) -> None:
-        """Cancel a scheduled event.
-
-        The placeholder stays in the heap (an O(n) removal per cancel
-        would make cancel-heavy workloads quadratic) and is skipped when
-        popped; once cancelled placeholders exceed half the queue the
-        heap is compacted in one O(n) pass, keeping :attr:`pending`
-        proportional to the number of *live* events.
-        """
-        if not event.cancelled:
-            event.cancelled = True
-            self._cancelled += 1
-            pending = self.pending
-            if self._cancelled * 2 > pending and pending > 8:
-                self._compact()
-
-    def _compact(self) -> None:
-        """Drop cancelled placeholders and re-heapify the live events."""
-        self._queue = [entry for entry in self._queue if not entry[2].cancelled]
-        heapq.heapify(self._queue)
-        self._cancelled = 0
-        self._compactions += 1
 
     def step(self) -> bool:
         """Run the next event.  Returns False when the queue is empty."""
-        queue = self._queue
-        while queue:
-            time, _seq, event = heapq.heappop(queue)
-            if event.cancelled:
-                self._cancelled -= 1
-                continue
-            self._now = time
-            event.callback()
-            self._processed += 1
-            return True
-        return False
+        if not self._queue:
+            return False
+        time, _seq, callback = heapq.heappop(self._queue)
+        self._now = time
+        callback()
+        self._processed += 1
+        return True
 
     def run_until(self, end_time: float, *, max_events: Optional[int] = None) -> None:
         """Run events in order until the clock passes ``end_time``.
 
-        ``max_events`` guards against runaway event storms in tests.
+        ``max_events`` guards against runaway event storms in tests: it
+        raises when an event due by ``end_time`` is still queued after
+        that many have run.
         """
         budget = max_events if max_events is not None else float("inf")
         queue = self._queue
         pop = heapq.heappop
-        while queue and budget > 0:
-            head = queue[0]
-            event = head[2]
-            if event.cancelled:
-                pop(queue)
-                self._cancelled -= 1
-                continue
-            if head[0] > end_time:
-                break
-            pop(queue)
-            self._now = head[0]
-            event.callback()
+        while queue and queue[0][0] <= end_time:
+            if budget <= 0:
+                raise SimulationError(
+                    f"event budget exhausted at t={self._now:.1f}s "
+                    f"({self._processed} events processed)"
+                )
+            time, _seq, callback = pop(queue)
+            self._now = time
+            callback()
             self._processed += 1
             budget -= 1
-        if budget <= 0:
-            raise SimulationError(
-                f"event budget exhausted at t={self._now:.1f}s "
-                f"({self._processed} events processed)"
-            )
         self._now = max(self._now, end_time)
 
     def run_all(self, *, max_events: int = 10_000_000) -> None:
         """Drain the queue completely (bounded by ``max_events``)."""
         budget = max_events
-        while self.step():
-            budget -= 1
+        while self._queue:
             if budget <= 0:
                 raise SimulationError("event budget exhausted in run_all")
+            self.step()
+            budget -= 1
 
 
 class DeadlineTimer:
     """One lazy, re-armable deadline (see the module docstring).
 
-    Replaces the schedule-per-attempt/cancel-or-abandon timeout idiom:
-    the owner keeps one timer per pending operation, re-arms it with
-    each attempt's absolute deadline, and disarms it on completion.  At
-    most one heap entry is outstanding per timer, and the heap never
-    accumulates cancelled placeholders on these paths.
+    Replaces the schedule-per-attempt/abandon timeout idiom: the owner
+    keeps one timer per pending operation, re-arms it with each
+    attempt's absolute deadline, and disarms it on completion.  At most
+    one heap entry is outstanding per timer.
 
     The callback runs only when the *current* deadline is reached; an
     event that fires after the deadline moved reschedules itself at the
@@ -281,13 +209,14 @@ class DeadlineTimer:
     and a disarmed timer's event fires into a no-op.
     """
 
-    __slots__ = ("_sim", "_callback", "_deadline", "_scheduled")
+    __slots__ = ("_sim", "_callback", "_deadline", "_event_at")
 
     def __init__(self, sim: Simulator, callback: Callable[[], None]):
         self._sim = sim
         self._callback = callback
         self._deadline: Optional[float] = None
-        self._scheduled = False
+        #: Time of the outstanding heap event, ``None`` when there is none.
+        self._event_at: Optional[float] = None
 
     @property
     def armed(self) -> bool:
@@ -304,28 +233,36 @@ class DeadlineTimer:
 
         Scheduling happens at most once per outstanding event: moving
         the deadline only stores the new float -- the in-flight event
-        reschedules itself when it fires early.  Deadlines may only
-        move forward (a retry's deadline is always later than the
-        attempt it supersedes).
+        reschedules itself when it fires early.  That event can chase a
+        later deadline but not an earlier one, so a deadline before the
+        outstanding event is refused (a retry's deadline is always later
+        than the attempt it supersedes); once the event has fired any
+        deadline may be armed.
         """
-        self._deadline = deadline
-        if not self._scheduled:
-            self._scheduled = True
+        event_at = self._event_at
+        if event_at is None:
             self._sim.schedule_at(deadline, self._fire)
+            self._event_at = deadline
+        elif deadline < event_at:
+            raise SimulationError(
+                f"deadline {deadline} is before the timer's outstanding "
+                f"event at t={event_at}: it would fire late"
+            )
+        self._deadline = deadline
 
     def disarm(self) -> None:
         """Void the timer: the outstanding event (if any) will no-op."""
         self._deadline = None
 
     def _fire(self) -> None:
-        self._scheduled = False
+        self._event_at = None
         deadline = self._deadline
         if deadline is None:
             return  # disarmed: the operation completed
         if deadline > self._sim.now:
             # Superseded: the deadline moved while this event was in
             # flight.  Chase it at the exact stored float.
-            self._scheduled = True
+            self._event_at = deadline
             self._sim.schedule_at(deadline, self._fire)
             return
         self._deadline = None

@@ -592,27 +592,28 @@ class PGridNode:
         # carries routing info -- gossips replacement candidates back to
         # the prober, who is probing precisely because it suspects its
         # table.
-        gossip = self._gossip_refs()
-        n_refs = sum(len(refs) for refs in gossip.values())
+        gossip, n_refs = self._gossip_refs()
         self.liveness.repair_bytes += HEADER_BYTES + n_refs * REF_BYTES
+        # The path travels as the ``Path`` itself, not as text the
+        # prober would parse back (its wire size is part of the header
+        # either way: only ``n_refs`` is billed).
         self.send(
             msg.src,
             P.PONG,
-            {
-                "nonce": msg.payload["nonce"],
-                "path": str(self.path) if self.path.length else "",
-                "gossip": gossip,
-            },
+            {"nonce": msg.payload["nonce"], "path": self.path, "gossip": gossip},
             n_refs=n_refs,
         )
 
     def _on_pong(self, msg: Message) -> None:
         # Proof of life is recorded generically in ``receive``; absorb
-        # the piggybacked replacement candidates.
+        # the piggybacked replacement candidates (a root-path sender has
+        # no levels to place them at).  ``path`` is the sender's own
+        # ``Path`` object, shared by reference: immutable, so neither
+        # side can change it under the other.
         gossip = msg.payload.get("gossip")
-        path = msg.payload.get("path", "")
+        path = msg.payload.get("path")
         if gossip and path:
-            self._accept_gossip(Path.from_string(path), gossip)
+            self._accept_gossip(path, gossip)
 
     def refresh_routes(self) -> int:
         """Probe up to ``REFRESH_PROBES`` stalest routing references.
@@ -716,15 +717,17 @@ class PGridNode:
             # refused/partition: try another reference.
         return None
 
-    def _gossip_refs(self) -> dict:
-        """Candidate references per level for anti-entropy gossip.
+    def _gossip_refs(self) -> tuple[dict, int]:
+        """Candidate references per level for anti-entropy gossip, and
+        how many there are in all (what the wire bills).
 
         Only live-believed references travel: gossiping a suspect would
         spread exactly the staleness repair exists to remove.
         """
         if not self.config.repair.enabled:
-            return {}
+            return {}, 0
         out = {}
+        n_refs = 0
         strikes = self.liveness.strikes  # suspected(r) == r in strikes
         routing = self.routing
         for level in sorted(routing):
@@ -732,8 +735,9 @@ class PGridNode:
             if strikes:
                 refs = [r for r in refs if r not in strikes]
             if refs:
-                out[level] = refs[:GOSSIP_REFS]
-        return out
+                out[level] = refs = refs[:GOSSIP_REFS]
+                n_refs += len(refs)
+        return out, n_refs
 
     def _accept_gossip(self, their_path: Path, gossip: dict) -> None:
         """Install gossiped candidates into depleted routing levels.
@@ -741,39 +745,43 @@ class PGridNode:
         A candidate at the sender's level ``l`` is known to live under
         the prefix ``their_path[:l] + ~their_path[l]``; placing it for
         *us* means finding where that prefix diverges from our own path.
-        Candidates whose known prefix does not diverge from our path are
-        skipped (their deeper position is unknown).  Only levels below
-        the redundancy bound accept candidates -- gossip replenishes, it
-        never displaces a reference we still trust.
+        With ``c`` the length of the prefix the two paths share: below
+        ``c`` the sender's levels are ours; the prefix of level ``c`` is
+        our own side of the fork (it does not diverge from our path, the
+        candidate's deeper position is unknown: skipped); above ``c``
+        every prefix leaves our path at bit ``c`` -- unless our path
+        ends there, a prefix of theirs, and nothing diverges.  Only
+        levels below the redundancy bound accept candidates -- gossip
+        replenishes, it never displaces a reference we still trust.
         """
         if not self.config.repair.enabled or not gossip:
             return
         max_refs = self.config.max_refs_per_level
-        # Pure int math on (bits, length) pairs: the prefix
-        # ``their_path[:l] + ~their_path[l]`` is one shift-and-flip, and
-        # the common-prefix length with our path one XOR/bit_length --
-        # no intermediate Path objects on the gossip-absorption path.
-        my_bits = self.path.bits
+        routing = self.routing
         my_len = self.path.length
-        their_bits = their_path.bits
+        # Candidates only ever land at our levels ``0..my_len-1``: with
+        # all of them full (the usual state of a prober) there is
+        # nothing to place.
+        for level in range(my_len):
+            refs = routing.get(level)
+            if refs is None or len(refs) < max_refs:
+                break
+        else:
+            return
         their_len = their_path.length
+        common = their_path.common_prefix_length(self.path)
         for level in sorted(gossip):
-            if level >= their_len:
+            if level >= their_len or level == common:
                 continue
-            p_len = level + 1
-            p_bits = (their_bits >> (their_len - p_len)) ^ 1
-            n = p_len if p_len < my_len else my_len
-            diff = (
-                ((my_bits >> (my_len - n)) ^ (p_bits >> (p_len - n))) if n else 0
-            )
-            if diff == 0:
-                # The known prefix does not diverge from our path (it is
-                # a prefix of ours, or vice versa): position unknown.
-                continue
-            mine = n - diff.bit_length()
-            refs = self.routing.get(mine)
+            if level < common:
+                mine = level
+            elif common == my_len:
+                break  # levels are sorted: every later one is above too
+            else:
+                mine = common
+            refs = routing.get(mine)
             if refs is None:
-                refs = self.routing.setdefault(mine, [])
+                refs = routing[mine] = []
             for ref in gossip[level]:
                 if len(refs) >= max_refs:
                     break
@@ -954,8 +962,7 @@ class PGridNode:
         routes = {
             level: refs[0] for level, refs in self.routing.items() if refs
         }
-        gossip = self._gossip_refs()
-        n_refs = sum(len(refs) for refs in gossip.values())
+        gossip, n_refs = self._gossip_refs()
         self.liveness.repair_bytes += n_refs * REF_BYTES
         # Tombstones travel with every exchange (billed like keys) so
         # deletes propagate through the same anti-entropy that spreads
@@ -998,8 +1005,7 @@ class PGridNode:
         )
         reply["nonce"] = nonce
         reply["expected_path"] = msg.payload["path"]
-        gossip = self._gossip_refs()
-        n_refs = sum(len(refs) for refs in gossip.values())
+        gossip, n_refs = self._gossip_refs()
         self.liveness.repair_bytes += n_refs * REF_BYTES
         reply["gossip"] = gossip
         self.send(
@@ -1453,8 +1459,8 @@ class PGridNode:
         # already triggered a retry re-armed the timer, so a stale
         # deadline never burns the retry budget against newer attempts.
         # One :class:`DeadlineTimer` per pending operation: the heap
-        # holds at most one entry for the op's whole retry chain and
-        # never accumulates cancelled placeholders (see ``engine``).
+        # holds at most one entry for the op's whole retry chain
+        # (see ``engine``).
         timer = pending.timer
         if timer is None:
             # The callback looks the record up by id (module docstring).

@@ -101,6 +101,12 @@ class LogNormalLatency(LatencyModel):
         value = self.median * math.exp(rng.gauss(0.0, self.sigma))
         return min(value, self.cap)
 
+    def sample_link(self, src: int, dst: int, rng) -> float:
+        # The default model of every send: answered here in one call,
+        # same float expression and same single draw as ``sample``.
+        value = self.median * math.exp(rng.gauss(0.0, self.sigma))
+        return min(value, self.cap)
+
 
 def _mix32(value: int) -> int:
     """A small deterministic 32-bit integer mixer (no Python ``hash``,
@@ -255,12 +261,6 @@ class Network:
         """Remove the installed partition; all links work again."""
         self._partition_of = None
 
-    def _partitioned(self, src: int, dst: int) -> bool:
-        mapping = self._partition_of
-        if mapping is None:
-            return False
-        return mapping.get(src, -1 - src) != mapping.get(dst, -1 - dst)
-
     # -- sending ------------------------------------------------------------
 
     def send(
@@ -297,7 +297,6 @@ class Network:
             size = HEADER_BYTES + n_keys * KEY_BYTES + n_refs * REF_BYTES
         else:
             size = HEADER_BYTES
-        message = Message(src, dst, kind, payload, size, category)
         self.messages_sent += 1
         stats = self.stats
         if stats is not None:
@@ -312,7 +311,11 @@ class Network:
             self.messages_dropped += 1
             self.drops_offline += 1
             return "offline"
-        if self._partitioned(src, dst):
+        mapping = self._partition_of
+        if mapping is not None and (
+            mapping.get(src, -1 - src) != mapping.get(dst, -1 - dst)
+        ):
+            # A node in no group is its own singleton partition.
             self.messages_dropped += 1
             self.drops_partition += 1
             return "partition"
@@ -324,25 +327,32 @@ class Network:
             self.messages_dropped += 1
             self.drops_offline += 1
             return "refused"
-        if self.loss_rate > 0.0 and self.rng.random() < self.loss_rate:
+        rng = self.rng
+        if self.loss_rate > 0.0 and rng.random() < self.loss_rate:
             self.messages_dropped += 1
             self.drops_loss += 1
             return "loss"
-        delay = self.latency.sample_link(src, dst, self.rng)
-        self.inflight += 1
-        if self.inflight > self.inflight_peak:
-            self.inflight_peak = self.inflight
-        self.sim.schedule(delay, lambda: self._deliver(message))
+        # Only a message that gets on the wire costs a Message and a
+        # delivery closure.
+        message = Message(src, dst, kind, payload, size, category)
+        self.inflight = inflight = self.inflight + 1
+        if inflight > self.inflight_peak:
+            self.inflight_peak = inflight
+        self.sim.schedule(
+            self.latency.sample_link(src, dst, rng), lambda: self._deliver(message)
+        )
         return None
 
     def _deliver(self, message: Message) -> None:
         self.inflight -= 1
-        node = self.nodes.get(message.dst)
+        dst = message.dst
+        node = self.nodes.get(dst)
         if node is None or not node.online:
             self.messages_dropped += 1
             self.drops_offline += 1
             return
-        self.delivered[message.dst] = self.delivered.get(message.dst, 0) + 1
+        delivered = self.delivered
+        delivered[dst] = delivered.get(dst, 0) + 1
         node.receive(message)
 
     def online_count(self) -> int:

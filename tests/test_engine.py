@@ -1,6 +1,7 @@
 """Tests for the discrete-event simulation core."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import SimulationError
 from repro.simnet.engine import DeadlineTimer, Simulator
@@ -77,13 +78,41 @@ class TestRunUntil:
         with pytest.raises(SimulationError):
             sim.run_until(1e9, max_events=1000)
 
-    def test_cancel(self):
+    @pytest.mark.parametrize("run", ["run_until", "run_all"])
+    def test_budget_of_exactly_the_events_run_is_enough(self, run):
+        # Regression: finishing on exactly ``max_events`` with nothing
+        # left to run used to raise (and run_until then never advanced
+        # the clock to ``end_time``).
         sim = Simulator()
-        log = []
-        handle = sim.schedule(1.0, lambda: log.append("x"))
-        sim.cancel(handle)
-        sim.run_all()
-        assert log == []
+        for i in range(5):
+            sim.schedule(1.0 + i, lambda: None)
+        if run == "run_until":
+            sim.run_until(10.0, max_events=5)
+            assert sim.now == 10.0
+        else:
+            sim.run_all(max_events=5)
+        assert sim.events_processed == 5 and sim.pending == 0
+
+    @pytest.mark.parametrize("run", ["run_until", "run_all"])
+    def test_budget_one_short_raises_with_the_event_still_queued(self, run):
+        sim = Simulator()
+        for i in range(6):
+            sim.schedule(1.0 + i, lambda: None)
+        with pytest.raises(SimulationError, match="event budget exhausted"):
+            if run == "run_until":
+                sim.run_until(10.0, max_events=5)
+            else:
+                sim.run_all(max_events=5)
+        assert sim.events_processed == 5 and sim.pending == 1
+
+    def test_budget_ignores_events_beyond_the_horizon(self):
+        # The sixth event is not due by end_time: the budget is not short.
+        sim = Simulator()
+        for i in range(5):
+            sim.schedule(1.0 + i, lambda: None)
+        sim.schedule(20.0, lambda: None)
+        sim.run_until(10.0, max_events=5)
+        assert sim.now == 10.0 and sim.pending == 1
 
     def test_events_processed_counter(self):
         sim = Simulator()
@@ -93,56 +122,8 @@ class TestRunUntil:
         assert sim.events_processed == 5
 
 
-class TestHeapCompaction:
-    def test_pending_bounded_under_cancel_churn(self):
-        # Timeout-style workloads schedule an event and cancel it almost
-        # every time; the heap must compact cancelled placeholders away
-        # instead of growing linearly with churn.
-        sim = Simulator()
-        live = [sim.schedule(1000.0 + i, lambda: None) for i in range(10)]
-        for i in range(10_000):
-            handle = sim.schedule(1.0 + i * 1e-3, lambda: None)
-            sim.cancel(handle)
-            # Invariant: cancelled placeholders never exceed half the queue
-            # (plus the handful below the compaction floor).
-            assert sim.pending <= 2 * (len(live) + 1) + 8
-        assert sim.pending <= 2 * (len(live) + 1) + 8
-        sim.run_all()
-        assert sim.events_processed == len(live)
-
-    def test_cancel_is_idempotent(self):
-        sim = Simulator()
-        keep = sim.schedule(2.0, lambda: None)
-        handle = sim.schedule(1.0, lambda: None)
-        sim.cancel(handle)
-        sim.cancel(handle)  # double-cancel must not corrupt the counter
-        sim.run_all()
-        assert sim.events_processed == 1
-        assert sim.pending == 0
-        assert keep.cancelled is False
-
-    def test_cancelled_events_still_skipped_in_run_until(self):
-        sim = Simulator()
-        log = []
-        first = sim.schedule(1.0, lambda: log.append("a"))
-        sim.schedule(2.0, lambda: log.append("b"))
-        sim.cancel(first)
-        sim.run_until(5.0)
-        assert log == ["b"]
-
-
 class TestObservableHeapStats:
     """The scale bench's heap-health audit channel."""
-
-    def test_pending_live_excludes_cancelled(self):
-        sim = Simulator()
-        sim.schedule(1.0, lambda: None)
-        sim.schedule(2.0, lambda: None)
-        handle = sim.schedule(3.0, lambda: None)
-        sim.cancel(handle)
-        assert sim.pending_live == 2
-        assert sim.pending_cancelled == 1
-        assert sim.pending == sim.pending_live + sim.pending_cancelled
 
     def test_pending_peak_tracks_high_water_mark(self):
         sim = Simulator()
@@ -153,22 +134,11 @@ class TestObservableHeapStats:
         assert sim.pending == 0
         assert sim.pending_peak == 5  # peak survives the drain
 
-    def test_compactions_counter_increments(self):
-        sim = Simulator()
-        for _ in range(10):
-            sim.schedule(1000.0, lambda: None)
-        assert sim.compactions == 0
-        for i in range(200):
-            sim.cancel(sim.schedule(1.0 + i * 1e-3, lambda: None))
-        assert sim.compactions > 0
-        assert sim.pending_cancelled * 2 <= sim.pending + 2
-
     def test_counters_start_at_zero(self):
         sim = Simulator()
-        assert sim.pending_live == 0
-        assert sim.pending_cancelled == 0
+        assert sim.pending == 0
         assert sim.pending_peak == 0
-        assert sim.compactions == 0
+        assert sim.events_processed == 0
 
 
 class TestDeadlineTimer:
@@ -239,15 +209,102 @@ class TestDeadlineTimer:
 
     def test_lazy_timers_never_touch_the_cancel_path(self):
         # The point of the lazy scheme: a supersede-heavy workload keeps
-        # pending_cancelled at 0 and at most one heap entry per timer --
-        # no cancelled placeholders for the compactor to chew through.
+        # at most one heap entry per timer, so there is nothing to
+        # cancel -- and every one of those entries runs, exactly once.
         sim = Simulator()
         timers = [DeadlineTimer(sim, lambda: None) for _ in range(8)]
         for round_ in range(100):
             for timer in timers:
                 timer.arm(1.0 + round_ * 0.1)
             assert sim.pending <= len(timers)
-        assert sim.pending_cancelled == 0
+        assert sim.pending_peak == len(timers)
         sim.run_all()
-        assert sim.pending_cancelled == 0
-        assert sim.compactions == 0
+        # One stale fire at the first deadline, one at the last.
+        assert sim.events_processed == 2 * len(timers)
+
+    def test_deadline_before_the_outstanding_event_is_refused(self):
+        # Regression: the in-flight event can chase a later deadline but
+        # not an earlier one -- this used to fire silently at 9.0.
+        sim = Simulator()
+        fired = []
+        timer = DeadlineTimer(sim, lambda: fired.append(sim.now))
+        timer.arm(9.0)
+        with pytest.raises(SimulationError, match="fire late"):
+            timer.arm(5.0)
+        assert timer.deadline == 9.0  # the refused move changed nothing
+        timer.arm(12.0)
+        timer.arm(10.0)  # back, but not before the event at 9.0: legal
+        sim.run_all()
+        assert fired == [10.0]
+
+    def test_any_deadline_may_be_armed_once_the_event_has_fired(self):
+        sim = Simulator()
+        fired = []
+        timer = DeadlineTimer(sim, lambda: fired.append(sim.now))
+        timer.arm(9.0)
+        timer.disarm()
+        with pytest.raises(SimulationError):
+            timer.arm(5.0)  # disarmed, but the event at 9.0 is still queued
+        sim.run_until(9.5)  # ... and now it has fired into its no-op
+        timer.arm(9.75)  # earlier than many a past deadline: legal again
+        sim.run_all()
+        assert fired == [9.75]
+
+
+class TestKernelModel:
+    """The heap against a sorted-list reference: random programs of
+    ``schedule`` / ``schedule_at`` calls, some issued from inside
+    callbacks, some at equal times, run in ascending ``(time, seq)``."""
+
+    #: One call: (use schedule_at?, delay in quarter seconds, children).
+    calls = st.recursive(
+        st.tuples(st.booleans(), st.integers(0, 6), st.just(())),
+        lambda children: st.tuples(
+            st.booleans(), st.integers(0, 6), st.lists(children, max_size=3).map(tuple)
+        ),
+        max_leaves=25,
+    )
+
+    @given(program=st.lists(calls, max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_programs_run_in_time_then_schedule_order(self, program):
+        # Delays are quarter seconds, exact in binary, so ``now + delay``
+        # and the absolute time are the same float on both sides.
+        sim = Simulator()
+        ran = []
+        issued = iter(range(10**6))  # issue order == the kernel's seq
+
+        def issue(call):
+            absolute, quarters, children = call
+            seq = next(issued)
+
+            def callback():
+                ran.append((sim.now, seq))
+                for child in children:
+                    issue(child)
+
+            if absolute:
+                sim.schedule_at(sim.now + quarters * 0.25, callback)
+            else:
+                sim.schedule(quarters * 0.25, callback)
+
+        for call in program:
+            issue(call)
+        sim.run_all()
+
+        # The reference: a list re-sorted before every pop.
+        queue, expected = [], []
+        for call in program:
+            queue.append((call[1] * 0.25, len(queue), call[2]))
+        pushed = peak = len(queue)
+        while queue:
+            queue.sort()
+            time, seq, children = queue.pop(0)
+            expected.append((time, seq))
+            for child in children:
+                queue.append((time + child[1] * 0.25, pushed, child[2]))
+                pushed += 1
+            peak = max(peak, len(queue))
+        assert ran == expected == sorted(expected)
+        assert sim.events_processed == len(expected) and sim.pending == 0
+        assert sim.pending_peak == peak

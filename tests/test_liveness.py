@@ -17,6 +17,7 @@ Four layers:
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.pgrid.bits import Path
 from repro.pgrid.keyspace import float_to_key
@@ -267,6 +268,104 @@ class TestWireEvidence:
         assert 3 in nodes[0].liveness.probe_nonce  # chain restarted
         sim.run_until(30.0)
         assert not nodes[0].liveness.suspected(3)  # node 3 answered
+
+
+# -- gossip placement against the per-level reference --------------------------
+
+
+def ref_accept_gossip(node, their_path, gossip):
+    """``PGridNode._accept_gossip`` as it stood before the common-prefix
+    placement: every gossiped level shifted and XORed against our path
+    on its own.  Kept as the reference the fuzz below compares with."""
+    if not node.config.repair.enabled or not gossip:
+        return
+    max_refs = node.config.max_refs_per_level
+    my_bits = node.path.bits
+    my_len = node.path.length
+    their_bits = their_path.bits
+    their_len = their_path.length
+    for level in sorted(gossip):
+        if level >= their_len:
+            continue
+        p_len = level + 1
+        p_bits = (their_bits >> (their_len - p_len)) ^ 1
+        n = p_len if p_len < my_len else my_len
+        diff = ((my_bits >> (my_len - n)) ^ (p_bits >> (p_len - n))) if n else 0
+        if diff == 0:
+            continue
+        mine = n - diff.bit_length()
+        refs = node.routing.get(mine)
+        if refs is None:
+            refs = node.routing.setdefault(mine, [])
+        for ref in gossip[level]:
+            if len(refs) >= max_refs:
+                break
+            if (
+                ref != node.node_id
+                and ref not in refs
+                and not node.liveness.recently_evicted(ref, node.sim.now)
+            ):
+                refs.append(ref)
+                node._route_sweep_min_last = None
+                node.liveness.note_replacement()
+
+
+MAX_REFS = 3
+_bits = st.text("01", max_size=7)
+_ref_ids = st.integers(0, 11)  # 0 is the node itself
+
+
+@st.composite
+def gossip_cases(draw):
+    mine = draw(_bits)
+    # Their path shares a prefix of ours more often than chance would.
+    theirs = mine[: draw(st.integers(0, len(mine)))] + draw(_bits)
+    table = draw(st.dictionaries(
+        st.integers(0, 8),
+        st.lists(_ref_ids.filter(bool), max_size=MAX_REFS, unique=True),
+    ))
+    if draw(st.booleans()):
+        # A prober's usual state: every level of its path at the bound.
+        for level in range(len(mine)):
+            table[level] = [1 + (level + i) % 11 for i in range(MAX_REFS)]
+    gossip = draw(st.dictionaries(
+        st.integers(0, 8), st.lists(_ref_ids, max_size=3), max_size=6
+    ))
+    evicted = draw(st.sets(_ref_ids, max_size=4))
+    return mine, theirs, table, gossip, evicted, draw(st.booleans())
+
+
+class TestAcceptGossipAgainstReference:
+    @staticmethod
+    def make_node(mine, table, evicted, enabled):
+        sim = Simulator()
+        net = Network(sim, latency=ConstantLatency(0.01), rng=1)
+        config = NodeConfig(
+            max_refs_per_level=MAX_REFS, repair=RouteRepairPolicy(enabled=enabled)
+        )
+        node = PGridNode(0, sim, net, config=config, rng=1)
+        node.path = Path.from_string(mine)
+        node.routing = {level: list(refs) for level, refs in table.items()}
+        for ref in evicted:
+            node.liveness.note_evicted(ref, sim.now)
+        node.liveness.evictions = 0
+        node._route_sweep_min_last = 1.0
+        return node
+
+    @given(case=gossip_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_same_table_same_counters_same_sweep_reset(self, case):
+        mine, theirs, table, gossip, evicted, enabled = case
+        their_path = Path.from_string(theirs)
+        expected = self.make_node(mine, table, evicted, enabled)
+        ref_accept_gossip(expected, their_path, gossip)
+        actual = self.make_node(mine, table, evicted, enabled)
+        actual._accept_gossip(their_path, gossip)
+        # Same references in the same order at the same levels -- and the
+        # same empty levels created on the way, in the same order.
+        assert list(actual.routing.items()) == list(expected.routing.items())
+        assert actual.liveness.replacements == expected.liveness.replacements
+        assert actual._route_sweep_min_last == expected._route_sweep_min_last
 
 
 # -- scenario level ----------------------------------------------------------

@@ -188,7 +188,12 @@ class TestPendingOpContract:
             assert op.fired[opid][0].moot and op.fired[opid][0].timeouts == 0
             op.assert_terminal(opid, pending, recorded=False)
         assert not nodes[0]._waiters and not nodes[0]._inflight_by_key
-        assert sim.pending_cancelled == 0
+        # The heap never held more than one event per operation (its
+        # launch, then its timer), one per message in flight and one
+        # timeout per probe -- and the stale ones have all run.
+        probes = sum(node.liveness.probes for node in nodes)
+        assert sim.pending_peak <= len(opids) + net.inflight_peak + probes
+        assert sim.pending == 0
 
     @pytest.mark.parametrize("how", ["owner", "no_route"])
     def test_op_finished_inside_its_launch_arms_no_timer(self, kind, how):

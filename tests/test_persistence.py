@@ -354,7 +354,11 @@ class TestOfflineTimerHygiene:
         for kind, outcomes in done.items():
             assert len(outcomes) == 1, f"{kind} resolved {len(outcomes)} times"
             assert outcomes[0].moot and outcomes[0].timeouts == 0
-        assert sim.pending_cancelled == 0
+        # One heap event per operation (launch, then timer), one per
+        # message in flight, one timeout per probe; all have run.
+        probes = sum(node.liveness.probes for node in nodes)
+        assert sim.pending_peak <= 3 + net.inflight_peak + probes
+        assert sim.pending == 0
 
     def test_warm_rejoin_initiates_one_replica_exchange(self):
         sim, net, nodes = build_wire()

@@ -332,8 +332,8 @@ class TestNodeDedup:
     def test_abort_after_armed_lazy_timer_never_double_resolves(self):
         # Lazy-timer twin of the waiter-leak test: abort *after* the
         # attempt went out, so the primary's DeadlineTimer is armed and
-        # its one heap event is outstanding.  The abort disarms it (no
-        # cancel: pending_cancelled stays 0); when the stale deadline
+        # its one heap event is outstanding.  The abort disarms it (the
+        # event stays queued); when the stale deadline
         # passes, the fire must no-op -- each observer resolves exactly
         # once, and no timeout is ever charged to the aborted attempt.
         sim, net, nodes = build_wire(policy=POLICY)
@@ -353,7 +353,10 @@ class TestNodeDedup:
             assert len(fired) == 1, f"qid {qid} resolved {len(fired)} times"
             assert fired[0].moot and not fired[0].success
             assert fired[0].timeouts == 0
-        assert sim.pending_cancelled == 0
+        # One heap event per query (launch, then timer) plus the
+        # messages in flight: the abort left nothing behind to cancel.
+        assert sim.pending_peak <= 2 + net.inflight_peak
+        assert sim.pending == 0
 
 
 class TestWriteInvalidation:

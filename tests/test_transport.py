@@ -139,6 +139,18 @@ class TestLatencyModels:
         assert max(xs) > 5 * statistics.median(xs)  # heavy tail
 
 
+    def test_lognormal_link_sample_is_the_plain_sample(self):
+        # ``sample_link`` answers in one call: the same floats from the
+        # same draws as ``sample``, cap included.
+        import random
+
+        model = LogNormalLatency(median=0.1, sigma=1.0, cap=0.5)
+        a, b = random.Random(4), random.Random(4)
+        xs = [model.sample_link(1, 2, a) for _ in range(200)]
+        assert xs == [model.sample(b) for _ in range(200)]
+        assert max(xs) == 0.5 and a.random() == b.random()
+
+
 class TestPerLinkLatency:
     def test_link_delay_deterministic_and_bounded(self):
         model = PerLinkLatency(lo=0.01, hi=0.5, seed=7)
@@ -238,6 +250,34 @@ class TestDropAccounting:
             net.drops_offline + net.drops_loss + net.drops_partition
             == net.messages_dropped
         )
+
+    @pytest.mark.parametrize("cause", ["offline", "partition", "refused", "loss"])
+    def test_send_time_drop_is_billed_but_never_queued(self, cause):
+        # A message refused at send time is offered load (counted, billed
+        # to its link and its stats bin) but never reaches the wire: no
+        # heap entry, nothing in flight.
+        stats = StatsCollector()
+        sim = Simulator()
+        net = Network(sim, latency=ConstantLatency(0.01), rng=1, stats=stats)
+        a, b = Recorder(0), Recorder(1)
+        net.register(a)
+        net.register(b)
+        if cause == "offline":
+            a.online = False
+        elif cause == "refused":
+            b.online = False
+        elif cause == "partition":
+            net.set_partitions([{0}, {1}])
+        else:
+            net.loss_rate = 0.999999
+        assert net.send(0, 1, "k", {}, n_keys=2, category="queries") == cause
+        size = HEADER_BYTES + 2 * KEY_BYTES
+        assert (sim.pending, net.inflight, net.inflight_peak) == (0, 0, 0)
+        assert (net.messages_sent, net.messages_dropped) == (1, 1)
+        assert net.link_bytes == {(0, 1): size}
+        assert stats.bytes_by_category["queries"][0] == size
+        sim.run_all()
+        assert b.inbox == [] and net.delivered == {}
 
     def test_inflight_peak_tracks_concurrent_messages(self):
         sim = Simulator()
