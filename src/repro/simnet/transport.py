@@ -98,12 +98,11 @@ class LogNormalLatency(LatencyModel):
     cap: float = 30.0
 
     def sample(self, rng) -> float:
-        value = self.median * math.exp(rng.gauss(0.0, self.sigma))
-        return min(value, self.cap)
+        return self.sample_link(0, 0, rng)  # the endpoints are ignored
 
     def sample_link(self, src: int, dst: int, rng) -> float:
-        # The default model of every send: answered here in one call,
-        # same float expression and same single draw as ``sample``.
+        # The default model of every send, so the draw lives here and
+        # ``sample`` takes the extra hop, not the other way round.
         value = self.median * math.exp(rng.gauss(0.0, self.sigma))
         return min(value, self.cap)
 
@@ -311,11 +310,11 @@ class Network:
             self.messages_dropped += 1
             self.drops_offline += 1
             return "offline"
+        # A node in no group is its own singleton partition.
         mapping = self._partition_of
         if mapping is not None and (
             mapping.get(src, -1 - src) != mapping.get(dst, -1 - dst)
         ):
-            # A node in no group is its own singleton partition.
             self.messages_dropped += 1
             self.drops_partition += 1
             return "partition"
