@@ -245,6 +245,10 @@ def run_all(n_peers: int, *, seed: int, duration_scale: float, backend: str) -> 
                 "drops": ml["drops"],
                 "inflight_peak": ml["inflight_peak"],
                 "links_used": ml["links"]["used"],
+                # Ground-truth audits of what the probe budget leaves
+                # behind (see ``message_level.repair``).
+                "dead_refs_final": ml["repair"]["dead_refs_final"],
+                "dark_levels_final": ml["repair"]["dark_levels_final"],
             }
         if name == "paper-sec51-churn":
             # Acceptance series: success rate and bandwidth over time.

@@ -36,6 +36,8 @@ instead of silently ignoring unknown keys:
   stopped keeping up with the write stream;
 * ``bytes_update`` -- growth beyond the ratio ``--tolerance`` fails: a
   write-path bandwidth blowup is a regression even when success holds;
+* ``bytes_maintenance`` -- likewise: the probe, gossip and exchange tax
+  creeping back is a regression even when every query still succeeds;
 * ``recovery_time_s`` / ``recovery_maint_bytes`` -- ratio growth fails:
   warm rejoin getting slower or chattier than its committed numbers;
 * ``lost_acked_writes`` / ``tombstone_resurrections`` -- any rise fails;
@@ -168,6 +170,7 @@ SCENARIO_METRICS = (
     ("write_success_rate", "drop"),
     ("divergence_final", "rise"),
     ("bytes_update", "ratio"),
+    ("bytes_maintenance", "ratio"),
     # Persistence/recovery metrics (restart scenarios only; written by
     # bench_scenarios.py from the report's ``recovery`` section).
     ("recovery_time_s", "ratio"),

@@ -67,11 +67,13 @@ Restoring a snapshot makes the peer *operational*, not *trusted*:
    anti-entropy machinery (one exchange with a restored replica is
    initiated on rejoin; periodic maintenance finishes the job).
 2. Restored routing refs are handed to the liveness state machine
-   **unconfirmed**: every restored ref's ``last_confirmed`` stamp is
-   rebased so :meth:`~repro.pgrid.liveness.LivenessTracker.
-   needs_confirmation` is immediately true, making the next
-   ``refresh_routes`` pass probe them instead of trusting them blindly.
-   In-flight probe state (strikes, nonces) does not survive a restart.
+   **unconfirmed**: the tracker is wiped (strikes, nonces and earned
+   back-off do not survive a restart) and every restored
+   ``last_confirmed`` stamp is rebased and capped so
+   :meth:`~repro.pgrid.liveness.LivenessTracker.needs_confirmation` is
+   immediately true.  Every level has therefore lapsed: the next
+   ``refresh_routes`` pass probes one reference per level, and the
+   spares are confirmed on first use instead of being trusted blindly.
 3. Eviction cooldowns (``evicted_at``) are restored with their age so a
    ref evicted just before shutdown cannot be gossip-readded right
    after restore.
@@ -199,11 +201,16 @@ def snapshot_node(node, now: float) -> Dict[str, Any]:
 
     Liveness beliefs are stored as *ages* relative to ``taken_at`` so
     restore can rebase them on the shared clock; in-flight probe state
-    (strikes, nonces) is deliberately not captured -- it does not
-    survive a process restart.
+    (strikes, nonces) and earned back-off are deliberately not captured
+    -- they do not survive a process restart.  Confirmation stamps are
+    written for the current routing references only (a never-heard one
+    counts as confirmed at time 0, as the tracker reads it): the tracker
+    also holds one for every stranger that ever sent this node a message.
     """
     born = node._tombstone_born
     liveness = node.liveness
+    last_confirmed_get = liveness.last_confirmed.get
+    refs = {ref for level in node.routing.values() for ref in level}
     return {
         "schema": SCHEMA,
         "kind": "node",
@@ -223,8 +230,8 @@ def snapshot_node(node, now: float) -> Dict[str, Any]:
         "constructing": node.constructing,
         "liveness": {
             "last_confirmed": [
-                [ref, max(0.0, now - t)]
-                for ref, t in sorted(liveness.last_confirmed.items())
+                [ref, max(0.0, now - last_confirmed_get(ref, 0.0))]
+                for ref in sorted(refs)
             ],
             "evicted": [
                 [ref, max(0.0, now - t)]
@@ -266,8 +273,7 @@ def restore_node(node, snapshot: Dict[str, Any], now: float) -> None:
     node.constructing = snapshot["constructing"]
 
     liveness = node.liveness
-    liveness.strikes.clear()
-    liveness.probe_nonce.clear()
+    liveness.wipe()
     liveness.last_confirmed = {
         # Rebase, then cap so needs_confirmation() is True for every
         # restored ref: restored refs are handed to the liveness state

@@ -381,13 +381,10 @@ class MessageScenarioRunner(ScenarioRunnerBase):
         node.set_online(True)
         node.tombstones = set()
         node._tombstone_born = {}
-        node.liveness.strikes.clear()
-        node.liveness.probe_nonce.clear()
-        node.liveness.last_confirmed.clear()
-        node.liveness.evicted_at.clear()
+        node.liveness.wipe()
         # Wiping the confirmation stamps makes every kept ref stale at
         # once; the refresh-sweep skip cache must not outlive them.
-        node._route_sweep_min_last = None
+        node._route_lapse_at = None
         if sponsor is None:
             # Nobody online to sponsor: come back in place and let
             # anti-entropy reconcile whatever state survived in RAM.
@@ -858,6 +855,19 @@ class MessageScenarioRunner(ScenarioRunnerBase):
         link_sizes = sorted(links.values())
         top = sorted(links.items(), key=lambda kv: (-kv[1], kv[0]))[:5]
         trackers = [self.nodes[pid].liveness for pid in sorted(self.nodes)]
+        # What the probe budget leaves behind, audited from ground truth
+        # over the online nodes' tables: references to offline or
+        # departed nodes, and levels of a node's path with no live
+        # reference (keys behind them are unreachable from that node).
+        online = {pid: node for pid, node in self.nodes.items() if node.online}
+        dead_refs = dark_levels = 0
+        for node in online.values():
+            routing = node.routing
+            for refs in routing.values():
+                dead_refs += sum(1 for r in refs if r not in online)
+            for level in range(node.path.length):
+                if not any(r in online for r in routing.get(level, ())):
+                    dark_levels += 1
         repair = {
             "enabled": cfg.repair.enabled,
             "suspects": sum(t.suspects for t in trackers),
@@ -867,6 +877,8 @@ class MessageScenarioRunner(ScenarioRunnerBase):
             # Ping/pong and gossip bytes; already folded into the
             # maintenance side of the Fig. 8 bandwidth split.
             "repair_bytes": sum(t.repair_bytes for t in trackers),
+            "dead_refs_final": dead_refs,
+            "dark_levels_final": dark_levels,
         }
         section = {
             "repair": repair,

@@ -283,17 +283,16 @@ class PGridNode:
         # Evidence-driven liveness of routing references (suspect ->
         # probe -> evict -> replace-from-gossip; see pgrid.liveness).
         self.liveness = LivenessTracker()
-        # Refresh-sweep skip cache: after a sweep that found nothing
-        # stale, no reference can become stale while
-        # ``now - min(last_confirmed) < confirm_interval`` (float
-        # subtraction is monotone in the subtrahend, so the minimum
-        # bounds every ref under the sweep's own expression).  Sweeps
-        # in that window are skipped outright.  INVARIANT: every
-        # mutation that adds/replaces routing refs or lowers a
-        # confirmation stamp must reset this to None (add_route,
-        # _accept_gossip, _evict_ref, probe cancellation, restore,
-        # and the runner's cold-rejoin reset).
-        self._route_sweep_min_last: Optional[float] = None
+        # Refresh-sweep skip cache: the earliest instant a routing
+        # level can lapse, left by a sweep that found every level
+        # covered (see refresh_routes); sweeps before it are skipped
+        # outright.  INVARIANT: whatever can uncover a level sooner
+        # must reset this to None -- a reference added or displaced
+        # (add_route, _accept_gossip), struck (_suspect_ref; a silent
+        # probe's strike re-probes or evicts), evicted, its probe
+        # cancelled, or the tracker wiped (restore, the runner's cold
+        # rejoin).
+        self._route_lapse_at: Optional[float] = None
         # construction activity control
         self.constructing = False
         self.idle_strikes = 0
@@ -432,7 +431,7 @@ class PGridNode:
         self._inflight_exchange = None
         # Restored refs come back unconfirmed/rebased: drop the
         # refresh-sweep skip cache so the next sweep re-evaluates them.
-        self._route_sweep_min_last = None
+        self._route_lapse_at = None
         # Serving state is transient: caches, grants and the served-load
         # window did not survive the process restart.
         if self._serving is not None:
@@ -469,7 +468,7 @@ class PGridNode:
         if other not in refs:
             refs.append(other)
             del refs[: -self.config.max_refs_per_level]
-            self._route_sweep_min_last = None  # new ref may already be stale
+            self._route_lapse_at = None  # may open, or uncover, a level
 
     def route_for_key(self, key: int) -> Optional[int]:
         """Next hop for ``key``: a random live-believed reference at the
@@ -523,6 +522,7 @@ class PGridNode:
             return
         if not any(ref in refs for refs in self.routing.values()):
             return  # not a routing reference; nothing to repair
+        self._route_lapse_at = None  # a suspect stops covering its level
         if self.liveness.note_failure(ref) and self.online:
             self._send_probe(ref)
 
@@ -540,7 +540,13 @@ class PGridNode:
     def _send_probe(self, ref: int) -> None:
         nonce = self.liveness.begin_probe(ref)
         self.liveness.repair_bytes += HEADER_BYTES
-        cause = self.send(ref, P.PING, {"nonce": nonce, "origin": self.node_id})
+        # ``want``: gossip on demand -- the pong carries replacement
+        # candidates only for a prober that has somewhere to put them.
+        cause = self.send(
+            ref,
+            P.PING,
+            {"nonce": nonce, "origin": self.node_id, "want": self._short_of_refs()},
+        )
         if cause in ("refused", "partition"):
             # The connect itself failed: the probe's verdict is in
             # already, no need to wait out the timeout.  (Bounded
@@ -561,19 +567,18 @@ class PGridNode:
     def _probe_timeout(self, ref: int, nonce: int) -> None:
         if not self.online:
             # We could never have heard the pong: void, don't strike.
-            # The ref re-enters the refresh sweep with its old (stale)
-            # confirmation, so the sweep skip cache must not stand.
+            # The ref stops covering its level without a strike, so the
+            # sweep skip cache must not stand.
             self.liveness.cancel_probe(ref, nonce)
-            self._route_sweep_min_last = None
+            self._route_lapse_at = None
             return
         self._probe_verdict(ref, nonce)
 
     def _evict_ref(self, ref: int) -> None:
         """Remove a dead-believed reference from every routing level."""
-        # Shrinking the table can only raise the sweep bound, but the
-        # skip cache no longer count-guards the ref set -- reset it on
-        # any structural change to keep the invariant simple.
-        self._route_sweep_min_last = None
+        # Reset the skip cache on any structural change, to keep its
+        # invariant simple.
+        self._route_lapse_at = None
         removed = False
         for refs in self.routing.values():
             if ref in refs:
@@ -588,93 +593,92 @@ class PGridNode:
             self.liveness.probe_nonce.pop(ref, None)
 
     def _on_ping(self, msg: Message) -> None:
-        # The pong proves liveness and -- Kademlia-style, every RPC
-        # carries routing info -- gossips replacement candidates back to
-        # the prober, who is probing precisely because it suspects its
-        # table.
-        gossip, n_refs = self._gossip_refs()
+        # The pong proves liveness; for a prober short of references
+        # (``want``) it also gossips replacement candidates back --
+        # otherwise it is header-only, nothing built and nothing billed.
+        payload = {"nonce": msg.payload["nonce"]}
+        n_refs = 0
+        if msg.payload.get("want"):
+            # The path travels as the ``Path`` itself, not as text the
+            # prober would parse back (its wire size is part of the
+            # header either way: only ``n_refs`` is billed).
+            payload["path"] = self.path
+            payload["gossip"], n_refs = self._gossip_refs()
         self.liveness.repair_bytes += HEADER_BYTES + n_refs * REF_BYTES
-        # The path travels as the ``Path`` itself, not as text the
-        # prober would parse back (its wire size is part of the header
-        # either way: only ``n_refs`` is billed).
-        self.send(
-            msg.src,
-            P.PONG,
-            {"nonce": msg.payload["nonce"], "path": self.path, "gossip": gossip},
-            n_refs=n_refs,
-        )
+        self.send(msg.src, P.PONG, payload, n_refs=n_refs)
 
     def _on_pong(self, msg: Message) -> None:
         # Proof of life is recorded generically in ``receive``; absorb
-        # the piggybacked replacement candidates (a root-path sender has
-        # no levels to place them at).  ``path`` is the sender's own
-        # ``Path`` object, shared by reference: immutable, so neither
-        # side can change it under the other.
+        # the replacement candidates, if our ping asked for any (a
+        # root-path sender has no levels to place them at).  ``path`` is
+        # the sender's own ``Path`` object, shared by reference:
+        # immutable, so neither side can change it under the other.
         gossip = msg.payload.get("gossip")
         path = msg.payload.get("path")
         if gossip and path:
             self._accept_gossip(path, gossip)
 
     def refresh_routes(self) -> int:
-        """Probe up to ``REFRESH_PROBES`` stalest routing references.
+        """Probe the stalest reference of each *lapsed* routing level.
 
         The periodic half of failure detection (the maintenance cadence
-        calls this): confirm-on-use only ever probes references traffic
-        happens to pick, so rarely-used dead references would linger and
-        each cost a query its timeout on discovery.  Returns the number
-        of probes launched.
+        calls this).  A level routes as long as one reference in it is
+        alive, so that is all the sweep pays for: a level has lapsed
+        when no reference in it is *covered* -- has a probe in flight,
+        or is unsuspected with a confirmation that has not run out
+        (:meth:`LivenessTracker.confirmed_until`).  Successive lapses of
+        a level rotate through its references, stalest first, so dead
+        spares are still found, one per lapse; use finds the rest.
+        At most ``REFRESH_PROBES`` leave per sweep, stalest level
+        first.  Returns the number of probes launched.
         """
         if not self.config.repair.enabled or not self.online:
             return 0
-        # Hot maintenance sweep: this runs every tick over every routing
-        # reference, so ``LivenessTracker.needs_confirmation`` is inlined
-        # with the lookups hoisted (same float expressions, same order).
         now = self.sim.now
-        interval = CONFIRM_INTERVAL_S
-        routing = self.routing
-        cached = self._route_sweep_min_last
-        if cached is not None and now - cached < interval:
-            # A previous sweep found nothing stale; while the cached
-            # minimum last-confirmation is still fresh, every swept
-            # reference is too (confirmations only move lasts forward,
-            # and every mutation that could introduce a staler ref
-            # resets the cache -- see the invariant at the field).
+        lapse_at = self._route_lapse_at
+        if lapse_at is not None and now < lapse_at:
+            # A previous sweep found every level covered until then, and
+            # whatever could uncover one sooner resets the cache -- see
+            # the invariant at the field.
             return 0
         liveness = self.liveness
-        probe_nonce = liveness.probe_nonce
+        in_flight = liveness.probe_nonce
+        strikes = liveness.strikes  # suspected(r) == r in strikes
+        confirmed_until = liveness.confirmed_until
         last_confirmed_get = liveness.last_confirmed.get
-        # Level scan order doesn't matter: ``last_confirmed`` is keyed
-        # by reference id, so a reference appearing at several levels
-        # (possible after exchanges move peers) yields the *same*
-        # (last, ref) pair wherever seen, and the sort below totally
-        # orders the result.  That makes a per-ref seen-set redundant --
-        # duplicates land adjacent after sorting and are skipped there,
-        # off the per-reference sweep.
-        stale = []
-        stale_append = stale.append
-        min_last = None
-        for refs in routing.values():
+        # A probe in flight covers its level until it is answered (the
+        # confirmation then lasts at least the base interval) or ends
+        # in a strike or a cancellation (both reset the cache).
+        in_flight_until = now + CONFIRM_INTERVAL_S
+        lapsed = []
+        lapse_at = None
+        for refs in self.routing.values():
+            until = now  # when this level's cover runs out
             for ref in refs:
-                if ref in probe_nonce:
+                if ref in in_flight:
+                    ref_until = in_flight_until
+                elif ref in strikes:
                     continue
-                last = last_confirmed_get(ref, 0.0)
-                if now - last >= interval:
-                    stale_append((last, ref))
-                elif min_last is None or last < min_last:
-                    min_last = last
-        if not stale:
-            # Cache the no-op verdict: nothing can go stale before the
-            # least-recently-confirmed swept reference does.  (With no
-            # sweepable ref at all -- everything in-probe -- there is
-            # no bound to cache: a probed ref can re-enter the sweep
-            # with an arbitrarily old confirmation.)
-            self._route_sweep_min_last = min_last
+                else:
+                    ref_until = confirmed_until(ref)
+                if ref_until > until:
+                    until = ref_until
+            if until > now:
+                if lapse_at is None or until < lapse_at:
+                    lapse_at = until
+            elif refs:
+                # ``last_confirmed`` is keyed by reference id, so a
+                # reference that is the stalest of two levels yields the
+                # same pair twice: adjacent after sorting, skipped there.
+                lapsed.append(min((last_confirmed_get(r, 0.0), r) for r in refs))
+        if not lapsed:
+            self._route_lapse_at = lapse_at
             return 0
-        self._route_sweep_min_last = None
-        stale.sort()
+        self._route_lapse_at = None
+        lapsed.sort()
         launched = 0
         prev = None
-        for item in stale:
+        for item in lapsed:
             if item == prev:
                 continue
             prev = item
@@ -739,6 +743,19 @@ class PGridNode:
                 n_refs += len(refs)
         return out, n_refs
 
+    def _short_of_refs(self) -> bool:
+        """True iff some level of our path holds fewer references than
+        the redundancy bound.  Gossiped candidates only ever land at
+        levels ``0..len(path)-1`` and never displace, so this is both
+        when a probe asks for them and when any can be placed."""
+        max_refs = self.config.max_refs_per_level
+        routing_get = self.routing.get
+        for level in range(self.path.length):
+            refs = routing_get(level)
+            if refs is None or len(refs) < max_refs:
+                return True
+        return False
+
     def _accept_gossip(self, their_path: Path, gossip: dict) -> None:
         """Install gossiped candidates into depleted routing levels.
 
@@ -754,20 +771,15 @@ class PGridNode:
         levels below the redundancy bound accept candidates -- gossip
         replenishes, it never displaces a reference we still trust.
         """
-        if not self.config.repair.enabled or not gossip:
+        if (
+            not self.config.repair.enabled
+            or not gossip
+            or not self._short_of_refs()
+        ):
             return
         max_refs = self.config.max_refs_per_level
         routing = self.routing
         my_len = self.path.length
-        # Candidates only ever land at our levels ``0..my_len-1``: with
-        # all of them full (the usual state of a prober) there is
-        # nothing to place.
-        for level in range(my_len):
-            refs = routing.get(level)
-            if refs is None or len(refs) < max_refs:
-                break
-        else:
-            return
         their_len = their_path.length
         common = their_path.common_prefix_length(self.path)
         for level in sorted(gossip):
@@ -791,7 +803,7 @@ class PGridNode:
                     and not self.liveness.recently_evicted(ref, self.sim.now)
                 ):
                     refs.append(ref)
-                    self._route_sweep_min_last = None  # may already be stale
+                    self._route_lapse_at = None  # may open a level, stale
                     self.liveness.note_replacement()
 
     # -- message dispatch ----------------------------------------------------

@@ -56,8 +56,8 @@ UPDATE_MISS = "update_miss"  #: routing dead-end -> origin (mutation retries)
 REPLICA_SYNC = "replica_sync"  #: owner -> replicas: eager mutation fan-out
 REPLICA_GRANT = "replica_grant"  #: hot owner -> helper: serve my range (adaptive replication)
 REPLICA_REVOKE = "replica_revoke"  #: owner -> helper: load decayed, stop serving
-PING = "ping"  #: liveness probe of a suspect routing reference
-PONG = "pong"  #: probe answer (proof of life)
+PING = "ping"  #: liveness probe of a routing reference (``want``: send candidates)
+PONG = "pong"  #: probe answer (proof of life; replacement candidates if wanted)
 VOTE_REQ = "vote_req"  #: index-initiation vote flood (Sec. 4.1)
 VOTE_RESP = "vote_resp"  #: aggregated vote reply
 

@@ -237,7 +237,8 @@ class TestScenarioSuccessGate:
 
 
 def write_section(
-    write_sr=0.98, divergence=0.01, bytes_update=500_000, *, section_backend="message"
+    write_sr=0.98, divergence=0.01, bytes_update=500_000, *,
+    bytes_maintenance=4_000_000, section_backend="message",
 ):
     section = scenario_section()
     section["backend"] = section_backend
@@ -246,6 +247,7 @@ def write_section(
         "write_success_rate": write_sr,
         "divergence_final": divergence,
         "bytes_update": bytes_update,
+        "bytes_maintenance": bytes_maintenance,
         "queries": 2400,
         "writes": 1200,
     }
@@ -291,6 +293,20 @@ class TestWriteMetricGates:
     def test_update_bytes_within_ratio_pass(self, tmp_path):
         argv = self.pair(
             tmp_path, write_section(), write_section(bytes_update=700_000)
+        )
+        assert check_regression.main(argv) == 0
+
+    def test_maintenance_bytes_blowup_fails(self, tmp_path, capsys):
+        # The probe tax creeping back (PR 18 cut it by more than half).
+        argv = self.pair(
+            tmp_path, write_section(), write_section(bytes_maintenance=8_000_000)
+        )
+        assert check_regression.main(argv) == 1
+        assert "bytes_maintenance" in capsys.readouterr().err
+
+    def test_maintenance_bytes_within_ratio_pass(self, tmp_path):
+        argv = self.pair(
+            tmp_path, write_section(), write_section(bytes_maintenance=5_000_000)
         )
         assert check_regression.main(argv) == 0
 

@@ -28,7 +28,7 @@ import pytest
 from repro.exceptions import DomainError, PartitionError, SimulationError
 from repro.pgrid.bits import Path
 from repro.pgrid.keyspace import float_to_key
-from repro.pgrid.liveness import CONFIRM_INTERVAL_S
+from repro.pgrid.liveness import CONFIRM_INTERVAL_MAX_S, CONFIRM_INTERVAL_S
 from repro.pgrid.network import PGridNetwork
 from repro.pgrid.state import (
     SCHEMA,
@@ -183,6 +183,46 @@ class TestNodeSnapshotRoundTrip:
         assert node.liveness.needs_confirmation(1, sim.now)
         # In-flight probe state never survives a restart.
         assert not node.liveness.strikes and not node.liveness.probe_nonce
+
+    def test_earned_backoff_does_not_survive_a_restart(self):
+        # Contract point 2: references trusted up to the cap before the
+        # restart are unconfirmed after it -- one probe per level on the
+        # next sweep, the spares confirmed on first use.
+        sim, net, nodes = build_wire()
+        node, tracker = nodes[0], nodes[0].liveness
+        assert node.routing == {0: [2, 3], 1: [1]}
+        sim.run_until(100.0)
+        for ref in (1, 2, 3):
+            tracker.last_confirmed[ref] = sim.now
+            tracker.confirm_interval[ref] = CONFIRM_INTERVAL_MAX_S
+        assert node.refresh_routes() == 0  # and the sweep cached that
+        node.restore_state(node.snapshot_state())
+        assert not tracker.confirm_interval
+        assert all(tracker.needs_confirmation(ref, sim.now) for ref in (1, 2, 3))
+        assert node.refresh_routes() == 2  # one per level
+        assert set(tracker.probe_nonce) == {1, 2}
+
+    def test_snapshot_keeps_stamps_of_routing_references_only(self):
+        sim, net, nodes = build_wire()
+        node = nodes[0]
+        sim.run_until(5.0)
+        for stranger in range(100, 150):  # e.g. queries it answered
+            node.liveness.note_alive(stranger, sim.now)
+        node.liveness.note_alive(2, sim.now)
+        sim.run_until(8.0)
+        snap = node.snapshot_state()
+        # Reference 2 was heard 3 s ago, the others never (since t=0).
+        assert snap["liveness"]["last_confirmed"] == [[1, 8.0], [2, 3.0], [3, 8.0]]
+
+    def test_old_style_snapshot_with_stranger_stamps_restores(self):
+        sim, net, nodes = build_wire()
+        node = nodes[0]
+        sim.run_until(100.0)
+        snap = node.snapshot_state()
+        snap["liveness"]["last_confirmed"] = [[2, 1.0], [100, 2.0], [101, 3.0]]
+        node.restore_state(snap)
+        assert node.routing == {0: [2, 3], 1: [1]}
+        assert all(node.liveness.needs_confirmation(ref, sim.now) for ref in (1, 2, 3))
 
     def test_restore_clears_transient_state(self):
         sim, net, nodes = build_wire()
