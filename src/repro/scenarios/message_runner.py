@@ -859,15 +859,20 @@ class MessageScenarioRunner(ScenarioRunnerBase):
         # over the online nodes' tables: references to offline or
         # departed nodes, and levels of a node's path with no live
         # reference (keys behind them are unreachable from that node).
-        online = {pid: node for pid, node in self.nodes.items() if node.online}
+        # (One set intersection per level: this runs inside every timed
+        # run, over every table.)
+        online = {pid for pid, node in self.nodes.items() if node.online}
         dead_refs = dark_levels = 0
-        for node in online.values():
-            routing = node.routing
-            for refs in routing.values():
-                dead_refs += sum(1 for r in refs if r not in online)
-            for level in range(node.path.length):
-                if not any(r in online for r in routing.get(level, ())):
-                    dark_levels += 1
+        for pid in online:
+            node = self.nodes[pid]
+            length = node.path.length
+            lit = 0
+            for level, refs in node.routing.items():
+                live = len(online.intersection(refs))
+                dead_refs += len(refs) - live
+                if live and level < length:
+                    lit += 1
+            dark_levels += length - lit
         repair = {
             "enabled": cfg.repair.enabled,
             "suspects": sum(t.suspects for t in trackers),
