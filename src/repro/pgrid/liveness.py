@@ -197,7 +197,14 @@ class LivenessTracker:
 
     def needs_confirmation(self, ref: int, now: float) -> bool:
         """Confirm-on-use: should forwarding to ``ref`` trigger a ping?"""
-        return ref not in self.probe_nonce and now >= self.confirmed_until(ref)
+        if ref in self.probe_nonce:
+            return False
+        # Asked once per forwarded message: no interval is shorter than
+        # the base, so a reference heard from within it is settled
+        # without a second lookup.
+        if now - self.last_confirmed.get(ref, 0.0) < CONFIRM_INTERVAL_S:
+            return False
+        return now >= self.confirmed_until(ref)
 
     # -- probe chain -------------------------------------------------------
 
