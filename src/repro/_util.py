@@ -103,21 +103,6 @@ def check_probability(value: float, name: str = "p") -> float:
     return float(value)
 
 
-def check_positive(value: float, name: str) -> float:
-    """Validate that ``value`` is strictly positive and return it."""
-    if value <= 0:
-        raise DomainError(f"{name} must be positive, got {value!r}")
-    return value
-
-
-def weighted_mean(values, weights) -> float:
-    """Weighted arithmetic mean of ``values`` (plain Python, no numpy)."""
-    total_weight = float(sum(weights))
-    if total_weight == 0.0:
-        raise ZeroDivisionError("weights sum to zero")
-    return sum(v * w for v, w in zip(values, weights)) / total_weight
-
-
 def mean(values) -> float:
     """Arithmetic mean of a non-empty sequence."""
     values = list(values)

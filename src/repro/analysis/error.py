@@ -20,7 +20,6 @@ variance, the second-order Taylor term drives the bias.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from ..core.probabilities import (
     P_STAR,
@@ -31,23 +30,11 @@ from ..analysis.numerics import derivative
 from ..exceptions import DomainError
 
 __all__ = [
-    "BiasPrediction",
     "predict_bias",
     "predict_error_std",
     "phi_factor",
     "psi_factor",
 ]
-
-
-@dataclass(frozen=True)
-class BiasPrediction:
-    """Predicted systematic error of the side-1 count after termination."""
-
-    n: int
-    p: float
-    m: int
-    bias: float
-    std: float
 
 
 def _beta_regime_guard(p: float) -> None:
@@ -127,10 +114,3 @@ def predict_error_std(p: float, n: int, m: int) -> float:
     per_step_sd = abs(slope) * math.sqrt(p * (1.0 - p) / m)
     t_star = n * math.log(2.0)
     return per_step_sd * psi_factor(p, n) * math.sqrt(t_star)
-
-
-def predict(p: float, n: int, m: int) -> BiasPrediction:
-    """Bundle of Eq. (7)/(8) predictions."""
-    return BiasPrediction(
-        n=n, p=p, m=m, bias=predict_bias(p, n, m), std=predict_error_std(p, n, m)
-    )

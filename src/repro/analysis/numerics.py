@@ -121,12 +121,3 @@ def second_derivative(
 def clamp(value: float, lo: float, hi: float) -> float:
     """Clamp ``value`` into the closed interval ``[lo, hi]``."""
     return lo if value < lo else hi if value > hi else value
-
-
-def expm1_ratio(x: float) -> float:
-    """Numerically stable ``(e^x - 1) / x`` with the ``x -> 0`` limit of 1."""
-    import math
-
-    if abs(x) < 1e-8:
-        return 1.0 + x / 2.0 + x * x / 6.0
-    return math.expm1(x) / x

@@ -129,10 +129,6 @@ class PrefixHashTree:
     def _label(bits: str) -> str:
         return f"pht:{bits}"
 
-    def _node(self, bits: str):
-        value, _ = self.dht.get(self._label(bits))
-        return value
-
     # -- construction -----------------------------------------------------------
 
     def insert(self, key: int) -> int:

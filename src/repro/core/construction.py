@@ -288,11 +288,6 @@ class ConstructionResult:
         return self.bilateral_interactions / self.n
 
     @property
-    def keys_moved_per_peer(self) -> float:
-        """Net data keys shipped per peer (construction traffic only)."""
-        return self.keys_moved / self.n
-
-    @property
     def bandwidth_keys_per_peer(self) -> float:
         """Fig. 6(f) metric: total keys transmitted per peer, counting the
         key lists exchanged for comparison in every bilateral meeting as

@@ -205,33 +205,3 @@ def closed_form_undecided(n: int, step: float) -> float:
     :func:`run_mva` must follow this curve whenever ``alpha = 1``.
     """
     return 2.0 * n * (1.0 - 1.0 / n) ** step - n
-
-
-def expected_interactions(n: int, p: float) -> float:
-    """Expected total interactions ``t*`` for the mean-value model.
-
-    Convenience re-export of :func:`repro.core.probabilities.t_star_interactions`
-    (documented here because tests compare it against :func:`run_mva`).
-    """
-    from .probabilities import t_star_interactions
-
-    return t_star_interactions(p, n)
-
-
-def interactions_per_peer_limit(p: float) -> float:
-    """Asymptotic interactions per peer, ``ln 2`` in the beta-regime (Eq. 1)
-    and ``ln(2 alpha)/(2 alpha - 1)`` in the alpha-regime (Eq. 3)."""
-    from .probabilities import t_star
-
-    return t_star(p)
-
-
-def equilibrium_fraction(p: float) -> float:
-    """The fraction of peers the model sends to partition 0 -- ``p`` itself.
-
-    Identity function retained for symmetry with the discrete simulators'
-    reporting; asserting ``run_mva(n, p).achieved_fraction ≈ p`` is the
-    core correctness property of Eqs. (2)/(4).
-    """
-    check_probability(p, "p")
-    return p

@@ -273,7 +273,3 @@ class KeyStore:
     def count_below(self, boundary: int) -> int:
         """Number of stored keys strictly below ``boundary``."""
         return bisect_left(self._keys, boundary)
-
-    def as_sorted_list(self) -> List[int]:
-        """The backing array *by reference* -- callers must not mutate it."""
-        return self._keys

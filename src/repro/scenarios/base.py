@@ -18,9 +18,38 @@ backends that share this module's phase compiler:
 master-RNG stream derivation (**fixed order** -- the determinism
 contract), workload generation, the per-phase event compilation
 (membership waves, churn processes, maintenance cadence, query arrival
-processes), per-bin sampling and report assembly.  Backends implement a
-small hook surface (`_setup`, `_join`, `_run_maintenance`,
-`_run_one_query`, `_sample_state`, ...).
+processes), per-bin sampling and report assembly.  A runner runs once.
+
+Hook surface
+------------
+What a backend writes (pinned by ``tests/test_runner_surface.py``, so
+the list grows only by a reviewed diff): ``_derive_extra_streams``,
+``_setup``, ``_population``, ``_depart``, ``_churn_toggle``, ``_join``,
+``_run_maintenance``, ``_set_partitions``, ``_heal_partitions``,
+``_run_one_query``, ``_run_one_write``, ``_checkpoint_all``,
+``_restart_shutdown``, ``_restart_return``, ``_durable_key_view``,
+``_sample_state``, ``_finish``, ``_load_by_peer``, ``_message_section``,
+``_serving_counters``, ``_serving_latency``.
+
+Everything the report audits is decided here, once for both backends,
+so their columns come from one procedure:
+
+* **One population view.**  ``_population()`` hands over the backend's
+  ``{pid: peer}`` mapping (``PGridNetwork.peers`` / the message
+  backend's nodes; both peer types carry ``online``, ``path``, ``keys``
+  and ``tombstones``); join ids, membership and partition draws, the
+  divergence audit and the final availability / coverage figures are
+  computed over it here.
+* **Bytes go to one ledger.**  :meth:`ScenarioRunnerBase.run` creates
+  the run's :class:`~repro.simnet.stats.StatsCollector`; the message
+  backend's transport records every wire byte into it, the data-plane
+  backend its nominal byte model through :class:`_Tally`'s ``record_*``
+  methods; series, per-phase bytes (the bin-window rule of
+  :mod:`repro.scenarios.report`), totals and the recovery bill are all
+  read from that one object.
+* **A range query is a box of one range.**  ``_draw_ranges`` draws the
+  key ranges of a scalar range or a box, ``_tally_ranges`` records the
+  finished query once.
 
 Determinism
 -----------
@@ -37,18 +66,26 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import defaultdict
+from itertools import count
+from math import inf
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .._util import make_rng, mean, std
+from ..exceptions import SimulationError
+from ..pgrid.bits import Path
 from ..pgrid.network import PGridNetwork
+from ..pgrid.replication import divergence_stats
 from ..pgrid.serving import RESULT_CAPACITY, ROUTE_CAPACITY, gini
 from ..pgrid.state import SCHEMA as STATE_SCHEMA
 from ..pgrid.state import SNAPSHOT_INTERVAL_S, DurabilityPolicy, StateStore
 from ..simnet.churn import start_churn
 from ..simnet.engine import Simulator
+from ..simnet.protocol import MAINTENANCE, QUERY_TRAFFIC, UPDATE_TRAFFIC
+from ..simnet.stats import StatsCollector
 from ..workloads.datasets import workload_keys
 from ..workloads.distributions import distribution
-from ..workloads.queries import POINT, QuerySampler
+from ..workloads.queries import POINT, RANGE, QuerySampler
+from .invariants import live_key_coverage
 from .report import ScenarioReport
 from .spec import Phase, ScenarioSpec, WriteMix
 
@@ -73,30 +110,27 @@ WRITE_OPS = ("insert", "delete", "update")
 
 
 class _Tally:
-    """Per-bin and per-phase accumulation during a run."""
+    """Per-bin and per-phase counts of a run; its bytes go to ``stats``,
+    the run's one byte ledger (zero sizes never reach it -- see
+    :class:`~repro.simnet.stats.StatsCollector`)."""
 
-    def __init__(self, bin_s: float, n_phases: int):
+    def __init__(self, bin_s: float, n_phases: int, stats: StatsCollector):
         self.bin_s = bin_s
-        # bin -> [issued, succeeded, hops_on_point_success, point_successes, bytes]
-        self.query_bins: Dict[int, List[float]] = defaultdict(lambda: [0, 0, 0, 0, 0])
-        self.maint_bins: Dict[int, float] = defaultdict(float)
-        #: bin -> write (update-category) bytes.
-        self.update_bins: Dict[int, float] = defaultdict(float)
+        self.stats = stats
+        # bin -> [issued, succeeded, hops_on_point_success, point_successes]
+        self.query_bins: Dict[int, List[float]] = defaultdict(lambda: [0, 0, 0, 0])
         # bin -> (online, partition_availability, mean_online_replicas)
         self.samples: Dict[int, tuple] = {}
         self.phase_counters: List[Dict[str, float]] = [
             {
-                "queries": 0, "successes": 0, "points": 0, "ranges": 0, "bytes": 0,
+                "queries": 0, "successes": 0, "points": 0, "ranges": 0,
                 "writes": 0, "inserts": 0, "deletes": 0, "updates": 0,
-                "write_successes": 0, "write_bytes": 0,
+                "write_successes": 0,
             }
             for _ in range(n_phases)
         ]
         self.load: Dict[int, int] = defaultdict(int)
         self.messages = 0
-        self.query_bytes = 0
-        self.maint_bytes = 0
-        self.update_bytes = 0
         self.repairs = 0
         self.keys_moved = 0
         self.range_incomplete = 0
@@ -117,13 +151,12 @@ class _Tally:
         success: bool,
         hops: int,
         messages: int,
-        size: int,
+        size: int = 0,
     ) -> None:
         row = self.query_bins[self._bin(t)]
         row[0] += 1
         counters = self.phase_counters[phase_idx]
         counters["queries"] += 1
-        counters["bytes"] += size
         if kind == POINT:
             counters["points"] += 1
         else:
@@ -134,14 +167,14 @@ class _Tally:
             if kind == POINT:
                 row[2] += hops
                 row[3] += 1
-        row[4] += size
         self.messages += messages
-        self.query_bytes += size
+        if size:
+            self.stats.record_bytes(t, QUERY_TRAFFIC, size)
 
     def record_maintenance(self, t: float, *, messages: int, size: int) -> None:
-        self.maint_bins[self._bin(t)] += size
         self.messages += messages
-        self.maint_bytes += size
+        if size:
+            self.stats.record_bytes(t, MAINTENANCE, size)
 
     def record_write(
         self,
@@ -151,17 +184,16 @@ class _Tally:
         op: str,
         success: bool,
         messages: int,
-        size: int,
+        size: int = 0,
     ) -> None:
-        self.update_bins[self._bin(t)] += size
         counters = self.phase_counters[phase_idx]
         counters["writes"] += 1
         counters[op + "s"] += 1
-        counters["write_bytes"] += size
         if success:
             counters["write_successes"] += 1
         self.messages += messages
-        self.update_bytes += size
+        if size:
+            self.stats.record_bytes(t, UPDATE_TRAFFIC, size)
 
     def record_sample(
         self, t: float, online: int, availability: float, mean_online_replicas: float
@@ -189,7 +221,11 @@ class ScenarioRunnerBase:
     ):
         spec.validate()
         self.spec = spec
+        #: Set by :meth:`run`, which refuses a second call on seeing it.
         self.simulator: Optional[Simulator] = None
+        #: The run's byte ledger (both backends; created by :meth:`run`).
+        self.stats: Optional[StatsCollector] = None
+        self._tally: Optional[_Tally] = None
         #: True while a phase's regional cut is installed.
         self._partition_active = False
         #: True when any phase carries a :class:`WriteMix` -- gates every
@@ -257,6 +293,13 @@ class ScenarioRunnerBase:
 
     def run(self) -> ScenarioReport:
         spec = self.spec
+        if self.simulator is not None:
+            # The accumulators set in __init__ (latencies, audits, the
+            # state store) are the run's; a second run would fold them
+            # into a different report without saying so.
+            raise SimulationError(
+                "a scenario runner runs once; build a new one to run again"
+            )
         (
             keys_rng, build_rng, query_rng, churn_rng,
             member_rng, maint_rng, write_rng, restart_rng,
@@ -288,6 +331,9 @@ class ScenarioRunnerBase:
         )
         sim = Simulator()
         self.simulator = sim
+        self.stats = StatsCollector(bin_seconds=spec.report_bin_s)
+        #: Observer callbacks of an asynchronous backend tally into it.
+        tally = self._tally = _Tally(spec.report_bin_s, len(spec.phases), self.stats)
         self._setup(peer_keys, build_rng)
         if self._writes_active:
             self._key_pool = sorted({k for keys in peer_keys for k in keys})
@@ -306,21 +352,13 @@ class ScenarioRunnerBase:
         if self._mdim is not None:
             self._universe = universe
 
-        tally = _Tally(spec.report_bin_s, len(spec.phases))
         departed: Set[int] = set()
         dist = distribution(spec.distribution)
         boundaries = spec.boundaries()
         total_end = spec.duration_s
 
         # Join id allocation shared by all phase closures.
-        id_box = [self._first_free_id()]
-
-        def alloc_id() -> int:
-            pid = id_box[0]
-            id_box[0] += 1
-            return pid
-
-        self._alloc_id = alloc_id
+        self._alloc_id = count(max(self._population(), default=-1) + 1).__next__
 
         # -- per-phase compilation ----------------------------------------
         for idx, (phase, (start, end)) in enumerate(zip(spec.phases, boundaries)):
@@ -428,12 +466,11 @@ class ScenarioRunnerBase:
         """Materialize the backend's overlay for the generated workload."""
         raise NotImplementedError
 
-    def _first_free_id(self) -> int:
-        """First peer id available for phase joins."""
-        raise NotImplementedError
-
-    def _online_ids(self, departed: Set[int]) -> List[int]:
-        """Sorted ids of online peers that have not departed for good."""
+    def _population(self) -> Dict[int, object]:
+        """``{pid: peer}`` over every peer the backend knows.  The peers
+        (``PGridPeer`` / ``PGridNode``) share ``online``, ``path``,
+        ``keys`` and ``tombstones``, which is all the membership,
+        coverage and divergence code below reads."""
         raise NotImplementedError
 
     def _depart(self, pid: int) -> None:
@@ -450,10 +487,6 @@ class ScenarioRunnerBase:
 
     def _run_maintenance(self, tally: _Tally, rng) -> None:
         """Execute one maintenance tick."""
-        raise NotImplementedError
-
-    def _all_ids(self) -> List[int]:
-        """Sorted ids of every peer the backend knows (for partitioning)."""
         raise NotImplementedError
 
     def _set_partitions(self, groups: List[List[int]]) -> None:
@@ -474,12 +507,6 @@ class ScenarioRunnerBase:
         self, tally: _Tally, phase: Phase, idx: int, op: str, key: int, rng
     ) -> None:
         """Issue one mutation (``op`` in :data:`WRITE_OPS`) for ``key``."""
-        raise NotImplementedError
-
-    def _divergence_state(self) -> Dict[str, float]:
-        """End-of-run replica staleness (see
-        :func:`repro.pgrid.replication.divergence_stats`) plus the
-        surviving ``tombstones`` count.  Only called when writes ran."""
         raise NotImplementedError
 
     def _checkpoint_all(self, tally: _Tally) -> None:
@@ -510,50 +537,26 @@ class ScenarioRunnerBase:
         raise NotImplementedError
 
     def _sample_state(self) -> Tuple[int, float, float]:
-        """``(online, partition_availability, mean_online_replicas)`` now."""
-        raise NotImplementedError
+        """``(online, partition_availability, mean_online_replicas)`` now,
+        over the replica groups (peers sharing a path) of the population
+        view.  Runs every sample tick; a backend may override it with a
+        faster sweep of its own peer type."""
+        peers = self._population().values()
+        paths = {peer.path for peer in peers}
+        if not paths:
+            return 0, 0.0, 0.0
+        alive = {peer.path for peer in peers if peer.online}
+        online = sum(1 for peer in peers if peer.online)
+        # The mean of per-group live counts is online / n_groups.
+        return online, len(alive) / len(paths), online / len(paths)
 
     def _finish(self, tally: _Tally) -> None:
         """Post-run hook (e.g. drain in-flight messages)."""
 
     # -- assembly hooks ----------------------------------------------------
 
-    def _extra_bins(self) -> Set[int]:
-        """Additional report bins the backend observed traffic in."""
-        return set()
-
-    def _bin_bandwidth(self, tally: _Tally, b: int) -> Tuple[float, float]:
-        """``(query_Bps, maint_Bps)`` for one report bin."""
-        issued_row = tally.query_bins.get(b)
-        qbytes = issued_row[4] if issued_row else 0
-        return qbytes / tally.bin_s, tally.maint_bins.get(b, 0.0) / tally.bin_s
-
-    def _bin_update_bps(self, tally: _Tally, b: int) -> float:
-        """Write-path bytes/second for one report bin."""
-        return tally.update_bins.get(b, 0.0) / tally.bin_s
-
-    def _phase_bytes(self, counters: Dict[str, float], start: float, end: float) -> int:
-        """Query bytes attributed to one phase."""
-        return int(counters["bytes"])
-
-    def _phase_update_bytes(
-        self, counters: Dict[str, float], start: float, end: float
-    ) -> int:
-        """Write-path bytes attributed to one phase."""
-        return int(counters["write_bytes"])
-
-    def _traffic_totals(self, tally: _Tally) -> Tuple[int, int, int, int]:
-        """``(messages, bytes_query, bytes_maintenance, bytes_update)``."""
-        return tally.messages, tally.query_bytes, tally.maint_bytes, tally.update_bytes
-
     def _load_by_peer(self, tally: _Tally) -> List[int]:
         """Per-peer load counts, in stable (sorted peer id) order."""
-        raise NotImplementedError
-
-    def _final_state(self) -> Dict[str, float]:
-        """End-of-run structural aggregates: ``final_online``,
-        ``final_partition_availability``, ``final_coverage``,
-        ``n_peers_end``."""
         raise NotImplementedError
 
     def _message_section(self) -> Optional[dict]:
@@ -590,27 +593,44 @@ class ScenarioRunnerBase:
             rng=build_rng,
         )
 
-    @staticmethod
-    def _group_health(groups: Dict, online_of) -> Tuple[int, float, float]:
-        """Shared replication-health aggregation over replica groups.
+    # -- the population view (one implementation for both backends) --------
 
-        ``groups`` maps a partition key to member ids; ``online_of(pid)``
-        reports liveness.  Returns ``(online, availability,
-        mean_online_replicas)``.
-        """
-        online = 0
-        groups_alive = 0
-        n_groups = 0
-        live_counts: List[int] = []
-        for group in groups.values():
-            n_groups += 1
-            live = sum(1 for pid in group if online_of(pid))
-            online += live
-            live_counts.append(live)
-            if live:
-                groups_alive += 1
-        availability = groups_alive / n_groups if n_groups else 0.0
-        return online, availability, mean(live_counts) if live_counts else 0.0
+    def _online_ids(self, departed: Set[int]) -> List[int]:
+        """Sorted ids of online peers that have not departed for good."""
+        return sorted(
+            pid
+            for pid, peer in self._population().items()
+            if peer.online and pid not in departed
+        )
+
+    def _divergence_state(self) -> Dict[str, float]:
+        """Replica staleness now (see
+        :func:`repro.pgrid.replication.divergence_stats`) plus the
+        surviving ``tombstones`` count."""
+        peers = self._population()
+        # Replica groups are the peers sharing a path; members in pid
+        # order, groups in path order (the float mean depends on it).
+        # Sorting items() keeps the per-pid dict lookup off this sweep;
+        # pids are unique so the peer half of the pair is never compared.
+        groups: Dict[Path, list] = {}
+        for _, peer in sorted(peers.items()):
+            groups.setdefault(peer.path, []).append(peer.keys)
+        stats = divergence_stats(groups[path] for path in sorted(groups))
+        stats["tombstones"] = sum(len(peer.tombstones) for peer in peers.values())
+        return stats
+
+    def _final_state(self) -> Dict[str, float]:
+        """End-of-run structural aggregates: ``final_online``,
+        ``final_partition_availability``, ``final_coverage``,
+        ``n_peers_end``."""
+        online, availability, _ = self._sample_state()
+        covered, total_keys = live_key_coverage(self._population())
+        return {
+            "final_online": online,
+            "final_partition_availability": availability,
+            "final_coverage": (covered / total_keys) if total_keys else 1.0,
+            "n_peers_end": len(self._population()),
+        }
 
     # -- phase machinery ---------------------------------------------------
 
@@ -672,7 +692,7 @@ class ScenarioRunnerBase:
 
             # -- regional cut for this phase -------------------------------
             if phase.partitions is not None:
-                ids = self._all_ids()
+                ids = sorted(self._population())
                 shuffled = member_rng.sample(ids, len(ids))
                 groups: List[List[int]] = []
                 cursor = 0
@@ -855,19 +875,25 @@ class ScenarioRunnerBase:
         if self._serving_auth is not None and present != (key in self._serving_auth):
             self._stale_reads += 1
 
-    # -- box-query machinery (multi-dimensional codecs) --------------------
+    # -- range and box queries ---------------------------------------------
 
-    def _mdim_box_plan(
-        self, lo_cells: Tuple[int, ...], hi_cells: Tuple[int, ...]
-    ) -> Tuple[List[Tuple[int, int]], Set[int]]:
-        """Decompose one box into key ranges and compute its oracle.
+    def _draw_ranges(
+        self, sampler: QuerySampler, rng
+    ) -> Tuple[List[Tuple[int, int]], Optional[Set[int]]]:
+        """Draw one non-point query as ``(key ranges, oracle)``; it
+        succeeds when every range completed.
 
-        The oracle is the brute-force ground truth the recall audit
-        compares served results against: workload-universe keys inside
-        the issued ranges that pass the cell-level membership predicate
-        (see the recall-audit rules in :mod:`repro.pgrid.mdim`).  Also
-        accumulates ranges-per-box and per-dimension selectivity.
+        A scalar range is a box of one range with no oracle.  A box
+        (multi-dimensional codecs) is decomposed into its z-order key
+        ranges; its oracle is the brute-force ground truth the recall
+        audit compares served results against: workload-universe keys
+        inside the issued ranges that pass the cell-level membership
+        predicate (see the recall-audit rules in :mod:`repro.pgrid.mdim`).
+        Also accumulates ranges-per-box and per-dimension selectivity.
         """
+        if sampler.codec is None:
+            return [sampler.draw_range(rng)], None
+        lo_cells, hi_cells = sampler.draw_box(rng)
         codec = self._mdim
         stats = self._mdim_stats
         ranges = codec.box_ranges(lo_cells, hi_cells)
@@ -886,16 +912,32 @@ class ScenarioRunnerBase:
         }
         return ranges, oracle
 
-    def _mdim_box_done(
-        self, oracle: Set[int], found_keys, success: bool
+    def _tally_ranges(
+        self,
+        t: float,
+        idx: int,
+        *,
+        oracle: Optional[Set[int]],
+        found_keys,
+        success: bool,
+        messages: int,
+        size: int = 0,
     ) -> None:
-        """Fold one completed box query into the recall audit."""
-        stats = self._mdim_stats
-        if success:
-            stats["box_successes"] += 1
-        if oracle:
-            stats["oracle_expected"] += len(oracle)
-            stats["oracle_found"] += len(oracle.intersection(found_keys))
+        """Tally one finished :meth:`_draw_ranges` query as a single
+        RANGE record, and fold a box into the recall audit."""
+        if oracle is not None:
+            stats = self._mdim_stats
+            if success:
+                stats["box_successes"] += 1
+            if oracle:
+                stats["oracle_expected"] += len(oracle)
+                stats["oracle_found"] += len(oracle.intersection(found_keys))
+        if not success:
+            self._tally.range_incomplete += 1
+        self._tally.record_query(
+            t, idx, kind=RANGE, success=success,
+            hops=messages, messages=messages, size=size,
+        )
 
     def _mdim_section(self) -> dict:
         """The report's ``mdim`` section (multi-dimensional specs only)."""
@@ -967,20 +1009,21 @@ class ScenarioRunnerBase:
         bin_s = spec.report_bin_s
 
         writes_active = self._writes_active
+        ledger = self.stats.bytes_by_category
+        query_bytes = ledger.get(QUERY_TRAFFIC, {})
+        maint_bytes = ledger.get(MAINTENANCE, {})
+        update_bytes = ledger.get(UPDATE_TRAFFIC, {})
         bins = sorted(
             set(tally.samples)
             | set(tally.query_bins)
-            | set(tally.maint_bins)
-            | set(tally.update_bins)
-            | self._extra_bins()
+            | set(query_bytes)
+            | set(maint_bytes)
+            | set(update_bytes)
         )
         series: List[dict] = []
         for b in bins:
-            issued, ok, hops, point_ok, _qbytes = tally.query_bins.get(
-                b, (0, 0, 0, 0, 0)
-            )
+            issued, ok, hops, point_ok = tally.query_bins.get(b, (0, 0, 0, 0))
             online, availability, live_reps = tally.samples.get(b, (None, None, None))
-            query_bps, maint_bps = self._bin_bandwidth(tally, b)
             row = {
                 "minute": b * bin_s / 60.0,
                 "online": online,
@@ -988,15 +1031,15 @@ class ScenarioRunnerBase:
                 "successes": ok,
                 "success_rate": (ok / issued) if issued else None,
                 "mean_hops": (hops / point_ok) if point_ok else None,
-                "query_Bps": query_bps,
-                "maint_Bps": maint_bps,
+                "query_Bps": query_bytes.get(b, 0) / bin_s,
+                "maint_Bps": maint_bytes.get(b, 0) / bin_s,
                 "partition_availability": availability,
                 "mean_online_replicas": live_reps,
             }
             if writes_active:
                 # Only write-carrying scenarios grow the extra series
                 # column: read-only reports stay byte-identical.
-                row["update_Bps"] = self._bin_update_bps(tally, b)
+                row["update_Bps"] = update_bytes.get(b, 0) / bin_s
             series.append(row)
 
         phases = []
@@ -1012,7 +1055,7 @@ class ScenarioRunnerBase:
                 "point_queries": int(counters["points"]),
                 "range_queries": int(counters["ranges"]),
                 "success_rate": (counters["successes"] / issued) if issued else None,
-                "query_bytes": self._phase_bytes(counters, start, end),
+                "query_bytes": self._phase_bytes(QUERY_TRAFFIC, start, end),
             }
             if writes_active:
                 writes = counters["writes"]
@@ -1020,14 +1063,16 @@ class ScenarioRunnerBase:
                 row["write_success_rate"] = (
                     (counters["write_successes"] / writes) if writes else None
                 )
-                row["update_bytes"] = self._phase_update_bytes(counters, start, end)
+                row["update_bytes"] = self._phase_bytes(UPDATE_TRAFFIC, start, end)
             phases.append(row)
 
         total_issued = sum(c["queries"] for c in tally.phase_counters)
         total_ok = sum(c["successes"] for c in tally.phase_counters)
         all_hops = sum(row[2] for row in tally.query_bins.values())
         point_ok = sum(row[3] for row in tally.query_bins.values())
-        messages, bytes_query, bytes_maint, bytes_update = self._traffic_totals(tally)
+        bytes_query = sum(query_bytes.values())
+        bytes_maint = sum(maint_bytes.values())
+        bytes_update = sum(update_bytes.values())
         final = self._final_state()
 
         loads = self._load_by_peer(tally)
@@ -1045,7 +1090,7 @@ class ScenarioRunnerBase:
             # Hop means only aggregate successful point lookups: range
             # messages measure fan-out, not path length.
             "mean_hops": (all_hops / point_ok) if point_ok else None,
-            "messages": messages,
+            "messages": tally.messages,
             "bytes_query": bytes_query,
             "bytes_maintenance": bytes_maint,
             "bytes_total": bytes_query + bytes_maint + bytes_update,
@@ -1087,7 +1132,7 @@ class ScenarioRunnerBase:
 
         recovery_section = None
         if self._recovery is not None:
-            recovery_section = self._recovery_section(tally)
+            recovery_section = self._recovery_section()
 
         serving_section = None
         if self._cache is not None:
@@ -1119,6 +1164,24 @@ class ScenarioRunnerBase:
             serving=serving_section,
             mdim=mdim_section,
         )
+
+    def _phase_bytes(self, category: str, start: float, end: float) -> int:
+        """Ledger bytes of one category inside a phase window, by the
+        bin-window rule of :mod:`repro.scenarios.report`: a bin
+        straddling a phase boundary counts toward the later phase, and
+        the final phase also absorbs the tail (on the wire, replies
+        still in flight at duration end), so the per-phase sums add up
+        to the totals."""
+        per_bin = self.stats.bytes_by_category.get(category, {})
+        bin_s = self.spec.report_bin_s
+        # Divide and nudge, not ``//``: a boundary that is a whole number
+        # of bins can floor one short in floats (133.2 // 22.2 == 5.0, a
+        # library scenario at duration_scale=0.37), which would hand a
+        # whole bin to the wrong phase; the nudge is far below the
+        # offset of any boundary that really falls inside a bin.
+        lo = int(start / bin_s + 1e-9)
+        hi = inf if end >= self.spec.duration_s else int(end / bin_s + 1e-9)
+        return sum(size for b, size in per_bin.items() if lo <= b < hi)
 
     def _serving_section(self, loads: List[int]) -> dict:
         """The report's ``serving`` section (cache-carrying specs only).
@@ -1172,7 +1235,7 @@ class ScenarioRunnerBase:
             "latency_s": self._serving_latency(),
         }
 
-    def _recovery_section(self, tally: _Tally) -> dict:
+    def _recovery_section(self) -> dict:
         """The report's ``recovery`` section (restart scenarios only).
 
         ``time_to_converged_divergence_s`` measures from the *last*
@@ -1220,13 +1283,9 @@ class ScenarioRunnerBase:
             end_t = converged_t if converged_t is not None else spec.duration_s
             out["time_to_converged_divergence_s"] = end_t - last
             b0, b1 = int(first // spec.report_bin_s), int(end_t // spec.report_bin_s)
-            out["recovery_maint_bytes"] = int(
-                round(
-                    sum(
-                        self._bin_bandwidth(tally, b)[1] * spec.report_bin_s
-                        for b in range(b0, b1 + 1)
-                    )
-                )
+            maint_bytes = self.stats.bytes_by_category.get(MAINTENANCE, {})
+            out["recovery_maint_bytes"] = sum(
+                maint_bytes.get(b, 0) for b in range(b0, b1 + 1)
             )
         lost, resurrected, tracked = self._write_fate()
         out["acked_writes_tracked"] = tracked

@@ -25,9 +25,10 @@ scenario runner reports the coverage ratio as part of replication health.
 
 from __future__ import annotations
 
-from typing import Set, Tuple
+from typing import Dict, Mapping, Set, Tuple
 
 from ..exceptions import PartitionError, RoutingError
+from ..pgrid.bits import Path
 from ..pgrid.keyspace import KEY_BITS
 from ..pgrid.network import PGridNetwork
 
@@ -133,19 +134,24 @@ def check_routing_complementarity(network: PGridNetwork) -> None:
                     )
 
 
-def live_key_coverage(network: PGridNetwork) -> Tuple[int, int]:
+def live_key_coverage(peers: Mapping[int, object]) -> Tuple[int, int]:
     """``(covered, total)`` live-coverage counts over replica groups.
 
+    ``peers`` is a ``{pid: peer}`` population -- ``PGridNetwork.peers``
+    or the message backend's nodes; only ``path``, ``online`` and
+    ``keys`` are read, and a replica group is the peers sharing a path.
     ``total`` counts the distinct keys stored anywhere in a replica
     group that has at least one online member; ``covered`` counts those
     also held by at least one *online* member of that group.  Groups
     that are entirely offline are excluded -- their data is unreachable
     but not *lost*, and comes back when a replica returns.
     """
+    groups: Dict[Path, list] = {}
+    for peer in peers.values():
+        groups.setdefault(peer.path, []).append(peer)
     covered = 0
     total = 0
-    for group in network.partitions().values():
-        members = [network.peers[pid] for pid in group]
+    for members in groups.values():
         online = [p for p in members if p.online]
         if not online:
             continue
@@ -195,7 +201,7 @@ def check_invariants(network: PGridNetwork, *, require_full_coverage: bool = Fal
     check_partition_tiling(network)
     check_routing_complementarity(network)
     if require_full_coverage:
-        covered, total = live_key_coverage(network)
+        covered, total = live_key_coverage(network.peers)
         if covered != total:
             raise PartitionError(
                 f"live replicas cover {covered} of {total} keys owned by "

@@ -56,18 +56,15 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from .._util import make_rng, mean, sample_online
 from ..exceptions import SimulationError
-from ..pgrid.bits import Path
 from ..pgrid.liveness import RouteRepairPolicy
 from ..pgrid.network import PGridNetwork
 from ..pgrid.peer import PGridPeer
 from ..pgrid.state import DurabilityPolicy
-from ..pgrid.replication import divergence_stats
 from ..pgrid.routing import RoutingTable
 from ..simnet import protocol as P
 from ..simnet.node import NodeConfig, PGridNode, QueryOutcome
-from ..simnet.stats import StatsCollector
 from ..simnet.transport import LatencyModel, LogNormalLatency, Network
-from ..workloads.queries import POINT, RANGE, QuerySampler
+from ..workloads.queries import POINT, QuerySampler
 from .base import ScenarioRunnerBase, _Tally
 from .report import ScenarioReport
 from .spec import Hotspot, Phase, ScenarioSpec
@@ -75,7 +72,6 @@ from .spec import Hotspot, Phase, ScenarioSpec
 __all__ = [
     "MessageNetConfig",
     "MessageScenarioRunner",
-    "run_message_scenario",
     "run_sliced_ensemble",
     "slice_spec",
 ]
@@ -132,16 +128,18 @@ class MessageNetConfig:
 
 @dataclass
 class _PendingBox:
-    """One in-flight box query: ``n_ranges`` concurrent range queries
-    from the same origin, folded into a single RANGE tally record when
-    the last sub-range resolves (see ``_box_sub_done``)."""
+    """One in-flight range or box query: ``remaining`` concurrent range
+    queries from the same origin (one for a scalar range), folded into
+    a single RANGE tally record when the last one resolves (see
+    ``MessageScenarioRunner._range_done``)."""
 
     idx: int
     issued_at: float
     remaining: int
     #: Brute-force ground truth for the recall audit
-    #: (``ScenarioRunnerBase._mdim_box_plan``).
-    oracle: Set[int]
+    #: (``ScenarioRunnerBase._draw_ranges``); ``None`` for a scalar
+    #: range, which has no audit.
+    oracle: Optional[Set[int]]
     success: bool = True
     moot: bool = False
     messages: int = 0
@@ -174,23 +172,18 @@ class MessageScenarioRunner(ScenarioRunnerBase):
         self.net_config = cfg
         self.nodes: Dict[int, PGridNode] = {}
         self.transport: Optional[Network] = None
-        self.stats: Optional[StatsCollector] = None
         self._node_tuple: Optional[Tuple[PGridNode, ...]] = None
         #: Query-origin gateway tier (``CachePolicy.front_ends``);
         #: ``None`` = unrestricted random origins.
         self._gateways: Optional[Tuple[PGridNode, ...]] = None
-        # qid -> (phase index, query kind, issue time)
-        self._meta: Dict[int, Tuple[int, str, float]] = {}
-        # Box queries (multi-dimensional specs): box id -> fold state,
-        # and sub-range qid -> box id (sub-ranges bypass self._meta so
-        # each box tallies exactly once).
-        self._boxes: Dict[int, _PendingBox] = {}
-        self._box_of: Dict[int, int] = {}
-        self._next_box = 0
-        # wid -> (phase index, write op, key, issue time); the key rides
-        # along so write acks can feed the durability audit.
-        self._wmeta: Dict[int, Tuple[int, str, int, float]] = {}
-        self._tally: Optional[_Tally] = None
+        # point qid -> phase index
+        self._meta: Dict[int, int] = {}
+        # range qid -> the fold state of the range or box it belongs to
+        # (shared by a box's sub-ranges, so each box tallies exactly once)
+        self._box_of: Dict[int, _PendingBox] = {}
+        # wid -> (phase index, write op, key); the key rides along so
+        # write acks can feed the durability audit.
+        self._wmeta: Dict[int, Tuple[int, str, int]] = {}
         self._point_latencies: List[float] = []
         self._range_latencies: List[float] = []
         self._timeouts = 0
@@ -210,7 +203,7 @@ class MessageScenarioRunner(ScenarioRunnerBase):
     def _setup(self, peer_keys, build_rng) -> None:
         spec, cfg, sim = self.spec, self.net_config, self.simulator
         blueprint = self._build_blueprint(peer_keys, build_rng)
-        self.stats = StatsCollector(bin_seconds=spec.report_bin_s)
+        # The transport writes every wire byte into the run's ledger.
         self.transport = Network(
             sim,
             latency=cfg.latency,
@@ -295,15 +288,8 @@ class MessageScenarioRunner(ScenarioRunnerBase):
         self._node_tuple = None
         return node
 
-    def _first_free_id(self) -> int:
-        return max(self.nodes) + 1 if self.nodes else 0
-
-    def _online_ids(self, departed: Set[int]) -> List[int]:
-        return sorted(
-            pid
-            for pid, node in self.nodes.items()
-            if node.online and pid not in departed
-        )
+    def _population(self):
+        return self.nodes
 
     def _depart(self, pid: int) -> None:
         self.nodes[pid].set_online(False)
@@ -323,7 +309,12 @@ class MessageScenarioRunner(ScenarioRunnerBase):
         sponsor = self._random_online_node(rng)
         if sponsor is None:
             return False
-        node = self._spawn_node(pid)
+        self._place_at(self._spawn_node(pid), sponsor, keys)
+        return True
+
+    @staticmethod
+    def _place_at(node: PGridNode, sponsor: PGridNode, keys: List[int]) -> None:
+        """The sponsored placement of a join or a cold rejoin."""
         node.path = sponsor.path
         node.routing = {
             level: list(refs) for level, refs in sorted(sponsor.routing.items())
@@ -341,7 +332,6 @@ class MessageScenarioRunner(ScenarioRunnerBase):
             {"keys": sorted(keys)},
             n_keys=len(keys),
         )
-        return True
 
     # -- persistence & recovery (pgrid.state) --------------------------------
 
@@ -376,7 +366,6 @@ class MessageScenarioRunner(ScenarioRunnerBase):
         # Cold rejoin: durable state is gone, so the node re-enters
         # exactly like a sponsored join (see _join), keeping only its
         # identity and original workload keys.
-        keys = sorted(node.original_keys)
         sponsor = self._random_online_node(self._restart_rng)
         node.set_online(True)
         node.tombstones = set()
@@ -389,20 +378,7 @@ class MessageScenarioRunner(ScenarioRunnerBase):
             # Nobody online to sponsor: come back in place and let
             # anti-entropy reconcile whatever state survived in RAM.
             return "cold"
-        node.path = sponsor.path
-        node.routing = {
-            level: list(refs) for level, refs in sorted(sponsor.routing.items())
-        }
-        node.replicas = set(sponsor.replicas) | {sponsor.node_id}
-        node.original_keys = set(keys)
-        node.keys = {k for k in keys if node.responsible_for(k)}
-        node.outbox = set(keys) - node.keys
-        node.send(
-            sponsor.node_id,
-            P.STORE,
-            {"keys": keys},
-            n_keys=len(keys),
-        )
+        self._place_at(node, sponsor, sorted(node.original_keys))
         return "cold"
 
     def _durable_key_view(self) -> Tuple[Set[int], Set[int]]:
@@ -474,9 +450,6 @@ class MessageScenarioRunner(ScenarioRunnerBase):
             return None
         return others[rng.randrange(len(others))]
 
-    def _all_ids(self) -> List[int]:
-        return sorted(self.nodes)
-
     def _set_partitions(self, groups: List[List[int]]) -> None:
         # A real cut: the transport refuses messages crossing region
         # boundaries at send time, which the nodes' liveness tracking
@@ -486,21 +459,10 @@ class MessageScenarioRunner(ScenarioRunnerBase):
     def _heal_partitions(self) -> None:
         self.transport.heal_partitions()
 
-    def _groups(self) -> Dict[Path, List[int]]:
-        """Structural replica groups: nodes sharing a path, sorted ids."""
-        groups: Dict[Path, List[int]] = {}
-        # Sorting items() keeps the per-pid dict lookup off this sweep;
-        # pids are unique so the node half of the pair is never compared.
-        for pid, node in sorted(self.nodes.items()):
-            groups.setdefault(node.path, []).append(pid)
-        return groups
-
     def _sample_state(self):
-        # One unsorted sweep instead of _group_health over _groups():
-        # every aggregate is order-independent (integer sums are exact,
-        # and the mean of per-group live counts is online / n_groups),
-        # so the sorted member-list build and the per-member liveness
-        # callback of the generic path are skipped.  Runs per sample
+        # The base sweep, hand-inlined into one pass: every aggregate is
+        # order-independent (integer sums are exact, and the mean of
+        # per-group live counts is online / n_groups).  Runs per sample
         # tick over every node; groups are keyed by C-hashed
         # (length, bits) int pairs, not Path objects.
         live_by_path: Dict[Tuple[int, int], int] = {}
@@ -539,62 +501,37 @@ class MessageScenarioRunner(ScenarioRunnerBase):
     def _run_one_query(
         self, tally: _Tally, phase: Phase, idx: int, sampler: QuerySampler, rng
     ) -> None:
-        kind = sampler.draw_kind(rng)
-        if kind == POINT:
+        now = self.simulator.now
+        if sampler.draw_kind(rng) == POINT:
             key = sampler.draw_point_key(rng)
             origin = self._query_origin(rng)
             if origin is None:
                 tally.record_query(
-                    self.simulator.now, idx, kind=POINT, success=False,
-                    hops=0, messages=0, size=0,
+                    now, idx, kind=POINT, success=False, hops=0, messages=0
                 )
                 return
-            qid = origin.issue_query(key)
-        elif sampler.codec is not None:
-            # Box query: decompose into z-order key ranges (see
-            # repro.pgrid.mdim) and put every range on the wire at once
-            # from one origin; _box_sub_done folds the sub-outcomes into
-            # a single RANGE record when the last one resolves.
-            lo_cells, hi_cells = sampler.draw_box(rng)
-            ranges, oracle = self._mdim_box_plan(lo_cells, hi_cells)
-            origin = self._query_origin(rng)
-            if origin is None:
-                self._mdim_box_done(oracle, frozenset(), False)
-                tally.range_incomplete += 1
-                tally.record_query(
-                    self.simulator.now, idx, kind=RANGE, success=False,
-                    hops=0, messages=0, size=0,
-                )
-                return
-            box_id = self._next_box
-            self._next_box += 1
-            self._boxes[box_id] = _PendingBox(
-                idx=idx,
-                issued_at=self.simulator.now,
-                remaining=len(ranges),
-                oracle=oracle,
-            )
-            for lo, hi in ranges:
-                self._box_of[origin.issue_range_query(lo, hi)] = box_id
+            self._meta[origin.issue_query(key)] = idx
             return
-        else:
-            lo, hi = sampler.draw_range(rng)
-            origin = self._query_origin(rng)
-            if origin is None:
-                tally.range_incomplete += 1
-                tally.record_query(
-                    self.simulator.now, idx, kind=RANGE, success=False,
-                    hops=0, messages=0, size=0,
-                )
-                return
-            qid = origin.issue_range_query(lo, hi)
-        self._meta[qid] = (idx, kind, self.simulator.now)
+        # A box decomposes into z-order key ranges (see
+        # repro.pgrid.mdim), a scalar range is a box of one: every range
+        # goes on the wire at once from one origin, and _range_done
+        # folds the outcomes into a single RANGE record when the last
+        # one resolves.
+        ranges, oracle = self._draw_ranges(sampler, rng)
+        origin = self._query_origin(rng)
+        if origin is None:
+            self._tally_ranges(
+                now, idx, oracle=oracle, found_keys=(), success=False, messages=0
+            )
+            return
+        box = _PendingBox(idx=idx, issued_at=now, remaining=len(ranges), oracle=oracle)
+        for lo, hi in ranges:
+            self._box_of[origin.issue_range_query(lo, hi)] = box
 
     def _query_done(self, node_id: int, qid: int, outcome: QueryOutcome) -> None:
-        meta = self._meta.pop(qid, None)
-        if meta is None:
+        idx = self._meta.pop(qid, None)
+        if idx is None:
             return
-        idx = meta[0]
         self._observe(outcome)
         if outcome.moot:
             # The *origin* churned offline: the overlay never failed the
@@ -611,71 +548,36 @@ class MessageScenarioRunner(ScenarioRunnerBase):
             success=outcome.success,
             hops=outcome.hops,
             messages=outcome.messages,
-            size=0,  # wire bytes are accounted by the transport
         )
 
     def _range_done(self, node_id: int, qid: int, outcome: QueryOutcome) -> None:
-        box_id = self._box_of.pop(qid, None)
-        if box_id is not None:
-            self._box_sub_done(box_id, outcome)
-            return
-        meta = self._meta.pop(qid, None)
-        if meta is None:
-            return
-        idx = meta[0]
-        self._observe(outcome)
-        if outcome.moot:
-            return  # see _query_done: not an overlay failure
-        if outcome.success:
-            self._range_latencies.append(outcome.latency)
-        else:
-            self._tally.range_incomplete += 1
-        self._tally.record_query(
-            outcome.issued_at,
-            idx,
-            kind=RANGE,
-            success=outcome.success,
-            hops=outcome.messages,
-            messages=outcome.messages,
-            size=0,
-        )
-
-    def _box_sub_done(self, box_id: int, outcome: QueryOutcome) -> None:
-        """Fold one sub-range outcome into its box; tally the box as a
-        single RANGE query when the last sub-range resolves.
+        """Fold one range outcome into its range or box query; tally the
+        query as a single RANGE record when its last range resolves.
 
         A box succeeds iff *every* sub-range completed; its latency is
         the slowest sub-range's (all were issued at the same instant)
-        and its message count the sum.  A moot sub-outcome (the shared
-        origin churned offline) voids the whole box, mirroring the
-        scalar path -- the overlay never failed it.
+        and its message count the sum.  A moot outcome (the shared
+        origin churned offline) voids the whole query -- see
+        _query_done: not an overlay failure.
         """
-        box = self._boxes[box_id]
+        box = self._box_of.pop(qid, None)
+        if box is None:
+            return
         self._observe(outcome)
         box.remaining -= 1
         box.messages += outcome.messages
         box.latency = max(box.latency, outcome.latency)
-        box.found.update(outcome.found_keys)
+        if box.oracle is not None:
+            box.found.update(outcome.found_keys)
         box.moot = box.moot or outcome.moot
         box.success = box.success and outcome.success
-        if box.remaining:
-            return
-        del self._boxes[box_id]
-        if box.moot:
+        if box.remaining or box.moot:
             return
         if box.success:
             self._range_latencies.append(box.latency)
-        else:
-            self._tally.range_incomplete += 1
-        self._mdim_box_done(box.oracle, box.found, box.success)
-        self._tally.record_query(
-            box.issued_at,
-            box.idx,
-            kind=RANGE,
-            success=box.success,
-            hops=box.messages,
-            messages=box.messages,
-            size=0,
+        self._tally_ranges(
+            box.issued_at, box.idx, oracle=box.oracle, found_keys=box.found,
+            success=box.success, messages=box.messages,
         )
 
     def _observe(self, outcome: QueryOutcome) -> None:
@@ -698,20 +600,20 @@ class MessageScenarioRunner(ScenarioRunnerBase):
         origin = self._random_online_node(rng)
         if origin is None:
             tally.record_write(
-                self.simulator.now, idx, op=op, success=False, messages=0, size=0
+                self.simulator.now, idx, op=op, success=False, messages=0
             )
             return
         if op == "delete":
             wid = origin.issue_delete(key)
         else:
             wid = origin.issue_insert(key)
-        self._wmeta[wid] = (idx, op, key, self.simulator.now)
+        self._wmeta[wid] = (idx, op, key)
 
     def _write_done(self, node_id: int, wid: int, outcome: QueryOutcome) -> None:
         meta = self._wmeta.pop(wid, None)
         if meta is None:
             return
-        idx, op, key, _issued = meta
+        idx, op, key = meta
         self._write_retries += max(outcome.attempts - 1, 0)
         self._write_timeouts += outcome.timeouts
         if outcome.moot:
@@ -727,25 +629,9 @@ class MessageScenarioRunner(ScenarioRunnerBase):
             op=op,
             success=outcome.success,
             messages=outcome.messages,
-            size=0,  # wire bytes are accounted by the transport
         )
-
-    def _divergence_state(self) -> Dict[str, float]:
-        groups = self._groups()
-        stats = divergence_stats(
-            [sorted(self.nodes[pid].keys) for pid in groups[path]]
-            for path in sorted(groups)
-        )
-        stats["tombstones"] = sum(
-            len(self.nodes[pid].tombstones) for pid in sorted(self.nodes)
-        )
-        return stats
 
     # -- run wiring --------------------------------------------------------
-
-    def _make_phase_start(self, sim, tally, *args, **kwargs):
-        self._tally = tally  # observer callbacks tally into the live run
-        return super()._make_phase_start(sim, tally, *args, **kwargs)
 
     def _finish(self, tally: _Tally) -> None:
         # Let in-flight queries resolve: every pending query is bounded
@@ -759,94 +645,20 @@ class MessageScenarioRunner(ScenarioRunnerBase):
         # each one has reached its observer and been tallied exactly
         # once.  A leftover is a bug in the pending-operation machine,
         # not a failure to count.
-        if self._meta or self._boxes or self._wmeta:
+        if self._meta or self._box_of or self._wmeta:
             raise SimulationError(
-                f"{len(self._meta)} queries, {len(self._boxes)} boxes and "
+                f"{len(self._meta)} queries, {len(self._box_of)} ranges and "
                 f"{len(self._wmeta)} writes still pending after the drain"
             )
+        # What the observers added up per operation is the origin's
+        # estimate; the report's message total is the transport's count.
+        tally.messages = self.transport.messages_sent
 
     # -- assembly hooks ----------------------------------------------------
-
-    def _extra_bins(self) -> Set[int]:
-        bins: Set[int] = set()
-        for per_bin in self.stats.bytes_by_category.values():
-            bins.update(per_bin)
-        return bins
-
-    def _bin_bandwidth(self, tally: _Tally, b: int) -> Tuple[float, float]:
-        query = self.stats.bytes_by_category.get(P.QUERY_TRAFFIC, {}).get(b, 0)
-        maint = self.stats.bytes_by_category.get(P.MAINTENANCE, {}).get(b, 0)
-        return query / tally.bin_s, maint / tally.bin_s
-
-    def _bin_update_bps(self, tally: _Tally, b: int) -> float:
-        update = self.stats.bytes_by_category.get(P.UPDATE_TRAFFIC, {}).get(b, 0)
-        return update / tally.bin_s
-
-    def _phase_bytes(self, counters, start: float, end: float) -> int:
-        # Wire bytes per phase: sum the query-category bins inside the
-        # phase window.  Bin-granular -- a bin straddling a phase
-        # boundary counts toward the later phase (the library's phases
-        # are exact bin multiples, so this only matters for custom
-        # specs).  The final phase also absorbs the drain tail (replies
-        # still in flight at duration end), keeping the per-phase sum
-        # consistent with ``totals.bytes_query``.
-        return self._phase_category_bytes(P.QUERY_TRAFFIC, start, end)
-
-    def _phase_update_bytes(self, counters, start: float, end: float) -> int:
-        return self._phase_category_bytes(P.UPDATE_TRAFFIC, start, end)
-
-    def _phase_category_bytes(self, category: str, start: float, end: float) -> int:
-        per_bin = self.stats.bytes_by_category.get(category, {})
-        bin_s = self.spec.report_bin_s
-        lo = int(start // bin_s)
-        if end >= self.spec.duration_s:
-            return int(sum(size for b, size in per_bin.items() if lo <= b))
-        hi = int(end // bin_s)
-        return int(
-            sum(size for b, size in per_bin.items() if lo <= b < hi)
-        )
-
-    def _traffic_totals(self, tally: _Tally) -> Tuple[int, int, int, int]:
-        query = sum(
-            self.stats.bytes_by_category.get(P.QUERY_TRAFFIC, {}).values()
-        )
-        maint = sum(
-            self.stats.bytes_by_category.get(P.MAINTENANCE, {}).values()
-        )
-        update = sum(
-            self.stats.bytes_by_category.get(P.UPDATE_TRAFFIC, {}).values()
-        )
-        return self.transport.messages_sent, int(query), int(maint), int(update)
 
     def _load_by_peer(self, tally: _Tally) -> List[int]:
         delivered = self.transport.delivered
         return [delivered.get(pid, 0) for pid in sorted(self.nodes)]
-
-    def _final_state(self) -> Dict[str, float]:
-        groups = self._groups()
-        covered = total = 0
-        alive_groups = 0
-        for members in groups.values():
-            online = [pid for pid in members if self.nodes[pid].online]
-            if not online:
-                continue
-            alive_groups += 1
-            union: Set[int] = set()
-            for pid in members:
-                union |= self.nodes[pid].keys
-            live: Set[int] = set()
-            for pid in online:
-                live |= self.nodes[pid].keys
-            total += len(union)
-            covered += len(union & live)
-        return {
-            "final_online": sum(1 for n in self.nodes.values() if n.online),
-            "final_partition_availability": (
-                alive_groups / len(groups) if groups else 0.0
-            ),
-            "final_coverage": (covered / total) if total else 1.0,
-            "n_peers_end": len(self.nodes),
-        }
 
     def _message_section(self) -> dict:
         transport = self.transport
@@ -994,13 +806,6 @@ def _latency_stats(samples: List[float]) -> dict:
         "p999": pct(0.999),
         "max": ordered[-1],
     }
-
-
-def run_message_scenario(
-    spec: ScenarioSpec, *, net_config: Optional[MessageNetConfig] = None
-) -> ScenarioReport:
-    """One-shot convenience: ``MessageScenarioRunner(spec).run()``."""
-    return MessageScenarioRunner(spec, net_config=net_config).run()
 
 
 # -- worker mode: a sliced ensemble ------------------------------------------

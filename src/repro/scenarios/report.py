@@ -15,7 +15,22 @@ The synchronous data plane has no wire format, so bytes are accounted
 with a fixed model: every inter-peer message costs :data:`HEADER_BYTES`
 and every shipped key :data:`KEY_BYTES` (one 53-bit key plus framing).
 The absolute numbers are nominal; their *ratios* across scenarios and
-over time mirror the paper's Fig. 8 maintenance-vs-query split.
+over time mirror the paper's Fig. 8 maintenance-vs-query split.  The
+message backend accounts real wire bytes instead; either way every byte
+lands in the run's one :class:`~repro.simnet.stats.StatsCollector`,
+binned by the time it was spent.
+
+Per-phase bytes
+---------------
+``phases[i].query_bytes`` / ``update_bytes`` are **bin-window sums on
+both backends**: the bytes of the report bins from the one holding the
+phase's start up to (not including) the one holding its end.  A bin
+straddling a phase boundary therefore counts toward the *later* phase,
+and the last phase absorbs the tail (on the wire, replies still in
+flight at duration end), so the per-phase figures add up to
+``totals.bytes_query`` / ``bytes_update``.  The library's phases are
+whole numbers of bins at every ``duration_scale``, so there the window
+is the phase; only a custom spec with unaligned phases sees the rule.
 """
 
 from __future__ import annotations

@@ -31,17 +31,16 @@ from ..exceptions import RoutingError
 from ..pgrid.liveness import RouteRepairPolicy, repair_routes
 from ..pgrid.maintenance import sequential_join
 from ..pgrid.network import PGridNetwork
-from ..pgrid.replication import anti_entropy_sweep, divergence_stats
+from ..pgrid.replication import anti_entropy_sweep
 from ..pgrid.routing import RoutingTable
 from ..pgrid.serving import RESULT_CAPACITY, ResultCache
 from ..pgrid.state import DurabilityPolicy
 from ..workloads.queries import POINT, QuerySampler
 from .base import ScenarioRunnerBase, _Tally
-from .invariants import live_key_coverage
-from .report import HEADER_BYTES, KEY_BYTES, ScenarioReport
+from .report import HEADER_BYTES, KEY_BYTES
 from .spec import Phase, ScenarioSpec
 
-__all__ = ["ScenarioRunner", "run_scenario"]
+__all__ = ["ScenarioRunner"]
 
 
 class ScenarioRunner(ScenarioRunnerBase):
@@ -84,16 +83,8 @@ class ScenarioRunner(ScenarioRunnerBase):
         if cache is not None and cache.enabled:
             self._dp_cache = ResultCache(cache.result_ttl_s, RESULT_CAPACITY)
 
-    def _first_free_id(self) -> int:
-        net = self.network
-        return max(net.peers) + 1 if net.peers else 0
-
-    def _online_ids(self, departed: Set[int]) -> List[int]:
-        return sorted(
-            pid
-            for pid, p in self.network.peers.items()
-            if p.online and pid not in departed
-        )
+    def _population(self):
+        return self.network.peers
 
     def _depart(self, pid: int) -> None:
         self.network.peers[pid].online = False
@@ -139,9 +130,6 @@ class ScenarioRunner(ScenarioRunnerBase):
             size=repaired * HEADER_BYTES + moved * KEY_BYTES,
         )
 
-    def _all_ids(self) -> List[int]:
-        return sorted(self.network.peers)
-
     def _set_partitions(self, groups: List[List[int]]) -> None:
         # No per-link transport on this backend: approximate the cut
         # from the majority region's viewpoint by taking every minority
@@ -163,12 +151,6 @@ class ScenarioRunner(ScenarioRunnerBase):
                 peer.online = True
         self._partition_cut = []
 
-    def _sample_state(self):
-        net = self.network
-        return self._group_health(
-            net.partitions(), lambda pid: net.peers[pid].online
-        )
-
     # -- query execution (synchronous) -------------------------------------
 
     def _run_one_query(
@@ -189,8 +171,7 @@ class ScenarioRunner(ScenarioRunnerBase):
                     self._dp_stats["result_hits"] += 1
                     self._audit_cache_hit(-1, key, cached)
                     tally.record_query(
-                        sim.now, idx, kind=kind, success=True,
-                        hops=0, messages=0, size=0,
+                        sim.now, idx, kind=kind, success=True, hops=0, messages=0
                     )
                     return
                 self._dp_stats["result_misses"] += 1
@@ -221,13 +202,13 @@ class ScenarioRunner(ScenarioRunnerBase):
                 messages=messages,
                 size=size,
             )
-        elif sampler.codec is not None:
-            # Box query: decompose into z-order key ranges and issue
-            # each through the ordinary range machinery; the box
-            # succeeds when every range completed.  Results are audited
-            # against the brute-force oracle (see repro.pgrid.mdim).
-            lo_cells, hi_cells = sampler.draw_box(rng)
-            ranges, oracle = self._mdim_box_plan(lo_cells, hi_cells)
+        else:
+            # A box decomposes into z-order key ranges, a scalar range
+            # is a box of one; each goes through the ordinary range
+            # machinery and the query succeeds when every range
+            # completed.  Box results are audited against the
+            # brute-force oracle (see repro.pgrid.mdim).
+            ranges, oracle = self._draw_ranges(sampler, rng)
             messages = size = 0
             success = True
             found: Set[int] = set()
@@ -240,47 +221,15 @@ class ScenarioRunner(ScenarioRunnerBase):
                         break
                     messages += res.messages
                     size += res.messages * HEADER_BYTES + len(res.keys) * KEY_BYTES
-                    found |= res.keys
+                    if oracle is not None:
+                        found |= res.keys
                     if res.complete:
                         part_ok = True
                         break
                 success &= part_ok
-            self._mdim_box_done(oracle, found, success)
-            if not success:
-                tally.range_incomplete += 1
-            tally.record_query(
-                sim.now,
-                idx,
-                kind=kind,
-                success=success,
-                hops=messages,
-                messages=messages,
-                size=size,
-            )
-        else:
-            lo, hi = sampler.draw_range(rng)
-            messages = size = 0
-            success = False
-            for _ in range(attempts):
-                try:
-                    res = net.range_query(lo, hi, rng=rng)
-                except RoutingError:
-                    break
-                messages += res.messages
-                size += res.messages * HEADER_BYTES + len(res.keys) * KEY_BYTES
-                if res.complete:
-                    success = True
-                    break
-            if not success:
-                tally.range_incomplete += 1
-            tally.record_query(
-                sim.now,
-                idx,
-                kind=kind,
-                success=success,
-                hops=messages,
-                messages=messages,
-                size=size,
+            self._tally_ranges(
+                sim.now, idx, oracle=oracle, found_keys=found,
+                success=success, messages=messages, size=size,
             )
 
     # -- write execution (synchronous) --------------------------------------
@@ -320,18 +269,6 @@ class ScenarioRunner(ScenarioRunnerBase):
         tally.record_write(
             sim.now, idx, op=op, success=success, messages=messages, size=size
         )
-
-    def _divergence_state(self) -> Dict[str, float]:
-        net = self.network
-        groups = net.partitions()
-        stats = divergence_stats(
-            [sorted(net.peers[pid].keys) for pid in sorted(groups[path])]
-            for path in sorted(groups)
-        )
-        stats["tombstones"] = sum(
-            len(net.peers[pid].tombstones) for pid in sorted(net.peers)
-        )
-        return stats
 
     # -- durability / restart hooks -----------------------------------------
 
@@ -438,28 +375,3 @@ class ScenarioRunner(ScenarioRunnerBase):
 
     def _load_by_peer(self, tally: _Tally) -> List[int]:
         return [tally.load.get(pid, 0) for pid in sorted(self.network.peers)]
-
-    def _final_state(self) -> Dict[str, float]:
-        net = self.network
-        covered, total_keys = live_key_coverage(net)
-        groups = net.partitions()
-        alive_groups = sum(
-            1 for g in groups.values() if any(net.peers[p].online for p in g)
-        )
-        return {
-            "final_online": net.online_count(),
-            "final_partition_availability": (
-                alive_groups / len(groups) if groups else 0.0
-            ),
-            "final_coverage": (covered / total_keys) if total_keys else 1.0,
-            "n_peers_end": len(net.peers),
-        }
-
-
-def run_scenario(spec: ScenarioSpec) -> ScenarioReport:
-    """One-shot convenience: ``ScenarioRunner(spec).run()``.
-
-    For backend selection use :func:`repro.scenarios.run_scenario`,
-    which accepts ``backend="dataplane" | "message"``.
-    """
-    return ScenarioRunner(spec).run()

@@ -27,23 +27,6 @@ class ChurnConfig:
     min_online: float = 300.0
     max_online: float = 600.0
 
-    @classmethod
-    def from_minutes(
-        cls,
-        min_offline: float = 1.0,
-        max_offline: float = 5.0,
-        min_online: float = 5.0,
-        max_online: float = 10.0,
-    ) -> "ChurnConfig":
-        """The paper's schedule expressed in minutes (Sec. 5.1 defaults:
-        "offline 1-5 minutes every 5-10 minutes")."""
-        return cls(
-            min_offline=min_offline * 60.0,
-            max_offline=max_offline * 60.0,
-            min_online=min_online * 60.0,
-            max_online=max_online * 60.0,
-        )
-
     def validate(self) -> None:
         if not 0 < self.min_offline <= self.max_offline:
             raise SimulationError("invalid offline interval")

@@ -32,15 +32,22 @@ class QueryRecord:
 class StatsCollector:
     """Accumulates per-bin counters during a simulation run.
 
+    It is the byte ledger of both scenario backends
+    (:mod:`repro.scenarios.base`): the message backend's transport
+    records every wire message, the data-plane backend its nominal byte
+    model, and the report reads series, per-phase and total bytes from
+    :attr:`bytes_by_category` alone.
+
     Byte accounting is the per-message hot path (one
     :meth:`record_bytes` per send), so it accumulates into flat
     per-category bin arrays indexed by bin number instead of nested
     defaultdicts; :attr:`bytes_by_category` materializes the classic
     ``{category: {bin: bytes}}`` view on demand (cached between
-    records).  Zero-padded bins are skipped in the view -- a recorded
-    message is never smaller than the fixed header, so a genuinely
-    recorded bin can never hold zero bytes and the view's key set
-    matches the nested-dict scheme exactly.
+    records).  Zero-padded bins are skipped in the view, so a recorded
+    bin must never hold zero bytes or it would vanish from the series:
+    a wire message is never smaller than the fixed header, and the
+    data-plane tally does not pass on an operation that cost nothing (a
+    cache hit, a maintenance tick that moved no key).
     """
 
     def __init__(self, bin_seconds: float = 60.0):

@@ -1,0 +1,64 @@
+"""No definition under ``src/repro/`` that nothing names.
+
+Every function, method and class is mentioned somewhere in ``src/``,
+``tests/``, ``benchmarks/`` or ``examples/`` besides its own ``def`` /
+``class`` line.  The scan is by identifier token over the whole text, so
+a name looked up from a string (``launch = "_launch_query"``) or listed
+in an ``__all__`` counts as named: it is a floor, not a caller audit --
+what it catches is the helper whose last caller was deleted.
+"""
+
+import ast
+import collections
+import pathlib
+import re
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+TREES = ("src", "tests", "benchmarks", "examples")
+
+
+def found_by_rule(name: str) -> bool:
+    # __dunder__ methods are called by the interpreter; ``_on_<kind>``
+    # handlers are collected by ``PGridNode.receive`` from ``dir(cls)``.
+    return (name.startswith("__") and name.endswith("__")) or name.startswith("_on_")
+
+
+def unnamed_definitions(root: pathlib.Path = ROOT):
+    mentions = collections.Counter()
+    for tree in TREES:
+        for path in (root / tree).rglob("*.py"):
+            mentions.update(re.findall(r"[A-Za-z_][A-Za-z0-9_]*", path.read_text()))
+    definitions = collections.defaultdict(list)
+    for path in sorted((root / "src" / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                definitions[node.name].append(f"{path.relative_to(root)}:{node.lineno}")
+    return {
+        name: where
+        for name, where in definitions.items()
+        if mentions[name] <= len(where)
+        and not found_by_rule(name)
+    }
+
+
+def test_every_definition_is_named_somewhere_else():
+    dead = unnamed_definitions()
+    assert not dead, (
+        "defined but named nowhere else (delete them; if something finds "
+        f"them by name at run time, say how in found_by_rule): {dead}"
+    )
+
+
+def test_the_scan_finds_a_definition_nothing_names(tmp_path):
+    # Guards the scan itself: a moved tree must not turn it into a pass.
+    package = tmp_path / "src" / "repro"
+    package.mkdir(parents=True)
+    for tree in TREES[1:]:
+        (tmp_path / tree).mkdir()
+    (package / "m.py").write_text(
+        "def called():\n    pass\n\n"
+        "def orphan():\n    pass\n\n"
+        "class Node:\n    def _on_ping(self):\n        pass\n"
+    )
+    (tmp_path / "tests" / "test_m.py").write_text("called()\nNode()\n")
+    assert unnamed_definitions(tmp_path) == {"orphan": ["src/repro/m.py:4"]}

@@ -178,7 +178,7 @@ class TestExactlyOnceTally:
         # be counted quietly as a failed query.
         spec = scenario("uniform-baseline", n_peers=24, seed=3, duration_scale=0.1)
         runner = MessageScenarioRunner(spec)
-        runner._wmeta[-1] = (0, "insert", 1, 0.0)  # a write no node holds
+        runner._wmeta[-1] = (0, "insert", 1)  # a write no node holds
         with pytest.raises(SimulationError, match="still pending after the drain"):
             runner.run()
 

@@ -94,7 +94,7 @@ def test_invariants_hold_through_generated_sequences(seed):
         revive_peer(net, pid)
     while anti_entropy_sweep(net, rounds=1, rng=rand) > 0:
         pass
-    covered, total = live_key_coverage(net)
+    covered, total = live_key_coverage(net.peers)
     assert covered == total
     check_invariants(net, require_full_coverage=True)
 
@@ -112,7 +112,7 @@ def test_coverage_never_lost_while_any_replica_lives(seed):
             fail_peer(net, pid)
         else:
             revive_peer(net, pid)
-        covered, total = live_key_coverage(net)
+        covered, total = live_key_coverage(net.peers)
         assert covered == total
 
 
