@@ -11,7 +11,7 @@ Measures how far the message backend reaches, in one run:
   the keyspace sliced into independent per-process populations, whose
   per-slice reports the cell sums.  This is the path that makes
   N=65,536 reachable in one bench run.  (The cells keep the
-  ``shards``/``mode`` keys so ``check_regression.compare_scale``
+  ``shards``/``mode`` keys so ``check_regression.scale_cells_gate``
   matches them across snapshots.)
 * **Heap-health audit** -- every cell records the pending-event peak
   of :class:`~repro.simnet.engine.Simulator`, and the bench fails if any

@@ -297,7 +297,8 @@ class PGridNode:
         self.constructing = False
         self.idle_strikes = 0
         self._exchange_nonce = 0
-        self._inflight_exchange: Optional[tuple[int, str]] = None
+        #: Nonce of the exchange request awaiting its response, if any.
+        self._inflight_exchange: Optional[int] = None
         # query bookkeeping
         self._queries: Dict[int, _PendingQuery] = {}
         self._ranges: Dict[int, _PendingRange] = {}
@@ -334,8 +335,8 @@ class PGridNode:
         self._served_window = 0
         #: Owner side: helper id -> grant time (adaptive replication).
         self._helpers: Dict[int, float] = {}
-        #: Helper side: path str -> [Path, key set, expires_at].
-        self._grants: Dict[str, list] = {}
+        #: Helper side: granted path -> (key set, expires_at).
+        self._grants: Dict[Path, Tuple[Set[int], float]] = {}
         self.serving_stats: Dict[str, int] = {
             "result_hits": 0,
             "result_misses": 0,
@@ -967,7 +968,7 @@ class PGridNode:
 
     def _begin_exchange(self, partner: int) -> None:
         self._exchange_nonce += 1
-        self._inflight_exchange = (self._exchange_nonce, str(self.path))
+        self._inflight_exchange = self._exchange_nonce
         # One routing reference per level travels with the request so the
         # contacted peer can satisfy rule 4's reference hand-over even
         # when it is the one deciding (lagging-peer case).
@@ -985,7 +986,7 @@ class PGridNode:
             partner,
             P.EXCHANGE_REQ,
             {
-                "path": str(self.path) if self.path.length else "",
+                "path": self.path,
                 "keys": list(self.keys),
                 "tombstones": sorted(self.tombstones),
                 "replicas": list(self.replicas),
@@ -1001,7 +1002,7 @@ class PGridNode:
     # replies with a directive for the initiator.
 
     def _on_exchange_req(self, msg: Message) -> None:
-        their_path = Path.from_string(msg.payload["path"])
+        their_path = msg.payload["path"]
         their_keys = set(msg.payload["keys"])
         their_replicas = set(msg.payload["replicas"])
         their_routes = msg.payload.get("routes", {})
@@ -1016,7 +1017,8 @@ class PGridNode:
             their_tombstones,
         )
         reply["nonce"] = nonce
-        reply["expected_path"] = msg.payload["path"]
+        reply["expected_path"] = their_path
+        reply["partner_path"] = self.path  # after our half of the interaction
         gossip, n_refs = self._gossip_refs()
         self.liveness.repair_bytes += n_refs * REF_BYTES
         reply["gossip"] = gossip
@@ -1054,7 +1056,6 @@ class PGridNode:
             return {
                 "action": "refer",
                 "level": cpl,
-                "partner_path": str(self.path),
                 "recommend": recommendation,
                 "keys": list(deliver),
             }
@@ -1114,7 +1115,6 @@ class PGridNode:
                 self.wake()
         return {
             "action": "noop",
-            "partner_path": str(self.path),
             "keys": list(deliver),
             "useful": useful,
         }
@@ -1195,12 +1195,10 @@ class PGridNode:
                     "action": "split",
                     "your_side": 1 - my_side,
                     "level": level,
-                    "partner_path": str(self.path),
                     "keys": list(deliver | keys_for_them),
                 }
             return {
                 "action": "again",  # bisection in progress; stay active
-                "partner_path": str(self.path),
                 "keys": list(deliver),
             }
         # Replicate: reconcile content (anti-entropy).
@@ -1213,7 +1211,6 @@ class PGridNode:
             self.wake()
         reply = {
             "action": "replicate",
-            "partner_path": str(self.path),
             "replicas": list(self.replicas | {self.node_id}),
             "keys": list(deliver | keys_for_them),
             "useful": bool(missing_here or keys_for_them),
@@ -1235,7 +1232,6 @@ class PGridNode:
             } - their_keys
             return {
                 "action": "catch_up",
-                "partner_path": str(self.path),
                 "keys": list(deliver | catch_up),
             }
         probs, minority = self._split_policy(their_keys, set(), union, level)
@@ -1248,7 +1244,6 @@ class PGridNode:
             "your_side": side,
             "level": level,
             "counterpart": via,
-            "partner_path": str(self.path),
             "keys": list(deliver),
         }
 
@@ -1274,20 +1269,12 @@ class PGridNode:
         payload = msg.payload
         # Gossiped candidates are fresh world knowledge regardless of
         # whether the handshake itself went stale: accept them first.
-        # (A root-path partner stringifies as "<root>" and gossips
-        # nothing, since candidates anchor to its path levels.)
-        gossip = payload.get("gossip")
-        partner_path = payload.get("partner_path", "")
-        if gossip and partner_path and set(partner_path) <= {"0", "1"}:
-            self._accept_gossip(Path.from_string(partner_path), gossip)
-        inflight = self._inflight_exchange
-        self._inflight_exchange = None
-        # Optimistic concurrency: drop stale responses.
-        if inflight is None or inflight[0] != payload.get("nonce"):
-            return
-        if str(self.path) != payload.get("expected_path", str(self.path)) and (
-            self.path.length or payload.get("expected_path")
-        ):
+        # (A root-path partner has no levels to anchor candidates to.)
+        self._accept_gossip(payload["partner_path"], payload.get("gossip"))
+        inflight, self._inflight_exchange = self._inflight_exchange, None
+        # Optimistic concurrency: drop the response to a superseded
+        # request, or to the path we had before extending it meanwhile.
+        if inflight != payload["nonce"] or self.path != payload["expected_path"]:
             return
         incoming = set(payload.get("keys", ()))
         action = payload["action"]
@@ -1573,12 +1560,60 @@ class PGridNode:
                     wpending.hops = pending.hops
                     self._finish(wqid, wpending, success, moot=moot)
 
+    # -- the relay step: the forwarder-side twin, all three routed kinds --------
+
+    def _relay(
+        self, table: Optional[dict], key: int, kind: str, payload: dict, *,
+        category: str = P.QUERY_TRAFFIC, n_keys: int = 0,
+    ) -> bool:
+        """Forward ``payload`` one hop toward ``key``, or report the
+        dead end to its origin; returns whether it went out.
+
+        The forward is always a fresh dict (values shared by reference):
+        each hop owns its container, so a handler mutating the payload
+        it received can never corrupt a sibling already on the wire.
+        When this node is the origin and this its attempt's first hop,
+        the record in ``table`` remembers the reference used -- the only
+        one the origin knows the attempt took, so a timeout is failure
+        evidence against it.  ``table=None`` records nothing.
+        """
+        hops = payload["hops"]
+        used = self._forward_toward(
+            key, kind, {**payload, "hops": hops + 1}, category=category, n_keys=n_keys
+        )
+        if used is None:
+            self._report_miss(table, kind, payload, category)
+            return False
+        if table is not None and hops == 0 and payload["origin"] == self.node_id:
+            pending = table.get(payload["qid"])
+            if pending is not None:
+                pending.via = used
+        return True
+
+    def _report_miss(
+        self, table: Optional[dict], kind: str, payload: dict, category: str
+    ) -> None:
+        """A dead-end report lets the origin retry sooner than the
+        timeout; one observed at the origin itself retries (or fails)
+        now instead of burning the timeout window."""
+        origin = payload["origin"]
+        if kind == P.RANGE_QUERY:
+            self._send_range_part(origin, payload, keys=[], done=False, stuck=True)
+        elif origin == self.node_id:
+            self._dead_end(table, payload["qid"], payload.get("attempt", 0))
+        else:
+            self.send(
+                origin,
+                P.QUERY_MISS if kind == P.QUERY else P.UPDATE_MISS,
+                {
+                    "qid": payload["qid"],
+                    "hops": payload["hops"],
+                    "attempt": payload.get("attempt", 0),
+                },
+                category=category,
+            )
+
     def _route_query(self, payload: dict) -> None:
-        # Hot per-hop handler: payload fields are hoisted once, and the
-        # forward is built as a fresh minimal dict (values shared by
-        # reference) instead of a full ``dict(payload)`` copy -- each
-        # hop owns its container, so mutating a forward can never
-        # corrupt a sibling already on the wire.
         key = payload["key"]
         origin = payload["origin"]
         qid = payload["qid"]
@@ -1610,40 +1645,7 @@ class PGridNode:
             else:
                 self.send(origin, P.QUERY_HIT, reply, category=P.QUERY_TRAFFIC)
             return
-        forward = {
-            "key": key,
-            "origin": origin,
-            "qid": qid,
-            "attempt": payload.get("attempt", 0),
-            "hops": hops + 1,
-        }
-        used = self._forward_toward(key, P.QUERY, forward)
-        if used is None:
-            if origin != self.node_id:
-                self.send(
-                    origin,
-                    P.QUERY_MISS,
-                    {
-                        "qid": qid,
-                        "hops": hops,
-                        "attempt": payload.get("attempt", 0),
-                    },
-                    category=P.QUERY_TRAFFIC,
-                )
-            else:
-                # Dead end at the origin itself is locally observed:
-                # retry or fail now instead of burning the timeout
-                # window (the origin-side twin of the QUERY_MISS path;
-                # ranges get this via their own stuck-slice handling).
-                self._dead_end(self._queries, qid, payload.get("attempt", 0))
-            return
-        if origin == self.node_id and hops == 0:
-            # Remember the current attempt's first hop: a timeout is
-            # failure evidence against it (the only reference the origin
-            # knows the attempt used).
-            pending = self._queries.get(qid)
-            if pending is not None:
-                pending.via = used
+        self._relay(self._queries, key, P.QUERY, payload)
 
     def _on_query(self, msg: Message) -> None:
         self._route_query(msg.payload)
@@ -1719,8 +1721,6 @@ class PGridNode:
         )
 
     def _route_write(self, payload: dict) -> None:
-        # Hot per-hop handler: hoisted fields + minimal fresh forward
-        # dict, same scheme as _route_query.
         key = payload["key"]
         op = payload["op"]
         origin = payload["origin"]
@@ -1743,37 +1743,10 @@ class PGridNode:
                     category=P.UPDATE_TRAFFIC,
                 )
             return
-        forward = {
-            "op": op,
-            "key": key,
-            "origin": origin,
-            "qid": qid,
-            "attempt": payload.get("attempt", 0),
-            "hops": hops + 1,
-        }
-        kind = P.INSERT if op == "insert" else P.DELETE
-        used = self._forward_toward(
-            key, kind, forward, category=P.UPDATE_TRAFFIC, n_keys=1
+        self._relay(
+            self._writes, key, P.INSERT if op == "insert" else P.DELETE, payload,
+            category=P.UPDATE_TRAFFIC, n_keys=1,
         )
-        if used is None:
-            if origin != self.node_id:
-                self.send(
-                    origin,
-                    P.UPDATE_MISS,
-                    {
-                        "qid": qid,
-                        "hops": hops,
-                        "attempt": payload.get("attempt", 0),
-                    },
-                    category=P.UPDATE_TRAFFIC,
-                )
-            else:
-                self._dead_end(self._writes, qid, payload.get("attempt", 0))
-            return
-        if origin == self.node_id and hops == 0:
-            pending = self._writes.get(qid)
-            if pending is not None:
-                pending.via = used  # liveness evidence, like point queries
 
     def apply_mutation(self, op: str, key: int) -> None:
         """Apply one mutation to the local store (responsible keys only).
@@ -1853,12 +1826,12 @@ class PGridNode:
         for key in msg.payload["keys"]:
             self.apply_mutation(op, key)
             if self._serving is not None:
-                for entry in self._grants.values():
-                    if entry[0].contains_key(key, KEY_BITS):
+                for path, (keys, _) in self._grants.items():
+                    if path.contains_key(key, KEY_BITS):
                         if op == "insert":
-                            entry[1].add(key)
+                            keys.add(key)
                         else:
-                            entry[1].discard(key)
+                            keys.discard(key)
 
     def _on_insert(self, msg: Message) -> None:
         self._route_write(msg.payload)
@@ -1887,10 +1860,9 @@ class PGridNode:
         if not self._grants:
             return None
         now = self.sim.now
-        for pstr in list(self._grants):
-            path, keys, expires = self._grants[pstr]
+        for path, (keys, expires) in list(self._grants.items()):
             if now >= expires:
-                del self._grants[pstr]
+                del self._grants[path]
                 continue
             if path.contains_key(key, KEY_BITS):
                 return key in keys
@@ -1956,16 +1928,12 @@ class PGridNode:
         if self._serving is None:
             return
         payload = msg.payload
-        self._grants[str(payload["path"])] = [
-            payload["path"],
-            set(payload["keys"]),
-            payload["expires"],
-        ]
+        self._grants[payload["path"]] = (set(payload["keys"]), payload["expires"])
 
     def _on_replica_revoke(self, msg: Message) -> None:
         if self._serving is None:
             return
-        self._grants.pop(str(msg.payload["path"]), None)
+        self._grants.pop(msg.payload["path"], None)
 
     def _on_update_ack(self, msg: Message) -> None:
         self._complete_write(msg.payload["qid"], msg.payload["hops"])
@@ -2019,31 +1987,10 @@ class PGridNode:
         )
 
     def _route_range(self, payload: dict) -> None:
-        # Hot per-hop handler: hoisted fields + minimal fresh forward
-        # dicts, same scheme as _route_query.  The stuck paths build
-        # the RANGE_PART from the *incoming* payload, so the forward
-        # must never alias or mutate it.
         cursor = payload["cursor"]
         origin = payload["origin"]
-        hops = payload["hops"]
         if not self.responsible_for(cursor):
-            forward = {
-                "lo": payload["lo"],
-                "hi": payload["hi"],
-                "cursor": cursor,
-                "origin": origin,
-                "qid": payload["qid"],
-                "attempt": payload.get("attempt", 0),
-                "hops": hops + 1,
-            }
-            used = self._forward_toward(cursor, P.RANGE_QUERY, forward)
-            if used is None:
-                self._send_range_part(origin, payload, keys=[], done=False, stuck=True)
-                return
-            if origin == self.node_id and hops == 0:
-                pending = self._ranges.get(payload["qid"])
-                if pending is not None:
-                    pending.via = used  # liveness evidence, like point queries
+            self._relay(self._ranges, cursor, P.RANGE_QUERY, payload)
             return
         # Responsible for the cursor: ship this partition's slice home,
         # then forward the remainder to the next partition in key order.
@@ -2057,17 +2004,9 @@ class PGridNode:
             slice_bounds=(cursor, upper),
         )
         if not done:
-            forward = {
-                "lo": payload["lo"],
-                "hi": hi,
-                "cursor": part_hi,
-                "origin": origin,
-                "qid": payload["qid"],
-                "attempt": payload.get("attempt", 0),
-                "hops": payload["hops"] + 1,
-            }
-            if self._forward_toward(part_hi, P.RANGE_QUERY, forward) is None:
-                self._send_range_part(origin, payload, keys=[], done=False, stuck=True)
+            # No table: the remainder never recorded a first hop, not
+            # even when it leaves the origin itself (the digests pin it).
+            self._relay(None, part_hi, P.RANGE_QUERY, {**payload, "cursor": part_hi})
 
     def _send_range_part(
         self,

@@ -917,3 +917,178 @@ class TestScaleGate:
         text = summary.read_text()
         assert "### Scale" in text
         assert "pending_peak<=bound" in text
+
+
+class TestZeroBaselineRatio:
+    """Growth from a zero baseline is unbounded: the committed data-plane
+    section has ``bytes_maintenance: 0`` entries, and one that starts
+    emitting maintenance bytes must not pass for want of a divisor."""
+
+    def pair(self, tmp_path, base_section, cand_section):
+        base = write(tmp_path, "base.json", snapshot(extra={"scenarios": base_section}))
+        cand = write(tmp_path, "cand.json", snapshot(extra={"scenarios": cand_section}))
+        return ["--baseline", str(base), "--candidate", str(cand)]
+
+    def test_growth_from_zero_fails(self, tmp_path, capsys):
+        argv = self.pair(
+            tmp_path,
+            write_section(bytes_maintenance=0, section_backend="dataplane"),
+            write_section(bytes_maintenance=5_000, section_backend="dataplane"),
+        )
+        assert check_regression.main(argv) == 1
+        captured = capsys.readouterr()
+        assert "scenarios/read-write-balanced bytes_maintenance" in captured.err
+        assert "FAIL" in captured.out
+
+    def test_recovery_bytes_from_zero_fail(self, tmp_path, capsys):
+        argv = self.pair(
+            tmp_path, recovery_section(warm_bytes=0), recovery_section(warm_bytes=1)
+        )
+        assert check_regression.main(argv) == 1
+        assert "recovery_maint_bytes" in capsys.readouterr().err
+
+    def test_zero_to_zero_passes(self, tmp_path):
+        argv = self.pair(
+            tmp_path,
+            write_section(bytes_maintenance=0, bytes_update=0),
+            write_section(bytes_maintenance=0, bytes_update=0),
+        )
+        assert check_regression.main(argv) == 0
+
+
+def every_gate_payload():
+    """A healthy snapshot with at least one row under every gate."""
+    section = write_section()
+    for other in (recovery_section(), serving_section(), mdim_section()):
+        for name, entry in other["results"].items():
+            section["results"].setdefault(name, entry)
+    return snapshot(extra={"scenarios_message": section, "scale": scale_section()})
+
+
+def _results(payload):
+    return payload["scenarios_message"]["results"]
+
+
+#: gate -> (console heading, summary heading, a doctoring of the candidate
+#: that breaches this gate and no other).  The intra-snapshot gates are
+#: tripped through the *inline* baseline, which no other gate reads.
+ONE_GATE = {
+    "perf": (
+        "perf regression gate", "### Perf",
+        lambda p: p["results"]["build_s"].update({"256": 9.9}),
+    ),
+    "scenarios": (
+        "scenario gate [scenarios_message]", "### Scenarios — `scenarios_message`",
+        lambda p: _results(p)["read-write-balanced"].update(bytes_maintenance=9e9),
+    ),
+    "recovery": (
+        "recovery gate", "### Recovery",
+        lambda p: _results(p)["restart-storm"]["recovery"]["cold"].update(
+            recovery_maint_bytes=1
+        ),
+    ),
+    "serving": (
+        "serving gate", "### Serving",
+        lambda p: _results(p)["zipf-serving"]["serving"]["off"].update(load_gini=0.01),
+    ),
+    "mdim": (
+        "mdim gate", "### Mdim",
+        lambda p: _results(p)["geo-box-serving"]["mdim"].update(ranges_per_box_max=99),
+    ),
+    "scale cells": (
+        "scale gate (tolerance", "### Scale cells",
+        lambda p: p["scale"]["cells"][0].update(wall_s=65.0),
+    ),
+    "scale bounds": (
+        "scale gate (intra-snapshot", "### Scale bounds",
+        lambda p: p["scale"]["cells"][1].update(pending_bound_ok=False),
+    ),
+}
+
+
+#: A console heading starts at column 0 with the gate's lowercase name;
+#: verdict rows are indented.
+CONSOLE_HEADINGS = ("perf", "scenario", "recovery", "serving", "mdim", "scale")
+
+
+def blocks(text, heading_prefixes):
+    """``{heading line: [lines under it]}`` of a console or summary dump."""
+    out, current = {}, None
+    for line in text.splitlines():
+        if line.startswith(heading_prefixes):
+            current = out.setdefault(line, [])
+        elif current is not None:
+            current.append(line)
+    return out
+
+
+class TestEveryGateTakesOnePath:
+    """A gate is declared once: its rows reach the console block, the
+    summary table, the failure list and the exit code with no code of
+    its own in ``main`` or ``build_step_summary``."""
+
+    def run(self, tmp_path, capsys, candidate):
+        base = write(tmp_path, "base.json", every_gate_payload())
+        cand = write(tmp_path, "cand.json", candidate)
+        summary = tmp_path / "summary.md"
+        code = check_regression.main([
+            "--baseline", str(base), "--candidate", str(cand),
+            "--summary", str(summary),
+        ])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err, summary.read_text()
+
+    def test_healthy_payload_has_rows_under_every_gate(self, tmp_path, capsys):
+        code, out, err, text = self.run(tmp_path, capsys, every_gate_payload())
+        assert code == 0 and "FAIL" not in out and "❌" not in text and not err
+        console = blocks(out, CONSOLE_HEADINGS)
+        tables = blocks(text, ("### ",))
+        for heading, title, _ in ONE_GATE.values():
+            assert any(h.startswith(heading) and rows for h, rows in console.items())
+            assert any(h.startswith(title) and rows for h, rows in tables.items())
+
+    @pytest.mark.parametrize("gate", ONE_GATE)
+    def test_a_breach_reaches_console_summary_and_exit_code(self, tmp_path, capsys, gate):
+        heading, title, doctor = ONE_GATE[gate]
+        candidate = every_gate_payload()
+        doctor(candidate)
+        code, out, err, text = self.run(tmp_path, capsys, candidate)
+        assert code == 1
+        # The FAIL row sits under this gate's console heading, and only there.
+        for block, rows in blocks(out, CONSOLE_HEADINGS).items():
+            failed = any(row.startswith("  [FAIL]") for row in rows)
+            assert failed == block.startswith(heading), block
+        # Likewise in the summary: one table marks a row, the others none.
+        tables = blocks(text, ("### ", "**Regressions"))
+        listed = tables.pop("**Regressions beyond tolerance:**")
+        for block, rows in tables.items():
+            failed = any("❌ fail" in row for row in rows)
+            assert failed == block.startswith(title), block
+        # One failure list: what stderr says is what the summary lists.
+        failures = [line.strip() for line in err.splitlines() if line.startswith("  ")]
+        assert failures and [f"- {f}" for f in failures] == [l for l in listed if l]
+
+    def test_a_metric_added_to_the_table_alone_is_gated(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # The shape ROADMAP items 1-3 add gates in: one table entry.
+        monkeypatch.setattr(
+            check_regression, "SCENARIO_METRICS",
+            check_regression.SCENARIO_METRICS + (("dead_refs_final", "rise"),),
+        )
+        base = every_gate_payload()
+        _results(base)["mass-leave"]["dead_refs_final"] = 0.01
+        write(tmp_path, "base.json", base)
+        candidate = every_gate_payload()
+        _results(candidate)["mass-leave"]["dead_refs_final"] = 0.40
+        cand = write(tmp_path, "cand.json", candidate)
+        summary = tmp_path / "summary.md"
+        assert check_regression.main([
+            "--baseline", str(tmp_path / "base.json"), "--candidate", str(cand),
+            "--summary", str(summary),
+        ]) == 1
+        captured = capsys.readouterr()
+        row = next(l for l in captured.out.splitlines() if "dead_refs_final" in l)
+        assert row.startswith("  [FAIL] mass-leave")
+        assert "scenarios_message/mass-leave dead_refs_final: 0.4" in captured.err
+        assert "| mass-leave | dead_refs_final | 0.01 | 0.4 | ❌ fail |" in summary.read_text()

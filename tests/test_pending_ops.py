@@ -235,3 +235,70 @@ class TestPendingOpContract:
             assert record() is None
         finally:
             gc.enable()
+
+
+def routed(kind, opid, *, origin, hops):
+    """``(route method, payload)`` of ``kind`` as a relay would receive it."""
+    payload = {"origin": origin, "qid": opid, "attempt": 1, "hops": hops}
+    if kind == "range":
+        lo = float_to_key(0.8)
+        return "_route_range", {"lo": lo, "hi": float_to_key(0.9), "cursor": lo, **payload}
+    if kind == "query":
+        return "_route_query", {"key": float_to_key(0.9), **payload}
+    return "_route_write", {"op": kind, "key": float_to_key(0.85), **payload}
+
+
+def wire_log(node):
+    """Every ``(dst, kind, payload)`` the node puts on the wire from now on."""
+    log, send = [], node.send
+
+    def recording(dst, kind, payload, **kwargs):
+        log.append((dst, kind, payload))
+        return send(dst, kind, payload, **kwargs)
+
+    node.send = recording
+    return log
+
+
+@pytest.mark.parametrize("kind", KINDS)
+class TestFirstHopEvidence:
+    """The one relay step (``_relay``) under all routed kinds: the origin
+    remembers the reference its attempt left through, a timeout strikes
+    exactly that reference, and a hop relayed for someone -- or
+    somewhere -- else leaves the record alone."""
+
+    def test_timed_out_attempt_strikes_the_first_hop_it_left_through(self, kind):
+        sim, net, nodes = build_wire()
+        black_hole(nodes[3])
+        origin = nodes[0]
+        sent = wire_log(origin)
+        struck = []
+        origin._suspect_ref = struck.append
+        op = Op(origin, kind)
+        opid = op.issue()
+        pending = op.table[opid]
+        sim.run_until(0.001)  # attempt 1 is out
+        first_hop = sent[0][0]
+        assert first_hop in origin.routing[0] and pending.via == first_hop
+        sim.run_until(TIMEOUT + 0.5)  # attempt 1 timed out, attempt 2 is out
+        assert struck == [first_hop]
+        assert pending.attempts == 2 and pending.via == sent[-1][0]
+
+    @pytest.mark.parametrize("origin_id, hops", [(0, 2), (1, 0)])
+    def test_relayed_hop_records_nothing(self, kind, origin_id, hops):
+        # hops > 0: our own operation routed back through us; a foreign
+        # origin: somebody else's, whose id happens to match one of ours.
+        sim, net, nodes = build_wire()
+        black_hole(nodes[3])
+        relay = nodes[0]
+        op = Op(relay, kind)
+        opid = op.issue()
+        pending = op.table[opid]
+        sim.run_until(0.001)
+        pending.via = "untouched"
+        sent = wire_log(relay)
+        route, payload = routed(kind, opid, origin=origin_id, hops=hops)
+        getattr(relay, route)(payload)
+        assert [(p["origin"], p["hops"]) for _, _, p in sent] == [(origin_id, hops + 1)]
+        assert sent[0][2] is not payload and payload["hops"] == hops
+        assert pending.via == "untouched"
