@@ -3,21 +3,28 @@
 
 The digests pin message-backend determinism; any change to RNG stream
 derivation, transport accounting, the node protocol or report assembly
-shifts them.  Two tiers live in one file:
+shifts them.  Three tiers live in one file:
 
 * ``digests`` -- every library scenario at N=1024 (the acceptance-level
   full-population pin, checked by ``tests/test_message_scenarios.py``);
 * ``smoke`` -- the same scenarios at a small population, cheap enough
-  for the CI digest-staleness step to recompute on every PR.
+  for the CI digest-staleness step to recompute on every PR;
+* ``long`` -- the same scenarios at N=48 with unscaled durations
+  (600-1,200 simulated seconds, against at most 120 in the other two),
+  so the 60 -> 960 s probe back-off ladder, cache expiry and retry
+  exhaustion all happen under a pin; also recomputed by ``--check`` and
+  asserted by ``tests/test_message_scenarios.py``.
 
 Regenerate only when a protocol/report change is intentional, and say so
 in the commit message::
 
     PYTHONPATH=src python tests/data/regen_message_digests.py
 
-``--check`` recomputes the *smoke* tier plus both golden traces
-(``scenario_golden.json`` / ``scenario_message_golden.json``) and exits
-non-zero on any drift from the committed files -- the CI step that
+``--check`` recomputes the *smoke* and *long* tiers, both golden traces
+(``scenario_golden.json`` / ``scenario_message_golden.json``) and the
+wire-construction digests (``wire_construction_digests.json``, whose
+recipe and regeneration live in ``tests/test_wire_construction_digests.py``)
+and exits non-zero on any drift from the committed files -- the CI step that
 catches "changed the protocol, forgot to regenerate" PRs before the
 nightly full run does::
 
@@ -31,11 +38,17 @@ import pathlib
 import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[2] / "src"))
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1]))
 
+import test_wire_construction_digests as wire_construction  # noqa: E402
 from repro.scenarios import SCENARIOS, run_scenario, scenario  # noqa: E402
 
 PARAMS = dict(n_peers=1024, seed=5, duration_scale=0.1)
-SMOKE_PARAMS = dict(n_peers=96, seed=5, duration_scale=0.05)
+#: The tiers ``--check`` recomputes, by their key in the file.
+CHECKED_TIERS = {
+    "smoke": dict(n_peers=96, seed=5, duration_scale=0.05),
+    "long": dict(n_peers=48, seed=5, duration_scale=1.0),
+}
 DATA = pathlib.Path(__file__).parent
 OUT = DATA / "scenario_message_digests.json"
 
@@ -66,16 +79,17 @@ def regenerate() -> None:
         "_comment": [
             "SHA-256 digests of ScenarioReport.to_json() for every library scenario",
             "run under MessageScenarioRunner.  'digests' pins full-population",
-            f"determinism at n_peers={PARAMS['n_peers']}; 'smoke' pins a small run the CI",
-            "digest-staleness step recomputes on every PR (--check).  Regenerate",
+            f"determinism at n_peers={PARAMS['n_peers']}; 'smoke' pins a small run and 'long' a",
+            "small population at unscaled durations, both recomputed by the CI",
+            "digest-staleness step on every PR (--check).  Regenerate",
             "deliberately with:",
             "  PYTHONPATH=src python tests/data/regen_message_digests.py",
         ],
         **PARAMS,
         "digests": compute_digests(PARAMS),
-        "smoke": {
-            **SMOKE_PARAMS,
-            "digests": compute_digests(SMOKE_PARAMS),
+        **{
+            tier: {**params, "digests": compute_digests(params)}
+            for tier, params in CHECKED_TIERS.items()
         },
     }
     OUT.write_text(json.dumps(payload, indent=2) + "\n")
@@ -83,26 +97,35 @@ def regenerate() -> None:
 
 
 def check() -> int:
-    """Verify the smoke digests and golden traces match the code."""
+    """Verify the smoke and long digests, the golden traces and the
+    wire-construction digests match the code."""
     drift = []
     pinned = json.loads(OUT.read_text())
-    smoke = pinned.get("smoke")
-    if not smoke:
-        drift.append(f"{OUT.name} has no smoke tier -- regenerate it")
-    else:
-        params = {k: smoke[k] for k in ("n_peers", "seed", "duration_scale")}
+    for tier in CHECKED_TIERS:
+        committed = pinned.get(tier)
+        if not committed:
+            drift.append(f"{OUT.name} has no {tier} tier -- regenerate it")
+            continue
+        params = {k: committed[k] for k in ("n_peers", "seed", "duration_scale")}
         fresh = compute_digests(params)
-        for name in sorted(set(fresh) | set(smoke["digests"])):
-            if fresh.get(name) != smoke["digests"].get(name):
+        for name in sorted(set(fresh) | set(committed["digests"])):
+            if fresh.get(name) != committed["digests"].get(name):
                 drift.append(
-                    f"smoke digest of {name!r}: committed "
-                    f"{smoke['digests'].get(name, '<missing>')[:12]}... vs "
+                    f"{tier} digest of {name!r}: committed "
+                    f"{committed['digests'].get(name, '<missing>')[:12]}... vs "
                     f"code {fresh.get(name, '<missing>')[:12]}..."
                 )
     for filename, backend in GOLDENS:
         committed = (DATA / filename).read_text().strip()
         if golden_json(backend) != committed:
             drift.append(f"golden trace {filename} drifts from the code")
+    wire = json.loads(wire_construction.DATA.read_text())["digests"]
+    for seed in wire_construction.SEEDS:
+        if wire_construction.compute(seed) != wire.get(wire_construction.cell_name(seed)):
+            drift.append(
+                f"wire construction digest of seed {seed} drifts from the code"
+                " (regenerate: PYTHONPATH=src python tests/test_wire_construction_digests.py)"
+            )
     if drift:
         print("committed digests/goldens are stale:", file=sys.stderr)
         for line in drift:
@@ -117,7 +140,7 @@ def check() -> int:
             file=sys.stderr,
         )
         return 1
-    print("smoke digests and golden traces match the code")
+    print("smoke and long digests, golden traces and wire construction digests match the code")
     return 0
 
 
@@ -126,7 +149,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--check",
         action="store_true",
-        help="verify the committed smoke digests + goldens instead of rewriting",
+        help="verify the committed smoke/long/wire-construction digests + goldens "
+        "instead of rewriting",
     )
     args = parser.parse_args(argv)
     if args.check:

@@ -17,6 +17,8 @@ Four layers of protection for ``MessageScenarioRunner``:
   (``tests/data/scenario_message_digests.json``; see
   ``tests/data/regen_message_digests.py``) -- the acceptance-level
   "the whole library runs deterministically at N>=1024" guarantee.
+  The same file's ``long`` tier pins the library at N=48 with unscaled
+  durations, the only pin that runs past 225 simulated seconds.
 * **Protocol-level tests** drive the message-level range traversal and
   timeout/retry paths on hand-built overlays.
 * **Structural invariants**: :meth:`MessageScenarioRunner.as_network`
@@ -98,19 +100,27 @@ class TestDeterminism:
                 assert got[key] == want[key], f"golden mismatch in section {key!r}"
         assert produced == pinned
 
+    @staticmethod
+    def assert_tier_unchanged(tier: dict) -> dict:
+        """Recompute one tier of the digest file; returns its parameters."""
+        params = {k: tier[k] for k in ("n_peers", "seed", "duration_scale")}
+        for name, want in sorted(tier["digests"].items()):
+            produced = hashlib.sha256(run_json(name, **params).encode()).hexdigest()
+            assert produced == want, f"message-backend digest drift in {name!r}"
+        return params
+
     def test_all_library_scenarios_deterministic_at_full_population(self):
         """Acceptance: every library scenario runs deterministically
         under MessageScenarioRunner at N=1024 (digest-pinned)."""
-        pinned = json.loads(DIGESTS_PATH.read_text())
-        params = dict(
-            n_peers=pinned["n_peers"],
-            seed=pinned["seed"],
-            duration_scale=pinned["duration_scale"],
-        )
+        params = self.assert_tier_unchanged(json.loads(DIGESTS_PATH.read_text()))
         assert params["n_peers"] >= 1024
-        for name, want in sorted(pinned["digests"].items()):
-            produced = hashlib.sha256(run_json(name, **params).encode()).hexdigest()
-            assert produced == want, f"message-backend digest drift in {name!r}"
+
+    def test_all_library_scenarios_deterministic_over_a_long_horizon(self):
+        """The ``long`` tier: every library scenario at unscaled durations
+        (600-1,200 simulated seconds), so the probe back-off ladder, cache
+        expiry and retry exhaustion run under a pin too."""
+        params = self.assert_tier_unchanged(json.loads(DIGESTS_PATH.read_text())["long"])
+        assert params["duration_scale"] == 1.0
 
 
 class TestBackendSelector:
