@@ -16,11 +16,13 @@ Sub-modules
 ``estimators``
     Local estimators for the split fraction, replica count and
     partition size.
+``fig2``
+    The Fig. 2 interaction rules as pure functions of those estimates.
 ``deviation``
     The load-balance deviation metric of Sec. 4.4.
 ``construction``
-    The full recursive, round-based construction process (Fig. 2 and
-    Sec. 4), producing a complete P-Grid overlay from scratch.
+    The full recursive, round-based construction process (Sec. 4),
+    asking ``fig2`` and producing a complete P-Grid overlay from scratch.
 """
 
 from . import (  # noqa: F401
@@ -30,6 +32,7 @@ from . import (  # noqa: F401
     construction,
     deviation,
     estimators,
+    fig2,
     mva,
     probabilities,
     reference,

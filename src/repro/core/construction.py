@@ -12,30 +12,21 @@ which
   level of a peer's path.
 
 The process is round-based: in every round each *active* peer initiates
-one interaction with a (uniformly sampled) random peer, and the
-Fig. 2 interaction rules fire:
-
-``split``
-    both peers share a partition that is overloaded -> balanced split
-    with probability ``alpha(p_hat)``, exchanging the keys that now fall
-    outside each peer's refined path;
-``decide``
-    the contacted peer has already refined its path below the
-    initiator's -> AEP rules 3/4 with probability ``beta(p_hat)``;
-``replicate``
-    both peers share a partition that is *not* overloaded -> they become
-    replicas and reconcile their key sets (anti-entropy);
-``refer``
-    the peers' partitions diverge -> the initiator gains a routing entry
-    and is referred to a peer with a longer matching prefix, which it
-    contacts next (prefix routing during construction).
+one interaction with a (uniformly sampled) random peer, and the Fig. 2
+interaction rules fire -- split, decide (AEP rules 3/4), replicate or
+refer.  The rules themselves are :mod:`repro.core.fig2`; this engine
+counts what a pair sees (a :class:`~repro.core.fig2.Meeting`), asks, draws
+the uniforms and moves paths, keys and references accordingly: a split
+exchanges the keys that now fall outside each peer's refined path, a
+referred initiator contacts the recommended peer next (prefix routing
+during construction).
 
 Synchronization and termination follow Sec. 4.2: peers that cannot find a
 useful interaction stop initiating after :data:`MAX_IDLE_ATTEMPTS` attempts
 and only react to incoming contacts; the process ends when every peer is
-passive.  Overload decisions use only *local* estimates (Sec. 4.2's
-overlap estimators), and split ratios use the corrected decision
-probabilities by default (strategy ``"theory"``).
+passive.  Every decision rests on *local* counts only (the overlap of the
+two key lists and the pair's replica lists), and split ratios use the
+corrected decision probabilities by default (strategy ``"theory"``).
 
 Key bitmaps
 -----------
@@ -67,22 +58,17 @@ filled in, as a plain set, when the process has settled.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .._util import RngLike, make_rng
 from ..exceptions import ConstructionError, DomainError
 from ..pgrid.bits import Path, ROOT
 from ..pgrid.keyspace import KEY_BITS
 from .constants import DEFAULT_D_MAX_FACTOR, DEFAULT_N_MIN
-from .estimators import partition_keys_from_overlap, replica_count_from_overlap
-from .probabilities import (
-    DecisionProbabilities,
-    decision_probabilities,
-    heuristic_probabilities,
-)
+from . import fig2
+from .probabilities import DecisionProbabilities
 
 __all__ = [
     "ConstructionConfig",
@@ -91,8 +77,6 @@ __all__ = [
     "construct_overlay",
 ]
 
-#: Strategies for choosing the split probabilities (Fig. 6(d) ablation).
-STRATEGIES = ("theory", "uncorrected", "heuristic")
 #: Consecutive useless interactions before a peer stops initiating (the
 #: paper uses 2).
 MAX_IDLE_ATTEMPTS = 2
@@ -137,29 +121,18 @@ def _reframe(bitmap: int, src_offset: int, dst_offset: int, dst_end: int) -> int
     return moved & ((1 << (dst_end - dst_offset)) - 1)
 
 
-class _Compared(NamedTuple):
-    """What a pair learns by comparing key lists, counted once per meeting:
-    the union (a bitmap in the shallower peer's frame), both sizes and the
-    overlap."""
-
-    union: int
-    size_a: int
-    size_b: int
-    overlap: int
-
-    @property
-    def total(self) -> int:
-        """``|A ∪ B|``."""
-        return self.size_a + self.size_b - self.overlap
-
-
-def _compare(keys_a: int, keys_b: int) -> _Compared:
-    """Compare two bitmaps expressed in the same frame."""
-    return _Compared(
-        keys_a | keys_b,
+def _compare(
+    a: ConstructionPeer, b: ConstructionPeer, keys_a: int, keys_b: int
+) -> Tuple[int, fig2.Meeting]:
+    """``a`` compares key lists with ``b``, a peer of its own partition or
+    of one nested in it, both bitmaps in ``a``'s frame: the union (a bitmap
+    in that frame) and the counts :mod:`repro.core.fig2` decides on."""
+    return keys_a | keys_b, fig2.Meeting(
+        a.path.length,
         keys_a.bit_count(),
         keys_b.bit_count(),
         (keys_a & keys_b).bit_count(),
+        lambda: len(a.replicas | b.replicas | {a.peer_id, b.peer_id}),
     )
 
 
@@ -205,9 +178,9 @@ class ConstructionConfig:
             raise DomainError(f"n_min must be >= 1, got {self.n_min}")
         if self.resolved_d_max() <= 0:
             raise DomainError("d_max must be positive")
-        if self.strategy not in STRATEGIES:
+        if self.strategy not in fig2.STRATEGIES:
             raise DomainError(
-                f"unknown strategy {self.strategy!r}; expected one of {STRATEGIES}"
+                f"unknown strategy {self.strategy!r}; expected one of {fig2.STRATEGIES}"
             )
         if self.sample_size is not None and self.sample_size < 1:
             raise DomainError(f"sample_size must be >= 1, got {self.sample_size}")
@@ -491,25 +464,21 @@ class _Construction:
             initiator.interactions_initiated += 1
             self.interactions += 1
             delivered = self._exchange_outbox(initiator, partner)
-            relation = self._relation(initiator, partner)
-            if relation != "diverged":
+            related = fig2.relation(initiator.path, partner.path)
+            if related != fig2.DIVERGED:
                 # Bilateral meeting: the initiator ships its key list so
                 # the pair can compare content and estimate the partition
                 # population -- the dominant bandwidth term of Fig. 6(f).
                 self.bilateral_interactions += 1
                 self.bandwidth_keys += self.bitmap[initiator.peer_id].bit_count()
-            if relation == "same":
-                useful = self._meet_same_partition(initiator, partner)
-                self._strike(initiator, useful or delivered)
-                return
-            if relation == "initiator_undecided":
-                useful = self._decide_against(initiator, partner)
-                self._strike(initiator, useful or delivered)
-                return
-            if relation == "partner_undecided":
-                # The partner lags behind; from its perspective the
-                # initiator has decided, so the partner applies rules 3/4.
-                useful = self._decide_against(partner, initiator)
+                if related == fig2.SAME:
+                    useful = self._meet_same_partition(initiator, partner)
+                elif related == fig2.A_UNDECIDED:
+                    useful = self._decide_against(initiator, partner)
+                else:
+                    # The partner lags behind; from its perspective the
+                    # initiator has decided, so the partner applies rules 3/4.
+                    useful = self._decide_against(partner, initiator)
                 self._strike(initiator, useful or delivered)
                 return
             # Diverging paths: refer.  The initiator learns a routing entry
@@ -551,17 +520,6 @@ class _Construction:
             if peer.idle_strikes >= MAX_IDLE_ATTEMPTS:
                 peer.active = False
 
-    @staticmethod
-    def _relation(a: ConstructionPeer, b: ConstructionPeer) -> str:
-        """Classify the pair per Fig. 2."""
-        if a.path == b.path:
-            return "same"
-        if a.path.is_prefix_of(b.path):
-            return "initiator_undecided"
-        if b.path.is_prefix_of(a.path):
-            return "partner_undecided"
-        return "diverged"
-
     # -- same-partition meeting: split or replicate -------------------------
 
     def _meet_same_partition(
@@ -576,100 +534,41 @@ class _Construction:
         a decision is reached (Sec. 3.1) -- the expected number of
         attempts is exactly what Eq. (3) prices in.
         """
-        seen = _compare(self.bitmap[a.peer_id], self.bitmap[b.peer_id])
-        if self._overloaded(a, b, seen):
-            self._try_split(a, b, seen)
-            return True
-        return self._replicate(a, b, seen)
-
-    def _overloaded(
-        self, a: ConstructionPeer, b: ConstructionPeer, seen: _Compared
-    ) -> bool:
-        """Local overload test: the shallower peer ``a``'s partition
-        justifies a further split.
-
-        Uses the Sec. 4.2 overlap estimators; disjoint samples estimate
-        "unbounded", i.e. definitely overloaded -- correct early in the
-        process when each peer has seen only a sliver of the partition.
-        """
-        if a.path.length >= KEY_BITS - 1 or not seen.size_a or not seen.size_b:
-            return False
-        if seen.total <= self.d_max / 2.0:
-            # Capture-recapture can report "unbounded" from two disjoint
-            # slivers; require direct evidence of real volume before
-            # declaring overload, so near-empty deep partitions settle.
-            return False
-        d_hat = partition_keys_from_overlap(seen.size_a, seen.size_b, seen.overlap)
-        if d_hat <= self.d_max:
-            return False
-        return self._replica_evidence(a, b, seen) >= 2 * self.config.n_min
-
-    def _replica_evidence(
-        self, a: ConstructionPeer, b: ConstructionPeer, seen: _Compared
-    ) -> float:
-        """Best local estimate of the partition's peer count.
-
-        Combines the key-overlap estimator of Sec. 4.2 with the direct
-        evidence of the replica lists accumulated through reconciliation
-        (once replicas have fully synchronized, the overlap estimator
-        reports exactly ``n_min`` by design, so the discovered replica
-        population takes over)."""
-        r_hat = replica_count_from_overlap(
-            seen.size_a, seen.size_b, seen.overlap, self.config.n_min
-        )
-        known = float(len((a.replicas | b.replicas | {a.peer_id, b.peer_id})))
-        return max(r_hat, known) if math.isfinite(r_hat) else r_hat
+        union, meeting = _compare(a, b, self.bitmap[a.peer_id], self.bitmap[b.peer_id])
+        if not fig2.overloaded(meeting, self.d_max, self.config.n_min):
+            return self._replicate(a, b, union, meeting)
+        probs, _minority = self._split_policy(a, union, meeting)
+        if self.rand.random() < probs.alpha:
+            lower, upper = (a, b) if self.rand.random() < 0.5 else (b, a)
+            self._assign_side(lower, 0, counterpart=upper)
+            self._assign_side(upper, 1, counterpart=lower)
+            self.splits += 1
+        return True
 
     def _split_policy(
-        self, peer: ConstructionPeer, seen: _Compared, r_hat: float
+        self, peer: ConstructionPeer, union: int, meeting: fig2.Meeting
     ) -> Tuple[DecisionProbabilities, int]:
         """Decision probabilities for splitting ``peer``'s partition, in
-        whose frame ``seen.union`` is expressed.
+        whose frame ``union`` is expressed, and the minority side.
 
         The split fraction is the share of the union's keys (or of a
         ``sample_size`` sample of them, drawn from the keys in ascending
         order) below the partition midpoint, i.e. inside the 0-child's
-        frame.  The estimated minority fraction is floored at
-        ``n_min / r_hat`` (the decentralized analogue of Algorithm 1's
-        lines 6-10: never aim fewer than ``n_min`` peers at a side) and
-        the probability functions follow the configured strategy.
+        frame; the floor under it is the pair's replica evidence.
         """
         lower = self._lower_width(peer.path, *self.frame[peer.peer_id])
-        m_eff = seen.total
+        m_eff = meeting.total
         sample_size = self.config.sample_size
         if sample_size is not None and m_eff > sample_size:
             m_eff = sample_size
-            sample = self.rand.sample(_positions(seen.union), sample_size)
+            sample = self.rand.sample(_positions(union), sample_size)
             zeros = sum(1 for i in sample if i < lower)
         else:
-            zeros = (seen.union & ((1 << lower) - 1)).bit_count()
-        p_hat = zeros / m_eff
-        minority = 0 if p_hat <= 0.5 else 1
-        q = min(p_hat, 1.0 - p_hat)
-        if math.isfinite(r_hat) and r_hat >= 2 * self.config.n_min:
-            q = max(q, self.config.n_min / r_hat)
-        q = min(max(q, 1.0 / (4.0 * m_eff)), 0.5)
-        if self.config.strategy == "heuristic":
-            probs = heuristic_probabilities(q)
-        elif self.config.strategy == "uncorrected":
-            probs = decision_probabilities(q)
-        else:
-            probs = decision_probabilities(q, m=m_eff)
-        return probs, minority
-
-    def _try_split(
-        self, a: ConstructionPeer, b: ConstructionPeer, seen: _Compared
-    ) -> bool:
-        """Balanced split of two same-path peers with probability alpha."""
-        r_hat = self._replica_evidence(a, b, seen)
-        probs, _minority = self._split_policy(a, seen, r_hat)
-        if self.rand.random() >= probs.alpha:
-            return False
-        lower, upper = (a, b) if self.rand.random() < 0.5 else (b, a)
-        self._assign_side(lower, 0, counterpart=upper)
-        self._assign_side(upper, 1, counterpart=lower)
-        self.splits += 1
-        return True
+            zeros = (union & ((1 << lower) - 1)).bit_count()
+        n_min = self.config.n_min
+        return fig2.split_probabilities(
+            zeros, m_eff, meeting.replica_evidence(n_min), n_min, self.config.strategy
+        )
 
     def _assign_side(
         self, peer: ConstructionPeer, side: int, counterpart: ConstructionPeer
@@ -726,41 +625,23 @@ class _Construction:
         # The decided peer's frame is nested in the undecided one's, so
         # its keys enter the wider frame by a shift.
         nested = self.frame[decided.peer_id][0] - self.frame[undecided.peer_id][0]
-        seen = _compare(
-            self.bitmap[undecided.peer_id], self.bitmap[decided.peer_id] << nested
+        union, meeting = _compare(
+            undecided, decided,
+            self.bitmap[undecided.peer_id], self.bitmap[decided.peer_id] << nested,
         )
-        if not self._overloaded(undecided, decided, seen):
+        if not fig2.overloaded(meeting, self.d_max, self.config.n_min):
             # Not enough load to justify refining; reconcile instead so the
             # lagging peer catches up with the partition content it missed.
-            return self._pull_keys(undecided, seen)
-        r_hat = self._replica_evidence(undecided, decided, seen)
-        probs, minority = self._split_policy(undecided, seen, r_hat)
-        partner_side = decided.path.bit(level)
-        if partner_side == minority:
-            side = 1 - minority  # rule 3: join the majority
-            reference = decided
-        else:
-            if self.rand.random() < probs.beta:
-                side = minority  # rule 4, first case
-                reference = decided
-            else:
-                side = partner_side  # rule 4, second case: same side,
-                reference = None  # reference obtained from partner's table
-        if reference is not None:
-            self._assign_side(undecided, side, counterpart=reference)
-        else:
-            shared = self._shared_reference(decided, level)
-            if shared is None:
-                # The partner cannot hand over an opposite-side contact
-                # (can only happen transiently); fall back to joining the
-                # opposite side of the partner to keep integrity.
-                side = 1 - partner_side
-                self._assign_side(undecided, side, counterpart=decided)
-            else:
-                self._assign_side(undecided, side, counterpart=shared)
-                # Keys shipped to `shared` (opposite side) -- correct
-                # destination; also learn the partner as a replica-side
-                # contact at deeper levels via future meetings.
+            return self._pull_keys(undecided, union, meeting)
+        probs, minority = self._split_policy(undecided, union, meeting)
+        # Joining the decided peer's own side takes a reference from its
+        # table; keys then ship to that peer, on the opposite side.
+        shared = self._shared_reference(decided, level)
+        side, via_decided = fig2.rules_3_4(
+            decided.path.bit(level), minority, probs.beta, self.rand.random,
+            shared is not None,
+        )
+        self._assign_side(undecided, side, counterpart=decided if via_decided else shared)
         return True
 
     def _shared_reference(
@@ -776,7 +657,9 @@ class _Construction:
 
     # -- replicate / reconcile (possibility 2) --------------------------------
 
-    def _replicate(self, a: ConstructionPeer, b: ConstructionPeer, seen: _Compared) -> bool:
+    def _replicate(
+        self, a: ConstructionPeer, b: ConstructionPeer, union: int, seen: fig2.Meeting
+    ) -> bool:
         """Anti-entropy reconciliation of two same-partition replicas:
         both peers converge on the union (one shared, immutable bitmap)."""
         moved = 2 * seen.total - seen.size_a - seen.size_b
@@ -784,7 +667,7 @@ class _Construction:
         if moved == 0 and b.peer_id in a.replicas and a.peer_id in b.replicas:
             return False  # fully synchronized copies: a useless interaction
         self.keys_moved += moved
-        self.bitmap[a.peer_id] = self.bitmap[b.peer_id] = seen.union
+        self.bitmap[a.peer_id] = self.bitmap[b.peer_id] = union
         a.replicas.add(b.peer_id)
         b.replicas.add(a.peer_id)
         a.replicas.update(b.replicas - {a.peer_id})
@@ -793,14 +676,14 @@ class _Construction:
         b.idle_strikes = 0
         return True
 
-    def _pull_keys(self, behind: ConstructionPeer, seen: _Compared) -> bool:
+    def _pull_keys(self, behind: ConstructionPeer, union: int, seen: fig2.Meeting) -> bool:
         """A lagging peer catches up on the partition content it missed
         (without refining its path): ``seen`` compares its keys with those
         of a peer further down its subtree, in its own frame.  Returns
         whether keys moved."""
         moved = seen.size_b - seen.overlap
         if moved:
-            self.bitmap[behind.peer_id] = seen.union
+            self.bitmap[behind.peer_id] = union
             self.keys_moved += moved
             behind.active = True
             behind.idle_strikes = 0

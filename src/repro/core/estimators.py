@@ -18,11 +18,10 @@ with identical key sets of size ``d_max`` yield an estimate of exactly
 ``n_min`` peers.
 
 Each overlap formula is stated once, on counts
-(:func:`replica_count_from_overlap`, :func:`partition_keys_from_overlap`);
-the public functions count ``|A|``, ``|B|`` and ``|A ∩ B|`` on sets or
-:class:`KeyStore`\\ s and delegate, and the construction engine, which
-holds keys as bitmaps and already has the three counts, calls the cores
-directly.
+(:func:`replica_count_from_overlap`, :func:`partition_keys_from_overlap`),
+which is what :mod:`repro.core.fig2` decides on; the public functions
+count ``|A|``, ``|B|`` and ``|A ∩ B|`` on sets or :class:`KeyStore`\\ s and
+delegate -- the oracle the engines' counting is tested against.
 """
 
 from __future__ import annotations

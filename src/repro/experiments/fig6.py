@@ -77,7 +77,7 @@ def construction_point(
     """Run (and cache) ``reps`` constructions for one configuration."""
     reps = reps if reps is not None else env_reps(2)
     seed = env_seed()
-    n = scaled(n, minimum=4 * n_min)
+    n = scaled(n, minimum=8 * n_min)
     d_max = d_max_factor * n_min
     devs: List[float] = []
     inter: List[float] = []

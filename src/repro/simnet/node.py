@@ -1,8 +1,9 @@
 """A P-Grid peer as an asynchronous protocol node.
 
 This is the message-passing counterpart of the round-based simulator in
-:mod:`repro.core.construction`: the same Fig. 2 interaction rules
-(split / replicate / refer) and Sec. 4.2 estimators, but driven by
+:mod:`repro.core.construction`: both put the questions of the Fig. 2
+interaction (split / decide / replicate / refer) to
+:mod:`repro.core.fig2`, this one from counts over key sets, driven by
 timers, subject to latency, loss and churn, and with every byte
 accounted.  Optimistic concurrency handles in-flight races: an exchange
 response that no longer matches the initiator's state is discarded, just
@@ -31,18 +32,12 @@ would leave every finished operation to the cyclic collector.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, ClassVar, Dict, List, Optional, Set, Tuple
 
 from .._util import RngLike, make_rng
-from ..core.estimators import (
-    estimate_partition_keys,
-    estimate_replica_count,
-    estimate_split_fraction,
-)
-from ..core.probabilities import decision_probabilities
+from ..core import fig2
 from ..pgrid.bits import Path, ROOT
 from ..pgrid.keyspace import KEY_BITS, bit_at
 from ..pgrid.liveness import (
@@ -1048,32 +1043,29 @@ class PGridNode:
         deliver = {k for k in self.outbox if their_path.contains_key(k, KEY_BITS)}
         self.outbox -= deliver
 
-        cpl = self.path.common_prefix_length(their_path)
-        if cpl < self.path.length and cpl < their_path.length:
-            # Diverged: refer.  Learn each other; recommend a better match.
+        related = fig2.relation(their_path, self.path)
+        if related == fig2.DIVERGED:
+            # Refer.  Learn each other; recommend a better match, one step
+            # of prefix routing: our references at the divergence level sit
+            # in the complementary subtree that holds their partition.
+            cpl = self.path.common_prefix_length(their_path)
             self.add_route(cpl, initiator)
-            recommendation = self._best_match(their_path, exclude=initiator)
+            refs = [r for r in self.routing.get(cpl, ()) if r != initiator]
             return {
                 "action": "refer",
                 "level": cpl,
-                "recommend": recommendation,
+                "recommend": refs[self.rng.randrange(len(refs))] if refs else None,
                 "keys": list(deliver),
             }
-        if self.path == their_path:
+        if related == fig2.SAME:
             return self._evaluate_same_partition(
                 initiator, their_keys, their_replicas, deliver, their_tombstones
             )
-        if their_path.length < self.path.length:
-            # Initiator lags: it decides against us (rules 3/4).
-            return self._evaluate_decide(initiator, their_keys, deliver, their_path)
-        # We lag behind the initiator: apply rules 3/4 ourselves, using the
-        # initiator as the already-decided peer (its deeper path reveals
-        # its side at our level).
-        return self._lagging_decide(
+        return self._evaluate_decide(
             initiator, their_path, their_keys, their_replicas, their_routes, deliver
         )
 
-    def _lagging_decide(
+    def _evaluate_decide(
         self,
         initiator: int,
         their_path: Path,
@@ -1082,18 +1074,48 @@ class PGridNode:
         their_routes: dict,
         deliver: Set[int],
     ) -> dict:
-        """The contacted peer lags behind the initiator and refines its own
-        path against it (the message-passing mirror of the round-based
-        simulator's "partner undecided" case)."""
-        level = self.path.length
-        union = self.keys | their_keys
-        useful = False
-        if self._overloaded(their_keys, their_replicas, union, level):
-            probs, minority = self._split_policy(their_keys, their_replicas, union, level)
-            side, via = self._decide_side(
-                initiator, their_path.bit(level), minority, probs.beta,
-                their_routes.get(level),
+        """One path is a proper prefix of the other: the peer that lags a
+        level behind takes a side by rules 3/4 against the decided one (its
+        deeper path reveals its side at that level) if the partition is
+        overloaded, and otherwise catches up on the content it missed.  A
+        lagging initiator is told which in the reply; when the contacted
+        peer lags, it acts here and now."""
+        we_lag = self.path.length < their_path.length
+        if we_lag:
+            level = self.path.length
+            meeting = self._meeting(level, self.keys, their_keys, their_replicas)
+            decided, decided_side = initiator, their_path.bit(level)
+            # Rule 4's reference hand-over, from the routes the request carried.
+            opposite_ref = their_routes.get(level)
+        else:
+            level = their_path.length
+            # Unlike the round engine, the lagging initiator's replica list
+            # stays out of ``known`` (ROADMAP item 9).
+            meeting = self._meeting(level, their_keys, self.keys, frozenset())
+            decided, decided_side = self.node_id, self.path.bit(level)
+            opposite_ref = next(iter(self.routing.get(level, ())), None)
+        side = None
+        if fig2.overloaded(meeting, self.config.d_max, self.config.n_min):
+            probs, minority = self._split_probabilities(meeting, their_keys)
+            side, via_decided = fig2.rules_3_4(
+                decided_side, minority, probs.beta, self.rng.random, opposite_ref is not None
             )
+            via = decided if via_decided else opposite_ref
+        if not we_lag:
+            if side is None:
+                # Not splittable: help the lagging peer catch up instead.
+                catch_up = {
+                    k for k in self.keys if their_path.contains_key(k, KEY_BITS)
+                } - their_keys
+                return {"action": "catch_up", "keys": list(deliver | catch_up)}
+            return {
+                "action": "decide",
+                "your_side": side,
+                "level": level,
+                "counterpart": via,
+                "keys": list(deliver),
+            }
+        if side is not None:
             # Displaced keys of the initiator's partition ship back in
             # the reply; the rest wait in the outbox.
             leaving = self._extend_path(side, via)
@@ -1101,40 +1123,14 @@ class PGridNode:
             self.outbox |= leaving - back
             deliver |= back
             useful = True
-            self.wake()
         else:
             # Catch up on partition content we are missing.
-            gained = {
-                k
-                for k in their_keys
-                if self.responsible_for(k) and k not in self.keys
-            }
-            if gained:
-                self.keys |= gained
-                useful = True
-                self.wake()
-        return {
-            "action": "noop",
-            "keys": list(deliver),
-            "useful": useful,
-        }
-
-    def _decide_side(
-        self, decided: int, decided_side: int, minority: int, beta: float,
-        same_side_ref: Optional[int],
-    ) -> Tuple[int, int]:
-        """Rules 3/4 for a peer refining its path against the already
-        ``decided`` one: the side to take and the reference that covers
-        the other side.  ``same_side_ref`` is a reference into the
-        subtree opposite ``decided_side`` (or ``None``), which joining
-        the decided peer's side needs."""
-        if decided_side == minority:
-            return 1 - minority, decided  # rule 3
-        if self.rng.random() < beta:
-            return minority, decided  # rule 4, join the minority
-        if same_side_ref is None:
-            return 1 - decided_side, decided
-        return decided_side, same_side_ref  # rule 4, same side: share the ref
+            gained = {k for k in their_keys if self.responsible_for(k)} - self.keys
+            self.keys |= gained
+            useful = bool(gained)
+        if useful:
+            self.wake()
+        return {"action": "noop", "keys": list(deliver), "useful": useful}
 
     def _extend_path(self, side: int, via: Optional[int]) -> Set[int]:
         """Extend own path by ``side`` (split or rules 3/4), learning
@@ -1182,9 +1178,9 @@ class PGridNode:
             )
             self.keys -= self.tombstones
             their_keys = their_keys - self.tombstones
-        union = self.keys | their_keys
-        if self._overloaded(their_keys, their_replicas, union, level):
-            probs, minority = self._split_policy(their_keys, their_replicas, union, level)
+        meeting = self._meeting(level, their_keys, self.keys, their_replicas)
+        if fig2.overloaded(meeting, self.config.d_max, self.config.n_min):
+            probs, _minority = self._split_probabilities(meeting, their_keys)
             if self.rng.random() < probs.alpha:
                 # Balanced split: the contacted node takes one side now and
                 # instructs the initiator to take the other.
@@ -1218,50 +1214,6 @@ class PGridNode:
         if self.tombstones:
             reply["tombstones"] = sorted(self.tombstones)
         return reply
-
-    def _evaluate_decide(
-        self, initiator: int, their_keys: Set[int], deliver: Set[int], their_path: Path
-    ) -> dict:
-        """Initiator's path is a proper prefix of ours: rules 3/4."""
-        level = their_path.length
-        union = self.keys | their_keys
-        if not self._overloaded(their_keys, set(), union, level):
-            # Not splittable: help the lagging peer catch up instead.
-            catch_up = {
-                k for k in self.keys if their_path.contains_key(k, KEY_BITS)
-            } - their_keys
-            return {
-                "action": "catch_up",
-                "keys": list(deliver | catch_up),
-            }
-        probs, minority = self._split_policy(their_keys, set(), union, level)
-        side, via = self._decide_side(
-            self.node_id, self.path.bit(level), minority, probs.beta,
-            self._opposite_ref(level),
-        )
-        return {
-            "action": "decide",
-            "your_side": side,
-            "level": level,
-            "counterpart": via,
-            "keys": list(deliver),
-        }
-
-    def _opposite_ref(self, level: int) -> Optional[int]:
-        for ref in self.routing.get(level, ()):
-            return ref
-        return None
-
-    def _best_match(self, target: Path, exclude: int) -> Optional[int]:
-        """Prefix-route one step toward ``target``: the reference at our
-        divergence level with the target sits in the complementary
-        subtree that contains the target's partition."""
-        cpl = self.path.common_prefix_length(target)
-        if cpl < self.path.length and cpl < target.length:
-            refs = [r for r in self.routing.get(cpl, ()) if r != exclude]
-            if refs:
-                return refs[self.rng.randrange(len(refs))]
-        return None
 
     # -- initiator side: apply the directive ------------------------------------
 
@@ -1333,35 +1285,30 @@ class PGridNode:
         self.keys |= mine
         self.outbox |= incoming - mine - self.tombstones
 
-    # -- overload estimation (Sec. 4.2) -----------------------------------------
+    # -- what one exchange hands to repro.core.fig2 (Sec. 4.2) -----------------
 
-    def _overloaded(
-        self, their_keys: Set[int], their_replicas: Set[int], union: Set[int], level: int
-    ) -> bool:
-        if level >= KEY_BITS - 1 or not self.keys or not their_keys:
-            return False
-        if len(union) <= self.config.d_max / 2.0:
-            return False
-        d_hat = estimate_partition_keys(self.keys, their_keys)
-        if d_hat <= self.config.d_max:
-            return False
-        r_hat = estimate_replica_count(self.keys, their_keys, self.config.n_min)
-        known = float(len(self.replicas | their_replicas | {self.node_id}) + 1)
-        evidence = max(r_hat, known) if math.isfinite(r_hat) else r_hat
-        return evidence >= 2 * self.config.n_min
+    def _meeting(
+        self, level: int, keys_a: Set[int], keys_b: Set[int], their_replicas: Set[int]
+    ) -> fig2.Meeting:
+        """The counts of one exchange, taken once; ``keys_a`` is the key set
+        of the peer whose partition, at ``level``, may be refined."""
+        return fig2.Meeting(
+            level, len(keys_a), len(keys_b), len(keys_a & keys_b),
+            # Unlike the round engine, the initiator is counted even when a
+            # replica list already names it (ROADMAP item 9).
+            lambda: len(self.replicas | their_replicas | {self.node_id}) + 1,
+        )
 
-    def _split_policy(
-        self, their_keys: Set[int], their_replicas: Set[int], union: Set[int], level: int
-    ):
-        p_hat = estimate_split_fraction(union, level)
-        minority = 0 if p_hat <= 0.5 else 1
-        q = min(p_hat, 1.0 - p_hat)
-        r_hat = estimate_replica_count(self.keys, their_keys, self.config.n_min)
-        if math.isfinite(r_hat) and r_hat >= 2 * self.config.n_min:
-            q = max(q, self.config.n_min / r_hat)
-        m_eff = max(len(union), 1)
-        q = min(max(q, 1.0 / (4.0 * m_eff)), 0.5)
-        return decision_probabilities(q, m=m_eff), minority
+    def _split_probabilities(self, meeting: fig2.Meeting, their_keys: Set[int]):
+        """Split probabilities and minority side for an overloaded meeting."""
+        level, n_min = meeting.level, self.config.n_min
+        zeros = sum(1 for k in self.keys | their_keys if not bit_at(k, level))
+        return fig2.split_probabilities(
+            zeros, meeting.total,
+            # Unlike the round engine, the floor is the overlap estimate
+            # alone, not ``replica_evidence`` (ROADMAP item 9).
+            meeting.replica_estimate(n_min), n_min, "theory",
+        )
 
     def initiate_exchange(self, partner: int) -> None:
         """Start one construction/anti-entropy exchange with ``partner``.

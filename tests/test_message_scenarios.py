@@ -18,7 +18,7 @@ Four layers of protection for ``MessageScenarioRunner``:
   ``tests/data/regen_message_digests.py``) -- the acceptance-level
   "the whole library runs deterministically at N>=1024" guarantee.
   The same file's ``long`` tier pins the library at N=48 with unscaled
-  durations, the only pin that runs past 225 simulated seconds.
+  durations, the only scenario pin that runs past 225 simulated seconds.
 * **Protocol-level tests** drive the message-level range traversal and
   timeout/retry paths on hand-built overlays.
 * **Structural invariants**: :meth:`MessageScenarioRunner.as_network`

@@ -230,8 +230,9 @@ class TestKeyBitmapProperties:
         state = framed(a, b)
         path, frame = walk(state, bits)
         a, b = inside(a, path), inside(b, path)
-        seen = _compare(state._pack(a, *frame), state._pack(b, *frame))
-        assert unpack(state, seen.union, frame) == a | b
+        peer = state.peers[0]
+        union, seen = _compare(peer, peer, state._pack(a, *frame), state._pack(b, *frame))
+        assert unpack(state, union, frame) == a | b
         assert (seen.size_a, seen.size_b, seen.overlap) == (len(a), len(b), len(a & b))
         assert seen.total == len(a | b)
         assert replica_count_from_overlap(

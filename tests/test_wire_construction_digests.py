@@ -88,7 +88,8 @@ def test_wire_construction_digest_unchanged(seed):
 
 if __name__ == "__main__":
     payload = {
-        "_comment": "sha256 per compressed run_experiment; see tests/test_wire_construction_digests.py",
+        "_comment": "sha256 per compressed run_experiment; see "
+        "tests/test_wire_construction_digests.py",
         "n_peers": N_PEERS,
         "digests": {cell_name(seed): compute(seed) for seed in SEEDS},
     }
