@@ -26,9 +26,9 @@ Sub-modules
 ``liveness``
     The shared route-repair subsystem: :class:`~repro.pgrid.liveness.
     RouteRepairPolicy` knobs, the evidence-driven
-    :class:`~repro.pgrid.liveness.LivenessTracker` state machine used by
-    the message backend, and the oracle-evidence ``repair_routes`` sweep
-    used by the data plane.
+    :class:`~repro.pgrid.liveness.ReferenceTable` (routing levels plus
+    liveness beliefs) of a message-backend node, and the oracle-evidence
+    ``repair_routes`` sweep used by the data plane.
 ``replication``
     Anti-entropy reconciliation between replicas, including delete-wins
     tombstone propagation and the replica-divergence aggregates.

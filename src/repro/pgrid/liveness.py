@@ -16,9 +16,10 @@ Operationally that is two separable concerns:
 Both execution layers share this module but differ in where their
 evidence comes from:
 
-* the **data plane** (:mod:`repro.pgrid.maintenance`) has oracle
-  evidence -- ``peer.online`` is globally visible -- so its mechanism is
-  the synchronous :func:`repair_routes` sweep: drop dead references,
+* the **data plane** has oracle evidence -- ``peer.online`` is globally
+  visible -- so its mechanism is the synchronous :func:`repair_routes`
+  sweep at the bottom of this module (the scenario runner and
+  :mod:`repro.pgrid.maintenance` call it): drop dead references,
   replenish depleted levels from the live population;
 * the **message backend** (:mod:`repro.simnet.node`) must infer
   liveness from the traffic it already sends, Kademlia-style: every
@@ -26,20 +27,29 @@ evidence comes from:
   suspect, every delivered message refreshes the sender, suspects are
   probed with ``ping``/``pong`` and evicted after :data:`EVICT_AFTER`
   silent probes, and evicted references are replaced by candidate
-  references gossiped on anti-entropy exchanges.  :class:`LivenessTracker` is that state
-  machine (per node, simulator-agnostic -- the node supplies timers and
-  messages).
+  references gossiped on anti-entropy exchanges.
+
+Who owns what on the wire
+-------------------------
+:class:`ReferenceTable` is a node's whole routing state: the levels,
+the per-reference beliefs, the trusted pick, gossip out and in, what a
+snapshot keeps, and the refresh sweep with its skip cache.  The node
+owns what needs a path or a simulator: the level a key leaves through,
+the ``ping``s the table says are due, their timers.  The scenario
+runner and :mod:`repro.pgrid.state` go through the table's methods;
+``tests/test_reference_table_scan.py`` fails if another file under
+``src/`` names the belief dicts or the cache field.
 
 What a probe is for
 -------------------
 A level routes as long as *one* reference in it is alive, and a dead
 reference is found for free the moment a send to it is refused
 (correction on use).  So the periodic sweep
-(``PGridNode.refresh_routes``) does not keep every reference fresh; it
-keeps every *level* routable, and leaves dead spares to be found by use
-or by rotation.  Three rules, one staleness test
-(:meth:`LivenessTracker.confirmed_until`) behind both probe sources,
-the sweep and confirm-on-use:
+(:meth:`ReferenceTable.due`, sent by ``PGridNode.refresh_routes``) does
+not keep every reference fresh; it keeps every *level* routable, and
+leaves dead spares to be found by use or by rotation.  Three rules, one
+staleness test (:meth:`ReferenceTable.confirmed_until`) behind both
+probe sources, the sweep and confirm-on-use:
 
 1. **One confirmed reference per level.**  A reference is *covered*
    while a probe to it is in flight, or while it is unsuspected and its
@@ -53,7 +63,7 @@ the sweep and confirm-on-use:
    :data:`CONFIRM_INTERVAL_MAX_S` -- a reference that keeps answering
    has earned a longer wait (session lengths are heavy-tailed).
    Passive traffic refreshes the confirmation without doubling; any
-   strike, eviction or restart (:meth:`LivenessTracker.wipe`) returns
+   strike, eviction or restart (:meth:`ReferenceTable.wipe`) returns
    the reference to the base.
 3. **Gossip on demand.**  A ``ping`` says whether the prober has a
    level short of references (``want``); only then does the ``pong``
@@ -72,13 +82,16 @@ both (``dark_levels_final``, ``dead_refs_final``).
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from .._util import RngLike, make_rng
+from .bits import Path
 from .network import PGridNetwork
+from .routing import RoutingTable
 
-__all__ = ["RouteRepairPolicy", "LivenessTracker", "repair_routes"]
+__all__ = ["RouteRepairPolicy", "ReferenceTable", "repair_routes"]
 
 
 #: Strikes (failure evidence + silent probes) before eviction.
@@ -120,23 +133,30 @@ class RouteRepairPolicy:
     enabled: bool = True
 
 
-class LivenessTracker:
-    """Evidence-driven liveness state machine for one node's references.
+class ReferenceTable(RoutingTable):
+    """One wire node's routing references and what it believes of them.
 
     States per reference: *live* (no strikes), *suspect* (>=1 strike;
     queries route around it while a probe chain decides), *evicted*
-    (removed from the routing table; only gossip re-adds it).  The
-    tracker is pure bookkeeping -- the owning node sends the pings,
-    schedules the timeouts and mutates its routing table -- so the same
-    class is unit-testable without a simulator.
+    (removed from every level; only gossip re-adds it).  Pure
+    bookkeeping -- the owning node sends the pings and arms the timers
+    -- so it is unit-testable without a node or a simulator.
+
+    Whatever can leave a level without cover sooner than the last sweep
+    computed is a method of this class and calls :meth:`_uncover`: the
+    whole invariant of the skip cache in :meth:`due`.
 
     Counters (``suspects``, ``probes``, ``evictions``, ``replacements``,
     ``repair_bytes``) feed the scenario report's ``message_level.repair``
     section.
     """
 
-    def __init__(self):
-        #: Accumulated failure evidence per reference.
+    def __init__(self, owner: int, max_refs_per_level: int):
+        super().__init__(max_refs_per_level)
+        #: The node this table routes for: never a reference of its own.
+        self.owner = owner
+        #: Accumulated failure evidence per reference (never a zero
+        #: count: the keys are exactly the suspects).
         self.strikes: Dict[int, int] = {}
         #: Outstanding probe nonce per reference (at most one in flight).
         self.probe_nonce: Dict[int, int] = {}
@@ -148,6 +168,9 @@ class LivenessTracker:
         #: Eviction tombstones: when each reference was last evicted.
         self.evicted_at: Dict[int, float] = {}
         self._nonce = 0
+        #: The sweep's skip cache: the earliest instant a level can
+        #: lapse, left by a sweep that found every level covered.
+        self._lapse_at: Optional[float] = None
         # -- counters ------------------------------------------------------
         self.suspects = 0
         self.probes = 0
@@ -155,11 +178,120 @@ class LivenessTracker:
         self.replacements = 0
         self.repair_bytes = 0
 
+    def _uncover(self) -> None:
+        """Some level may now lapse sooner than the last sweep saw."""
+        self._lapse_at = None
+
+    # -- the levels ----------------------------------------------------------
+
+    def add(self, level: int, ref: int) -> bool:
+        """Bounded add of a complementary-subtree reference."""
+        if ref == self.owner or not super().add(level, ref):
+            return False
+        self._uncover()  # may open, or displace the cover of, a level
+        return True
+
+    def install(self, levels: Mapping[int, Iterable[int]]) -> None:
+        super().install(levels)
+        self._uncover()
+
+    def fewest_refs(self, depth: int) -> int:
+        """Size of the thinnest of levels ``0..depth-1`` (the bound for
+        a root path): 0 means some keys are unreachable from here."""
+        sizes = (len(self.levels.get(level, ())) for level in range(depth))
+        return min(sizes, default=self.max_refs_per_level)
+
+    def short_of_refs(self, depth: int) -> bool:
+        """True iff a level of a ``depth``-bit path holds fewer
+        references than the bound.  Gossiped candidates only ever land
+        at levels ``0..depth-1`` and never displace, so this is both
+        when a probe asks for them and when any can be placed."""
+        return self.fewest_refs(depth) < self.max_refs_per_level
+
+    def pick(self, level: int, rng: random.Random) -> Optional[int]:
+        """A random live-believed reference at ``level``.  Suspects are
+        routed around while a probe chain decides their fate -- unless
+        every reference there is suspect: gamble rather than dead-end."""
+        return self.choose(level, rng, self.strikes)
+
+    def audit(self, alive: Set[int], depth: int) -> Tuple[int, int]:
+        """Ground truth against beliefs: how many references are not in
+        ``alive``, and how many of levels ``0..depth-1`` hold none that
+        is (one set intersection per level: every timed run ends here)."""
+        dead = lit = 0
+        for level, refs in self.levels.items():
+            live = len(alive.intersection(refs))
+            dead += len(refs) - live
+            if live and level < depth:
+                lit += 1
+        return dead, depth - lit
+
+    # -- gossip: how replacements travel ---------------------------------------
+
+    def gossip(self) -> Tuple[Dict[int, List[int]], int]:
+        """Candidate references per level for anti-entropy gossip, and
+        how many there are in all (what the wire bills).
+
+        Only live-believed references travel: gossiping a suspect would
+        spread exactly the staleness repair exists to remove.
+        """
+        out = {}
+        n_refs = 0
+        strikes = self.strikes
+        for level in sorted(self.levels):
+            refs = [r for r in self.levels[level] if r not in strikes][:GOSSIP_REFS]
+            if refs:
+                out[level] = refs
+                n_refs += len(refs)
+        return out, n_refs
+
+    def accept_gossip(self, path: Path, their_path: Path, gossip: dict, now: float) -> None:
+        """Install gossiped candidates into depleted levels of ``path``.
+
+        A candidate at the sender's level ``l`` is known to live under
+        the prefix ``their_path[:l] + ~their_path[l]``; placing it for
+        *us* means finding where that prefix diverges from our own path.
+        With ``c`` the length of the prefix the two paths share: below
+        ``c`` the sender's levels are ours; the prefix of level ``c`` is
+        our own side of the fork (it does not diverge from our path, the
+        candidate's deeper position is unknown: skipped); above ``c``
+        every prefix leaves our path at bit ``c`` -- unless our path
+        ends there, a prefix of theirs, and nothing diverges.  Only
+        levels below the redundancy bound accept candidates -- gossip
+        replenishes, it never displaces a reference we still trust.
+        """
+        if not gossip or not self.short_of_refs(path.length):
+            return
+        max_refs = self.max_refs_per_level
+        their_len = their_path.length
+        common = their_path.common_prefix_length(path)
+        for level in sorted(gossip):
+            if level >= their_len or level == common:
+                continue
+            if level < common:
+                mine = level
+            elif common == path.length:
+                break  # levels are sorted: every later one is above too
+            else:
+                mine = common
+            refs = self.levels.setdefault(mine, [])
+            for ref in gossip[level]:
+                if len(refs) >= max_refs:
+                    break
+                if (
+                    ref != self.owner
+                    and ref not in refs
+                    and not self.recently_evicted(ref, now)
+                ):
+                    refs.append(ref)
+                    self._uncover()  # may open a level, with a stale reference
+                    self.replacements += 1
+
     # -- evidence ----------------------------------------------------------
 
     def suspected(self, ref: int) -> bool:
         """True while ``ref`` has unresolved failure evidence."""
-        return self.strikes.get(ref, 0) >= 1
+        return ref in self.strikes
 
     def note_alive(self, ref: int, now: float) -> None:
         """A message from ``ref`` was delivered: refresh, clear suspicion."""
@@ -180,12 +312,21 @@ class LivenessTracker:
                 )
             self.probe_nonce.pop(ref, None)
 
-    def note_failure(self, ref: int) -> bool:
-        """Record failure evidence; returns True if a probe should start."""
-        strikes = self.strikes.get(ref, 0)
-        self.strikes[ref] = strikes + 1
+    def _strike(self, ref: int) -> int:
+        """One more strike: the reference stops covering its level and
+        its earned interval is gone.  Returns the new count."""
+        self._uncover()
+        strikes = self.strikes[ref] = self.strikes.get(ref, 0) + 1
         self.confirm_interval.pop(ref, None)
-        if strikes == 0:
+        return strikes
+
+    def strike(self, ref: int) -> bool:
+        """Failure evidence (a timeout, a refused connect) against
+        ``ref``; returns True if a probe should start.  Evidence against
+        a stranger is dropped: there is nothing to repair."""
+        if ref not in self:
+            return False
+        if self._strike(ref) == 1:
             self.suspects += 1
         return ref not in self.probe_nonce
 
@@ -220,10 +361,7 @@ class LivenessTracker:
         if self.probe_nonce.get(ref) != nonce:
             return ""  # answered or superseded in the meantime
         del self.probe_nonce[ref]
-        strikes = self.strikes.get(ref, 0) + 1
-        self.strikes[ref] = strikes
-        self.confirm_interval.pop(ref, None)
-        if strikes >= EVICT_AFTER:
+        if self._strike(ref) >= EVICT_AFTER:
             return "evict"
         return "probe"
 
@@ -232,35 +370,127 @@ class LivenessTracker:
         offline and could never have heard the pong)."""
         if self.probe_nonce.get(ref) == nonce:
             del self.probe_nonce[ref]
+            self._uncover()  # it covered its level, and no strike says so
 
-    def note_evicted(self, ref: int, now: float = 0.0) -> None:
-        """The owner removed ``ref`` from its table: reset its state (a
-        gossip re-add starts fresh) and leave a tombstone so gossip from
-        slower peers cannot re-install it immediately."""
-        self.evictions += 1
+    def unprobed_suspects(self) -> List[int]:
+        """Suspects with no probe in flight (their chain was voided by
+        our own absence), in id order: restart them, or they stay
+        suspect -- and routed around -- forever."""
+        return [ref for ref in sorted(self.strikes) if ref not in self.probe_nonce]
+
+    def evict(self, ref: int, now: float) -> None:
+        """Drop a dead-believed reference from every level and reset
+        its state (a gossip re-add starts fresh).  If it was still in
+        the table -- newer references may have displaced it -- count it
+        and leave a tombstone against gossip from slower peers."""
+        self._uncover()
         self.strikes.pop(ref, None)
         self.probe_nonce.pop(ref, None)
-        self.last_confirmed.pop(ref, None)
-        self.confirm_interval.pop(ref, None)
-        self.evicted_at[ref] = now
-
-    def wipe(self) -> None:
-        """Forget every belief about every reference (counters stay):
-        what a restart leaves of this state, warm or cold."""
-        self.strikes.clear()
-        self.probe_nonce.clear()
-        self.last_confirmed.clear()
-        self.confirm_interval.clear()
-        self.evicted_at.clear()
+        if ref in self:
+            self.remove(ref)
+            self.evictions += 1
+            self.last_confirmed.pop(ref, None)
+            self.confirm_interval.pop(ref, None)
+            self.evicted_at[ref] = now
 
     def recently_evicted(self, ref: int, now: float) -> bool:
         """True while ``ref``'s eviction tombstone blocks gossip re-adds."""
         evicted = self.evicted_at.get(ref)
         return evicted is not None and now - evicted < READD_COOLDOWN_S
 
-    def note_replacement(self, n: int = 1) -> None:
-        """Count references installed from gossip."""
-        self.replacements += n
+    # -- the periodic sweep ----------------------------------------------------
+
+    def due(self, now: float) -> List[int]:
+        """The stalest reference of each *lapsed* level, to be probed.
+
+        A level routes as long as one reference in it is alive, so that
+        is all the sweep pays for: a level has lapsed when no reference
+        in it is *covered* -- has a probe in flight, or is unsuspected
+        with a confirmation that has not run out
+        (:meth:`confirmed_until`).  Successive lapses of a level rotate
+        through its references, stalest first, so dead spares are still
+        found, one per lapse; use finds the rest.  At most
+        :data:`REFRESH_PROBES` are due per sweep, stalest level first.
+        """
+        lapse_at = self._lapse_at
+        if lapse_at is not None and now < lapse_at:
+            # A previous sweep found every level covered until then, and
+            # whatever could uncover one sooner called _uncover.
+            return []
+        in_flight = self.probe_nonce
+        strikes = self.strikes
+        confirmed_until = self.confirmed_until
+        last_confirmed_get = self.last_confirmed.get
+        # A probe in flight covers its level until it is answered (the
+        # confirmation then lasts at least the base interval) or ends
+        # in a strike or a cancellation (both uncover).
+        in_flight_until = now + CONFIRM_INTERVAL_S
+        lapsed = []
+        lapse_at = None
+        for refs in self.levels.values():
+            until = now  # when this level's cover runs out
+            for ref in refs:
+                if ref in in_flight:
+                    ref_until = in_flight_until
+                elif ref in strikes:
+                    continue
+                else:
+                    ref_until = confirmed_until(ref)
+                if ref_until > until:
+                    until = ref_until
+            if until > now:
+                if lapse_at is None or until < lapse_at:
+                    lapse_at = until
+            elif refs:
+                lapsed.append(min((last_confirmed_get(r, 0.0), r) for r in refs))
+        if not lapsed:
+            self._lapse_at = lapse_at
+            return []
+        # ``last_confirmed`` is keyed by reference id, so a reference
+        # that is the stalest of two levels appears once.
+        return [ref for _, ref in sorted(set(lapsed))[:REFRESH_PROBES]]
+
+    # -- restarts (see repro.pgrid.state) ------------------------------------------
+
+    def wipe(self) -> None:
+        """Forget every belief about every reference (levels and
+        counters stay): what a restart leaves of this state, warm or
+        cold."""
+        self._uncover()
+        self.strikes.clear()
+        self.probe_nonce.clear()
+        self.last_confirmed.clear()
+        self.confirm_interval.clear()
+        self.evicted_at.clear()
+
+    def belief_ages(self, now: float) -> Tuple[list, list]:
+        """What a snapshot keeps, as ``[ref, age_s]`` pairs in id order:
+        the confirmation of each current reference (never heard from =
+        confirmed at time 0; strangers' stamps are left out) and the
+        eviction tombstones.  Strikes, probes in flight and earned
+        back-off do not survive a process restart."""
+        last_confirmed_get = self.last_confirmed.get
+        return (
+            [
+                [ref, max(0.0, now - last_confirmed_get(ref, 0.0))]
+                for ref in sorted(self.all_refs())
+            ],
+            [[ref, max(0.0, now - t)] for ref, t in sorted(self.evicted_at.items())],
+        )
+
+    def restore(self, levels, confirmed: list, evicted: list, now: float) -> None:
+        """Resume from what :meth:`belief_ages` kept: the references
+        come back *unconfirmed*, the eviction cooldowns with their age."""
+        self.wipe()
+        self.install(levels)
+        self.last_confirmed = {
+            # Rebase, then cap so needs_confirmation() is True for every
+            # restored ref: they are handed to the probe machinery,
+            # never trusted blindly.
+            ref: min(now - age, now - CONFIRM_INTERVAL_S)
+            for ref, age in confirmed
+        }
+        self.evicted_at = {ref: now - age for ref, age in evicted}
 
 
 def repair_routes(

@@ -9,7 +9,7 @@ paths that make the overlay resilient to failures and churn.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Container, Dict, Iterable, List, Mapping, Optional, Sequence
 
 from .._util import RngLike, make_rng
 
@@ -45,6 +45,10 @@ class RoutingTable:
             refs.pop(0)
         return True
 
+    def install(self, levels: Mapping[int, Iterable[int]]) -> None:
+        """Replace the whole table with a copy of ``levels``, ascending."""
+        self.levels = {level: list(levels[level]) for level in sorted(levels)}
+
     def remove(self, peer_id: int) -> None:
         """Drop a (failed) peer from every level."""
         for refs in self.levels.values():
@@ -70,15 +74,17 @@ class RoutingTable:
         """
         return self.levels.get(level, _NO_REFS)
 
-    def choose(self, level: int, rng: RngLike = None, exclude: Iterable[int] = ()) -> Optional[int]:
-        """A random reference at ``level``, avoiding ``exclude`` if possible."""
+    def choose(
+        self, level: int, rng: RngLike = None, exclude: Container[int] = ()
+    ) -> Optional[int]:
+        """A random reference at ``level``, avoiding ``exclude`` if possible
+        (one draw either way; once per routed hop on the wire)."""
         refs = self.levels.get(level)
         if not refs:
             return None
-        rand = make_rng(rng)
-        excluded = set(exclude)
-        candidates = [r for r in refs if r not in excluded] or refs
-        return candidates[rand.randrange(len(candidates))]
+        if exclude:
+            refs = [r for r in refs if r not in exclude] or refs
+        return refs[make_rng(rng).randrange(len(refs))]
 
     def all_refs(self) -> List[int]:
         """Every referenced peer id (duplicates removed, order arbitrary)."""

@@ -67,16 +67,22 @@ Restoring a snapshot makes the peer *operational*, not *trusted*:
    anti-entropy machinery (one exchange with a restored replica is
    initiated on rejoin; periodic maintenance finishes the job).
 2. Restored routing refs are handed to the liveness state machine
-   **unconfirmed**: the tracker is wiped (strikes, nonces and earned
+   **unconfirmed**: the beliefs are wiped (strikes, nonces and earned
    back-off do not survive a restart) and every restored
    ``last_confirmed`` stamp is rebased and capped so
-   :meth:`~repro.pgrid.liveness.LivenessTracker.needs_confirmation` is
+   :meth:`~repro.pgrid.liveness.ReferenceTable.needs_confirmation` is
    immediately true.  Every level has therefore lapsed: the next
    ``refresh_routes`` pass probes one reference per level, and the
    spares are confirmed on first use instead of being trusted blindly.
 3. Eviction cooldowns (``evicted_at``) are restored with their age so a
    ref evicted just before shutdown cannot be gossip-readded right
    after restore.
+
+A node's :class:`~repro.pgrid.liveness.ReferenceTable` says what it
+keeps (``belief_ages``) and takes it back (``restore``); this module
+files that under the ``routing`` and ``liveness`` keys.  The
+``pgrid-state/v1`` layout is unchanged: the same keys, pairs and orders
+as when this module read the table's dicts itself.
 """
 
 from __future__ import annotations
@@ -86,7 +92,6 @@ from typing import Any, Dict, Optional
 
 from ..exceptions import DomainError
 from .bits import Path
-from .liveness import CONFIRM_INTERVAL_S
 
 __all__ = [
     "SCHEMA",
@@ -190,9 +195,7 @@ def restore_peer(peer, snapshot: Dict[str, Any]) -> None:
     peer.path = Path.from_string(snapshot["path"])
     peer.keys = KeyStore(snapshot["keys"])
     peer.replicas = set(snapshot["replicas"])
-    peer.routing.levels = {
-        level: list(refs) for level, refs in snapshot["routing"]
-    }
+    peer.routing.install(dict(snapshot["routing"]))
     peer.tombstones = KeyStore(key for key, _age in snapshot["tombstones"])
 
 
@@ -200,17 +203,11 @@ def snapshot_node(node, now: float) -> Dict[str, Any]:
     """Capture a message-backend ``simnet.PGridNode``.
 
     Liveness beliefs are stored as *ages* relative to ``taken_at`` so
-    restore can rebase them on the shared clock; in-flight probe state
-    (strikes, nonces) and earned back-off are deliberately not captured
-    -- they do not survive a process restart.  Confirmation stamps are
-    written for the current routing references only (a never-heard one
-    counts as confirmed at time 0, as the tracker reads it): the tracker
-    also holds one for every stranger that ever sent this node a message.
+    restore can rebase them on the shared clock; which beliefs, and why
+    not the rest: :meth:`~repro.pgrid.liveness.ReferenceTable.belief_ages`.
     """
     born = node._tombstone_born
-    liveness = node.liveness
-    last_confirmed_get = liveness.last_confirmed.get
-    refs = {ref for level in node.routing.values() for ref in level}
+    last_confirmed, evicted = node.liveness.belief_ages(now)
     return {
         "schema": SCHEMA,
         "kind": "node",
@@ -228,16 +225,7 @@ def snapshot_node(node, now: float) -> Dict[str, Any]:
         ],
         "joined": node.joined,
         "constructing": node.constructing,
-        "liveness": {
-            "last_confirmed": [
-                [ref, max(0.0, now - last_confirmed_get(ref, 0.0))]
-                for ref in sorted(refs)
-            ],
-            "evicted": [
-                [ref, max(0.0, now - t)]
-                for ref, t in sorted(liveness.evicted_at.items())
-            ],
-        },
+        "liveness": {"last_confirmed": last_confirmed, "evicted": evicted},
     }
 
 
@@ -260,7 +248,6 @@ def restore_node(node, snapshot: Dict[str, Any], now: float) -> None:
     node.original_keys = set(snapshot["original_keys"])
     node.outbox = set(snapshot["outbox"])
     node.replicas = set(snapshot["replicas"])
-    node.routing = {level: list(refs) for level, refs in snapshot["routing"]}
     node.tombstones = set()
     node._tombstone_born = {}
     ttl = node.config.tombstone_ttl_s
@@ -272,18 +259,10 @@ def restore_node(node, snapshot: Dict[str, Any], now: float) -> None:
     node.joined = snapshot["joined"]
     node.constructing = snapshot["constructing"]
 
-    liveness = node.liveness
-    liveness.wipe()
-    liveness.last_confirmed = {
-        # Rebase, then cap so needs_confirmation() is True for every
-        # restored ref: restored refs are handed to the liveness state
-        # machine, never trusted blindly.
-        ref: min(now - age, now - CONFIRM_INTERVAL_S)
-        for ref, age in snapshot["liveness"]["last_confirmed"]
-    }
-    liveness.evicted_at = {
-        ref: now - age for ref, age in snapshot["liveness"]["evicted"]
-    }
+    beliefs = snapshot["liveness"]
+    node.liveness.restore(
+        dict(snapshot["routing"]), beliefs["last_confirmed"], beliefs["evicted"], now
+    )
 
 
 def _check(snapshot: Dict[str, Any], kind: str, peer_id: int) -> None:

@@ -236,11 +236,7 @@ class MessageScenarioRunner(ScenarioRunnerBase):
             node.path = peer.path
             node.keys = set(peer.keys)
             node.original_keys = set(peer.keys)
-            node.routing = {
-                level: list(refs)
-                for level, refs in sorted(peer.routing.levels.items())
-                if refs
-            }
+            node.routing = peer.routing.levels
             node.replicas = set(peer.replicas)
         cache = spec.cache
         if cache is not None and cache.front_ends > 0:
@@ -316,9 +312,7 @@ class MessageScenarioRunner(ScenarioRunnerBase):
     def _place_at(node: PGridNode, sponsor: PGridNode, keys: List[int]) -> None:
         """The sponsored placement of a join or a cold rejoin."""
         node.path = sponsor.path
-        node.routing = {
-            level: list(refs) for level, refs in sorted(sponsor.routing.items())
-        }
+        node.routing = sponsor.routing
         node.replicas = set(sponsor.replicas) | {sponsor.node_id}
         node.original_keys = set(keys)
         node.keys = {k for k in keys if node.responsible_for(k)}
@@ -368,12 +362,7 @@ class MessageScenarioRunner(ScenarioRunnerBase):
         # identity and original workload keys.
         sponsor = self._random_online_node(self._restart_rng)
         node.set_online(True)
-        node.tombstones = set()
-        node._tombstone_born = {}
-        node.liveness.wipe()
-        # Wiping the confirmation stamps makes every kept ref stale at
-        # once; the refresh-sweep skip cache must not outlive them.
-        node._route_lapse_at = None
+        node.lose_state()
         if sponsor is None:
             # Nobody online to sponsor: come back in place and let
             # anti-entropy reconcile whatever state survived in RAM.
@@ -425,13 +414,7 @@ class MessageScenarioRunner(ScenarioRunnerBase):
                 # whole region) ask for anti-entropy *now*: exchange
                 # gossip is how replacements travel, and waiting for the
                 # sampled cadence would leave them dark for ticks.
-                if pid in initiators:
-                    continue
-                routing_get = node.routing.get
-                for level in range(node.path.length):
-                    if not routing_get(level):
-                        break
-                else:
+                if pid in initiators or node.liveness.fewest_refs(node.path.length):
                     continue  # every level populated: not deficient
                 partner = self._pick_partner(node, rng)
                 if partner is not None:
@@ -671,20 +654,13 @@ class MessageScenarioRunner(ScenarioRunnerBase):
         # over the online nodes' tables: references to offline or
         # departed nodes, and levels of a node's path with no live
         # reference (keys behind them are unreachable from that node).
-        # (One set intersection per level: this runs inside every timed
-        # run, over every table.)
         online = {pid for pid, node in self.nodes.items() if node.online}
         dead_refs = dark_levels = 0
         for pid in online:
             node = self.nodes[pid]
-            length = node.path.length
-            lit = 0
-            for level, refs in node.routing.items():
-                live = len(online.intersection(refs))
-                dead_refs += len(refs) - live
-                if live and level < length:
-                    lit += 1
-            dark_levels += length - lit
+            dead, dark = node.liveness.audit(online, node.path.length)
+            dead_refs += dead
+            dark_levels += dark
         repair = {
             "enabled": cfg.repair.enabled,
             "suspects": sum(t.suspects for t in trackers),
@@ -771,9 +747,7 @@ class MessageScenarioRunner(ScenarioRunnerBase):
                 routing=RoutingTable(max_refs_per_level=self.spec.max_refs),
                 online=node.online,
             )
-            for level, refs in sorted(node.routing.items()):
-                for ref in refs:
-                    peer.routing.add(level, ref)
+            peer.routing.install(node.routing)
             net.peers[pid] = peer
         net._prune_dangling_routes()
         return net

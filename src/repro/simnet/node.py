@@ -28,6 +28,14 @@ origin can answer itself would otherwise fire its observer before the
 caller learned the id.  The timer callback holds the operation *id*
 and looks the record up: a record -> timer -> callback -> record cycle
 would leave every finished operation to the cyclic collector.
+
+**Routing references.**  ``liveness`` is the node's
+:class:`~repro.pgrid.liveness.ReferenceTable`: levels (``routing`` is
+their view), per-reference beliefs, the refresh sweep.  The node does
+what needs a path or a simulator -- the level a key leaves through, the
+``ping``s and their timers -- and tells the table what happened.
+Message kinds, with their traffic categories and (by name) their
+``_on_<kind>`` handlers: :data:`repro.simnet.protocol.CATEGORY`.
 """
 
 from __future__ import annotations
@@ -40,14 +48,7 @@ from .._util import RngLike, make_rng
 from ..core import fig2
 from ..pgrid.bits import Path, ROOT
 from ..pgrid.keyspace import KEY_BITS, bit_at
-from ..pgrid.liveness import (
-    CONFIRM_INTERVAL_S,
-    GOSSIP_REFS,
-    PROBE_TIMEOUT_S,
-    REFRESH_PROBES,
-    LivenessTracker,
-    RouteRepairPolicy,
-)
+from ..pgrid.liveness import PROBE_TIMEOUT_S, ReferenceTable, RouteRepairPolicy
 from ..pgrid.serving import (
     RESULT_CAPACITY,
     ROUTE_CAPACITY,
@@ -70,6 +71,10 @@ INTERACTION_INTERVAL = 20.0
 WALK_LENGTH = 6
 #: Fruitless interactions in a row before a node turns passive.
 MAX_IDLE_ATTEMPTS = 4
+
+#: Message kind -> name of the ``PGridNode`` method that handles it,
+#: for every kind :mod:`repro.simnet.protocol` declares.
+_HANDLER = {kind: "_on_" + kind for kind in P.CATEGORY}
 
 
 @dataclass
@@ -268,26 +273,16 @@ class PGridNode:
         self._tombstone_born: Dict[int, float] = {}
         self.original_keys: Set[int] = set()
         self.outbox: Set[int] = set()
-        self.routing: Dict[int, List[int]] = {}
         self.replicas: Set[int] = set()
         # The live unstructured overlay (set when joining); neighbor lists
         # are read from it dynamically because the bootstrap keeps wiring
         # newcomers to existing nodes after our own join completed.
         self.overlay = None
         self.joined = False
-        # Evidence-driven liveness of routing references (suspect ->
-        # probe -> evict -> replace-from-gossip; see pgrid.liveness).
-        self.liveness = LivenessTracker()
-        # Refresh-sweep skip cache: the earliest instant a routing
-        # level can lapse, left by a sweep that found every level
-        # covered (see refresh_routes); sweeps before it are skipped
-        # outright.  INVARIANT: whatever can uncover a level sooner
-        # must reset this to None -- a reference added or displaced
-        # (add_route, _accept_gossip), struck (_suspect_ref; a silent
-        # probe's strike re-probes or evicts), evicted, its probe
-        # cancelled, or the tracker wiped (restore, the runner's cold
-        # rejoin).
-        self._route_lapse_at: Optional[float] = None
+        #: The routing references and what this node believes of them
+        #: (suspect -> probe -> evict -> replace-from-gossip; see
+        #: pgrid.liveness).  ``routing`` below is its level view.
+        self.liveness = ReferenceTable(node_id, self.config.max_refs_per_level)
         # construction activity control
         self.constructing = False
         self.idle_strikes = 0
@@ -351,9 +346,21 @@ class PGridNode:
 
     # -- helpers -----------------------------------------------------------
 
+    @property
+    def routing(self) -> Dict[int, List[int]]:
+        """The reference table's levels.  Assigning installs a whole
+        table (a copy) through :meth:`ReferenceTable.install`."""
+        return self.liveness.levels
+
+    @routing.setter
+    def routing(self, levels: Dict[int, List[int]]) -> None:
+        self.liveness.install(levels)
+
     def send(self, dst: int, kind: str, payload: dict, *, n_keys: int = 0,
-             n_refs: int = 0, category: str = P.MAINTENANCE) -> Optional[str]:
-        """Transmit a message through the network (byte-accounted).
+             n_refs: int = 0) -> Optional[str]:
+        """Transmit a message through the network (byte-accounted, in
+        the traffic category :data:`protocol.CATEGORY` files ``kind``
+        under).
 
         Returns the transport's send-time drop cause (or ``None``).  A
         ``"refused"`` or ``"partition"`` failure is evidence the sender
@@ -363,7 +370,7 @@ class PGridNode:
         """
         cause = self.network.send(
             self.node_id, dst, kind, payload, n_keys=n_keys, n_refs=n_refs,
-            category=category,
+            category=P.CATEGORY[kind],
         )
         if cause in ("refused", "partition"):
             self._suspect_ref(dst)
@@ -390,12 +397,8 @@ class PGridNode:
             self._inflight_exchange = None
             return
         if self.config.repair.enabled:
-            for ref in sorted(self.liveness.strikes):
-                if (
-                    self.liveness.strikes[ref] >= 1
-                    and ref not in self.liveness.probe_nonce
-                ):
-                    self._send_probe(ref)
+            for ref in self.liveness.unprobed_suspects():
+                self._send_probe(ref)
         if warm:
             partners = sorted(self.replicas - {self.node_id})
             if partners:
@@ -425,9 +428,6 @@ class PGridNode:
         restore_node(self, snapshot, self.sim.now)
         self.idle_strikes = 0
         self._inflight_exchange = None
-        # Restored refs come back unconfirmed/rebased: drop the
-        # refresh-sweep skip cache so the next sweep re-evaluates them.
-        self._route_lapse_at = None
         # Serving state is transient: caches, grants and the served-load
         # window did not survive the process restart.
         if self._serving is not None:
@@ -436,6 +436,14 @@ class PGridNode:
         self._grants.clear()
         self._helpers.clear()
         self._served_window = 0
+
+    def lose_state(self) -> None:
+        """The cold twin of :meth:`restore_state`: no snapshot survived,
+        so the death certificates and every belief about the routing
+        references are gone (a sponsored placement replaces the rest)."""
+        self.tombstones = set()
+        self._tombstone_born = {}
+        self.liveness.wipe()
 
     def abort_inflight(self) -> None:
         """Restart hook: void every in-flight origin-side operation.
@@ -458,28 +466,16 @@ class PGridNode:
 
     def add_route(self, level: int, other: int) -> None:
         """Record a complementary-subtree reference at ``level``."""
-        if other == self.node_id:
-            return
-        refs = self.routing.setdefault(level, [])
-        if other not in refs:
-            refs.append(other)
-            del refs[: -self.config.max_refs_per_level]
-            self._route_lapse_at = None  # may open, or uncover, a level
+        self.liveness.add(level, other)
 
     def route_for_key(self, key: int) -> Optional[int]:
         """Next hop for ``key``: a random live-believed reference at the
-        first unresolved level (``None`` when responsible or stuck).
-
-        With repair enabled, suspect references are routed around while
-        a probe chain decides their fate -- unless every reference at
-        the level is suspect, in which case we gamble on one rather
-        than dead-end.
+        first unresolved level (``None`` when responsible or stuck; see
+        :meth:`ReferenceTable.pick` for how suspects are avoided).
         """
         # Per-hop hot path: the first level whose path bit differs from
         # the key's is the highest set bit of one XOR, replacing the
-        # per-level bit_at scan.  (strikes holds exactly the suspected
-        # references -- note_failure never leaves a zero count -- so an
-        # empty dict skips the filter without allocating a copy.)
+        # per-level bit_at scan.
         path = self.path
         length = path.length
         if length == 0:
@@ -487,16 +483,7 @@ class PGridNode:
         diff = (key >> (KEY_BITS - length)) ^ path.bits
         if diff == 0:
             return None  # responsible
-        level = length - diff.bit_length()
-        refs = self.routing.get(level)
-        if not refs:
-            return None
-        if self.config.repair.enabled:
-            strikes = self.liveness.strikes
-            if strikes:
-                trusted = [r for r in refs if r not in strikes]
-                refs = trusted or refs
-        return refs[self.rng.randrange(len(refs))]
+        return self.liveness.pick(length - diff.bit_length(), self.rng)
 
     def responsible_for(self, key: int) -> bool:
         """True iff ``key`` lies in this node's partition."""
@@ -514,12 +501,7 @@ class PGridNode:
 
     def _suspect_ref(self, ref: int) -> None:
         """Failure evidence against ``ref``: suspect it and start probing."""
-        if not self.config.repair.enabled or ref == self.node_id:
-            return
-        if not any(ref in refs for refs in self.routing.values()):
-            return  # not a routing reference; nothing to repair
-        self._route_lapse_at = None  # a suspect stops covering its level
-        if self.liveness.note_failure(ref) and self.online:
+        if self.config.repair.enabled and self.liveness.strike(ref) and self.online:
             self._send_probe(ref)
 
     def _confirm_on_use(self, ref: int) -> None:
@@ -538,10 +520,9 @@ class PGridNode:
         self.liveness.repair_bytes += HEADER_BYTES
         # ``want``: gossip on demand -- the pong carries replacement
         # candidates only for a prober that has somewhere to put them.
+        want = self.liveness.short_of_refs(self.path.length)
         cause = self.send(
-            ref,
-            P.PING,
-            {"nonce": nonce, "origin": self.node_id, "want": self._short_of_refs()},
+            ref, P.PING, {"nonce": nonce, "origin": self.node_id, "want": want}
         )
         if cause in ("refused", "partition"):
             # The connect itself failed: the probe's verdict is in
@@ -558,35 +539,14 @@ class PGridNode:
         if action == "probe":
             self._send_probe(ref)
         elif action == "evict":
-            self._evict_ref(ref)
+            self.liveness.evict(ref, self.sim.now)
 
     def _probe_timeout(self, ref: int, nonce: int) -> None:
         if not self.online:
             # We could never have heard the pong: void, don't strike.
-            # The ref stops covering its level without a strike, so the
-            # sweep skip cache must not stand.
             self.liveness.cancel_probe(ref, nonce)
-            self._route_lapse_at = None
             return
         self._probe_verdict(ref, nonce)
-
-    def _evict_ref(self, ref: int) -> None:
-        """Remove a dead-believed reference from every routing level."""
-        # Reset the skip cache on any structural change, to keep its
-        # invariant simple.
-        self._route_lapse_at = None
-        removed = False
-        for refs in self.routing.values():
-            if ref in refs:
-                refs.remove(ref)
-                removed = True
-        if removed:
-            self.liveness.note_evicted(ref, self.sim.now)
-        else:
-            # Already gone (e.g. displaced by newer references); just
-            # clear the tracker state so a gossip re-add starts fresh.
-            self.liveness.strikes.pop(ref, None)
-            self.liveness.probe_nonce.pop(ref, None)
 
     def _on_ping(self, msg: Message) -> None:
         # The pong proves liveness; for a prober short of references
@@ -615,83 +575,19 @@ class PGridNode:
             self._accept_gossip(path, gossip)
 
     def refresh_routes(self) -> int:
-        """Probe the stalest reference of each *lapsed* routing level.
-
-        The periodic half of failure detection (the maintenance cadence
-        calls this).  A level routes as long as one reference in it is
-        alive, so that is all the sweep pays for: a level has lapsed
-        when no reference in it is *covered* -- has a probe in flight,
-        or is unsuspected with a confirmation that has not run out
-        (:meth:`LivenessTracker.confirmed_until`).  Successive lapses of
-        a level rotate through its references, stalest first, so dead
-        spares are still found, one per lapse; use finds the rest.
-        At most ``REFRESH_PROBES`` leave per sweep, stalest level
-        first.  Returns the number of probes launched.
-        """
+        """Probe the stalest reference of each *lapsed* routing level
+        (:meth:`ReferenceTable.due`): the periodic half of failure
+        detection, called at the maintenance cadence.  Returns the
+        number of probes launched."""
         if not self.config.repair.enabled or not self.online:
             return 0
-        now = self.sim.now
-        lapse_at = self._route_lapse_at
-        if lapse_at is not None and now < lapse_at:
-            # A previous sweep found every level covered until then, and
-            # whatever could uncover one sooner resets the cache -- see
-            # the invariant at the field.
-            return 0
-        liveness = self.liveness
-        in_flight = liveness.probe_nonce
-        strikes = liveness.strikes  # suspected(r) == r in strikes
-        confirmed_until = liveness.confirmed_until
-        last_confirmed_get = liveness.last_confirmed.get
-        # A probe in flight covers its level until it is answered (the
-        # confirmation then lasts at least the base interval) or ends
-        # in a strike or a cancellation (both reset the cache).
-        in_flight_until = now + CONFIRM_INTERVAL_S
-        lapsed = []
-        lapse_at = None
-        for refs in self.routing.values():
-            until = now  # when this level's cover runs out
-            for ref in refs:
-                if ref in in_flight:
-                    ref_until = in_flight_until
-                elif ref in strikes:
-                    continue
-                else:
-                    ref_until = confirmed_until(ref)
-                if ref_until > until:
-                    until = ref_until
-            if until > now:
-                if lapse_at is None or until < lapse_at:
-                    lapse_at = until
-            elif refs:
-                # ``last_confirmed`` is keyed by reference id, so a
-                # reference that is the stalest of two levels yields the
-                # same pair twice: adjacent after sorting, skipped there.
-                lapsed.append(min((last_confirmed_get(r, 0.0), r) for r in refs))
-        if not lapsed:
-            self._route_lapse_at = lapse_at
-            return 0
-        self._route_lapse_at = None
-        lapsed.sort()
-        launched = 0
-        prev = None
-        for item in lapsed:
-            if item == prev:
-                continue
-            prev = item
-            self._send_probe(item[1])
-            launched += 1
-            if launched >= REFRESH_PROBES:
-                break
-        return launched
+        due = self.liveness.due(self.sim.now)
+        for ref in due:
+            self._send_probe(ref)
+        return len(due)
 
     def _forward_toward(
-        self,
-        key: int,
-        kind: str,
-        payload: dict,
-        *,
-        category: str = P.QUERY_TRAFFIC,
-        n_keys: int = 0,
+        self, key: int, kind: str, payload: dict, *, n_keys: int = 0
     ) -> Optional[int]:
         """Pick a reference toward ``key`` and put ``payload`` on the wire.
 
@@ -709,7 +605,7 @@ class PGridNode:
             if nxt is None:
                 return None
             self._confirm_on_use(nxt)
-            cause = self.send(nxt, kind, payload, category=category, n_keys=n_keys)
+            cause = self.send(nxt, kind, payload, n_keys=n_keys)
             if not self.config.repair.enabled:
                 return nxt  # blind routing: one shot, timeouts judge it
             if cause in (None, "loss", "offline"):
@@ -718,89 +614,16 @@ class PGridNode:
         return None
 
     def _gossip_refs(self) -> tuple[dict, int]:
-        """Candidate references per level for anti-entropy gossip, and
-        how many there are in all (what the wire bills).
-
-        Only live-believed references travel: gossiping a suspect would
-        spread exactly the staleness repair exists to remove.
-        """
+        """What rides out on a ``pong`` or an exchange
+        (:meth:`ReferenceTable.gossip`); nothing without repair."""
         if not self.config.repair.enabled:
             return {}, 0
-        out = {}
-        n_refs = 0
-        strikes = self.liveness.strikes  # suspected(r) == r in strikes
-        routing = self.routing
-        for level in sorted(routing):
-            refs = routing[level]
-            if strikes:
-                refs = [r for r in refs if r not in strikes]
-            if refs:
-                out[level] = refs = refs[:GOSSIP_REFS]
-                n_refs += len(refs)
-        return out, n_refs
+        return self.liveness.gossip()
 
-    def _short_of_refs(self) -> bool:
-        """True iff some level of our path holds fewer references than
-        the redundancy bound.  Gossiped candidates only ever land at
-        levels ``0..len(path)-1`` and never displace, so this is both
-        when a probe asks for them and when any can be placed."""
-        max_refs = self.config.max_refs_per_level
-        routing_get = self.routing.get
-        for level in range(self.path.length):
-            refs = routing_get(level)
-            if refs is None or len(refs) < max_refs:
-                return True
-        return False
-
-    def _accept_gossip(self, their_path: Path, gossip: dict) -> None:
-        """Install gossiped candidates into depleted routing levels.
-
-        A candidate at the sender's level ``l`` is known to live under
-        the prefix ``their_path[:l] + ~their_path[l]``; placing it for
-        *us* means finding where that prefix diverges from our own path.
-        With ``c`` the length of the prefix the two paths share: below
-        ``c`` the sender's levels are ours; the prefix of level ``c`` is
-        our own side of the fork (it does not diverge from our path, the
-        candidate's deeper position is unknown: skipped); above ``c``
-        every prefix leaves our path at bit ``c`` -- unless our path
-        ends there, a prefix of theirs, and nothing diverges.  Only
-        levels below the redundancy bound accept candidates -- gossip
-        replenishes, it never displaces a reference we still trust.
-        """
-        if (
-            not self.config.repair.enabled
-            or not gossip
-            or not self._short_of_refs()
-        ):
-            return
-        max_refs = self.config.max_refs_per_level
-        routing = self.routing
-        my_len = self.path.length
-        their_len = their_path.length
-        common = their_path.common_prefix_length(self.path)
-        for level in sorted(gossip):
-            if level >= their_len or level == common:
-                continue
-            if level < common:
-                mine = level
-            elif common == my_len:
-                break  # levels are sorted: every later one is above too
-            else:
-                mine = common
-            refs = routing.get(mine)
-            if refs is None:
-                refs = routing[mine] = []
-            for ref in gossip[level]:
-                if len(refs) >= max_refs:
-                    break
-                if (
-                    ref != self.node_id
-                    and ref not in refs
-                    and not self.liveness.recently_evicted(ref, self.sim.now)
-                ):
-                    refs.append(ref)
-                    self._route_lapse_at = None  # may open a level, stale
-                    self.liveness.note_replacement()
+    def _accept_gossip(self, their_path: Path, gossip: Optional[dict]) -> None:
+        """What rode in on one (:meth:`ReferenceTable.accept_gossip`)."""
+        if self.config.repair.enabled and gossip:
+            self.liveness.accept_gossip(self.path, their_path, gossip, self.sim.now)
 
     # -- message dispatch ----------------------------------------------------
 
@@ -810,22 +633,11 @@ class PGridNode:
             # Any delivered message is proof of life: refresh the sender
             # and clear whatever suspicion it had accumulated.
             self.liveness.note_alive(message.src, self.sim.now)
-        cls = self.__class__
-        table = cls.__dict__.get("_kind_dispatch")
-        if table is None:
-            # Per-class dispatch table (built once, shared by every
-            # node): kind -> precomputed ``_on_<kind>`` attribute name.
-            # Avoids the per-message f-string formatting of the naive
-            # dispatch; resolving through ``getattr`` keeps handlers
-            # overridable per instance (tests patch them) and in
-            # subclasses.
-            table = {
-                name[4:]: name for name in dir(cls) if name.startswith("_on_")
-            }
-            cls._kind_dispatch = table
-        name = table.get(message.kind)
+        name = _HANDLER.get(message.kind)
         if name is None:
             return  # unknown kinds are ignored (forward compatibility)
+        # Resolved per message: handlers stay overridable per instance
+        # (tests patch them) and in subclasses.
         getattr(self, name)(message)
 
     # -- bootstrap ------------------------------------------------------------
@@ -1378,9 +1190,7 @@ class PGridNode:
             if target is not None and target != self.node_id:
                 self.serving_stats["route_uses"] += 1
                 pending.direct = pending.via = target
-                cause = self.send(
-                    target, P.QUERY, {**payload, "hops": 1}, category=P.QUERY_TRAFFIC
-                )
+                cause = self.send(target, P.QUERY, {**payload, "hops": 1})
                 if cause in (None, "loss", "offline"):
                     return
                 self.serving_stats["route_invalidations"] += 1
@@ -1510,8 +1320,7 @@ class PGridNode:
     # -- the relay step: the forwarder-side twin, all three routed kinds --------
 
     def _relay(
-        self, table: Optional[dict], key: int, kind: str, payload: dict, *,
-        category: str = P.QUERY_TRAFFIC, n_keys: int = 0,
+        self, table: Optional[dict], key: int, kind: str, payload: dict, *, n_keys: int = 0
     ) -> bool:
         """Forward ``payload`` one hop toward ``key``, or report the
         dead end to its origin; returns whether it went out.
@@ -1525,11 +1334,9 @@ class PGridNode:
         evidence against it.  ``table=None`` records nothing.
         """
         hops = payload["hops"]
-        used = self._forward_toward(
-            key, kind, {**payload, "hops": hops + 1}, category=category, n_keys=n_keys
-        )
+        used = self._forward_toward(key, kind, {**payload, "hops": hops + 1}, n_keys=n_keys)
         if used is None:
-            self._report_miss(table, kind, payload, category)
+            self._report_miss(table, kind, payload)
             return False
         if table is not None and hops == 0 and payload["origin"] == self.node_id:
             pending = table.get(payload["qid"])
@@ -1537,9 +1344,7 @@ class PGridNode:
                 pending.via = used
         return True
 
-    def _report_miss(
-        self, table: Optional[dict], kind: str, payload: dict, category: str
-    ) -> None:
+    def _report_miss(self, table: Optional[dict], kind: str, payload: dict) -> None:
         """A dead-end report lets the origin retry sooner than the
         timeout; one observed at the origin itself retries (or fails)
         now instead of burning the timeout window."""
@@ -1557,7 +1362,6 @@ class PGridNode:
                     "hops": payload["hops"],
                     "attempt": payload.get("attempt", 0),
                 },
-                category=category,
             )
 
     def _route_query(self, payload: dict) -> None:
@@ -1590,7 +1394,7 @@ class PGridNode:
             if origin == self.node_id:
                 self._complete_query(qid, hops, info=reply)
             else:
-                self.send(origin, P.QUERY_HIT, reply, category=P.QUERY_TRAFFIC)
+                self.send(origin, P.QUERY_HIT, reply)
             return
         self._relay(self._queries, key, P.QUERY, payload)
 
@@ -1683,17 +1487,10 @@ class PGridNode:
             if origin == self.node_id:
                 self._complete_write(qid, hops)
             else:
-                self.send(
-                    origin,
-                    P.UPDATE_ACK,
-                    {"qid": qid, "hops": hops},
-                    category=P.UPDATE_TRAFFIC,
-                )
+                self.send(origin, P.UPDATE_ACK, {"qid": qid, "hops": hops})
             return
-        self._relay(
-            self._writes, key, P.INSERT if op == "insert" else P.DELETE, payload,
-            category=P.UPDATE_TRAFFIC, n_keys=1,
-        )
+        kind = P.INSERT if op == "insert" else P.DELETE
+        self._relay(self._writes, key, kind, payload, n_keys=1)
 
     def apply_mutation(self, op: str, key: int) -> None:
         """Apply one mutation to the local store (responsible keys only).
@@ -1748,25 +1545,13 @@ class PGridNode:
         """
         for rid in sorted(self.replicas):
             if rid != self.node_id:
-                self.send(
-                    rid,
-                    P.REPLICA_SYNC,
-                    {"op": op, "keys": [key]},
-                    n_keys=1,
-                    category=P.UPDATE_TRAFFIC,
-                )
+                self.send(rid, P.REPLICA_SYNC, {"op": op, "keys": [key]}, n_keys=1)
         if self._serving is not None and self._helpers:
             # Grant helpers serve our range, so they join the eager
             # fan-out -- grants stay write-coherent, not just TTL-fresh.
             for hid in sorted(self._helpers):
                 if hid != self.node_id and hid not in self.replicas:
-                    self.send(
-                        hid,
-                        P.REPLICA_SYNC,
-                        {"op": op, "keys": [key]},
-                        n_keys=1,
-                        category=P.UPDATE_TRAFFIC,
-                    )
+                    self.send(hid, P.REPLICA_SYNC, {"op": op, "keys": [key]}, n_keys=1)
 
     def _on_replica_sync(self, msg: Message) -> None:
         op = msg.payload["op"]
@@ -1855,19 +1640,13 @@ class PGridNode:
                         "expires": now + sv.grant_ttl_s,
                     },
                     n_keys=len(keys),
-                    category=P.UPDATE_TRAFFIC,
                 )
                 if cause in (None, "loss", "offline"):
                     self._helpers[cand] = now
                     self.serving_stats["grants"] += 1
         elif self._helpers:
             for hid in sorted(self._helpers):
-                self.send(
-                    hid,
-                    P.REPLICA_REVOKE,
-                    {"path": self.path},
-                    category=P.UPDATE_TRAFFIC,
-                )
+                self.send(hid, P.REPLICA_REVOKE, {"path": self.path})
                 self.serving_stats["revokes"] += 1
             self._helpers.clear()
 
@@ -1977,9 +1756,7 @@ class PGridNode:
         if origin == self.node_id:
             self._absorb_range_part(part)
         else:
-            self.send(
-                origin, P.RANGE_PART, part, n_keys=len(keys), category=P.QUERY_TRAFFIC
-            )
+            self.send(origin, P.RANGE_PART, part, n_keys=len(keys))
 
     def _on_range_query(self, msg: Message) -> None:
         self._route_range(msg.payload)

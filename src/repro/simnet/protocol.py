@@ -1,7 +1,10 @@
 """Wire protocol constants for the simulated P-Grid deployment.
 
-Message kinds, phase names and default protocol timers live here so the
-node implementation and the tests share one vocabulary.
+Message kinds and traffic categories live here so the node
+implementation and the tests share one vocabulary.  :data:`CATEGORY` is
+where a kind is registered: ``PGridNode.send`` bills a message to the
+category it names and ``PGridNode.receive`` hands a delivered kind to
+the node's ``_on_<kind>`` method; a kind missing from it cannot be sent.
 """
 
 from __future__ import annotations
@@ -28,11 +31,10 @@ __all__ = [
     "REPLICA_REVOKE",
     "PING",
     "PONG",
-    "VOTE_REQ",
-    "VOTE_RESP",
     "MAINTENANCE",
     "QUERY_TRAFFIC",
     "UPDATE_TRAFFIC",
+    "CATEGORY",
 ]
 
 # -- message kinds ---------------------------------------------------------
@@ -58,11 +60,37 @@ REPLICA_GRANT = "replica_grant"  #: hot owner -> helper: serve my range (adaptiv
 REPLICA_REVOKE = "replica_revoke"  #: owner -> helper: load decayed, stop serving
 PING = "ping"  #: liveness probe of a routing reference (``want``: send candidates)
 PONG = "pong"  #: probe answer (proof of life; replacement candidates if wanted)
-VOTE_REQ = "vote_req"  #: index-initiation vote flood (Sec. 4.1)
-VOTE_RESP = "vote_resp"  #: aggregated vote reply
 
 # -- traffic categories (Fig. 8 split, plus the write path) -------------------
 
 MAINTENANCE = "maintenance"
 QUERY_TRAFFIC = "queries"
 UPDATE_TRAFFIC = "updates"
+
+#: Every message kind and the category its bytes are billed to: reads
+#: (``query*``, ``range_*``), the write path (``insert``, ``delete``,
+#: ``update_*``, ``replica_*``), and everything that keeps the overlay
+#: up.
+CATEGORY = {
+    JOIN: MAINTENANCE,
+    NEIGHBORS: MAINTENANCE,
+    WALK: MAINTENANCE,
+    WALK_RESULT: MAINTENANCE,
+    STORE: MAINTENANCE,
+    EXCHANGE_REQ: MAINTENANCE,
+    EXCHANGE_RESP: MAINTENANCE,
+    PING: MAINTENANCE,
+    PONG: MAINTENANCE,
+    QUERY: QUERY_TRAFFIC,
+    QUERY_HIT: QUERY_TRAFFIC,
+    QUERY_MISS: QUERY_TRAFFIC,
+    RANGE_QUERY: QUERY_TRAFFIC,
+    RANGE_PART: QUERY_TRAFFIC,
+    INSERT: UPDATE_TRAFFIC,
+    DELETE: UPDATE_TRAFFIC,
+    UPDATE_ACK: UPDATE_TRAFFIC,
+    UPDATE_MISS: UPDATE_TRAFFIC,
+    REPLICA_SYNC: UPDATE_TRAFFIC,
+    REPLICA_GRANT: UPDATE_TRAFFIC,
+    REPLICA_REVOKE: UPDATE_TRAFFIC,
+}

@@ -21,8 +21,9 @@ TREES = ("src", "tests", "benchmarks", "examples")
 
 
 def found_by_rule(name: str) -> bool:
-    # __dunder__ methods are called by the interpreter; ``_on_<kind>``
-    # handlers are collected by ``PGridNode.receive`` from ``dir(cls)``;
+    # __dunder__ methods are called by the interpreter; ``PGridNode.receive``
+    # finds ``_on_<kind>`` by name for each kind in ``protocol.CATEGORY``
+    # (``tests/test_protocol.py`` holds the two in step);
     # pytest collects ``test_*`` / ``bench_*`` (``benchmarks/conftest.py``)
     # and calls its ``pytest_*`` hooks by name.
     return (name.startswith("__") and name.endswith("__")) or name.startswith(

@@ -2,20 +2,25 @@
 
 Four layers:
 
-* **Tracker unit tests** -- the suspect -> probe -> evict state machine
-  and the per-reference confirm interval in isolation (no simulator).
+* **Table unit tests** -- the suspect -> probe -> evict state machine
+  and the per-reference confirm interval on a bare
+  :class:`ReferenceTable` (no node, no simulator); under Hypothesis,
+  its gossip placement, its refresh sweep (skip cache included) and its
+  trusted pick against references kept in this file.
 * **Wire protocol tests** -- hand-built overlays driving the evidence
   paths: refused connects, partition refusals (set_partitions drops are
   *visible* to the sender's routing state), ping/pong probing,
   confirm-on-use staleness probing, gossip replenishment on exchanges
-  and (on demand) pongs, and the per-level refresh sweep -- the latter
-  also against a brute-force reference, under Hypothesis.
+  and (on demand) pongs, and the per-level refresh sweep.
 * **Scenario-level tests** -- the repaired-vs-unrepaired success gap on
   the message backend, repair counters in ``message_level.repair``, and
   structural invariants surviving gossip-carried references.
 * **Oracle-policy tests** -- the data plane's ``repair_routes`` as a
   policy instance (disabled policy = no-op degradation baseline).
 """
+
+import os
+import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -26,7 +31,7 @@ from repro.pgrid.liveness import (
     CONFIRM_INTERVAL_MAX_S,
     CONFIRM_INTERVAL_S,
     REFRESH_PROBES,
-    LivenessTracker,
+    ReferenceTable,
     RouteRepairPolicy,
     repair_routes,
 )
@@ -43,44 +48,58 @@ from repro.scenarios.invariants import (
 )
 from repro.simnet.engine import Simulator
 from repro.simnet.node import NodeConfig, PGridNode
-from repro.simnet.transport import HEADER_BYTES, ConstantLatency, Message, Network
+from repro.simnet.transport import HEADER_BYTES, ConstantLatency, Network
 
 
-# -- tracker state machine ---------------------------------------------------
+#: Examples per fuzz below; the nightly workflow raises it to 5,000.
+FUZZ_EXAMPLES = os.environ.get("REPRO_FUZZ_EXAMPLES")
+
+MAX_REFS = 3
 
 
-class TestLivenessTracker:
+def table_of(*refs):
+    """A bare table (owner 0) holding ``refs`` at level 0."""
+    t = ReferenceTable(0, max(MAX_REFS, len(refs)))
+    for ref in refs:
+        t.add(0, ref)
+    return t
+
+
+# -- table state machine -----------------------------------------------------
+
+
+class TestReferenceTable:
     def test_failure_marks_suspect_and_requests_probe(self):
-        t = LivenessTracker()
+        t = table_of(7)
         assert not t.suspected(7)
-        assert t.note_failure(7) is True  # caller should probe
+        assert t.strike(7) is True  # caller should probe
         assert t.suspected(7)
         assert t.suspects == 1
 
     def test_second_failure_does_not_request_concurrent_probe(self):
-        t = LivenessTracker()
-        t.note_failure(7)
+        t = table_of(7)
+        t.strike(7)
         t.begin_probe(7)
-        assert t.note_failure(7) is False  # probe already in flight
+        assert t.strike(7) is False  # probe already in flight
         assert t.suspects == 1  # one suspect, however many strikes
 
     def test_probe_chain_evicts_after_threshold(self):
-        t = LivenessTracker()
-        t.note_failure(7)  # strike 1
+        t = table_of(7)
+        t.strike(7)  # strike 1
         nonce = t.begin_probe(7)
         assert t.probe_expired(7, nonce) == "evict"  # strike 2
 
     def test_fresh_probe_chain_takes_two_silences(self):
         # A confirm-on-use probe starts with no failure evidence.
-        t = LivenessTracker()
+        t = table_of(7)
         nonce = t.begin_probe(7)
         assert t.probe_expired(7, nonce) == "probe"
         nonce = t.begin_probe(7)
         assert t.probe_expired(7, nonce) == "evict"
 
     def test_alive_clears_suspicion_and_pending_probe(self):
-        t = LivenessTracker()
-        t.note_failure(7)
+        t = table_of(7)
+        t.strike(7)
         nonce = t.begin_probe(7)
         t.note_alive(7, now=12.0)
         assert not t.suspected(7)
@@ -88,7 +107,7 @@ class TestLivenessTracker:
         assert t.last_confirmed[7] == 12.0
 
     def test_stale_nonce_is_ignored(self):
-        t = LivenessTracker()
+        t = table_of(7)
         old = t.begin_probe(7)
         t.note_alive(7, now=1.0)
         new = t.begin_probe(7)
@@ -96,14 +115,14 @@ class TestLivenessTracker:
         assert t.probe_expired(7, new) == "probe"
 
     def test_cancel_probe_voids_without_striking(self):
-        t = LivenessTracker()
+        t = table_of(7)
         nonce = t.begin_probe(7)
         t.cancel_probe(7, nonce)
         assert t.probe_expired(7, nonce) == ""
         assert not t.suspected(7)
 
     def test_needs_confirmation_tracks_staleness(self):
-        t = LivenessTracker()
+        t = table_of(7)
         assert t.needs_confirmation(7, now=60.0)  # never heard from
         t.note_alive(7, now=100.0)
         assert not t.needs_confirmation(7, now=130.0)
@@ -112,13 +131,43 @@ class TestLivenessTracker:
         assert not t.needs_confirmation(7, now=500.0)  # probe in flight
 
     def test_eviction_resets_state_for_gossip_readd(self):
-        t = LivenessTracker()
-        t.note_failure(7)
+        t = table_of(7)
+        t.strike(7)
         t.begin_probe(7)
-        t.note_evicted(7)
-        assert t.evictions == 1
+        t.evict(7, now=0.0)
+        assert t.evictions == 1 and 7 not in t
         assert not t.suspected(7)
         assert 7 not in t.probe_nonce
+        assert t.recently_evicted(7, now=59.0) and not t.recently_evicted(7, now=60.0)
+
+    def test_evicting_a_displaced_reference_only_clears_its_state(self):
+        # Small fix kept from PR 18: the reference left the table while
+        # its probe chain ran (newer references displaced it).
+        t = ReferenceTable(0, 1)
+        t.add(0, 7)
+        t.strike(7)
+        t.begin_probe(7)
+        t.add(0, 8)  # bound 1: displaces 7
+        t.evict(7, now=5.0)
+        assert t.evictions == 0 and not t.evicted_at
+        assert not t.suspected(7) and 7 not in t.probe_nonce
+
+    def test_evidence_against_a_stranger_is_dropped(self):
+        t = table_of(7)
+        assert t.strike(8) is False
+        assert not t.suspected(8) and t.suspects == 0
+
+    def test_the_owner_is_never_its_own_reference(self):
+        t = table_of(7)
+        assert not t.add(0, 0) and 0 not in t
+
+    def test_unprobed_suspects_are_those_whose_chain_was_voided(self):
+        t = table_of(5, 7, 9)
+        for ref in (9, 5, 7):
+            t.strike(ref)
+        t.cancel_probe(5, t.begin_probe(5))  # we were offline
+        t.begin_probe(7)
+        assert t.unprobed_suspects() == [5, 9]
 
     @staticmethod
     def answered_probe(t, ref, now):
@@ -130,7 +179,7 @@ class TestLivenessTracker:
         return t.confirmed_until(ref) - t.last_confirmed.get(ref, 0.0)
 
     def test_answered_probes_double_the_interval_up_to_the_cap(self):
-        t = LivenessTracker()
+        t = table_of(7)
         assert not t.needs_confirmation(7, now=59.0)  # never probed:
         assert t.needs_confirmation(7, now=60.0)  # due after the base
         now = 60.0
@@ -143,7 +192,7 @@ class TestLivenessTracker:
         assert CONFIRM_INTERVAL_MAX_S == 960.0
 
     def test_passive_traffic_refreshes_without_doubling(self):
-        t = LivenessTracker()
+        t = table_of(7)
         self.answered_probe(t, 7, 60.0)
         t.note_alive(7, now=100.0)  # no probe of ours in flight
         assert t.last_confirmed[7] == 100.0
@@ -152,40 +201,63 @@ class TestLivenessTracker:
 
     @pytest.mark.parametrize("setback", ["strike", "silent_probe", "evict", "wipe"])
     def test_any_setback_returns_the_interval_to_the_base(self, setback):
-        t = LivenessTracker()
+        t = table_of(7)
         for now in (60.0, 180.0, 420.0):
             self.answered_probe(t, 7, now)
         assert self.interval(t, 7) == 480.0
         if setback == "strike":
-            t.note_failure(7)
+            t.strike(7)
         elif setback == "silent_probe":
             assert t.probe_expired(7, t.begin_probe(7)) == "probe"
         elif setback == "evict":
-            t.note_evicted(7, now=500.0)
+            t.evict(7, now=500.0)
         else:
             t.wipe()
         assert self.interval(t, 7) == CONFIRM_INTERVAL_S
 
     def test_a_suspects_answer_clears_the_strike_and_does_not_double(self):
-        t = LivenessTracker()
+        t = table_of(7)
         self.answered_probe(t, 7, 60.0)
-        assert t.note_failure(7)  # back to the base, suspect
+        assert t.strike(7)  # back to the base, suspect
         self.answered_probe(t, 7, 200.0)
         assert not t.suspected(7)
         assert self.interval(t, 7) == CONFIRM_INTERVAL_S
 
-    def test_wipe_forgets_beliefs_and_keeps_counters(self):
-        t = LivenessTracker()
+    def test_wipe_forgets_beliefs_and_keeps_levels_and_counters(self):
+        t = table_of(7, 8, 9)
         self.answered_probe(t, 7, 60.0)
-        t.note_failure(8)
+        t.strike(8)
         t.begin_probe(8)
-        t.note_evicted(9, now=70.0)
+        t.evict(9, now=70.0)
         t.wipe()
         assert not (
             t.strikes or t.probe_nonce or t.last_confirmed
             or t.confirm_interval or t.evicted_at
         )
+        assert t.levels == {0: [7, 8]}
         assert (t.suspects, t.probes, t.evictions) == (1, 2, 1)
+
+    def test_install_copies_and_sorts_the_levels(self):
+        t = table_of(7)
+        source = {2: [4], 0: [5, 6]}
+        t.install(source)
+        assert list(t.levels.items()) == [(0, [5, 6]), (2, [4])]
+        source[0].append(9)
+        assert t.levels[0] == [5, 6]
+
+    def test_fewest_refs_reads_the_levels_of_the_path_only(self):
+        t = ReferenceTable(0, 2)
+        t.install({0: [1, 2], 1: [3], 5: []})
+        assert t.fewest_refs(0) == 2 and not t.short_of_refs(0)  # root path
+        assert t.fewest_refs(1) == 2 and not t.short_of_refs(1)
+        assert t.fewest_refs(2) == 1 and t.short_of_refs(2)
+        assert t.fewest_refs(3) == 0  # level 2 is missing altogether
+
+    def test_audit_counts_dead_references_and_dark_levels(self):
+        t = ReferenceTable(0, 3)
+        t.install({0: [1, 2], 1: [3], 2: [], 4: [5, 6]})
+        # 2, 3 and 6 are gone; level 4 lies beyond a 3-bit path.
+        assert t.audit({1, 5, 9}, 3) == (3, 2)
 
 
 # -- wire-level evidence paths ----------------------------------------------
@@ -337,7 +409,7 @@ class TestWireEvidence:
         pongs = []
         on_pong = nodes[0]._on_pong
         nodes[0]._on_pong = lambda msg: (pongs.append(msg), on_pong(msg))
-        assert not nodes[0]._short_of_refs()
+        assert not nodes[0].liveness.short_of_refs(nodes[0].path.length)
         nodes[0]._send_probe(1)
         sim.run_until(10.0)
         assert [m.size_bytes for m in pongs] == [HEADER_BYTES]  # n_refs == 0
@@ -369,11 +441,18 @@ class TestWireEvidence:
         # The dead reference is still in the table: blind forever.
         assert any(3 in refs for refs in nodes[0].routing.values())
 
+    def test_repair_disabled_accepts_no_gossip(self):
+        config = NodeConfig(repair=RouteRepairPolicy(enabled=False))
+        sim, net, nodes = build_wire(QUADRANTS, config=config)
+        nodes[0].routing = {}
+        nodes[0]._accept_gossip(nodes[1].path, {0: [2, 3]})
+        assert nodes[0].routing == {} and nodes[0]._gossip_refs() == ({}, 0)
+
     def test_returning_node_restarts_stalled_probe_chains(self):
         # A node that churns offline mid-probe must not leave suspects
         # stranded (suspect but unprobed = routed around forever).
         sim, net, nodes = build_wire(QUADRANTS)
-        nodes[0].liveness.note_failure(3)  # suspect, probe not started
+        nodes[0].liveness.strike(3)  # suspect, probe not started
         nodes[0].online = False
         nodes[0].set_online(True)
         assert 3 in nodes[0].liveness.probe_nonce  # chain restarted
@@ -384,15 +463,16 @@ class TestWireEvidence:
 # -- gossip placement against the per-level reference --------------------------
 
 
-def ref_accept_gossip(node, their_path, gossip):
-    """``PGridNode._accept_gossip`` as it stood before the common-prefix
-    placement: every gossiped level shifted and XORed against our path
-    on its own.  Kept as the reference the fuzz below compares with."""
-    if not node.config.repair.enabled or not gossip:
+def ref_accept_gossip(table, path, their_path, gossip, now):
+    """``ReferenceTable.accept_gossip`` as it stood (on the node) before
+    the common-prefix placement: every gossiped level shifted and XORed
+    against our path on its own.  Kept as the reference the fuzz below
+    compares with."""
+    if not gossip:
         return
-    max_refs = node.config.max_refs_per_level
-    my_bits = node.path.bits
-    my_len = node.path.length
+    max_refs = table.max_refs_per_level
+    my_bits = path.bits
+    my_len = path.length
     their_bits = their_path.bits
     their_len = their_path.length
     for level in sorted(gossip):
@@ -405,25 +485,24 @@ def ref_accept_gossip(node, their_path, gossip):
         if diff == 0:
             continue
         mine = n - diff.bit_length()
-        refs = node.routing.get(mine)
+        refs = table.levels.get(mine)
         if refs is None:
-            refs = node.routing.setdefault(mine, [])
+            refs = table.levels.setdefault(mine, [])
         for ref in gossip[level]:
             if len(refs) >= max_refs:
                 break
             if (
-                ref != node.node_id
+                ref != table.owner
                 and ref not in refs
-                and not node.liveness.recently_evicted(ref, node.sim.now)
+                and not table.recently_evicted(ref, now)
             ):
                 refs.append(ref)
-                node._route_lapse_at = None
-                node.liveness.note_replacement()
+                table._lapse_at = None
+                table.replacements += 1
 
 
-MAX_REFS = 3
 _bits = st.text("01", max_size=7)
-_ref_ids = st.integers(0, 11)  # 0 is the node itself
+_ref_ids = st.integers(0, 11)  # 0 is the owner itself
 
 
 @st.composite
@@ -442,76 +521,64 @@ def gossip_cases(draw):
     gossip = draw(st.dictionaries(
         st.integers(0, 8), st.lists(_ref_ids, max_size=3), max_size=6
     ))
-    evicted = draw(st.sets(_ref_ids, max_size=4))
-    return mine, theirs, table, gossip, evicted, draw(st.booleans())
+    return mine, theirs, table, gossip, draw(st.sets(_ref_ids, max_size=4))
 
 
 class TestAcceptGossipAgainstReference:
     @staticmethod
-    def make_node(mine, table, evicted, enabled):
-        sim = Simulator()
-        net = Network(sim, latency=ConstantLatency(0.01), rng=1)
-        config = NodeConfig(
-            max_refs_per_level=MAX_REFS, repair=RouteRepairPolicy(enabled=enabled)
-        )
-        node = PGridNode(0, sim, net, config=config, rng=1)
-        node.path = Path.from_string(mine)
-        node.routing = {level: list(refs) for level, refs in table.items()}
-        for ref in evicted:
-            node.liveness.note_evicted(ref, sim.now)
-        node.liveness.evictions = 0
-        node._route_lapse_at = 1.0
-        return node
+    def make_table(levels, evicted):
+        table = ReferenceTable(0, MAX_REFS)
+        table.install(levels)
+        table.evicted_at = dict.fromkeys(evicted, 0.0)
+        table._lapse_at = 1.0  # as a sweep that found every level covered left it
+        return table
 
     @given(case=gossip_cases())
-    @settings(max_examples=400, deadline=None)
+    @settings(max_examples=int(FUZZ_EXAMPLES or 400), deadline=None)
     def test_same_table_same_counters_same_sweep_reset(self, case):
-        mine, theirs, table, gossip, evicted, enabled = case
-        their_path = Path.from_string(theirs)
-        expected = self.make_node(mine, table, evicted, enabled)
-        ref_accept_gossip(expected, their_path, gossip)
-        actual = self.make_node(mine, table, evicted, enabled)
-        actual._accept_gossip(their_path, gossip)
+        mine, theirs, levels, gossip, evicted = case
+        path, their_path = Path.from_string(mine), Path.from_string(theirs)
+        expected = self.make_table(levels, evicted)
+        ref_accept_gossip(expected, path, their_path, gossip, 0.0)
+        actual = self.make_table(levels, evicted)
+        actual.accept_gossip(path, their_path, gossip, 0.0)
         # Same references in the same order at the same levels -- and the
         # same empty levels created on the way, in the same order.
-        assert list(actual.routing.items()) == list(expected.routing.items())
-        assert actual.liveness.replacements == expected.liveness.replacements
-        assert actual._route_lapse_at == expected._route_lapse_at
+        assert list(actual.levels.items()) == list(expected.levels.items())
+        assert actual.replacements == expected.replacements
+        assert actual._lapse_at == expected._lapse_at
 
 
 # -- the refresh sweep against a brute-force reference --------------------------
 
 
-def ref_refresh_routes(node, now=None):
-    """``PGridNode.refresh_routes`` by definition: no skip cache, cover
-    recomputed from the tracker's dicts.  Returns the references to
-    probe, in order, and how many levels have lapsed (``now``: as if the
-    sweep ran at that later instant with nothing changed in between)."""
-    tracker = node.liveness
-    if now is None:
-        now = node.sim.now
+def ref_refresh_routes(table, now):
+    """``ReferenceTable.due`` by definition: no skip cache, cover
+    recomputed from the belief dicts.  Returns the references to probe
+    at ``now``, in order, and how many levels have lapsed."""
 
     def last(ref):
-        return tracker.last_confirmed.get(ref, 0.0)
+        return table.last_confirmed.get(ref, 0.0)
 
     def covered(ref):
-        if ref in tracker.probe_nonce:
+        if ref in table.probe_nonce:
             return True
-        interval = tracker.confirm_interval.get(ref, CONFIRM_INTERVAL_S)
-        return not tracker.suspected(ref) and now - last(ref) < interval
+        interval = table.confirm_interval.get(ref, CONFIRM_INTERVAL_S)
+        return not table.suspected(ref) and now - last(ref) < interval
 
     stalest = [
         min(refs, key=lambda r: (last(r), r))
-        for refs in node.routing.values()
+        for refs in table.levels.values()
         if refs and not any(covered(r) for r in refs)
     ]
     order = sorted(set(stalest), key=lambda r: (last(r), r))
     return order[:REFRESH_PROBES], len(stalest)
 
 
-SWEEP_PATH = "0110100101"  # longer than REFRESH_PROBES: the cap binds
-_levels = st.integers(0, len(SWEEP_PATH) - 1)
-_sweep_refs = st.integers(1, 3 * len(SWEEP_PATH))
+SWEEP_PATH = Path.from_string("0110100101")
+SWEEP_DEPTH = SWEEP_PATH.length  # longer than REFRESH_PROBES: the cap binds
+_levels = st.integers(0, SWEEP_DEPTH - 1)
+_sweep_refs = st.integers(1, 3 * SWEEP_DEPTH)
 # Quarter seconds are exact in binary, so ``now - last < interval`` and
 # ``now < last + interval`` cannot disagree by a rounding.
 _instants = st.integers(0, 1600).map(lambda q: q / 4.0)
@@ -530,13 +597,17 @@ _steps = st.one_of(
     # reference twice, wait" with no table change in between.
     *[st.tuples(st.just("advance"), _waits)] * 3,
     *[_ref_step] * 5,
-    st.tuples(st.just("add_route"), _levels, _sweep_refs),
+    st.tuples(st.just("add"), _levels, _sweep_refs),
     st.tuples(
         st.just("gossip"),
-        st.text("01", max_size=len(SWEEP_PATH)),
+        st.text("01", max_size=SWEEP_DEPTH),
         st.dictionaries(_levels, st.lists(_sweep_refs, max_size=2), max_size=4),
     ),
-    st.tuples(st.just("restart")),
+    st.tuples(st.sampled_from(["restart", "wipe"])),
+    st.tuples(
+        st.just("install"),
+        st.dictionaries(_levels, st.lists(_sweep_refs, max_size=MAX_REFS, unique=True)),
+    ),
 )
 
 
@@ -555,7 +626,7 @@ def sweep_cases(draw):
     ))
     if draw(st.booleans()):
         # More lapsed levels than one sweep may probe, no reference shared.
-        for level in range(len(SWEEP_PATH)):
+        for level in range(SWEEP_DEPTH):
             table[level] = [3 * level + i for i in range(1, draw(st.integers(2, 4)))]
     refs = sorted({r for level in table.values() for r in level})
     return {
@@ -581,60 +652,63 @@ def one_level_case(steps, beliefs):
 
 
 class TestRefreshRoutesAgainstBruteForce:
-    @staticmethod
-    def make_node(case):
-        sim = Simulator()
-        net = Network(sim, latency=ConstantLatency(0.01), rng=1)
-        node = PGridNode(
-            0, sim, net, config=NodeConfig(max_refs_per_level=MAX_REFS), rng=1
-        )
-        node.path = Path.from_string(SWEEP_PATH)
-        node.routing = {level: list(refs) for level, refs in case["table"].items()}
-        sim.run_until(case["now"])
-        tracker = node.liveness
-        for ref, belief in case["beliefs"].items():
-            if belief["age"] is not None:
-                tracker.last_confirmed[ref] = max(0.0, sim.now - belief["age"])
-            if belief["suspect"]:
-                tracker.note_failure(ref)
-            elif belief["interval"] is not None:
-                tracker.confirm_interval[ref] = belief["interval"]
-            if belief["in_flight"]:
-                tracker.begin_probe(ref)
-        # Probes register in the tracker but never reach the wire, so
-        # only the steps below resolve them.
-        sent = []
-        node._send_probe = lambda ref: (sent.append(ref), tracker.begin_probe(ref))
-        return node, sent
+    """The table alone, driven the way ``PGridNode`` drives it -- except
+    that a probe, once begun, stays in flight until a step resolves it."""
 
     @staticmethod
-    def apply(node, step):
-        tracker = node.liveness
+    def make_table(case):
+        table = ReferenceTable(0, MAX_REFS)
+        table.install(case["table"])
+        now = case["now"]
+        for ref, belief in case["beliefs"].items():
+            if belief["age"] is not None:
+                table.last_confirmed[ref] = max(0.0, now - belief["age"])
+            if belief["suspect"]:
+                table.strike(ref)
+            elif belief["interval"] is not None:
+                table.confirm_interval[ref] = belief["interval"]
+            if belief["in_flight"]:
+                table.begin_probe(ref)
+        return table
+
+    def apply(self, table, now, step):
+        """One step at ``now``; returns the time after it."""
         kind, args = step[0], step[1:]
         if kind == "advance":
-            node.sim.run_until(node.sim.now + args[0])
-        elif kind == "add_route":
-            node.add_route(*args)
+            return now + args[0]
+        if kind == "add":
+            table.add(*args)
         elif kind == "gossip":
-            node._accept_gossip(Path.from_string(args[0]), args[1])
-        elif kind == "restart":
-            node.restore_state(node.snapshot_state())
+            table.accept_gossip(SWEEP_PATH, Path.from_string(args[0]), args[1], now)
+        elif kind == "restart":  # warm: what a snapshot keeps comes back
+            table.restore(table.levels, *table.belief_ages(now), now)
+        elif kind == "wipe":  # cold: the references stay, every belief goes
+            table.wipe()
+        elif kind == "install":  # a sponsored placement
+            table.install(*args)
         else:
-            known = sorted({r for refs in node.routing.values() for r in refs})
+            known = sorted(table.all_refs())
             known.append(99)  # a stranger
             ref = known[args[0] % len(known)]
-            nonce = tracker.probe_nonce.get(ref)
+            nonce = table.probe_nonce.get(ref)
             if kind == "heard":  # the pong if a probe is in flight, else passive
-                node.receive(Message(ref, 0, "pong", {"nonce": nonce}, HEADER_BYTES))
+                table.note_alive(ref, now)
             elif kind == "strike":
-                node._suspect_ref(ref)
+                if table.strike(ref):
+                    table.begin_probe(ref)
             elif kind == "evict":
-                node._evict_ref(ref)
-            elif nonce is not None:
-                # "cancel": we were offline and could not have heard the pong.
-                node.online = kind == "timeout"
-                node._probe_timeout(ref, nonce)
-                node.online = True
+                table.evict(ref, now)
+            elif nonce is None:
+                pass  # no probe to time out or to cancel
+            elif kind == "cancel":  # we were offline, could not have heard the pong
+                table.cancel_probe(ref, nonce)
+            else:
+                action = table.probe_expired(ref, nonce)
+                if action == "probe":
+                    table.begin_probe(ref)
+                elif action == "evict":
+                    table.evict(ref, now)
+        return now
 
     @given(case=sweep_cases())
     # The ways a level is uncovered before the cached instant, each
@@ -647,29 +721,71 @@ class TestRefreshRoutesAgainstBruteForce:
     ))
     # a cancelled probe covers nothing:
     @example(case=one_level_case([("advance", 0.25), ("cancel", 0)], {1: (100.0, None)}))
-    # and evicting the covering reference leaves the stale spare.
+    # evicting the covering reference leaves the stale spare:
     @example(case=one_level_case(
         [("evict", 0)], {1: (0.0, 960.0), 2: (100.0, None)}
     ))
-    @settings(max_examples=300, deadline=None)
+    # and a restart or a placement leaves nothing confirmed.
+    @example(case=one_level_case([("wipe",)], {1: (0.0, 960.0)}))
+    @example(case=one_level_case([("install", {0: [2]})], {1: (0.0, 960.0)}))
+    @settings(max_examples=int(FUZZ_EXAMPLES or 300), deadline=None)
     def test_same_probes_in_the_same_order(self, case):
-        node, sent = self.make_node(case)
+        table, now = self.make_table(case), case["now"]
         for step in [("advance", 0.0)] + case["steps"]:
-            self.apply(node, step)
-            del sent[:]  # probes a step itself started are not the sweep's
-            skip_until = node._route_lapse_at
-            if skip_until is not None and skip_until > node.sim.now:
+            now = self.apply(table, now, step)
+            skip_until = table._lapse_at
+            if skip_until is not None and skip_until > now:
                 # A skip cache that outlived the step still has to hold:
                 # nothing lapses before it (cover only ever runs out, so
                 # the last instant before it speaks for all of them).
-                assert ref_refresh_routes(node, skip_until - 0.25)[1] == 0
-            expected, lapsed_levels = ref_refresh_routes(node)
-            launched = node.refresh_routes()
-            assert sent == expected
-            assert launched == len(sent) <= min(lapsed_levels, REFRESH_PROBES)
-            assert len(set(sent)) == len(sent)  # at most one per lapsed level
-            if launched == 0:
+                assert ref_refresh_routes(table, skip_until - 0.25)[1] == 0
+            expected, lapsed_levels = ref_refresh_routes(table, now)
+            due = table.due(now)
+            assert due == expected
+            assert len(due) <= min(lapsed_levels, REFRESH_PROBES)
+            assert len(set(due)) == len(due)  # at most one per lapsed level
+            if not due:
                 assert lapsed_levels == 0  # every non-empty level is covered
+            for ref in due:
+                table.begin_probe(ref)
+
+
+# -- the trusted pick against the node's old tail -------------------------------
+
+
+def ref_pick(refs, strikes, rng):
+    """The tail of ``PGridNode.route_for_key`` as it stood before the
+    table had a pick: ``refs`` is the level's list (or None), ``strikes``
+    the suspects, one ``randrange`` per non-empty level."""
+    if not refs:
+        return None
+    if strikes:
+        trusted = [r for r in refs if r not in strikes]
+        refs = trusted or refs
+    return refs[rng.randrange(len(refs))]
+
+
+@given(
+    levels=st.dictionaries(
+        st.integers(0, 5), st.lists(st.integers(1, 9), max_size=4, unique=True)
+    ),
+    suspects=st.sets(st.integers(1, 9)),
+    seed=st.integers(0, 2**31 - 1),
+    asked=st.lists(st.integers(0, 6), min_size=1, max_size=12),
+)
+@settings(derandomize=True, max_examples=200, deadline=None)
+def test_pick_draws_the_reference_route_for_key_drew(levels, suspects, seed, asked):
+    table = ReferenceTable(0, 4)
+    table.install(levels)
+    for ref in suspects:
+        table.strike(ref)  # strangers stay out of ``strikes``
+    assert set(table.strikes) == suspects & set(table.all_refs())
+    ours, theirs = random.Random(seed), random.Random(seed)
+    for level in asked:
+        assert table.pick(level, ours) == ref_pick(
+            table.levels.get(level), table.strikes, theirs
+        )
+    assert ours.getstate() == theirs.getstate()  # draw for draw
 
 
 # -- scenario level ----------------------------------------------------------
