@@ -195,18 +195,23 @@ class ReferenceTable(RoutingTable):
         super().install(levels)
         self._uncover()
 
-    def fewest_refs(self, depth: int) -> int:
-        """Size of the thinnest of levels ``0..depth-1`` (the bound for
-        a root path): 0 means some keys are unreachable from here."""
-        sizes = (len(self.levels.get(level, ())) for level in range(depth))
-        return min(sizes, default=self.max_refs_per_level)
+    def thin(self, depth: int, below: int) -> bool:
+        """True iff one of levels ``0..depth-1`` holds fewer than
+        ``below`` references (``below=1``: a level is empty, and some
+        keys are unreachable from here)."""
+        get = self.levels.get
+        for level in range(depth):
+            refs = get(level)
+            if refs is None or len(refs) < below:
+                return True
+        return False
 
     def short_of_refs(self, depth: int) -> bool:
         """True iff a level of a ``depth``-bit path holds fewer
         references than the bound.  Gossiped candidates only ever land
         at levels ``0..depth-1`` and never displace, so this is both
         when a probe asks for them and when any can be placed."""
-        return self.fewest_refs(depth) < self.max_refs_per_level
+        return self.thin(depth, self.max_refs_per_level)
 
     def pick(self, level: int, rng: random.Random) -> Optional[int]:
         """A random live-believed reference at ``level``.  Suspects are
@@ -238,10 +243,13 @@ class ReferenceTable(RoutingTable):
         out = {}
         n_refs = 0
         strikes = self.strikes
-        for level in sorted(self.levels):
-            refs = [r for r in self.levels[level] if r not in strikes][:GOSSIP_REFS]
+        levels = self.levels
+        for level in sorted(levels):
+            refs = levels[level]
+            if strikes:
+                refs = [r for r in refs if r not in strikes]
             if refs:
-                out[level] = refs
+                out[level] = refs = refs[:GOSSIP_REFS]
                 n_refs += len(refs)
         return out, n_refs
 

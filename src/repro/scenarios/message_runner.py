@@ -414,7 +414,7 @@ class MessageScenarioRunner(ScenarioRunnerBase):
                 # whole region) ask for anti-entropy *now*: exchange
                 # gossip is how replacements travel, and waiting for the
                 # sampled cadence would leave them dark for ticks.
-                if pid in initiators or node.liveness.fewest_refs(node.path.length):
+                if pid in initiators or not node.liveness.thin(node.path.length, 1):
                     continue  # every level populated: not deficient
                 partner = self._pick_partner(node, rng)
                 if partner is not None:

@@ -245,13 +245,14 @@ class TestReferenceTable:
         source[0].append(9)
         assert t.levels[0] == [5, 6]
 
-    def test_fewest_refs_reads_the_levels_of_the_path_only(self):
+    def test_thin_reads_the_levels_of_the_path_only(self):
         t = ReferenceTable(0, 2)
-        t.install({0: [1, 2], 1: [3], 5: []})
-        assert t.fewest_refs(0) == 2 and not t.short_of_refs(0)  # root path
-        assert t.fewest_refs(1) == 2 and not t.short_of_refs(1)
-        assert t.fewest_refs(2) == 1 and t.short_of_refs(2)
-        assert t.fewest_refs(3) == 0  # level 2 is missing altogether
+        t.install({0: [1, 2], 1: [3], 3: [], 5: []})
+        assert not t.short_of_refs(0) and not t.thin(0, 1)  # root path
+        assert not t.short_of_refs(1)
+        assert t.short_of_refs(2) and not t.thin(2, 1)
+        assert t.thin(3, 1)  # level 2 is missing altogether
+        assert t.thin(4, 1)  # and level 3 is empty
 
     def test_audit_counts_dead_references_and_dark_levels(self):
         t = ReferenceTable(0, 3)
