@@ -196,9 +196,8 @@ class ReferenceTable(RoutingTable):
         self._uncover()
 
     def thin(self, depth: int, below: int) -> bool:
-        """True iff one of levels ``0..depth-1`` holds fewer than
-        ``below`` references (``below=1``: a level is empty, and some
-        keys are unreachable from here)."""
+        """True iff one of levels ``0..depth-1`` holds fewer than ``below``
+        references (``below=1``: empty, some keys are unreachable from here)."""
         get = self.levels.get
         for level in range(depth):
             refs = get(level)

@@ -72,8 +72,7 @@ WALK_LENGTH = 6
 #: Fruitless interactions in a row before a node turns passive.
 MAX_IDLE_ATTEMPTS = 4
 
-#: Message kind -> name of the ``PGridNode`` method that handles it,
-#: for every kind :mod:`repro.simnet.protocol` declares.
+#: Every declared message kind -> name of the ``PGridNode`` method handling it.
 _HANDLER = {kind: "_on_" + kind for kind in P.CATEGORY}
 
 
@@ -280,8 +279,7 @@ class PGridNode:
         self.overlay = None
         self.joined = False
         #: The routing references and what this node believes of them
-        #: (suspect -> probe -> evict -> replace-from-gossip; see
-        #: pgrid.liveness).  ``routing`` below is its level view.
+        #: (suspect -> probe -> evict -> replace-from-gossip; pgrid.liveness).
         self.liveness = ReferenceTable(node_id, self.config.max_refs_per_level)
         # construction activity control
         self.constructing = False
