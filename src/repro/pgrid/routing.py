@@ -8,10 +8,9 @@ paths that make the overlay resilient to failures and churn.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from typing import Container, Dict, Iterable, List, Mapping, Optional, Sequence
-
-from .._util import RngLike, make_rng
 
 __all__ = ["RoutingTable"]
 
@@ -75,7 +74,7 @@ class RoutingTable:
         return self.levels.get(level, _NO_REFS)
 
     def choose(
-        self, level: int, rng: RngLike = None, exclude: Container[int] = ()
+        self, level: int, rng: random.Random, exclude: Container[int] = ()
     ) -> Optional[int]:
         """A random reference at ``level``, avoiding ``exclude`` if possible
         (one draw either way; once per routed hop on the wire)."""
@@ -84,7 +83,9 @@ class RoutingTable:
             return None
         if exclude:
             refs = [r for r in refs if r not in exclude] or refs
-        return refs[make_rng(rng).randrange(len(refs))]
+        # ``randrange(n)`` is ``_randbelow(n)`` for n >= 1: the same draw,
+        # without its argument checks (``rebuild_routing`` does the same).
+        return refs[rng._randbelow(len(refs))]
 
     def all_refs(self) -> List[int]:
         """Every referenced peer id (duplicates removed, order arbitrary)."""
@@ -92,10 +93,6 @@ class RoutingTable:
         for refs in self.levels.values():
             seen.update(refs)
         return list(seen)
-
-    def depth(self) -> int:
-        """Number of populated levels."""
-        return len([lvl for lvl, refs in self.levels.items() if refs])
 
     def __contains__(self, peer_id: int) -> bool:
         return any(peer_id in refs for refs in self.levels.values())

@@ -21,6 +21,15 @@ There is no cancel: the lazy timers below made it unreachable (no
 caller since PR 9), and a callback that finds its work done and
 returns is the cancellation idiom.
 
+The clock and the callbacks
+---------------------------
+``Simulator.now`` is a plain attribute (handlers read it tens of
+thousands of times a run) that only the event loop writes.  Callbacks
+handed to ``schedule`` / ``schedule_at`` stay functions, lambdas or
+bound methods, never ``functools.partial``: the layered benchmark's
+tracer (``benchmarks/layered/tracing.py``) names an event by its
+callback's ``__code__``, which a partial lacks.
+
 Lazy deadline timers
 --------------------
 Timeout/retry patterns (query, write, range attempts in
@@ -90,14 +99,10 @@ class Simulator:
     def __init__(self):
         self._queue: List[_Entry] = []
         self._seq = 0
-        self._now = 0.0
+        #: Current simulated time in seconds (only the event loop writes it).
+        self.now = 0.0
         self._processed = 0
         self._pending_peak = 0
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
 
     @property
     def events_processed(self) -> int:
@@ -129,7 +134,7 @@ class Simulator:
         seq = self._seq
         self._seq = seq + 1
         queue = self._queue
-        heapq.heappush(queue, (self._now + delay, seq, callback))
+        heapq.heappush(queue, (self.now + delay, seq, callback))
         if len(queue) > self._pending_peak:
             self._pending_peak = len(queue)
 
@@ -141,9 +146,9 @@ class Simulator:
         rescheduled firings must land on the bit-identical float the
         deadline was computed as.
         """
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule into the past (t={time} < now={self._now})"
+                f"cannot schedule into the past (t={time} < now={self.now})"
             )
         seq = self._seq
         self._seq = seq + 1
@@ -157,7 +162,7 @@ class Simulator:
         if not self._queue:
             return False
         time, _seq, callback = heapq.heappop(self._queue)
-        self._now = time
+        self.now = time
         callback()
         self._processed += 1
         return True
@@ -175,15 +180,15 @@ class Simulator:
         while queue and queue[0][0] <= end_time:
             if budget <= 0:
                 raise SimulationError(
-                    f"event budget exhausted at t={self._now:.1f}s "
+                    f"event budget exhausted at t={self.now:.1f}s "
                     f"({self._processed} events processed)"
                 )
             time, _seq, callback = pop(queue)
-            self._now = time
+            self.now = time
             callback()
             self._processed += 1
             budget -= 1
-        self._now = max(self._now, end_time)
+        self.now = max(self.now, end_time)
 
     def run_all(self, *, max_events: int = 10_000_000) -> None:
         """Drain the queue completely (bounded by ``max_events``)."""

@@ -33,7 +33,10 @@ would leave every finished operation to the cyclic collector.
 :class:`~repro.pgrid.liveness.ReferenceTable`: levels (``routing`` is
 their view), per-reference beliefs, the refresh sweep.  The node does
 what needs a path or a simulator -- the level a key leaves through, the
-``ping``s and their timers -- and tells the table what happened.
+``ping``s and their timers -- and tells the table what happened.  The
+level is computed once per hop (``_level_toward``: ``None`` means this
+node is responsible) and handed to ``_relay``, which asks the table for
+a reference at it on every try.
 Message kinds, with their traffic categories and (by name) their
 ``_on_<kind>`` handlers: :data:`repro.simnet.protocol.CATEGORY`.
 """
@@ -466,22 +469,16 @@ class PGridNode:
         """Record a complementary-subtree reference at ``level``."""
         self.liveness.add(level, other)
 
-    def route_for_key(self, key: int) -> Optional[int]:
-        """Next hop for ``key``: a random live-believed reference at the
-        first unresolved level (``None`` when responsible or stuck; see
-        :meth:`ReferenceTable.pick` for how suspects are avoided).
-        """
-        # Per-hop hot path: the first level whose path bit differs from
-        # the key's is the highest set bit of one XOR, replacing the
-        # per-level bit_at scan.
+    def _level_toward(self, key: int) -> Optional[int]:
+        """The level at which ``key`` leaves this node's path -- the
+        first bit where they differ -- or ``None`` when this node is
+        responsible for it.  Asked once per routed hop."""
+        # The first differing bit is the highest set bit of one XOR (at
+        # the root both sides are 0: every key is ours).
         path = self.path
         length = path.length
-        if length == 0:
-            return None  # responsible for everything
         diff = (key >> (KEY_BITS - length)) ^ path.bits
-        if diff == 0:
-            return None  # responsible
-        return self.liveness.pick(length - diff.bit_length(), self.rng)
+        return length - diff.bit_length() if diff else None
 
     def responsible_for(self, key: int) -> bool:
         """True iff ``key`` lies in this node's partition."""
@@ -500,17 +497,6 @@ class PGridNode:
     def _suspect_ref(self, ref: int) -> None:
         """Failure evidence against ``ref``: suspect it and start probing."""
         if self.config.repair.enabled and self.liveness.strike(ref) and self.online:
-            self._send_probe(ref)
-
-    def _confirm_on_use(self, ref: int) -> None:
-        """Forwarding through ``ref``: re-confirm it if it has been
-        silent for a while (probing tracks the traffic we actually
-        send, not a global scan)."""
-        if (
-            self.config.repair.enabled
-            and self.online
-            and self.liveness.needs_confirmation(ref, self.sim.now)
-        ):
             self._send_probe(ref)
 
     def _send_probe(self, ref: int) -> None:
@@ -585,26 +571,30 @@ class PGridNode:
         return len(due)
 
     def _forward_toward(
-        self, key: int, kind: str, payload: dict, *, n_keys: int = 0
+        self, level: int, kind: str, payload: dict, *, n_keys: int = 0
     ) -> Optional[int]:
-        """Pick a reference toward ``key`` and put ``payload`` on the wire.
+        """Pick a reference at ``level`` and put ``payload`` on the wire.
 
         Returns the reference the message left through (loss is silent
         to the sender, so a lost message still counts as forwarded) or
-        ``None`` on a dead end.  With repair enabled, a send-time
-        refusal (offline or partitioned destination: the connect
-        visibly failed) marks the reference suspect -- usually evicting
-        it on the spot via the probe cascade -- and immediately
-        re-picks: the paper's lazy *correction on use* applied at the
-        wire, bounded by the table's per-level redundancy.
+        ``None`` on a dead end.  With repair enabled, a reference silent
+        for a while is pinged as it is used (probing tracks the traffic
+        we send, not a global scan), and a send-time refusal (offline or
+        partitioned destination: the connect visibly failed) marks it
+        suspect -- usually evicting it on the spot via the probe cascade
+        -- and immediately re-picks: the paper's lazy *correction on
+        use* applied at the wire, bounded by the per-level redundancy.
         """
+        repair = self.config.repair.enabled
+        liveness = self.liveness
         for _ in range(self.config.max_refs_per_level + 1):
-            nxt = self.route_for_key(key)
+            nxt = liveness.pick(level, self.rng)
             if nxt is None:
                 return None
-            self._confirm_on_use(nxt)
+            if repair and self.online and liveness.needs_confirmation(nxt, self.sim.now):
+                self._send_probe(nxt)
             cause = self.send(nxt, kind, payload, n_keys=n_keys)
-            if not self.config.repair.enabled:
+            if not repair:
                 return nxt  # blind routing: one shot, timeouts judge it
             if cause in (None, "loss", "offline"):
                 return nxt
@@ -1318,9 +1308,10 @@ class PGridNode:
     # -- the relay step: the forwarder-side twin, all three routed kinds --------
 
     def _relay(
-        self, table: Optional[dict], key: int, kind: str, payload: dict, *, n_keys: int = 0
+        self, table: Optional[dict], level: int, kind: str, payload: dict, *, n_keys: int = 0
     ) -> bool:
-        """Forward ``payload`` one hop toward ``key``, or report the
+        """Forward ``payload`` one hop through ``level`` (where its key
+        leaves this node's path: :meth:`_level_toward`), or report the
         dead end to its origin; returns whether it went out.
 
         The forward is always a fresh dict (values shared by reference):
@@ -1332,7 +1323,7 @@ class PGridNode:
         evidence against it.  ``table=None`` records nothing.
         """
         hops = payload["hops"]
-        used = self._forward_toward(key, kind, {**payload, "hops": hops + 1}, n_keys=n_keys)
+        used = self._forward_toward(level, kind, {**payload, "hops": hops + 1}, n_keys=n_keys)
         if used is None:
             self._report_miss(table, kind, payload)
             return False
@@ -1367,7 +1358,8 @@ class PGridNode:
         origin = payload["origin"]
         qid = payload["qid"]
         hops = payload["hops"]
-        responsible = self.responsible_for(key)
+        level = self._level_toward(key)
+        responsible = level is None
         grant_present: Optional[bool] = None
         if not responsible and self._serving is not None:
             grant_present = self._grant_presence(key)
@@ -1394,7 +1386,7 @@ class PGridNode:
             else:
                 self.send(origin, P.QUERY_HIT, reply)
             return
-        self._relay(self._queries, key, P.QUERY, payload)
+        self._relay(self._queries, level, P.QUERY, payload)
 
     def _on_query(self, msg: Message) -> None:
         self._route_query(msg.payload)
@@ -1479,7 +1471,8 @@ class PGridNode:
         # invalidates our cached result for the key: the cheapest
         # coherence signal the serving layer gets for free.
         self._serving_invalidate(key)
-        if self.responsible_for(key):
+        level = self._level_toward(key)
+        if level is None:
             self.apply_mutation(op, key)
             self._sync_replicas(op, key)
             if origin == self.node_id:
@@ -1488,7 +1481,7 @@ class PGridNode:
                 self.send(origin, P.UPDATE_ACK, {"qid": qid, "hops": hops})
             return
         kind = P.INSERT if op == "insert" else P.DELETE
-        self._relay(self._writes, key, kind, payload, n_keys=1)
+        self._relay(self._writes, level, kind, payload, n_keys=1)
 
     def apply_mutation(self, op: str, key: int) -> None:
         """Apply one mutation to the local store (responsible keys only).
@@ -1713,8 +1706,9 @@ class PGridNode:
     def _route_range(self, payload: dict) -> None:
         cursor = payload["cursor"]
         origin = payload["origin"]
-        if not self.responsible_for(cursor):
-            self._relay(self._ranges, cursor, P.RANGE_QUERY, payload)
+        level = self._level_toward(cursor)
+        if level is not None:
+            self._relay(self._ranges, level, P.RANGE_QUERY, payload)
             return
         # Responsible for the cursor: ship this partition's slice home,
         # then forward the remainder to the next partition in key order.
@@ -1730,7 +1724,8 @@ class PGridNode:
         if not done:
             # No table: the remainder never recorded a first hop, not
             # even when it leaves the origin itself (the digests pin it).
-            self._relay(None, part_hi, P.RANGE_QUERY, {**payload, "cursor": part_hi})
+            level = self._level_toward(part_hi)
+            self._relay(None, level, P.RANGE_QUERY, {**payload, "cursor": part_hi})
 
     def _send_range_part(
         self,

@@ -751,13 +751,13 @@ class TestRefreshRoutesAgainstBruteForce:
                 table.begin_probe(ref)
 
 
-# -- the trusted pick against the node's old tail -------------------------------
+# -- the trusted pick against a filter-then-randrange reference -----------------
 
 
 def ref_pick(refs, strikes, rng):
-    """The tail of ``PGridNode.route_for_key`` as it stood before the
-    table had a pick: ``refs`` is the level's list (or None), ``strikes``
-    the suspects, one ``randrange`` per non-empty level."""
+    """The per-hop pick as the wire node made it before the table had
+    one: ``refs`` is the level's list (or None), ``strikes`` the
+    suspects, one ``randrange`` per non-empty level."""
     if not refs:
         return None
     if strikes:
@@ -775,7 +775,7 @@ def ref_pick(refs, strikes, rng):
     asked=st.lists(st.integers(0, 6), min_size=1, max_size=12),
 )
 @settings(derandomize=True, max_examples=200, deadline=None)
-def test_pick_draws_the_reference_route_for_key_drew(levels, suspects, seed, asked):
+def test_pick_draws_what_ref_pick_draws(levels, suspects, seed, asked):
     table = ReferenceTable(0, 4)
     table.install(levels)
     for ref in suspects:

@@ -42,10 +42,10 @@ class TestRoutingTable:
     def test_choose_falls_back_when_all_excluded(self):
         table = RoutingTable()
         table.add(0, 1)
-        assert table.choose(0, rng=1, exclude=[1]) == 1
+        assert table.choose(0, rng=random.Random(1), exclude=[1]) == 1
 
     def test_choose_empty_level(self):
-        assert RoutingTable().choose(0, rng=1) is None
+        assert RoutingTable().choose(0, rng=random.Random(1)) is None
 
     def test_all_refs_and_contains(self):
         table = RoutingTable()
@@ -54,12 +54,6 @@ class TestRoutingTable:
         assert sorted(table.all_refs()) == [1, 9]
         assert 9 in table
         assert 4 not in table
-
-    def test_depth_counts_populated_levels(self):
-        table = RoutingTable()
-        table.add(0, 1)
-        table.add(5, 2)
-        assert table.depth() == 2
 
     def test_refs_returns_a_copy(self):
         # Regression guard: query code shuffles/filters the result of
