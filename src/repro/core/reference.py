@@ -19,7 +19,7 @@ from typing import List, Sequence
 
 from ..exceptions import PartitionError
 from ..pgrid.bits import Path, ROOT
-from ..pgrid.keyspace import KEY_BITS
+from ..pgrid.keyspace import KEY_BITS, MAX_KEY
 
 __all__ = ["ReferenceLeaf", "ReferencePartition", "reference_partition"]
 
@@ -96,12 +96,18 @@ def reference_partition(
 ) -> ReferencePartition:
     """Run Algorithm 1 on a population of integer keys.
 
+    The keys are sorted and deduplicated once; the recursion then counts
+    a half's keys with two binary searches of that sorted list.
+
     Parameters
     ----------
     keys:
         The distinct data keys (integers in ``[0, 2^KEY_BITS)``).
         Duplicates are tolerated and counted once, matching the paper's
         storage-load measure "number of keys present in the partition".
+        A key outside the key space raises :class:`PartitionError`
+        naming it; it would otherwise weigh on a half it does not lie
+        in.
     n_peers:
         Total number of peers to distribute.
     d_max:
@@ -121,6 +127,31 @@ def reference_partition(
     ReferencePartition
         Leaves in key-space order; peer counts sum to ``n_peers``.
     """
+    sorted_keys = sorted(set(keys))
+    if sorted_keys and (sorted_keys[0] < 0 or sorted_keys[-1] >= MAX_KEY):
+        bad = next(key for key in keys if not 0 <= key < MAX_KEY)
+        raise PartitionError(f"key {bad} out of range [0, 2^{KEY_BITS})")
+    return _partition(
+        sorted_keys,
+        n_peers,
+        d_max=d_max,
+        n_min=n_min,
+        integer_peers=integer_peers,
+        max_depth=max_depth,
+    )
+
+
+def _partition(
+    sorted_keys: Sequence[int],
+    n_peers: int,
+    *,
+    d_max: float,
+    n_min: int,
+    integer_peers: bool,
+    max_depth: int = KEY_BITS,
+) -> ReferencePartition:
+    """Algorithm 1 on sorted, distinct keys in ``[0, 2^KEY_BITS)``:
+    :func:`reference_partition` without the sort and the key checks."""
     if n_peers < 1:
         raise PartitionError(f"need at least one peer, got {n_peers}")
     if n_min < 1:
@@ -128,7 +159,6 @@ def reference_partition(
     if d_max <= 0:
         raise PartitionError(f"d_max must be positive, got {d_max}")
 
-    sorted_keys = sorted(set(keys))
     result = ReferencePartition(leaves=[], d_max=d_max, n_min=n_min)
 
     def count_keys(lo: int, hi: int) -> int:

@@ -57,12 +57,26 @@ Everything above is computed on integer z-codes, never bit by bit.
 
 *Byte-spread table.*  ``_tables(d)`` holds, per ``dims``, the 256
 values "byte with ``d - 1`` zero bits between neighbouring bits".
-``interleave`` spreads each cell index a byte at a time and shifts the
-dimensions together; ``deinterleave`` shifts one dimension's bits down,
-masks a spread byte and reads it back through the inverse mapping.
-Spreading is strictly monotone, so ``box_contains`` compares one
-dimension's masked bits of the key with the same bits of the box
-corners and never deinterleaves.
+``deinterleave`` shifts one dimension's bits down, masks a spread byte
+and reads it back through the inverse mapping.  Spreading is strictly
+monotone, so ``box_contains`` compares one dimension's masked bits of
+the key with the same bits of the box corners and never deinterleaves.
+
+*Chunk-spread table.*  ``_wide(d)`` spreads a whole 13-bit chunk at
+once: at most 8,192 entries, each two byte-table entries put side by
+side, built once per ``dims`` like ``_tables``.  For ``dims >= 2`` a
+cell index has at most 26 bits, so spreading it is two lookups (low and
+high chunk) with no loop; for ``dims == 1`` spreading is the identity,
+and ``_wide(1)`` is ``range(2**KEY_BITS)``, which answers the same two
+lookups without building a table.  ``_zcode`` (``interleave``,
+``box_ranges``) and the batch encoder read it.
+
+*Batch encode.*  ``encode_many`` quantizes and interleaves consecutive
+``dims``-tuples of one flat float list in a single loop, the same for
+every ``dims``: a key set of n points is one call, not n ``encode``
+calls, and ``encode`` is that loop on one point.  Each attribute is
+scaled by ``2**bits_per_dim``, a power of two, so the product is exact
+and its floor is a valid cell for every ``x < 1`` -- no clamp.
 
 *Clipped corners.*  ``box_ranges`` carries a trie node as ``(width,
 zlo, zhi)``: the number of z-code bits below its prefix and the z-codes
@@ -119,20 +133,32 @@ def _tables(dims: int) -> Tuple[Tuple[int, ...], Dict[int, int], int]:
     return spread, compact, lane
 
 
-def _zcode(cells: Sequence[int], dims: int) -> int:
-    """Interleave ``dims`` cell indices the caller has range-checked."""
+#: Width of the chunks ``_wide`` spreads in one lookup.
+_CHUNK: int = 13
+_CHUNK_MASK: int = (1 << _CHUNK) - 1
+
+
+@lru_cache(maxsize=None)
+def _wide(dims: int) -> Sequence[int]:
+    """``wide[chunk]`` is the 13-bit ``chunk`` with ``dims - 1`` zero bits
+    between neighbouring bits (see "Kernels"); the identity for one
+    dimension, where cell indices are too wide for two chunks."""
+    if dims == 1:
+        return range(MAX_KEY)
     spread, _, _ = _tables(dims)
     step = 8 * dims
+    return tuple(
+        spread[chunk & 255] | spread[chunk >> 8] << step
+        for chunk in range(1 << min(_CHUNK, KEY_BITS // dims))
+    )
+
+
+def _zcode(cells: Sequence[int], dims: int) -> int:
+    """Interleave ``dims`` cell indices the caller has range-checked."""
+    wide, high = _wide(dims), _CHUNK * dims
     z = 0
     for q in cells:
-        wide = spread[q & 255]
-        shift = step
-        q >>= 8
-        while q:
-            wide |= spread[q & 255] << shift
-            shift += step
-            q >>= 8
-        z = (z << 1) | wide
+        z = z << 1 | wide[q & _CHUNK_MASK] | wide[q >> _CHUNK] << high
     return z
 
 
@@ -223,17 +249,29 @@ class ZOrderCodec(KeyCodec):
 
     def encode(self, point: Sequence[float]) -> int:
         """Quantize and interleave a d-tuple of attributes into a key."""
+        if len(point) != self.dims:
+            raise DomainError(f"expected {self.dims} attributes, got {len(point)}")
+        return self.encode_many(point)[0]
+
+    def encode_many(self, flat: Sequence[float]) -> List[int]:
+        """The keys of consecutive d-tuples of a flat attribute list:
+        ``encode_many(flat)[i] == encode(flat[i * d:(i + 1) * d])``."""
         d = self.dims
-        if len(point) != d:
-            raise DomainError(f"expected {d} attributes, got {len(point)}")
-        bits = KEY_BITS // d
-        cells, top = 1 << bits, (1 << bits) - 1
-        quantized = []
-        for x in point:
-            if not 0.0 <= x < 1.0:
-                raise DomainError(f"attribute value must lie in [0, 1), got {x!r}")
-            quantized.append(min(int(x * cells), top))
-        return _zcode(quantized, d) << (KEY_BITS - d * bits)
+        if len(flat) % d:
+            raise DomainError(f"expected a multiple of {d} attributes, got {len(flat)}")
+        scale, pad = float(self.cells_per_dim), self.pad_bits
+        wide, high = _wide(d), _CHUNK * d
+        keys = []
+        append = keys.append
+        for point in zip(*[iter(flat)] * d):
+            z = 0
+            for x in point:
+                if not 0.0 <= x < 1.0:
+                    raise DomainError(f"attribute value must lie in [0, 1), got {x!r}")
+                q = int(x * scale)
+                z = z << 1 | wide[q & _CHUNK_MASK] | wide[q >> _CHUNK] << high
+            append(z << pad)
+        return keys
 
     def decode(self, key: int) -> Tuple[float, ...]:
         """Cell-representative attributes of a key."""

@@ -15,7 +15,7 @@ query processing together.  Overlays can be obtained three ways:
 from __future__ import annotations
 
 import random as _random
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from math import ceil as _ceil, log as _log
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -123,30 +123,30 @@ class PGridNetwork:
         references into every complementary subtree -- the overlay a
         perfect, globally coordinated construction would produce.
 
-        Keys are dealt to leaves by one binary search over the sorted
-        leaf boundaries per key (``O(keys log leaves)``), not by probing
-        every leaf per key -- the leaves of Algorithm 1 tile the key
-        space in order, so each sorted-key run between two boundaries
-        lands in exactly one leaf.
+        The keys are sorted and deduplicated once.  Keys outside
+        ``[0, 2^KEY_BITS)`` are cut off that sorted list before
+        partitioning, so they neither steer Algorithm 1 nor reach a peer;
+        the in-range run goes to Algorithm 1 as it is.  The leaves tile
+        the key space in order, so each leaf's keys are one slice of the
+        run, cut by one binary search per leaf boundary.
         """
-        from ..core.reference import reference_partition
+        from ..core.reference import _partition
 
         rand = make_rng(rng)
-        reference = reference_partition(
-            keys, n_peers, d_max=d_max, n_min=n_min, integer_peers=True
-        )
-        net = cls()
         sorted_keys = sorted(set(keys))
-        # reference.leaves are in key-space order and tile [0, 2^KEY_BITS),
-        # so the leaf of a key is the last leaf whose lower bound <= key.
-        # Keys outside the key space are not covered by any leaf and are
-        # dropped, never dealt to a wrong partition.
         lo_i = bisect_left(sorted_keys, 0)
         hi_i = bisect_left(sorted_keys, 1 << KEY_BITS)
-        boundaries = [leaf.path.key_range(KEY_BITS)[0] for leaf in reference.leaves]
-        leaf_keys: List[List[int]] = [[] for _ in reference.leaves]
-        for key in sorted_keys[lo_i:hi_i]:
-            leaf_keys[bisect_right(boundaries, key) - 1].append(key)
+        sorted_keys = sorted_keys[lo_i:hi_i]
+        reference = _partition(
+            sorted_keys, n_peers, d_max=d_max, n_min=n_min, integer_peers=True
+        )
+        net = cls()
+        cuts = [
+            bisect_left(sorted_keys, leaf.path.key_range(KEY_BITS)[0])
+            for leaf in reference.leaves
+        ]
+        cuts.append(len(sorted_keys))
+        leaf_keys = [sorted_keys[a:b] for a, b in zip(cuts, cuts[1:])]
         counts = [int(round(leaf.n_peers)) for leaf in reference.leaves]
         # Algorithm 1 assigns *zero* peers to empty-side leaves (keeping
         # its storage-deviation analysis clean), but an operational

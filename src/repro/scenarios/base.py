@@ -677,12 +677,11 @@ class ScenarioRunnerBase:
             for _ in range(phase.join_peers):
                 pid = self._alloc_id()
                 if self._mdim is not None:
-                    keys = [
-                        self._mdim.encode(p)
-                        for p in dist.sample_points(
-                            spec.keys_per_peer, self._mdim.dims, member_rng
+                    keys = self._mdim.encode_many(
+                        dist.sample_floats(
+                            spec.keys_per_peer * self._mdim.dims, member_rng
                         )
-                    ]
+                    )
                 else:
                     keys = dist.sample_keys(spec.keys_per_peer, member_rng)
                 if self._join(pid, keys, member_rng, tally):

@@ -42,7 +42,7 @@ def workload_keys(
     dist = distribution(label)
     n = peers * keys_per_peer
     if codec is not None and codec.dims > 1:
-        flat = [codec.encode(p) for p in dist.sample_points(n, codec.dims, rand)]
+        flat = codec.encode_many(dist.sample_floats(n * codec.dims, rand))
     else:
         flat = dist.sample_keys(n, rand)
     return [

@@ -52,25 +52,6 @@ class KeyDistribution:
         """Draw ``n`` integer keys."""
         return [float_to_key(x) for x in self.sample_floats(n, rng)]
 
-    def sample_points(
-        self, n: int, d: int, rng: RngLike = None
-    ) -> List[tuple]:
-        """Draw ``n`` points of ``d`` attributes each, every attribute
-        i.i.d. from this distribution.
-
-        The scalar fast path (``d == 1``) consumes exactly the draws of
-        :meth:`sample_floats`, so one-dimensional workloads replay the
-        same RNG sequence whether they sample floats or points.  Sliced
-        distributions compose: every attribute of every point is mapped
-        into the slice.
-        """
-        if d < 1:
-            raise DomainError(f"need at least one dimension, got {d}")
-        if d == 1:
-            return [(x,) for x in self.sample_floats(n, rng)]
-        flat = self.sample_floats(n * d, rng)
-        return [tuple(flat[i * d : (i + 1) * d]) for i in range(n)]
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}({self.name!r})"
 

@@ -15,9 +15,10 @@ Four layers:
   kernels live on here as the oracle; Hypothesis compares them with the
   shipped code for d in {1, 2, 3, 4, 7, 53} and budgets in {1, 2, 3, 5,
   16, 64}, and checks the properties the module docstring promises.
-* **Workload/spec plumbing**: ``KeyDistribution.sample_points`` (the
-  scalar fast path must consume the RNG exactly like ``sample_floats``),
-  ``QueryMix.box_spans`` validation through ``ScenarioSpec.validate``.
+* **Spec plumbing**: ``QueryMix.box_spans`` validation through
+  ``ScenarioSpec.validate``.  (The batch encoder and the draws it is fed
+  are held against the code they replaced in
+  ``tests/test_bulk_materialization.py``.)
 * **Scenario acceptance**: the two library mdim scenarios replay
   byte-identically per backend, report ``box_recall == 1.0`` on the
   quiet ``geo-box-serving`` run, and never exceed the codec's split
@@ -41,7 +42,6 @@ from repro.scenarios import (
     scenario,
     slice_spec,
 )
-from repro.workloads.distributions import UniformDistribution
 from repro.workloads.queries import QuerySampler
 
 
@@ -447,25 +447,6 @@ class TestArityAndDomain:
                 codec.box_ranges(lo_cells, hi_cells)
         with pytest.raises(DomainError):
             codec.box_ranges((0, 0), (1, 1), max_ranges=0)
-
-
-class TestSamplePoints:
-    def test_scalar_fast_path_matches_sample_floats(self):
-        dist = UniformDistribution()
-        a = dist.sample_points(50, 1, random.Random(9))
-        b = [(x,) for x in dist.sample_floats(50, random.Random(9))]
-        assert a == b
-
-    def test_multi_dim_chunks(self):
-        dist = UniformDistribution()
-        pts = dist.sample_points(40, 3, random.Random(9))
-        assert len(pts) == 40
-        assert all(len(p) == 3 for p in pts)
-        assert all(0.0 <= x < 1.0 for p in pts for x in p)
-
-    def test_rejects_nonpositive_dims(self):
-        with pytest.raises(DomainError):
-            UniformDistribution().sample_points(4, 0, random.Random(1))
 
 
 class TestSpecPlumbing:
