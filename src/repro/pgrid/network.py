@@ -10,6 +10,15 @@ query processing together.  Overlays can be obtained three ways:
 * :meth:`PGridNetwork.ideal` -- materialize the reference partitioning
   of Algorithm 1 directly (globally coordinated; used as ground truth in
   tests and baselines).
+
+The ideal overlay is two steps, shared by both scenario backends:
+:func:`ideal_layout` (Algorithm 1's leaves with their keys and integral
+peer counts) and :func:`draw_references` (the randomized references of
+each ``(peer_id, path)`` member).  :meth:`PGridNetwork.ideal` deals
+:class:`PGridPeer` objects from the one and routing tables from the
+other; the message backend
+(:mod:`repro.scenarios.message_runner`) spawns its wire nodes straight
+from the same two, with no network in between.
 """
 
 from __future__ import annotations
@@ -29,7 +38,13 @@ from .peer import PGridPeer
 from .routing import RoutingTable
 from .search import LookupResult, RangeResult, lookup, range_query
 
-__all__ = ["PGridNetwork", "WriteResult", "build_overlay"]
+__all__ = [
+    "PGridNetwork",
+    "WriteResult",
+    "build_overlay",
+    "draw_references",
+    "ideal_layout",
+]
 
 KeyLike = Union[int, float, str]
 
@@ -72,6 +87,174 @@ def _to_key(value: KeyLike) -> int:
     if isinstance(value, str):
         return string_to_key(value)
     raise PartitionError(f"unsupported key type {type(value).__name__}")
+
+
+# -- the ideal overlay in two steps ----------------------------------------------
+
+
+def ideal_layout(
+    keys: Sequence[int], n_peers: int, *, d_max: float, n_min: int
+) -> List[Tuple[Path, List[int], int]]:
+    """Algorithm 1's leaves in key order, as ``(path, keys, peers)``:
+    each leaf's path, its sorted keys and how many peers hold them.
+
+    The keys are sorted and deduplicated once.  Keys outside
+    ``[0, 2^KEY_BITS)`` are cut off that sorted list before
+    partitioning, so they neither steer Algorithm 1 nor reach a peer;
+    the in-range run goes to Algorithm 1 as it is.  The leaves tile the
+    key space in order, so each leaf's keys are one slice of the run,
+    cut by one binary search per leaf boundary.  The peer counts are
+    integral and sum to ``n_peers``.
+    """
+    from ..core.reference import _partition
+
+    sorted_keys = sorted(set(keys))
+    lo_i = bisect_left(sorted_keys, 0)
+    hi_i = bisect_left(sorted_keys, 1 << KEY_BITS)
+    sorted_keys = sorted_keys[lo_i:hi_i]
+    reference = _partition(
+        sorted_keys, n_peers, d_max=d_max, n_min=n_min, integer_peers=True
+    )
+    paths = [leaf.path for leaf in reference.leaves]
+    cuts = [bisect_left(sorted_keys, path.key_range(KEY_BITS)[0]) for path in paths]
+    cuts.append(len(sorted_keys))
+    leaf_keys = [sorted_keys[a:b] for a, b in zip(cuts, cuts[1:])]
+    counts = [int(round(leaf.n_peers)) for leaf in reference.leaves]
+    # Algorithm 1 assigns *zero* peers to empty-side leaves (keeping
+    # its storage-deviation analysis clean), but an operational
+    # overlay must leave no key range unowned -- the decentralized
+    # construction populates empty regions too, and a gap makes every
+    # lookup into it fail structurally.  Cover each empty leaf with
+    # one peer reassigned from the most-populated leaf, never
+    # draining a donor below n_min (or, failing that, below one).
+    empty = [i for i, c in enumerate(counts) if c == 0]
+    for floor in (max(1, n_min), 1):
+        for i in empty:
+            donor = max(range(len(counts)), key=counts.__getitem__)
+            if counts[donor] > floor:
+                counts[donor] -= 1
+                counts[i] = 1
+        empty = [i for i in empty if counts[i] == 0]
+        if not empty:
+            break
+    return list(zip(paths, leaf_keys, counts))
+
+
+def draw_references(
+    members: Sequence[Tuple[int, Path]], *, rng: RngLike = None, max_refs: int = 4
+) -> List[Dict[int, List[int]]]:
+    """Random routing references for each ``(peer_id, path)`` member.
+
+    For each level of a member's path, up to ``max_refs`` ids are
+    sampled uniformly from the members under the complementary subtree,
+    implementing the paper's randomized reference selection.  Returns
+    one fresh levels dict per member, in member order: ascending levels,
+    each level's ids in draw order, and no key for a level whose
+    complementary subtree holds no member.  The candidates of a subtree
+    are its members in member order, so the draws depend on that order.
+    """
+    rand = make_rng(rng)
+    # Hot setup sweep (O(N * depth), dominates message-backend
+    # construction): prefixes are keyed by ``(length, bits)`` int
+    # pairs computed with shifts -- no Path allocation or hashing.  The
+    # empty prefix is never a complementary subtree, so it gets no
+    # bucket.
+    by_prefix: Dict[Tuple[int, int], List[int]] = {}
+    for peer_id, path in members:
+        bits = path.bits
+        length = path.length
+        for n in range(1, length + 1):
+            key = (n, bits >> (length - n))
+            bucket = by_prefix.get(key)
+            if bucket is None:
+                bucket = by_prefix[key] = []
+            bucket.append(peer_id)
+    # ``random.sample`` inlined below, drawing through the same
+    # ``_randbelow`` in the same order (pool-swap for small
+    # populations, rejection set otherwise -- the exact CPython
+    # algorithm, unchanged across the 3.10-3.13 support window and
+    # pinned by the golden digests), minus the per-call argument
+    # checking that dominates at ~10 samples per peer.  ``k`` is at
+    # most ``max_refs``, so the table-size thresholds are
+    # precomputed per ``k``.
+    randbelow = rand._randbelow
+    # A vanilla Random's _randbelow is rejection sampling over
+    # getrandbits; drawing through getrandbits directly skips one
+    # method call per draw (~10 draws/peer here) and produces the
+    # bit-identical stream.  Subclasses overriding _randbelow keep
+    # their own draw path.
+    fastdraw = type(rand)._randbelow is _random.Random._randbelow
+    getrandbits = rand.getrandbits
+    by_prefix_get = by_prefix.get
+    setsizes = [
+        21 + (4 ** _ceil(_log(k * 3, 4)) if k > 5 else 0)
+        for k in range(max_refs + 1)
+    ]
+    # Members sharing a path (replica groups) see identical candidate
+    # lists at every level, so the per-level lookup plan (candidate
+    # list, population, draw count, branch choice) is computed once
+    # per unique path and replayed per member -- only the draws
+    # themselves stay per-member.
+    plans: Dict[Tuple[int, int], list] = {}
+    plans_get = plans.get
+    drawn: List[Dict[int, List[int]]] = []
+    for _, path in members:
+        bits = path.bits
+        length = path.length
+        pkey = (length, bits)
+        plan = plans_get(pkey)
+        if plan is None:
+            plan = plans[pkey] = []
+            for level in range(length):
+                # The complementary subtree: the (level+1)-bit
+                # prefix with its last bit flipped.
+                comp = (level + 1, (bits >> (length - 1 - level)) ^ 1)
+                candidates = by_prefix_get(comp)
+                if not candidates:
+                    continue
+                n = len(candidates)
+                k = max_refs if n > max_refs else n
+                plan.append(
+                    (level, candidates, n, k, n <= setsizes[k], n.bit_length())
+                )
+        levels: Dict[int, List[int]] = {}
+        for level, candidates, n, k, use_pool, nbits_n in plan:
+            result = [None] * k
+            if use_pool:
+                pool = list(candidates)
+                for i in range(k):
+                    m = n - i
+                    if fastdraw:
+                        nbits = m.bit_length()
+                        j = getrandbits(nbits)
+                        while j >= m:
+                            j = getrandbits(nbits)
+                    else:
+                        j = randbelow(m)
+                    result[i] = pool[j]
+                    pool[j] = pool[m - 1]
+            else:
+                selected = set()
+                selected_add = selected.add
+                for i in range(k):
+                    if fastdraw:
+                        j = getrandbits(nbits_n)
+                        while j >= n:
+                            j = getrandbits(nbits_n)
+                    else:
+                        j = randbelow(n)
+                    while j in selected:
+                        if fastdraw:
+                            j = getrandbits(nbits_n)
+                            while j >= n:
+                                j = getrandbits(nbits_n)
+                        else:
+                            j = randbelow(n)
+                    selected_add(j)
+                    result[i] = candidates[j]
+            levels[level] = result
+        drawn.append(levels)
+    return drawn
 
 
 @dataclass
@@ -118,194 +301,46 @@ class PGridNetwork:
     ) -> "PGridNetwork":
         """Materialize Algorithm 1's reference partitioning directly.
 
-        Peers are dealt to leaves (integral counts), each leaf's peers
-        store the leaf's keys, and routing tables are filled with random
-        references into every complementary subtree -- the overlay a
-        perfect, globally coordinated construction would produce.
-
-        The keys are sorted and deduplicated once.  Keys outside
-        ``[0, 2^KEY_BITS)`` are cut off that sorted list before
-        partitioning, so they neither steer Algorithm 1 nor reach a peer;
-        the in-range run goes to Algorithm 1 as it is.  The leaves tile
-        the key space in order, so each leaf's keys are one slice of the
-        run, cut by one binary search per leaf boundary.
+        Peers are dealt to the leaves of :func:`ideal_layout` in key
+        order, ids counting up from 0; each leaf's peers store the leaf's
+        keys and are each other's replicas, and :meth:`rebuild_routing`
+        fills the routing tables with random references into every
+        complementary subtree -- the overlay a perfect, globally
+        coordinated construction would produce.
         """
-        from ..core.reference import _partition
-
         rand = make_rng(rng)
-        sorted_keys = sorted(set(keys))
-        lo_i = bisect_left(sorted_keys, 0)
-        hi_i = bisect_left(sorted_keys, 1 << KEY_BITS)
-        sorted_keys = sorted_keys[lo_i:hi_i]
-        reference = _partition(
-            sorted_keys, n_peers, d_max=d_max, n_min=n_min, integer_peers=True
-        )
         net = cls()
-        cuts = [
-            bisect_left(sorted_keys, leaf.path.key_range(KEY_BITS)[0])
-            for leaf in reference.leaves
-        ]
-        cuts.append(len(sorted_keys))
-        leaf_keys = [sorted_keys[a:b] for a, b in zip(cuts, cuts[1:])]
-        counts = [int(round(leaf.n_peers)) for leaf in reference.leaves]
-        # Algorithm 1 assigns *zero* peers to empty-side leaves (keeping
-        # its storage-deviation analysis clean), but an operational
-        # overlay must leave no key range unowned -- the decentralized
-        # construction populates empty regions too, and a gap makes every
-        # lookup into it fail structurally.  Cover each empty leaf with
-        # one peer reassigned from the most-populated leaf, never
-        # draining a donor below n_min (or, failing that, below one).
-        empty = [i for i, c in enumerate(counts) if c == 0]
-        for floor in (max(1, n_min), 1):
-            for i in empty:
-                donor = max(range(len(counts)), key=counts.__getitem__)
-                if counts[donor] > floor:
-                    counts[donor] -= 1
-                    counts[i] = 1
-            empty = [i for i in empty if counts[i] == 0]
-            if not empty:
-                break
-        peer_id = 0
-        peers_per_leaf: List[List[int]] = []
-        for leaf, lkeys, count in zip(reference.leaves, leaf_keys, counts):
-            ids = []
+        peers = net.peers
+        # rebuild_routing gives every peer its own table; until then they
+        # share one empty placeholder.
+        placeholder = RoutingTable(max_refs_per_level=max_refs)
+        first = 0
+        for path, leaf_keys, count in ideal_layout(keys, n_peers, d_max=d_max, n_min=n_min):
+            ids = range(first, first + count)
+            group = set(ids)
             # One shared immutable template per leaf; each peer gets an
             # independent copy (a single C-level list copy).
-            leaf_store = KeyStore._from_sorted(lkeys)
-            for _ in range(count):
-                peer = PGridPeer(
-                    peer_id=peer_id,
-                    path=leaf.path,
-                    keys=leaf_store.copy(),
-                    routing=RoutingTable(max_refs_per_level=max_refs),
-                )
-                net.peers[peer_id] = peer
-                ids.append(peer_id)
-                peer_id += 1
-            peers_per_leaf.append(ids)
-        for ids in peers_per_leaf:
+            leaf_store = KeyStore._from_sorted(leaf_keys)
             for pid in ids:
-                peer = net.peers[pid]
-                peer.replicas = set(ids) - {pid}
+                peer = peers[pid] = PGridPeer(
+                    peer_id=pid, path=path, keys=leaf_store.copy(), routing=placeholder
+                )
+                peer.replicas = group - {pid}
+            first = ids.stop
         net.rebuild_routing(rng=rand, max_refs=max_refs)
         return net
 
     # -- routing bookkeeping ----------------------------------------------
 
     def rebuild_routing(self, *, rng: RngLike = None, max_refs: int = 4) -> None:
-        """(Re)fill every peer's routing table with random references.
-
-        For each level of each peer's path, up to ``max_refs`` peers are
-        sampled uniformly from the complementary subtree, implementing
-        the paper's randomized reference selection.
-        """
-        rand = make_rng(rng)
-        # Hot setup sweep (O(N * depth), dominates message-backend
-        # construction): prefixes are keyed by ``(length, bits)`` int
-        # pairs computed with shifts -- no Path allocation or hashing --
-        # and sampled levels are installed directly (``sample`` returns
-        # at most ``max_refs`` unique ids, so this equals add()-ing each
-        # one).  The sample calls see the identical candidate lists in
-        # the identical order as the Path-keyed version, so the RNG
-        # stream -- and every downstream digest -- is unchanged.
-        by_prefix: Dict[Tuple[int, int], List[int]] = {}
-        for peer in self.peers.values():
-            path = peer.path
-            bits = path.bits
-            length = path.length
-            peer_id = peer.peer_id
-            for n in range(length + 1):
-                key = (n, bits >> (length - n))
-                bucket = by_prefix.get(key)
-                if bucket is None:
-                    bucket = by_prefix[key] = []
-                bucket.append(peer_id)
-        # ``random.sample`` inlined below, drawing through the same
-        # ``_randbelow`` in the same order (pool-swap for small
-        # populations, rejection set otherwise -- the exact CPython
-        # algorithm, unchanged across the 3.10-3.13 support window and
-        # pinned by the golden digests), minus the per-call argument
-        # checking that dominates at ~10 samples per peer.  ``k`` is at
-        # most ``max_refs``, so the table-size thresholds are
-        # precomputed per ``k``.
-        randbelow = rand._randbelow
-        # A vanilla Random's _randbelow is rejection sampling over
-        # getrandbits; drawing through getrandbits directly skips one
-        # method call per draw (~10 draws/peer here) and produces the
-        # bit-identical stream.  Subclasses overriding _randbelow keep
-        # their own draw path.
-        fastdraw = type(rand)._randbelow is _random.Random._randbelow
-        getrandbits = rand.getrandbits
-        by_prefix_get = by_prefix.get
-        setsizes = [
-            21 + (4 ** _ceil(_log(k * 3, 4)) if k > 5 else 0)
-            for k in range(max_refs + 1)
-        ]
-        # Peers sharing a path (replica groups) see identical candidate
-        # lists at every level, so the per-level lookup plan (candidate
-        # list, population, draw count, branch choice) is computed once
-        # per unique path and replayed per peer -- only the draws
-        # themselves stay per-peer.
-        plans: Dict[Tuple[int, int], list] = {}
-        plans_get = plans.get
-        for peer in self.peers.values():
-            path = peer.path
-            bits = path.bits
-            length = path.length
-            pkey = (length, bits)
-            plan = plans_get(pkey)
-            if plan is None:
-                plan = plans[pkey] = []
-                for level in range(length):
-                    # The complementary subtree: the (level+1)-bit
-                    # prefix with its last bit flipped.
-                    comp = (level + 1, (bits >> (length - 1 - level)) ^ 1)
-                    candidates = by_prefix_get(comp)
-                    if not candidates:
-                        continue
-                    n = len(candidates)
-                    k = max_refs if n > max_refs else n
-                    plan.append(
-                        (level, candidates, n, k, n <= setsizes[k], n.bit_length())
-                    )
-            table = RoutingTable(max_refs_per_level=max_refs)
-            levels = table.levels
-            for level, candidates, n, k, use_pool, nbits_n in plan:
-                result = [None] * k
-                if use_pool:
-                    pool = list(candidates)
-                    for i in range(k):
-                        m = n - i
-                        if fastdraw:
-                            nbits = m.bit_length()
-                            j = getrandbits(nbits)
-                            while j >= m:
-                                j = getrandbits(nbits)
-                        else:
-                            j = randbelow(m)
-                        result[i] = pool[j]
-                        pool[j] = pool[m - 1]
-                else:
-                    selected = set()
-                    selected_add = selected.add
-                    for i in range(k):
-                        if fastdraw:
-                            j = getrandbits(nbits_n)
-                            while j >= n:
-                                j = getrandbits(nbits_n)
-                        else:
-                            j = randbelow(n)
-                        while j in selected:
-                            if fastdraw:
-                                j = getrandbits(nbits_n)
-                                while j >= n:
-                                    j = getrandbits(nbits_n)
-                            else:
-                                j = randbelow(n)
-                        selected_add(j)
-                        result[i] = candidates[j]
-                levels[level] = result
-            peer.routing = table
+        """(Re)fill every peer's routing table with random references:
+        :func:`draw_references` over the peers in dict order."""
+        peers = self.peers.values()
+        drawn = draw_references(
+            [(peer.peer_id, peer.path) for peer in peers], rng=rng, max_refs=max_refs
+        )
+        for peer, levels in zip(peers, drawn):
+            peer.routing = RoutingTable(max_refs_per_level=max_refs, levels=levels)
 
     def _prune_dangling_routes(self) -> None:
         """Remove references to unknown peer ids (defensive)."""

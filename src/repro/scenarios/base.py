@@ -73,7 +73,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 from .._util import make_rng, mean, std
 from ..exceptions import SimulationError
 from ..pgrid.bits import Path
-from ..pgrid.network import PGridNetwork
 from ..pgrid.replication import divergence_stats
 from ..pgrid.serving import RESULT_CAPACITY, ROUTE_CAPACITY, gini
 from ..pgrid.state import SCHEMA as STATE_SCHEMA
@@ -575,23 +574,6 @@ class ScenarioRunnerBase:
         message backend reports wall-clock percentiles; the data-plane
         backend has no wire time)."""
         return {"count": 0}
-
-    # -- shared helpers ----------------------------------------------------
-
-    def _build_blueprint(
-        self, peer_keys: Sequence[Sequence[int]], build_rng
-    ) -> PGridNetwork:
-        """The ideal (Algorithm 1) overlay both backends start from."""
-        spec = self.spec
-        flat = [k for keys in peer_keys for k in keys]
-        return PGridNetwork.ideal(
-            flat,
-            spec.n_peers,
-            d_max=spec.d_max,
-            n_min=spec.n_min,
-            max_refs=spec.max_refs,
-            rng=build_rng,
-        )
 
     # -- the population view (one implementation for both backends) --------
 

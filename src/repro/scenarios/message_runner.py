@@ -37,10 +37,15 @@ How phases compile here
   emptied level) initiate an extra exchange -- gossip on exchanges and
   pongs is how evicted references get replaced.
 
-The overlay starts from the same Algorithm-1 blueprint as the
-data-plane backend (scenarios stress *operation*, not construction;
-for construction-over-the-wire see
-:mod:`repro.simnet.experiment`).
+The overlay starts as the ideal overlay the data-plane backend
+starts from (scenarios stress *operation*, not construction; for
+construction-over-the-wire see :mod:`repro.simnet.experiment`).  The
+nodes are spawned straight from the two steps
+:meth:`~repro.pgrid.network.PGridNetwork.ideal` takes over the same keys
+and build stream -- Algorithm 1's layout
+(:func:`~repro.pgrid.network.ideal_layout`) and the reference draw
+(:func:`~repro.pgrid.network.draw_references`) -- so no
+:class:`~repro.pgrid.network.PGridNetwork` is built and copied first.
 
 Determinism: the backend derives two extra RNG streams (transport,
 per-node seeds) *after* the six shared ones, and all bookkeeping uses
@@ -58,7 +63,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 from .._util import make_rng, mean, sample_online
 from ..exceptions import SimulationError
 from ..pgrid.liveness import RouteRepairPolicy
-from ..pgrid.network import PGridNetwork
+from ..pgrid.network import PGridNetwork, draw_references, ideal_layout
 from ..pgrid.peer import PGridPeer
 from ..pgrid.state import DurabilityPolicy
 from ..pgrid.routing import RoutingTable
@@ -203,7 +208,6 @@ class MessageScenarioRunner(ScenarioRunnerBase):
 
     def _setup(self, peer_keys, build_rng) -> None:
         spec, cfg, sim = self.spec, self.net_config, self.simulator
-        blueprint = self._build_blueprint(peer_keys, build_rng)
         # The transport writes every wire byte into the run's ledger.
         self.transport = Network(
             sim,
@@ -231,14 +235,38 @@ class MessageScenarioRunner(ScenarioRunnerBase):
             # keeps node behaviour identical to no policy at all.
             serving=spec.cache,
         )
-        for pid in sorted(blueprint.peers):
-            peer = blueprint.peers[pid]
-            node = self._spawn_node(pid)
-            node.path = peer.path
-            node.keys = set(peer.keys)
-            node.original_keys = set(peer.keys)
-            node.routing = peer.routing.levels
-            node.replicas = set(peer.replicas)
+        # Every node reports to the same four bound methods.
+        self._observers = (
+            self._query_done, self._range_done, self._write_done, self._audit_cache_hit
+        )
+        # The ideal overlay, spawned straight into nodes: Algorithm 1's
+        # layout and the reference draw, the two steps PGridNetwork.ideal
+        # takes over the same keys and build stream.  Ids count up from 0
+        # in key order, and each leaf's nodes are each other's replicas.
+        layout = ideal_layout(
+            [k for keys in peer_keys for k in keys],
+            spec.n_peers,
+            d_max=spec.d_max,
+            n_min=spec.n_min,
+        )
+        paths = [path for path, _, count in layout for _ in range(count)]
+        drawn = draw_references(
+            list(enumerate(paths)), rng=build_rng, max_refs=spec.max_refs
+        )
+        first = 0
+        for path, leaf_keys, count in layout:
+            ids = range(first, first + count)
+            group = set(ids)
+            for pid in ids:
+                node = self._spawn_node(pid)
+                node.path = path
+                node.keys = keys = set(leaf_keys)
+                node.original_keys = set(keys)
+                node.replicas = group - {pid}
+                # The table is fresh (no skip cache to reset), so it
+                # takes the drawn levels as they are, without a copy.
+                node.liveness.levels = drawn[pid]
+            first = ids.stop
         cache = spec.cache
         if cache is not None and cache.front_ends > 0:
             # Gateway tier: queries enter through a fixed, evenly spaced
@@ -277,10 +305,9 @@ class MessageScenarioRunner(ScenarioRunnerBase):
             rng=make_rng(self._node_seed_rng.randrange(2**31)),
         )
         node.joined = True
-        node.on_query_done = self._query_done
-        node.on_range_done = self._range_done
-        node.on_write_done = self._write_done
-        node.on_cache_hit = self._audit_cache_hit
+        (
+            node.on_query_done, node.on_range_done, node.on_write_done, node.on_cache_hit
+        ) = self._observers
         self.nodes[pid] = node
         self._node_tuple = None
         return node

@@ -78,7 +78,17 @@ class ScenarioRunner(ScenarioRunnerBase):
     # -- lifecycle hooks ---------------------------------------------------
 
     def _setup(self, peer_keys, build_rng) -> None:
-        self.network = self._build_blueprint(peer_keys, build_rng)
+        spec = self.spec
+        # The ideal (Algorithm 1) overlay; the message backend spawns its
+        # nodes from the same two steps (see PGridNetwork.ideal).
+        self.network = PGridNetwork.ideal(
+            [k for keys in peer_keys for k in keys],
+            spec.n_peers,
+            d_max=spec.d_max,
+            n_min=spec.n_min,
+            max_refs=spec.max_refs,
+            rng=build_rng,
+        )
         cache = self._cache
         if cache is not None and cache.enabled:
             self._dp_cache = ResultCache(cache.result_ttl_s, RESULT_CAPACITY)

@@ -75,6 +75,7 @@ empirically against the committed digests and golden traces.
 from __future__ import annotations
 
 import heapq
+from math import isnan
 from typing import Callable, List, Optional, Tuple
 
 from ..exceptions import SimulationError
@@ -126,10 +127,11 @@ class Simulator:
     def schedule(self, delay: float, callback: Callable[[], None]) -> None:
         """Schedule ``callback`` to run ``delay`` seconds from now.
 
-        Negative delays are rejected -- the simulator never travels
-        back in time.
+        Negative and NaN delays are rejected -- the simulator never
+        travels back in time, and a NaN time would sit at the top of
+        the heap, where no comparison can pass it.
         """
-        if delay < 0:
+        if not delay >= 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         seq = self._seq
         self._seq = seq + 1
@@ -144,9 +146,10 @@ class Simulator:
         The event's time is ``time`` itself, not ``now + (time - now)``
         -- the distinction matters to :class:`DeadlineTimer`, whose
         rescheduled firings must land on the bit-identical float the
-        deadline was computed as.
+        deadline was computed as.  A time before ``now``, or NaN, is
+        rejected (see :meth:`schedule`).
         """
-        if time < self.now:
+        if not time >= self.now:
             raise SimulationError(
                 f"cannot schedule into the past (t={time} < now={self.now})"
             )
@@ -172,8 +175,11 @@ class Simulator:
 
         ``max_events`` guards against runaway event storms in tests: it
         raises when an event due by ``end_time`` is still queued after
-        that many have run.
+        that many have run.  A NaN ``end_time`` is rejected: no event
+        is due by it, yet the clock would jump to it.
         """
+        if isnan(end_time):
+            raise SimulationError("cannot run until a NaN time")
         budget = max_events if max_events is not None else float("inf")
         queue = self._queue
         pop = heapq.heappop
@@ -248,7 +254,7 @@ class DeadlineTimer:
         if event_at is None:
             self._sim.schedule_at(deadline, self._fire)
             self._event_at = deadline
-        elif deadline < event_at:
+        elif not deadline >= event_at:
             raise SimulationError(
                 f"deadline {deadline} is before the timer's outstanding "
                 f"event at t={event_at}: it would fire late"

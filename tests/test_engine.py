@@ -6,6 +6,9 @@ from hypothesis import given, settings, strategies as st
 from repro.exceptions import SimulationError
 from repro.simnet.engine import DeadlineTimer, Simulator
 
+NAN = float("nan")
+INF = float("inf")
+
 
 class TestScheduling:
     def test_events_run_in_time_order(self):
@@ -54,6 +57,72 @@ class TestScheduling:
         sim.schedule_at(4.0, lambda: seen.append(sim.now))
         sim.run_all()
         assert seen == [4.0]
+
+
+class TestNaNTimes:
+    """A NaN time compares false both ways: on the heap it would block
+    every event behind it while the clock still advanced."""
+
+    def test_nan_delay_is_refused_and_the_rest_still_runs(self):
+        # Regression: the NaN event sat at the top of the heap, none of
+        # the three ran, and run_until still moved the clock to 10.0.
+        sim = Simulator()
+        log = []
+        with pytest.raises(SimulationError, match="delay=nan"):
+            sim.schedule(NAN, lambda: log.append("f"))
+        sim.schedule(1.0, lambda: log.append("g"))
+        sim.schedule(2.0, lambda: log.append("h"))
+        sim.run_until(10.0)
+        assert log == ["g", "h"]
+        assert sim.pending == 0 and sim.now == 10.0
+
+    def test_nan_absolute_time_is_refused(self):
+        sim = Simulator()
+        with pytest.raises(SimulationError, match="t=nan"):
+            sim.schedule_at(NAN, lambda: None)
+        assert sim.pending == 0
+
+    @pytest.mark.parametrize("outstanding", [False, True])
+    def test_nan_deadline_is_refused(self, outstanding):
+        sim = Simulator()
+        fired = []
+        timer = DeadlineTimer(sim, lambda: fired.append(sim.now))
+        if outstanding:
+            timer.arm(5.0)
+        with pytest.raises(SimulationError):
+            timer.arm(NAN)
+        assert timer.deadline == (5.0 if outstanding else None)
+        sim.run_all()
+        assert fired == ([5.0] if outstanding else [])
+
+    def test_run_until_a_nan_time_is_refused(self):
+        sim = Simulator()
+        log = []
+        sim.schedule(1.0, lambda: log.append("g"))
+        with pytest.raises(SimulationError, match="NaN"):
+            sim.run_until(NAN)
+        assert log == [] and sim.now == 0.0 and sim.pending == 1
+        sim.run_until(10.0)
+        assert log == ["g"]
+
+    @pytest.mark.parametrize("bad", [-1e-300, -INF])
+    def test_negative_times_stay_refused(self, bad):
+        sim = Simulator()
+        with pytest.raises(SimulationError):
+            sim.schedule(bad, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.schedule_at(bad, lambda: None)
+
+    def test_infinite_times_are_still_accepted(self):
+        # Infinity orders like any time: it runs last, and only in run_all.
+        sim = Simulator()
+        log = []
+        sim.schedule(INF, lambda: log.append("late"))
+        sim.schedule_at(INF, lambda: log.append("later"))
+        sim.run_until(1e300)
+        assert log == []
+        sim.run_all()
+        assert log == ["late", "later"]
 
 
 class TestRunUntil:
