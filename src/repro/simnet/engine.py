@@ -128,8 +128,9 @@ class Simulator:
         """Schedule ``callback`` to run ``delay`` seconds from now.
 
         Negative and NaN delays are rejected -- the simulator never
-        travels back in time, and a NaN time would sit at the top of
-        the heap, where no comparison can pass it.
+        travels back in time, and a NaN time compares false with every
+        other: it would stay at the top of the heap and block every
+        event behind it.
         """
         if not delay >= 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
@@ -176,7 +177,7 @@ class Simulator:
         ``max_events`` guards against runaway event storms in tests: it
         raises when an event due by ``end_time`` is still queued after
         that many have run.  A NaN ``end_time`` is rejected: no event
-        is due by it, yet the clock would jump to it.
+        is due by it, so the call would return having run nothing.
         """
         if isnan(end_time):
             raise SimulationError("cannot run until a NaN time")
