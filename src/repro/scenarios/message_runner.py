@@ -257,11 +257,14 @@ class MessageScenarioRunner(ScenarioRunnerBase):
         for path, leaf_keys, count in layout:
             ids = range(first, first + count)
             group = set(ids)
+            # One immutable key set per leaf, shared by its replicas; each
+            # node's own ``keys`` is its own set.
+            original = frozenset(leaf_keys)
             for pid in ids:
                 node = self._spawn_node(pid)
                 node.path = path
-                node.keys = keys = set(leaf_keys)
-                node.original_keys = set(keys)
+                node.keys = set(leaf_keys)
+                node.original_keys = original
                 node.replicas = group - {pid}
                 # The table is fresh (no skip cache to reset), so it
                 # takes the drawn levels as they are, without a copy.

@@ -37,6 +37,24 @@ what needs a path or a simulator -- the level a key leaves through, the
 level is computed once per hop (``_level_toward``: ``None`` means this
 node is responsible) and handed to ``_relay``, which asks the table for
 a reference at it on every try.
+
+**What a node holds.**  A scenario's population can reach tens of
+thousands of nodes in one kernel, so bytes per node bound what it can
+simulate.  The instance holds what a scenario node reads or writes:
+identity, path, keys, replicas, references, tombstones, pending
+operations and observers -- every attribute the per-message path reads
+among them, since CPython 3.11 does not specialize a read that falls
+through to the class.  State only the construction phase uses
+(``overlay``, ``constructing``, ``idle_strikes``) and the serving
+containers of a node without the policy are immutable class defaults;
+the first write shadows one (``_strike`` writes the idle count only
+while constructing).  The budget is 30 instance attributes: CPython
+3.11 keeps at most that many in a compact per-instance layout, and one
+more costs the node a full dict (about 1.3 KiB more).
+``original_keys`` is the leaf's key set, one immutable ``frozenset``
+shared by every replica the scenario backend spawns into the leaf; a
+rejoin or a restore assigns a new set, never mutates it.
+
 Message kinds, with their traffic categories and (by name) their
 ``_on_<kind>`` handlers: :data:`repro.simnet.protocol.CATEGORY`.
 """
@@ -45,7 +63,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, ClassVar, Dict, List, Optional, Set, Tuple
+from types import MappingProxyType
+from typing import (
+    Callable, ClassVar, Dict, FrozenSet, List, Mapping, Optional, Set, Tuple,
+)
 
 from .._util import RngLike, make_rng
 from ..core import fig2
@@ -74,6 +95,16 @@ INTERACTION_INTERVAL = 20.0
 WALK_LENGTH = 6
 #: Fruitless interactions in a row before a node turns passive.
 MAX_IDLE_ATTEMPTS = 4
+
+#: The serving layer's per-node counters, in report order.
+_SERVING_COUNTERS = (
+    "result_hits", "result_misses", "dedup_joined", "invalidations",
+    "route_uses", "route_invalidations", "grants", "revokes", "grant_hits",
+)
+
+#: The class default of a serving container a node without the policy
+#: reads (``PGridNode``): empty, and nothing can be added to it.
+_EMPTY: Mapping = MappingProxyType({})
 
 #: Every declared message kind -> name of the ``PGridNode`` method handling it.
 _HANDLER = {kind: "_on_" + kind for kind in P.CATEGORY}
@@ -245,7 +276,37 @@ class QueryOutcome:
 
 
 class PGridNode:
-    """One simulated peer: state plus message handlers."""
+    """One simulated peer: state plus message handlers.
+
+    What a node holds, and why some of it lives on the class: module
+    docstring."""
+
+    # Immutable class defaults, shadowed by the first write (module
+    # docstring).  The construction phase (repro.simnet.experiment) sets
+    # the first four.
+    #: The live unstructured overlay (set when joining); neighbor lists
+    #: are read from it dynamically because the bootstrap keeps wiring
+    #: newcomers to existing nodes after our own join completed.
+    overlay = None
+    joined = False
+    constructing = False
+    idle_strikes = 0
+    #: The workload keys this peer joined with; replaced by assignment,
+    #: never mutated (replicas of one leaf share one set).
+    original_keys: FrozenSet[int] = frozenset()
+    # The serving containers (created in __init__ only with the policy
+    # on; read-only and empty without it).
+    result_cache: Optional[ResultCache] = None
+    route_cache: Optional[RouteCache] = None
+    _inflight_by_key: Mapping[int, int] = _EMPTY
+    _waiters: Mapping[int, List[int]] = _EMPTY
+    _helpers: Mapping[int, float] = _EMPTY
+    _grants: Mapping[Path, Tuple[Set[int], float]] = _EMPTY
+    serving_stats: Mapping[str, int] = MappingProxyType(
+        dict.fromkeys(_SERVING_COUNTERS, 0)
+    )
+    #: Queries answered as owner within the current decay window.
+    _served_window = 0
 
     def __init__(
         self,
@@ -273,20 +334,11 @@ class PGridNode:
         #: re-gossip does not refresh it, or certificates would ping-pong
         #: between replicas forever).
         self._tombstone_born: Dict[int, float] = {}
-        self.original_keys: Set[int] = set()
         self.outbox: Set[int] = set()
         self.replicas: Set[int] = set()
-        # The live unstructured overlay (set when joining); neighbor lists
-        # are read from it dynamically because the bootstrap keeps wiring
-        # newcomers to existing nodes after our own join completed.
-        self.overlay = None
-        self.joined = False
         #: The routing references and what this node believes of them
         #: (suspect -> probe -> evict -> replace-from-gossip; pgrid.liveness).
         self.liveness = ReferenceTable(node_id, self.config.max_refs_per_level)
-        # construction activity control
-        self.constructing = False
-        self.idle_strikes = 0
         self._exchange_nonce = 0
         #: Nonce of the exchange request awaiting its response, if any.
         self._inflight_exchange: Optional[int] = None
@@ -305,9 +357,14 @@ class PGridNode:
         self.on_query_done: Optional[Callable[[int, int, QueryOutcome], None]] = None
         self.on_range_done: Optional[Callable[[int, int, QueryOutcome], None]] = None
         self.on_write_done: Optional[Callable[[int, int, QueryOutcome], None]] = None
+        #: Audit observer: (node_id, key, cached_present) on every result
+        #: cache hit, before it serves (the runner compares the cached
+        #: presence against its authoritative durable view).
+        self.on_cache_hit: Optional[Callable[[int, int, bool], None]] = None
         # Query-serving front end (pgrid.serving).  ``_serving`` is the
         # active policy or None; an ``enabled=False`` policy behaves
-        # exactly like no policy at the protocol level.
+        # exactly like no policy at the protocol level, and its nodes
+        # carry none of the containers below.
         sv = self.config.serving
         self._serving: Optional[CachePolicy] = (
             sv if (sv is not None and sv.enabled) else None
@@ -315,34 +372,15 @@ class PGridNode:
         if self._serving is not None:
             self.result_cache = ResultCache(sv.result_ttl_s, RESULT_CAPACITY)
             self.route_cache = RouteCache(sv.route_ttl_s, ROUTE_CAPACITY)
-        else:
-            self.result_cache = None
-            self.route_cache = None
-        #: key -> primary qid of the in-flight lookup (dedup joins it).
-        self._inflight_by_key: Dict[int, int] = {}
-        #: primary qid -> waiter qids resolved with the primary's outcome.
-        self._waiters: Dict[int, List[int]] = {}
-        #: Queries answered as owner within the current decay window.
-        self._served_window = 0
-        #: Owner side: helper id -> grant time (adaptive replication).
-        self._helpers: Dict[int, float] = {}
-        #: Helper side: granted path -> (key set, expires_at).
-        self._grants: Dict[Path, Tuple[Set[int], float]] = {}
-        self.serving_stats: Dict[str, int] = {
-            "result_hits": 0,
-            "result_misses": 0,
-            "dedup_joined": 0,
-            "invalidations": 0,
-            "route_uses": 0,
-            "route_invalidations": 0,
-            "grants": 0,
-            "revokes": 0,
-            "grant_hits": 0,
-        }
-        #: Audit observer: (node_id, key, cached_present) on every result
-        #: cache hit, before it serves (the runner compares the cached
-        #: presence against its authoritative durable view).
-        self.on_cache_hit: Optional[Callable[[int, int, bool], None]] = None
+            #: key -> primary qid of the in-flight lookup (dedup joins it).
+            self._inflight_by_key: Dict[int, int] = {}
+            #: primary qid -> waiter qids resolved with the primary's outcome.
+            self._waiters: Dict[int, List[int]] = {}
+            #: Owner side: helper id -> grant time (adaptive replication).
+            self._helpers: Dict[int, float] = {}
+            #: Helper side: granted path -> (key set, expires_at).
+            self._grants: Dict[Path, Tuple[Set[int], float]] = {}
+            self.serving_stats = dict.fromkeys(_SERVING_COUNTERS, 0)
         network.register(self)
 
     # -- helpers -----------------------------------------------------------
@@ -434,9 +472,9 @@ class PGridNode:
         if self._serving is not None:
             self.result_cache.clear()
             self.route_cache.clear()
-        self._grants.clear()
-        self._helpers.clear()
-        self._served_window = 0
+            self._grants.clear()
+            self._helpers.clear()
+            self._served_window = 0
 
     def lose_state(self) -> None:
         """The cold twin of :meth:`restore_state`: no snapshot survived,
@@ -757,9 +795,12 @@ class PGridNode:
             self.start_walk("exchange")
         self._schedule_interaction()
 
-    def wake(self) -> None:
-        """Re-activate after being contacted with fresh information."""
-        self.idle_strikes = 0
+    def _strike(self, useful: bool) -> None:
+        """Reset the idle count after a useful interaction, add to it
+        after a fruitless one.  Only a constructing node reads the count,
+        so any other node keeps the class default (module docstring)."""
+        if self.constructing:
+            self.idle_strikes = 0 if useful else self.idle_strikes + 1
 
     def _begin_exchange(self, partner: int) -> None:
         self._exchange_nonce += 1
@@ -929,7 +970,7 @@ class PGridNode:
             self.keys |= gained
             useful = bool(gained)
         if useful:
-            self.wake()
+            self._strike(True)
         return {"action": "noop", "keys": list(deliver), "useful": useful}
 
     def _extend_path(self, side: int, via: Optional[int]) -> Set[int]:
@@ -986,7 +1027,7 @@ class PGridNode:
                 # instructs the initiator to take the other.
                 my_side = self.rng.randrange(2)
                 keys_for_them = self._extend_path(my_side, initiator)
-                self.wake()
+                self._strike(True)
                 return {
                     "action": "split",
                     "your_side": 1 - my_side,
@@ -1004,7 +1045,7 @@ class PGridNode:
         self.replicas.add(initiator)
         self.replicas |= their_replicas - {self.node_id}
         if missing_here or keys_for_them:
-            self.wake()
+            self._strike(True)
         reply = {
             "action": "replicate",
             "replicas": list(self.replicas | {self.node_id}),
@@ -1037,7 +1078,7 @@ class PGridNode:
                 counterpart = msg.src if action == "split" else payload["counterpart"]
                 self.outbox |= self._extend_path(payload["your_side"], counterpart)
                 self._accept_keys(incoming)
-            self.idle_strikes = 0
+            self._strike(True)
         elif action == "replicate":
             tombs = payload.get("tombstones")
             if tombs:
@@ -1048,19 +1089,16 @@ class PGridNode:
                 self.keys -= self.tombstones
             self._accept_keys(incoming)
             self.replicas |= set(payload.get("replicas", ())) - {self.node_id}
-            if payload.get("useful"):
-                self.idle_strikes = 0
-            else:
-                self.idle_strikes += 1
+            self._strike(bool(payload.get("useful")))
         elif action == "catch_up":
             mine = {k for k in incoming if self.responsible_for(k)}
             grew = bool(mine - self.keys)
             self.keys |= mine
             self.outbox |= incoming - mine
-            self.idle_strikes = 0 if grew else self.idle_strikes + 1
+            self._strike(grew)
         elif action == "again":
             self._accept_keys(incoming)
-            self.idle_strikes = 0  # overloaded partition: keep trying
+            self._strike(True)  # overloaded partition: keep trying
         elif action == "refer":
             self._accept_keys(incoming)
             level = payload["level"]
@@ -1070,13 +1108,10 @@ class PGridNode:
             if recommend is not None and recommend != self.node_id:
                 self._begin_exchange(recommend)
                 return
-            self.idle_strikes += 1
+            self._strike(False)
         else:  # noop (possibly a lagging-peer decision on the other side)
             self._accept_keys(incoming)
-            if payload.get("useful"):
-                self.idle_strikes = 0
-            else:
-                self.idle_strikes += 1
+            self._strike(bool(payload.get("useful")))
 
     def _accept_keys(self, incoming: Set[int]) -> None:
         mine = {k for k in incoming if self.responsible_for(k)}

@@ -14,8 +14,9 @@ time by :mod:`repro.simnet.stats`.
 from __future__ import annotations
 
 import math
+from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Tuple, TYPE_CHECKING
+from typing import Dict, Iterable, Iterator, Optional, Tuple, TYPE_CHECKING
 
 from .._util import RngLike, make_rng
 from ..exceptions import SimulationError
@@ -49,7 +50,20 @@ REF_BYTES = 8
 
 
 class LatencyModel:
-    """Base class: one-way delay sampler in seconds."""
+    """Base class: one-way delay sampler in seconds.
+
+    A model checks its fields when it is built, so one that could draw a
+    negative or NaN delay fails there, naming itself, and not at the
+    first send of a run.
+    """
+
+    def _require(self, field_name: str, ok: bool, rule: str) -> None:
+        # ``ok`` is an ``x >= 0``-style comparison: false for NaN too.
+        if not ok:
+            raise SimulationError(
+                f"{type(self).__name__}.{field_name} must be {rule}, "
+                f"got {getattr(self, field_name)!r}"
+            )
 
     def sample(self, rng) -> float:
         raise NotImplementedError
@@ -70,6 +84,9 @@ class ConstantLatency(LatencyModel):
 
     delay: float = 0.05
 
+    def __post_init__(self) -> None:
+        self._require("delay", self.delay >= 0, ">= 0")
+
     def sample(self, rng) -> float:
         return self.delay
 
@@ -80,6 +97,10 @@ class UniformLatency(LatencyModel):
 
     lo: float = 0.02
     hi: float = 0.3
+
+    def __post_init__(self) -> None:
+        self._require("lo", self.lo >= 0, ">= 0")
+        self._require("hi", self.hi >= self.lo, f">= lo ({self.lo})")
 
     def sample(self, rng) -> float:
         return rng.uniform(self.lo, self.hi)
@@ -96,6 +117,11 @@ class LogNormalLatency(LatencyModel):
     median: float = 0.12
     sigma: float = 0.8
     cap: float = 30.0
+
+    def __post_init__(self) -> None:
+        self._require("median", self.median >= 0, ">= 0")
+        self._require("sigma", math.isfinite(self.sigma), "finite")
+        self._require("cap", self.cap >= 0, ">= 0")
 
     def sample(self, rng) -> float:
         return self.sample_link(0, 0, rng)  # the endpoints are ignored
@@ -139,6 +165,15 @@ class PerLinkLatency(LatencyModel):
     seed: int = 0
     overrides: Dict[Tuple[int, int], float] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        self._require("lo", self.lo >= 0, ">= 0")
+        self._require("hi", self.hi >= self.lo, f">= lo ({self.lo})")
+        for link, delay in self.overrides.items():
+            if not delay >= 0:
+                raise SimulationError(
+                    f"PerLinkLatency.overrides[{link}] must be >= 0, got {delay!r}"
+                )
+
     def link_delay(self, src: int, dst: int) -> float:
         """The deterministic base delay of the ``{src, dst}`` link."""
         a, b = (src, dst) if src <= dst else (dst, src)
@@ -160,6 +195,57 @@ class PerLinkLatency(LatencyModel):
         if self.jitter is not None:
             delay += self.jitter.sample(rng)
         return delay
+
+
+#: A directed link's ledger entry is keyed ``src << _LINK_SHIFT | dst``
+#: (node ids are non-negative and below ``2**_LINK_SHIFT``).
+_LINK_SHIFT = 32
+_LINK_LOW = (1 << _LINK_SHIFT) - 1
+
+
+class LinkBytes(Mapping):
+    """Read-only ``(src, dst) -> bytes`` view of a :class:`Network`'s
+    link ledger, which keys each directed link by one int.  It looks up,
+    iterates and compares equal like the tuple-keyed dict it stands for."""
+
+    __slots__ = ("_ledger",)
+
+    def __init__(self, ledger: Dict[int, int]):
+        self._ledger = ledger
+
+    def __getitem__(self, link: Tuple[int, int]) -> int:
+        try:
+            src, dst = link
+            size = None
+            if src >= 0 and 0 <= dst <= _LINK_LOW:
+                size = self._ledger.get((src << _LINK_SHIFT) | dst)
+        except (TypeError, ValueError):  # not a pair of ints
+            size = None
+        if size is None:
+            raise KeyError(link)
+        return size
+
+    def __iter__(self) -> Iterator[Tuple[int, int]]:
+        for code in self._ledger:
+            yield code >> _LINK_SHIFT, code & _LINK_LOW
+
+    def __len__(self) -> int:
+        return len(self._ledger)
+
+    def values(self):
+        return self._ledger.values()
+
+    def items(self):
+        return _LinkItems(self)
+
+
+class _LinkItems(ItemsView):
+    """``LinkBytes.items()``: decodes the ledger in one pass, without a
+    lookup per link."""
+
+    def __iter__(self):
+        for code, size in self._mapping._ledger.items():
+            yield (code >> _LINK_SHIFT, code & _LINK_LOW), size
 
 
 @dataclass(slots=True)
@@ -196,7 +282,11 @@ class Network:
     * ``link_bytes`` -- *offered* bytes per directed ``(src, dst)``
       link, counted at send time like the stats collector's category
       totals (drops included -- compare against ``delivered`` for
-      carried load),
+      carried load).  The ledger behind it keys a link by one int,
+      ``src << 32 | dst``, not by a tuple: ints are not tracked by the
+      cyclic garbage collector, and a run uses tens of thousands of
+      links.  ``link_bytes`` is a read-only :class:`LinkBytes` view that
+      looks up and compares by ``(src, dst)``,
     * ``delivered`` -- messages handled per destination node (the
       message-level notion of per-peer load).
     """
@@ -225,7 +315,8 @@ class Network:
         self.drops_partition = 0
         self.inflight = 0
         self.inflight_peak = 0
-        self.link_bytes: Dict[Tuple[int, int], int] = {}
+        self._link_ledger: Dict[int, int] = {}
+        self.link_bytes = LinkBytes(self._link_ledger)
         self.delivered: Dict[int, int] = {}
         self._partition_of: Optional[Dict[int, int]] = None
 
@@ -300,9 +391,9 @@ class Network:
         stats = self.stats
         if stats is not None:
             stats.record_bytes(self.sim.now, category, size)
-        link = (src, dst)
-        link_bytes = self.link_bytes
-        link_bytes[link] = link_bytes.get(link, 0) + size
+        link = (src << _LINK_SHIFT) | dst
+        ledger = self._link_ledger
+        ledger[link] = ledger.get(link, 0) + size
         nodes = self.nodes
         sender = nodes.get(src)
         if sender is not None and not sender.online:

@@ -17,6 +17,7 @@ import pytest
 from repro.scenarios import scenario
 from repro.scenarios.message_runner import MessageScenarioRunner
 from repro.scenarios.spec import ChurnSpec
+from repro.simnet.engine import Simulator
 from repro.simnet.transport import HEADER_BYTES, KEY_BYTES, REF_BYTES, Network
 
 CHURN = ChurnSpec(
@@ -90,3 +91,27 @@ def test_ledger_equals_the_recount(recounted):
 def test_report_links_block_is_the_recount_summary(recounted):
     _, report, recount = recounted
     assert report.message_level["links"] == links_block(recount)
+
+
+def test_view_behaves_like_the_tuple_keyed_dict():
+    net = Network(Simulator(), rng=1)
+    net.send(3, 70000, "ping", {})
+    net.send(3, 70000, "ping", {}, n_keys=2)
+    net.send(70000, 3, "ping", {})
+    ledger = net.link_bytes
+    expected = {
+        (3, 70000): 2 * HEADER_BYTES + 2 * KEY_BYTES,
+        (70000, 3): HEADER_BYTES,
+    }
+    assert ledger == expected and expected == ledger
+    assert list(ledger) == list(expected)
+    assert list(ledger.items()) == list(expected.items())
+    assert sorted(ledger.values()) == sorted(expected.values())
+    assert (3, 70000) in ledger and (70000, 70000) not in ledger
+    for absent in [(3, 3), (-1, 70000), (3, -1), (0, 1 << 32), 5, (1, 2, 3), "ab"]:
+        assert absent not in ledger
+        assert ledger.get(absent) is None
+        with pytest.raises(KeyError):
+            ledger[absent]
+    with pytest.raises(TypeError):
+        ledger[(3, 70000)] = 0

@@ -151,6 +151,59 @@ class TestLatencyModels:
         assert max(xs) == 0.5 and a.random() == b.random()
 
 
+NAN = float("nan")
+
+
+class TestLatencyValidation:
+    """A model that could draw a negative or NaN delay is refused when
+    it is built, with an error naming the class and the field."""
+
+    @pytest.mark.parametrize("build, where", [
+        (lambda: ConstantLatency(-0.1), "ConstantLatency.delay"),
+        (lambda: ConstantLatency(NAN), "ConstantLatency.delay"),
+        (lambda: UniformLatency(-1, 0.1), "UniformLatency.lo"),
+        (lambda: UniformLatency(NAN, 0.1), "UniformLatency.lo"),
+        (lambda: UniformLatency(0.3, 0.1), "UniformLatency.hi"),
+        (lambda: UniformLatency(0.1, NAN), "UniformLatency.hi"),
+        (lambda: LogNormalLatency(median=-0.1), "LogNormalLatency.median"),
+        (lambda: LogNormalLatency(median=NAN), "LogNormalLatency.median"),
+        (lambda: LogNormalLatency(sigma=NAN), "LogNormalLatency.sigma"),
+        (lambda: LogNormalLatency(sigma=float("inf")), "LogNormalLatency.sigma"),
+        (lambda: LogNormalLatency(cap=-1.0), "LogNormalLatency.cap"),
+        (lambda: LogNormalLatency(cap=NAN), "LogNormalLatency.cap"),
+        (lambda: PerLinkLatency(lo=-0.1), "PerLinkLatency.lo"),
+        (lambda: PerLinkLatency(lo=0.3, hi=0.1), "PerLinkLatency.hi"),
+        (lambda: PerLinkLatency(hi=NAN), "PerLinkLatency.hi"),
+        (lambda: PerLinkLatency(overrides={(1, 2): -0.5}), "PerLinkLatency.overrides"),
+        (lambda: PerLinkLatency(overrides={(1, 2): NAN}), "PerLinkLatency.overrides"),
+    ])
+    def test_bad_field_is_refused_at_construction(self, build, where):
+        with pytest.raises(SimulationError, match=where):
+            build()
+
+    def test_boundary_values_are_accepted(self):
+        import random
+
+        rng = random.Random(5)
+        assert ConstantLatency(0.0).sample(rng) == 0.0
+        assert UniformLatency(0.0, 0.0).sample(rng) == 0.0
+        assert LogNormalLatency(median=0.0, cap=0.0).sample(rng) == 0.0
+        assert PerLinkLatency(lo=0.2, hi=0.2, overrides={(0, 1): 0.0}).link_delay(1, 0) == 0.0
+
+    def test_a_run_fails_before_building_the_overlay(self):
+        from repro.scenarios import SCENARIOS
+        from repro.scenarios.message_runner import (
+            MessageNetConfig,
+            MessageScenarioRunner,
+        )
+
+        spec = SCENARIOS["uniform-baseline"](32, duration_scale=0.05)
+        with pytest.raises(SimulationError, match="ConstantLatency.delay"):
+            MessageScenarioRunner(
+                spec, net_config=MessageNetConfig(latency=ConstantLatency(-0.1))
+            ).run()
+
+
 class TestPerLinkLatency:
     def test_link_delay_deterministic_and_bounded(self):
         model = PerLinkLatency(lo=0.01, hi=0.5, seed=7)
