@@ -48,9 +48,12 @@ through to the class.  State only the construction phase uses
 (``overlay``, ``constructing``, ``idle_strikes``) and the serving
 containers of a node without the policy are immutable class defaults;
 the first write shadows one (``_strike`` writes the idle count only
-while constructing).  The budget is 30 instance attributes: CPython
-3.11 keeps at most that many in a compact per-instance layout, and one
-more costs the node a full dict (about 1.3 KiB more).
+while constructing).  The budget is 30 instance attributes.  CPython
+3.11 keeps an instance's attributes in a compact array, sized when the
+instance is built for the names its class has seen so far plus one, at
+most 30; a name beyond that moves the instance to a full dict (about
+1.3 KiB more).  A wire node sets 29 names at spawn and, short of a
+restore, writes no other.
 ``original_keys`` is the leaf's key set, one immutable ``frozenset``
 shared by every replica the scenario backend spawns into the leaf; a
 rejoin or a restore assigns a new set, never mutates it.
