@@ -49,7 +49,7 @@ def links_block(recount):
 
 
 @pytest.fixture(scope="module")
-def recounted(request):
+def recounted():
     recount = {}
     sends = Network.send
 
@@ -60,12 +60,10 @@ def recounted(request):
         return sends(self, src, dst, kind, payload, n_keys=n_keys,
                      n_refs=n_refs, category=category)
 
-    mp = pytest.MonkeyPatch()
-    request.addfinalizer(mp.undo)
-    mp.setattr(Network, "send", counting_send)
-    runner = MessageScenarioRunner(churned_partition_writes())
-    report = runner.run()
-    mp.undo()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Network, "send", counting_send)
+        runner = MessageScenarioRunner(churned_partition_writes())
+        report = runner.run()
     return runner.transport, report, recount
 
 
