@@ -49,10 +49,9 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--scale",
         action="store_true",
-        help="also run the scale bench (bench_scale.py): the N x "
-        "slice-count throughput matrix (single kernel vs sliced-ensemble "
-        "worker mode) and heap-health bounds, merged into the same "
-        "snapshot's 'scale' section",
+        help="also run the scale bench (bench_scale.py): single-kernel "
+        "throughput cells and heap-health bounds (--quick: the N=16,384 "
+        "cell only), merged into the same snapshot's 'scale' section",
     )
     parser.add_argument(
         "--output",
@@ -89,7 +88,7 @@ def main(argv=None) -> int:
 
         scale_args = ["--output", str(args.output)]
         if args.quick:
-            scale_args.append("--smoke")
+            scale_args.append("--nightly")
         return scale_main(scale_args)
     return 0
 

@@ -416,23 +416,22 @@ def mdim_gate(candidate: dict, tolerance: float) -> Gate:
 
 
 def scale_cells_gate(baseline: dict, candidate: dict, tolerance: float) -> Gate:
-    """The ``scale`` sections cell by cell, matched on ``(n_peers,
-    shards, mode)``: ``wall_s`` growing, or ``events_per_s`` shrinking,
-    beyond ``tolerance`` fails.  Only cells present in both snapshots
-    are compared, so the committed full matrix doubles as the baseline
-    for the nightly's N=16,384 row while the CI smoke cell (N=8192)
-    simply has no counterpart and pins nothing.
+    """The ``scale`` sections cell by cell, matched on ``n_peers``:
+    ``wall_s`` growing, or ``events_per_s`` shrinking, beyond
+    ``tolerance`` fails.  Only cells present in both snapshots are
+    compared, so the committed full matrix doubles as the baseline for
+    the nightly's N=16,384 cell.
     """
     base, cand, skip = _sections(
         baseline, candidate, "scale", ("scenario", "seed", "duration_scale")
     )
     base_cells, cand_cells = (
-        {(c["n_peers"], c["shards"], c["mode"]): c for c in section.get("cells", [])}
+        {c["n_peers"]: c for c in section.get("cells", [])}
         for section in (base, cand)
     )
     rows: List[Row] = []
     for key in sorted(set(base_cells) & set(cand_cells)):
-        label = f"N={key[0]}/shards={key[1]}"
+        label = f"N={key}"
         for metric in ("wall_s", "events_per_s"):
             base_value = base_cells[key].get(metric)
             cand_value = cand_cells[key].get(metric)
@@ -465,7 +464,7 @@ def scale_bounds_gate(candidate: dict) -> Gate:
     """
     rows: List[Row] = []
     for cell in (candidate.get("scale") or {}).get("cells", []):
-        where = f"scale/N={cell.get('n_peers')}/shards={cell.get('shards')}"
+        where = f"scale/N={cell.get('n_peers')}"
         peak, bound = cell.get("pending_peak"), cell.get("pending_bound")
         rows.append(Row(
             (where, "pending_peak<=bound", f"{peak} vs {bound}"),

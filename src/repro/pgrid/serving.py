@@ -121,15 +121,15 @@ class CachePolicy:
     front_ends: int = 0
 
     def validate(self) -> None:
-        if self.result_ttl_s < 0 or self.route_ttl_s < 0:
+        if not (self.result_ttl_s >= 0 and self.route_ttl_s >= 0):
             raise DomainError("cache TTLs must be >= 0")
         if self.hot_threshold < 1:
             raise DomainError("hot_threshold must be >= 1")
-        if self.replica_boost < 0:
+        if not self.replica_boost >= 0:
             raise DomainError("replica_boost must be >= 0")
-        if self.decay_interval_s <= 0:
+        if not self.decay_interval_s > 0:
             raise DomainError("decay_interval_s must be > 0")
-        if self.grant_ttl_s <= 0:
+        if not self.grant_ttl_s > 0:
             raise DomainError("grant_ttl_s must be > 0")
         if self.front_ends < 0:
             raise DomainError("front_ends must be >= 0")

@@ -256,8 +256,11 @@ def restore_node(node, snapshot: Dict[str, Any], now: float) -> None:
         if now - born < ttl:  # already-expired certificates stay dead
             node.tombstones.add(key)
             node._tombstone_born[key] = born
-    node.joined = snapshot["joined"]
-    node.constructing = snapshot["constructing"]
+    # Written only on a change: the flags are class defaults on a wire
+    # node, and a shadowing write costs it its compact attribute layout.
+    for flag in ("joined", "constructing"):
+        if getattr(node, flag) != snapshot[flag]:
+            setattr(node, flag, snapshot[flag])
 
     beliefs = snapshot["liveness"]
     node.liveness.restore(

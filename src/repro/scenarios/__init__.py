@@ -83,8 +83,6 @@ from .library import SCENARIOS, scenario  # noqa: F401
 from .message_runner import (  # noqa: F401
     MessageNetConfig,
     MessageScenarioRunner,
-    run_sliced_ensemble,
-    slice_spec,
 )
 from .report import ScenarioReport  # noqa: F401
 from .runner import ScenarioRunner  # noqa: F401
@@ -157,8 +155,6 @@ __all__ = [
     "BACKENDS",
     "runner_for",
     "run_scenario",
-    "run_sliced_ensemble",
-    "slice_spec",
     "ScenarioReport",
     "SCENARIOS",
     "scenario",

@@ -425,10 +425,9 @@ class ScenarioRunnerBase:
 
         Order: the six shared streams (keys, build, query, churn,
         member, maintenance), the backend extras
-        (:meth:`_derive_extra_streams`), then write, restart and finally
-        the shard stream root -- each appended after the streams the
-        then-existing goldens depended on, so deriving it could not
-        shift any of them.
+        (:meth:`_derive_extra_streams`), then write and restart -- each
+        appended after the streams the then-existing goldens depended
+        on, so deriving it could not shift any of them.
         """
         master = make_rng(self.spec.seed)
         keys_rng = make_rng(master.randrange(2**31))
@@ -440,21 +439,10 @@ class ScenarioRunnerBase:
         self._derive_extra_streams(master)
         write_rng = make_rng(master.randrange(2**31))
         restart_rng = make_rng(master.randrange(2**31))
-        #: Root of the shard stream tree: worker-mode sharding
-        #: (``message_runner.derive_shard_streams``) seeds its
-        #: per-shard sub-runs from this final draw.
-        self._shard_stream_root = master.randrange(2**31)
         return (
             keys_rng, build_rng, query_rng, churn_rng,
             member_rng, maint_rng, write_rng, restart_rng,
         )
-
-    def shard_stream_root(self) -> int:
-        """Seed of this spec's shard stream tree (the master chain's
-        final draw -- see :meth:`_derive_streams`), for deriving
-        per-shard worker streams without shifting any existing stream."""
-        self._derive_streams()
-        return self._shard_stream_root
 
     # -- backend hook surface ----------------------------------------------
 

@@ -57,7 +57,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from .._util import make_rng, mean, sample_online
@@ -72,14 +72,11 @@ from ..simnet.node import NodeConfig, PGridNode, QueryOutcome
 from ..simnet.transport import LatencyModel, LogNormalLatency, Network
 from ..workloads.queries import POINT, QuerySampler
 from .base import ScenarioRunnerBase, _Tally
-from .report import ScenarioReport
-from .spec import Hotspot, Phase, ScenarioSpec
+from .spec import Phase, ScenarioSpec
 
 __all__ = [
     "MessageNetConfig",
     "MessageScenarioRunner",
-    "run_sliced_ensemble",
-    "slice_spec",
 ]
 
 #: Origin-side timeout of one query or write attempt before a retry
@@ -825,228 +822,3 @@ def _link_summary(link_bytes: Dict[Tuple[int, int], int]) -> dict:
         "mean_bytes": sum(sizes) / len(sizes),
         "top": [[src, dst, size] for (src, dst), size in top],
     }
-
-
-# -- worker mode: a sliced ensemble ------------------------------------------
-#
-# The repo's one scale mechanism (SNIPPETS #3 shape: independent
-# workers, nothing shared).  Worker mode carves the *population itself*
-# into independent keyspace slices and runs each slice as its own
-# scenario in its own process.  The caller gets the per-slice reports
-# back, in slice order, and adds up what it needs: counts, bytes and
-# populations add exactly; means and percentiles do not add, so none
-# are folded here.  Each worker's report depends only on its own
-# sub-spec and seed, so the result is deterministic regardless of
-# process scheduling; this is what makes N=65,536 reachable in one
-# bench run.  Why slices and not one overlay on a multi-process kernel:
-# the decision note in ``benchmarks/bench_scale.py``.
-
-
-def derive_shard_streams(root_seed: int, n_shards: int) -> List[int]:
-    """Per-shard RNG seeds from the scenario's shard stream root.
-
-    The root is the *final* draw of the scenario master chain
-    (:meth:`repro.scenarios.base.ScenarioRunnerBase.shard_stream_root`),
-    so deriving any number of shard streams can never shift a stream an
-    existing golden trace depends on.  Each shard's seed is one
-    ``randrange`` off a master seeded with the root -- the same
-    one-master-many-streams idiom the scenario runner itself uses.
-    """
-    if n_shards < 1:
-        raise SimulationError(f"need at least one shard, got {n_shards}")
-    master = make_rng(root_seed)
-    return [master.randrange(2**31) for _ in range(n_shards)]
-
-
-def slice_spec(
-    spec: ScenarioSpec, index: int, shards: int, *, seed: int
-) -> ScenarioSpec:
-    """One worker's sub-scenario: the spec confined to keyspace slice
-    ``[index/shards, (index+1)/shards)``.
-
-    The population, arrival/departure waves and traffic rates are
-    divided evenly (remainders spread over the low-index shards, so the
-    totals are preserved exactly); the key workload is confined via a
-    sliced distribution label (``"U@2/8"`` -- the base distribution
-    affinely mapped into the slice, see
-    :mod:`repro.workloads.distributions`) and the query/write mixes via
-    a weight-1.0 hotspot over the slice.  Together these keep every
-    generated key, query target and mutation inside the slice, so the
-    slice's P-Grid is a complete, self-contained overlay over its
-    region -- the per-collection independent index of the exemplar.
-    """
-    if not 0 <= index < shards:
-        raise SimulationError(f"slice index {index} out of range for {shards}")
-    if spec.codec is not None and spec.codec.dims > 1:
-        # Slice confinement works by restricting the scalar keyspace
-        # interval; a z-order codec interleaves per-dimension bits, so a
-        # per-dimension hotspot would NOT confine the interleaved keys
-        # to the slice and the sub-overlays would no longer be
-        # self-contained.  Refuse loudly rather than run slices that
-        # leak into each other.
-        raise SimulationError(
-            "worker-mode sharding does not support multi-dimensional codecs"
-        )
-    if spec.n_peers < 2 * shards:
-        raise SimulationError(
-            f"{spec.n_peers} peers cannot split into {shards} shards of >= 2"
-        )
-
-    def share(total: int) -> int:
-        return total // shards + (1 if index < total % shards else 0)
-
-    lo, hi = index / shards, (index + 1) / shards
-    confined = Hotspot(lo=lo, hi=hi, weight=1.0)
-    phases = tuple(
-        replace(
-            phase,
-            query_rate=phase.query_rate / shards,
-            join_peers=share(phase.join_peers),
-            leave_peers=share(phase.leave_peers),
-            mix=replace(phase.mix, hotspot=confined),
-            writes=(
-                None
-                if phase.writes is None
-                else replace(
-                    phase.writes,
-                    write_rate=phase.writes.write_rate / shards,
-                    hotspot=confined,
-                )
-            ),
-        )
-        for phase in spec.phases
-    )
-    return replace(
-        spec,
-        name=f"{spec.name}@{index}/{shards}",
-        n_peers=share(spec.n_peers),
-        seed=seed,
-        distribution=f"{spec.distribution}@{index}/{shards}",
-        phases=phases,
-    )
-
-
-def _run_shard_worker(
-    args: Tuple[ScenarioSpec, Optional[MessageNetConfig]]
-) -> Tuple[ScenarioReport, dict]:
-    """Worker entry point: run one slice, return its report and the
-    kernel counters (events processed, pending-heap peak, wall time)
-    the scale bench audits heap health with -- kept off the report so
-    its schema is a single run's.  The
-    executor pickles the pair between the forked image and its parent,
-    one program on both ends, so there is no version to check.
-    """
-    import time
-
-    sub_spec, net_config = args
-    runner = MessageScenarioRunner(sub_spec, net_config=net_config)
-    start = time.perf_counter()
-    report = runner.run()
-    wall_s = time.perf_counter() - start
-    sim = runner.simulator
-    kernel = {
-        "events_processed": sim.events_processed,
-        "pending_peak": sim.pending_peak,
-        "wall_s": wall_s,
-    }
-    return report, kernel
-
-
-def run_sliced_ensemble(
-    spec: ScenarioSpec,
-    *,
-    shards: int,
-    net_config: Optional[MessageNetConfig] = None,
-    processes: Optional[bool] = None,
-    kernel_stats: Optional[List[dict]] = None,
-) -> List[ScenarioReport]:
-    """Run ``spec`` as ``shards`` independent keyspace slices; returns
-    the per-slice reports in slice order.
-
-    **This is an ensemble of independent overlays, not one overlay.**
-    Each slice (:func:`slice_spec`) is a complete, self-contained
-    P-Grid over its ``1/shards`` of the keyspace with ``1/shards`` of
-    the peers and traffic; summed, the reports answer "what do
-    ``shards`` such overlays cost together", which approximates one
-    large overlay only where its behaviour is local to a key region.
-    Populations, counts and bytes add across the list (:func:`slice_spec`
-    divides them without remainder loss); means and percentiles do not.
-    What the slices cannot see:
-
-    * **no cross-slice routing** -- every query, write and range is
-      confined to its slice, so hop counts and latencies are those of
-      an overlay of ``n_peers / shards`` peers, and a range never spans
-      a slice boundary;
-    * **no cross-slice partitions, replica grants or gossip** -- each
-      :class:`~repro.scenarios.spec.PartitionSpec`, hot-range
-      ``REPLICA_GRANT`` and anti-entropy exchange acts within one slice
-      only;
-    * **``dims > 1`` is rejected** -- z-order interleaving breaks the
-      per-slice key confinement (:func:`slice_spec` raises).
-
-    Per-slice seeds come off the spec's shard stream root (the master
-    chain's final draw -- see
-    :meth:`~repro.scenarios.base.ScenarioRunnerBase.shard_stream_root`),
-    so worker randomness extends the existing stream tree without
-    shifting any stream a golden trace depends on.  ``processes=None``
-    forks one worker per slice when the platform supports it and falls
-    back to sequential in-process execution otherwise; either way the
-    result is identical, because each worker's report is a pure function
-    of its sub-spec.  A worker process that dies (OOM-kill, hard exit)
-    raises :class:`~repro.exceptions.SimulationError` naming the first
-    slice left without a result.  ``shards=1`` is the spec itself, run
-    in this process: one report, equal to
-    ``MessageScenarioRunner(spec).run()``.
-
-    Pass a list as ``kernel_stats`` to receive one dict per kernel
-    (events processed, pending-heap peak, per-kernel wall time) -- the
-    scale bench's heap-health audit channel.
-    """
-    if shards < 1:
-        raise SimulationError(f"need at least one shard, got {shards}")
-    if shards == 1:
-        report, kernel = _run_shard_worker((spec, net_config))
-        if kernel_stats is not None:
-            kernel_stats.append(kernel)
-        return [report]
-    # Imported here, not at module level: single-process runs (every
-    # library scenario) never pay for the process-pool machinery.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    root = MessageScenarioRunner(spec, net_config=net_config).shard_stream_root()
-    seeds = derive_shard_streams(root, shards)
-    jobs = [
-        (slice_spec(spec, index, shards, seed=seeds[index]), net_config)
-        for index in range(shards)
-    ]
-    results: List[Tuple[ScenarioReport, dict]]
-    use_processes = processes
-    if use_processes is None:
-        use_processes = "fork" in multiprocessing.get_all_start_methods()
-    if use_processes:
-        # fork (not spawn): workers inherit the loaded code and the job
-        # objects only cross once, results cross back once.  An
-        # executor (not ``Pool.map``) because it notices a dead worker
-        # and breaks the outstanding futures instead of waiting forever.
-        context = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(
-            max_workers=min(shards, context.cpu_count()), mp_context=context
-        ) as pool:
-            futures = [pool.submit(_run_shard_worker, job) for job in jobs]
-            results = []
-            for (sub_spec, _), future in zip(jobs, futures):
-                try:
-                    results.append(future.result())
-                except BrokenProcessPool:
-                    raise SimulationError(
-                        f"a worker process died before slice "
-                        f"{sub_spec.name!r} returned (killed or out of "
-                        f"memory?); no reports"
-                    ) from None
-    else:
-        results = [_run_shard_worker(job) for job in jobs]
-    if kernel_stats is not None:
-        kernel_stats.extend(kernel for _, kernel in results)
-    return [report for report, _ in results]

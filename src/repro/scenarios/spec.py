@@ -88,7 +88,7 @@ class RestartSpec:
             )
         if not 0.0 < self.min_down_s <= self.max_down_s:
             raise SimulationError("invalid restart downtime interval")
-        if self.stagger_s < 0.0:
+        if not self.stagger_s >= 0.0:
             raise SimulationError("restart stagger must be non-negative")
         if not 0.0 <= self.crash_fraction <= 1.0:
             raise SimulationError(
@@ -123,7 +123,7 @@ class PartitionSpec:
     def validate(self) -> None:
         if len(self.fractions) < 2:
             raise SimulationError("a partition needs at least two regions")
-        if any(f <= 0.0 for f in self.fractions):
+        if not all(f > 0.0 for f in self.fractions):
             raise SimulationError("partition region fractions must be positive")
         if abs(sum(self.fractions) - 1.0) > 1e-9:
             raise SimulationError(
@@ -221,7 +221,7 @@ class QueryMix:
             raise SimulationError(
                 f"zipf_keys must be >= 0, got {self.zipf_keys}"
             )
-        if self.zipf_exponent <= 0:
+        if not self.zipf_exponent > 0:
             raise SimulationError(
                 f"zipf exponent must be positive, got {self.zipf_exponent}"
             )
@@ -292,13 +292,14 @@ class WriteMix:
     hotspot: Optional[Hotspot] = None
 
     def validate(self) -> None:
-        if self.write_rate <= 0:
+        if not self.write_rate > 0:
             raise SimulationError(
                 f"write rate must be positive, got {self.write_rate}"
             )
-        if min(self.insert_weight, self.delete_weight, self.update_weight) < 0:
+        weights = (self.insert_weight, self.delete_weight, self.update_weight)
+        if not all(w >= 0 for w in weights):
             raise SimulationError("write-mix weights must be non-negative")
-        if self.insert_weight + self.delete_weight + self.update_weight <= 0:
+        if not sum(weights) > 0:
             raise SimulationError("write mix needs a positive total weight")
         # Key sampling reuses the query sampler; surface its verdict.
         try:
@@ -349,13 +350,13 @@ class Phase:
     restarts: Optional[RestartSpec] = None
 
     def validate(self, codec: Optional[KeyCodec] = None) -> None:
-        if self.duration_s <= 0:
+        if not self.duration_s > 0:
             raise SimulationError(f"phase {self.name!r} needs a positive duration")
-        if self.query_rate < 0:
+        if not self.query_rate >= 0:
             raise SimulationError(f"phase {self.name!r} has a negative query rate")
         if self.join_peers < 0 or self.leave_peers < 0:
             raise SimulationError(f"phase {self.name!r} has negative membership deltas")
-        if self.maintenance_interval_s is not None and self.maintenance_interval_s <= 0:
+        if self.maintenance_interval_s is not None and not self.maintenance_interval_s > 0:
             raise SimulationError(
                 f"phase {self.name!r} needs a positive maintenance interval"
             )
@@ -444,21 +445,19 @@ class ScenarioSpec:
         if self.keys_per_peer < 1:
             raise SimulationError("scenario needs at least one key per peer")
         try:
-            # Accepts sliced labels ("U@2/8", worker-mode sharding) on
-            # top of the plain registry names.
             distribution(self.distribution)
         except DomainError:
             raise SimulationError(
                 f"unknown key distribution {self.distribution!r}; "
                 f"known: {sorted(DISTRIBUTIONS)}"
             ) from None
-        if self.d_max <= 0 or self.n_min < 1 or self.max_refs < 1:
+        if not self.d_max > 0 or self.n_min < 1 or self.max_refs < 1:
             raise SimulationError("d_max, n_min and max_refs must be positive")
-        if self.report_bin_s <= 0:
+        if not self.report_bin_s > 0:
             raise SimulationError("report bin width must be positive")
         if self.query_retries < 0:
             raise SimulationError("query retries must be non-negative")
-        if self.tombstone_ttl_s is not None and self.tombstone_ttl_s <= 0:
+        if self.tombstone_ttl_s is not None and not self.tombstone_ttl_s > 0:
             raise SimulationError("tombstone TTL must be positive when set")
         if self.cache is not None:
             try:
@@ -477,7 +476,7 @@ class ScenarioSpec:
         churn periods and the report bin are all multiplied by
         ``duration_scale`` -- the standard way to shrink a library
         scenario into a CI-sized smoke run without changing its shape."""
-        if duration_scale <= 0:
+        if not duration_scale > 0:
             raise SimulationError(f"duration scale must be positive, got {duration_scale}")
         phases = tuple(
             replace(

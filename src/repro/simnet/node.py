@@ -52,8 +52,8 @@ while constructing).  The budget is 30 instance attributes.  CPython
 3.11 keeps an instance's attributes in a compact array, sized when the
 instance is built for the names its class has seen so far plus one, at
 most 30; a name beyond that moves the instance to a full dict (about
-1.3 KiB more).  A wire node sets 29 names at spawn and, short of a
-restore, writes no other.
+1.3 KiB more).  A wire node sets 29 names at spawn and writes no
+other; a restore writes a class-default flag only when it changes.
 ``original_keys`` is the leaf's key set, one immutable ``frozenset``
 shared by every replica the scenario backend spawns into the leaf; a
 rejoin or a restore assigns a new set, never mutates it.
@@ -468,7 +468,8 @@ class PGridNode:
         from ..pgrid.state import restore_node
 
         restore_node(self, snapshot, self.sim.now)
-        self.idle_strikes = 0
+        if self.idle_strikes:  # keep the class default unshadowed
+            self.idle_strikes = 0
         self._inflight_exchange = None
         # Serving state is transient: caches, grants and the served-load
         # window did not survive the process restart.

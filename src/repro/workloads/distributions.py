@@ -33,7 +33,6 @@ __all__ = [
     "ParetoDistribution",
     "NormalDistribution",
     "TextKeyDistribution",
-    "SlicedDistribution",
     "DISTRIBUTIONS",
     "distribution",
 ]
@@ -158,37 +157,6 @@ class TextKeyDistribution(KeyDistribution):
         return [corpus.sample_term_key(rand) for _ in range(n)]
 
 
-@dataclass
-class SlicedDistribution(KeyDistribution):
-    """A base distribution affinely mapped into one keyspace slice.
-
-    Label form ``"<base>@<index>/<count>"`` (e.g. ``"P1.0@2/8"``): every
-    sample of the base law is compressed into
-    ``[index/count, (index+1)/count)``, preserving its shape within the
-    slice.  This is how worker-mode sharding
-    (:func:`repro.scenarios.message_runner.slice_spec`) confines one
-    worker's key workload to its shard's keyspace region without
-    changing the :class:`~repro.scenarios.spec.ScenarioSpec` schema.
-    """
-
-    base: KeyDistribution = None
-    index: int = 0
-    count: int = 1
-    name: str = "sliced"
-
-    def __post_init__(self):
-        if self.count < 1 or not 0 <= self.index < self.count:
-            raise DomainError(
-                f"slice {self.index}/{self.count} is not a valid keyspace slice"
-            )
-        self.name = f"{self.base.name}@{self.index}/{self.count}"
-
-    def sample_floats(self, n: int, rng: RngLike = None) -> List[float]:
-        lo = self.index / self.count
-        width = 1.0 / self.count
-        return [lo + x * width for x in self.base.sample_floats(n, rng)]
-
-
 #: Registry keyed by the paper's figure labels.
 DISTRIBUTIONS: Dict[str, KeyDistribution] = {
     "U": UniformDistribution(),
@@ -201,26 +169,10 @@ DISTRIBUTIONS: Dict[str, KeyDistribution] = {
 
 
 def distribution(label: str) -> KeyDistribution:
-    """Look up a distribution by its figure label (e.g. ``"P1.0"``).
-
-    A ``"<base>@<index>/<count>"`` suffix wraps the base distribution in
-    a :class:`SlicedDistribution` confined to that keyspace slice.
-    """
-    base_label, _, slice_part = label.partition("@")
+    """Look up a distribution by its figure label (e.g. ``"P1.0"``)."""
     try:
-        base = DISTRIBUTIONS[base_label]
+        return DISTRIBUTIONS[label]
     except KeyError:
         raise DomainError(
             f"unknown distribution {label!r}; known: {sorted(DISTRIBUTIONS)}"
         ) from None
-    if not slice_part:
-        return base
-    try:
-        index_s, count_s = slice_part.split("/", 1)
-        index, count = int(index_s), int(count_s)
-    except ValueError:
-        raise DomainError(
-            f"malformed slice suffix in {label!r}; expected "
-            f"'<base>@<index>/<count>'"
-        ) from None
-    return SlicedDistribution(base=base, index=index, count=count)

@@ -92,9 +92,9 @@ class QuerySampler:
         codec: Optional[KeyCodec] = None,
         box_spans: Optional[Tuple[float, ...]] = None,
     ):
-        if point_weight < 0 or range_weight < 0:
+        if not (point_weight >= 0 and range_weight >= 0):
             raise DomainError("query-mix weights must be non-negative")
-        if point_weight + range_weight <= 0:
+        if not point_weight + range_weight > 0:
             raise DomainError("query mix needs a positive total weight")
         if not 0 < range_span <= 1:
             raise DomainError(f"range span must lie in (0, 1], got {range_span}")
@@ -106,7 +106,7 @@ class QuerySampler:
                 raise DomainError(f"hotspot weight must lie in [0, 1], got {weight}")
         if zipf_keys < 0:
             raise DomainError(f"zipf_keys must be >= 0, got {zipf_keys}")
-        if zipf_exponent <= 0:
+        if not zipf_exponent > 0:
             raise DomainError(
                 f"zipf exponent must be positive, got {zipf_exponent}"
             )

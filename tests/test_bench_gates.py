@@ -806,15 +806,15 @@ def scale_section(
     if cells is None:
         cells = [
             {
-                "n_peers": 16384, "shards": 1, "mode": "single",
+                "n_peers": 16384,
                 "wall_s": wall, "events": 15456, "events_per_s": eps,
                 "pending_peak": pending_peak, "pending_bound": pending_bound,
                 "pending_bound_ok": pending_ok,
             },
             {
-                "n_peers": 16384, "shards": 8, "mode": "workers",
-                "wall_s": wall, "events": 14060, "events_per_s": eps,
-                "pending_peak": 122, "pending_bound": 9216,
+                "n_peers": 4096,
+                "wall_s": wall, "events": 4287, "events_per_s": eps,
+                "pending_peak": 318, "pending_bound": 17408,
                 "pending_bound_ok": True,
             },
         ]
@@ -883,15 +883,15 @@ class TestScaleGate:
         assert "skipped" in capsys.readouterr().out
 
     def test_disjoint_cells_pin_nothing(self, tmp_path):
-        # The CI smoke cell (N=8192) has no committed counterpart.
-        smoke_cells = [{
-            "n_peers": 8192, "shards": 4, "mode": "workers",
+        # A cell with no committed counterpart (N=8192) is not compared.
+        other_cells = [{
+            "n_peers": 8192,
             "wall_s": 2.0, "events": 7084, "events_per_s": 3600.0,
-            "pending_peak": 136, "pending_bound": 9216,
+            "pending_peak": 136, "pending_bound": 33792,
             "pending_bound_ok": True,
         }]
         argv = self.pair(
-            tmp_path, scale_section(), scale_section(cells=smoke_cells)
+            tmp_path, scale_section(), scale_section(cells=other_cells)
         )
         assert check_regression.main(argv) == 0
 

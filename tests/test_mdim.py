@@ -40,7 +40,6 @@ from repro.scenarios import (
     ScenarioSpec,
     run_scenario,
     scenario,
-    slice_spec,
 )
 from repro.workloads.queries import QuerySampler
 
@@ -485,11 +484,6 @@ class TestSpecPlumbing:
         spec = scenario("geo-box-serving", n_peers=64, duration_scale=0.1)
         assert spec.codec == ZOrderCodec(dims=2)
         spec.validate()
-
-    def test_worker_sharding_refuses_mdim_codecs(self):
-        spec = scenario("geo-box-serving", n_peers=64, duration_scale=0.1)
-        with pytest.raises(SimulationError):
-            slice_spec(spec, 0, 4, seed=1)
 
 
 class TestMdimScenarios:

@@ -7,13 +7,16 @@ import pytest
 from repro.exceptions import DomainError, SimulationError
 from repro.scenarios import (
     SCENARIOS,
+    CachePolicy,
     ChurnSpec,
     Hotspot,
     PartitionSpec,
     Phase,
     QueryMix,
+    RestartSpec,
     ScenarioRunner,
     ScenarioSpec,
+    WriteMix,
     run_scenario,
     scenario,
 )
@@ -27,6 +30,40 @@ from repro.scenarios.library import (
     uniform_baseline,
 )
 from repro.workloads.queries import POINT, RANGE, QuerySampler
+
+NAN = float("nan")
+
+
+def _phase(**fields):
+    return Phase(name="p", **{"duration_s": 10.0, **fields})
+
+
+def _spec(phase=None, **fields):
+    return ScenarioSpec(name="x", phases=(phase or _phase(),), **fields)
+
+
+#: One spec per float bound, with NaN in that field.  NaN fails every
+#: comparison, so a bound written ``x <= 0`` lets it through.
+NAN_SPECS = {
+    "Phase.duration_s": lambda: _spec(_phase(duration_s=NAN)),
+    "Phase.query_rate": lambda: _spec(_phase(query_rate=NAN)),
+    "Phase.maintenance_interval_s": lambda: _spec(_phase(maintenance_interval_s=NAN)),
+    "WriteMix.write_rate": lambda: _spec(_phase(writes=WriteMix(write_rate=NAN))),
+    "WriteMix.insert_weight": lambda: _spec(_phase(writes=WriteMix(insert_weight=NAN))),
+    "WriteMix.delete_weight": lambda: _spec(_phase(writes=WriteMix(delete_weight=NAN))),
+    "WriteMix.update_weight": lambda: _spec(_phase(writes=WriteMix(update_weight=NAN))),
+    "QueryMix.zipf_exponent": lambda: _spec(_phase(mix=QueryMix(zipf_exponent=NAN))),
+    "QueryMix.point_weight": lambda: _spec(_phase(mix=QueryMix(point_weight=NAN))),
+    "QueryMix.range_weight": lambda: _spec(_phase(mix=QueryMix(range_weight=NAN))),
+    "RestartSpec.stagger_s": lambda: _spec(_phase(restarts=RestartSpec(stagger_s=NAN))),
+    "ScenarioSpec.d_max": lambda: _spec(d_max=NAN),
+    "ScenarioSpec.report_bin_s": lambda: _spec(report_bin_s=NAN),
+    "ScenarioSpec.tombstone_ttl_s": lambda: _spec(tombstone_ttl_s=NAN),
+    "CachePolicy.result_ttl_s": lambda: _spec(cache=CachePolicy(result_ttl_s=NAN)),
+    "CachePolicy.route_ttl_s": lambda: _spec(cache=CachePolicy(route_ttl_s=NAN)),
+    "CachePolicy.decay_interval_s": lambda: _spec(cache=CachePolicy(decay_interval_s=NAN)),
+    "CachePolicy.grant_ttl_s": lambda: _spec(cache=CachePolicy(grant_ttl_s=NAN)),
+}
 
 
 class TestSpecValidation:
@@ -72,14 +109,24 @@ class TestSpecValidation:
         with pytest.raises(SimulationError):
             spec.validate()
 
-    def test_bad_distribution_rejected(self):
+    @pytest.mark.parametrize("label", ["nope", "U@0/4", "U@"])
+    def test_bad_distribution_rejected(self, label):
         spec = ScenarioSpec(
             name="x",
             phases=(Phase(name="p", duration_s=10.0),),
-            distribution="nope",
+            distribution=label,
         )
         with pytest.raises(SimulationError):
             spec.validate()
+
+    @pytest.mark.parametrize("field", sorted(NAN_SPECS))
+    def test_nan_rejected(self, field):
+        with pytest.raises(SimulationError):
+            NAN_SPECS[field]().validate()
+
+    def test_nan_duration_scale_rejected(self):
+        with pytest.raises(SimulationError):
+            _spec().scaled(NAN)
 
     def test_bad_hotspot_rejected(self):
         mix = QueryMix(hotspot=Hotspot(lo=0.5, hi=0.4))
@@ -99,7 +146,8 @@ class TestSpecValidation:
 
     @pytest.mark.parametrize(
         "fractions",
-        [(1.0,), (0.8, -0.2), (0.5, 0.4)],  # 1 region / negative / sum != 1
+        # 1 region / negative / sum != 1 / NaN
+        [(1.0,), (0.8, -0.2), (0.5, 0.4), (NAN, 0.5)],
     )
     def test_bad_partition_fractions_rejected(self, fractions):
         spec = ScenarioSpec(

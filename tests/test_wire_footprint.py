@@ -108,9 +108,18 @@ def test_every_node_is_within_the_attribute_budget(plain):
     assert max(len(vars(node)) for node in plain.nodes.values()) <= ATTRIBUTE_BUDGET
 
 
-def test_budget_holds_through_a_run_with_churn_and_maintenance():
+@pytest.mark.parametrize(
+    "name, n_peers, duration_scale",
+    [("paper-sec51-churn", 96, 0.1), ("rolling-deploy", 64, 0.3)],
+)
+def test_budget_holds_through_a_run_with_churn_and_maintenance(
+    name, n_peers, duration_scale
+):
+    """Churn drops messages on offline nodes; a rolling deploy restores
+    every node from its checkpoint.  Neither pushes a node past the
+    budget."""
     runner = MessageScenarioRunner(
-        SCENARIOS["paper-sec51-churn"](96, seed=5, duration_scale=0.1)
+        SCENARIOS[name](n_peers, seed=5, duration_scale=duration_scale)
     )
     runner.run()
     assert runner.transport.drops_offline > 0
