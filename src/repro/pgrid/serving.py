@@ -125,7 +125,7 @@ class CachePolicy:
             raise DomainError("cache TTLs must be >= 0")
         if self.hot_threshold < 1:
             raise DomainError("hot_threshold must be >= 1")
-        if not self.replica_boost >= 0:
+        if self.replica_boost < 0:
             raise DomainError("replica_boost must be >= 0")
         if not self.decay_interval_s > 0:
             raise DomainError("decay_interval_s must be > 0")
