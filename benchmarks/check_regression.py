@@ -85,8 +85,7 @@ SCENARIO_SECTIONS = ("scenarios", "scenarios_message")
 #: ``"rise"`` -- an absolute rise beyond the scenario tolerance fails;
 #: ``"ratio"`` -- growth beyond the perf ratio tolerance fails.
 SCENARIO_METRICS = (
-    # Repair / write path losing what it used to land (e.g. ``mass-leave``
-    # sliding back toward the unrepaired ~0.64).
+    # Repair / write path losing what it used to land.
     ("success_rate", "drop"),
     ("write_success_rate", "drop"),
     # Replica sync / anti-entropy no longer keeping up with the writes.

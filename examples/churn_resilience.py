@@ -15,27 +15,15 @@ the same spec on either backend:
 * ``backend="message"``: the same phases over message-passing nodes
   with wire latency, loss, timeouts and retries -- the report then
   carries query latency percentiles, drop accounting and the
-  route-repair counters in ``report.message_level``.
-
-``--repair {on,off,both}`` toggles the liveness & route-repair
-subsystem (:class:`repro.pgrid.liveness.RouteRepairPolicy`) on the
-message backend; the default ``both`` runs the wire scenario twice and
-prints the repaired-vs-unrepaired success gap -- the degradation story
-repair exists to close.
+  route-repair counters in ``report.message_level`` (see
+  :mod:`repro.pgrid.liveness`).
 
 For the full message-level five-phase deployment (join/replicate/
 construct/query/churn with construction itself on the simulated wire),
 see :func:`repro.simnet.experiment.run_experiment`.
 """
 
-import argparse
-
-from repro.scenarios import (
-    MessageNetConfig,
-    RouteRepairPolicy,
-    run_scenario,
-    scenario,
-)
+from repro.scenarios import run_scenario, scenario
 
 
 def run(
@@ -43,27 +31,19 @@ def run(
     seed: int = 23,
     duration_scale: float = 0.5,
     backend: str = "dataplane",
-    repair: bool = True,
 ):
     """Execute the Sec. 5.1 churn scenario; returns the ScenarioReport."""
     spec = scenario(
         "paper-sec51-churn", n_peers=n_peers, seed=seed, duration_scale=duration_scale
     )
-    kwargs = {}
-    if backend == "message":
-        kwargs["net_config"] = MessageNetConfig(
-            repair=RouteRepairPolicy(enabled=repair)
-        )
-    elif not repair:
-        kwargs["repair_policy"] = RouteRepairPolicy(enabled=False)
-    return run_scenario(spec, backend=backend, **kwargs)
+    return run_scenario(spec, backend=backend)
 
 
-def _print_wire(report, label: str) -> None:
+def _print_wire(report) -> None:
     latency = report.message_level["latency_s"]
     drops = report.message_level["drops"]
     repair = report.message_level["repair"]
-    print(f"\nmessage-level backend, repair {label} ({report.n_peers_start} peers, "
+    print(f"\nmessage-level backend ({report.n_peers_start} peers, "
           f"{report.duration_s / 60:.0f} simulated minutes)")
     print(f"  query success rate:                 {report.totals['success_rate']:12.3f}")
     if latency["count"]:  # percentiles exist only when something succeeded
@@ -73,28 +53,13 @@ def _print_wire(report, label: str) -> None:
           f"{report.message_level['timeouts']:6d} / {report.message_level['retries']}")
     print(f"  drops (offline/loss):               "
           f"{drops['offline']:6d} / {drops['loss']}")
-    if repair["enabled"]:
-        print(f"  repair: suspects/probes/evictions:  "
-              f"{repair['suspects']:6d} / {repair['probes']} / {repair['evictions']}")
-        print(f"  repair: replacements / bytes:       "
-              f"{repair['replacements']:6d} / {repair['repair_bytes']}")
+    print(f"  repair: suspects/probes/evictions:  "
+          f"{repair['suspects']:6d} / {repair['probes']} / {repair['evictions']}")
+    print(f"  repair: replacements / bytes:       "
+          f"{repair['replacements']:6d} / {repair['repair_bytes']}")
 
 
-def main(argv=None) -> None:
-    parser = argparse.ArgumentParser(
-        description="Sec. 5.1 churn scenario on both scenario backends"
-    )
-    parser.add_argument(
-        "--repair",
-        choices=("on", "off", "both"),
-        default="both",
-        help="route repair on the message backend: 'both' (default) runs "
-        "the wire scenario twice and prints the repaired-vs-unrepaired gap",
-    )
-    # Examples run under the test suite's runpy sweep with pytest's
-    # argv; ignore whatever we do not recognize.
-    args, _ = parser.parse_known_args(argv)
-
+def main() -> None:
     report = run()
     print(f"paper-sec51-churn scenario ({report.n_peers_start} peers, "
           f"{report.duration_s / 60:.0f} simulated minutes)")
@@ -114,23 +79,11 @@ def main(argv=None) -> None:
     assert report.totals["final_coverage"] == 1.0
 
     # The same spec, message-level: every query pays wire latency and
-    # loss, and (with repair on) dead references are detected from the
-    # traffic itself -- suspected, probed, evicted and replaced.
-    wire = {}
-    for mode in ("on", "off"):
-        if args.repair in (mode, "both"):
-            wire[mode] = run(
-                n_peers=256, duration_scale=0.25, backend="message",
-                repair=(mode == "on"),
-            )
-            _print_wire(wire[mode], mode)
-    if len(wire) == 2:
-        gap = (wire["on"].totals["success_rate"]
-               - wire["off"].totals["success_rate"])
-        print(f"\n  repaired-vs-unrepaired success gap: {gap:+12.3f}")
-        assert wire["on"].totals["success_rate"] >= wire["off"].totals["success_rate"]
-    if "on" in wire:
-        assert wire["on"].totals["success_rate"] > 0.7
+    # loss, and dead references are detected from the traffic itself --
+    # suspected, probed, evicted and replaced.
+    wire = run(n_peers=256, duration_scale=0.25, backend="message")
+    _print_wire(wire)
+    assert wire.totals["success_rate"] > 0.7
 
 
 if __name__ == "__main__":

@@ -103,6 +103,12 @@ def check_probability(value: float, name: str = "p") -> float:
     return float(value)
 
 
+def is_count(value, low: int) -> bool:
+    """Whether ``value`` is an ``int`` at or above ``low``: a float
+    count (a fraction, or NaN, which fails every comparison) is not."""
+    return isinstance(value, int) and value >= low
+
+
 def mean(values) -> float:
     """Arithmetic mean of a non-empty sequence."""
     values = list(values)

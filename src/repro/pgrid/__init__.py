@@ -24,11 +24,11 @@ Sub-modules
     The standard *sequential* maintenance model (joins/leaves) used as
     the construction baseline, plus failure repair.
 ``liveness``
-    The shared route-repair subsystem: :class:`~repro.pgrid.liveness.
-    RouteRepairPolicy` knobs, the evidence-driven
-    :class:`~repro.pgrid.liveness.ReferenceTable` (routing levels plus
-    liveness beliefs) of a message-backend node, and the oracle-evidence
-    ``repair_routes`` sweep used by the data plane.
+    The shared route-repair subsystem: its module constants, the
+    evidence-driven :class:`~repro.pgrid.liveness.ReferenceTable`
+    (routing levels plus liveness beliefs) of a message-backend node,
+    and the oracle-evidence ``repair_routes`` sweep used by the data
+    plane.
 ``replication``
     Anti-entropy reconciliation between replicas, including delete-wins
     tombstone propagation and the replica-divergence aggregates.

@@ -2,14 +2,13 @@
 
 The paper's PlanetLab results (Sec. 5, 95-100% query success under
 churn) assume peers *repair* their routing tables when references die.
-Operationally that is two separable concerns:
+Repair is always on -- it is the protocol, not a mode.  Operationally
+that is two separable concerns:
 
-* a **policy** -- whether routes are repaired at all
-  (:class:`RouteRepairPolicy`, the on/off A/B), and the module
-  constants that say when a reference is suspect, how hard it is
-  probed, when it is evicted and how replacements travel
-  (:data:`EVICT_AFTER` ... :data:`READD_COOLDOWN_S`; no caller ever gave
-  one a second value, so they are not options);
+* a **policy** -- the module constants that say when a reference is
+  suspect, how hard it is probed, when it is evicted and how
+  replacements travel (:data:`EVICT_AFTER` ... :data:`READD_COOLDOWN_S`;
+  no caller ever gave one a second value, so they are not options);
 * a **mechanism** -- the bookkeeping that turns failure/liveness
   evidence into those decisions.
 
@@ -83,7 +82,6 @@ both (``dark_levels_final``, ``dead_refs_final``).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from .._util import RngLike, make_rng
@@ -91,7 +89,7 @@ from .bits import Path
 from .network import PGridNetwork
 from .routing import RoutingTable
 
-__all__ = ["RouteRepairPolicy", "ReferenceTable", "repair_routes"]
+__all__ = ["ReferenceTable", "repair_routes"]
 
 
 #: Strikes (failure evidence + silent probes) before eviction.
@@ -117,20 +115,6 @@ GOSSIP_REFS = 2
 #: the death yet keep gossiping it; direct traffic from the
 #: reference clears the tombstone early).
 READD_COOLDOWN_S = 60.0
-
-
-@dataclass(frozen=True)
-class RouteRepairPolicy:
-    """The on/off switch of the shared route-repair subsystem.
-
-    ``enabled=False`` reproduces the repair-less PR-3 wire behavior and
-    skips the data plane's repair sweep.  How the evidence-based
-    mechanism of the message backend behaves when on is fixed by the
-    module constants above.
-    """
-
-    #: Master switch: ``False`` = route blindly (the degradation baseline).
-    enabled: bool = True
 
 
 class ReferenceTable(RoutingTable):
@@ -252,7 +236,9 @@ class ReferenceTable(RoutingTable):
                 n_refs += len(refs)
         return out, n_refs
 
-    def accept_gossip(self, path: Path, their_path: Path, gossip: dict, now: float) -> None:
+    def accept_gossip(
+        self, path: Path, their_path: Path, gossip: Optional[dict], now: float
+    ) -> None:
         """Install gossiped candidates into depleted levels of ``path``.
 
         A candidate at the sender's level ``l`` is known to live under
@@ -503,7 +489,6 @@ class ReferenceTable(RoutingTable):
 def repair_routes(
     network: PGridNetwork,
     *,
-    policy: Optional[RouteRepairPolicy] = None,
     rng: RngLike = None,
 ) -> int:
     """Oracle-evidence repair: correction on use *with replenishment*.
@@ -518,12 +503,8 @@ def repair_routes(
     outage strips a level to zero and nothing ever refills it, leaving
     the overlay permanently partitioned even after every peer returns
     (the scenario engine's Sec. 5.1 churn runs surfaced exactly this).
-    Returns the number of reference replacements/additions made; a
-    disabled ``policy`` makes the sweep a no-op (the degradation
-    baseline).
+    Returns the number of reference replacements/additions made.
     """
-    if policy is not None and not policy.enabled:
-        return 0
     rand = make_rng(rng)
     alive_by_prefix: dict = {}
     for peer in network.peers.values():

@@ -39,7 +39,7 @@ mid-flight (``abort_inflight``).
 
 **Adaptive replication.**  Owners count queries served per decay
 window.  Crossing ``hot_threshold`` makes the owner grant its key range
-to up to ``replica_boost`` routing-table neighbours
+to up to :data:`REPLICA_BOOST` routing-table neighbours
 (``REPLICA_GRANT``: path + keys, expiring after ``grant_ttl_s``).
 Helpers answer queries for the granted range and receive the owner's
 ``REPLICA_SYNC`` fan-out so grants stay write-coherent.  When the
@@ -74,17 +74,20 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from .._util import is_count
 from ..exceptions import DomainError
 
 __all__ = ["CachePolicy", "ResultCache", "RouteCache", "gini"]
 
-# Fixed cache sizes: no scenario, benchmark or test ever asked for
-# another, so they are not fields of the policy (reports still echo
-# them under ``serving.policy``).
+# Fixed values: no scenario or benchmark ever asked for another, so
+# they are not fields of the policy (reports still echo them under
+# ``serving.policy``).
 #: Per-node result-cache capacity (oldest-inserted evicted first).
 RESULT_CAPACITY = 256
 #: Per-node route-cache capacity.
 ROUTE_CAPACITY = 128
+#: Helpers granted to a hot owner.
+REPLICA_BOOST = 2
 
 
 @dataclass(frozen=True)
@@ -104,8 +107,6 @@ class CachePolicy:
     route_ttl_s: float = 240.0
     #: Queries served within one decay window that make an owner "hot".
     hot_threshold: int = 32
-    #: Helpers granted to a hot owner.
-    replica_boost: int = 2
     #: Window length for the served-query counter (and grant decay).
     decay_interval_s: float = 60.0
     #: Backstop: helpers drop a grant this long after receiving it.
@@ -123,16 +124,14 @@ class CachePolicy:
     def validate(self) -> None:
         if not (self.result_ttl_s >= 0 and self.route_ttl_s >= 0):
             raise DomainError("cache TTLs must be >= 0")
-        if self.hot_threshold < 1:
-            raise DomainError("hot_threshold must be >= 1")
-        if self.replica_boost < 0:
-            raise DomainError("replica_boost must be >= 0")
+        if not is_count(self.hot_threshold, 1):
+            raise DomainError("hot_threshold must be an integer >= 1")
         if not self.decay_interval_s > 0:
             raise DomainError("decay_interval_s must be > 0")
         if not self.grant_ttl_s > 0:
             raise DomainError("grant_ttl_s must be > 0")
-        if self.front_ends < 0:
-            raise DomainError("front_ends must be >= 0")
+        if not is_count(self.front_ends, 0):
+            raise DomainError("front_ends must be an integer >= 0")
 
     def scaled(self, duration_scale: float) -> "CachePolicy":
         """Dilate every time constant, mirroring ``ScenarioSpec.scaled``."""

@@ -55,8 +55,8 @@ Two shutdown flavours, driven by the scenario runners:
   ``tombstone_resurrections``).
 
 With ``DurabilityPolicy(enabled=False)`` no snapshots exist and every
-restart is a cold sponsored join -- the pre-PR baseline, preserved
-behind the flag with the same on/off story as route repair.
+restart is a cold sponsored join -- the baseline the scenario
+benchmark's cold-rejoin pass measures warm rejoin against.
 
 Warm-rejoin reconciliation contract
 -----------------------------------
@@ -117,9 +117,9 @@ class DurabilityPolicy:
 
     ``enabled=False`` is the cold-join baseline: no snapshots are taken
     and every restart rebuilds from a sponsored join (the pre-existing
-    behaviour, kept behind the flag for A/B benchmarking like
-    :class:`~repro.pgrid.liveness.RouteRepairPolicy`).  The checkpoint
-    cadence is :data:`SNAPSHOT_INTERVAL_S`.
+    behaviour, kept behind the flag for the cold-rejoin pass of
+    ``benchmarks/bench_scenarios.py``).  The checkpoint cadence is
+    :data:`SNAPSHOT_INTERVAL_S`.
     """
 
     enabled: bool = True

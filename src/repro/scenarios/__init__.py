@@ -25,9 +25,8 @@ This package turns the repo's stress ingredients -- churn processes
     with per-link latency, loss, timeouts and retries; adds a
     ``message_level`` report section (latency percentiles,
     timeout/retry counts, drop breakdown, in-flight peak, per-link
-    bandwidth, and the route-repair counters).  Route repair is
-    switched per run via ``MessageNetConfig(repair=RouteRepairPolicy
-    (enabled=...))`` -- see :mod:`repro.pgrid.liveness`.
+    bandwidth, and the route-repair counters).  Route repair is always
+    on -- see :mod:`repro.pgrid.liveness`.
 ``report``
     :class:`ScenarioReport`: hop counts, success under churn,
     message/bandwidth totals, per-peer load imbalance and replication
@@ -71,7 +70,6 @@ the determinism tests pick it up automatically on both backends.
 """
 
 from . import base, invariants, library, message_runner, report, runner, spec  # noqa: F401
-from ..pgrid.liveness import RouteRepairPolicy  # noqa: F401
 from ..pgrid.state import DurabilityPolicy  # noqa: F401
 from .base import ScenarioRunnerBase  # noqa: F401
 from .invariants import (  # noqa: F401
@@ -146,7 +144,6 @@ __all__ = [
     "ChurnSpec",
     "PartitionSpec",
     "RestartSpec",
-    "RouteRepairPolicy",
     "DurabilityPolicy",
     "ScenarioRunnerBase",
     "ScenarioRunner",

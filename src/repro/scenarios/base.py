@@ -74,7 +74,7 @@ from .._util import make_rng, mean, std
 from ..exceptions import SimulationError
 from ..pgrid.bits import Path
 from ..pgrid.replication import divergence_stats
-from ..pgrid.serving import RESULT_CAPACITY, ROUTE_CAPACITY, gini
+from ..pgrid.serving import REPLICA_BOOST, RESULT_CAPACITY, ROUTE_CAPACITY, gini
 from ..pgrid.state import SCHEMA as STATE_SCHEMA
 from ..pgrid.state import SNAPSHOT_INTERVAL_S, DurabilityPolicy, StateStore
 from ..simnet.churn import start_churn
@@ -1179,7 +1179,7 @@ class ScenarioRunnerBase:
                 "route_capacity": ROUTE_CAPACITY,
                 "adaptive_replication": True,
                 "hot_threshold": policy.hot_threshold,
-                "replica_boost": policy.replica_boost,
+                "replica_boost": REPLICA_BOOST,  # a constant too
                 "decay_interval_s": policy.decay_interval_s,
                 "grant_ttl_s": policy.grant_ttl_s,
                 "front_ends": policy.front_ends,

@@ -635,7 +635,6 @@ def zipf_serving(
             result_ttl_s=180.0,
             route_ttl_s=300.0,
             hot_threshold=48,
-            replica_boost=2,
             front_ends=16,
         ),
     )
@@ -706,7 +705,6 @@ def cache_coherence_storm(
             result_ttl_s=180.0,
             route_ttl_s=240.0,
             hot_threshold=40,
-            replica_boost=2,
             front_ends=24,
         ),
     )

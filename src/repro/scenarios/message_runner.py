@@ -30,10 +30,9 @@ How phases compile here
   (:data:`MAINTENANCE_FRACTION`) initiate one protocol exchange
   (anti-entropy with a replica, or a
   random peer when a node knows none), so repair traffic is real
-  messages, unlike the data-plane backend's nominal byte model.  With
-  route repair enabled (:class:`~repro.pgrid.liveness.RouteRepairPolicy`
-  via ``MessageNetConfig.repair``) the tick also runs each node's
-  stale-reference refresh probes and lets route-deficient nodes (an
+  messages, unlike the data-plane backend's nominal byte model.  The
+  tick also runs each node's stale-reference refresh probes
+  (:mod:`repro.pgrid.liveness`) and lets route-deficient nodes (an
   emptied level) initiate an extra exchange -- gossip on exchanges and
   pongs is how evicted references get replaced.
 
@@ -62,7 +61,6 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from .._util import make_rng, mean, sample_online
 from ..exceptions import SimulationError
-from ..pgrid.liveness import RouteRepairPolicy
 from ..pgrid.network import PGridNetwork, draw_references, ideal_layout
 from ..pgrid.peer import PGridPeer
 from ..pgrid.state import DurabilityPolicy
@@ -107,19 +105,6 @@ class MessageNetConfig:
         default_factory=lambda: LogNormalLatency(median=0.12)
     )
     loss_rate: float = 0.01
-    #: Evidence-driven liveness & route repair
-    #: (:class:`~repro.pgrid.liveness.RouteRepairPolicy`):
-    #: timeouts/partition refusals mark the used reference suspect,
-    #: suspects are ping-probed and routed around, silent suspects are
-    #: evicted, and anti-entropy exchanges gossip replacement candidates.
-    #: ``RouteRepairPolicy(enabled=False)`` reproduces the repair-less
-    #: blind-routing degradation baseline.
-    repair: RouteRepairPolicy = field(default_factory=RouteRepairPolicy)
-    #: Seconds a delete tombstone keeps riding anti-entropy exchanges
-    #: before expiring (wired into every node's ``NodeConfig``).  The
-    #: TTL clock starts when a node *first* installs the tombstone and
-    #: is never refreshed by re-gossip.
-    tombstone_ttl_s: float = 600.0
     #: Persistence & crash model
     #: (:class:`~repro.pgrid.state.DurabilityPolicy`): with durability
     #: enabled, restart phases checkpoint node state periodically and
@@ -165,12 +150,6 @@ class MessageScenarioRunner(ScenarioRunnerBase):
 
     def __init__(self, spec: ScenarioSpec, *, net_config: Optional[MessageNetConfig] = None):
         cfg = net_config or MessageNetConfig()
-        if cfg.tombstone_ttl_s <= 0:
-            # Same rule as ScenarioSpec.validate: a certificate that
-            # expires before its first exchange resurrects deleted keys.
-            raise SimulationError(
-                f"tombstone_ttl_s must be > 0, got {cfg.tombstone_ttl_s}"
-            )
         super().__init__(spec, durability=cfg.durability)
         self.net_config = cfg
         self.nodes: Dict[int, PGridNode] = {}
@@ -219,17 +198,16 @@ class MessageScenarioRunner(ScenarioRunnerBase):
             query_timeout=QUERY_TIMEOUT_S,
             query_retries=spec.query_retries,
             max_refs_per_level=spec.max_refs,
-            repair=cfg.repair,
-            # Spec-provisioned TTL wins (restart scenarios stretch it to
-            # cover their reconciliation horizon); else the wire default.
+            # A spec-provisioned TTL (restart scenarios stretch it to
+            # cover their reconciliation horizon), else the node default.
             tombstone_ttl_s=(
-                spec.tombstone_ttl_s
-                if spec.tombstone_ttl_s is not None
-                else cfg.tombstone_ttl_s
+                NodeConfig.tombstone_ttl_s
+                if spec.tombstone_ttl_s is None
+                else spec.tombstone_ttl_s
             ),
-            # The serving front end rides the spec (like the repair and
-            # durability policies ride the net config); enabled=False
-            # keeps node behaviour identical to no policy at all.
+            # The serving front end rides the spec (like the durability
+            # policy rides the net config); enabled=False keeps node
+            # behaviour identical to no policy at all.
             serving=spec.cache,
         )
         # Every node reports to the same four bound methods.
@@ -428,26 +406,24 @@ class MessageScenarioRunner(ScenarioRunnerBase):
             if partner is not None:
                 node.initiate_exchange(partner)
                 exchanges += 1
-        if self.net_config.repair.enabled:
-            nodes = self.nodes
-            for pid in online:
-                node = nodes[pid]
-                # The periodic half of the route-repair policy: probe
-                # the stalest references (bounded per tick), so dead
-                # references are discovered by maintenance instead of
-                # each costing a query its timeout.
-                node.refresh_routes()
-                # Route-deficient nodes (an empty level means some keys
-                # are unreachable -- e.g. after an outage evicted a
-                # whole region) ask for anti-entropy *now*: exchange
-                # gossip is how replacements travel, and waiting for the
-                # sampled cadence would leave them dark for ticks.
-                if pid in initiators or not node.liveness.thin(node.path.length, 1):
-                    continue  # every level populated: not deficient
-                partner = self._pick_partner(node, rng)
-                if partner is not None:
-                    node.initiate_exchange(partner)
-                    exchanges += 1
+        for pid in online:
+            node = self.nodes[pid]
+            # The periodic half of route repair: probe the stalest
+            # references (bounded per tick), so dead references are
+            # discovered by maintenance instead of each costing a query
+            # its timeout.
+            node.refresh_routes()
+            # Route-deficient nodes (an empty level means some keys are
+            # unreachable -- e.g. after an outage evicted a whole
+            # region) ask for anti-entropy *now*: exchange gossip is how
+            # replacements travel, and waiting for the sampled cadence
+            # would leave them dark for ticks.
+            if pid in initiators or not node.liveness.thin(node.path.length, 1):
+                continue  # every level populated: not deficient
+            partner = self._pick_partner(node, rng)
+            if partner is not None:
+                node.initiate_exchange(partner)
+                exchanges += 1
         # For this backend "repairs" counts initiated anti-entropy
         # exchanges; bytes are accounted by the transport, not here.
         tally.repairs += exchanges
@@ -687,7 +663,6 @@ class MessageScenarioRunner(ScenarioRunnerBase):
             dead_refs += dead
             dark_levels += dark
         repair = {
-            "enabled": cfg.repair.enabled,
             "suspects": sum(t.suspects for t in trackers),
             "probes": sum(t.probes for t in trackers),
             "evictions": sum(t.evictions for t in trackers),
@@ -719,7 +694,6 @@ class MessageScenarioRunner(ScenarioRunnerBase):
                 "loss_rate": cfg.loss_rate,
                 "query_timeout_s": QUERY_TIMEOUT_S,
                 "maintenance_fraction": MAINTENANCE_FRACTION,
-                "repair_enabled": cfg.repair.enabled,
             },
         }
         if self._writes_active:

@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Set
 
 from ..exceptions import RoutingError
-from ..pgrid.liveness import RouteRepairPolicy, repair_routes
+from ..pgrid.liveness import repair_routes
 from ..pgrid.maintenance import sequential_join
 from ..pgrid.network import PGridNetwork
 from ..pgrid.replication import anti_entropy_sweep
@@ -57,15 +57,10 @@ class ScenarioRunner(ScenarioRunnerBase):
         self,
         spec: ScenarioSpec,
         *,
-        repair_policy: Optional[RouteRepairPolicy] = None,
         durability: Optional[DurabilityPolicy] = None,
     ):
         super().__init__(spec, durability=durability)
         self.network: Optional[PGridNetwork] = None
-        #: Maintenance runs through the shared route-repair policy
-        #: (oracle-evidence instance); disable it to reproduce the
-        #: blind-routing degradation baseline on this backend too.
-        self.repair_policy = repair_policy or RouteRepairPolicy()
         self._partition_cut: List[int] = []
         #: Data-plane serving approximation: queries are synchronous, so
         #: there is no concurrency to dedup and no wire to shortcut with
@@ -130,7 +125,7 @@ class ScenarioRunner(ScenarioRunnerBase):
         return True
 
     def _run_maintenance(self, tally: _Tally, rng) -> None:
-        repaired = repair_routes(self.network, policy=self.repair_policy, rng=rng)
+        repaired = repair_routes(self.network, rng=rng)
         moved = anti_entropy_sweep(self.network, rounds=1, rng=rng)
         tally.repairs += repaired
         tally.keys_moved += moved

@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
 
+from .._util import is_count
 from ..exceptions import DomainError, SimulationError
 from ..pgrid.keyspace import KeyCodec, ScalarCodec
 from ..pgrid.mdim import ZOrderCodec
@@ -213,13 +214,13 @@ class QueryMix:
             object.__setattr__(self, "box_spans", tuple(self.box_spans))
 
     def validate(self, codec: Optional[KeyCodec] = None) -> None:
-        if self.batch_size < 1:
+        if not is_count(self.batch_size, 1):
             raise SimulationError(
-                f"query batch size must be >= 1, got {self.batch_size}"
+                f"query batch size must be an integer >= 1, got {self.batch_size}"
             )
-        if self.zipf_keys < 0:
+        if not is_count(self.zipf_keys, 0):
             raise SimulationError(
-                f"zipf_keys must be >= 0, got {self.zipf_keys}"
+                f"zipf_keys must be an integer >= 0, got {self.zipf_keys}"
             )
         if not self.zipf_exponent > 0:
             raise SimulationError(
@@ -354,8 +355,10 @@ class Phase:
             raise SimulationError(f"phase {self.name!r} needs a positive duration")
         if not self.query_rate >= 0:
             raise SimulationError(f"phase {self.name!r} has a negative query rate")
-        if self.join_peers < 0 or self.leave_peers < 0:
-            raise SimulationError(f"phase {self.name!r} has negative membership deltas")
+        if not (is_count(self.join_peers, 0) and is_count(self.leave_peers, 0)):
+            raise SimulationError(
+                f"phase {self.name!r} needs integer membership deltas >= 0"
+            )
         if self.maintenance_interval_s is not None and not self.maintenance_interval_s > 0:
             raise SimulationError(
                 f"phase {self.name!r} needs a positive maintenance interval"
@@ -390,7 +393,7 @@ class ScenarioSpec:
     #: (:class:`repro.simnet.node.NodeConfig.query_retries`).
     query_retries: int = 2
     #: Death-certificate lifetime for the message backend; ``None``
-    #: defers to ``MessageNetConfig.tombstone_ttl_s``.  Scenarios whose
+    #: keeps ``NodeConfig.tombstone_ttl_s`` (600 s).  Scenarios whose
     #: reconciliation horizon outlives the default TTL (restart storms:
     #: a delete acked mid-storm must still be enforceable against a
     #: peer that restores a pre-delete snapshot and only reconciles via
@@ -440,10 +443,12 @@ class ScenarioSpec:
     def validate(self) -> None:
         if not self.phases:
             raise SimulationError(f"scenario {self.name!r} needs at least one phase")
-        if self.n_peers < 2:
-            raise SimulationError("scenario needs at least two peers")
-        if self.keys_per_peer < 1:
-            raise SimulationError("scenario needs at least one key per peer")
+        if not is_count(self.n_peers, 2):
+            raise SimulationError(f"n_peers must be an integer >= 2, got {self.n_peers}")
+        if not is_count(self.keys_per_peer, 1):
+            raise SimulationError(
+                f"keys_per_peer must be an integer >= 1, got {self.keys_per_peer}"
+            )
         try:
             distribution(self.distribution)
         except DomainError:
@@ -451,12 +456,14 @@ class ScenarioSpec:
                 f"unknown key distribution {self.distribution!r}; "
                 f"known: {sorted(DISTRIBUTIONS)}"
             ) from None
-        if not self.d_max > 0 or self.n_min < 1 or self.max_refs < 1:
-            raise SimulationError("d_max, n_min and max_refs must be positive")
+        if not (self.d_max > 0 and is_count(self.n_min, 1) and is_count(self.max_refs, 1)):
+            raise SimulationError(
+                "d_max must be positive, n_min and max_refs positive integers"
+            )
         if not self.report_bin_s > 0:
             raise SimulationError("report bin width must be positive")
-        if self.query_retries < 0:
-            raise SimulationError("query retries must be non-negative")
+        if not is_count(self.query_retries, 0):
+            raise SimulationError("query retries must be an integer >= 0")
         if self.tombstone_ttl_s is not None and not self.tombstone_ttl_s > 0:
             raise SimulationError("tombstone TTL must be positive when set")
         if self.cache is not None:

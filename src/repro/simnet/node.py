@@ -75,8 +75,9 @@ from .._util import RngLike, make_rng
 from ..core import fig2
 from ..pgrid.bits import Path, ROOT
 from ..pgrid.keyspace import KEY_BITS, bit_at
-from ..pgrid.liveness import PROBE_TIMEOUT_S, ReferenceTable, RouteRepairPolicy
+from ..pgrid.liveness import PROBE_TIMEOUT_S, ReferenceTable
 from ..pgrid.serving import (
+    REPLICA_BOOST,
     RESULT_CAPACITY,
     ROUTE_CAPACITY,
     CachePolicy,
@@ -131,10 +132,6 @@ class NodeConfig:
     #: resurrect a deleted key until the next delete or exchange with a
     #: fresher peer.
     tombstone_ttl_s: float = 600.0
-    #: Evidence-driven liveness & route repair (see
-    #: :mod:`repro.pgrid.liveness`); ``RouteRepairPolicy(enabled=False)``
-    #: reproduces the repair-less blind-routing behavior.
-    repair: RouteRepairPolicy = field(default_factory=RouteRepairPolicy)
     #: Query-serving front end (:mod:`repro.pgrid.serving`): result/route
     #: caches with write invalidation, in-flight dedup and adaptive
     #: replication.  ``None`` or ``enabled=False`` reproduces the
@@ -438,9 +435,8 @@ class PGridNode:
         if not online:
             self._inflight_exchange = None
             return
-        if self.config.repair.enabled:
-            for ref in self.liveness.unprobed_suspects():
-                self._send_probe(ref)
+        for ref in self.liveness.unprobed_suspects():
+            self._send_probe(ref)
         if warm:
             partners = sorted(self.replicas - {self.node_id})
             if partners:
@@ -538,7 +534,7 @@ class PGridNode:
 
     def _suspect_ref(self, ref: int) -> None:
         """Failure evidence against ``ref``: suspect it and start probing."""
-        if self.config.repair.enabled and self.liveness.strike(ref) and self.online:
+        if self.liveness.strike(ref) and self.online:
             self._send_probe(ref)
 
     def _send_probe(self, ref: int) -> None:
@@ -585,7 +581,7 @@ class PGridNode:
             # prober would parse back (its wire size is part of the
             # header either way: only ``n_refs`` is billed).
             payload["path"] = self.path
-            payload["gossip"], n_refs = self._gossip_refs()
+            payload["gossip"], n_refs = self.liveness.gossip()
         self.liveness.repair_bytes += HEADER_BYTES + n_refs * REF_BYTES
         self.send(msg.src, P.PONG, payload, n_refs=n_refs)
 
@@ -598,14 +594,14 @@ class PGridNode:
         gossip = msg.payload.get("gossip")
         path = msg.payload.get("path")
         if gossip and path:
-            self._accept_gossip(path, gossip)
+            self.liveness.accept_gossip(self.path, path, gossip, self.sim.now)
 
     def refresh_routes(self) -> int:
         """Probe the stalest reference of each *lapsed* routing level
         (:meth:`ReferenceTable.due`): the periodic half of failure
         detection, called at the maintenance cadence.  Returns the
         number of probes launched."""
-        if not self.config.repair.enabled or not self.online:
+        if not self.online:
             return 0
         due = self.liveness.due(self.sim.now)
         for ref in due:
@@ -619,50 +615,34 @@ class PGridNode:
 
         Returns the reference the message left through (loss is silent
         to the sender, so a lost message still counts as forwarded) or
-        ``None`` on a dead end.  With repair enabled, a reference silent
-        for a while is pinged as it is used (probing tracks the traffic
-        we send, not a global scan), and a send-time refusal (offline or
+        ``None`` on a dead end.  A reference silent for a while is
+        pinged as it is used (probing tracks the traffic we send, not a
+        global scan), and a send-time refusal (offline or
         partitioned destination: the connect visibly failed) marks it
         suspect -- usually evicting it on the spot via the probe cascade
         -- and immediately re-picks: the paper's lazy *correction on
         use* applied at the wire, bounded by the per-level redundancy.
         """
-        repair = self.config.repair.enabled
         liveness = self.liveness
         for _ in range(self.config.max_refs_per_level + 1):
             nxt = liveness.pick(level, self.rng)
             if nxt is None:
                 return None
-            if repair and self.online and liveness.needs_confirmation(nxt, self.sim.now):
+            if self.online and liveness.needs_confirmation(nxt, self.sim.now):
                 self._send_probe(nxt)
             cause = self.send(nxt, kind, payload, n_keys=n_keys)
-            if not repair:
-                return nxt  # blind routing: one shot, timeouts judge it
             if cause in (None, "loss", "offline"):
                 return nxt
             # refused/partition: try another reference.
         return None
 
-    def _gossip_refs(self) -> tuple[dict, int]:
-        """What rides out on a ``pong`` or an exchange
-        (:meth:`ReferenceTable.gossip`); nothing without repair."""
-        if not self.config.repair.enabled:
-            return {}, 0
-        return self.liveness.gossip()
-
-    def _accept_gossip(self, their_path: Path, gossip: Optional[dict]) -> None:
-        """What rode in on one (:meth:`ReferenceTable.accept_gossip`)."""
-        if self.config.repair.enabled and gossip:
-            self.liveness.accept_gossip(self.path, their_path, gossip, self.sim.now)
-
     # -- message dispatch ----------------------------------------------------
 
     def receive(self, message: Message) -> None:
         """Network entry point."""
-        if self.config.repair.enabled:
-            # Any delivered message is proof of life: refresh the sender
-            # and clear whatever suspicion it had accumulated.
-            self.liveness.note_alive(message.src, self.sim.now)
+        # Any delivered message is proof of life: refresh the sender and
+        # clear whatever suspicion it had accumulated.
+        self.liveness.note_alive(message.src, self.sim.now)
         name = _HANDLER.get(message.kind)
         if name is None:
             return  # unknown kinds are ignored (forward compatibility)
@@ -815,7 +795,7 @@ class PGridNode:
         routes = {
             level: refs[0] for level, refs in self.routing.items() if refs
         }
-        gossip, n_refs = self._gossip_refs()
+        gossip, n_refs = self.liveness.gossip()
         self.liveness.repair_bytes += n_refs * REF_BYTES
         # Tombstones travel with every exchange (billed like keys) so
         # deletes propagate through the same anti-entropy that spreads
@@ -851,7 +831,9 @@ class PGridNode:
         nonce = msg.payload["nonce"]
         # Route-repair gossip rides on every exchange, both directions:
         # their candidates may refill our depleted levels and vice versa.
-        self._accept_gossip(their_path, msg.payload.get("gossip") or {})
+        self.liveness.accept_gossip(
+            self.path, their_path, msg.payload.get("gossip"), self.sim.now
+        )
         reply = self._evaluate_exchange(
             msg.src, their_path, their_keys, their_replicas, their_routes,
             their_tombstones,
@@ -859,7 +841,7 @@ class PGridNode:
         reply["nonce"] = nonce
         reply["expected_path"] = their_path
         reply["partner_path"] = self.path  # after our half of the interaction
-        gossip, n_refs = self._gossip_refs()
+        gossip, n_refs = self.liveness.gossip()
         self.liveness.repair_bytes += n_refs * REF_BYTES
         reply["gossip"] = gossip
         self.send(
@@ -1067,7 +1049,9 @@ class PGridNode:
         # Gossiped candidates are fresh world knowledge regardless of
         # whether the handshake itself went stale: accept them first.
         # (A root-path partner has no levels to anchor candidates to.)
-        self._accept_gossip(payload["partner_path"], payload.get("gossip"))
+        self.liveness.accept_gossip(
+            self.path, payload["partner_path"], payload.get("gossip"), self.sim.now
+        )
         inflight, self._inflight_exchange = self._inflight_exchange, None
         # Optimistic concurrency: drop the response to a superseded
         # request, or to the path we had before extending it meanwhile.
@@ -1657,7 +1641,7 @@ class PGridNode:
         if load >= sv.hot_threshold and self.path.length > 0:
             keys = sorted(self.keys)
             for cand in self._grant_candidates():
-                if len(self._helpers) >= sv.replica_boost:
+                if len(self._helpers) >= REPLICA_BOOST:
                     break
                 if cand in self._helpers:
                     continue

@@ -133,9 +133,8 @@ def scenario_section(mass_leave=0.97, churn=0.94, *, n_peers=4096, scale=1.0):
 
 
 class TestScenarioSuccessGate:
-    """The message-backend success-rate gate: repair regressions (e.g.
-    mass-leave sliding back toward the unrepaired ~0.64) must fail the
-    job even when raw perf is fine."""
+    """The message-backend success-rate gate: repair regressions must
+    fail the job even when raw perf is fine."""
 
     def test_matching_rates_pass(self, tmp_path, capsys):
         base = write(tmp_path, "base.json",

@@ -8,30 +8,31 @@ varies is a module constant beside the code that reads it.
 """
 
 import dataclasses
+import inspect
 
 import pytest
 
 from repro.core.construction import ConstructionConfig
-from repro.pgrid.liveness import RouteRepairPolicy
+from repro.pgrid.liveness import repair_routes
 from repro.pgrid.serving import CachePolicy
 from repro.pgrid.state import DurabilityPolicy
-from repro.scenarios.message_runner import MessageNetConfig
+from repro.scenarios.message_runner import MessageNetConfig, MessageScenarioRunner
+from repro.scenarios.runner import ScenarioRunner
 from repro.simnet.churn import ChurnConfig
 from repro.simnet.experiment import ExperimentConfig
 from repro.simnet.node import NodeConfig
 
 SURFACE = {
     MessageNetConfig: [
-        "latency", "loss_rate", "repair", "tombstone_ttl_s", "durability",
+        "latency", "loss_rate", "durability",
     ],
     NodeConfig: [
         "n_min", "d_max", "query_timeout", "query_retries",
-        "max_refs_per_level", "tombstone_ttl_s", "repair", "serving",
+        "max_refs_per_level", "tombstone_ttl_s", "serving",
     ],
-    RouteRepairPolicy: ["enabled"],
     CachePolicy: [
         "enabled", "result_ttl_s", "route_ttl_s", "hot_threshold",
-        "replica_boost", "decay_interval_s", "grant_ttl_s", "front_ends",
+        "decay_interval_s", "grant_ttl_s", "front_ends",
     ],
     DurabilityPolicy: ["enabled"],
     ConstructionConfig: ["n_min", "d_max", "strategy", "sample_size", "seed"],
@@ -47,3 +48,19 @@ SURFACE = {
 def test_fields_are_the_pinned_list(cls):
     assert [f.name for f in dataclasses.fields(cls)] == SURFACE[cls]
 
+
+
+#: Keyword-only parameters of the entry points a config dataclass does
+#: not cover, so a deleted switch cannot come back as a keyword.
+KEYWORDS = {
+    ScenarioRunner.__init__: ["durability"],
+    MessageScenarioRunner.__init__: ["net_config"],
+    repair_routes: ["rng"],
+}
+
+
+@pytest.mark.parametrize("func", KEYWORDS, ids=lambda func: func.__qualname__)
+def test_keywords_are_the_pinned_list(func):
+    params = inspect.signature(func).parameters.values()
+    keywords = [p.name for p in params if p.kind is p.KEYWORD_ONLY]
+    assert keywords == KEYWORDS[func]

@@ -12,11 +12,12 @@ Four layers:
   *visible* to the sender's routing state), ping/pong probing,
   confirm-on-use staleness probing, gossip replenishment on exchanges
   and (on demand) pongs, and the per-level refresh sweep.
-* **Scenario-level tests** -- the repaired-vs-unrepaired success gap on
-  the message backend, repair counters in ``message_level.repair``, and
-  structural invariants surviving gossip-carried references.
-* **Oracle-policy tests** -- the data plane's ``repair_routes`` as a
-  policy instance (disabled policy = no-op degradation baseline).
+* **Scenario-level tests** -- query success through ``mass-leave`` on
+  the message backend, repair counters in ``message_level.repair``,
+  probe bytes billed as maintenance, and structural invariants
+  surviving gossip-carried references.
+* **Oracle-evidence tests** -- the data plane's ``repair_routes`` sweep
+  and the runner's maintenance going through it.
 """
 
 import os
@@ -32,11 +33,9 @@ from repro.pgrid.liveness import (
     CONFIRM_INTERVAL_S,
     REFRESH_PROBES,
     ReferenceTable,
-    RouteRepairPolicy,
     repair_routes,
 )
 from repro.scenarios import (
-    MessageNetConfig,
     MessageScenarioRunner,
     ScenarioRunner,
     run_scenario,
@@ -46,8 +45,10 @@ from repro.scenarios.invariants import (
     check_partition_tiling,
     check_routing_complementarity,
 )
+from repro.simnet import protocol as P
 from repro.simnet.engine import Simulator
 from repro.simnet.node import NodeConfig, PGridNode
+from repro.simnet.stats import StatsCollector
 from repro.simnet.transport import HEADER_BYTES, ConstantLatency, Network
 
 
@@ -424,31 +425,6 @@ class TestWireEvidence:
         assert pongs[1].size_bytes > HEADER_BYTES and nodes[0].routing[0]
         assert nodes[0].liveness.replacements >= 1
 
-    def test_repair_disabled_reproduces_blind_routing(self):
-        config = NodeConfig(
-            query_retries=2, query_timeout=5.0,
-            repair=RouteRepairPolicy(enabled=False),
-        )
-        sim, net, nodes = build_wire(QUADRANTS, config=config)
-        nodes[3].online = False
-        outcomes = []
-        nodes[0].on_query_done = lambda nid, qid, out: outcomes.append(out)
-        nodes[0].issue_query(float_to_key(0.85))
-        sim.run_until(120.0)
-        assert outcomes and not outcomes[0].success
-        assert outcomes[0].timeouts >= 1  # nobody observed the refusals
-        tracker = nodes[0].liveness
-        assert tracker.suspects == tracker.probes == tracker.evictions == 0
-        # The dead reference is still in the table: blind forever.
-        assert any(3 in refs for refs in nodes[0].routing.values())
-
-    def test_repair_disabled_accepts_no_gossip(self):
-        config = NodeConfig(repair=RouteRepairPolicy(enabled=False))
-        sim, net, nodes = build_wire(QUADRANTS, config=config)
-        nodes[0].routing = {}
-        nodes[0]._accept_gossip(nodes[1].path, {0: [2, 3]})
-        assert nodes[0].routing == {} and nodes[0]._gossip_refs() == ({}, 0)
-
     def test_returning_node_restarts_stalled_probe_chains(self):
         # A node that churns offline mid-probe must not leave suspects
         # stranded (suspect but unprobed = routed around forever).
@@ -793,52 +769,53 @@ def test_pick_draws_what_ref_pick_draws(levels, suspects, seed, asked):
 
 
 class TestScenarioRepair:
-    def test_repair_closes_the_mass_leave_gap(self):
+    def test_repair_keeps_mass_leave_queries_answered(self):
         spec = scenario("mass-leave", n_peers=256, seed=23, duration_scale=0.25)
-        on = run_scenario(spec, backend="message")
-        off = run_scenario(
-            spec,
-            backend="message",
-            net_config=MessageNetConfig(repair=RouteRepairPolicy(enabled=False)),
-        )
-        assert on.totals["success_rate"] > off.totals["success_rate"]
-        repair = on.message_level["repair"]
-        assert repair["enabled"]
+        report = run_scenario(spec, backend="message")
+        # Measured 0.994 here; routing blindly past the leavers gave 0.803.
+        assert report.totals["success_rate"] >= 0.95
+        repair = report.message_level["repair"]
         assert repair["probes"] > 0
         assert repair["evictions"] > 0
         assert repair["replacements"] > 0
         assert repair["repair_bytes"] > 0
 
-    def test_repair_off_zeroes_the_counters(self):
-        spec = scenario("mass-leave", n_peers=64, seed=5, duration_scale=0.1)
-        off = run_scenario(
-            spec,
-            backend="message",
-            net_config=MessageNetConfig(repair=RouteRepairPolicy(enabled=False)),
-        )
-        repair = dict(off.message_level["repair"])
-        # The audits read ground truth whoever repairs: with nobody
-        # evicting, the leavers are all still in the tables.
-        assert repair.pop("dead_refs_final") > 0
-        assert repair.pop("dark_levels_final") >= 0
-        assert repair == {
-            "enabled": False, "suspects": 0, "probes": 0,
-            "evictions": 0, "replacements": 0, "repair_bytes": 0,
-        }
-        assert off.message_level["config"]["repair_enabled"] is False
-
     def test_repair_traffic_lands_in_maintenance_bandwidth(self):
-        spec = scenario("mass-leave", n_peers=64, seed=5, duration_scale=0.1)
-        on = run_scenario(spec, backend="message")
-        off = run_scenario(
-            spec,
-            backend="message",
-            net_config=MessageNetConfig(repair=RouteRepairPolicy(enabled=False)),
-        )
         # Ping/pong/gossip are maintenance-category wire bytes (the
-        # Fig. 8 split), so the repaired run pays visibly more there.
-        assert on.totals["bytes_maintenance"] > off.totals["bytes_maintenance"]
-        assert on.message_level["repair"]["repair_bytes"] > 0
+        # Fig. 8 split): one probe bills exactly its ping and its pong
+        # there, and nothing to the read or write side.
+        sim, net, nodes = build_wire(QUADRANTS)
+        net.stats = stats = StatsCollector()
+
+        def billed():
+            by_category = stats.bytes_by_category
+            return {
+                category: sum(by_category.get(category, {}).values())
+                for category in (P.MAINTENANCE, P.QUERY_TRAFFIC, P.UPDATE_TRAFFIC)
+            }
+
+        nodes[0].issue_query(float_to_key(0.85))
+        nodes[0].issue_insert(float_to_key(0.6))
+        sim.run_until(60.0)
+        before = billed()
+        assert before[P.QUERY_TRAFFIC] > 0 and before[P.UPDATE_TRAFFIC] > 0
+        pongs = []
+        on_pong = nodes[0]._on_pong
+        nodes[0]._on_pong = lambda msg: (pongs.append(msg), on_pong(msg))
+        repair_bytes = sum(n.liveness.repair_bytes for n in nodes)
+        nodes[0]._send_probe(1)
+        sim.run_until(120.0)
+        after = billed()
+        [pong] = pongs
+        assert pong.size_bytes > HEADER_BYTES  # short of refs: gossip rode along
+        assert after[P.MAINTENANCE] - before[P.MAINTENANCE] == (
+            HEADER_BYTES + pong.size_bytes
+        )
+        assert after[P.MAINTENANCE] - before[P.MAINTENANCE] == (
+            sum(n.liveness.repair_bytes for n in nodes) - repair_bytes
+        )
+        assert after[P.QUERY_TRAFFIC] == before[P.QUERY_TRAFFIC]
+        assert after[P.UPDATE_TRAFFIC] == before[P.UPDATE_TRAFFIC]
 
     def test_final_audits_count_dead_refs_and_dark_levels(self):
         # The cost side of the probe budget, read from ground truth at
@@ -914,11 +891,11 @@ class TestScenarioRepair:
         assert net.is_consistent()
 
 
-# -- the oracle policy instance (data plane) ---------------------------------
+# -- the oracle-evidence sweep (data plane) ---------------------------------
 
 
 class TestOraclePolicy:
-    def test_disabled_policy_is_a_noop(self):
+    def test_sweep_replaces_a_dead_reference(self):
         import random
 
         from repro.pgrid.network import PGridNetwork
@@ -929,28 +906,13 @@ class TestOraclePolicy:
         net = PGridNetwork.ideal(keys, 32, d_max=40, n_min=3, rng=rand)
         victim = next(iter(net.peers.values()))
         victim.online = False
-        before = {
-            pid: {lvl: list(refs) for lvl, refs in p.routing.levels.items()}
-            for pid, p in net.peers.items()
-        }
-        assert repair_routes(
-            net, policy=RouteRepairPolicy(enabled=False), rng=1
-        ) == 0
-        after = {
-            pid: {lvl: list(refs) for lvl, refs in p.routing.levels.items()}
-            for pid, p in net.peers.items()
-        }
-        assert before == after
-        assert repair_routes(net, policy=RouteRepairPolicy(), rng=1) > 0
+        assert repair_routes(net, rng=1) > 0
+        assert not any(
+            victim.peer_id in refs
+            for p in net.peers.values()
+            for refs in p.routing.levels.values()
+        )
 
     def test_dataplane_runner_routes_maintenance_through_the_policy(self):
         spec = scenario("mass-leave", n_peers=64, seed=5, duration_scale=0.1)
-        repaired = ScenarioRunner(spec).run()
-        blind = ScenarioRunner(
-            spec, repair_policy=RouteRepairPolicy(enabled=False)
-        ).run()
-        assert repaired.totals["repairs"] > 0
-        assert blind.totals["repairs"] == 0
-        assert (
-            repaired.totals["success_rate"] >= blind.totals["success_rate"]
-        )
+        assert ScenarioRunner(spec).run().totals["repairs"] > 0

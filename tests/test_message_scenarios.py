@@ -39,7 +39,6 @@ from repro.scenarios import (
     MessageNetConfig,
     MessageScenarioRunner,
     Phase,
-    RouteRepairPolicy,
     ScenarioSpec,
     run_scenario,
     runner_for,
@@ -403,28 +402,8 @@ class TestRangeProtocol:
 
 
 class TestPointQueryOutcomes:
-    def test_offline_responsible_times_out_then_fails_without_repair(self):
-        # Blind routing (the PR-3 baseline, repair disabled): nobody
-        # observes the refused connects, so every attempt burns a full
-        # timeout before failing.
-        config = NodeConfig(
-            query_retries=2, query_timeout=5.0,
-            repair=RouteRepairPolicy(enabled=False),
-        )
-        sim, net, nodes = build_wire(QUADRANTS, config=config)
-        nodes[3].online = False  # the only holder of quadrant 11
-        outcomes = []
-        nodes[0].on_query_done = lambda nid, qid, out: outcomes.append(out)
-        nodes[0].issue_query(float_to_key(0.85))
-        sim.run_until(120.0)
-        assert len(outcomes) == 1
-        out = outcomes[0]
-        assert not out.success
-        assert out.timeouts >= 1
-        assert out.attempts == 3
-
     def test_offline_responsible_fails_fast_with_repair(self):
-        # With repair on, the refused connects are evidence: the dead
+        # The refused connects are evidence: the dead
         # quadrant's references are evicted and the attempts dead-end
         # immediately instead of waiting out timeouts.
         sim, net, nodes = build_wire(QUADRANTS)
@@ -451,22 +430,3 @@ class TestPointQueryOutcomes:
         assert outcomes[0].hops == 0
         assert qid > 0
 
-    def test_origin_going_offline_marks_query_moot(self):
-        # Repair off keeps the attempts on the slow timeout path, so the
-        # origin is offline by the time its timer fires -- the moot case.
-        config = NodeConfig(
-            query_retries=2, query_timeout=5.0,
-            repair=RouteRepairPolicy(enabled=False),
-        )
-        sim, net, nodes = build_wire(QUADRANTS, config=config)
-        nodes[3].online = False
-        outcomes = []
-        nodes[0].on_query_done = lambda nid, qid, out: outcomes.append(out)
-        nodes[0].issue_query(float_to_key(0.85))
-        sim.schedule(2.0, lambda: nodes[0].set_online(False))
-        sim.run_until(120.0)
-        assert len(outcomes) == 1
-        assert outcomes[0].moot
-        assert not outcomes[0].success
-        # Moot queries stay out of the experiment-level statistics.
-        assert nodes[0].query_results == []

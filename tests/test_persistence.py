@@ -285,23 +285,17 @@ class TestTombstoneClocks:
         sim.run_until(230.0)
         assert twin._tombstone_born[key] == pytest.approx(born)
 
-    def test_message_net_config_wires_ttl_through(self):
-        spec = scenario("uniform-baseline", n_peers=24, seed=1, duration_scale=0.1)
-        runner = MessageScenarioRunner(
-            spec, net_config=MessageNetConfig(tombstone_ttl_s=123.0)
-        )
+    @pytest.mark.parametrize(
+        "name, ttl", [("restart-storm", 120.0), ("uniform-baseline", 600.0)]
+    )
+    def test_nodes_get_the_spec_ttl_else_the_node_default(self, name, ttl):
+        # restart-storm provisions 1200 s (dilated by 0.1); uniform-baseline
+        # provisions none and keeps NodeConfig's default.
+        spec = scenario(name, n_peers=24, seed=1, duration_scale=0.1)
+        runner = MessageScenarioRunner(spec)
         runner.run()
-        configs = {node.config.tombstone_ttl_s for node in runner.nodes.values()}
-        assert configs == {123.0}
-
-    def test_spec_ttl_overrides_net_config(self):
-        spec = scenario("restart-storm", n_peers=24, seed=1, duration_scale=0.1)
-        assert spec.tombstone_ttl_s == pytest.approx(120.0)  # 1200 * 0.1
-        runner = MessageScenarioRunner(
-            spec, net_config=MessageNetConfig(tombstone_ttl_s=50.0)
-        )
-        runner.run()
-        assert {n.config.tombstone_ttl_s for n in runner.nodes.values()} == {120.0}
+        [node_ttl] = {node.config.tombstone_ttl_s for node in runner.nodes.values()}
+        assert node_ttl == pytest.approx(ttl)
 
     def test_spec_ttl_validation(self):
         spec = scenario("uniform-baseline", n_peers=24, seed=1, duration_scale=0.1)
@@ -309,16 +303,6 @@ class TestTombstoneClocks:
 
         with pytest.raises(SimulationError):
             replace(spec, tombstone_ttl_s=0.0).validate()
-
-    @pytest.mark.parametrize("ttl", [0.0, -5.0])
-    def test_net_config_ttl_validation(self, ttl):
-        # The wire default the spec defers to gets the spec's own rule:
-        # a zero TTL expires every certificate before its first exchange.
-        spec = scenario("uniform-baseline", n_peers=24, seed=1, duration_scale=0.1)
-        with pytest.raises(SimulationError):
-            MessageScenarioRunner(
-                spec, net_config=MessageNetConfig(tombstone_ttl_s=ttl)
-            )
 
 
 class TestOfflineTimerHygiene:

@@ -66,6 +66,28 @@ NAN_SPECS = {
 }
 
 
+#: One builder per count field, taking the value to put there.
+COUNT_FIELDS = {
+    "ScenarioSpec.n_peers": lambda v: _spec(n_peers=v),
+    "ScenarioSpec.keys_per_peer": lambda v: _spec(keys_per_peer=v),
+    "ScenarioSpec.n_min": lambda v: _spec(n_min=v),
+    "ScenarioSpec.max_refs": lambda v: _spec(max_refs=v),
+    "ScenarioSpec.query_retries": lambda v: _spec(query_retries=v),
+    "Phase.join_peers": lambda v: _spec(_phase(join_peers=v)),
+    "Phase.leave_peers": lambda v: _spec(_phase(leave_peers=v)),
+    "QueryMix.batch_size": lambda v: _spec(_phase(mix=QueryMix(batch_size=v))),
+    "QueryMix.zipf_keys": lambda v: _spec(_phase(mix=QueryMix(zipf_keys=v))),
+}
+#: One NaN and one fractional spec per count field.  A count checked
+#: only against its bound lets both through, and the run then crashes
+#: or silently misbehaves.
+COUNT_SPECS = {
+    f"{field}={value}": (lambda build=build, value=value: build(value))
+    for field, build in COUNT_FIELDS.items()
+    for value in (NAN, 2.5)
+}
+
+
 class TestSpecValidation:
     def test_library_specs_validate(self):
         for name in SCENARIOS:
@@ -123,6 +145,11 @@ class TestSpecValidation:
     def test_nan_rejected(self, field):
         with pytest.raises(SimulationError):
             NAN_SPECS[field]().validate()
+
+    @pytest.mark.parametrize("case", sorted(COUNT_SPECS))
+    def test_non_integer_count_rejected(self, case):
+        with pytest.raises(SimulationError):
+            COUNT_SPECS[case]().validate()
 
     def test_nan_duration_scale_rejected(self):
         with pytest.raises(SimulationError):

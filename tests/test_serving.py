@@ -47,10 +47,12 @@ class TestCachePolicy:
             {"result_ttl_s": -1.0},
             {"route_ttl_s": -0.5},
             {"hot_threshold": 0},
-            {"replica_boost": -1},
+            {"hot_threshold": float("nan")},
             {"decay_interval_s": 0.0},
             {"grant_ttl_s": 0.0},
             {"front_ends": -1},
+            {"front_ends": 2.5},
+            {"front_ends": float("nan")},
         ],
     )
     def test_bad_knobs_rejected(self, kwargs):
