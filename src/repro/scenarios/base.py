@@ -246,10 +246,15 @@ class ScenarioRunnerBase:
         #: Recovery bookkeeping (populated by :meth:`run` when restarts
         #: are active; ``None`` otherwise).
         self._recovery: Optional[dict] = None
-        #: key -> [op, acked] for the last issued mutation per key (the
-        #: lost-acked-write / tombstone-resurrection audit; only tracked
-        #: when restarts are active).
+        #: key -> [op, acked, concurrent] for the last issued mutation
+        #: per key (the lost-acked-write / tombstone-resurrection audit;
+        #: only tracked when restarts are active).  ``concurrent``: a
+        #: mutation of the opposite kind was still unacked when it was
+        #: issued, so either order of the two is linearizable.
         self._last_write: Dict[int, list] = {}
+        #: (key, op) -> issued mutations of that kind not acked (yet, or
+        #: ever: a failed or moot write may still land).
+        self._unacked_writes: Dict[Tuple[int, str], int] = {}
         #: The serving-layer cache policy (``None`` when the spec
         #: carries none -- the golden-pinned path: no serving section,
         #: no extra branches).  ``enabled=False`` still produces the
@@ -734,11 +739,7 @@ class ScenarioRunnerBase:
                         return
                     op, key = self._draw_write(wmix, wsampler, write_rng)
                     if self._recovery is not None:
-                        # The durability audit tracks the last issued
-                        # mutation per key; the backend flips ``acked``
-                        # through _note_acked_write on success.
-                        norm = "delete" if op == "delete" else "insert"
-                        self._last_write[key] = [norm, False]
+                        self._note_issued_write(op, key)
                     self._run_one_write(tally, phase, idx, op, key, write_rng)
                     sim.schedule(write_rng.expovariate(wmix.write_rate), write_tick)
 
@@ -817,6 +818,17 @@ class ScenarioRunnerBase:
 
         return shutdown
 
+    def _note_issued_write(self, op: str, key: int) -> None:
+        """The durability audit's record of issuing mutation ``op`` on
+        ``key``: it becomes the key's last issued mutation, concurrent
+        with any mutation of the opposite kind still unacked.  The
+        backend acks it through :meth:`_note_acked_write`."""
+        norm = "delete" if op == "delete" else "insert"
+        other = "insert" if norm == "delete" else "delete"
+        unacked = self._unacked_writes
+        self._last_write[key] = [norm, False, unacked.get((key, other), 0) > 0]
+        unacked[key, norm] = unacked.get((key, norm), 0) + 1
+
     def _note_acked_write(self, op: str, key: int) -> None:
         """Backend callback: mutation ``op`` on ``key`` was acked to the
         issuer.  Updates the serving-layer stale-read authority (acked
@@ -831,8 +843,9 @@ class ScenarioRunnerBase:
                 self._serving_auth.add(key)
         if self._recovery is None:
             return
-        entry = self._last_write.get(key)
-        if entry is not None and entry[0] == norm:
+        self._unacked_writes[key, norm] -= 1
+        entry = self._last_write[key]
+        if entry[0] == norm:
             entry[1] = True
 
     def _audit_cache_hit(self, node_id: int, key: int, present: bool) -> None:
@@ -1256,29 +1269,40 @@ class ScenarioRunnerBase:
             out["recovery_maint_bytes"] = sum(
                 maint_bytes.get(b, 0) for b in range(b0, b1 + 1)
             )
-        lost, resurrected, tracked = self._write_fate()
+        lost, resurrected, tracked, concurrent = self._write_fate()
         out["acked_writes_tracked"] = tracked
+        out["acked_writes_concurrent"] = concurrent
         out["lost_acked_writes"] = lost
         out["tombstone_resurrections"] = resurrected
         return out
 
-    def _write_fate(self) -> Tuple[int, int, int]:
-        """``(lost_acked_writes, tombstone_resurrections, tracked)``.
+    def _write_fate(self) -> Tuple[int, int, int, int]:
+        """``(lost_acked_writes, tombstone_resurrections, tracked,
+        concurrent)``.
 
-        A *lost acked write* is a key whose last issued mutation was an
-        acknowledged insert/update yet the key exists on no peer (keys
-        and outboxes included); a *tombstone resurrection* is a key
-        whose last issued mutation was an acknowledged delete yet the
+        A key is audited (*tracked*) when its last issued mutation was
+        acked and every earlier mutation of the opposite kind had been
+        acked before it was issued: only then does a linearizable
+        history end in that mutation's state.  A *lost acked write* is
+        such a key whose last mutation was an insert/update yet the key
+        exists on no peer (keys and outboxes included); a *tombstone
+        resurrection* is one whose last mutation was a delete yet the
         key is present somewhere with no live death certificate left
         anywhere to kill it.  Keys whose last mutation was never acked
-        are in limbo by definition and not audited.
+        are in limbo by definition and not audited; acked ones that
+        overlapped an opposite mutation (an insert whose retry lands
+        after a later delete was acked, or the mirror case) may end in
+        either state and are counted as *concurrent* instead.
         """
         if not self._last_write:
-            return 0, 0, 0
+            return 0, 0, 0, 0
         present, live_tombstones = self._durable_key_view()
-        lost = resurrected = tracked = 0
-        for key, (op, acked) in self._last_write.items():
+        lost = resurrected = tracked = concurrent = 0
+        for key, (op, acked, overlapped) in self._last_write.items():
             if not acked:
+                continue
+            if overlapped:
+                concurrent += 1
                 continue
             tracked += 1
             if op == "insert":
@@ -1286,4 +1310,4 @@ class ScenarioRunnerBase:
                     lost += 1
             elif key in present and key not in live_tombstones:
                 resurrected += 1
-        return lost, resurrected, tracked
+        return lost, resurrected, tracked, concurrent
