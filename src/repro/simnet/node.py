@@ -838,6 +838,16 @@ class PGridNode:
             msg.src, their_path, their_keys, their_replicas, their_routes,
             their_tombstones,
         )
+        # Death certificates a path change left here go where its keys
+        # went: to the partition the initiator holds once it has applied
+        # the reply.  (A same-partition reply ships ours instead, and
+        # then none of ours is foreign to its path.)
+        side = reply.get("your_side")
+        handed = self._hand_over_tombstones(
+            their_path if side is None else their_path.extend(side)
+        )
+        if handed:
+            reply["tombstones"] = handed
         reply["nonce"] = nonce
         reply["expected_path"] = their_path
         reply["partner_path"] = self.path  # after our half of the interaction
@@ -962,7 +972,8 @@ class PGridNode:
     def _extend_path(self, side: int, via: Optional[int]) -> Set[int]:
         """Extend own path by ``side`` (split or rules 3/4), learning
         ``via`` as the reference for the other side; returns the keys
-        the narrower partition displaced."""
+        the narrower partition displaced.  Their tombstones stay until
+        :meth:`_hand_over_tombstones` gives them away."""
         level = self.path.length
         self.path = self.path.extend(side)
         if via is not None:
@@ -971,21 +982,29 @@ class PGridNode:
         leaving = self.keys - stay
         self.keys = stay
         self.replicas = set()
-        self._shed_foreign_tombstones()
         return leaving
 
-    def _shed_foreign_tombstones(self) -> None:
-        """Drop tombstones outside the partition after a path change.
+    def _hand_over_tombstones(self, path: Path) -> List[int]:
+        """Give away the tombstones outside our partition that lie in
+        ``path``: the death certificates of keys a path change
+        displaced.
 
-        A certificate left behind by a split would otherwise block the
-        (now foreign) key from ever passing through ``_accept_keys``.
+        They wait here, as the displaced keys wait in the outbox, until
+        a partner that will hold ``path`` exchanges with us; then they
+        ride the reply, billed as keys, and the partner keeps those in
+        its partition.  Until then (or their TTL) they also keep the
+        dead keys out of our outbox.
         """
         if not self.tombstones:
-            return
-        foreign = [k for k in self.tombstones if not self.responsible_for(k)]
-        for key in foreign:
+            return []
+        handed = sorted(
+            k for k in self.tombstones
+            if not self.responsible_for(k) and path.contains_key(k, KEY_BITS)
+        )
+        for key in handed:
             self.tombstones.discard(key)
             self._tombstone_born.pop(key, None)
+        return handed
 
     def _evaluate_same_partition(
         self,
@@ -1058,6 +1077,7 @@ class PGridNode:
         if inflight != payload["nonce"] or self.path != payload["expected_path"]:
             return
         incoming = set(payload.get("keys", ()))
+        tombs = payload.get("tombstones")
         action = payload["action"]
         if action in ("split", "decide"):
             # Split: the partner took the other side itself; decide
@@ -1065,30 +1085,19 @@ class PGridNode:
             if payload["level"] == self.path.length:  # else: stale directive
                 counterpart = msg.src if action == "split" else payload["counterpart"]
                 self.outbox |= self._extend_path(payload["your_side"], counterpart)
-                self._accept_keys(incoming)
+                self._accept_keys(incoming, tombs)
             self._strike(True)
         elif action == "replicate":
-            tombs = payload.get("tombstones")
-            if tombs:
-                # The partner's death certificates win over our content.
-                self._note_tombstones(
-                    k for k in tombs if self.responsible_for(k)
-                )
-                self.keys -= self.tombstones
-            self._accept_keys(incoming)
+            self._accept_keys(incoming, tombs)
             self.replicas |= set(payload.get("replicas", ())) - {self.node_id}
             self._strike(bool(payload.get("useful")))
         elif action == "catch_up":
-            mine = {k for k in incoming if self.responsible_for(k)}
-            grew = bool(mine - self.keys)
-            self.keys |= mine
-            self.outbox |= incoming - mine
-            self._strike(grew)
+            self._strike(self._accept_keys(incoming, tombs))
         elif action == "again":
-            self._accept_keys(incoming)
+            self._accept_keys(incoming, tombs)
             self._strike(True)  # overloaded partition: keep trying
         elif action == "refer":
-            self._accept_keys(incoming)
+            self._accept_keys(incoming, tombs)
             level = payload["level"]
             if level < self.path.length:
                 self.add_route(level, msg.src)
@@ -1098,15 +1107,25 @@ class PGridNode:
                 return
             self._strike(False)
         else:  # noop (possibly a lagging-peer decision on the other side)
-            self._accept_keys(incoming)
+            self._accept_keys(incoming, tombs)
             self._strike(bool(payload.get("useful")))
 
-    def _accept_keys(self, incoming: Set[int]) -> None:
+    def _accept_keys(self, incoming: Set[int], tombstones=None) -> bool:
+        """Take the keys and death certificates a partner sent: ours
+        into the partition, other keys into the outbox.  Returns True
+        iff the partition gained a key."""
+        if tombstones:
+            # The partner's certificates win over our content; we keep
+            # those in our partition.
+            self._note_tombstones(k for k in tombstones if self.responsible_for(k))
+            self.keys -= self.tombstones
         mine = {k for k in incoming if self.responsible_for(k)}
         if self.tombstones:
             mine -= self.tombstones  # delete-wins: dead keys stay dead
+        grew = not mine <= self.keys
         self.keys |= mine
         self.outbox |= incoming - mine - self.tombstones
+        return grew
 
     # -- what one exchange hands to repro.core.fig2 (Sec. 4.2) -----------------
 

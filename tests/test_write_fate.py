@@ -4,11 +4,20 @@
 * **Hand-built histories** -- which keys the audit judges: a key whose
   last acked mutation overlapped an unacked one of the opposite kind is
   counted as ``acked_writes_concurrent``, not as a violation.
+* **Property** -- drawn restart scenarios on both backends lose no
+  acked write and resurrect no deleted key.  The nightly workflow runs
+  it at ``REPRO_FUZZ_EXAMPLES=200``.
 """
 
-import pytest
+import os
 
-from repro.scenarios import ScenarioRunner, scenario
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from repro.scenarios import ScenarioRunner, run_scenario, scenario
+
+#: Examples of the property; the nightly workflow raises it to 200.
+FUZZ_EXAMPLES = os.environ.get("REPRO_FUZZ_EXAMPLES")
 
 KEY = 7377797767892117
 
@@ -88,3 +97,25 @@ class TestAuditedKeys:
         assert audit(history) == {
             "lost": 0, "resurrected": 0, "tracked": 0, "concurrent": 0,
         }
+
+
+# -- property: restart scenarios keep every acked write's fate ------------------
+
+
+@settings(derandomize=True, max_examples=int(FUZZ_EXAMPLES or 10), deadline=None)
+@given(
+    name=st.sampled_from(["restart-storm", "rolling-deploy"]),
+    n_peers=st.integers(32, 96),
+    seed=st.integers(1, 2**16),
+    duration_scale=st.floats(0.2, 0.3),
+)
+# A late insert retry against an acked delete, and a split that shed the
+# only certificates of a deleted key: both were flagged before the fixes.
+@example(name="restart-storm", n_peers=32, seed=1, duration_scale=0.2)
+@example(name="restart-storm", n_peers=96, seed=9, duration_scale=0.2)
+def test_restart_scenarios_keep_acked_writes(name, n_peers, seed, duration_scale):
+    spec = scenario(name, n_peers=n_peers, seed=seed, duration_scale=duration_scale)
+    for backend in ("dataplane", "message"):
+        rec = run_scenario(spec, backend=backend).recovery
+        assert rec["lost_acked_writes"] == 0, backend
+        assert rec["tombstone_resurrections"] == 0, backend

@@ -372,6 +372,68 @@ class TestMessageWriteProtocol:
         assert nodes[4]._tombstone_born == born
 
 
+class _Split:
+    """A node rng that always splits, and always takes side 1."""
+
+    def random(self):
+        return 0.0
+
+    def randrange(self, n):
+        return 1
+
+
+def two_node_split():
+    """Two replicas of partition ``1``; the contacted one (1) holds the
+    death certificate of ``dead`` in ``10``, the initiator (0) still
+    holds the key.  Both are overloaded at ``d_max=2``."""
+    sim = Simulator()
+    net = Network(sim, latency=ConstantLatency(0.01), loss_rate=0.0, rng=1)
+    config = NodeConfig(n_min=1, d_max=2.0)
+    dead = float_to_key(0.6)
+    held = (
+        [float_to_key(f) for f in (0.52, 0.56, 0.8, 0.85)] + [dead],
+        [float_to_key(f) for f in (0.64, 0.7, 0.9, 0.95)],
+    )
+    nodes = []
+    for node_id, keys in enumerate(held):
+        node = PGridNode(node_id, sim, net, config=config, rng=node_id + 1)
+        node.path = Path.from_string("1")
+        node.keys = set(keys)
+        node.joined = True
+        nodes.append(node)
+    nodes[1].apply_mutation("delete", dead)
+    nodes[1].rng = _Split()
+    return sim, nodes, dead
+
+
+class TestSplitHandsOverTombstones:
+    def test_the_partner_taking_the_other_side_gets_the_certificate(self):
+        sim, (initiator, contacted), dead = two_node_split()
+        initiator.initiate_exchange(1)
+        sim.run_until(5.0)
+        assert (str(initiator.path), str(contacted.path)) == ("10", "11")
+        # The certificate went with the displaced keys and killed the
+        # stale copy; nobody is left holding it outside its partition.
+        assert dead not in initiator.keys and dead in initiator.tombstones
+        assert not contacted.tombstones
+
+    def test_a_waiting_certificate_goes_to_a_partner_of_its_partition(self):
+        sim, (initiator, contacted), dead = two_node_split()
+        # The contacted node is the one that moved away, with no
+        # partner to take the certificate: it waits, like an outbox key.
+        contacted._extend_path(1, None)
+        assert dead in contacted.tombstones
+        initiator.path = Path.from_string("0")  # not its partition
+        initiator.initiate_exchange(1)
+        sim.run_until(5.0)
+        assert dead in contacted.tombstones and dead in initiator.keys
+        initiator.path = Path.from_string("10")
+        initiator.initiate_exchange(1)
+        sim.run_until(10.0)
+        assert dead not in contacted.tombstones
+        assert dead not in initiator.keys and dead in initiator.tombstones
+
+
 def write_spec(n_peers=48, *, phase_kwargs=None, **mix_kwargs):
     mix_kwargs.setdefault("write_rate", 2.0)
     return ScenarioSpec(
