@@ -296,14 +296,21 @@ class ReferenceTable(RoutingTable):
         if ref in self.strikes or ref in self.probe_nonce:
             if self.strikes.pop(ref, None) is None:
                 # Our probe of a reference we did not suspect is
-                # answered (by whatever arrives from it first): it has
-                # earned a longer wait.  Passive traffic -- no probe in
-                # flight -- never gets here.
-                self.confirm_interval[ref] = min(
-                    2.0 * self.confirm_interval.get(ref, CONFIRM_INTERVAL_S),
-                    CONFIRM_INTERVAL_MAX_S,
-                )
+                # answered (by whatever arrives from it first).  Passive
+                # traffic -- no probe in flight -- never gets here.
+                self.note_answered(ref, now)
             self.probe_nonce.pop(ref, None)
+
+    def note_answered(self, ref: int, now: float) -> None:
+        """``ref``, unsuspected, answered a probe: a ``pong`` (or
+        whatever arrived from it first), or the accepted connect of a
+        forward through it while :meth:`needs_confirmation` held.  Its
+        confirmation is stamped and it has earned a longer wait."""
+        self.last_confirmed[ref] = now
+        self.confirm_interval[ref] = min(
+            2.0 * self.confirm_interval.get(ref, CONFIRM_INTERVAL_S),
+            CONFIRM_INTERVAL_MAX_S,
+        )
 
     def _strike(self, ref: int) -> int:
         """One more strike: the reference stops covering its level and
@@ -330,7 +337,8 @@ class ReferenceTable(RoutingTable):
         )
 
     def needs_confirmation(self, ref: int, now: float) -> bool:
-        """Confirm-on-use: should forwarding to ``ref`` trigger a ping?"""
+        """Confirm-on-use: is a forward through ``ref`` the probe its
+        lapsed confirmation is due?"""
         if ref in self.probe_nonce:
             return False
         # Asked once per forwarded message: no interval is shorter than

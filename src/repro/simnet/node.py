@@ -615,23 +615,31 @@ class PGridNode:
 
         Returns the reference the message left through (loss is silent
         to the sender, so a lost message still counts as forwarded) or
-        ``None`` on a dead end.  A reference silent for a while is
-        pinged as it is used (probing tracks the traffic we send, not a
-        global scan), and a send-time refusal (offline or
-        partitioned destination: the connect visibly failed) marks it
-        suspect -- usually evicting it on the spot via the probe cascade
-        -- and immediately re-picks: the paper's lazy *correction on
-        use* applied at the wire, bounded by the per-level redundancy.
+        ``None`` on a dead end.  The connect is the probe: a send-time
+        refusal (offline or partitioned destination) marks the
+        reference suspect -- usually evicting it on the spot via the
+        probe cascade -- and immediately re-picks, the paper's lazy
+        *correction on use* applied at the wire, bounded by the
+        per-level redundancy; an accepted connect to a reference whose
+        confirmation has lapsed confirms it as an answered ``ping``
+        would (:meth:`ReferenceTable.note_answered`).  Only a node short
+        of references still pings on use, for the ``pong``'s gossip.
         """
         liveness = self.liveness
         for _ in range(self.config.max_refs_per_level + 1):
             nxt = liveness.pick(level, self.rng)
             if nxt is None:
                 return None
-            if self.online and liveness.needs_confirmation(nxt, self.sim.now):
+            lapsed = self.online and liveness.needs_confirmation(nxt, self.sim.now)
+            if lapsed and liveness.short_of_refs(self.path.length):
                 self._send_probe(nxt)
+                lapsed = False
             cause = self.send(nxt, kind, payload, n_keys=n_keys)
-            if cause in (None, "loss", "offline"):
+            if cause is None:
+                if lapsed:
+                    liveness.note_answered(nxt, self.sim.now)
+                return nxt
+            if cause in ("loss", "offline"):
                 return nxt
             # refused/partition: try another reference.
         return None

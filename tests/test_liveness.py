@@ -10,8 +10,9 @@ Four layers:
 * **Wire protocol tests** -- hand-built overlays driving the evidence
   paths: refused connects, partition refusals (set_partitions drops are
   *visible* to the sender's routing state), ping/pong probing,
-  confirm-on-use staleness probing, gossip replenishment on exchanges
-  and (on demand) pongs, and the per-level refresh sweep.
+  confirm-by-connect on use (a ping only for a node short of
+  references), gossip replenishment on exchanges and (on demand) pongs,
+  and the per-level refresh sweep.
 * **Scenario-level tests** -- query success through ``mass-leave`` on
   the message backend, repair counters in ``message_level.repair``,
   probe bytes billed as maintenance, and structural invariants
@@ -435,6 +436,103 @@ class TestWireEvidence:
         assert 3 in nodes[0].liveness.probe_nonce  # chain restarted
         sim.run_until(30.0)
         assert not nodes[0].liveness.suspected(3)  # node 3 answered
+
+
+def record_sends(net):
+    """Every ``(src, dst, kind, payload)`` put to ``net`` from now on."""
+    sent = []
+    send = net.send
+
+    def spy(src, dst, kind, payload, **kwargs):
+        sent.append((src, dst, kind, payload))
+        return send(src, dst, kind, payload, **kwargs)
+
+    net.send = spy
+    return sent
+
+
+def forward_query(sim, node, key):
+    """Issue a query at ``node`` and run only its first forward (the
+    zero-delay first attempt; nothing is delivered yet)."""
+    node.issue_query(key)
+    sim.run_until(sim.now + 0.001)
+
+
+class _FirstPick(random.Random):
+    """A node rng that always picks a level's first reference."""
+
+    def _randbelow(self, n):
+        return 0
+
+
+class TestConfirmByConnect:
+    """A forward through a reference whose confirmation has lapsed is the
+    probe: its accepted connect confirms it as an answered ping would."""
+
+    KEY = float_to_key(0.9)  # leaves "00" at level 0
+
+    def test_accepted_connect_confirms_without_a_ping(self):
+        sim, net, nodes = build_wire(QUADRANTS, config=NodeConfig(max_refs_per_level=1))
+        node, table = nodes[0], nodes[0].liveness
+        assert node.routing == {0: [3], 1: [1]}
+        assert not table.short_of_refs(node.path.length)
+        sim.run_until(70.0)
+        assert table.needs_confirmation(3, sim.now)
+        sent = record_sends(net)
+        forward_query(sim, node, self.KEY)
+        assert [(s, d, k) for s, d, k, _ in sent] == [(0, 3, P.QUERY)]
+        assert table.last_confirmed[3] == 70.0
+        assert table.confirmed_until(3) == 70.0 + 2 * CONFIRM_INTERVAL_S
+        assert table.probes == 0
+
+    def test_refused_connect_still_strikes_probes_and_repicks(self):
+        sim, net, nodes = build_wire(
+            [("0", []), ("10", []), ("11", [self.KEY])],
+            config=NodeConfig(max_refs_per_level=2),
+        )
+        node, table = nodes[0], nodes[0].liveness
+        node.rng = _FirstPick()
+        assert node.routing == {0: [1, 2]}
+        assert not table.short_of_refs(node.path.length)
+        nodes[1].online = False
+        sim.run_until(70.0)
+        sent = record_sends(net)
+        forward_query(sim, node, self.KEY)
+        # The refused query strikes 1 and starts its probe, whose own
+        # refusal evicts it; the query is re-picked through 2.  The
+        # eviction left the level short, so 2 is pinged for gossip.
+        assert [(s, d, k) for s, d, k, _ in sent] == [
+            (0, 1, P.QUERY), (0, 1, P.PING), (0, 2, P.PING), (0, 2, P.QUERY),
+        ]
+        assert (table.suspects, table.probes, table.evictions) == (1, 2, 1)
+        assert node.routing == {0: [2]} and sent[2][3]["want"] is True
+
+    def test_a_node_short_of_references_still_pings_for_gossip(self):
+        sim, net, nodes = build_wire(QUADRANTS)
+        node, table = nodes[0], nodes[0].liveness
+        node.routing = {0: [2], 1: [1]}  # short: gossip has room
+        sim.run_until(70.0)
+        sent = record_sends(net)
+        forward_query(sim, node, self.KEY)
+        assert [(s, d, k) for s, d, k, _ in sent] == [(0, 2, P.PING), (0, 2, P.QUERY)]
+        assert sent[0][3]["want"] is True
+        assert 2 in table.probe_nonce and 2 not in table.last_confirmed
+        sim.run_until(71.0)
+        # The pong confirmed 2 (and backed it off) and gossiped 3.
+        assert table.confirmed_until(2) > 70.0 + 2 * CONFIRM_INTERVAL_S
+        assert node.routing[0] == [2, 3] and table.replacements == 1
+
+    def test_a_restored_nodes_first_forward_confirms_the_reference(self):
+        sim, net, nodes = build_wire(QUADRANTS, config=NodeConfig(max_refs_per_level=1))
+        node, table = nodes[0], nodes[0].liveness
+        sim.run_until(10.0)
+        node.restore_state(node.snapshot_state())
+        assert table.needs_confirmation(3, sim.now)  # restored unconfirmed
+        sent = record_sends(net)
+        forward_query(sim, node, self.KEY)
+        assert [k for _, _, k, _ in sent] == [P.QUERY]
+        assert not table.needs_confirmation(3, sim.now)
+        assert table.confirmed_until(3) == 10.0 + 2 * CONFIRM_INTERVAL_S
 
 
 # -- gossip placement against the per-level reference --------------------------
