@@ -72,8 +72,10 @@ Restoring a snapshot makes the peer *operational*, not *trusted*:
    ``last_confirmed`` stamp is rebased and capped so
    :meth:`~repro.pgrid.liveness.ReferenceTable.needs_confirmation` is
    immediately true.  Every level has therefore lapsed: the next
-   ``refresh_routes`` pass probes one reference per level, and the
-   spares are confirmed on first use instead of being trusted blindly.
+   ``refresh_routes`` pass probes one reference per level, and a spare
+   is confirmed by the accepted connect of its first use (struck by a
+   refused one) instead of being trusted blindly -- or, while the node
+   is short of references, by the ``ping`` that use sends for gossip.
 3. Eviction cooldowns (``evicted_at``) are restored with their age so a
    ref evicted just before shutdown cannot be gossip-readded right
    after restore.

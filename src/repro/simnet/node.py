@@ -1118,7 +1118,9 @@ class PGridNode:
             self._accept_keys(incoming, tombs)
             self._strike(bool(payload.get("useful")))
 
-    def _accept_keys(self, incoming: Set[int], tombstones=None) -> bool:
+    def _accept_keys(
+        self, incoming: Set[int], tombstones: Optional[List[int]] = None
+    ) -> bool:
         """Take the keys and death certificates a partner sent: ours
         into the partition, other keys into the outbox.  Returns True
         iff the partition gained a key."""
