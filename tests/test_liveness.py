@@ -92,7 +92,8 @@ class TestReferenceTable:
         assert t.probe_expired(7, nonce) == "evict"  # strike 2
 
     def test_fresh_probe_chain_takes_two_silences(self):
-        # A confirm-on-use probe starts with no failure evidence.
+        # A probe of an unsuspected reference (the sweep's, or a short
+        # node's use-ping) starts with no failure evidence.
         t = table_of(7)
         nonce = t.begin_probe(7)
         assert t.probe_expired(7, nonce) == "probe"
