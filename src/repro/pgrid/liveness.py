@@ -24,20 +24,21 @@ evidence comes from:
   liveness from the traffic it already sends, Kademlia-style: every
   query timeout or partition-refused send marks the used reference
   suspect, every delivered message refreshes the sender, suspects are
-  probed with ``ping``/``pong`` and evicted after :data:`EVICT_AFTER`
-  silent probes, and evicted references are replaced by candidate
-  references gossiped on anti-entropy exchanges.
+  probed with a ``ping`` whose connect decides them -- an accepted one
+  clears the strike, a refused one strikes again, and
+  :data:`EVICT_AFTER` strikes evict -- and evicted references are
+  replaced by candidate references gossiped on anti-entropy exchanges.
 
 Who owns what on the wire
 -------------------------
 :class:`ReferenceTable` is a node's whole routing state: the levels,
 the per-reference beliefs, the trusted pick, gossip out and in, what a
 snapshot keeps, and the refresh sweep with its skip cache.  The node
-owns what needs a path or a simulator: the level a key leaves through,
-the ``ping``s the table says are due, their timers.  The scenario
-runner and :mod:`repro.pgrid.state` go through the table's methods;
-``tests/test_reference_table_scan.py`` fails if another file under
-``src/`` names the belief dicts or the cache field.
+owns what needs a path or a transport: the level a key leaves through,
+the ``ping``s the table says are due, and what their connects said.
+The scenario runner and :mod:`repro.pgrid.state` go through the
+table's methods; ``tests/test_reference_table_scan.py`` fails if
+another file under ``src/`` names the belief dicts or the cache field.
 
 What a probe is for
 -------------------
@@ -51,11 +52,10 @@ staleness test (:meth:`ReferenceTable.confirmed_until`) behind both
 probe sources, the sweep and use:
 
 1. **One confirmed reference per level.**  A reference is *covered*
-   while a probe to it is in flight, or while it is unsuspected and its
-   last confirmation has not run out.  The sweep probes a level only
-   when nothing in it is covered, and then its stalest reference, so
-   successive lapses rotate through the spares: a dead one is found
-   once rotation reaches it, one per lapse.
+   while it is unsuspected and its last confirmation has not run out.
+   The sweep probes a level only when nothing in it is covered, and
+   then its stalest reference, so successive lapses rotate through the
+   spares: a dead one is found once rotation reaches it, one per lapse.
 2. **Back-off on success, reset on a strike.**  A confirmation is good
    for :data:`CONFIRM_INTERVAL_S`, doubled each time one of our probes
    to an unsuspected reference is answered, up to
@@ -65,16 +65,22 @@ probe sources, the sweep and use:
    strike, eviction or restart (:meth:`ReferenceTable.wipe`) returns
    the reference to the base.
 3. **Gossip on demand.**  A ``ping`` says whether the prober has a
-   level short of references (``want``); only then does the ``pong``
-   carry :data:`GOSSIP_REFS` candidates per level, otherwise it is a
-   bare header.
-4. **The connect is the use-probe.**  A forward through a reference
-   whose confirmation has lapsed (:meth:`ReferenceTable.needs_confirmation`)
-   learns at send time what a ``ping`` would: a refused connect strikes
-   it, and an accepted one confirms it as an answered probe does
-   (:meth:`ReferenceTable.note_answered`: stamped, interval doubled).
-   Only a node short of references still pings on use, because then
-   what it asks for is the ``pong``'s gossip.
+   level short of references (``want``); only then is it answered, by a
+   ``pong`` carrying :data:`GOSSIP_REFS` candidates per level.
+4. **The connect is every probe's verdict.**  The transport refuses a
+   connect to an offline or partitioned peer *before* it draws random
+   loss, so an accepted connect proves the reference online, and a
+   ``pong`` would add nothing to it.  A ``ping`` -- the sweep's, a
+   suspect's, or the use-ping below -- is therefore decided the instant
+   it is sent: accepted (delivered or silently lost, the sender cannot
+   tell) it is answered (:meth:`ReferenceTable.note_answered`: a
+   suspect is cleared, an unsuspected reference stamped and its interval
+   doubled); refused, it strikes, and :data:`EVICT_AFTER` strikes evict
+   on the spot.  Nothing waits for a ``pong`` and no probe arms a
+   timer.  A forward through a reference whose confirmation has lapsed
+   (:meth:`ReferenceTable.needs_confirmation`) is the same probe riding
+   on the message itself.  Only a node short of references still pings
+   on use, because then what it asks for is the ``pong``'s gossip.
 
 Measured against the rule this replaced (every reference silent for
 60 s is stale, eight probed per node per tick), 18 library scenarios at
@@ -85,16 +91,31 @@ rotation or use reaches them (none -> 511 of 10,394 references at the
 end of ``mass-leave``).  The report's ``message_level.repair`` audits
 both (``dark_levels_final``, ``dead_refs_final``).
 
-Rule 4 then replaced the ``ping`` a forward used to send beside its
-message.  Over the same 18 scenarios with seeds 1-6 (N=512,
-``duration_scale=0.5``): maintenance bytes 397.9 -> 324.1 MB summed,
-no scenario's mean query or write success rate lower by more than
-0.0015, levels with no live reference 304 -> 297 and dead references
-9,998 -> 9,918 summed at the end.  A node short of references keeps
-its use-ping: dropping it too cuts the bytes to 253.4 MB, but short
-nodes lose their gossip -- mean success falls by 0.0027 on
-``regional-outage`` (about 5 paired standard errors) and 0.0023 on
-``correlated-churn``, and 324 levels end with no live reference.
+Rule 4's first form, the forward's connect as its use-probe, then
+replaced the ``ping`` a forward used to send beside its message.  Over
+the same 18 scenarios with seeds 1-6 (N=512, ``duration_scale=0.5``):
+maintenance bytes 397.9 -> 324.1 MB summed, no scenario's mean query or
+write success rate lower by more than 0.0015, levels with no live
+reference 304 -> 297 and dead references 9,998 -> 9,918 summed at the
+end.  A node short of references keeps its use-ping: dropping it too
+cuts the bytes to 253.4 MB, but short nodes lose their gossip -- mean
+success falls by 0.0027 on ``regional-outage`` (about 5 paired standard
+errors) and 0.0023 on ``correlated-churn``, and 324 levels end with no
+live reference.
+
+Deciding every ``ping`` at its connect (rule 4 as it stands), not at
+its ``pong`` or a 10 s timer, then took the wait out of the probe.
+Same 18 scenarios, seeds 1-6, N=512, ``duration_scale=0.5``:
+maintenance bytes 324.1 -> 280.3 MB summed (0.865x), messages 0.909x,
+levels with no live reference 297 -> 289 and dead references 9,918 ->
+9,746 summed at the end.  No scenario's mean query or write success
+rate fell by more than 0.0015 (``paper-sec51-churn``, paired standard
+error 0.0022; ``correlated-churn`` -0.0014, 0.0005).  More pings are
+sent -- a refused ``ping`` strikes once, so a fresh dead reference
+takes :data:`EVICT_AFTER` of them, where one used to strike twice --
+but no ``pong`` answers a ``ping`` that did not ask for gossip.
+Keeping a timer for a lost ``ping`` alone would keep a nonce and a
+timer per probe to react to a loss the sender cannot observe.
 """
 
 from __future__ import annotations
@@ -110,10 +131,8 @@ from .routing import RoutingTable
 __all__ = ["ReferenceTable", "repair_routes"]
 
 
-#: Strikes (failure evidence + silent probes) before eviction.
+#: Strikes (timeouts and refused connects) before eviction.
 EVICT_AFTER = 2
-#: Seconds a probe waits for its ``pong`` before striking.
-PROBE_TIMEOUT_S = 10.0
 #: Seconds a confirmation of a reference is good for until the
 #: reference has earned more: the base of the per-reference confirm
 #: interval, and what every strike, eviction and restart returns it to.
@@ -139,10 +158,12 @@ class ReferenceTable(RoutingTable):
     """One wire node's routing references and what it believes of them.
 
     States per reference: *live* (no strikes), *suspect* (>=1 strike;
-    queries route around it while a probe chain decides), *evicted*
-    (removed from every level; only gossip re-adds it).  Pure
-    bookkeeping -- the owning node sends the pings and arms the timers
-    -- so it is unit-testable without a node or a simulator.
+    queries route around it until a probe decides), *evicted* (removed
+    from every level; only gossip re-adds it).  An online node probes a
+    suspect at once and the connect decides it, so strikes outlast the
+    instant they are taken only while the node is offline.  Pure
+    bookkeeping -- the owning node sends the pings and reports their
+    connects -- so it is unit-testable without a node or a simulator.
 
     Whatever can leave a level without cover sooner than the last sweep
     computed is a method of this class and calls :meth:`_uncover`: the
@@ -160,8 +181,6 @@ class ReferenceTable(RoutingTable):
         #: Accumulated failure evidence per reference (never a zero
         #: count: the keys are exactly the suspects).
         self.strikes: Dict[int, int] = {}
-        #: Outstanding probe nonce per reference (at most one in flight).
-        self.probe_nonce: Dict[int, int] = {}
         #: Last time any message from the reference was delivered to us.
         self.last_confirmed: Dict[int, float] = {}
         #: Confirm interval of each reference that has backed off
@@ -169,7 +188,6 @@ class ReferenceTable(RoutingTable):
         self.confirm_interval: Dict[int, float] = {}
         #: Eviction tombstones: when each reference was last evicted.
         self.evicted_at: Dict[int, float] = {}
-        self._nonce = 0
         #: The sweep's skip cache: the earliest instant a level can
         #: lapse, left by a sweep that found every level covered.
         self._lapse_at: Optional[float] = None
@@ -216,7 +234,7 @@ class ReferenceTable(RoutingTable):
 
     def pick(self, level: int, rng: random.Random) -> Optional[int]:
         """A random live-believed reference at ``level``.  Suspects are
-        routed around while a probe chain decides their fate -- unless
+        routed around until a probe decides their fate -- unless
         every reference there is suspect: gamble rather than dead-end."""
         return self.choose(level, rng, self.strikes)
 
@@ -304,6 +322,11 @@ class ReferenceTable(RoutingTable):
         """True while ``ref`` has unresolved failure evidence."""
         return ref in self.strikes
 
+    def struck(self) -> List[int]:
+        """The suspects, in id order: the strikes a node took while
+        offline, which it probes on its return."""
+        return sorted(self.strikes)
+
     def note_alive(self, ref: int, now: float) -> None:
         """A message from ``ref`` was delivered: refresh, clear suspicion."""
         self.last_confirmed[ref] = now
@@ -311,24 +334,21 @@ class ReferenceTable(RoutingTable):
         # always empty, so it is only touched when it holds something.
         if self.evicted_at:
             self.evicted_at.pop(ref, None)  # demonstrably back: clear tombstone
-        if ref in self.strikes or ref in self.probe_nonce:
-            if self.strikes.pop(ref, None) is None:
-                # Our probe of a reference we did not suspect is
-                # answered (by whatever arrives from it first).  Passive
-                # traffic -- no probe in flight -- never gets here.
-                self.note_answered(ref, now)
-            self.probe_nonce.pop(ref, None)
+        if ref in self.strikes:
+            del self.strikes[ref]
 
     def note_answered(self, ref: int, now: float) -> None:
-        """``ref``, unsuspected, answered a probe: a ``pong`` (or
-        whatever arrived from it first), or the accepted connect of a
-        forward through it while :meth:`needs_confirmation` held.  Its
-        confirmation is stamped and it has earned a longer wait."""
+        """The connect of a probe of ``ref`` was accepted: a ``ping``,
+        or a forward through it while :meth:`needs_confirmation` held.
+        Its confirmation is stamped; a suspect is cleared (its strike
+        already returned it to the base), an unsuspected reference has
+        earned a longer wait."""
         self.last_confirmed[ref] = now
-        self.confirm_interval[ref] = min(
-            2.0 * self.confirm_interval.get(ref, CONFIRM_INTERVAL_S),
-            CONFIRM_INTERVAL_MAX_S,
-        )
+        if self.strikes.pop(ref, None) is None:
+            self.confirm_interval[ref] = min(
+                2.0 * self.confirm_interval.get(ref, CONFIRM_INTERVAL_S),
+                CONFIRM_INTERVAL_MAX_S,
+            )
 
     def _strike(self, ref: int) -> int:
         """One more strike: the reference stops covering its level and
@@ -338,15 +358,21 @@ class ReferenceTable(RoutingTable):
         self.confirm_interval.pop(ref, None)
         return strikes
 
-    def strike(self, ref: int) -> bool:
+    def strike(self, ref: int, now: float) -> bool:
         """Failure evidence (a timeout, a refused connect) against
-        ``ref``; returns True if a probe should start.  Evidence against
-        a stranger is dropped: there is nothing to repair."""
+        ``ref``; returns True if a probe should decide it.  The
+        :data:`EVICT_AFTER`-th strike evicts on the spot instead.
+        Evidence against a stranger is dropped: there is nothing to
+        repair."""
         if ref not in self:
             return False
-        if self._strike(ref) == 1:
+        strikes = self._strike(ref)
+        if strikes == 1:
             self.suspects += 1
-        return ref not in self.probe_nonce
+        if strikes >= EVICT_AFTER:
+            self.evict(ref, now)
+            return False
+        return True
 
     def confirmed_until(self, ref: int) -> float:
         """The instant ``ref``'s last confirmation runs out."""
@@ -357,45 +383,12 @@ class ReferenceTable(RoutingTable):
     def needs_confirmation(self, ref: int, now: float) -> bool:
         """Confirm-on-use: is a forward through ``ref`` the probe its
         lapsed confirmation is due?"""
-        if ref in self.probe_nonce:
-            return False
         # Asked once per forwarded message: no interval is shorter than
         # the base, so a reference heard from within it is settled
         # without a second lookup.
         if now - self.last_confirmed.get(ref, 0.0) < CONFIRM_INTERVAL_S:
             return False
         return now >= self.confirmed_until(ref)
-
-    # -- probe chain -------------------------------------------------------
-
-    def begin_probe(self, ref: int) -> int:
-        """Register one in-flight probe; returns its nonce."""
-        self._nonce += 1
-        self.probe_nonce[ref] = self._nonce
-        self.probes += 1
-        return self._nonce
-
-    def probe_expired(self, ref: int, nonce: int) -> str:
-        """Probe timer fired: ``""`` (stale), ``"probe"`` or ``"evict"``."""
-        if self.probe_nonce.get(ref) != nonce:
-            return ""  # answered or superseded in the meantime
-        del self.probe_nonce[ref]
-        if self._strike(ref) >= EVICT_AFTER:
-            return "evict"
-        return "probe"
-
-    def cancel_probe(self, ref: int, nonce: int) -> None:
-        """Void an in-flight probe without striking (e.g. we went
-        offline and could never have heard the pong)."""
-        if self.probe_nonce.get(ref) == nonce:
-            del self.probe_nonce[ref]
-            self._uncover()  # it covered its level, and no strike says so
-
-    def unprobed_suspects(self) -> List[int]:
-        """Suspects with no probe in flight (their chain was voided by
-        our own absence), in id order: restart them, or they stay
-        suspect -- and routed around -- forever."""
-        return [ref for ref in sorted(self.strikes) if ref not in self.probe_nonce]
 
     def evict(self, ref: int, now: float) -> None:
         """Drop a dead-believed reference from every level and reset
@@ -404,7 +397,6 @@ class ReferenceTable(RoutingTable):
         and leave a tombstone against gossip from slower peers."""
         self._uncover()
         self.strikes.pop(ref, None)
-        self.probe_nonce.pop(ref, None)
         if ref in self:
             self.remove(ref)
             self.evictions += 1
@@ -424,37 +416,29 @@ class ReferenceTable(RoutingTable):
 
         A level routes as long as one reference in it is alive, so that
         is all the sweep pays for: a level has lapsed when no reference
-        in it is *covered* -- has a probe in flight, or is unsuspected
-        with a confirmation that has not run out
-        (:meth:`confirmed_until`).  Successive lapses of a level rotate
-        through its references, stalest first, so dead spares are still
-        found, one per lapse; use finds the rest.  At most
-        :data:`REFRESH_PROBES` are due per sweep, stalest level first.
+        in it is *covered* -- is unsuspected with a confirmation that
+        has not run out (:meth:`confirmed_until`).  Successive lapses of
+        a level rotate through its references, stalest first, so dead
+        spares are still found, one per lapse; use finds the rest.  At
+        most :data:`REFRESH_PROBES` are due per sweep, stalest level
+        first.
         """
         lapse_at = self._lapse_at
         if lapse_at is not None and now < lapse_at:
             # A previous sweep found every level covered until then, and
             # whatever could uncover one sooner called _uncover.
             return []
-        in_flight = self.probe_nonce
         strikes = self.strikes
         confirmed_until = self.confirmed_until
         last_confirmed_get = self.last_confirmed.get
-        # A probe in flight covers its level until it is answered (the
-        # confirmation then lasts at least the base interval) or ends
-        # in a strike or a cancellation (both uncover).
-        in_flight_until = now + CONFIRM_INTERVAL_S
         lapsed = []
         lapse_at = None
         for refs in self.levels.values():
             until = now  # when this level's cover runs out
             for ref in refs:
-                if ref in in_flight:
-                    ref_until = in_flight_until
-                elif ref in strikes:
+                if ref in strikes:
                     continue
-                else:
-                    ref_until = confirmed_until(ref)
+                ref_until = confirmed_until(ref)
                 if ref_until > until:
                     until = ref_until
             if until > now:
@@ -477,7 +461,6 @@ class ReferenceTable(RoutingTable):
         cold."""
         self._uncover()
         self.strikes.clear()
-        self.probe_nonce.clear()
         self.last_confirmed.clear()
         self.confirm_interval.clear()
         self.evicted_at.clear()
@@ -486,8 +469,8 @@ class ReferenceTable(RoutingTable):
         """What a snapshot keeps, as ``[ref, age_s]`` pairs in id order:
         the confirmation of each current reference (never heard from =
         confirmed at time 0; strangers' stamps are left out) and the
-        eviction tombstones.  Strikes, probes in flight and earned
-        back-off do not survive a process restart."""
+        eviction tombstones.  Strikes and earned back-off do not
+        survive a process restart."""
         last_confirmed_get = self.last_confirmed.get
         return (
             [
@@ -504,8 +487,8 @@ class ReferenceTable(RoutingTable):
         self.install(levels)
         self.last_confirmed = {
             # Rebase, then cap so needs_confirmation() is True for every
-            # restored ref: they are handed to the probe machinery,
-            # never trusted blindly.
+            # restored ref: the first probe or forward through each
+            # decides it, none is trusted blindly.
             ref: min(now - age, now - CONFIRM_INTERVAL_S)
             for ref, age in confirmed
         }

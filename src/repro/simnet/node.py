@@ -32,8 +32,8 @@ would leave every finished operation to the cyclic collector.
 **Routing references.**  ``liveness`` is the node's
 :class:`~repro.pgrid.liveness.ReferenceTable`: levels (``routing`` is
 their view), per-reference beliefs, the refresh sweep.  The node does
-what needs a path or a simulator -- the level a key leaves through, the
-``ping``s and their timers -- and tells the table what happened.  The
+what needs a path or a transport -- the level a key leaves through, the
+``ping``s -- and tells the table what their connects said.  The
 level is computed once per hop (``_level_toward``: ``None`` means this
 node is responsible) and handed to ``_relay``, which asks the table for
 a reference at it on every try.
@@ -75,7 +75,7 @@ from .._util import RngLike, make_rng
 from ..core import fig2
 from ..pgrid.bits import Path, ROOT
 from ..pgrid.keyspace import KEY_BITS, bit_at
-from ..pgrid.liveness import PROBE_TIMEOUT_S, ReferenceTable
+from ..pgrid.liveness import ReferenceTable
 from ..pgrid.serving import (
     REPLICA_BOOST,
     RESULT_CAPACITY,
@@ -418,9 +418,9 @@ class PGridNode:
     def set_online(self, online: bool, *, warm: bool = False) -> None:
         """Churn hook: toggling availability clears in-flight handshakes.
 
-        Coming back online restarts the probe chain of every suspect
-        whose probes were voided by our own absence -- otherwise a
-        reference could stay suspect (and routed around) forever.
+        Coming back online probes every reference struck while we
+        were offline -- otherwise a reference could stay suspect (and
+        routed around) forever.
 
         ``warm=True`` is the warm-rejoin path after
         :meth:`restore_state`: instead of the cold sponsored join, the
@@ -435,7 +435,7 @@ class PGridNode:
         if not online:
             self._inflight_exchange = None
             return
-        for ref in self.liveness.unprobed_suspects():
+        for ref in self.liveness.struck():
             self._send_probe(ref)
         if warm:
             partners = sorted(self.replicas - {self.node_id})
@@ -524,75 +524,57 @@ class PGridNode:
 
     # -- liveness & route repair (pgrid.liveness, evidence-driven) -----------
     #
-    # suspect: failure evidence (query timeout, partition-refused send)
-    #          -> route around the reference, start a ping probe chain;
-    # probe:   unanswered pings strike until ``EVICT_AFTER``;
-    # evict:   drop the reference from every level;
-    # replace: anti-entropy exchanges gossip candidate references per
-    #          level, refilling depleted levels (the wire analogue of the
-    #          data plane's replenishment sweep).
+    # suspect: failure evidence (query timeout, refused or partitioned
+    #          connect) -> route around the reference and ping it;
+    # probe:   the ping's connect is its verdict -- accepted clears the
+    #          strike, refused strikes again (no pong is awaited, no
+    #          timer armed);
+    # evict:   ``EVICT_AFTER`` strikes drop the reference from every level;
+    # replace: anti-entropy exchanges (and the pong of a ping that asked)
+    #          gossip candidate references per level, refilling depleted
+    #          levels (the wire analogue of the data plane's
+    #          replenishment sweep).
 
     def _suspect_ref(self, ref: int) -> None:
-        """Failure evidence against ``ref``: suspect it and start probing."""
-        if self.liveness.strike(ref) and self.online:
+        """Failure evidence against ``ref``: strike it (evicting at
+        ``EVICT_AFTER``) and let a probe decide the rest."""
+        if self.liveness.strike(ref, self.sim.now) and self.online:
             self._send_probe(ref)
 
     def _send_probe(self, ref: int) -> None:
-        nonce = self.liveness.begin_probe(ref)
-        self.liveness.repair_bytes += HEADER_BYTES
-        # ``want``: gossip on demand -- the pong carries replacement
-        # candidates only for a prober that has somewhere to put them.
-        want = self.liveness.short_of_refs(self.path.length)
-        cause = self.send(
-            ref, P.PING, {"nonce": nonce, "origin": self.node_id, "want": want}
-        )
-        if cause in ("refused", "partition"):
-            # The connect itself failed: the probe's verdict is in
-            # already, no need to wait out the timeout.  (Bounded
-            # recursion: each round strikes once, EVICT_AFTER caps it.)
-            self._probe_verdict(ref, nonce)
-            return
-        self.sim.schedule(
-            PROBE_TIMEOUT_S, lambda: self._probe_timeout(ref, nonce)
-        )
-
-    def _probe_verdict(self, ref: int, nonce: int) -> None:
-        action = self.liveness.probe_expired(ref, nonce)
-        if action == "probe":
-            self._send_probe(ref)
-        elif action == "evict":
-            self.liveness.evict(ref, self.sim.now)
-
-    def _probe_timeout(self, ref: int, nonce: int) -> None:
-        if not self.online:
-            # We could never have heard the pong: void, don't strike.
-            self.liveness.cancel_probe(ref, nonce)
-            return
-        self._probe_verdict(ref, nonce)
+        """Ping ``ref``; the connect is the verdict.  Accepted --
+        delivered or lost, which the sender cannot tell apart -- it is
+        an answered probe; refused, ``send`` strikes it (bounded
+        recursion: each round strikes once, ``EVICT_AFTER`` caps it)."""
+        liveness = self.liveness
+        liveness.probes += 1
+        liveness.repair_bytes += HEADER_BYTES
+        # ``want``: gossip on demand -- a pong, carrying replacement
+        # candidates, comes back only to a prober with room for them.
+        want = liveness.short_of_refs(self.path.length)
+        cause = self.send(ref, P.PING, {"want": want})
+        if cause is None or cause == "loss":
+            liveness.note_answered(ref, self.sim.now)
 
     def _on_ping(self, msg: Message) -> None:
-        # The pong proves liveness; for a prober short of references
-        # (``want``) it also gossips replacement candidates back --
-        # otherwise it is header-only, nothing built and nothing billed.
-        payload = {"nonce": msg.payload["nonce"]}
-        n_refs = 0
-        if msg.payload.get("want"):
-            # The path travels as the ``Path`` itself, not as text the
-            # prober would parse back (its wire size is part of the
-            # header either way: only ``n_refs`` is billed).
-            payload["path"] = self.path
-            payload["gossip"], n_refs = self.liveness.gossip()
+        # Liveness was settled at the prober's connect: a pong exists
+        # only to carry gossip to a prober short of references.
+        if not msg.payload["want"]:
+            return
+        gossip, n_refs = self.liveness.gossip()
         self.liveness.repair_bytes += HEADER_BYTES + n_refs * REF_BYTES
-        self.send(msg.src, P.PONG, payload, n_refs=n_refs)
+        # The path travels as the ``Path`` itself, not as text the
+        # prober would parse back (its wire size is part of the header
+        # either way: only ``n_refs`` is billed).
+        self.send(msg.src, P.PONG, {"path": self.path, "gossip": gossip}, n_refs=n_refs)
 
     def _on_pong(self, msg: Message) -> None:
-        # Proof of life is recorded generically in ``receive``; absorb
-        # the replacement candidates, if our ping asked for any (a
-        # root-path sender has no levels to place them at).  ``path`` is
-        # the sender's own ``Path`` object, shared by reference:
-        # immutable, so neither side can change it under the other.
-        gossip = msg.payload.get("gossip")
-        path = msg.payload.get("path")
+        # Absorb the replacement candidates (a root-path sender has no
+        # levels to place them at).  ``path`` is the sender's own
+        # ``Path`` object, shared by reference: immutable, so neither
+        # side can change it under the other.
+        gossip = msg.payload["gossip"]
+        path = msg.payload["path"]
         if gossip and path:
             self.liveness.accept_gossip(self.path, path, gossip, self.sim.now)
 
@@ -618,12 +600,13 @@ class PGridNode:
         ``None`` on a dead end.  The connect is the probe: a send-time
         refusal (offline or partitioned destination) marks the
         reference suspect -- usually evicting it on the spot via the
-        probe cascade -- and immediately re-picks, the paper's lazy
+        probe it starts -- and immediately re-picks, the paper's lazy
         *correction on use* applied at the wire, bounded by the
-        per-level redundancy; an accepted connect to a reference whose
-        confirmation has lapsed confirms it as an answered ``ping``
-        would (:meth:`ReferenceTable.note_answered`).  Only a node short
-        of references still pings on use, for the ``pong``'s gossip.
+        per-level redundancy; an accepted connect (lost or not) to a
+        reference whose confirmation has lapsed confirms it as an
+        accepted ``ping`` would (:meth:`ReferenceTable.note_answered`).
+        Only a node short of references still pings on use, for the
+        ``pong``'s gossip.
         """
         liveness = self.liveness
         for _ in range(self.config.max_refs_per_level + 1):
@@ -635,11 +618,11 @@ class PGridNode:
                 self._send_probe(nxt)
                 lapsed = False
             cause = self.send(nxt, kind, payload, n_keys=n_keys)
-            if cause is None:
+            if cause is None or cause == "loss":
                 if lapsed:
                     liveness.note_answered(nxt, self.sim.now)
                 return nxt
-            if cause in ("loss", "offline"):
+            if cause == "offline":
                 return nxt
             # refused/partition: try another reference.
         return None

@@ -32,6 +32,7 @@ from repro.pgrid.keyspace import float_to_key
 from repro.pgrid.liveness import (
     CONFIRM_INTERVAL_MAX_S,
     CONFIRM_INTERVAL_S,
+    EVICT_AFTER,
     REFRESH_PROBES,
     ReferenceTable,
     repair_routes,
@@ -74,55 +75,42 @@ class TestReferenceTable:
     def test_failure_marks_suspect_and_requests_probe(self):
         t = table_of(7)
         assert not t.suspected(7)
-        assert t.strike(7) is True  # caller should probe
+        assert t.strike(7, now=0.0) is True  # caller should probe
         assert t.suspected(7)
         assert t.suspects == 1
 
-    def test_second_failure_does_not_request_concurrent_probe(self):
+    def test_second_strike_is_decided_not_probed_again(self):
         t = table_of(7)
-        t.strike(7)
-        t.begin_probe(7)
-        assert t.strike(7) is False  # probe already in flight
+        t.strike(7, now=0.0)
+        assert t.strike(7, now=0.0) is False  # evicted: nothing left to probe
         assert t.suspects == 1  # one suspect, however many strikes
 
-    def test_probe_chain_evicts_after_threshold(self):
+    def test_evict_after_strikes_threshold(self):
         t = table_of(7)
-        t.strike(7)  # strike 1
-        nonce = t.begin_probe(7)
-        assert t.probe_expired(7, nonce) == "evict"  # strike 2
+        for _ in range(EVICT_AFTER - 1):
+            assert t.strike(7, now=5.0)
+            assert 7 in t
+        assert not t.strike(7, now=5.0)
+        assert 7 not in t and t.evictions == 1
+        assert t.recently_evicted(7, now=5.0)
 
-    def test_fresh_probe_chain_takes_two_silences(self):
-        # A probe of an unsuspected reference (the sweep's, or a short
-        # node's use-ping) starts with no failure evidence.
+    def test_an_answered_probe_restarts_the_strike_count(self):
+        # A probe's accepted connect is the answer: the strikes before
+        # it do not count toward the next eviction.
         t = table_of(7)
-        nonce = t.begin_probe(7)
-        assert t.probe_expired(7, nonce) == "probe"
-        nonce = t.begin_probe(7)
-        assert t.probe_expired(7, nonce) == "evict"
+        t.strike(7, now=0.0)
+        t.note_answered(7, now=1.0)
+        assert not t.suspected(7)
+        assert t.strike(7, now=2.0)
+        assert 7 in t and t.evictions == 0
 
-    def test_alive_clears_suspicion_and_pending_probe(self):
+    def test_alive_clears_suspicion(self):
         t = table_of(7)
-        t.strike(7)
-        nonce = t.begin_probe(7)
+        t.strike(7, now=0.0)
         t.note_alive(7, now=12.0)
         assert not t.suspected(7)
-        assert t.probe_expired(7, nonce) == ""  # answered: timer is stale
         assert t.last_confirmed[7] == 12.0
-
-    def test_stale_nonce_is_ignored(self):
-        t = table_of(7)
-        old = t.begin_probe(7)
-        t.note_alive(7, now=1.0)
-        new = t.begin_probe(7)
-        assert t.probe_expired(7, old) == ""
-        assert t.probe_expired(7, new) == "probe"
-
-    def test_cancel_probe_voids_without_striking(self):
-        t = table_of(7)
-        nonce = t.begin_probe(7)
-        t.cancel_probe(7, nonce)
-        assert t.probe_expired(7, nonce) == ""
-        assert not t.suspected(7)
+        assert t.strike(7, now=13.0) and 7 in t  # the count starts over
 
     def test_needs_confirmation_tracks_staleness(self):
         t = table_of(7)
@@ -130,52 +118,37 @@ class TestReferenceTable:
         t.note_alive(7, now=100.0)
         assert not t.needs_confirmation(7, now=130.0)
         assert t.needs_confirmation(7, now=160.0)
-        t.begin_probe(7)
-        assert not t.needs_confirmation(7, now=500.0)  # probe in flight
+        t.note_answered(7, now=160.0)  # the accepted connect of a probe
+        assert not t.needs_confirmation(7, now=279.0)
+        assert t.needs_confirmation(7, now=280.0)
 
     def test_eviction_resets_state_for_gossip_readd(self):
         t = table_of(7)
-        t.strike(7)
-        t.begin_probe(7)
+        t.strike(7, now=0.0)
         t.evict(7, now=0.0)
         assert t.evictions == 1 and 7 not in t
         assert not t.suspected(7)
-        assert 7 not in t.probe_nonce
         assert t.recently_evicted(7, now=59.0) and not t.recently_evicted(7, now=60.0)
 
     def test_evicting_a_displaced_reference_only_clears_its_state(self):
         # Small fix kept from PR 18: the reference left the table while
-        # its probe chain ran (newer references displaced it).
+        # it was suspect (newer references displaced it).
         t = ReferenceTable(0, 1)
         t.add(0, 7)
-        t.strike(7)
-        t.begin_probe(7)
+        t.strike(7, now=0.0)
         t.add(0, 8)  # bound 1: displaces 7
         t.evict(7, now=5.0)
         assert t.evictions == 0 and not t.evicted_at
-        assert not t.suspected(7) and 7 not in t.probe_nonce
+        assert not t.suspected(7)
 
     def test_evidence_against_a_stranger_is_dropped(self):
         t = table_of(7)
-        assert t.strike(8) is False
+        assert t.strike(8, now=0.0) is False
         assert not t.suspected(8) and t.suspects == 0
 
     def test_the_owner_is_never_its_own_reference(self):
         t = table_of(7)
         assert not t.add(0, 0) and 0 not in t
-
-    def test_unprobed_suspects_are_those_whose_chain_was_voided(self):
-        t = table_of(5, 7, 9)
-        for ref in (9, 5, 7):
-            t.strike(ref)
-        t.cancel_probe(5, t.begin_probe(5))  # we were offline
-        t.begin_probe(7)
-        assert t.unprobed_suspects() == [5, 9]
-
-    @staticmethod
-    def answered_probe(t, ref, now):
-        t.begin_probe(ref)
-        t.note_alive(ref, now)
 
     @staticmethod
     def interval(t, ref):
@@ -187,7 +160,7 @@ class TestReferenceTable:
         assert t.needs_confirmation(7, now=60.0)  # due after the base
         now = 60.0
         for expected in (120.0, 240.0, 480.0, 960.0, 960.0):
-            self.answered_probe(t, 7, now)
+            t.note_answered(7, now)
             assert self.interval(t, 7) == expected
             assert not t.needs_confirmation(7, now + expected - 1.0)
             assert t.needs_confirmation(7, now + expected)
@@ -196,49 +169,47 @@ class TestReferenceTable:
 
     def test_passive_traffic_refreshes_without_doubling(self):
         t = table_of(7)
-        self.answered_probe(t, 7, 60.0)
-        t.note_alive(7, now=100.0)  # no probe of ours in flight
+        t.note_answered(7, 60.0)
+        t.note_alive(7, now=100.0)  # not a probe of ours
         assert t.last_confirmed[7] == 100.0
         assert self.interval(t, 7) == 120.0
         assert t.confirmed_until(7) == 220.0
 
-    @pytest.mark.parametrize("setback", ["strike", "silent_probe", "evict", "wipe"])
+    @pytest.mark.parametrize("setback", ["strike", "evict", "wipe", "restore"])
     def test_any_setback_returns_the_interval_to_the_base(self, setback):
         t = table_of(7)
         for now in (60.0, 180.0, 420.0):
-            self.answered_probe(t, 7, now)
+            t.note_answered(7, now)
         assert self.interval(t, 7) == 480.0
         if setback == "strike":
-            t.strike(7)
-        elif setback == "silent_probe":
-            assert t.probe_expired(7, t.begin_probe(7)) == "probe"
+            t.strike(7, now=500.0)
         elif setback == "evict":
             t.evict(7, now=500.0)
-        else:
+        elif setback == "wipe":
             t.wipe()
+        else:  # a warm restart: what a snapshot keeps comes back
+            t.restore(t.levels, *t.belief_ages(500.0), 500.0)
         assert self.interval(t, 7) == CONFIRM_INTERVAL_S
 
     def test_a_suspects_answer_clears_the_strike_and_does_not_double(self):
         t = table_of(7)
-        self.answered_probe(t, 7, 60.0)
-        assert t.strike(7)  # back to the base, suspect
-        self.answered_probe(t, 7, 200.0)
+        t.note_answered(7, 60.0)
+        assert t.strike(7, now=100.0)  # back to the base, suspect
+        t.note_answered(7, 200.0)
         assert not t.suspected(7)
         assert self.interval(t, 7) == CONFIRM_INTERVAL_S
 
     def test_wipe_forgets_beliefs_and_keeps_levels_and_counters(self):
         t = table_of(7, 8, 9)
-        self.answered_probe(t, 7, 60.0)
-        t.strike(8)
-        t.begin_probe(8)
+        t.note_answered(7, 60.0)
+        t.strike(8, now=60.0)
         t.evict(9, now=70.0)
         t.wipe()
         assert not (
-            t.strikes or t.probe_nonce or t.last_confirmed
-            or t.confirm_interval or t.evicted_at
+            t.strikes or t.last_confirmed or t.confirm_interval or t.evicted_at
         )
         assert t.levels == {0: [7, 8]}
-        assert (t.suspects, t.probes, t.evictions) == (1, 2, 1)
+        assert (t.suspects, t.evictions) == (1, 1)
 
     def test_install_copies_and_sorts_the_levels(self):
         t = table_of(7)
@@ -386,29 +357,27 @@ class TestWireEvidence:
         # One probe per lapsed level, to its stalest reference (ties go
         # to the lower id): 2 stands for level 0, the dead 3 is a spare.
         assert node.refresh_routes() == 2
-        assert set(tracker.probe_nonce) == {1, 2}
-        assert node.refresh_routes() == 0  # in flight: covered
-        sim.run_until(80.0)  # pongs are back
-        assert tracker.last_confirmed[1] > 0 and tracker.last_confirmed[2] > 0
+        # Their accepted connects answered them: both confirmed at once.
+        assert tracker.last_confirmed[1] == tracker.last_confirmed[2] == 70.0
+        assert node.refresh_routes() == 0  # covered
         assert tracker.evictions == 0 and 3 in node.routing[0]
         # The answers doubled the wait: nothing is due at the old cadence.
         sim.run_until(140.0)
         assert node.refresh_routes() == 0
         # Next lapse: rotation reaches the dead spare, whose refused
-        # connect evicts it on the spot.
+        # connects evict it on the spot.
         sim.run_until(195.0)
         assert node.refresh_routes() == 2
         assert tracker.evictions == 1
         assert node.routing == {0: [2], 1: [1]}
         # Level 0 is still unconfirmed; the following tick probes 2.
         assert node.refresh_routes() == 1
-        assert set(tracker.probe_nonce) == {1, 2}
-        sim.run_until(205.0)
+        assert tracker.last_confirmed[2] == 195.0
         assert node.refresh_routes() == 0  # every level covered again
 
-    def test_full_levels_get_a_header_only_pong(self):
+    def test_full_levels_get_no_pong(self):
         # Gossip on demand: a prober with nowhere to put candidates
-        # does not ask for them, and the reply bills a bare header.
+        # does not ask for them, and nothing answers its ping.
         sim, net, nodes = build_wire(QUADRANTS, config=NodeConfig(max_refs_per_level=1))
         pongs = []
         on_pong = nodes[0]._on_pong
@@ -416,27 +385,25 @@ class TestWireEvidence:
         assert not nodes[0].liveness.short_of_refs(nodes[0].path.length)
         nodes[0]._send_probe(1)
         sim.run_until(10.0)
-        assert [m.size_bytes for m in pongs] == [HEADER_BYTES]  # n_refs == 0
-        assert "gossip" not in pongs[0].payload
+        assert pongs == []
         repair_bytes = sum(n.liveness.repair_bytes for n in nodes)
-        assert repair_bytes == 2 * HEADER_BYTES  # one ping, one bare pong
+        assert repair_bytes == HEADER_BYTES  # one ping, nothing back
         # A depleted level turns the request on.
         nodes[0].routing[0] = []
         nodes[0]._send_probe(1)
         sim.run_until(20.0)
-        assert pongs[1].size_bytes > HEADER_BYTES and nodes[0].routing[0]
+        assert pongs[0].size_bytes > HEADER_BYTES and nodes[0].routing[0]
         assert nodes[0].liveness.replacements >= 1
 
-    def test_returning_node_restarts_stalled_probe_chains(self):
-        # A node that churns offline mid-probe must not leave suspects
-        # stranded (suspect but unprobed = routed around forever).
+    def test_returning_node_probes_its_suspects(self):
+        # A node that was offline when a strike landed must not leave
+        # the suspect stranded (suspect but unprobed = routed around
+        # forever).
         sim, net, nodes = build_wire(QUADRANTS)
-        nodes[0].liveness.strike(3)  # suspect, probe not started
+        nodes[0].liveness.strike(3, sim.now)  # suspect, probe not started
         nodes[0].online = False
         nodes[0].set_online(True)
-        assert 3 in nodes[0].liveness.probe_nonce  # chain restarted
-        sim.run_until(30.0)
-        assert not nodes[0].liveness.suspected(3)  # node 3 answered
+        assert not nodes[0].liveness.suspected(3)  # node 3's connect answered
 
 
 def record_sends(net):
@@ -517,7 +484,7 @@ class TestConfirmByConnect:
         forward_query(sim, node, self.KEY)
         assert [(s, d, k) for s, d, k, _ in sent] == [(0, 2, P.PING), (0, 2, P.QUERY)]
         assert sent[0][3]["want"] is True
-        assert 2 in table.probe_nonce and 2 not in table.last_confirmed
+        assert table.confirmed_until(2) == 70.0 + 2 * CONFIRM_INTERVAL_S
         sim.run_until(71.0)
         # The pong confirmed 2 (and backed it off) and gossiped 3.
         assert table.confirmed_until(2) > 70.0 + 2 * CONFIRM_INTERVAL_S
@@ -534,6 +501,106 @@ class TestConfirmByConnect:
         assert [k for _, _, k, _ in sent] == [P.QUERY]
         assert not table.needs_confirmation(3, sim.now)
         assert table.confirmed_until(3) == 10.0 + 2 * CONFIRM_INTERVAL_S
+
+
+class TestConnectIsTheVerdict:
+    """Every probe is decided the instant its ``ping`` is sent: an
+    accepted connect (delivered or lost) answers it, a refused one
+    strikes, and nothing waits for a ``pong`` or arms a timer."""
+
+    def test_a_sweep_probe_is_one_ping_no_pong_and_no_timer(self):
+        sim, net, nodes = build_wire(QUADRANTS, config=NodeConfig(max_refs_per_level=1))
+        node, table = nodes[0], nodes[0].liveness
+        assert node.routing == {0: [3], 1: [1]}
+        sim.run_until(70.0)
+        pending = sim.pending
+        sent = record_sends(net)
+        assert node.refresh_routes() == 2
+        sim.run_until(71.0)  # both pings delivered
+        assert [(s, d, k) for s, d, k, _ in sent] == [(0, 1, P.PING), (0, 3, P.PING)]
+        assert sim.pending == pending
+        for ref in (1, 3):
+            assert table.last_confirmed[ref] == 70.0
+            assert table.confirmed_until(ref) == 70.0 + 2 * CONFIRM_INTERVAL_S
+
+    def test_a_ping_for_gossip_confirms_at_send_and_its_pong_replenishes(self):
+        sim, net, nodes = build_wire(QUADRANTS)
+        node, table = nodes[0], nodes[0].liveness
+        node.routing = {0: [2], 1: [1]}  # short: gossip has room
+        sim.run_until(70.0)
+        node._send_probe(2)
+        assert table.confirmed_until(2) == 70.0 + 2 * CONFIRM_INTERVAL_S
+        assert node.routing[0] == [2]
+        sim.run_until(71.0)
+        assert node.routing[0] == [2, 3] and table.replacements == 1
+
+    def test_a_refused_probe_evicts_at_the_send_instant(self):
+        # A fresh reference takes EVICT_AFTER refused connects: the
+        # sweep's ping strikes it, and the suspect's own ping evicts.
+        sim, net, nodes = build_wire(QUADRANTS)
+        node, table = nodes[0], nodes[0].liveness
+        nodes[3].online = False
+        sim.run_until(70.0)
+        pending = sim.pending
+        sent = record_sends(net)
+        node._send_probe(3)
+        assert [(s, d, k) for s, d, k, _ in sent] == [(0, 3, P.PING)] * EVICT_AFTER
+        assert all(3 not in refs for refs in node.routing.values())
+        assert (table.suspects, table.evictions) == (1, 1)
+        assert not table.suspected(3) and sim.pending == pending
+
+    @pytest.mark.parametrize("use", ["ping", "forward"])
+    def test_a_lost_message_confirms(self, use):
+        # Loss is drawn after the refusal checks: a lost message was
+        # accepted by an online destination.
+        sim, net, nodes = build_wire(QUADRANTS, config=NodeConfig(max_refs_per_level=1))
+        node, table = nodes[0], nodes[0].liveness
+        sim.run_until(70.0)
+        net.loss_rate = 1.0  # every accepted connect is lost
+        sent = record_sends(net)
+        if use == "ping":
+            node._send_probe(3)
+        else:
+            forward_query(sim, node, TestConfirmByConnect.KEY)
+        assert [(d, k) for _, d, k, _ in sent] == [
+            (3, P.PING if use == "ping" else P.QUERY)
+        ]
+        assert net.drops_loss == 1
+        assert table.confirmed_until(3) == 70.0 + 2 * CONFIRM_INTERVAL_S
+
+    def test_a_timed_out_suspect_that_answers_is_cleared_without_doubling(self):
+        sim, net, nodes = build_wire(QUADRANTS, config=NodeConfig(
+            max_refs_per_level=1, query_retries=2, query_timeout=5.0,
+        ))
+        node, table = nodes[0], nodes[0].liveness
+        table.note_answered(3, 0.0)  # earned a longer wait
+        net.loss_rate = 1.0  # the query to 3 is lost ...
+        node.issue_query(TestConfirmByConnect.KEY)
+        sim.run_until(1.0)
+        net.loss_rate = 0.0  # ... but 3 is alive and answers the probe
+        sent = record_sends(net)
+        sim.run_until(5.001)  # the timeout, before anything is delivered
+        assert [(d, k) for _, d, k, _ in sent][:1] == [(3, P.PING)]
+        assert table.suspects == 1 and not table.suspected(3)
+        assert table.last_confirmed[3] == 5.0
+        assert table.confirmed_until(3) == 5.0 + CONFIRM_INTERVAL_S
+
+    def test_strikes_taken_offline_are_probed_in_id_order_on_return(self):
+        sim, net, nodes = build_wire(QUADRANTS)
+        node, table = nodes[0], nodes[0].liveness
+        node.set_online(False)
+        sent = record_sends(net)
+        for ref in (3, 1, 2):
+            node._suspect_ref(ref)
+        assert sent == [] and sorted(table.strikes) == [1, 2, 3]
+        nodes[2].online = False
+        node.set_online(True)
+        # Each ping is decided at once: 1 and 3 answer, 2 is evicted.
+        assert [(d, k) for _, d, k, _ in sent] == [
+            (1, P.PING), (2, P.PING), (3, P.PING),
+        ]
+        assert not table.strikes
+        assert table.evictions == 1 and node.routing == {0: [3], 1: [1]}
 
 
 # -- gossip placement against the per-level reference --------------------------
@@ -637,8 +704,6 @@ def ref_refresh_routes(table, now):
         return table.last_confirmed.get(ref, 0.0)
 
     def covered(ref):
-        if ref in table.probe_nonce:
-            return True
         interval = table.confirm_interval.get(ref, CONFIRM_INTERVAL_S)
         return not table.suspected(ref) and now - last(ref) < interval
 
@@ -665,7 +730,7 @@ _waits = st.one_of(
 # ``pick`` indexes the references in the table at that moment (plus one
 # stranger), so nearly every such step lands on a live entry.
 _ref_step = st.tuples(
-    st.sampled_from(["heard"] * 3 + ["strike"] * 2 + ["timeout", "cancel", "evict"]),
+    st.sampled_from(["heard"] * 3 + ["strike"] * 2 + ["answered", "evict"]),
     st.integers(0, 60),
 )
 _steps = st.one_of(
@@ -691,7 +756,6 @@ _beliefs = st.fixed_dictionaries({
     "age": st.none() | _instants,  # since last heard from; None = never
     "interval": st.sampled_from([None, None, 120.0, 240.0, 480.0, 960.0]),
     "suspect": st.sampled_from([False, False, False, True]),
-    "in_flight": st.sampled_from([False, False, False, True]),
 })
 
 
@@ -710,26 +774,31 @@ def sweep_cases(draw):
         "now": draw(_instants),
         "beliefs": {ref: draw(_beliefs) for ref in refs},
         "steps": draw(st.lists(_steps, max_size=40)),
+        # The references whose connect is refused when the sweep probes them.
+        "refused": draw(st.sets(_sweep_refs, max_size=SWEEP_DEPTH)),
     }
 
 
-def one_level_case(steps, beliefs):
+def one_level_case(steps, beliefs, refused=()):
     """A sweep case at t=100 whose level 0 holds ``beliefs``'s
     references: id -> (age, interval)."""
     return {
         "table": {0: sorted(beliefs)},
         "now": 100.0,
         "beliefs": {
-            ref: {"age": age, "interval": interval, "suspect": False, "in_flight": False}
+            ref: {"age": age, "interval": interval, "suspect": False}
             for ref, (age, interval) in beliefs.items()
         },
         "steps": steps,
+        "refused": set(refused),
     }
 
 
 class TestRefreshRoutesAgainstBruteForce:
-    """The table alone, driven the way ``PGridNode`` drives it -- except
-    that a probe, once begun, stays in flight until a step resolves it."""
+    """The table alone, driven the way ``PGridNode`` drives it: a probe
+    is decided at its connect, refused for the case's ``refused``
+    references and answered for the rest -- except that a strike is
+    left standing, as one taken while the node is offline is."""
 
     @staticmethod
     def make_table(case):
@@ -740,12 +809,21 @@ class TestRefreshRoutesAgainstBruteForce:
             if belief["age"] is not None:
                 table.last_confirmed[ref] = max(0.0, now - belief["age"])
             if belief["suspect"]:
-                table.strike(ref)
+                table.strike(ref, now)
             elif belief["interval"] is not None:
                 table.confirm_interval[ref] = belief["interval"]
-            if belief["in_flight"]:
-                table.begin_probe(ref)
         return table
+
+    @staticmethod
+    def probe(table, ref, now, refused):
+        """What ``PGridNode._send_probe`` tells the table: a refused
+        connect strikes, and the suspect's own probe is refused too,
+        until the strikes evict."""
+        if ref in refused:
+            while table.strike(ref, now):
+                pass
+        else:
+            table.note_answered(ref, now)
 
     def apply(self, table, now, step):
         """One step at ``now``; returns the time after it."""
@@ -766,37 +844,30 @@ class TestRefreshRoutesAgainstBruteForce:
             known = sorted(table.all_refs())
             known.append(99)  # a stranger
             ref = known[args[0] % len(known)]
-            nonce = table.probe_nonce.get(ref)
-            if kind == "heard":  # the pong if a probe is in flight, else passive
+            if kind == "heard":  # passive traffic
                 table.note_alive(ref, now)
-            elif kind == "strike":
-                if table.strike(ref):
-                    table.begin_probe(ref)
-            elif kind == "evict":
-                table.evict(ref, now)
-            elif nonce is None:
-                pass  # no probe to time out or to cancel
-            elif kind == "cancel":  # we were offline, could not have heard the pong
-                table.cancel_probe(ref, nonce)
+            elif kind == "strike":  # taken offline: no probe decides it yet
+                table.strike(ref, now)
+            elif kind == "answered":  # a forward's accepted connect
+                table.note_answered(ref, now)
             else:
-                action = table.probe_expired(ref, nonce)
-                if action == "probe":
-                    table.begin_probe(ref)
-                elif action == "evict":
-                    table.evict(ref, now)
+                table.evict(ref, now)
         return now
 
     @given(case=sweep_cases())
     # The ways a level is uncovered before the cached instant, each
     # needing a sequence random steps rarely produce.  A struck
-    # reference that answers its probe is back at the base interval:
+    # reference that answers is back at the base interval:
     @example(case=one_level_case([("strike", 0), ("heard", 0)], {1: (0.0, 960.0)}))
-    # a probe in flight covers only until answered plus its interval:
+    @example(case=one_level_case([("strike", 0), ("answered", 0)], {1: (0.0, 960.0)}))
+    # an answered sweep probe covers for its doubled interval only:
     @example(case=one_level_case(
         [("advance", 10.0), ("heard", 0), ("advance", 120.0)], {1: (100.0, None)}
     ))
-    # a cancelled probe covers nothing:
-    @example(case=one_level_case([("advance", 0.25), ("cancel", 0)], {1: (100.0, None)}))
+    # a strike uncovers the level the sweep's probe had just covered:
+    @example(case=one_level_case([("advance", 0.25), ("strike", 0)], {1: (100.0, None)}))
+    # a refused sweep probe evicts, and the spare is due at once:
+    @example(case=one_level_case([], {1: (100.0, None), 2: (10.0, None)}, refused={1}))
     # evicting the covering reference leaves the stale spare:
     @example(case=one_level_case(
         [("evict", 0)], {1: (0.0, 960.0), 2: (100.0, None)}
@@ -823,7 +894,7 @@ class TestRefreshRoutesAgainstBruteForce:
             if not due:
                 assert lapsed_levels == 0  # every non-empty level is covered
             for ref in due:
-                table.begin_probe(ref)
+                self.probe(table, ref, now, case["refused"])
 
 
 # -- the trusted pick against a filter-then-randrange reference -----------------
@@ -854,7 +925,7 @@ def test_pick_draws_what_ref_pick_draws(levels, suspects, seed, asked):
     table = ReferenceTable(0, 4)
     table.install(levels)
     for ref in suspects:
-        table.strike(ref)  # strangers stay out of ``strikes``
+        table.strike(ref, 0.0)  # strangers stay out of ``strikes``
     assert set(table.strikes) == suspects & set(table.all_refs())
     ours, theirs = random.Random(seed), random.Random(seed)
     for level in asked:

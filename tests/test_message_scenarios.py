@@ -275,9 +275,8 @@ class TestLazyTimerHeapHygiene:
         assert len(outcomes) == 40  # every query resolved, pass or fail
         assert sum(out.timeouts for out in outcomes) > 10  # a real storm
         # Every heap entry had an owner: one timer event per query, one
-        # delivery per message in flight, one timeout per probe sent.
-        probes = sum(node.liveness.probes for node in nodes)
-        assert sim.pending_peak <= 40 + net.inflight_peak + probes
+        # delivery per message in flight (a probe arms no timer).
+        assert sim.pending_peak <= 40 + net.inflight_peak
         assert sim.pending == 0  # and every one of them has run
 
     def test_lossy_scenario_keeps_the_heap_clean_end_to_end(self):
@@ -287,13 +286,12 @@ class TestLazyTimerHeapHygiene:
         )
         report = runner.run()
         assert report.message_level["timeouts"] > 0  # storm premise
-        # One timer event per operation, one timeout per probe, one
-        # delivery per message in flight, and the runner's own ticks
-        # (phase start, sampler, query arrivals, maintenance).
+        # One timer event per operation, one delivery per message in
+        # flight, and the runner's own ticks (phase start, sampler, query
+        # arrivals, maintenance); a probe arms no timer.
         operations = report.totals["queries"] + report.message_level["moot_queries"]
-        probes = report.message_level["repair"]["probes"]
         assert runner.simulator.pending_peak <= (
-            operations + probes + runner.transport.inflight_peak + 4
+            operations + runner.transport.inflight_peak + 4
         )
 
 

@@ -189,10 +189,9 @@ class TestPendingOpContract:
             op.assert_terminal(opid, pending, recorded=False)
         assert not nodes[0]._waiters and not nodes[0]._inflight_by_key
         # The heap never held more than one event per operation (its
-        # launch, then its timer), one per message in flight and one
-        # timeout per probe -- and the stale ones have all run.
-        probes = sum(node.liveness.probes for node in nodes)
-        assert sim.pending_peak <= len(opids) + net.inflight_peak + probes
+        # launch, then its timer) and one per message in flight (a probe
+        # arms no timer) -- and the stale ones have all run.
+        assert sim.pending_peak <= len(opids) + net.inflight_peak
         assert sim.pending == 0
 
     @pytest.mark.parametrize("how", ["owner", "no_route"])

@@ -178,11 +178,12 @@ class TestNodeSnapshotRoundTrip:
         node = nodes[0]
         # A recent confirmation would normally suppress the next probe.
         node.liveness.last_confirmed[1] = sim.now
+        node.liveness.strike(2, sim.now)  # suspect, no probe yet
         snap = node.snapshot_state()
         node.restore_state(snap)
         assert node.liveness.needs_confirmation(1, sim.now)
-        # In-flight probe state never survives a restart.
-        assert not node.liveness.strikes and not node.liveness.probe_nonce
+        # Strikes never survive a restart.
+        assert not node.liveness.strikes
 
     def test_earned_backoff_does_not_survive_a_restart(self):
         # Contract point 2: references trusted up to the cap before the
@@ -200,7 +201,11 @@ class TestNodeSnapshotRoundTrip:
         assert not tracker.confirm_interval
         assert all(tracker.needs_confirmation(ref, sim.now) for ref in (1, 2, 3))
         assert node.refresh_routes() == 2  # one per level
-        assert set(tracker.probe_nonce) == {1, 2}
+        # Their accepted connects confirmed the two probed; the spare
+        # waits for its first use.
+        assert [tracker.needs_confirmation(ref, sim.now) for ref in (1, 2, 3)] == [
+            False, False, True,
+        ]
 
     def test_snapshot_keeps_stamps_of_routing_references_only(self):
         sim, net, nodes = build_wire()

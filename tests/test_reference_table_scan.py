@@ -14,7 +14,7 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 TABLE_MODULE = SRC / "repro" / "pgrid" / "liveness.py"
 CACHE_FIELD = "_lapse_at"
 BELIEF_DICTS = (
-    "strikes", "probe_nonce", "last_confirmed", "confirm_interval", "evicted_at"
+    "strikes", "last_confirmed", "confirm_interval", "evicted_at"
 )
 
 

@@ -64,14 +64,14 @@ def peer_state(peer):
 
 def beliefs(table):
     return (
-        table.strikes, table.probe_nonce, table.last_confirmed,
+        table.strikes, table.last_confirmed,
         table.confirm_interval, table.evicted_at, table._lapse_at,
         table.suspects, table.probes, table.evictions, table.replacements,
         table.repair_bytes,
     )
 
 
-NO_BELIEFS = ({}, {}, {}, {}, {}, None, 0, 0, 0, 0, 0)
+NO_BELIEFS = ({}, {}, {}, {}, None, 0, 0, 0, 0, 0)
 
 
 def captured(spec):
