@@ -25,6 +25,7 @@ produce the same :class:`~repro.scenarios.report.ScenarioReport`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
 
@@ -293,9 +294,11 @@ class WriteMix:
     hotspot: Optional[Hotspot] = None
 
     def validate(self) -> None:
-        if not self.write_rate > 0:
+        # Finite too: an infinite rate schedules its arrivals at one
+        # instant forever, and the run never ends.
+        if not 0 < self.write_rate < math.inf:
             raise SimulationError(
-                f"write rate must be positive, got {self.write_rate}"
+                f"write rate must be positive and finite, got {self.write_rate}"
             )
         weights = (self.insert_weight, self.delete_weight, self.update_weight)
         if not all(w >= 0 for w in weights):
@@ -351,10 +354,12 @@ class Phase:
     restarts: Optional[RestartSpec] = None
 
     def validate(self, codec: Optional[KeyCodec] = None) -> None:
-        if not self.duration_s > 0:
-            raise SimulationError(f"phase {self.name!r} needs a positive duration")
-        if not self.query_rate >= 0:
-            raise SimulationError(f"phase {self.name!r} has a negative query rate")
+        # Finite too: an infinite duration or rate never lets the run end
+        # (an infinite maintenance interval or offline time does).
+        if not 0 < self.duration_s < math.inf:
+            raise SimulationError(f"phase {self.name!r} needs a positive, finite duration")
+        if not 0 <= self.query_rate < math.inf:
+            raise SimulationError(f"phase {self.name!r} needs a finite query rate >= 0")
         if not (is_count(self.join_peers, 0) and is_count(self.leave_peers, 0)):
             raise SimulationError(
                 f"phase {self.name!r} needs integer membership deltas >= 0"
@@ -483,8 +488,10 @@ class ScenarioSpec:
         churn periods and the report bin are all multiplied by
         ``duration_scale`` -- the standard way to shrink a library
         scenario into a CI-sized smoke run without changing its shape."""
-        if not duration_scale > 0:
-            raise SimulationError(f"duration scale must be positive, got {duration_scale}")
+        if not 0 < duration_scale < math.inf:
+            raise SimulationError(
+                f"duration scale must be positive and finite, got {duration_scale}"
+            )
         phases = tuple(
             replace(
                 p,

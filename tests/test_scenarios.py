@@ -32,6 +32,7 @@ from repro.scenarios.library import (
 from repro.workloads.queries import POINT, RANGE, QuerySampler
 
 NAN = float("nan")
+INF = float("inf")
 
 
 def _phase(**fields):
@@ -63,6 +64,16 @@ NAN_SPECS = {
     "CachePolicy.route_ttl_s": lambda: _spec(cache=CachePolicy(route_ttl_s=NAN)),
     "CachePolicy.decay_interval_s": lambda: _spec(cache=CachePolicy(decay_interval_s=NAN)),
     "CachePolicy.grant_ttl_s": lambda: _spec(cache=CachePolicy(grant_ttl_s=NAN)),
+}
+
+
+#: One spec per duration or rate with infinity there.  ``x > 0`` lets it
+#: through, and the run then never ends: an infinite phase, or infinitely
+#: many arrivals at one instant.
+INF_SPECS = {
+    "Phase.duration_s": lambda: _spec(_phase(duration_s=INF)),
+    "Phase.query_rate": lambda: _spec(_phase(query_rate=INF)),
+    "WriteMix.write_rate": lambda: _spec(_phase(writes=WriteMix(write_rate=INF))),
 }
 
 
@@ -154,6 +165,28 @@ class TestSpecValidation:
     def test_nan_duration_scale_rejected(self):
         with pytest.raises(SimulationError):
             _spec().scaled(NAN)
+
+    @pytest.mark.parametrize("field", sorted(INF_SPECS))
+    def test_infinite_duration_or_rate_rejected(self, field):
+        with pytest.raises(SimulationError):
+            INF_SPECS[field]().validate()
+
+    def test_infinite_duration_scale_rejected(self):
+        with pytest.raises(SimulationError):
+            _spec().scaled(INF)
+
+    @pytest.mark.parametrize("backend", ["dataplane", "message"])
+    def test_infinite_maintenance_interval_and_offline_time_end(self, backend):
+        # Both only push an event past the end of the run: still valid.
+        spec = _spec(
+            _phase(
+                maintenance_interval_s=INF,
+                churn=ChurnSpec(max_offline_s=INF, min_online_s=1.0, max_online_s=2.0),
+            ),
+            n_peers=16,
+        )
+        spec.validate()
+        assert run_scenario(spec, backend=backend).totals["queries"] > 0
 
     def test_bad_hotspot_rejected(self):
         mix = QueryMix(hotspot=Hotspot(lo=0.5, hi=0.4))
