@@ -67,15 +67,19 @@ Restoring a snapshot makes the peer *operational*, not *trusted*:
    anti-entropy machinery (one exchange with a restored replica is
    initiated on rejoin; periodic maintenance finishes the job).
 2. Restored routing refs are handed to the liveness state machine
-   **unconfirmed**: the beliefs are wiped (strikes, nonces and earned
-   back-off do not survive a restart) and every restored
-   ``last_confirmed`` stamp is rebased and capped so
+   **unconfirmed**: the beliefs are wiped (strikes and earned back-off
+   do not survive a restart; there is no probe state to lose, since a
+   probe is decided at its connect, and strikes outlast that instant
+   only while a node is offline) and every restored ``last_confirmed``
+   stamp is rebased and capped so
    :meth:`~repro.pgrid.liveness.ReferenceTable.needs_confirmation` is
    immediately true.  Every level has therefore lapsed: the next
-   ``refresh_routes`` pass probes one reference per level, and a spare
-   is confirmed by the accepted connect of its first use (struck by a
+   ``refresh_routes`` pass probes one reference per level, each
+   confirmed or struck by its ``ping``'s connect, and a spare is
+   confirmed by the accepted connect of its first use (struck by a
    refused one) instead of being trusted blindly -- or, while the node
-   is short of references, by the ``ping`` that use sends for gossip.
+   is short of references, by the connect of the ``ping`` that use
+   sends for gossip.
 3. Eviction cooldowns (``evicted_at``) are restored with their age so a
    ref evicted just before shutdown cannot be gossip-readded right
    after restore.

@@ -32,9 +32,11 @@ How phases compile here
   random peer when a node knows none), so repair traffic is real
   messages, unlike the data-plane backend's nominal byte model.  The
   tick also runs each node's stale-reference refresh probes
-  (:mod:`repro.pgrid.liveness`) and lets route-deficient nodes (an
+  (:mod:`repro.pgrid.liveness`: a ``ping`` each, decided by its
+  connect, with no reply awaited) and lets route-deficient nodes (an
   emptied level) initiate an extra exchange -- gossip on exchanges and
-  pongs is how evicted references get replaced.
+  on the ``pong`` a short node's ``ping`` asks for is how evicted
+  references get replaced.
 
 The overlay starts as the ideal overlay the data-plane backend
 starts from (scenarios stress *operation*, not construction; for

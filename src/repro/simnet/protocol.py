@@ -58,8 +58,12 @@ UPDATE_MISS = "update_miss"  #: routing dead-end -> origin (mutation retries)
 REPLICA_SYNC = "replica_sync"  #: owner -> replicas: eager mutation fan-out
 REPLICA_GRANT = "replica_grant"  #: hot owner -> helper: serve my range (adaptive replication)
 REPLICA_REVOKE = "replica_revoke"  #: owner -> helper: load decayed, stop serving
-PING = "ping"  #: liveness probe of a routing reference (``want``: send candidates)
-PONG = "pong"  #: probe answer (proof of life; replacement candidates if wanted)
+#: Liveness probe of a routing reference, decided by its connect at the
+#: sender (``want``: the prober is short of references, send candidates).
+PING = "ping"
+#: Reply to a ``want`` ping only: replacement candidates (liveness was
+#: settled at the ping's connect, so no other ping is answered).
+PONG = "pong"
 
 # -- traffic categories (Fig. 8 split, plus the write path) -------------------
 
