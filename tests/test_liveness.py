@@ -9,10 +9,10 @@ Four layers:
   trusted pick against references kept in this file.
 * **Wire protocol tests** -- hand-built overlays driving the evidence
   paths: refused connects, partition refusals (set_partitions drops are
-  *visible* to the sender's routing state), ping/pong probing,
-  confirm-by-connect on use (a ping only for a node short of
-  references), gossip replenishment on exchanges and (on demand) pongs,
-  and the per-level refresh sweep.
+  *visible* to the sender's routing state), pings decided by their
+  connect (no pong awaited, no timer), confirm-by-connect on use (a
+  ping only for a node short of references), gossip replenishment on
+  exchanges and (on demand) pongs, and the per-level refresh sweep.
 * **Scenario-level tests** -- query success through ``mass-leave`` on
   the message backend, repair counters in ``message_level.repair``,
   probe bytes billed as maintenance, and structural invariants
