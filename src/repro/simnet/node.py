@@ -533,7 +533,9 @@ class PGridNode:
     # replace: anti-entropy exchanges (and the pong of a ping that asked)
     #          gossip candidate references per level, refilling depleted
     #          levels (the wire analogue of the data plane's
-    #          replenishment sweep).
+    #          replenishment sweep); a ping to a reference at level k
+    #          asks only if one of levels 0..k -- all its pong can
+    #          reach -- is short.
 
     def _suspect_ref(self, ref: int) -> None:
         """Failure evidence against ``ref``: strike it (evicting at
@@ -545,14 +547,16 @@ class PGridNode:
         """Ping ``ref``; the connect is the verdict.  Accepted --
         delivered or lost, which the sender cannot tell apart -- it is
         an answered probe; refused, ``send`` strikes it (bounded
-        recursion: each round strikes once, ``EVICT_AFTER`` caps it)."""
+        recursion: each round strikes once, ``EVICT_AFTER`` caps it).
+        The ping asks for gossip only when ``ref``'s ``pong`` could
+        place some: one of our levels up to ``ref``'s is short
+        (:meth:`ReferenceTable.wants_gossip`)."""
         liveness = self.liveness
         liveness.probes += 1
         liveness.repair_bytes += HEADER_BYTES
         # ``want``: gossip on demand -- a pong, carrying replacement
-        # candidates, comes back only to a prober with room for them.
-        want = liveness.short_of_refs(self.path.length)
-        cause = self.send(ref, P.PING, {"want": want})
+        # candidates, comes back only when it can place some.
+        cause = self.send(ref, P.PING, {"want": liveness.wants_gossip(ref)})
         if cause is None or cause == "loss":
             liveness.note_answered(ref, self.sim.now)
 
@@ -605,8 +609,10 @@ class PGridNode:
         per-level redundancy; an accepted connect (lost or not) to a
         reference whose confirmation has lapsed confirms it as an
         accepted ``ping`` would (:meth:`ReferenceTable.note_answered`).
-        Only a node short of references still pings on use, for the
-        ``pong``'s gossip.
+        Only a node short of references at or above ``level`` -- where
+        the ``pong`` of a reference at ``level`` can place candidates --
+        still pings on use, for that gossip; one short only deeper
+        confirms by connect, as a full node does.
         """
         liveness = self.liveness
         for _ in range(self.config.max_refs_per_level + 1):
@@ -614,7 +620,7 @@ class PGridNode:
             if nxt is None:
                 return None
             lapsed = self.online and liveness.needs_confirmation(nxt, self.sim.now)
-            if lapsed and liveness.short_of_refs(self.path.length):
+            if lapsed and liveness.wants_gossip(nxt):
                 self._send_probe(nxt)
                 lapsed = False
             cause = self.send(nxt, kind, payload, n_keys=n_keys)

@@ -59,7 +59,9 @@ REPLICA_SYNC = "replica_sync"  #: owner -> replicas: eager mutation fan-out
 REPLICA_GRANT = "replica_grant"  #: hot owner -> helper: serve my range (adaptive replication)
 REPLICA_REVOKE = "replica_revoke"  #: owner -> helper: load decayed, stop serving
 #: Liveness probe of a routing reference, decided by its connect at the
-#: sender (``want``: the prober is short of references, send candidates).
+#: sender (``want``: send candidates -- set only when one of the
+#: prober's levels up to the reference's own is short, the levels the
+#: reply can place candidates at).
 PING = "ping"
 #: Reply to a ``want`` ping only: replacement candidates (liveness was
 #: settled at the ping's connect, so no other ping is answered).

@@ -25,7 +25,7 @@ import os
 import random
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from repro.pgrid.bits import Path
 from repro.pgrid.keyspace import float_to_key
@@ -376,24 +376,28 @@ class TestWireEvidence:
         assert node.refresh_routes() == 0  # every level covered again
 
     def test_full_levels_get_no_pong(self):
-        # Gossip on demand: a prober with nowhere to put candidates
-        # does not ask for them, and nothing answers its ping.
+        # Gossip on demand: a prober with nowhere to put what the pong
+        # could carry does not ask for it, and nothing answers its ping.
+        # The pong of 3 (at level 0) can reach level 0 only, so a short
+        # level 1 does not make that ping ask.
         sim, net, nodes = build_wire(QUADRANTS, config=NodeConfig(max_refs_per_level=1))
         pongs = []
         on_pong = nodes[0]._on_pong
         nodes[0]._on_pong = lambda msg: (pongs.append(msg), on_pong(msg))
         assert not nodes[0].liveness.short_of_refs(nodes[0].path.length)
         nodes[0]._send_probe(1)
+        nodes[0].routing[1] = []
+        nodes[0]._send_probe(3)
         sim.run_until(10.0)
         assert pongs == []
         repair_bytes = sum(n.liveness.repair_bytes for n in nodes)
-        assert repair_bytes == HEADER_BYTES  # one ping, nothing back
-        # A depleted level turns the request on.
-        nodes[0].routing[0] = []
+        assert repair_bytes == 2 * HEADER_BYTES  # two pings, nothing back
+        # A depleted level the pong can reach turns the request on.
+        nodes[0].routing = {0: [], 1: [1]}
         nodes[0]._send_probe(1)
         sim.run_until(20.0)
-        assert pongs[0].size_bytes > HEADER_BYTES and nodes[0].routing[0]
-        assert nodes[0].liveness.replacements >= 1
+        assert pongs[0].size_bytes > HEADER_BYTES and nodes[0].routing[0] == [3]
+        assert nodes[0].liveness.replacements == 1
 
     def test_returning_node_probes_its_suspects(self):
         # A node that was offline when a strike landed must not leave
@@ -476,18 +480,20 @@ class TestConfirmByConnect:
         assert node.routing == {0: [2]} and sent[2][3]["want"] is True
 
     def test_a_node_short_of_references_still_pings_for_gossip(self):
+        # Short at level 0, the forward leaves through 1 at level 1:
+        # 1's pong can reach level 0, so the use-ping asks for it.
         sim, net, nodes = build_wire(QUADRANTS)
         node, table = nodes[0], nodes[0].liveness
         node.routing = {0: [2], 1: [1]}  # short: gossip has room
         sim.run_until(70.0)
         sent = record_sends(net)
-        forward_query(sim, node, self.KEY)
-        assert [(s, d, k) for s, d, k, _ in sent] == [(0, 2, P.PING), (0, 2, P.QUERY)]
+        forward_query(sim, node, float_to_key(0.4))  # leaves "00" at level 1
+        assert [(s, d, k) for s, d, k, _ in sent] == [(0, 1, P.PING), (0, 1, P.QUERY)]
         assert sent[0][3]["want"] is True
-        assert table.confirmed_until(2) == 70.0 + 2 * CONFIRM_INTERVAL_S
+        assert table.confirmed_until(1) == 70.0 + 2 * CONFIRM_INTERVAL_S
         sim.run_until(71.0)
-        # The pong confirmed 2 (and backed it off) and gossiped 3.
-        assert table.confirmed_until(2) > 70.0 + 2 * CONFIRM_INTERVAL_S
+        # The pong confirmed 1 (and backed it off) and gossiped 3.
+        assert table.confirmed_until(1) > 70.0 + 2 * CONFIRM_INTERVAL_S
         assert node.routing[0] == [2, 3] and table.replacements == 1
 
     def test_a_restored_nodes_first_forward_confirms_the_reference(self):
@@ -517,7 +523,9 @@ class TestConnectIsTheVerdict:
         sent = record_sends(net)
         assert node.refresh_routes() == 2
         sim.run_until(71.0)  # both pings delivered
-        assert [(s, d, k) for s, d, k, _ in sent] == [(0, 1, P.PING), (0, 3, P.PING)]
+        # In level order, not staleness order (both were never heard
+        # from, and the lower id would go first).
+        assert [(s, d, k) for s, d, k, _ in sent] == [(0, 3, P.PING), (0, 1, P.PING)]
         assert sim.pending == pending
         for ref in (1, 3):
             assert table.last_confirmed[ref] == 70.0
@@ -601,6 +609,68 @@ class TestConnectIsTheVerdict:
         ]
         assert not table.strikes
         assert table.evictions == 1 and node.routing == {0: [3], 1: [1]}
+
+
+class TestWantBoundedByTheReferencesLevel:
+    """A ``ping`` to a reference at our level ``k`` asks for gossip iff
+    one of our levels ``0..k`` -- all its ``pong`` can reach -- is short."""
+
+    def test_a_ping_above_every_short_level_does_not_ask(self):
+        sim, net, nodes = build_wire(QUADRANTS, config=NodeConfig(max_refs_per_level=1))
+        node = nodes[0]
+        node.routing = {0: [3], 1: []}  # short at level 1 only
+        sent = record_sends(net)
+        node._send_probe(3)
+        sim.run_until(1.0)
+        assert sent == [(0, 3, P.PING, {"want": False})]  # and no pong
+
+    @pytest.mark.parametrize("short", ["at", "below"])
+    def test_a_ping_at_or_below_a_short_level_asks_and_its_pong_replenishes(self, short):
+        if short == "at":  # 2 stands at the short level 0
+            max_refs, routing, ref, refilled = 2, {0: [2], 1: [1]}, 2, [2, 3]
+        else:  # 1 stands at level 1, below the short level 0
+            max_refs, routing, ref, refilled = 1, {0: [], 1: [1]}, 1, [3]
+        sim, net, nodes = build_wire(QUADRANTS, config=NodeConfig(max_refs_per_level=max_refs))
+        node = nodes[0]
+        node.routing = routing
+        sent = record_sends(net)
+        node._send_probe(ref)
+        sim.run_until(1.0)
+        assert [(s, d, k) for s, d, k, _ in sent] == [(0, ref, P.PING), (ref, 0, P.PONG)]
+        assert sent[0][3] == {"want": True}
+        assert node.routing[0] == refilled and node.liveness.replacements == 1
+
+    def test_a_forward_above_every_short_level_confirms_by_connect(self):
+        sim, net, nodes = build_wire(QUADRANTS, config=NodeConfig(max_refs_per_level=1))
+        node, table = nodes[0], nodes[0].liveness
+        node.routing = {0: [3], 1: []}  # short, but not where the key leaves
+        sim.run_until(70.0)
+        assert table.needs_confirmation(3, sim.now)
+        sent = record_sends(net)
+        forward_query(sim, node, TestConfirmByConnect.KEY)  # leaves at level 0
+        assert [(s, d, k) for s, d, k, _ in sent] == [(0, 3, P.QUERY)]
+        assert table.confirmed_until(3) == 70.0 + 2 * CONFIRM_INTERVAL_S
+        assert table.probes == 0
+
+    def test_a_refused_shallow_probe_evicts_and_the_deeper_probe_asks(self):
+        sim, net, nodes = build_wire(QUADRANTS, config=NodeConfig(max_refs_per_level=1))
+        node, table = nodes[0], nodes[0].liveness
+        assert node.routing == {0: [3], 1: [1]}  # full
+        nodes[1].routing[0] = [2]  # what 1's pong will gossip for level 0
+        nodes[3].online = False
+        sim.run_until(70.0)
+        sent = record_sends(net)
+        assert node.refresh_routes() == 2
+        # Level 0 first: its refused probes evict 3 and leave the level
+        # empty before level 1's ping goes out, so that ping asks.
+        assert [(d, k, p) for _, d, k, p in sent] == [
+            (3, P.PING, {"want": False}),
+            (3, P.PING, {"want": False}),
+            (1, P.PING, {"want": True}),
+        ]
+        sim.run_until(71.0)
+        assert table.evictions == 1 and table.replacements == 1
+        assert node.routing == {0: [2], 1: [1]}
 
 
 # -- gossip placement against the per-level reference --------------------------
@@ -691,6 +761,25 @@ class TestAcceptGossipAgainstReference:
         assert actual.replacements == expected.replacements
         assert actual._lapse_at == expected._lapse_at
 
+    @given(case=gossip_cases())
+    @settings(max_examples=int(FUZZ_EXAMPLES or 400), deadline=None)
+    def test_a_responder_diverging_at_bit_k_places_at_levels_0_to_k_only(self, case):
+        # The lemma behind ``wants_gossip``: the pong of a reference at
+        # our level k can only ever change our levels 0..k.
+        mine, theirs, levels, gossip, evicted = case
+        k = Path.from_string(theirs).common_prefix_length(Path.from_string(mine))
+        assume(k < len(mine))
+        # Diverge at bit k (a no-op unless theirs is a prefix of mine).
+        theirs = theirs[:k] + "10"[int(mine[k])] + theirs[k + 1:]
+        path, their_path = Path.from_string(mine), Path.from_string(theirs)
+        table = self.make_table(levels, evicted)
+        table.accept_gossip(path, their_path, gossip, 0.0)
+
+        def deeper(by_level):
+            return {level: refs for level, refs in by_level.items() if level > k}
+
+        assert deeper(table.levels) == deeper(levels)
+
 
 # -- the refresh sweep against a brute-force reference --------------------------
 
@@ -707,13 +796,16 @@ def ref_refresh_routes(table, now):
         interval = table.confirm_interval.get(ref, CONFIRM_INTERVAL_S)
         return not table.suspected(ref) and now - last(ref) < interval
 
+    # The stalest reference of each lapsed level, by ascending level.
     stalest = [
         min(refs, key=lambda r: (last(r), r))
-        for refs in table.levels.values()
+        for _, refs in sorted(table.levels.items())
         if refs and not any(covered(r) for r in refs)
     ]
-    order = sorted(set(stalest), key=lambda r: (last(r), r))
-    return order[:REFRESH_PROBES], len(stalest)
+    chosen = sorted(set(stalest), key=lambda r: (last(r), r))[:REFRESH_PROBES]
+    # Sent in level order: a reference standing for two levels goes at
+    # the shallower.
+    return sorted(chosen, key=stalest.index), len(stalest)
 
 
 SWEEP_PATH = Path.from_string("0110100101")
@@ -872,6 +964,15 @@ class TestRefreshRoutesAgainstBruteForce:
     @example(case=one_level_case(
         [("evict", 0)], {1: (0.0, 960.0), 2: (100.0, None)}
     ))
+    # probes go out in level order, whatever the staleness or the order
+    # the levels were created in:
+    @example(case={
+        "table": {1: [1]},
+        "now": 100.0,
+        "beliefs": {1: {"age": 0.0, "interval": 960.0, "suspect": False}},
+        "steps": [("add", 0, 2), ("advance", 960.0)],
+        "refused": set(),
+    })
     # and a restart or a placement leaves nothing confirmed.
     @example(case=one_level_case([("wipe",)], {1: (0.0, 960.0)}))
     @example(case=one_level_case([("install", {0: [2]})], {1: (0.0, 960.0)}))
