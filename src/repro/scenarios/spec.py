@@ -88,7 +88,7 @@ class RestartSpec:
             raise SimulationError(
                 f"restart fraction must lie in (0, 1], got {self.fraction}"
             )
-        if not 0.0 < self.min_down_s <= self.max_down_s:
+        if not 0.0 < self.min_down_s <= self.max_down_s or self.min_down_s == math.inf:
             raise SimulationError("invalid restart downtime interval")
         if not self.stagger_s >= 0.0:
             raise SimulationError("restart stagger must be non-negative")

@@ -8,6 +8,7 @@ schedule on the simulator clock.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, List, Optional
 
@@ -28,7 +29,8 @@ class ChurnConfig:
     max_online: float = 600.0
 
     def validate(self) -> None:
-        if not 0 < self.min_offline <= self.max_offline:
+        # An infinite upper bound ends the run; an infinite lower one draws NaN.
+        if not 0 < self.min_offline <= self.max_offline or self.min_offline == math.inf:
             raise SimulationError("invalid offline interval")
         if not 0 < self.min_online <= self.max_online:
             raise SimulationError("invalid online interval")

@@ -74,6 +74,14 @@ INF_SPECS = {
     "Phase.duration_s": lambda: _spec(_phase(duration_s=INF)),
     "Phase.query_rate": lambda: _spec(_phase(query_rate=INF)),
     "WriteMix.write_rate": lambda: _spec(_phase(writes=WriteMix(write_rate=INF))),
+    # An infinite lower bound of a dwell interval: the uniform draw
+    # between two infinities is NaN, and scheduling it crashes the run.
+    "ChurnSpec.min_offline_s": lambda: _spec(_phase(churn=ChurnSpec(
+        min_offline_s=INF, max_offline_s=INF, min_online_s=1.0, max_online_s=2.0,
+    ))),
+    "RestartSpec.min_down_s": lambda: _spec(_phase(
+        restarts=RestartSpec(min_down_s=INF, max_down_s=INF),
+    )),
 }
 
 
