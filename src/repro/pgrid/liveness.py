@@ -137,9 +137,10 @@ the end; no scenario's mean query or write success rate fell by more
 than 0.0007.  The rule is near exact: over seeds 1-3, of the 202,399
 ``pong``s it no longer requests, 137 (0.07%) placed a candidate -- a
 level of ``0..k`` fell short while the ``ping`` was in flight.  The
-``pong``s it still requests include those of nodes whose deepest level
-already holds the whole complementary leaf, which is smaller than the
-bound; knowing that would take the leaf's replica set.
+``pong``s still requested on ``wire-maint`` come from nodes whose short
+levels already hold their whole complementary subtree, smaller than
+the bound: those can place nothing either, but telling that would take
+the subtree's replica set.
 """
 
 from __future__ import annotations
@@ -453,11 +454,13 @@ class ReferenceTable(RoutingTable):
         has not run out (:meth:`confirmed_until`).  Successive lapses of
         a level rotate through its references, stalest first, so dead
         spares are still found, one per lapse; use finds the rest.  At
-        most :data:`REFRESH_PROBES` are due per sweep, the stalest
-        levels', returned in ascending level order (a reference standing
-        for two levels at the shallower): a refused probe that evicts at
-        level ``j`` has made ``j`` short before the deeper levels' probes
-        go out, so theirs still ask for gossip
+        most :data:`REFRESH_PROBES` are due per sweep, those of the
+        stalest levels.
+
+        They are returned in ascending level order (a reference standing
+        for two levels goes at the shallower): a refused probe that
+        evicts at level ``j`` has made ``j`` short before the deeper
+        levels' probes go out, so those still ask for gossip
         (:meth:`wants_gossip`).
         """
         lapse_at = self._lapse_at

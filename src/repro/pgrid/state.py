@@ -78,8 +78,8 @@ Restoring a snapshot makes the peer *operational*, not *trusted*:
    confirmed or struck by its ``ping``'s connect, and a spare is
    confirmed by the accepted connect of its first use (struck by a
    refused one) instead of being trusted blindly -- or, while the node
-   is short of references, by the connect of the ``ping`` that use
-   sends for gossip.
+   is short of references at or above the spare's level, by the
+   connect of the ``ping`` that use sends for gossip.
 3. Eviction cooldowns (``evicted_at``) are restored with their age so a
    ref evicted just before shutdown cannot be gossip-readded right
    after restore.

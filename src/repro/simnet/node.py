@@ -562,7 +562,7 @@ class PGridNode:
 
     def _on_ping(self, msg: Message) -> None:
         # Liveness was settled at the prober's connect: a pong exists
-        # only to carry gossip to a prober short of references.
+        # only to carry gossip to a prober that can place some.
         if not msg.payload["want"]:
             return
         gossip, n_refs = self.liveness.gossip()
