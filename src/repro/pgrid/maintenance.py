@@ -29,7 +29,7 @@ from .liveness import repair_routes
 from .network import PGridNetwork
 from .peer import PGridPeer
 from .routing import RoutingTable
-from .search import alive_ref
+from .search import alive_ref, level_toward
 
 __all__ = [
     "JoinStats",
@@ -64,8 +64,8 @@ def _route_to_partition(
         return None, 0
     messages = 0
     for _ in range(4 * KEY_BITS):
-        level = current.resolves(key)
-        if level >= current.path.length:
+        level = level_toward(current.path, key)
+        if level is None:
             return current, messages
         nxt = alive_ref(network, current, level, rand)
         if nxt is None:

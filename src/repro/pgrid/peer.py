@@ -107,23 +107,6 @@ class PGridPeer:
         self._keys.discard(key)
         self.tombstones.add(key)
 
-    def resolves(self, key: int) -> int:
-        """Number of leading path bits of this peer matching ``key``.
-
-        Routing forwards a query at the first unresolved bit; a peer that
-        resolves its whole path is responsible for the key.  One XOR plus
-        ``bit_length`` replaces the per-bit loop: the first mismatch is
-        the highest set bit of ``key_prefix ^ path_bits``.
-        """
-        path = self.path
-        length = path.length
-        if not length:
-            return 0
-        diff = (key >> (KEY_BITS - length)) ^ path.bits
-        if not diff:
-            return length
-        return length - diff.bit_length()
-
     def matching_keys(self, lo: int, hi: int) -> List[int]:
         """Stored keys inside the half-open integer range ``[lo, hi)``.
 

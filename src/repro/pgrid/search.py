@@ -13,7 +13,11 @@ initiating peer answers its own slice of the range and forwards the
 disjoint remainders into the complementary subtrees that intersect the
 range.  Message cost is ``O(log K + K_range)`` where ``K_range`` is the
 number of partitions the range spans -- no per-key lookups, no
-fragmentation.
+fragmentation.  Both backends share the two pure steps: every routed hop
+asks :func:`level_toward` where a key leaves the path, and
+:func:`split_range` cuts a range at a path -- ``_shower`` here recurses
+on its pieces, the wire node (:mod:`repro.simnet.node`) answers its own
+slice and sends one ``range_query`` into each intersecting subtree.
 
 Per-hop constant factors matter as much as the asymptotics once overlays
 grow past a few hundred peers, so the inner loops avoid allocation:
@@ -43,7 +47,10 @@ from .peer import PGridPeer
 if TYPE_CHECKING:  # pragma: no cover
     from .network import PGridNetwork
 
-__all__ = ["LookupResult", "RangeResult", "alive_ref", "lookup", "range_query"]
+__all__ = [
+    "LookupResult", "RangeResult", "alive_ref", "level_toward", "lookup", "range_query",
+    "split_range",
+]
 
 #: Bound on routing hops before a lookup is declared failed (a correct
 #: overlay of K partitions needs at most ~log2 K + retries).
@@ -100,8 +107,8 @@ def _subtree_ranges(path: Path) -> Tuple[Tuple[int, int], Tuple[Tuple[int, int],
 
     The complementary subtree at level ``l`` is the sibling of the
     ``l+1``-bit prefix; its key range is pure shift arithmetic, memoized
-    because every ``_shower`` step visits all levels of the current
-    peer's path.  ``Path`` is immutable and hashable, so the cache stays
+    because every shower step that splits visits all levels of the
+    current peer's path.  ``Path`` is immutable and hashable, so the cache stays
     valid across routing-table rebuilds and peer churn.
     """
     own = path.key_range(KEY_BITS)
@@ -110,6 +117,44 @@ def _subtree_ranges(path: Path) -> Tuple[Tuple[int, int], Tuple[Tuple[int, int],
         for level in range(path.length)
     )
     return own, comps
+
+
+def level_toward(path: Path, key: int) -> Optional[int]:
+    """The level at which ``key`` leaves ``path`` -- the first bit where
+    they differ -- or ``None`` when ``path``'s partition holds it."""
+    # The first differing bit is the highest set bit of one XOR (at the
+    # root both sides are 0: every key is inside).
+    length = path.length
+    diff = (key >> (KEY_BITS - length)) ^ path.bits
+    return length - diff.bit_length() if diff else None
+
+
+def split_range(
+    path: Path, lo: int, hi: int
+) -> Tuple[Optional[Tuple[int, int]], List[Tuple[int, int, int]]]:
+    """One shower step: cut ``[lo, hi)`` at a peer with ``path``.
+
+    Returns the peer's own slice (``None`` when the range misses its
+    partition) and ``(level, sub_lo, sub_hi)`` for every complementary
+    subtree the range intersects, in ascending level order.  The pieces
+    are pairwise disjoint and together tile ``[lo, hi)``.
+    """
+    level = level_toward(path, lo)
+    if level is not None and lo < hi and level == level_toward(path, hi - 1):
+        # Both ends leave at one level, so one subtree holds it all: the
+        # common case of a hop on the way down.
+        return None, [(level, lo, hi)]
+    (own_lo, own_hi), comps = _subtree_ranges(path)
+    own_lo = lo if lo > own_lo else own_lo
+    own_hi = hi if hi < own_hi else own_hi
+    own = (own_lo, own_hi) if own_lo < own_hi else None
+    subs = []
+    for level, (c_lo, c_hi) in enumerate(comps):
+        sub_lo = lo if lo > c_lo else c_lo
+        sub_hi = hi if hi < c_hi else c_hi
+        if sub_lo < sub_hi:
+            subs.append((level, sub_lo, sub_hi))
+    return own, subs
 
 
 def alive_ref(
@@ -164,8 +209,8 @@ def lookup(
     visited = [current.peer_id]
     hops = 0
     while hops <= MAX_HOPS:
-        level = current.resolves(key)
-        if level >= current.path.length:
+        level = level_toward(current.path, key)
+        if level is None:
             return LookupResult(
                 key=key,
                 found=True,
@@ -221,21 +266,15 @@ def _shower(
     rand,
 ) -> None:
     """Recursive step of the shower range algorithm."""
-    if lo >= hi:
-        return
-    (own_lo, own_hi), comps = _subtree_ranges(peer.path)
+    own, subs = split_range(peer.path, lo, hi)
     # Local contribution.
-    if own_lo < hi and lo < own_hi:
-        found = peer.matching_keys(lo if lo > own_lo else own_lo, hi if hi < own_hi else own_hi)
+    if own is not None:
+        found = peer.matching_keys(*own)
         result.partitions.add(peer.path)
         if found:
             result.keys.update(found)
     # Forward into every complementary subtree intersecting the range.
-    for level, (c_lo, c_hi) in enumerate(comps):
-        sub_lo = lo if lo > c_lo else c_lo
-        sub_hi = hi if hi < c_hi else c_hi
-        if sub_lo >= sub_hi:
-            continue
+    for level, sub_lo, sub_hi in subs:
         nxt = alive_ref(network, peer, level, rand)
         result.messages += 1
         if nxt is None:

@@ -18,14 +18,15 @@ payload of an attempt) and its outcome fields.  A record is *pending*
 until ``_finish`` makes it *done* exactly once: table entry popped,
 timer disarmed, observer fired, and -- unless ``moot`` because the
 origin itself was offline or restarting -- the outcome appended to
-``*_results``.  Only a terminal reply (``_complete_*``, a covering
-``range_part``), an exhausted ``_retry_or_fail`` (from a timeout or a
-dead-end report of the *current* attempt) and ``abort_inflight`` may
-call ``_finish``; all test ``done`` first, so duplicated replies and
-stale reports are no-ops.  The first attempt is a zero-delay event
-scheduled by ``issue_*``, never a re-entrant call: an operation the
-origin can answer itself would otherwise fire its observer before the
-caller learned the id.  The timer callback holds the operation *id*
+``*_results``.  Only a terminal reply (``_complete_*``, the
+``range_part`` completing the coverage), an exhausted
+``_retry_or_fail`` (from a timeout or a dead-end report of the
+*current* attempt) and ``abort_inflight`` may call ``_finish``; all
+test ``done`` first, so duplicated replies and stale reports are
+no-ops.  The first attempt is a zero-delay event scheduled by
+``issue_*``, never a re-entrant call: an operation the origin can
+answer itself would otherwise fire its observer before the caller
+learned the id.  The timer callback holds the operation *id*
 and looks the record up: a record -> timer -> callback -> record cycle
 would leave every finished operation to the cyclic collector.
 
@@ -34,9 +35,9 @@ would leave every finished operation to the cyclic collector.
 their view), per-reference beliefs, the refresh sweep.  The node does
 what needs a path or a transport -- the level a key leaves through, the
 ``ping``s -- and tells the table what their connects said.  The
-level is computed once per hop (``_level_toward``: ``None`` means this
-node is responsible) and handed to ``_relay``, which asks the table for
-a reference at it on every try.
+level is computed once per hop (:func:`~repro.pgrid.search.level_toward`,
+:func:`~repro.pgrid.search.split_range` for a range) and handed to
+``_relay``, which asks the table for a reference at it on every try.
 
 **What a node holds.**  A scenario's population can reach tens of
 thousands of nodes in one kernel, so bytes per node bound what it can
@@ -76,6 +77,7 @@ from ..core import fig2
 from ..pgrid.bits import Path, ROOT
 from ..pgrid.keyspace import KEY_BITS, bit_at
 from ..pgrid.liveness import ReferenceTable
+from ..pgrid.search import level_toward, split_range
 from ..pgrid.serving import (
     REPLICA_BOOST,
     RESULT_CAPACITY,
@@ -157,7 +159,9 @@ class _PendingOp:
     #: Routed hops of the answering attempt (ranges: longest chain seen).
     hops: int = 0
     #: First-hop reference the current attempt left through (liveness
-    #: evidence: a timed-out attempt marks it suspect).
+    #: evidence: a timed-out attempt marks it suspect).  Points and
+    #: writes only: a showered range has many first hops, so its
+    #: timeout points at none of them.
     via: Optional[int] = None
     #: Lazy attempt timer: re-armed per attempt, disarmed on completion
     #: (one heap entry per pending op -- see ``engine.DeadlineTimer``).
@@ -213,7 +217,7 @@ class _PendingWrite(_PendingOp):
 
 @dataclass(kw_only=True)
 class _PendingRange(_PendingOp):
-    """Origin-side state of one range query (sequential traversal)."""
+    """Origin-side state of one range query (the shower)."""
 
     table = "_ranges"
     launch = "_launch_range"
@@ -222,29 +226,33 @@ class _PendingRange(_PendingOp):
 
     lo: int
     hi: int
-    parts: int = 0
     keys: Set[int] = field(default_factory=set)
-    #: Slice intervals received so far (any attempt -- every attempt
-    #: restarts from ``lo`` and keys deduplicate, so all slices are
-    #: valid completeness evidence).  Checked before accepting ``done``.
+    #: Slice intervals received so far, from any attempt (keys
+    #: deduplicate, so every slice is valid coverage evidence): the
+    #: query completes when they cover ``[lo, hi)``, and a retry
+    #: re-issues only their gaps.
     covered: List[tuple] = field(default_factory=list)
 
     def messages(self) -> int:
-        return self.parts + self.hops
+        return len(self.covered) + self.hops
 
     def found_keys(self) -> Tuple[int, ...]:
         return tuple(sorted(self.keys))
 
 
-def _intervals_cover(intervals: List[tuple], lo: int, hi: int) -> bool:
-    """True iff the union of half-open ``intervals`` covers ``[lo, hi)``."""
+def _gaps(intervals: List[tuple], lo: int, hi: int) -> List[tuple]:
+    """The parts of ``[lo, hi)`` that the half-open ``intervals`` (each
+    inside it) leave uncovered, in key order."""
+    gaps = []
     cursor = lo
     for start, end in sorted(intervals):
         if start > cursor:
-            return False
+            gaps.append((cursor, start))
         if end > cursor:
             cursor = end
-    return cursor >= hi
+    if cursor < hi:
+        gaps.append((cursor, hi))
+    return gaps
 
 
 @dataclass(frozen=True, slots=True)
@@ -253,8 +261,9 @@ class QueryOutcome:
     ``on_query_done`` / ``on_range_done`` observer callbacks.
 
     ``messages`` approximates the wire messages the query caused from
-    the origin's viewpoint: routed hops of the final attempt plus, for
-    ranges, one result slice per traversed partition.  ``moot`` marks
+    the origin's viewpoint: routed hops of the final attempt plus the
+    reply; for a range, the result slices received (all attempts) plus
+    the longest forwarding chain, a lower bound.  ``moot`` marks
     queries voided because the *origin* went offline mid-flight -- the
     overlay did not fail them, they could never be answered.
     """
@@ -506,17 +515,6 @@ class PGridNode:
     def add_route(self, level: int, other: int) -> None:
         """Record a complementary-subtree reference at ``level``."""
         self.liveness.add(level, other)
-
-    def _level_toward(self, key: int) -> Optional[int]:
-        """The level at which ``key`` leaves this node's path -- the
-        first bit where they differ -- or ``None`` when this node is
-        responsible for it.  Asked once per routed hop."""
-        # The first differing bit is the highest set bit of one XOR (at
-        # the root both sides are 0: every key is ours).
-        path = self.path
-        length = path.length
-        diff = (key >> (KEY_BITS - length)) ^ path.bits
-        return length - diff.bit_length() if diff else None
 
     def responsible_for(self, key: int) -> bool:
         """True iff ``key`` lies in this node's partition."""
@@ -1352,7 +1350,7 @@ class PGridNode:
         self, table: Optional[dict], level: int, kind: str, payload: dict, *, n_keys: int = 0
     ) -> bool:
         """Forward ``payload`` one hop through ``level`` (where its key
-        leaves this node's path: :meth:`_level_toward`), or report the
+        leaves this node's path: :func:`level_toward`), or report the
         dead end to its origin; returns whether it went out.
 
         The forward is always a fresh dict (values shared by reference):
@@ -1380,7 +1378,7 @@ class PGridNode:
         now instead of burning the timeout window."""
         origin = payload["origin"]
         if kind == P.RANGE_QUERY:
-            self._send_range_part(origin, payload, keys=[], done=False, stuck=True)
+            self._send_range_part(origin, payload, [], None)
         elif origin == self.node_id:
             self._dead_end(table, payload["qid"], payload.get("attempt", 0))
         else:
@@ -1399,7 +1397,7 @@ class PGridNode:
         origin = payload["origin"]
         qid = payload["qid"]
         hops = payload["hops"]
-        level = self._level_toward(key)
+        level = level_toward(self.path, key)
         responsible = level is None
         grant_present: Optional[bool] = None
         if not responsible and self._serving is not None:
@@ -1512,7 +1510,7 @@ class PGridNode:
         # invalidates our cached result for the key: the cheapest
         # coherence signal the serving layer gets for free.
         self._serving_invalidate(key)
-        level = self._level_toward(key)
+        level = level_toward(self.path, key)
         if level is None:
             self.apply_mutation(op, key)
             self._sync_replicas(op, key)
@@ -1706,22 +1704,20 @@ class PGridNode:
         pending.hops = hops
         self._finish(wid, pending, True)
 
-    # -- range queries (sequential key-order traversal, Sec. 2.3) ---------------
+    # -- range queries (the shower, Sec. 2.3; one split with pgrid.search) -------
 
     def issue_range_query(self, lo: int, hi: int) -> int:
         """Originate a range query over ``[lo, hi)``; returns its qid.
 
-        Implements the *sequential* range algorithm over the trie: the
-        query routes to the partition containing ``lo``; each
-        responsible node ships its slice of the range back to the
-        origin (``range_part``) and forwards the remainder to the next
-        partition in key order, until a slice arrives flagged ``done``.
-        Each slice carries its interval bounds, and the origin accepts
-        ``done`` only when the current attempt's slices cover the whole
-        of ``[lo, hi)`` -- a result slice lost on the wire triggers a
-        retry instead of a silently incomplete "success".  Dead ends
-        (``stuck``) and timeouts trigger whole-range retries too; the
-        origin de-duplicates keys across attempts.
+        Implements the *shower* over the trie (:func:`split_range`, the
+        data plane's step too): each node a ``range_query`` reaches
+        ships the slice of it its own partition holds back to the origin
+        (``range_part``, carrying the slice's bounds) and sends one
+        ``range_query`` into every complementary subtree the rest
+        intersects.  The query completes the moment the slices received
+        cover ``[lo, hi)``, in whatever order they arrive.  A timeout or
+        a dead end (a ``range_part`` with no slice) re-issues only the
+        intervals still uncovered; keys deduplicate across attempts.
         """
         self._query_seq += 1
         qid = (self.node_id << 20) | self._query_seq
@@ -1732,61 +1728,37 @@ class PGridNode:
         return qid
 
     def _launch_range(self, qid: int, pending: _PendingRange) -> None:
-        self._route_range(
-            {
-                "lo": pending.lo,
-                "hi": pending.hi,
-                "cursor": pending.lo,
-                "origin": self.node_id,
-                "qid": qid,
-                "attempt": pending.attempts,
-                "hops": 0,
-            }
-        )
+        gaps = _gaps(pending.covered, pending.lo, pending.hi)
+        if not gaps:
+            self._finish(qid, pending, True)  # an empty range is covered
+        head = {"origin": self.node_id, "qid": qid, "attempt": pending.attempts, "hops": 0}
+        for lo, hi in gaps:
+            if not self._route_range({**head, "lo": lo, "hi": hi}):
+                return  # a local dead end retried or failed the op already
 
-    def _route_range(self, payload: dict) -> None:
-        cursor = payload["cursor"]
+    def _route_range(self, payload: dict) -> bool:
+        """Send this partition's slice home and one sub-range into each
+        intersecting subtree.  ``False``: a forward of the origin's own
+        launch dead-ended, which retried or failed the op in this call."""
+        own, subs = split_range(self.path, payload["lo"], payload["hi"])
         origin = payload["origin"]
-        level = self._level_toward(cursor)
-        if level is not None:
-            self._relay(self._ranges, level, P.RANGE_QUERY, payload)
-            return
-        # Responsible for the cursor: ship this partition's slice home,
-        # then forward the remainder to the next partition in key order.
-        part_hi = self.path.key_range(KEY_BITS)[1]
-        hi = payload["hi"]
-        upper = min(hi, part_hi)
-        matches = sorted(k for k in self.keys if cursor <= k < upper)
-        done = part_hi >= hi
-        self._send_range_part(
-            origin, payload, keys=matches, done=done, stuck=False,
-            slice_bounds=(cursor, upper),
-        )
-        if not done:
-            # No table: the remainder never recorded a first hop, not
-            # even when it leaves the origin itself (the digests pin it).
-            level = self._level_toward(part_hi)
-            self._relay(None, level, P.RANGE_QUERY, {**payload, "cursor": part_hi})
+        if own is not None:
+            lo, hi = own
+            matches = sorted(k for k in self.keys if lo <= k < hi)
+            self._send_range_part(origin, payload, matches, own)
+        for level, lo, hi in subs:
+            # No table: a showered range has many first hops, so a
+            # timeout is evidence against none of them.
+            sent = self._relay(None, level, P.RANGE_QUERY, {**payload, "lo": lo, "hi": hi})
+            if not sent and origin == self.node_id:
+                return False
+        return True
 
     def _send_range_part(
-        self,
-        origin: int,
-        payload: dict,
-        *,
-        keys: List[int],
-        done: bool,
-        stuck: bool,
-        slice_bounds: Optional[tuple] = None,
+        self, origin: int, payload: dict, keys: List[int], bounds: Optional[tuple]
     ) -> None:
-        part = {
-            "qid": payload["qid"],
-            "keys": keys,
-            "done": done,
-            "stuck": stuck,
-            "attempt": payload.get("attempt", 0),
-            "hops": payload["hops"],
-            "slice": slice_bounds,
-        }
+        part = {"qid": payload["qid"], "keys": keys, "attempt": payload["attempt"],
+                "hops": payload["hops"], "slice": bounds}
         if origin == self.node_id:
             self._absorb_range_part(part)
         else:
@@ -1804,23 +1776,16 @@ class PGridNode:
         if pending is None or pending.done:
             return
         # Result slices are welcome from any attempt (keys deduplicate
-        # and every attempt restarts from lo, so each slice is genuine
-        # coverage evidence); only retry *control* is attempt-gated.
-        pending.parts += 1
+        # and each slice is genuine coverage evidence); only retry
+        # *control* is attempt-gated.
         pending.keys.update(payload["keys"])
         if payload["hops"] > pending.hops:
             pending.hops = payload["hops"]
-        if payload.get("slice") is not None:
-            pending.covered.append(tuple(payload["slice"]))
-        if payload["done"]:
-            if _intervals_cover(pending.covered, pending.lo, pending.hi):
+        bounds = payload["slice"]
+        if bounds is None:
+            # Dead end: retry the gaps early, like a query miss.
+            self._dead_end(self._ranges, qid, payload["attempt"])
+        else:
+            pending.covered.append(bounds)
+            if not _gaps(pending.covered, pending.lo, pending.hi):
                 self._finish(qid, pending, True)
-            elif payload.get("attempt", pending.attempts) == pending.attempts:
-                # The chain finished but a result slice was lost on the
-                # wire: an incomplete answer is a retry, not a success.
-                self._retry_or_fail(qid, pending)
-            # A stale done with a coverage gap proves nothing about the
-            # current attempt; let the live attempt decide.
-        elif payload["stuck"]:
-            # Dead end mid-traversal: retry early, like a query miss.
-            self._dead_end(self._ranges, qid, payload.get("attempt"))

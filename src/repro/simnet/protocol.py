@@ -49,8 +49,8 @@ EXCHANGE_RESP = "exchange_resp"  #: construction interaction response
 QUERY = "query"  #: exact-match query being routed
 QUERY_HIT = "query_hit"  #: responsible peer -> origin
 QUERY_MISS = "query_miss"  #: routing dead-end -> origin
-RANGE_QUERY = "range_query"  #: range query traversing partitions in key order
-RANGE_PART = "range_part"  #: partition result slice -> origin (``done``/``stuck``)
+RANGE_QUERY = "range_query"  #: range showered down the trie, one sub-range per subtree
+RANGE_PART = "range_part"  #: partition slice + its bounds -> origin (``None``: dead end)
 INSERT = "insert"  #: key insert being routed to the responsible partition
 DELETE = "delete"  #: key delete being routed (tombstoned at the owner)
 UPDATE_ACK = "update_ack"  #: responsible peer -> origin: mutation applied

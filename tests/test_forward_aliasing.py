@@ -1,4 +1,4 @@
-"""Copy-free forwarding must not alias: the four forward sites.
+"""Copy-free forwarding must not alias: the three forward sites.
 
 The wire-kernel fast path replaced the per-hop ``dict(payload)`` copies
 in ``simnet/node.py`` with minimal fresh forward dicts whose *values*
@@ -6,10 +6,10 @@ are shared by reference.  The invariant these tests pin is the one that
 makes that safe: every forward owns its own **container**, so a handler
 mutating the payload dict it received -- or a later hop mutating the
 forward it was handed -- can never corrupt a sibling message that is
-already on the wire.  The four audited sites are ``_route_query``,
-``_route_write``, and both ``_route_range`` forwards (the
-not-responsible relay and the responsible-split remainder, whose
-sibling is the RANGE_PART slice built from the same incoming payload).
+already on the wire.  The audited sites are ``_route_query``,
+``_route_write``, and ``_route_range``'s sub-range forwards (a pure
+relay, and a split whose siblings are the RANGE_PART slice and every
+other sub-range built from the same incoming payload).
 """
 
 from repro.pgrid.bits import Path
@@ -111,23 +111,21 @@ class TestForwardOwnsItsContainer:
         sent = capture_sends(nodes[0])
         lo, hi = float_to_key(0.55), float_to_key(0.7)
         incoming = {
-            "lo": lo, "hi": hi, "cursor": lo, "origin": 3, "qid": 42,
-            "attempt": 1, "hops": 0,
+            "lo": lo, "hi": hi, "origin": 3, "qid": 42, "attempt": 1, "hops": 0,
         }
-        nodes[0]._route_range(incoming)  # cursor in quadrant 10: relay
+        nodes[0]._route_range(incoming)  # all of it in quadrant 10: relay
         kinds = [kind for kind, _ in sent]
         assert kinds == [P.RANGE_QUERY]
         forward = sent[0][1]
         assert forward is not incoming
         clobber(incoming)
         assert forward == {
-            "lo": lo, "hi": hi, "cursor": lo, "origin": 3, "qid": 42,
-            "attempt": 1, "hops": 1,
+            "lo": lo, "hi": hi, "origin": 3, "qid": 42, "attempt": 1, "hops": 1,
         }
 
     def test_range_split_siblings(self):
-        # The responsible-split site: one incoming payload fans out into
-        # a RANGE_PART slice home AND a remainder forward.  Mutating
+        # The split site: one incoming payload fans out into a
+        # RANGE_PART slice home AND a sub-range forward.  Mutating
         # either sibling -- or the incoming payload -- must not reach
         # the other two dicts.
         sim, net, nodes = build_wire(QUADRANTS)
@@ -135,8 +133,7 @@ class TestForwardOwnsItsContainer:
         lo = float_to_key(0.05)
         hi = float_to_key(0.45)  # spans quadrants 00 and 01
         incoming = {
-            "lo": lo, "hi": hi, "cursor": lo, "origin": 3, "qid": 11,
-            "attempt": 2, "hops": 1,
+            "lo": lo, "hi": hi, "origin": 3, "qid": 11, "attempt": 2, "hops": 1,
         }
         nodes[0]._route_range(incoming)
         by_kind = dict(sent)
@@ -145,8 +142,7 @@ class TestForwardOwnsItsContainer:
         assert part is not incoming and forward is not incoming
         part_hi = nodes[0].path.key_range(KEY_BITS)[1]
         expected_forward = {
-            "lo": lo, "hi": hi, "cursor": part_hi, "origin": 3, "qid": 11,
-            "attempt": 2, "hops": 2,
+            "lo": part_hi, "hi": hi, "origin": 3, "qid": 11, "attempt": 2, "hops": 2,
         }
         expected_part_keys = part["keys"]
         clobber(incoming)
@@ -183,8 +179,9 @@ class TestHandlerMutationCannotCorruptSibling:
 
     def test_range_survives_a_payload_trashing_splitter(self):
         sim, net, nodes = build_wire(QUADRANTS)
-        # Node 2 splits the range: slice home + remainder forward, then
+        # Node 2 splits the range: slice home + sub-range forward, then
         # trashes the payload both siblings were built from.
+        nodes[0].routing[0] = [2]
         original = nodes[2]._route_range
 
         def trashing(payload):

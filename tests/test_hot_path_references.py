@@ -4,8 +4,9 @@ Each shortcut here exists only to make a routed hop or a report cheaper;
 each must give the same answer as the obvious version kept in this file
 (and, where it draws, leave the RNG in the same state):
 
-* ``PGridNode._level_toward`` -- one XOR for the level a key leaves the
-  node's path through -- against a bit-by-bit scan on ``bit_at``;
+* ``pgrid.search.level_toward`` -- one XOR for the level a key leaves a
+  path through, on every routed hop of both backends -- against a
+  bit-by-bit scan on ``bit_at``;
 * ``RoutingTable.choose`` -- ``_randbelow`` -- against
   ``refs[make_rng(rng).randrange(len(refs))]``;
 * the report's ``links`` block -- a partial sort -- against the two full
@@ -20,10 +21,8 @@ from repro._util import make_rng, mean
 from repro.pgrid.bits import ROOT, Path
 from repro.pgrid.keyspace import KEY_BITS, MAX_KEY, bit_at
 from repro.pgrid.routing import RoutingTable
+from repro.pgrid.search import level_toward
 from repro.scenarios.message_runner import _link_summary
-from repro.simnet.engine import Simulator
-from repro.simnet.node import PGridNode
-from repro.simnet.transport import Network
 
 # -- the level a key leaves through -------------------------------------------
 
@@ -60,10 +59,7 @@ def paths_and_keys(draw):
 @settings(derandomize=True, max_examples=500, deadline=None)
 def test_level_toward_is_the_first_differing_bit(case):
     path, key = case
-    sim = Simulator()
-    node = PGridNode(0, sim, Network(sim, rng=1), rng=1)
-    node.path = path
-    level = node._level_toward(key)
+    level = level_toward(path, key)
     assert level == ref_level(path, key)
     assert (level is None) == path.contains_key(key, KEY_BITS)
 

@@ -19,7 +19,7 @@ Four layers of protection for ``MessageScenarioRunner``:
   "the whole library runs deterministically at N>=1024" guarantee.
   The same file's ``long`` tier pins the library at N=48 with unscaled
   durations, the only scenario pin that runs past 225 simulated seconds.
-* **Protocol-level tests** drive the message-level range traversal and
+* **Protocol-level tests** drive the message-level range shower and
   timeout/retry paths on hand-built overlays.
 * **Structural invariants**: :meth:`MessageScenarioRunner.as_network`
   exposes the end state to the same checks as the data-plane backend.
@@ -48,9 +48,10 @@ from repro.scenarios.invariants import (
     check_partition_tiling,
     check_routing_complementarity,
 )
+from repro.simnet import protocol as P
 from repro.simnet.engine import Simulator
-from repro.simnet.node import NodeConfig, PGridNode
-from repro.simnet.transport import ConstantLatency, Network
+from repro.simnet.node import KEY_BITS, NodeConfig, PGridNode
+from repro.simnet.transport import ConstantLatency, Network, PerLinkLatency
 
 DATA = pathlib.Path(__file__).parent / "data"
 GOLDEN_PATH = DATA / "scenario_message_golden.json"
@@ -295,9 +296,28 @@ class TestLazyTimerHeapHygiene:
         )
 
 
+def tap_sends(net):
+    """Record ``(time, src, dst, kind, payload)`` of every message
+    offered to ``net`` from now on (drops included)."""
+    log, send = [], net.send
+
+    def recording(src, dst, kind, payload, **kwargs):
+        log.append((net.sim.now, src, dst, kind, payload))
+        return send(src, dst, kind, payload, **kwargs)
+
+    net.send = recording
+    return log
+
+
+def quarter(q):
+    """Key of the quadrant boundary ``q / 4``."""
+    return q << (KEY_BITS - 2)
+
+
 class TestRangeProtocol:
-    def test_range_traverses_partitions_in_key_order(self):
+    def test_range_showers_each_partition_once(self):
         sim, net, nodes = build_wire(QUADRANTS)
+        sent = tap_sends(net)
         outcomes = []
         nodes[0].on_range_done = lambda nid, qid, out: outcomes.append(out)
         nodes[0].issue_range_query(float_to_key(0.1), float_to_key(0.9))
@@ -308,8 +328,19 @@ class TestRangeProtocol:
         # Keys 0.2 .. 0.8 fall inside [0.1, 0.9): six of the eight.
         assert out.keys_found == 6
         assert out.attempts == 1
-        # Three partition boundaries crossed after the origin's own slice.
-        assert out.hops == 3
+        # The origin answers [0.1, 0.25) itself and sends one sub-range
+        # into each of its two complementary subtrees; the half [0.5,
+        # 0.9) is split once more where it lands.  Depth is the trie's
+        # two levels, not the three partitions after the origin's.
+        assert out.hops == 2
+        queries = [(src, p["lo"], p["hi"]) for _, src, _, kind, p in sent
+                   if kind == P.RANGE_QUERY]
+        assert len(queries) == 3
+        assert (0, quarter(1), quarter(2)) in queries
+        assert (0, quarter(2), float_to_key(0.9)) in queries
+        # Each of the three other partitions sends exactly one slice home.
+        parts = sorted(src for _, src, _, kind, _ in sent if kind == P.RANGE_PART)
+        assert parts == [1, 2, 3]
         assert out.messages >= out.hops
 
     def test_range_confined_to_origin_partition_completes_locally(self):
@@ -323,11 +354,50 @@ class TestRangeProtocol:
         assert outcomes[0].keys_found == 2
         assert net.messages_sent == sent_before  # never left the node
 
+    def test_empty_range_is_covered_at_once(self):
+        # [k, k) holds no key anywhere: covered before it starts, with
+        # no message sent -- not a query that waits out every timeout.
+        sim, net, nodes = build_wire(QUADRANTS)
+        outcomes = []
+        nodes[0].on_range_done = lambda nid, qid, out: outcomes.append(out)
+        key = float_to_key(0.8)
+        nodes[0].issue_range_query(key, key)
+        sim.run_until(60.0)
+        assert len(outcomes) == 1
+        out = outcomes[0]
+        assert out.success and (out.keys_found, out.attempts, out.latency) == (0, 1, 0.0)
+        assert net.messages_sent == 0
+
+    def test_slice_overtaking_an_earlier_one_is_no_retry(self):
+        # Zero loss, but the link to quadrant 01 is slow: the slices of
+        # quadrants 10 and 11 reach the origin long before 01's.  The
+        # range completes when the last slice closes the coverage -- an
+        # early slice that ends at ``hi`` proves nothing and retries
+        # nothing.
+        sim, net, nodes = build_wire(QUADRANTS)
+        net.latency = PerLinkLatency(lo=0.01, hi=0.01, overrides={(0, 1): 1.0})
+        sent = tap_sends(net)
+        outcomes = []
+        nodes[0].on_range_done = lambda nid, qid, out: outcomes.append(out)
+        nodes[0].issue_range_query(float_to_key(0.1), float_to_key(0.9))
+        sim.run_until(60.0)
+        assert len(outcomes) == 1
+        out = outcomes[0]
+        assert out.success and out.keys_found == 6
+        assert (out.attempts, out.timeouts) == (1, 0)
+        slices = [src for _, src, dst, kind, _ in sent
+                  if kind == P.RANGE_PART and dst == 0]
+        assert slices[-1] == 1  # premise: 01's slice left last, on the slow link
+        assert out.latency == pytest.approx(2.0)  # the slow round trip
+        from_origin = [p for _, src, _, kind, p in sent
+                       if kind == P.RANGE_QUERY and src == 0]
+        assert len(from_origin) == 2  # one per subtree, never a second round
+
     def test_lost_middle_slice_triggers_retry_not_silent_success(self):
         # Drop the first result slice arriving from quadrant 10: the
-        # final done-flagged part still arrives, but the origin must
-        # notice the coverage gap and retry instead of reporting a
-        # silently incomplete success.
+        # other slices still arrive, but the origin must notice the
+        # coverage gap and retry instead of reporting a silently
+        # incomplete success -- and re-issue only the gap.
         sim, net, nodes = build_wire(QUADRANTS)
         original = nodes[0]._on_range_part
         dropped = []
@@ -339,16 +409,25 @@ class TestRangeProtocol:
             original(msg)
 
         nodes[0]._on_range_part = lossy
+        struck = []
+        nodes[0]._suspect_ref = struck.append
         outcomes = []
         nodes[0].on_range_done = lambda nid, qid, out: outcomes.append(out)
         nodes[0].issue_range_query(float_to_key(0.1), float_to_key(0.9))
+        sim.run_until(1.0)
+        sent = tap_sends(net)  # from here on: the retry only
         sim.run_until(120.0)
         assert dropped, "test premise: a slice from node 2 was dropped"
         assert len(outcomes) == 1
         out = outcomes[0]
         assert out.success
         assert out.keys_found == 6  # nothing silently missing
-        assert out.attempts == 2  # the gap forced exactly one retry
+        assert (out.attempts, out.timeouts) == (2, 1)  # one timeout, one retry
+        retry = [(p["lo"], p["hi"], p["attempt"]) for _, _, _, kind, p in sent
+                 if kind == P.RANGE_QUERY]
+        assert retry and set(retry) == {(quarter(2), quarter(3), 2)}
+        # A range timeout names no first hop: no reference is struck.
+        assert struck == []
 
     def test_stale_timers_do_not_burn_the_retry_budget(self):
         # Slow links + early stuck replies: each attempt's timeout timer
@@ -357,7 +436,8 @@ class TestRangeProtocol:
         # exhaust the budget while an attempt was still in flight).
         config = NodeConfig(query_retries=2, query_timeout=5.0)
         sim, net, nodes = build_wire(QUADRANTS, latency=2.0, config=config)
-        nodes[1].routing.pop(0, None)  # dead end after quadrant 01
+        nodes[0].routing[0] = [2]  # the half [0.5, 0.9) lands on 10 ...
+        nodes[2].routing.pop(1, None)  # ... which cannot pass 11 its part
         outcomes = []
         nodes[0].on_range_done = lambda nid, qid, out: outcomes.append(out)
         nodes[0].issue_range_query(float_to_key(0.1), float_to_key(0.9))
@@ -371,8 +451,9 @@ class TestRangeProtocol:
     def test_transient_dead_end_recovers_on_retry(self):
         config = NodeConfig(query_retries=2, query_timeout=5.0)
         sim, net, nodes = build_wire(QUADRANTS, latency=2.0, config=config)
-        saved = nodes[1].routing.pop(0)  # sever, then heal mid-flight
-        sim.schedule(5.0, lambda: nodes[1].routing.__setitem__(0, saved))
+        nodes[0].routing[0] = [2]
+        saved = nodes[2].routing.pop(1)  # sever, then heal mid-flight
+        sim.schedule(5.0, lambda: nodes[2].routing.__setitem__(1, saved))
         outcomes = []
         nodes[0].on_range_done = lambda nid, qid, out: outcomes.append(out)
         nodes[0].issue_range_query(float_to_key(0.1), float_to_key(0.9))
@@ -382,11 +463,53 @@ class TestRangeProtocol:
         assert outcomes[0].keys_found == 6
         assert outcomes[0].attempts >= 2
 
+    def test_local_dead_end_ends_the_launch(self):
+        # The origin has no reference at level 0, so its launch dead-ends
+        # on the first sub-range, and the report retries -- and at last
+        # fails -- the op inside that very launch.  The rest of each
+        # launch is stale: the sub-range for quadrant 01 must not leave
+        # once per superseded attempt.
+        sim, net, nodes = build_wire(QUADRANTS)
+        nodes[0].routing.pop(0)
+        sent = tap_sends(net)
+        outcomes = []
+        nodes[0].on_range_done = lambda nid, qid, out: outcomes.append(out)
+        nodes[0].issue_range_query(float_to_key(0.1), float_to_key(0.9))
+        sim.run_until(60.0)
+        assert len(outcomes) == 1
+        out = outcomes[0]
+        assert not out.success
+        assert (out.attempts, out.timeouts, out.keys_found) == (3, 0, 1)
+        assert sent == []
+
+    def test_local_dead_end_ends_a_gap_retry(self):
+        # The wire eats the slices of quadrants 01 and 11, so the retry
+        # re-issues two gaps; by then the origin has lost its reference
+        # into 01, and the first gap dead-ends at once.  The second gap
+        # belongs to a superseded attempt and must stay home.
+        sim, net, nodes = build_wire(QUADRANTS)
+        original = nodes[0]._on_range_part
+        nodes[0]._on_range_part = lambda msg: msg.src in (1, 3) or original(msg)
+        outcomes = []
+        nodes[0].on_range_done = lambda nid, qid, out: outcomes.append(out)
+        nodes[0].issue_range_query(float_to_key(0.1), float_to_key(0.9))
+        sim.run_until(1.0)
+        nodes[0].routing.pop(1)
+        sent = tap_sends(net)
+        sim.run_until(60.0)
+        assert len(outcomes) == 1
+        out = outcomes[0]
+        assert not out.success
+        assert (out.attempts, out.timeouts, out.keys_found) == (3, 1, 3)
+        assert sent == []
+
     def test_dead_end_exhausts_retries_and_fails(self):
         sim, net, nodes = build_wire(QUADRANTS)
-        # Sever the forward path out of quadrant 01: the traversal from
-        # 00 reaches 01 and then has nowhere to send the remainder.
-        nodes[1].routing.pop(0, None)
+        # Sever the way from quadrant 10 into 11: the half [0.5, 0.9)
+        # lands on 10, which answers its own slice and has nowhere to
+        # send the rest.
+        nodes[0].routing[0] = [2]
+        nodes[2].routing.pop(1, None)
         outcomes = []
         nodes[0].on_range_done = lambda nid, qid, out: outcomes.append(out)
         nodes[0].issue_range_query(float_to_key(0.1), float_to_key(0.9))
@@ -395,8 +518,8 @@ class TestRangeProtocol:
         out = outcomes[0]
         assert not out.success
         assert out.attempts == 3  # 1 + query_retries
-        # The partial slices that did arrive were still collected.
-        assert out.keys_found >= 2
+        # The slices that did arrive were still collected: all but 0.8.
+        assert out.keys_found == 5
 
 
 class TestPointQueryOutcomes:

@@ -88,7 +88,7 @@ class Op:
         """Deliver a remote dead-end report for ``attempt`` to the origin."""
         payload = {"qid": opid, "hops": 1, "attempt": attempt}
         if self.kind == "range":
-            payload.update(keys=[], done=False, stuck=True, slice=None)
+            payload.update(keys=[], slice=None)
         self.node.receive(Message(3, self.node.node_id, self.dead_end_kind, payload, 0))
 
     def assert_terminal(self, opid, pending, *, recorded):
@@ -241,7 +241,7 @@ def routed(kind, opid, *, origin, hops):
     payload = {"origin": origin, "qid": opid, "attempt": 1, "hops": hops}
     if kind == "range":
         lo = float_to_key(0.8)
-        return "_route_range", {"lo": lo, "hi": float_to_key(0.9), "cursor": lo, **payload}
+        return "_route_range", {"lo": lo, "hi": float_to_key(0.9), **payload}
     if kind == "query":
         return "_route_query", {"key": float_to_key(0.9), **payload}
     return "_route_write", {"op": kind, "key": float_to_key(0.85), **payload}
@@ -259,13 +259,14 @@ def wire_log(node):
     return log
 
 
-@pytest.mark.parametrize("kind", KINDS)
 class TestFirstHopEvidence:
-    """The one relay step (``_relay``) under all routed kinds: the origin
-    remembers the reference its attempt left through, a timeout strikes
-    exactly that reference, and a hop relayed for someone -- or
+    """The one relay step (``_relay``) under all routed kinds: a point
+    query or write remembers the reference its attempt left through and
+    a timeout strikes exactly that reference; a showered range leaves
+    through many and strikes none; a hop relayed for someone -- or
     somewhere -- else leaves the record alone."""
 
+    @pytest.mark.parametrize("kind", ("query", "insert", "delete"))
     def test_timed_out_attempt_strikes_the_first_hop_it_left_through(self, kind):
         sim, net, nodes = build_wire()
         black_hole(nodes[3])
@@ -283,6 +284,23 @@ class TestFirstHopEvidence:
         assert struck == [first_hop]
         assert pending.attempts == 2 and pending.via == sent[-1][0]
 
+    def test_timed_out_range_strikes_no_reference(self):
+        sim, net, nodes = build_wire()
+        black_hole(nodes[3])
+        origin = nodes[0]
+        sent = wire_log(origin)
+        struck = []
+        origin._suspect_ref = struck.append
+        op = Op(origin, "range")
+        opid = op.issue()
+        pending = op.table[opid]
+        sim.run_until(0.001)  # attempt 1 is out
+        assert sent[0][0] in origin.routing[0] and pending.via is None
+        sim.run_until(TIMEOUT + 0.5)  # attempt 1 timed out, attempt 2 is out
+        assert struck == []
+        assert (pending.attempts, pending.timeouts, pending.via) == (2, 1, None)
+
+    @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("origin_id, hops", [(0, 2), (1, 0)])
     def test_relayed_hop_records_nothing(self, kind, origin_id, hops):
         # hops > 0: our own operation routed back through us; a foreign
