@@ -139,11 +139,6 @@ def split_range(
     subtree the range intersects, in ascending level order.  The pieces
     are pairwise disjoint and together tile ``[lo, hi)``.
     """
-    level = level_toward(path, lo)
-    if level is not None and lo < hi and level == level_toward(path, hi - 1):
-        # Both ends leave at one level, so one subtree holds it all: the
-        # common case of a hop on the way down.
-        return None, [(level, lo, hi)]
     (own_lo, own_hi), comps = _subtree_ranges(path)
     own_lo = lo if lo > own_lo else own_lo
     own_hi = hi if hi < own_hi else own_hi
