@@ -218,18 +218,16 @@ def run_all(n_peers: int, *, seed: int, duration_scale: float, backend: str) -> 
         if report.mdim is not None:
             # Multi-dimensional box-query metrics (gated by
             # check_regression.py): recall against the brute-force
-            # oracle and z-order decomposition efficiency.
+            # oracle and the partitions a box's shower reaches.
             md = report.mdim
             entry["box_recall"] = md["box_recall"]
-            entry["ranges_per_box"] = md["ranges_per_box_mean"]
+            entry["partitions_per_box"] = md["partitions_per_box_mean"]
             entry["mdim"] = {
                 "dims": md["dims"],
                 "bits_per_dim": md["bits_per_dim"],
-                "split_budget": md["split_budget"],
                 "boxes": md["boxes"],
                 "box_success_rate": md["box_success_rate"],
-                "ranges_total": md["ranges_total"],
-                "ranges_per_box_max": md["ranges_per_box_max"],
+                "partitions_per_box_p90": md["partitions_per_box_p90"],
                 "recall_expected": md["recall_expected"],
                 "recall_found": md["recall_found"],
                 "selectivity_per_dim": md["selectivity_per_dim"],
@@ -364,12 +362,12 @@ def main(argv=None) -> int:
             md = entry.get("mdim")
             if md:
                 recall = entry["box_recall"]
-                rpb = entry["ranges_per_box"]
+                ppb = entry["partitions_per_box"]
                 line += (
                     f"  boxes {md['boxes']:5d}  "
                     f"recall {'n/a' if recall is None else format(recall, '.4f')}  "
-                    f"rpb {'n/a' if rpb is None else format(rpb, '.2f')}"
-                    f"/max {md['ranges_per_box_max']}"
+                    f"ppb {'n/a' if ppb is None else format(ppb, '.2f')}"
+                    f"/p90 {md['partitions_per_box_p90']}"
                 )
             rec = entry.get("recovery")
             if rec:

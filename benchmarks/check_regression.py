@@ -49,7 +49,7 @@ bench scripts record what they compare against inline:
 :func:`recovery_gate` (warm rejoin beats the inline ``recovery.cold``
 pass, clean shutdowns lose nothing), :func:`serving_gate` (caches on
 beat the inline ``serving.off`` pass), :func:`mdim_gate` (box recall
-floor, split budget) and :func:`scale_bounds_gate` (bounded heaps).
+floor) and :func:`scale_bounds_gate` (bounded heaps).
 
 When ``$GITHUB_STEP_SUMMARY`` is set (every GitHub Actions step) -- or
 ``--summary PATH`` is passed -- the gate also appends a markdown
@@ -106,11 +106,10 @@ SCENARIO_METRICS = (
     ("cache_hit_rate", "drop"),
     ("stale_read_rate", "rise"),
     ("serving_p99_s", "ratio"),
-    # Mdim scenarios only (``mdim`` section): the z-order decomposition
-    # under-covers its boxes, or the litmax/bigmin splitter fragments
-    # boxes it used to cover cheaply.
+    # Mdim scenarios only (``mdim`` section): the box shower misses keys
+    # of its boxes, or reaches partitions the box does not need.
     ("box_recall", "drop"),
-    ("ranges_per_box", "ratio"),
+    ("partitions_per_box", "ratio"),
 )
 
 
@@ -371,44 +370,27 @@ def serving_gate(candidate: dict, tolerance: float) -> Gate:
 
 def mdim_gate(candidate: dict, tolerance: float) -> Gate:
     """What the z-order box-query layer must always satisfy, checkable
-    without a baseline because ``bench_scenarios.py`` records the codec
-    geometry (dims, split budget) inline under ``mdim``:
-
-    * **boxes stay covered** -- the recall audit (keys the issued
-      ranges were obligated to find vs keys actually found) must not
-      drop more than ``tolerance`` below 1.0 (exactly 1.0 on
-      maintenance-free specs like ``geo-box-serving``): below the floor
-      the decomposition under-covers or the plumbing drops sub-ranges;
-    * **decomposition honors its budget** -- both the mean and the max
-      ranges-per-box must sit within the codec's ``split_budget``; the
-      litmax/bigmin splitter is *defined* to stop splitting at the
-      budget, so a breach means the budget knob stopped being wired
-      through.
+    without a baseline: **boxes stay covered** -- the recall audit (the
+    universe keys in the box vs the keys the shower found) must not drop
+    more than ``tolerance`` below 1.0 (exactly 1.0 on maintenance-free
+    specs like ``geo-box-serving``): below the floor the shower prunes a
+    subtree the box meets, or the plumbing drops slices.
     """
     rows: List[Row] = []
     floor = 1.0 - tolerance
     for where, entry in _entries(candidate):
         md = entry.get("mdim")
         if not md or not md.get("boxes"):
-            continue  # no boxes issued: recall and ranges-per-box are vacuous
+            continue  # no boxes issued: recall is vacuous
         rows += _check(
             where, f"recall>={floor:g}", lambda recall: recall >= floor,
             (entry.get("box_recall"),),
-            f"box recall {{0:g}} below floor {floor:g} -- z-order "
-            "decomposition no longer covers its boxes",
+            f"box recall {{0:g}} below floor {floor:g} -- the box shower "
+            "no longer covers its boxes",
         )
-        for metric, value in (
-            ("ranges_per_box", entry.get("ranges_per_box")),
-            ("ranges_per_box_max", md.get("ranges_per_box_max")),
-        ):
-            rows += _check(
-                where, f"{metric}<=budget", operator.le,
-                (value, md.get("split_budget")),
-                f"{metric} {{0:g}} exceeds the codec split budget {{1:g}}",
-            )
     return Gate(
-        "mdim gate (box recall floor, ranges-per-box vs split budget)",
-        "Mdim (intra-snapshot: box recall floor, split budget)",
+        "mdim gate (box recall floor)",
+        "Mdim (intra-snapshot: box recall floor)",
         ("scenario", "check", "values"),
         rows,
     )

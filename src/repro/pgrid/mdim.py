@@ -1,14 +1,14 @@
 """Multi-dimensional keyspaces: z-order composite keys and box queries.
 
 The trie indexes one ordered dimension; this module extends key
-construction to multi-attribute records (ROADMAP open item 4) by
-bit-interleaving d quantized attributes into a single
+construction to multi-attribute records by bit-interleaving d
+quantized attributes into a single
 :data:`~repro.pgrid.keyspace.KEY_BITS`-bit key.  Because interleaving
 is order-preserving per dimension *prefix*, the existing prefix
 routing, :class:`~repro.pgrid.store.KeyStore`, replication, writes
 and caching serve d-dimensional point and box queries unchanged -- a
-d-dimensional box becomes a small set of 1-D key ranges issued through
-the ordinary range machinery.
+d-dimensional box is one range query that carries the box down the
+trie.
 
 Quantization contract
 ---------------------
@@ -24,32 +24,29 @@ are zero.  Decoding returns the cell representative ``q / 2**
 bits_per_dim`` per dimension; all box semantics (membership, oracle
 audits) are defined on *cells*, never on the lost sub-cell fraction.
 
-Split budget
-------------
-A box (inclusive per-dimension cell bounds) decomposes into disjoint,
-ascending, maximal z-order key intervals by litmax/bigmin splitting:
-a partial trie node is split at its z-midpoint into the ``[lo,
-litmax]`` / ``[bigmin, hi]`` halves and each half is refined
-recursively.  ``split_budget`` caps the interval count: when refining
-one more node would exceed the budget, the node's whole key interval
-is emitted instead.  Over-covering is therefore the *only* budget
-failure mode -- every cell of the box is always covered, so recall
-cannot drop below 1.0 at the decomposition layer; the cost of a tight
-budget is extra scanned keys, which callers filter with
-:meth:`ZOrderCodec.box_contains`.  ``box_ranges`` guarantees
-``len(ranges) <= split_budget`` after adjacent-interval merging.
+Showering a box
+---------------
+Trie bit ``l`` halves dimension ``l mod d``: the trie already is the
+box's quadtree.  A box (inclusive per-dimension cell bounds, carried as
+a :class:`ZBox`) is one range query over its z-span ``[z(lo corner),
+z(hi corner)]``, and the range shower of both backends
+(:func:`repro.pgrid.search.split_range`) refines it with
+:meth:`ZBox.meets` -- "does ``[a, b)`` hold a key of the box" -- in
+place of the interval test: a hop forwards only into subtrees whose
+piece meets the box, answers only when its own slice does, and only
+with keys :meth:`ZBox.contains` accepts.  The wire origin counts a gap
+that misses the box as covered and retries only the gaps that meet it.
+:meth:`ZOrderCodec.box_ranges`, the capped litmax/bigmin decomposition
+(over-covering, never under-covering), is on no query path: it is the
+reference whose output the digest tests pin.
 
 Recall-audit rules
 ------------------
-Scenario runners audit every box query against a brute-force oracle
-view: the sorted universe of workload keys is intersected with the
-*issued* (possibly over-covering) ranges and filtered by
-:meth:`ZOrderCodec.box_contains`; that set is the ground truth.  The
-served result -- the union of keys returned by the per-range queries,
-filtered by the same predicate -- is compared against it, and reports
-carry ``recall = |served ∩ oracle| / |oracle|`` summed over boxes.
-Both sides use the same cell-level membership predicate, so a
-maintenance-free run must audit at exactly 1.0.
+A scenario runner's oracle for a box is the sorted workload universe's
+keys in the z-span that :meth:`ZBox.contains` accepts; reports carry
+``recall = |served ∩ oracle| / |oracle|`` summed over boxes.  Both sides
+use the same cell-level predicate, so a maintenance-free run must audit
+at exactly 1.0.
 
 Kernels
 -------
@@ -94,10 +91,16 @@ lies in one half and the node has a single child with the same corners,
 so ``(zlo ^ zhi).bit_length()`` names the width of the last node of
 that chain.  No node of a chain is inside the box (its corners agree in
 a bit its first and last code differ in), and walking it neither emits
-nor stacks anything, so the split-budget test ``len(out) + len(stack)
-+ 2 > budget`` has one value along the whole chain: testing it once,
-at the chain's top, and over-covering with the *top* node when it
-binds emits the same ranges as visiting every level.
+nor stacks anything, so the cap test ``len(out) + len(stack) + 2 >
+budget`` has one value along the whole chain: testing it once, at the
+chain's top, and over-covering with the *top* node when it binds emits
+the same ranges as visiting every level.
+
+*Next code in the box.*  :meth:`ZBox.meets` walks the clipped corners
+down the path of the code ``z`` of ``[a, b)``'s first key: ``z``'s bit at
+the split picks the high child, or the low child with the high child's
+bigmin kept in case the low child holds nothing at or after ``z``.  The
+range meets the box when that next box code is at most its last key's.
 """
 
 from __future__ import annotations
@@ -109,9 +112,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..exceptions import DomainError
 from .keyspace import KEY_BITS, MAX_KEY, KeyCodec
 
-__all__ = ["ZOrderCodec", "DEFAULT_SPLIT_BUDGET"]
+__all__ = ["ZOrderCodec", "ZBox", "DEFAULT_SPLIT_BUDGET"]
 
-#: Default cap on the number of 1-D ranges a box may decompose into.
+#: Default cap of :meth:`ZOrderCodec.box_ranges` on the number of 1-D
+#: ranges a box decomposes into.
 DEFAULT_SPLIT_BUDGET: int = 16
 
 
@@ -162,6 +166,56 @@ def _zcode(cells: Sequence[int], dims: int) -> int:
     return z
 
 
+@dataclass(frozen=True, slots=True)
+class ZBox:
+    """An inclusive cell box as a box query carries it ("Showering a
+    box"): the z-codes of its lowest and highest corner, and the codec's
+    ``dims``, ``pad`` bits and ``lane`` (see ``_tables``)."""
+
+    dims: int
+    pad: int
+    lane: int
+    zlo: int
+    zhi: int
+
+    @property
+    def span(self) -> Tuple[int, int]:
+        """The key range from the lowest to the highest corner's cell."""
+        return self.zlo << self.pad, (self.zhi + 1) << self.pad
+
+    def contains(self, key: int) -> bool:
+        """Whether a key's cell lies inside the box."""
+        z = key >> self.pad
+        lane, zlo, zhi = self.lane, self.zlo, self.zhi
+        for _ in range(self.dims):
+            # Spreading is strictly monotone, so one dimension's bits
+            # compare like its cell indices.
+            if not zlo & lane <= z & lane <= zhi & lane:
+                return False
+            lane <<= 1
+        return True
+
+    def meets(self, lo: int, hi: int) -> bool:
+        """Whether the key range ``[lo, hi)`` holds a key of the box: is
+        the box's next code at or after ``lo``'s at most ``hi - 1``'s
+        (see "Next code in the box")?"""
+        if lo >= hi:
+            return False
+        z, lane, d = lo >> self.pad, self.lane, self.dims
+        zlo, zhi, after = self.zlo, self.zhi, None
+        while zlo < z <= zhi:
+            split = (zlo ^ zhi).bit_length()
+            bit = 1 << (split - 1)
+            below = (lane << ((split - 1) % d)) & (bit - 1)
+            bigmin = (zlo & ~below) | bit
+            if z & bit:
+                zlo = bigmin
+            else:
+                after, zhi = bigmin, (zhi | below) ^ bit  # litmax
+        nxt = zlo if z <= zlo else after
+        return nxt is not None and nxt <= (hi - 1) >> self.pad
+
+
 @dataclass(frozen=True)
 class ZOrderCodec(KeyCodec):
     """Morton (z-order) codec interleaving ``dims`` attributes.
@@ -171,16 +225,11 @@ class ZOrderCodec(KeyCodec):
     """
 
     dims: int = 2
-    split_budget: int = DEFAULT_SPLIT_BUDGET
 
     def __post_init__(self):
         if not 1 <= self.dims <= KEY_BITS:
             raise DomainError(
                 f"dims must lie in [1, {KEY_BITS}], got {self.dims}"
-            )
-        if self.split_budget < 1:
-            raise DomainError(
-                f"split budget must be >= 1, got {self.split_budget}"
             )
 
     # -- geometry ----------------------------------------------------------
@@ -292,16 +341,25 @@ class ZOrderCodec(KeyCodec):
         """Whether a key's cell lies inside the inclusive cell box."""
         if not 0 <= key < MAX_KEY:
             raise DomainError(f"key {key!r} out of range [0, 2^{KEY_BITS})")
-        z = key >> self.pad_bits
-        zlo, zhi = self.interleave(lo_cells), self.interleave(hi_cells)
         _, _, lane = _tables(self.dims)
-        for _ in range(self.dims):
-            # Spreading is strictly monotone, so one dimension's bits
-            # compare like its cell indices.
-            if not zlo & lane <= z & lane <= zhi & lane:
-                return False
-            lane <<= 1
-        return True
+        zlo, zhi = self.interleave(lo_cells), self.interleave(hi_cells)
+        return ZBox(self.dims, self.pad_bits, lane, zlo, zhi).contains(key)
+
+    def box(self, lo_cells: Sequence[int], hi_cells: Sequence[int]) -> ZBox:
+        """The :class:`ZBox` of an inclusive cell box, as a box query
+        carries it."""
+        d = self.dims
+        if len(lo_cells) != d or len(hi_cells) != d:
+            raise DomainError(f"box must have {d} dimensions")
+        top = self.cells_per_dim - 1
+        for j in range(d):
+            if not 0 <= lo_cells[j] <= hi_cells[j] <= top:
+                raise DomainError(
+                    f"cell bounds [{lo_cells[j]}, {hi_cells[j]}] invalid "
+                    f"in dimension {j}"
+                )
+        _, _, lane = _tables(d)
+        return ZBox(d, self.pad_bits, lane, _zcode(lo_cells, d), _zcode(hi_cells, d))
 
     def box_cells(self, lows: Sequence[float], highs: Sequence[float]):
         """Inclusive per-dimension cell bounds of a float box.
@@ -335,32 +393,24 @@ class ZOrderCodec(KeyCodec):
 
         Litmax/bigmin splitting over the implicit z-order trie, emitted
         in ascending key order, disjoint, adjacent intervals merged.
-        At most ``max_ranges`` (default: the codec's ``split_budget``)
-        intervals are returned; when the budget binds, partial trie
-        nodes are emitted whole (over-covering, never under-covering).
+        At most ``max_ranges`` (default :data:`DEFAULT_SPLIT_BUDGET`)
+        intervals are returned; when the cap binds, partial trie nodes
+        are emitted whole (over-covering, never under-covering).  The
+        reference decomposition: no query path calls it (module
+        docstring).
         """
-        budget = self.split_budget if max_ranges is None else max_ranges
+        budget = DEFAULT_SPLIT_BUDGET if max_ranges is None else max_ranges
         if budget < 1:
             raise DomainError(f"max_ranges must be >= 1, got {budget}")
-        d = self.dims
-        if len(lo_cells) != d or len(hi_cells) != d:
-            raise DomainError(f"box must have {d} dimensions")
-        top = self.cells_per_dim - 1
-        for j in range(d):
-            if not 0 <= lo_cells[j] <= hi_cells[j] <= top:
-                raise DomainError(
-                    f"cell bounds [{lo_cells[j]}, {hi_cells[j]}] invalid "
-                    f"in dimension {j}"
-                )
-        pad = self.pad_bits
-        _, _, lane = _tables(d)
+        box = self.box(lo_cells, hi_cells)
+        d, pad, lane = box.dims, box.pad, box.lane
         out: List[Tuple[int, int]] = []
         # Stack entries: (width, zlo, zhi) -- a trie node by the number of
         # z-code bits below its prefix and the z-codes of the box clipped
         # to it (see "Kernels").  Children are pushed high-half first so
         # nodes pop in ascending z order, making `out` sorted by
         # construction.
-        stack = [(d * self.bits_per_dim, _zcode(lo_cells, d), _zcode(hi_cells, d))]
+        stack = [(d * self.bits_per_dim, box.zlo, box.zhi)]
         while stack:
             width, zlo, zhi = stack.pop()
             # zlo and zhi first differ in bit `split - 1`: every node from

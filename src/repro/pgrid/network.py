@@ -34,6 +34,7 @@ from ..exceptions import PartitionError, RoutingError
 from .bits import Path
 from .keyspace import KEY_BITS, float_to_key, string_to_key
 from .keystore import KeyStore
+from .mdim import ZBox
 from .peer import PGridPeer
 from .routing import RoutingTable
 from .search import LookupResult, RangeResult, lookup, range_query
@@ -406,9 +407,11 @@ class PGridNetwork:
         *,
         start: Optional[int] = None,
         rng: RngLike = None,
+        box: Optional[ZBox] = None,
     ) -> RangeResult:
-        """Range query over ``[lo, hi)`` in key order."""
-        return range_query(self, _to_key(lo), _to_key(hi), start=start, rng=rng)
+        """Range query over ``[lo, hi)`` in key order; a ``box`` query
+        showers its z-span (:mod:`repro.pgrid.search`)."""
+        return range_query(self, _to_key(lo), _to_key(hi), start=start, rng=rng, box=box)
 
     def insert(self, value: KeyLike, *, rng: RngLike = None) -> WriteResult:
         """Insert a key: route to the responsible partition, store on the

@@ -19,6 +19,10 @@ asks :func:`level_toward` where a key leaves the path, and
 on its pieces, the wire node (:mod:`repro.simnet.node`) answers its own
 slice and sends one ``range_query`` into each intersecting subtree.
 
+A box query (:class:`~repro.pgrid.mdim.ZBox`) showers its z-span:
+:func:`split_range` drops the pieces that miss the box, and a partition
+answers with the keys in the box.
+
 Per-hop constant factors matter as much as the asymptotics once overlays
 grow past a few hundred peers, so the inner loops avoid allocation:
 
@@ -42,6 +46,7 @@ from .._util import RngLike, make_rng
 from ..exceptions import RoutingError
 from .bits import Path
 from .keyspace import KEY_BITS
+from .mdim import ZBox
 from .peer import PGridPeer
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -130,14 +135,15 @@ def level_toward(path: Path, key: int) -> Optional[int]:
 
 
 def split_range(
-    path: Path, lo: int, hi: int
+    path: Path, lo: int, hi: int, box: Optional[ZBox] = None
 ) -> Tuple[Optional[Tuple[int, int]], List[Tuple[int, int, int]]]:
     """One shower step: cut ``[lo, hi)`` at a peer with ``path``.
 
     Returns the peer's own slice (``None`` when the range misses its
     partition) and ``(level, sub_lo, sub_hi)`` for every complementary
     subtree the range intersects, in ascending level order.  The pieces
-    are pairwise disjoint and together tile ``[lo, hi)``.
+    are pairwise disjoint and together tile ``[lo, hi)``.  With a
+    ``box``, only the pieces that meet it are returned.
     """
     (own_lo, own_hi), comps = _subtree_ranges(path)
     own_lo = lo if lo > own_lo else own_lo
@@ -149,6 +155,10 @@ def split_range(
         sub_hi = hi if hi < c_hi else c_hi
         if sub_lo < sub_hi:
             subs.append((level, sub_lo, sub_hi))
+    if box is not None:
+        if own is not None and not box.meets(*own):
+            own = None
+        subs = [sub for sub in subs if box.meets(sub[1], sub[2])]
     return own, subs
 
 
@@ -232,6 +242,7 @@ def range_query(
     *,
     start: Optional[int] = None,
     rng: RngLike = None,
+    box: Optional[ZBox] = None,
 ) -> RangeResult:
     """Answer a range query ``[lo, hi)`` with the shower strategy.
 
@@ -248,7 +259,7 @@ def range_query(
     first = network.peer(start) if start is not None else network.random_online_peer(rand)
     if first is None:
         raise RoutingError("no online peer available to issue the query")
-    _shower(network, first, lo, hi, result, rand)
+    _shower(network, first, lo, hi, result, rand, box)
     return result
 
 
@@ -259,15 +270,16 @@ def _shower(
     hi: int,
     result: RangeResult,
     rand,
+    box: Optional[ZBox] = None,
 ) -> None:
     """Recursive step of the shower range algorithm."""
-    own, subs = split_range(peer.path, lo, hi)
+    own, subs = split_range(peer.path, lo, hi, box)
     # Local contribution.
     if own is not None:
         found = peer.matching_keys(*own)
         result.partitions.add(peer.path)
         if found:
-            result.keys.update(found)
+            result.keys.update(found if box is None else filter(box.contains, found))
     # Forward into every complementary subtree intersecting the range.
     for level, sub_lo, sub_hi in subs:
         nxt = alive_ref(network, peer, level, rand)
@@ -275,4 +287,4 @@ def _shower(
         if nxt is None:
             result.failures += 1
             continue
-        _shower(network, nxt, sub_lo, sub_hi, result, rand)
+        _shower(network, nxt, sub_lo, sub_hi, result, rand, box)

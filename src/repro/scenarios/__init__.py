@@ -44,8 +44,8 @@ This package turns the repo's stress ingredients -- churn processes
     correlated-hotspot-2d) runnable at N=4096 on either backend.
     Multi-dimensional specs carry a
     :class:`~repro.scenarios.spec.ZOrderCodec` (``ScenarioSpec.codec``)
-    that interleaves d attributes into one key and decomposes box
-    queries into z-order ranges -- see :mod:`repro.pgrid.mdim`.
+    that interleaves d attributes into one key and showers each box
+    query as one range over its z-span -- see :mod:`repro.pgrid.mdim`.
     Restart phases (:class:`RestartSpec`) drive the persistence &
     recovery subsystem (:mod:`repro.pgrid.state`): warm rejoins from
     checkpoints when durability is on

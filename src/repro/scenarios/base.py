@@ -47,9 +47,9 @@ so their columns come from one procedure:
   methods; series, per-phase bytes (the bin-window rule of
   :mod:`repro.scenarios.report`), totals and the recovery bill are all
   read from that one object.
-* **A range query is a box of one range.**  ``_draw_ranges`` draws the
-  key ranges of a scalar range or a box, ``_tally_ranges`` records the
-  finished query once.
+* **A box is one range query.**  ``_draw_range`` draws a scalar range,
+  or a box as one range over its z-span that carries the box;
+  ``_tally_range`` records the finished query once.
 
 Determinism
 -----------
@@ -67,12 +67,13 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import defaultdict
 from itertools import count
-from math import inf
+from math import ceil, inf
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .._util import make_rng, mean, std
 from ..exceptions import SimulationError
 from ..pgrid.bits import Path
+from ..pgrid.mdim import ZBox
 from ..pgrid.replication import divergence_stats
 from ..pgrid.serving import REPLICA_BOOST, RESULT_CAPACITY, ROUTE_CAPACITY, gini
 from ..pgrid.state import SCHEMA as STATE_SCHEMA
@@ -283,8 +284,8 @@ class ScenarioRunnerBase:
             self._mdim_stats = {
                 "boxes": 0,
                 "box_successes": 0,
-                "ranges": 0,
-                "max_ranges": 0,
+                # partitions that returned a slice, per tallied box
+                "partitions": [],
                 "oracle_expected": 0,
                 "oracle_found": 0,
                 "sel_sums": [0.0] * self._mdim.dims,
@@ -859,42 +860,34 @@ class ScenarioRunnerBase:
 
     # -- range and box queries ---------------------------------------------
 
-    def _draw_ranges(
+    def _draw_range(
         self, sampler: QuerySampler, rng
-    ) -> Tuple[List[Tuple[int, int]], Optional[Set[int]]]:
-        """Draw one non-point query as ``(key ranges, oracle)``; it
-        succeeds when every range completed.
-
-        A scalar range is a box of one range with no oracle.  A box
-        (multi-dimensional codecs) is decomposed into its z-order key
-        ranges; its oracle is the brute-force ground truth the recall
-        audit compares served results against: workload-universe keys
-        inside the issued ranges that pass the cell-level membership
-        predicate (see the recall-audit rules in :mod:`repro.pgrid.mdim`).
-        Also accumulates ranges-per-box and per-dimension selectivity.
-        """
+    ) -> Tuple[int, int, Optional[ZBox], Optional[Set[int]]]:
+        """Draw one non-point query as ``(lo, hi, box, oracle)``: a
+        scalar range has neither, a box (multi-dimensional codecs) is
+        its z-span, and its oracle the workload universe's keys in it
+        (the recall-audit rules of :mod:`repro.pgrid.mdim`).  Also
+        accumulates per-dimension selectivity."""
         if sampler.codec is None:
-            return [sampler.draw_range(rng)], None
+            lo, hi = sampler.draw_range(rng)
+            return lo, hi, None, None
         lo_cells, hi_cells = sampler.draw_box(rng)
         codec = self._mdim
         stats = self._mdim_stats
-        ranges = codec.box_ranges(lo_cells, hi_cells)
+        box = codec.box(lo_cells, hi_cells)
         stats["boxes"] += 1
-        stats["ranges"] += len(ranges)
-        stats["max_ranges"] = max(stats["max_ranges"], len(ranges))
         span = codec.cells_per_dim
         for j in range(codec.dims):
             stats["sel_sums"][j] += (hi_cells[j] - lo_cells[j] + 1) / span
+        lo, hi = box.span
         universe = self._universe
         oracle = {
-            key
-            for lo, hi in ranges
-            for key in universe[bisect_left(universe, lo) : bisect_left(universe, hi)]
-            if codec.box_contains(key, lo_cells, hi_cells)
+            key for key in universe[bisect_left(universe, lo) : bisect_left(universe, hi)]
+            if box.contains(key)
         }
-        return ranges, oracle
+        return lo, hi, box, oracle
 
-    def _tally_ranges(
+    def _tally_range(
         self,
         t: float,
         idx: int,
@@ -903,12 +896,14 @@ class ScenarioRunnerBase:
         found_keys,
         success: bool,
         messages: int,
+        partitions: int = 0,
         size: int = 0,
     ) -> None:
-        """Tally one finished :meth:`_draw_ranges` query as a single
+        """Tally one finished :meth:`_draw_range` query as a single
         RANGE record, and fold a box into the recall audit."""
         if oracle is not None:
             stats = self._mdim_stats
+            stats["partitions"].append(partitions)
             if success:
                 stats["box_successes"] += 1
             if oracle:
@@ -927,18 +922,20 @@ class ScenarioRunnerBase:
         stats = self._mdim_stats
         boxes = stats["boxes"]
         expected = stats["oracle_expected"]
+        parts = sorted(stats["partitions"])
         return {
             "dims": codec.dims,
             "bits_per_dim": codec.bits_per_dim,
-            "split_budget": codec.split_budget,
             "boxes": int(boxes),
             "box_successes": int(stats["box_successes"]),
             "box_success_rate": (
                 (stats["box_successes"] / boxes) if boxes else None
             ),
-            "ranges_total": int(stats["ranges"]),
-            "ranges_per_box_mean": (stats["ranges"] / boxes) if boxes else None,
-            "ranges_per_box_max": int(stats["max_ranges"]),
+            "partitions_per_box_mean": mean(parts) if parts else None,
+            # nearest rank, as the message report's latency percentiles
+            "partitions_per_box_p90": (
+                parts[max(0, ceil(0.9 * len(parts)) - 1)] if parts else None
+            ),
             "recall_expected": int(expected),
             "recall_found": int(stats["oracle_found"]),
             "box_recall": (

@@ -718,10 +718,10 @@ def geo_box_serving(
     The multi-dimensional headline: every key interleaves two
     attributes (think latitude/longitude quantized to the unit square)
     under a :class:`~repro.scenarios.spec.ZOrderCodec`, and two thirds
-    of the traffic is 2%-per-side *box* queries, each decomposed into
-    at most ``split_budget`` z-order ranges and served through the
-    unchanged range machinery.  A mild hotspot concentrates traffic on
-    a popular region (correlated across both attributes).  No
+    of the traffic is 2%-per-side *box* queries, each one range query
+    over its z-span that carries the box, so the range shower forwards
+    only into subtrees the box meets.  A mild hotspot concentrates
+    traffic on a popular region (correlated across both attributes).  No
     ``CachePolicy``: point targets are fresh continuous draws that
     never repeat at 26-bit cell resolution, so result caches are
     structurally hitless here and the serving gate (caches must *earn*
@@ -730,8 +730,9 @@ def geo_box_serving(
     Deliberately quiet -- no churn, writes, restarts or maintenance --
     so the brute-force recall audit has a clean ground truth: the
     report must show ``mdim.box_recall == 1.0`` (the acceptance gate
-    ``benchmarks/check_regression.py`` enforces) and
-    ``mdim.ranges_per_box_max`` within the codec's split budget.
+    ``benchmarks/check_regression.py`` enforces), and
+    ``mdim.partitions_per_box_mean`` says how many partitions a box's
+    shower reached.
     """
     mix = QueryMix(
         point_weight=0.35,
@@ -763,9 +764,9 @@ def correlated_hotspot_2d(
     few trie partitions absorb most of the traffic (watch
     ``load.max_over_mean``).  The box minority carries deliberately
     skewed per-dimension spans (10% x 0.4%: wide in one attribute,
-    narrow in the other -- the shape that forces litmax/bigmin to
-    split hardest), and an insert-leaning hotspot write stream feeds
-    the 2D index mid-storm.  No deletes: the recall oracle is the
+    narrow in the other -- a long z-span the box meets in few places,
+    so the shower prunes hardest), and an insert-leaning hotspot write
+    stream feeds the 2D index mid-storm.  No deletes: the recall oracle is the
     initial workload universe, and deleted keys would turn honest
     misses into phantom recall loss.
     """

@@ -116,27 +116,6 @@ class MessageNetConfig:
     durability: DurabilityPolicy = field(default_factory=DurabilityPolicy)
 
 
-@dataclass
-class _PendingBox:
-    """One in-flight range or box query: ``remaining`` concurrent range
-    queries from the same origin (one for a scalar range), folded into
-    a single RANGE tally record when the last one resolves (see
-    ``MessageScenarioRunner._range_done``)."""
-
-    idx: int
-    issued_at: float
-    remaining: int
-    #: Brute-force ground truth for the recall audit
-    #: (``ScenarioRunnerBase._draw_ranges``); ``None`` for a scalar
-    #: range, which has no audit.
-    oracle: Optional[Set[int]]
-    success: bool = True
-    moot: bool = False
-    messages: int = 0
-    latency: float = 0.0
-    found: Set[int] = field(default_factory=set)
-
-
 class MessageScenarioRunner(ScenarioRunnerBase):
     """Executes one :class:`ScenarioSpec` over message-passing nodes.
 
@@ -162,9 +141,8 @@ class MessageScenarioRunner(ScenarioRunnerBase):
         self._gateways: Optional[Tuple[PGridNode, ...]] = None
         # point qid -> phase index
         self._meta: Dict[int, int] = {}
-        # range qid -> the fold state of the range or box it belongs to
-        # (shared by a box's sub-ranges, so each box tallies exactly once)
-        self._box_of: Dict[int, _PendingBox] = {}
+        # range qid -> (phase index, box oracle or None)
+        self._rmeta: Dict[int, Tuple[int, Optional[Set[int]]]] = {}
         # wid -> (phase index, write op, key); the key rides along so
         # write acks can feed the durability audit.
         self._wmeta: Dict[int, Tuple[int, str, int]] = {}
@@ -501,21 +479,16 @@ class MessageScenarioRunner(ScenarioRunnerBase):
                 return
             self._meta[origin.issue_query(key)] = idx
             return
-        # A box decomposes into z-order key ranges (see
-        # repro.pgrid.mdim), a scalar range is a box of one: every range
-        # goes on the wire at once from one origin, and _range_done
-        # folds the outcomes into a single RANGE record when the last
-        # one resolves.
-        ranges, oracle = self._draw_ranges(sampler, rng)
+        # A box is one range over its z-span that carries the box (see
+        # repro.pgrid.mdim).
+        lo, hi, box, oracle = self._draw_range(sampler, rng)
         origin = self._query_origin(rng)
         if origin is None:
-            self._tally_ranges(
+            self._tally_range(
                 now, idx, oracle=oracle, found_keys=(), success=False, messages=0
             )
             return
-        box = _PendingBox(idx=idx, issued_at=now, remaining=len(ranges), oracle=oracle)
-        for lo, hi in ranges:
-            self._box_of[origin.issue_range_query(lo, hi)] = box
+        self._rmeta[origin.issue_range_query(lo, hi, box)] = (idx, oracle)
 
     def _query_done(self, node_id: int, qid: int, outcome: QueryOutcome) -> None:
         idx = self._meta.pop(qid, None)
@@ -540,33 +513,21 @@ class MessageScenarioRunner(ScenarioRunnerBase):
         )
 
     def _range_done(self, node_id: int, qid: int, outcome: QueryOutcome) -> None:
-        """Fold one range outcome into its range or box query; tally the
-        query as a single RANGE record when its last range resolves.
-
-        A box succeeds iff *every* sub-range completed; its latency is
-        the slowest sub-range's (all were issued at the same instant)
-        and its message count the sum.  A moot outcome (the shared
-        origin churned offline) voids the whole query -- see
-        _query_done: not an overlay failure.
-        """
-        box = self._box_of.pop(qid, None)
-        if box is None:
+        """Tally one range or box outcome as a single RANGE record; a
+        moot one is tallied nowhere (see _query_done)."""
+        meta = self._rmeta.pop(qid, None)
+        if meta is None:
             return
         self._observe(outcome)
-        box.remaining -= 1
-        box.messages += outcome.messages
-        box.latency = max(box.latency, outcome.latency)
-        if box.oracle is not None:
-            box.found.update(outcome.found_keys)
-        box.moot = box.moot or outcome.moot
-        box.success = box.success and outcome.success
-        if box.remaining or box.moot:
+        if outcome.moot:
             return
-        if box.success:
-            self._range_latencies.append(box.latency)
-        self._tally_ranges(
-            box.issued_at, box.idx, oracle=box.oracle, found_keys=box.found,
-            success=box.success, messages=box.messages,
+        if outcome.success:
+            self._range_latencies.append(outcome.latency)
+        idx, oracle = meta
+        self._tally_range(
+            outcome.issued_at, idx, oracle=oracle, found_keys=outcome.found_keys,
+            success=outcome.success, messages=outcome.messages,
+            partitions=outcome.partitions,
         )
 
     def _observe(self, outcome: QueryOutcome) -> None:
@@ -634,9 +595,9 @@ class MessageScenarioRunner(ScenarioRunnerBase):
         # each one has reached its observer and been tallied exactly
         # once.  A leftover is a bug in the pending-operation machine,
         # not a failure to count.
-        if self._meta or self._box_of or self._wmeta:
+        if self._meta or self._rmeta or self._wmeta:
             raise SimulationError(
-                f"{len(self._meta)} queries, {len(self._box_of)} ranges and "
+                f"{len(self._meta)} queries, {len(self._rmeta)} ranges and "
                 f"{len(self._wmeta)} writes still pending after the drain"
             )
         # What the observers added up per operation is the origin's

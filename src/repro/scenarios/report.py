@@ -109,7 +109,7 @@ class ScenarioReport:
     #: form then, keeping existing golden traces byte-identical.
     serving: Optional[Dict[str, Any]] = None
     #: Multi-dimensional keyspace section (box-query counts,
-    #: ranges-per-box, the box recall audit against the brute-force
+    #: partitions per box, the box recall audit against the brute-force
     #: oracle, per-dimension selectivity -- see
     #: :meth:`repro.scenarios.base.ScenarioRunnerBase._mdim_section`
     #: and :mod:`repro.pgrid.mdim`).  ``None`` for one-dimensional
@@ -225,7 +225,7 @@ class ScenarioReport:
         if self.mdim is not None:
             rows += [
                 ("box queries issued", _f(self.mdim.get("boxes", 0))),
-                ("ranges per box (mean)", _f(self.mdim.get("ranges_per_box_mean"))),
+                ("partitions per box (mean)", _f(self.mdim.get("partitions_per_box_mean"))),
                 ("box recall", _f(self.mdim.get("box_recall"))),
             ]
         return rows

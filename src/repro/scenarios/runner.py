@@ -208,33 +208,31 @@ class ScenarioRunner(ScenarioRunnerBase):
                 size=size,
             )
         else:
-            # A box decomposes into z-order key ranges, a scalar range
-            # is a box of one; each goes through the ordinary range
-            # machinery and the query succeeds when every range
-            # completed.  Box results are audited against the
-            # brute-force oracle (see repro.pgrid.mdim).
-            ranges, oracle = self._draw_ranges(sampler, rng)
+            # A box is one range over its z-span that carries the box
+            # (see repro.pgrid.mdim); its results are audited against
+            # the brute-force oracle.
+            lo, hi, box, oracle = self._draw_range(sampler, rng)
             messages = size = 0
-            success = True
+            success = False
             found: Set[int] = set()
-            for lo, hi in ranges:
-                part_ok = False
-                for _ in range(attempts):
-                    try:
-                        res = net.range_query(lo, hi, rng=rng)
-                    except RoutingError:
-                        break
-                    messages += res.messages
-                    size += res.messages * HEADER_BYTES + len(res.keys) * KEY_BYTES
-                    if oracle is not None:
-                        found |= res.keys
-                    if res.complete:
-                        part_ok = True
-                        break
-                success &= part_ok
-            self._tally_ranges(
+            partitions = set()
+            for _ in range(attempts):
+                try:
+                    res = net.range_query(lo, hi, rng=rng, box=box)
+                except RoutingError:
+                    break
+                messages += res.messages
+                size += res.messages * HEADER_BYTES + len(res.keys) * KEY_BYTES
+                if oracle is not None:
+                    found |= res.keys
+                    partitions |= res.partitions
+                if res.complete:
+                    success = True
+                    break
+            self._tally_range(
                 sim.now, idx, oracle=oracle, found_keys=found,
-                success=success, messages=messages, size=size,
+                success=success, messages=messages, partitions=len(partitions),
+                size=size,
             )
 
     # -- write execution (synchronous) --------------------------------------

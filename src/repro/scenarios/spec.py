@@ -418,7 +418,7 @@ class ScenarioSpec:
     #: (equivalent to :class:`~repro.pgrid.keyspace.ScalarCodec`).  A
     #: multi-dimensional codec (:class:`~repro.pgrid.mdim.ZOrderCodec`)
     #: switches workload keys to encoded d-attribute points, range
-    #: draws to d-dimensional boxes decomposed into key ranges, and
+    #: draws to d-dimensional boxes showered over their z-spans, and
     #: adds the ``mdim`` report section.
     codec: Optional[KeyCodec] = None
 

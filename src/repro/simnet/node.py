@@ -77,6 +77,7 @@ from ..core import fig2
 from ..pgrid.bits import Path, ROOT
 from ..pgrid.keyspace import KEY_BITS, bit_at
 from ..pgrid.liveness import ReferenceTable
+from ..pgrid.mdim import ZBox
 from ..pgrid.search import level_toward, split_range
 from ..pgrid.serving import (
     REPLICA_BOOST,
@@ -175,6 +176,9 @@ class _PendingOp:
     def found_keys(self) -> Tuple[int, ...]:
         return ()
 
+    def partitions(self) -> int:
+        return 0
+
 
 @dataclass(kw_only=True)
 class _PendingQuery(_PendingOp):
@@ -226,6 +230,8 @@ class _PendingRange(_PendingOp):
 
     lo: int
     hi: int
+    #: A box query's box (``lo``/``hi`` are its z-span), or ``None``.
+    box: Optional[ZBox] = None
     keys: Set[int] = field(default_factory=set)
     #: Slice intervals received so far, from any attempt (keys
     #: deduplicate, so every slice is valid coverage evidence): the
@@ -233,26 +239,30 @@ class _PendingRange(_PendingOp):
     #: re-issues only their gaps.
     covered: List[tuple] = field(default_factory=list)
 
+    def gaps(self) -> List[tuple]:
+        """The parts of ``[lo, hi)`` the slices leave uncovered, in key
+        order -- of a box only those that meet it: the rest hold no key
+        of the box."""
+        gaps, cursor = [], self.lo
+        for start, end in sorted(self.covered):
+            if start > cursor:
+                gaps.append((cursor, start))
+            if end > cursor:
+                cursor = end
+        if cursor < self.hi:
+            gaps.append((cursor, self.hi))
+        if self.box is not None:
+            gaps = [gap for gap in gaps if self.box.meets(*gap)]
+        return gaps
+
     def messages(self) -> int:
         return len(self.covered) + self.hops
 
     def found_keys(self) -> Tuple[int, ...]:
         return tuple(sorted(self.keys))
 
-
-def _gaps(intervals: List[tuple], lo: int, hi: int) -> List[tuple]:
-    """The parts of ``[lo, hi)`` that the half-open ``intervals`` (each
-    inside it) leave uncovered, in key order."""
-    gaps = []
-    cursor = lo
-    for start, end in sorted(intervals):
-        if start > cursor:
-            gaps.append((cursor, start))
-        if end > cursor:
-            cursor = end
-    if cursor < hi:
-        gaps.append((cursor, hi))
-    return gaps
+    def partitions(self) -> int:
+        return len(set(self.covered))  # one slice per partition reached
 
 
 @dataclass(frozen=True, slots=True)
@@ -278,10 +288,11 @@ class QueryOutcome:
     keys_found: int = 0
     moot: bool = False
     #: The matching keys themselves (range queries only; empty for
-    #: points).  Box queries fold these across their sub-ranges for the
-    #: recall audit (see :mod:`repro.pgrid.mdim`); sorted so observers
-    #: see a deterministic tuple.
+    #: points), for the box recall audit (see :mod:`repro.pgrid.mdim`);
+    #: sorted so observers see a deterministic tuple.
     found_keys: Tuple[int, ...] = ()
+    #: Partitions that returned a slice (range queries only).
+    partitions: int = 0
 
 
 class PGridNode:
@@ -1320,6 +1331,7 @@ class PGridNode:
             keys_found=len(found),
             moot=moot,
             found_keys=found,
+            partitions=pending.partitions(),
         )
         if not moot:
             # Moot operations (origin went offline) are invisible to the
@@ -1706,7 +1718,7 @@ class PGridNode:
 
     # -- range queries (the shower, Sec. 2.3; one split with pgrid.search) -------
 
-    def issue_range_query(self, lo: int, hi: int) -> int:
+    def issue_range_query(self, lo: int, hi: int, box: Optional[ZBox] = None) -> int:
         """Originate a range query over ``[lo, hi)``; returns its qid.
 
         Implements the *shower* over the trie (:func:`split_range`, the
@@ -1717,21 +1729,25 @@ class PGridNode:
         intersects.  The query completes the moment the slices received
         cover ``[lo, hi)``, in whatever order they arrive.  A timeout or
         a dead end (a ``range_part`` with no slice) re-issues only the
-        intervals still uncovered; keys deduplicate across attempts.
+        intervals still uncovered; keys deduplicate across attempts.  A
+        ``box`` query showers its z-span, pruned to the box
+        (:mod:`repro.pgrid.mdim`, "Showering a box").
         """
         self._query_seq += 1
         qid = (self.node_id << 20) | self._query_seq
-        pending = _PendingRange(lo=lo, hi=hi, issued_at=self.sim.now)
+        pending = _PendingRange(lo=lo, hi=hi, box=box, issued_at=self.sim.now)
         self._ranges[qid] = pending
         # Zero-delay first attempt, for the same reason as issue_query.
         self.sim.schedule(0.0, lambda: self._attempt(qid, pending))
         return qid
 
     def _launch_range(self, qid: int, pending: _PendingRange) -> None:
-        gaps = _gaps(pending.covered, pending.lo, pending.hi)
+        gaps = pending.gaps()
         if not gaps:
             self._finish(qid, pending, True)  # an empty range is covered
         head = {"origin": self.node_id, "qid": qid, "attempt": pending.attempts, "hops": 0}
+        if pending.box is not None:
+            head["box"] = pending.box
         for lo, hi in gaps:
             if not self._route_range({**head, "lo": lo, "hi": hi}):
                 return  # a local dead end retried or failed the op already
@@ -1740,11 +1756,14 @@ class PGridNode:
         """Send this partition's slice home and one sub-range into each
         intersecting subtree.  ``False``: a forward of the origin's own
         launch dead-ended, which retried or failed the op in this call."""
-        own, subs = split_range(self.path, payload["lo"], payload["hi"])
+        box = payload.get("box")
+        own, subs = split_range(self.path, payload["lo"], payload["hi"], box)
         origin = payload["origin"]
         if own is not None:
             lo, hi = own
             matches = sorted(k for k in self.keys if lo <= k < hi)
+            if box is not None:
+                matches = [k for k in matches if box.contains(k)]
             self._send_range_part(origin, payload, matches, own)
         for level, lo, hi in subs:
             # No table: a showered range has many first hops, so a
@@ -1787,5 +1806,5 @@ class PGridNode:
             self._dead_end(self._ranges, qid, payload["attempt"])
         else:
             pending.covered.append(bounds)
-            if not _gaps(pending.covered, pending.lo, pending.hi):
+            if not pending.gaps():
                 self._finish(qid, pending, True)

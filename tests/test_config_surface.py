@@ -14,6 +14,7 @@ import pytest
 
 from repro.core.construction import ConstructionConfig
 from repro.pgrid.liveness import repair_routes
+from repro.pgrid.mdim import ZOrderCodec
 from repro.pgrid.serving import CachePolicy
 from repro.pgrid.state import DurabilityPolicy
 from repro.scenarios.message_runner import MessageNetConfig, MessageScenarioRunner
@@ -41,6 +42,8 @@ SURFACE = {
         "construct_start", "query_start", "churn_start", "end", "seed",
     ],
     ChurnConfig: ["min_offline", "max_offline", "min_online", "max_online"],
+    # split_budget went when a box became one showered range query.
+    ZOrderCodec: ["dims"],
 }
 
 

@@ -21,8 +21,7 @@ Four layers:
   ``tests/test_bulk_materialization.py``.)
 * **Scenario acceptance**: the two library mdim scenarios replay
   byte-identically per backend, report ``box_recall == 1.0`` on the
-  quiet ``geo-box-serving`` run, and never exceed the codec's split
-  budget.
+  quiet ``geo-box-serving`` run, and count the partitions per box.
 """
 
 import json
@@ -117,8 +116,6 @@ class TestZOrderCodec:
             ZOrderCodec(dims=0)
         with pytest.raises(DomainError):
             ZOrderCodec(dims=KEY_BITS + 1)
-        with pytest.raises(DomainError):
-            ZOrderCodec(dims=2, split_budget=0)
 
     def test_encode_rejects_out_of_domain(self):
         codec = ZOrderCodec(dims=2)
@@ -166,11 +163,11 @@ class TestBoxDecomposition:
     @pytest.mark.parametrize("dims", [2, 3])
     def test_exact_cover_on_small_boxes(self, dims):
         """Unbudgeted decomposition covers exactly the box's cells."""
-        codec = ZOrderCodec(dims=dims, split_budget=10**9)
+        codec = ZOrderCodec(dims=dims)
         rng = random.Random(31 + dims)
         for _ in range(12):
             lo_cells, hi_cells = random_small_box(codec, rng, max_side=6)
-            ranges = codec.box_ranges(lo_cells, hi_cells)
+            ranges = codec.box_ranges(lo_cells, hi_cells, 10**9)
             assert ranges == sorted(ranges)
             # Disjoint, merged, half-open.
             for (alo, ahi), (blo, bhi) in zip(ranges, ranges[1:]):
@@ -183,34 +180,33 @@ class TestBoxDecomposition:
         """Litmax/bigmin bound: an exact 2-D decomposition of an
         axis-aligned box needs O(side) ranges -- for small boxes, never
         more than 4 * (width + height) and never fewer than 1."""
-        codec = ZOrderCodec(dims=2, split_budget=10**9)
+        codec = ZOrderCodec(dims=2)
         rng = random.Random(53)
         for _ in range(20):
             lo_cells, hi_cells = random_small_box(codec, rng, max_side=32)
-            ranges = codec.box_ranges(lo_cells, hi_cells)
+            ranges = codec.box_ranges(lo_cells, hi_cells, 10**9)
             w = hi_cells[0] - lo_cells[0] + 1
             h = hi_cells[1] - lo_cells[1] + 1
             assert 1 <= len(ranges) <= 4 * (w + h)
 
     @pytest.mark.parametrize("budget", [1, 2, 4, 8, 16])
     def test_budget_respected_and_never_undercovers(self, budget):
-        codec = ZOrderCodec(dims=2, split_budget=budget)
-        exact = ZOrderCodec(dims=2, split_budget=10**9)
+        codec = ZOrderCodec(dims=2)
         rng = random.Random(budget)
         for _ in range(10):
             lo_cells, hi_cells = random_small_box(codec, rng, max_side=8)
-            ranges = codec.box_ranges(lo_cells, hi_cells)
+            ranges = codec.box_ranges(lo_cells, hi_cells, budget)
             assert 1 <= len(ranges) <= budget
             # Over-cover is allowed (recall stays 1.0), under-cover not.
             # Tight budgets emit huge enclosing intervals, so check by
             # membership instead of enumerating the covered keys.
-            for key in brute_force_cells(exact, lo_cells, hi_cells):
+            for key in brute_force_cells(codec, lo_cells, hi_cells):
                 assert any(lo <= key < hi for lo, hi in ranges)
 
     def test_budget_fast_on_huge_boxes(self):
         """Wide boxes (intractable exactly) still decompose instantly
         under a budget -- the property the scenarios rely on."""
-        codec = ZOrderCodec(dims=2, split_budget=DEFAULT_SPLIT_BUDGET)
+        codec = ZOrderCodec(dims=2)
         lo_cells, hi_cells = codec.box_cells((0.1, 0.2), (0.4, 0.9))
         ranges = codec.box_ranges(lo_cells, hi_cells)
         assert 1 <= len(ranges) <= DEFAULT_SPLIT_BUDGET
@@ -248,7 +244,7 @@ def ref_deinterleave(codec, z):
 def ref_box_ranges(codec, lo_cells, hi_cells, max_ranges=None):
     """Litmax/bigmin over trie nodes carried as per-dimension bounds,
     one node per level: no chain jump, the budget tested at every node."""
-    budget = codec.split_budget if max_ranges is None else max_ranges
+    budget = DEFAULT_SPLIT_BUDGET if max_ranges is None else max_ranges
     d, b, pad = codec.dims, codec.bits_per_dim, codec.pad_bits
     top = codec.cells_per_dim - 1
     total_bits = d * b
@@ -293,9 +289,7 @@ def ref_box_ranges(codec, lo_cells, hi_cells, max_ranges=None):
 
 DIMS = (1, 2, 3, 4, 7, 53)
 BUDGETS = (1, 2, 3, 5, 16, 64)
-codecs = st.builds(
-    ZOrderCodec, dims=st.sampled_from(DIMS), split_budget=st.sampled_from(BUDGETS)
-)
+codecs = st.builds(ZOrderCodec, dims=st.sampled_from(DIMS))
 
 
 @st.composite
@@ -347,18 +341,50 @@ class TestKernelsAgainstReference:
         assert (z == z_moved) == (cells[j] == other)
 
     @settings(max_examples=400, deadline=None)
-    @given(codec_and_box(), st.sampled_from((None, 1, 4)))
+    @given(codec_and_box(), st.sampled_from((None,) + BUDGETS))
     def test_box_ranges_match_tuple_bounds_reference(self, drawn, max_ranges):
         codec, lo_cells, hi_cells = drawn
         ranges = codec.box_ranges(lo_cells, hi_cells, max_ranges)
         assert ranges == ref_box_ranges(codec, lo_cells, hi_cells, max_ranges)
         # Ascending, disjoint, merged, within the budget, cell-aligned.
-        assert 1 <= len(ranges) <= (max_ranges or codec.split_budget)
+        assert 1 <= len(ranges) <= (max_ranges or DEFAULT_SPLIT_BUDGET)
         for lo, hi in ranges:
             assert 0 <= lo < hi <= MAX_KEY
             assert lo % (1 << codec.pad_bits) == hi % (1 << codec.pad_bits) == 0
         for (_, ahi), (blo, _) in zip(ranges, ranges[1:]):
             assert ahi < blo  # adjacent ranges would have merged
+
+    @settings(max_examples=400, deadline=None)
+    @given(codec_and_box(brute_force=True), st.data())
+    def test_meets_is_true_exactly_where_the_exact_cover_is(self, drawn, data):
+        """``ZBox.meets`` holds for a key interval exactly when it
+        overlaps the exact decomposition -- drawn near its bounds."""
+        codec, lo_cells, hi_cells = drawn
+        box, pad = codec.box(lo_cells, hi_cells), codec.pad_bits
+        ranges = codec.box_ranges(lo_cells, hi_cells, 10**9)
+        marks = [bound for r in ranges for bound in r]
+        near = st.sampled_from(marks).flatmap(
+            lambda m: st.integers(max(m - (3 << pad), 0), min(m + (3 << pad), MAX_KEY))
+        )
+        lo, hi = sorted((data.draw(near), data.draw(near)))
+        assert box.meets(lo, hi) == any(max(lo, a) < min(hi, b) for a, b in ranges)
+        span_lo, span_hi = box.span
+        assert box.meets(span_lo, span_hi)
+        assert not box.meets(0, span_lo) and not box.meets(span_hi, MAX_KEY)
+
+    @settings(max_examples=300, deadline=None)
+    @given(codec_and_box(), st.data())
+    def test_contains_matches_box_contains(self, drawn, data):
+        codec, lo_cells, hi_cells = drawn
+        box, pad = codec.box(lo_cells, hi_cells), codec.pad_bits
+        cells = tuple(
+            data.draw(st.integers(max(lo - 2, 0), min(hi + 2, codec.cells_per_dim - 1)))
+            for lo, hi in zip(lo_cells, hi_cells)
+        )
+        key = codec.interleave(cells) << pad | data.draw(st.integers(0, (1 << pad) - 1))
+        assert box.contains(key) == codec.box_contains(key, lo_cells, hi_cells)
+        span_lo, span_hi = box.span
+        assert not box.contains(key) or span_lo <= key < span_hi
 
     @settings(max_examples=200, deadline=None)
     @given(codec_and_box(brute_force=True))
@@ -503,7 +529,8 @@ class TestMdimScenarios:
         assert m is not None
         assert m["dims"] == 2
         assert m["boxes"] > 0
-        assert m["ranges_per_box_max"] <= m["split_budget"]
+        assert m["partitions_per_box_mean"] >= 1
+        assert m["partitions_per_box_p90"] >= 1
         assert len(m["selectivity_per_dim"]) == 2
 
     @pytest.mark.parametrize("backend", ["dataplane", "message"])

@@ -1,14 +1,14 @@
 """Pinned outputs of the z-order codec.
 
-``tests/data/mdim_digests.json`` holds one SHA-256 per (dims,
-split_budget) cell over a seeded corpus: every box's inclusive cell
-bounds and its :meth:`ZOrderCodec.box_ranges` output (random boxes at
-every scale, single-cell, full-space, a float box with a cell-aligned
-upper bound, and a ``max_ranges`` override), plus every point's
-``encode`` key and its ``cells_of`` cells.  A change to the kernels that
-claims "keys and ranges byte-identical" must leave every digest as it
-is.  Regenerate only when a change of the key format or of the
-split-budget rule is intended, and say so::
+``tests/data/mdim_digests.json`` holds one SHA-256 per (dims, budget)
+cell over a seeded corpus: every box's inclusive cell bounds and its
+``ZOrderCodec.box_ranges(lo_cells, hi_cells, budget)`` output (random
+boxes at every scale, single-cell, full-space, a float box with a
+cell-aligned upper bound, and a ``max_ranges`` override), plus every
+point's ``encode`` key and its ``cells_of`` cells.  A change to the
+kernels that claims "keys and ranges byte-identical" must leave every
+digest as it is.  Regenerate only when a change of the key format or of
+the budget rule is intended, and say so::
 
     PYTHONPATH=src python tests/test_mdim_digests.py
 
@@ -60,11 +60,11 @@ def corpus_boxes(codec: ZOrderCodec, rng: random.Random):
 
 
 def compute(dims: int, budget: int) -> str:
-    codec = ZOrderCodec(dims=dims, split_budget=budget)
+    codec = ZOrderCodec(dims=dims)
     rng = random.Random(1_000 * dims + budget)
     h = hashlib.sha256()
     for index, (lo_cells, hi_cells) in enumerate(corpus_boxes(codec, rng)):
-        ranges = codec.box_ranges(lo_cells, hi_cells)
+        ranges = codec.box_ranges(lo_cells, hi_cells, budget)
         h.update(repr((lo_cells, hi_cells, ranges)).encode())
         if index % 8 == 0:
             h.update(
@@ -99,6 +99,7 @@ def main(argv) -> int:
         print(__doc__)
         return 2
     payload = {
+        # The committed wording, kept so that regenerating is byte-identical.
         "_comment": "sha256 per (dims, split_budget) corpus; see tests/test_mdim_digests.py",
         "random_boxes": RANDOM_BOXES,
         "points": POINTS,

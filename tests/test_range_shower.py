@@ -3,8 +3,8 @@
 ``pgrid.search.split_range`` cuts a range at a peer's path: the peer's
 own slice, and one sub-range per complementary subtree the range
 intersects.  The data plane's ``_shower`` recurses on those pieces and
-the wire node sends one ``range_query`` per sub-range.  Two properties,
-each a ``hypothesis`` search:
+the wire node sends one ``range_query`` per sub-range.  Three
+properties, each a ``hypothesis`` search:
 
 * the pieces are pairwise disjoint and tile ``[lo, hi)`` exactly, each
   inside the subtree it is sent to -- so a shower neither loses nor
@@ -12,10 +12,14 @@ each a ``hypothesis`` search:
 * on a quiescent wire (no loss, constant latency, no churn, every peer
   online), a range finds exactly the keys the data plane's
   ``range_query`` finds over the same overlay (ROADMAP item 1(c), for
-  ranges).
+  ranges);
+* a box query (a random box of 1-3 dimensions, showered over its
+  z-span) finds exactly the keys a brute-force ``box_contains`` scan
+  finds, on the data plane and on a quiescent wire, and reaches exactly
+  the partitions the box meets.
 
-Tier-1 runs 200 and 40 examples; the nightly workflow runs both at
-``REPRO_FUZZ_EXAMPLES=5000``.
+Tier-1 runs 200, 40 and 40 examples; the nightly workflow runs all
+three at ``REPRO_FUZZ_EXAMPLES=5000``.
 """
 
 import os
@@ -25,6 +29,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.pgrid.bits import Path
 from repro.pgrid.keyspace import KEY_BITS, MAX_KEY, float_to_key
+from repro.pgrid.mdim import ZOrderCodec
 from repro.pgrid.network import PGridNetwork
 from repro.pgrid.search import range_query, split_range
 from repro.simnet.engine import Simulator
@@ -80,12 +85,10 @@ class TestSplitRangeTiles:
         assert cursor == hi
 
 
-def quiescent_pair(seed, n_peers, n_keys):
-    """The ideal overlay over ``n_keys`` random keys, and a wire copy
-    of it: same ids, paths, keys and references, every node online, no
-    loss, constant latency, no churn."""
-    rand = random.Random(seed)
-    keys = [float_to_key(rand.random()) for _ in range(n_keys)]
+def quiescent_pair(seed, n_peers, keys):
+    """The ideal overlay over ``keys``, and a wire copy of it: same ids,
+    paths, keys and references, every node online, no loss, constant
+    latency, no churn."""
     plane = PGridNetwork.ideal(keys, n_peers, d_max=8, n_min=2, rng=seed)
     sim = Simulator()
     net = Network(sim, latency=ConstantLatency(0.01), loss_rate=0.0, rng=seed)
@@ -114,7 +117,9 @@ class TestWireMatchesDataPlane:
         ),
     )
     def test_every_range_finds_the_data_plane_keys(self, seed, n_peers, n_keys, queries):
-        plane, sim, nodes = quiescent_pair(seed, n_peers, n_keys)
+        rand = random.Random(seed)
+        keys = [float_to_key(rand.random()) for _ in range(n_keys)]
+        plane, sim, nodes = quiescent_pair(seed, n_peers, keys)
         outcomes = {}
         expected = {}
         ids = sorted(nodes)
@@ -131,3 +136,68 @@ class TestWireMatchesDataPlane:
         for op, out in outcomes.items():
             assert out.success and (out.attempts, out.timeouts) == (1, 0)
             assert set(out.found_keys) == expected[op]
+
+
+@st.composite
+def boxes(draw):
+    """A z-order codec of 1-3 dimensions and an inclusive cell box with
+    sides from one cell to the whole dimension."""
+    codec = ZOrderCodec(dims=draw(st.integers(1, 3)))
+    lo_cells, hi_cells = [], []
+    for _ in range(codec.dims):
+        side = 1 << draw(st.integers(0, codec.bits_per_dim))
+        lo = draw(st.integers(0, codec.cells_per_dim - side))
+        lo_cells.append(lo)
+        hi_cells.append(lo + draw(st.integers(0, side - 1)))
+    return codec, tuple(lo_cells), tuple(hi_cells)
+
+
+class TestBoxShower:
+    @settings(derandomize=True, max_examples=int(FUZZ_EXAMPLES or 40), deadline=None)
+    @given(
+        drawn=boxes(),
+        seed=st.integers(0, 2**32 - 1),
+        n_peers=st.integers(2, 48),
+        n_keys=st.integers(0, 160),
+        n_inside=st.integers(0, 20),
+        pick=st.integers(0, 10**6),
+    )
+    def test_both_backends_find_exactly_the_box_keys(
+        self, drawn, seed, n_peers, n_keys, n_inside, pick
+    ):
+        codec, lo_cells, hi_cells = drawn
+        box = codec.box(lo_cells, hi_cells)
+        rand = random.Random(seed)
+        keys = codec.encode_many([rand.random() for _ in range(n_keys * codec.dims)])
+        keys += [
+            codec.interleave([rand.randint(lo, hi) for lo, hi in zip(lo_cells, hi_cells)])
+            << codec.pad_bits
+            for _ in range(n_inside)
+        ]
+        expected = {k for k in keys if codec.box_contains(k, lo_cells, hi_cells)}
+        plane, sim, nodes = quiescent_pair(seed, n_peers, keys)
+        met = {
+            peer.path for peer in plane.peers.values()
+            if box.meets(*peer.path.key_range(KEY_BITS))
+        }
+        origin = nodes[sorted(nodes)[pick % len(nodes)]]
+        result = range_query(plane, *box.span, start=origin.node_id, rng=seed, box=box)
+        assert result.complete and result.keys == expected
+        assert result.partitions == met  # no partition outside the box answers
+        outcomes, pieces = [], []
+        send = origin.network.send
+
+        def recording(src, dst, kind, payload, **kw):
+            if kind == "range_query":
+                pieces.append((payload["lo"], payload["hi"]))
+            return send(src, dst, kind, payload, **kw)
+
+        origin.network.send = recording
+        origin.on_range_done = lambda nid, qid, out: outcomes.append(out)
+        origin.issue_range_query(*box.span, box)
+        sim.run_until(60.0)
+        (out,) = outcomes
+        assert out.success and (out.attempts, out.timeouts) == (1, 0)
+        assert set(out.found_keys) == expected
+        assert out.partitions == len(met)
+        assert all(box.meets(*piece) for piece in pieces)  # no subtree outside the box

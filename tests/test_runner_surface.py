@@ -10,8 +10,8 @@
   traced benchmark pass.
 * **A runner runs once**, **bytes go to one ledger** (per-phase and
   per-bin figures add up to the totals on both backends, by the
-  bin-window rule of ``scenarios/report.py``), and **a range query is a
-  box of one range** (one fold, one tally record per query).
+  bin-window rule of ``scenarios/report.py``), and **a box is one range
+  query** (one tally record per query, retries only where the box is).
 """
 
 import dataclasses
@@ -30,8 +30,7 @@ from repro.scenarios import (
     base as scenario_base,
     scenario,
 )
-from repro.scenarios.message_runner import _PendingBox
-from repro.simnet.node import QueryOutcome
+from repro.pgrid.keyspace import KEY_BITS
 
 HOOKS = {
     "_derive_extra_streams", "_setup", "_population", "_depart",
@@ -180,45 +179,91 @@ def tallied(runner):
     )
 
 
-class TestRangeIsABoxOfOne:
-    def test_scalar_range_whose_origin_goes_away_is_moot_and_tallied_nowhere(self):
-        runner = finished_runner("uniform-baseline")
-        before, moot_before = tallied(runner), runner._moot
-        ranges_only = QueryMix(point_weight=0.0, range_weight=1.0).to_sampler()
-        runner._run_one_query(
-            runner._tally, runner.spec.phases[0], 0, ranges_only, random.Random(1)
+def audited(runner):
+    """The box audit's accumulators (``_tally_range``)."""
+    stats = runner._mdim_stats
+    return (
+        stats["box_successes"], stats["oracle_expected"], stats["oracle_found"],
+        len(stats["partitions"]),
+    )
+
+
+class TestBoxIsOneRangeQuery:
+    def centre_box_query(self, runner):
+        """A box of four cells around the centre of the unit square, and
+        an origin whose partition it misses.  Its z-span runs from the
+        low quadrant's last code to the high quadrant's first, so the
+        span crosses most partitions and the box meets only a few."""
+        codec = runner.spec.codec
+        half = codec.cells_per_dim // 2
+        box = codec.box((half - 1, half - 1), (half, half))
+        origin = next(
+            node for _, node in sorted(runner.nodes.items())
+            if not box.meets(*node.path.key_range(KEY_BITS))
         )
-        (box,) = runner._box_of.values()
-        assert box.remaining == 1 and box.oracle is None
+        return box, origin
+
+    def test_box_that_loses_one_slice_retries_only_the_gap_meeting_the_box(self):
+        runner = finished_runner("geo-box-serving")
+        box, origin = self.centre_box_query(runner)
+        lost = []
+        deliver = origin._on_range_part
+
+        def lossy(msg):  # the network loses the first slice sent home
+            if not lost and msg.payload["slice"] is not None:
+                lost.append(msg.payload["slice"])
+                return
+            deliver(msg)
+
+        launched, uncovered = [], []
+        route = origin._route_range
+
+        def launches(payload):  # the origin's own launches, per attempt
+            if payload["origin"] == origin.node_id and payload["hops"] == 0:
+                if payload["attempt"] == 2 and not uncovered:
+                    (pending,) = origin._ranges.values()
+                    uncovered.extend(dataclasses.replace(pending, box=None).gaps())
+                launched.append((payload["attempt"], payload["lo"], payload["hi"]))
+            return route(payload)
+
+        origin._on_range_part, origin._route_range = lossy, launches
+        outcomes = []
+        origin.on_range_done = lambda nid, qid, outcome: outcomes.append(outcome)
+        origin.issue_range_query(*box.span, box)
+        runner.simulator.run_until(runner.simulator.now + 120.0)
+        (outcome,) = outcomes
+        assert outcome.success and (outcome.attempts, outcome.timeouts) == (2, 1)
+        assert set(outcome.found_keys) == set(filter(box.contains, runner._universe))
+        (lost_lo, lost_hi), = lost
+        (_, gap_lo, gap_hi), = [launch for launch in launched if launch[0] == 2]
+        # The retry re-issues the one gap that meets the box -- the lost
+        # slice -- and none of the gaps the box's pruned subtrees left.
+        assert gap_lo <= lost_lo < lost_hi <= gap_hi and box.meets(gap_lo, gap_hi)
+        assert len(uncovered) > 1
+        assert [gap for gap in uncovered if box.meets(*gap)] == [(gap_lo, gap_hi)]
+
+    def test_moot_box_is_tallied_nowhere(self):
+        runner = finished_runner("geo-box-serving")
+        before, moot_before = tallied(runner), runner._moot
+        audit = audited(runner)
+        boxes_only = QueryMix(
+            point_weight=0.0, range_weight=1.0, box_spans=(0.1, 0.1)
+        ).to_sampler(codec=runner.spec.codec)
+        runner._run_one_query(
+            runner._tally, runner.spec.phases[0], 0, boxes_only, random.Random(1)
+        )
+        ((idx, oracle),) = runner._rmeta.values()
+        assert idx == 0 and oracle is not None
         for node in runner.nodes.values():
             node.abort_inflight()  # the origin's process dies mid-query
-        assert not runner._box_of
+        assert not runner._rmeta
         assert runner._moot == moot_before + 1
         assert tallied(runner) == before
-
-    def test_box_with_one_failed_sub_range_counts_once(self):
-        runner = finished_runner("geo-box-serving")
-        queries, ranges, successes, incomplete = tallied(runner)
-        audit = dict(runner._mdim_stats)
-        box = _PendingBox(idx=0, issued_at=0.0, remaining=3, oracle={1, 2, 3})
-        runner._box_of.update({-1: box, -2: box, -3: box})
-        ok = QueryOutcome(
-            issued_at=0.0, latency=1.0, hops=0, success=True, attempts=1,
-            timeouts=0, messages=2, found_keys=(1,),
-        )
-        failed = dataclasses.replace(ok, success=False, found_keys=())
-        for qid, outcome in ((-1, ok), (-2, failed), (-3, ok)):
-            assert tallied(runner) == (queries, ranges, successes, incomplete)
-            runner._range_done(0, qid, outcome)
-        assert tallied(runner) == (queries + 1, ranges + 1, successes, incomplete + 1)
-        assert runner._mdim_stats["box_successes"] == audit["box_successes"]
-        assert runner._mdim_stats["oracle_expected"] == audit["oracle_expected"] + 3
-        assert runner._mdim_stats["oracle_found"] == audit["oracle_found"] + 1
-        assert not runner._box_of
+        assert audited(runner) == audit
 
     def test_range_left_pending_after_the_drain_is_an_error(self):
         spec = scenario("uniform-baseline", n_peers=24, seed=3, duration_scale=0.1)
         runner = MessageScenarioRunner(spec)
-        runner._box_of[-1] = _PendingBox(idx=0, issued_at=0.0, remaining=1, oracle=None)
+        runner._rmeta[-1] = (0, None)
         with pytest.raises(SimulationError, match="1 ranges .* still pending"):
             runner.run()
