@@ -1,13 +1,12 @@
 """Internal helpers shared across the package.
 
-Seeded random-number handling and environment-variable based scaling of
-experiment sizes live here so that every experiment is reproducible and
-cheap by default, yet can be scaled back up to paper-size runs.
+Seeded random-number handling lives here so that every experiment is
+reproducible by default; experiment sizes are explicit arguments of the
+:mod:`repro.experiments` functions.
 """
 
 from __future__ import annotations
 
-import os
 import random
 from typing import Union
 
@@ -15,46 +14,23 @@ from .exceptions import DomainError, SimulationError
 
 RngLike = Union[random.Random, int, None]
 
+#: The default experiment seed: 20050830, the VLDB'05 conference date.
+SEED = 20050830
+
 
 def make_rng(rng: RngLike = None) -> random.Random:
     """Return a :class:`random.Random` from a seed, an existing RNG or ``None``.
 
     Passing an existing ``random.Random`` returns it unchanged, so nested
     components can share one stream.  An ``int`` seeds a fresh generator and
-    ``None`` draws the seed from :func:`env_seed` (default 20050830, the
-    VLDB'05 conference date) for deterministic-by-default experiments.
+    ``None`` seeds one with :data:`SEED` for deterministic-by-default
+    experiments.
     """
     if isinstance(rng, random.Random):
         return rng
     if rng is None:
-        return random.Random(env_seed())
+        return random.Random(SEED)
     return random.Random(rng)
-
-
-def env_seed() -> int:
-    """Global experiment seed, overridable through ``REPRO_SEED``."""
-    return int(os.environ.get("REPRO_SEED", "20050830"))
-
-
-def env_reps(default: int) -> int:
-    """Number of experiment repetitions, overridable through ``REPRO_REPS``."""
-    value = os.environ.get("REPRO_REPS")
-    if value is None:
-        return default
-    return max(1, int(value))
-
-
-def env_scale(default: float = 1.0) -> float:
-    """Population-size multiplier, overridable through ``REPRO_SCALE``."""
-    value = os.environ.get("REPRO_SCALE")
-    if value is None:
-        return default
-    return float(value)
-
-
-def scaled(n: int, minimum: int = 1) -> int:
-    """Scale an experiment size ``n`` by the ``REPRO_SCALE`` multiplier."""
-    return max(minimum, int(round(n * env_scale())))
 
 
 def sample_online(items, is_online, rand, probes: int = 8):
@@ -87,12 +63,12 @@ def sample_online(items, is_online, rand, probes: int = 8):
 def ensure_monotonic(times, what: str = "phases") -> None:
     """Validate that ``times`` is non-decreasing (a sane phase timeline).
 
-    Shared by :class:`repro.simnet.experiment.ExperimentConfig` and
-    :class:`repro.scenarios.spec.ScenarioSpec`; raises
-    :class:`~repro.exceptions.SimulationError` on the first inversion.
+    Used by :meth:`repro.simnet.experiment.ExperimentConfig.validate`;
+    raises :class:`~repro.exceptions.SimulationError` on the first
+    inversion.  A NaN time compares false both ways and counts as one.
     """
     times = list(times)
-    if any(b < a for a, b in zip(times, times[1:])):
+    if not all(a <= b for a, b in zip(times, times[1:])):
         raise SimulationError(f"{what} out of order: {times}")
 
 

@@ -1,21 +1,21 @@
-"""Per-figure experiment harnesses (the code behind ``benchmarks/``).
+"""Per-figure experiment harnesses (the code behind ``benchmarks/paper_claims.py``).
 
 Every module regenerates one of the paper's tables or figures and
-returns plain data structures plus printable rows, so the benchmarks can
-both measure runtime and display paper-style output:
+returns plain data structures; the claims table checks them and
+REPRODUCTION.md records the verdicts:
 
-===========  ==================================================
-``fig3``     alpha''(p) curvature curve
-``fig45``    the five partitioning models: accuracy and cost
-``fig6``     construction sweeps (panels a-f)
-``fig789``   the full-system PlanetLab-style run
-``complexity``  sequential vs parallel construction (Sec. 4.3)
-``rangecost``   trie range queries vs hash-DHT + PHT (Sec. 6)
-``ablations``   sample size / correction ablations
-===========  ==================================================
+===============  ==================================================
+``fig3``         alpha''(p) curvature curve
+``fig45``        the five partitioning models: accuracy and cost
+``fig6``         construction sweeps (panels a-f)
+``complexity``   sequential vs parallel construction (Sec. 4.3)
+``rangecost``    trie range queries vs hash-DHT + PHT (Sec. 6)
+``ablations``    sample size / correction ablations
+===============  ==================================================
 
-Scaling: ``REPRO_REPS`` overrides repetition counts, ``REPRO_SCALE``
-multiplies population sizes, ``REPRO_SEED`` fixes the global seed.
+Figs. 7-9 and the Sec. 5.2 statistics come from one
+:func:`repro.simnet.experiment.run_experiment`.  Sizes, repetitions and
+seeds are explicit arguments; the claims table passes the paper's.
 """
 
-from . import ablations, complexity, fig3, fig45, fig6, fig789, rangecost, reporting  # noqa: F401
+from . import ablations, complexity, fig3, fig45, fig6, rangecost  # noqa: F401

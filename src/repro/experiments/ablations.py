@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-from .._util import env_reps, env_seed, mean, std
+from .._util import mean, std
 from ..core.bisection import simulate_aep
 from ..core.construction import ConstructionConfig, construct_overlay
 from ..core.deviation import load_balance_deviation
@@ -26,14 +26,13 @@ __all__ = ["correction_ablation", "replication_floor_ablation"]
 
 def correction_ablation(
     *,
+    n: int,
+    reps: int,
+    seed: int,
     p: float = 0.4,
-    n: int = 1000,
     sample_sizes: Tuple[int, ...] = (1, 2, 5, 10, 25, 50),
-    reps: int | None = None,
 ) -> List[Tuple[int, float, float, float, float]]:
     """Rows: (m, AEP bias, AEP std, COR bias, COR std)."""
-    reps = reps if reps is not None else env_reps(20)
-    seed = env_seed()
     rows = []
     for m in sample_sizes:
         plain = [
@@ -49,15 +48,13 @@ def correction_ablation(
 
 
 def replication_floor_ablation(
-    *, n: int = 256, label: str = "P1.0", reps: int | None = None
+    *, n: int, reps: int, seed: int, label: str = "P1.0"
 ) -> List[Tuple[str, float, float]]:
     """Rows: (variant, deviation, min replicas across populated leaves).
 
     Variants: the full split policy vs. one with very aggressive target
     fractions (tiny sample floor), approximating "no n_min floor".
     """
-    reps = reps if reps is not None else env_reps(3)
-    seed = env_seed()
     rows = []
     for name, strategy in (("theory", "theory"), ("uncorrected", "uncorrected")):
         devs = []

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from typing import List, Tuple
 
-from .._util import env_seed, scaled
 from ..baselines.sequential import compare_constructions
 from ..workloads.datasets import uniform_keys
 
@@ -20,23 +19,21 @@ __all__ = ["latency_sweep"]
 
 
 def latency_sweep(
-    populations: Tuple[int, ...] = (64, 128, 256, 512)
+    populations: Tuple[int, ...], *, seed: int
 ) -> List[Tuple[int, int, float, int, float, float]]:
     """Rows: (n, seq messages, seq latency, par rounds, speedup, log2^2 n)."""
-    seed = env_seed()
     rows = []
     for n in populations:
-        n_eff = scaled(n, minimum=32)
-        peer_keys = uniform_keys(n_eff, 10, seed=seed + n_eff)
+        peer_keys = uniform_keys(n, 10, seed=seed + n)
         cmp = compare_constructions(peer_keys, n_min=5, d_max=50, rng=seed + 1)
         rows.append(
             (
-                n_eff,
+                n,
                 cmp.sequential_messages,
                 cmp.sequential_latency,
                 cmp.parallel_latency_rounds,
                 cmp.latency_speedup,
-                math.log2(n_eff) ** 2,
+                math.log2(n) ** 2,
             )
         )
     return rows

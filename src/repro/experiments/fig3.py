@@ -5,7 +5,7 @@ over the alpha-regime ``p in (0, 1 - ln 2)`` to show where sampling-error
 corrections matter most.  Our exact reconstruction shows the curvature
 spanning roughly an order of magnitude across the regime and exploding
 toward the regime boundary ``p* = 1 - ln 2`` (where ``p'(alpha) -> 0.079``
-as ``alpha -> 1``); see EXPERIMENTS.md for the comparison discussion.
+as ``alpha -> 1``); REPRODUCTION.md records the measured curve's bands.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import List, Tuple
 
 from ..core.probabilities import P_STAR, alpha_of_p, alpha_second_derivative
 
-__all__ = ["alpha_curvature_curve", "rows"]
+__all__ = ["alpha_curvature_curve"]
 
 
 def alpha_curvature_curve(
@@ -26,8 +26,3 @@ def alpha_curvature_curve(
         p = lo + (hi - lo) * i / (points - 1)
         out.append((p, alpha_of_p(p), alpha_second_derivative(p)))
     return out
-
-
-def rows() -> List[Tuple[float, float, float]]:
-    """Printable rows for the bench harness."""
-    return alpha_curvature_curve()

@@ -2,7 +2,8 @@
 
 Reproduces Sec. 3.3's numerical simulation: ``N = 1000`` peers, sample
 size ``m = 10``, the load fraction swept over ``p in {0.05 .. 0.5}``, and
-(by default a reduced number of) repetitions of each of
+repetitions (30 in ``benchmarks/paper_claims.py``; the paper ran 100) of
+each of
 
 * MVA -- mean-value model, exact ``p``;
 * SAM -- mean-value model, sampled ``p``;
@@ -18,10 +19,9 @@ of interactions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Dict, List
 
-from .._util import env_reps, env_seed, mean, scaled
+from .._util import mean
 from ..core.bisection import simulate_aep, simulate_aut
 from ..core.mva import run_mva, run_sam
 
@@ -39,33 +39,12 @@ class ModelSweep:
     """Results of the five-model sweep."""
 
     n: int
-    m: int
-    reps: int
     deviation: Dict[str, List[float]]  # Fig. 4 series, per model
     interactions: Dict[str, List[float]]  # Fig. 5 series, per model
 
-    def fig4_rows(self):
-        """Rows (p, MVA, SAM, AEP, COR, AUT) of mean deviation."""
-        for i, p in enumerate(P_GRID):
-            yield (p, *(self.deviation[m][i] for m in MODELS))
 
-    def fig5_rows(self):
-        """Rows (p, MVA, SAM, AEP, COR, AUT) of mean interactions."""
-        for i, p in enumerate(P_GRID):
-            yield (p, *(self.interactions[m][i] for m in MODELS))
-
-
-@lru_cache(maxsize=4)
-def run_sweep(
-    *, n: int = 1000, m: int = 10, reps: int | None = None, seed: int | None = None
-) -> ModelSweep:
-    """Run the Sec. 3.3 numerical simulation.
-
-    ``reps`` defaults to 30 (paper: 100); override with ``REPRO_REPS``.
-    """
-    n = scaled(n, minimum=100)
-    reps = reps if reps is not None else env_reps(30)
-    seed = seed if seed is not None else env_seed()
+def run_sweep(*, n: int, reps: int, seed: int, m: int = 10) -> ModelSweep:
+    """Run the Sec. 3.3 numerical simulation: ``reps`` runs per model and p."""
     deviation: Dict[str, List[float]] = {name: [] for name in MODELS}
     interactions: Dict[str, List[float]] = {name: [] for name in MODELS}
 
@@ -93,6 +72,4 @@ def run_sweep(
         deviation["AUT"].append(mean(o.deviation for o in aut_runs))
         interactions["AUT"].append(mean(o.interactions for o in aut_runs))
 
-    return ModelSweep(
-        n=n, m=m, reps=reps, deviation=deviation, interactions=interactions
-    )
+    return ModelSweep(n=n, deviation=deviation, interactions=interactions)

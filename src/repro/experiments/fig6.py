@@ -11,19 +11,18 @@ Six panels over the six key distributions (U, P0.5, P1.0, P1.5, N, A):
 (f) data keys moved per peer (same runs as panel a).
 
 Paper defaults: ``n_min = 5``, ``d_max = 10 n_min``, 10 keys/peer and 10
-repetitions; our default is ``REPRO_REPS`` (2) repetitions to keep bench
-time in minutes -- the variance across repetitions is small (the paper's
-own Fig. 6(a) error discussion).  Runs are cached per configuration so
-panels (a)/(e)/(f) share work.
+repetitions; ``benchmarks/paper_claims.py`` runs 2 to keep the sweep
+near a minute -- the variance across repetitions is small (the paper's
+own Fig. 6(a) error discussion).  :func:`figure6` runs every panel in
+one call, each distinct configuration once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
-from .._util import env_reps, env_seed, mean, scaled, std
+from .._util import mean
 from ..core.construction import ConstructionConfig, construct_overlay
 from ..core.deviation import load_balance_deviation
 from ..core.reference import reference_partition
@@ -31,59 +30,40 @@ from ..workloads.datasets import flatten, workload_keys
 
 __all__ = [
     "DISTRIBUTION_LABELS",
+    "Figure6",
     "SweepPoint",
     "construction_point",
-    "panel_a",
-    "panel_b",
-    "panel_c",
-    "panel_d",
-    "panel_e",
-    "panel_f",
+    "figure6",
 ]
 
 #: Paper order of the evaluated distributions.
 DISTRIBUTION_LABELS = ["U", "P0.5", "P1.0", "P1.5", "N", "A"]
 
-#: Default populations of panel (a).
-POPULATIONS = [256, 512, 1024]
-
 
 @dataclass(frozen=True)
 class SweepPoint:
-    """Averaged measurements for one configuration."""
+    """Measurements of one configuration, averaged over the repetitions."""
 
-    label: str
-    n: int
-    n_min: int
-    d_max_factor: float
-    strategy: str
     deviation: float
-    deviation_std: float
     interactions_per_peer: float
     bandwidth_per_peer: float
-    mean_path: float
-    replication: float
 
 
-@lru_cache(maxsize=None)
 def construction_point(
     label: str,
     n: int,
-    n_min: int = 5,
-    d_max_factor: float = 10.0,
-    strategy: str = "theory",
-    reps: int | None = None,
+    n_min: int,
+    d_max_factor: float,
+    strategy: str,
+    *,
+    reps: int,
+    seed: int,
 ) -> SweepPoint:
-    """Run (and cache) ``reps`` constructions for one configuration."""
-    reps = reps if reps is not None else env_reps(2)
-    seed = env_seed()
-    n = scaled(n, minimum=8 * n_min)
+    """Run ``reps`` constructions for one configuration."""
     d_max = d_max_factor * n_min
     devs: List[float] = []
     inter: List[float] = []
     bw: List[float] = []
-    paths: List[float] = []
-    repl: List[float] = []
     for r in range(reps):
         peer_keys = workload_keys(label, n, 10, seed=seed + 17 * r)
         reference = reference_partition(
@@ -97,105 +77,57 @@ def construction_point(
         devs.append(load_balance_deviation(result.paths, reference))
         inter.append(result.bilateral_interactions_per_peer)
         bw.append(result.bandwidth_keys_per_peer)
-        paths.append(result.mean_path_length())
-        repl.append(result.replication_factor())
     return SweepPoint(
-        label=label,
-        n=n,
-        n_min=n_min,
-        d_max_factor=d_max_factor,
-        strategy=strategy,
         deviation=mean(devs),
-        deviation_std=std(devs),
         interactions_per_peer=mean(inter),
         bandwidth_per_peer=mean(bw),
-        mean_path=mean(paths),
-        replication=mean(repl),
     )
 
 
-def panel_a(populations: Tuple[int, ...] = (256, 512, 1024)):
-    """Fig. 6(a): rows (distribution, dev@n1, dev@n2, dev@n3)."""
-    rows = []
-    for label in DISTRIBUTION_LABELS:
-        rows.append(
-            (label, *(construction_point(label, n).deviation for n in populations))
-        )
-    return rows
+@dataclass
+class Figure6:
+    """The six panels; each series is per distribution label."""
+
+    by_population: Dict[str, List[SweepPoint]]  # (a), (e), (f)
+    by_n_min: Dict[str, List[SweepPoint]]  # (b), at population n
+    by_d_max: Dict[str, List[SweepPoint]]  # (c), at population n
+    theory_vs_heuristic: List[Tuple[str, float, float]]  # (d): label-n_min rows
 
 
-def panel_b(n: int = 256, n_mins: Tuple[int, ...] = (5, 10, 15, 20, 25)):
-    """Fig. 6(b): rows (distribution, dev@n_min...)."""
-    rows = []
-    for label in DISTRIBUTION_LABELS:
-        rows.append(
+def figure6(
+    *,
+    populations: Tuple[int, ...],
+    n: int,
+    n_mins: Tuple[int, ...],
+    factors: Tuple[float, ...],
+    reps: int,
+    seed: int,
+) -> Figure6:
+    """All six panels: (a)/(e)/(f) over ``populations``, (b)-(d) at ``n``.
+
+    A configuration two panels share (``n_min = 5``, ``d_max = 10 n_min``
+    at population ``n`` is in (a)-(d)) runs once.
+    """
+    points: Dict[tuple, SweepPoint] = {}
+
+    def point(label, size, n_min=5, d_max_factor=10.0, strategy="theory"):
+        key = (label, size, n_min, d_max_factor, strategy)
+        if key not in points:
+            points[key] = construction_point(*key, reps=reps, seed=seed)
+        return points[key]
+
+    labels = DISTRIBUTION_LABELS
+    return Figure6(
+        by_population={lb: [point(lb, size) for size in populations] for lb in labels},
+        by_n_min={lb: [point(lb, n, n_min=m) for m in n_mins] for lb in labels},
+        by_d_max={lb: [point(lb, n, d_max_factor=f) for f in factors] for lb in labels},
+        theory_vs_heuristic=[
             (
-                label,
-                *(
-                    construction_point(label, n, n_min=n_min).deviation
-                    for n_min in n_mins
-                ),
+                f"{lb}-{m}",
+                point(lb, n, n_min=m).deviation,
+                point(lb, n, n_min=m, strategy="heuristic").deviation,
             )
-        )
-    return rows
-
-
-def panel_c(n: int = 256, factors: Tuple[float, ...] = (10.0, 20.0, 30.0)):
-    """Fig. 6(c): rows (distribution, dev@d_max-factor...)."""
-    rows = []
-    for label in DISTRIBUTION_LABELS:
-        rows.append(
-            (
-                label,
-                *(
-                    construction_point(label, n, d_max_factor=f).deviation
-                    for f in factors
-                ),
-            )
-        )
-    return rows
-
-
-def panel_d(n: int = 256, n_mins: Tuple[int, ...] = (5, 10)):
-    """Fig. 6(d): rows (distribution-n_min, theory, heuristic)."""
-    rows = []
-    for label in DISTRIBUTION_LABELS:
-        for n_min in n_mins:
-            theory = construction_point(label, n, n_min=n_min).deviation
-            heur = construction_point(
-                label, n, n_min=n_min, strategy="heuristic"
-            ).deviation
-            rows.append((f"{label}-{n_min}", theory, heur))
-    return rows
-
-
-def panel_e(populations: Tuple[int, ...] = (256, 512, 1024)):
-    """Fig. 6(e): rows (distribution, interactions/peer at each n)."""
-    rows = []
-    for label in DISTRIBUTION_LABELS:
-        rows.append(
-            (
-                label,
-                *(
-                    construction_point(label, n).interactions_per_peer
-                    for n in populations
-                ),
-            )
-        )
-    return rows
-
-
-def panel_f(populations: Tuple[int, ...] = (256, 512, 1024)):
-    """Fig. 6(f): rows (distribution, keys moved/peer at each n)."""
-    rows = []
-    for label in DISTRIBUTION_LABELS:
-        rows.append(
-            (
-                label,
-                *(
-                    construction_point(label, n).bandwidth_per_peer
-                    for n in populations
-                ),
-            )
-        )
-    return rows
+            for lb in labels
+            for m in (5, 10)
+        ],
+    )

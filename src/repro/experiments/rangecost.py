@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-from .._util import env_seed, make_rng, scaled
+from .._util import make_rng
 from ..baselines.hashdht import HashDHT, PrefixHashTree
 from ..pgrid.keyspace import float_to_key
 from ..pgrid.network import PGridNetwork
@@ -24,10 +24,11 @@ WIDTHS = [0.01, 0.05, 0.1, 0.25, 0.5]
 
 def range_cost_sweep(
     *,
-    n_nodes: int = 128,
-    n_keys: int = 2000,
+    n_nodes: int,
+    n_keys: int,
+    queries_per_width: int,
+    seed: int,
     label: str = "U",
-    queries_per_width: int = 10,
 ) -> List[Tuple[float, float, float, float]]:
     """Rows: (width, P-Grid messages, PHT hops, cost ratio).
 
@@ -35,9 +36,7 @@ def range_cost_sweep(
     with comparable leaf capacities; costs are averaged over
     ``queries_per_width`` random ranges of each width.
     """
-    seed = env_seed()
     rand = make_rng(seed)
-    n_nodes = scaled(n_nodes, minimum=16)
     keys = distribution(label).sample_keys(n_keys, rng=rand)
     leaf_capacity = max(2 * n_keys // n_nodes, 8)
 

@@ -35,10 +35,11 @@ constants below.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .._util import ensure_monotonic, make_rng, mean
+from .._util import SEED, ensure_monotonic, is_count, make_rng, mean
 from ..core.constants import DEFAULT_KEYS_PER_PEER
 from ..core.deviation import load_balance_deviation
 from ..core.reference import reference_partition
@@ -77,7 +78,7 @@ class ExperimentConfig:
     query_start: float = 300.0
     churn_start: float = 475.0
     end: float = 525.0
-    seed: int = 20050830
+    seed: int = SEED
 
     def resolved_d_max(self) -> float:
         return self.d_max if self.d_max is not None else 10.0 * self.n_min
@@ -86,9 +87,10 @@ class ExperimentConfig:
     def compressed(cls, peers: int = 80, seed: int = 23, **overrides) -> "ExperimentConfig":
         """The CI-scale five-phase timeline (~5x compressed minutes).
 
-        The canonical smoke configuration shared by the figure suite's
-        ``REPRO_FAST`` mode and the example tests: same phase structure,
-        110 simulated minutes instead of 525.
+        The canonical smoke configuration shared by the quick sizes of
+        the Figs. 7-9 claims (``benchmarks/paper_claims.py``) and the
+        example tests: same phase structure, 110 simulated minutes
+        instead of 525.
         """
         params = dict(
             peers=peers,
@@ -104,8 +106,14 @@ class ExperimentConfig:
         return cls(**params)
 
     def validate(self) -> None:
-        if self.peers < 10:
-            raise SimulationError("experiment needs at least 10 peers")
+        if not is_count(self.peers, 10):
+            raise SimulationError(f"experiment needs an int >= 10 peers, got {self.peers!r}")
+        if not is_count(self.n_min, 1):
+            raise SimulationError(f"n_min must be an int >= 1, got {self.n_min!r}")
+        if not 0.0 < self.resolved_d_max() < math.inf:
+            raise SimulationError(f"d_max must be finite and positive, got {self.d_max!r}")
+        if not self.end < math.inf:
+            raise SimulationError(f"the timeline must end, got end={self.end!r}")
         ensure_monotonic(
             [
                 0.0,

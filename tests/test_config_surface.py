@@ -9,6 +9,8 @@ varies is a module constant beside the code that reads it.
 
 import dataclasses
 import inspect
+import pathlib
+import re
 
 import pytest
 
@@ -67,3 +69,15 @@ def test_keywords_are_the_pinned_list(func):
     params = inspect.signature(func).parameters.values()
     keywords = [p.name for p in params if p.kind is p.KEYWORD_ONLY]
     assert keywords == KEYWORDS[func]
+
+
+def test_the_library_reads_no_environment():
+    # Experiment sizes and seeds are arguments (benchmarks/paper_claims.py
+    # passes them), so a REPRO_* knob cannot come back unreviewed.
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
+    readers = [
+        str(path.relative_to(src))
+        for path in sorted(src.rglob("*.py"))
+        if re.search(r"\bos\.(environ|getenv)\b", path.read_text())
+    ]
+    assert readers == []

@@ -23,11 +23,10 @@ TREES = ("src", "tests", "benchmarks", "examples")
 def found_by_rule(name: str) -> bool:
     # __dunder__ methods are called by the interpreter; ``PGridNode.receive``
     # finds ``_on_<kind>`` by name for each kind in ``protocol.CATEGORY``
-    # (``tests/test_protocol.py`` holds the two in step);
-    # pytest collects ``test_*`` / ``bench_*`` (``benchmarks/conftest.py``)
-    # and calls its ``pytest_*`` hooks by name.
+    # (``tests/test_protocol.py`` holds the two in step); pytest collects
+    # ``test_*``.
     return (name.startswith("__") and name.endswith("__")) or name.startswith(
-        ("_on_", "test_", "bench_", "pytest_")
+        ("_on_", "test_")
     )
 
 
@@ -76,9 +75,7 @@ def test_the_scan_finds_a_definition_nothing_names(tmp_path):
     )
     (tmp_path / "tests" / "test_m.py").write_text("called()\nNode()\n")
     (tmp_path / "benchmarks" / "gate.py").write_text(
-        "def last_caller_removed():\n    pass\n\n"
-        "def bench_lookup(benchmark):\n    pass\n\n"
-        "def pytest_configure(config):\n    pass\n"
+        "def last_caller_removed():\n    pass\n"
     )
     (tmp_path / "benchmarks" / "layered").mkdir()
     (tmp_path / "benchmarks" / "layered" / "run.py").write_text("def theirs():\n    pass\n")

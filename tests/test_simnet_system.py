@@ -5,6 +5,9 @@ import pytest
 from repro.exceptions import SimulationError
 from repro.simnet.experiment import ExperimentConfig, run_experiment
 
+NAN = float("nan")
+INF = float("inf")
+
 
 @pytest.fixture(scope="module")
 def small_report():
@@ -102,6 +105,24 @@ class TestConfigValidation:
     def test_minimum_population(self):
         with pytest.raises(SimulationError):
             ExperimentConfig(peers=5).validate()
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"n_min": 0},  # ZeroDivisionError mid-construction
+            {"d_max": 0.0},  # PartitionError after the whole timeline
+            {"d_max": NAN},  # ran to a report
+            {"end": INF},  # never ended
+            {"peers": 20.5},  # TypeError in the workload draw
+            {"n_min": 2.5},  # TypeError in the workload draw
+            {"query_start": NAN},  # passed a ``<`` order check
+        ],
+        ids=repr,
+    )
+    def test_rejected_before_any_event(self, overrides):
+        config = ExperimentConfig.compressed(**{"peers": 20, **overrides})
+        with pytest.raises(SimulationError):
+            config.validate()
 
     def test_d_max_default(self):
         assert ExperimentConfig(n_min=7).resolved_d_max() == 70.0
