@@ -106,16 +106,17 @@ class TestConfigValidation:
         with pytest.raises(SimulationError):
             ExperimentConfig(peers=5).validate()
 
+    # Unchecked, each would fail late or never: as commented.
     @pytest.mark.parametrize(
         "overrides",
         [
             {"n_min": 0},  # ZeroDivisionError mid-construction
             {"d_max": 0.0},  # PartitionError after the whole timeline
-            {"d_max": NAN},  # ran to a report
-            {"end": INF},  # never ended
+            {"d_max": NAN},  # a report built on NaN storage bounds
+            {"end": INF},  # a run that never ends
             {"peers": 20.5},  # TypeError in the workload draw
             {"n_min": 2.5},  # TypeError in the workload draw
-            {"query_start": NAN},  # passed a ``<`` order check
+            {"query_start": NAN},  # NaN fails every ``<``, so no inversion shows
         ],
         ids=repr,
     )
