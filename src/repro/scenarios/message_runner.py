@@ -222,8 +222,9 @@ class MessageScenarioRunner(ScenarioRunnerBase):
                 node.original_keys = original
                 node.replicas = group - {pid}
                 # The table is fresh (no skip cache to reset), so it
-                # takes the drawn levels as they are, without a copy.
-                node.liveness.levels = drawn[pid]
+                # takes the drawn levels as they are, without a copy,
+                # and its references' paths from the blueprint.
+                node.liveness.bootstrap(drawn[pid], paths)
             first = ids.stop
         cache = spec.cache
         if cache is not None and cache.front_ends > 0:
@@ -298,7 +299,7 @@ class MessageScenarioRunner(ScenarioRunnerBase):
     def _place_at(node: PGridNode, sponsor: PGridNode, keys: List[int]) -> None:
         """The sponsored placement of a join or a cold rejoin."""
         node.path = sponsor.path
-        node.routing = sponsor.routing
+        node.liveness.adopt(sponsor.liveness)
         node.replicas = set(sponsor.replicas) | {sponsor.node_id}
         node.original_keys = set(keys)
         node.keys = {k for k in keys if node.responsible_for(k)}
@@ -612,6 +613,7 @@ class MessageScenarioRunner(ScenarioRunnerBase):
 
     def _message_section(self) -> dict:
         transport = self.transport
+        by_kind = transport.by_kind
         cfg = self.net_config
         trackers = [self.nodes[pid].liveness for pid in sorted(self.nodes)]
         # What the probe budget leaves behind, audited from ground truth
@@ -644,6 +646,12 @@ class MessageScenarioRunner(ScenarioRunnerBase):
             "retries": self._retries,
             "moot_queries": self._moot,
             "messages_sent": transport.messages_sent,
+            # Messages and bytes offered per kind, every declared kind
+            # (a fixed schema: zeros included).
+            "by_kind": {
+                kind: dict(zip(("messages", "bytes"), by_kind.get(kind, (0, 0))))
+                for kind in P.CATEGORY
+            },
             "messages_dropped": transport.messages_dropped,
             "drops": {
                 "offline": transport.drops_offline,

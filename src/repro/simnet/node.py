@@ -38,6 +38,13 @@ what needs a path or a transport -- the level a key leaves through, the
 level is computed once per hop (:func:`~repro.pgrid.search.level_toward`,
 :func:`~repro.pgrid.search.split_range` for a range) and handed to
 ``_relay``, which asks the table for a reference at it on every try.
+Which one: on an operation's first attempt, the reference whose known
+path best matches the key (a range piece's ``lo``); on a retry, a
+uniform draw, so a retry can route around a best match that
+dead-ends (numbers in :mod:`repro.pgrid.liveness`, "Which reference a
+forward takes").  The paths come from the ``path`` a ``pong`` or an
+exchange already carries (:meth:`ReferenceTable.note_path`): nothing
+more is sent or billed.
 
 **What a node holds.**  A scenario's population can reach tens of
 thousands of nodes in one kernel, so bytes per node bound what it can
@@ -588,6 +595,7 @@ class PGridNode:
         # side can change it under the other.
         gossip = msg.payload["gossip"]
         path = msg.payload["path"]
+        self.liveness.note_path(msg.src, path)
         if gossip and path:
             self.liveness.accept_gossip(self.path, path, gossip, self.sim.now)
 
@@ -622,10 +630,19 @@ class PGridNode:
         the ``pong`` of a reference at ``level`` can place candidates --
         still pings on use, for that gossip; one short only deeper
         confirms by connect, as a full node does.
+
+        On an operation's first attempt every pick is given the key (a
+        range piece's ``lo``) and is greedy; on a retry it draws
+        uniformly (module docstring, "Routing references").
         """
         liveness = self.liveness
+        # Greedy on a first attempt only: a retry draws uniformly, so it
+        # can route around a best match that dead-ends.
+        key = None
+        if payload.get("attempt") == 1:
+            key = payload["lo"] if kind == P.RANGE_QUERY else payload["key"]
         for _ in range(self.config.max_refs_per_level + 1):
-            nxt = liveness.pick(level, self.rng)
+            nxt = liveness.pick(level, self.rng, key)
             if nxt is None:
                 return None
             lapsed = self.online and liveness.needs_confirmation(nxt, self.sim.now)
@@ -844,6 +861,7 @@ class PGridNode:
             msg.src, their_path, their_keys, their_replicas, their_routes,
             their_tombstones,
         )
+        self.liveness.note_path(msg.src, their_path)
         # Death certificates a path change left here go where its keys
         # went: to the partition the initiator holds once it has applied
         # the reply.  (A same-partition reply ships ours instead, and
@@ -1077,6 +1095,7 @@ class PGridNode:
         self.liveness.accept_gossip(
             self.path, payload["partner_path"], payload.get("gossip"), self.sim.now
         )
+        self.liveness.note_path(msg.src, payload["partner_path"])
         inflight, self._inflight_exchange = self._inflight_exchange, None
         # Optimistic concurrency: drop the response to a superseded
         # request, or to the path we had before extending it meanwhile.

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, Optional, Tuple, TYPE_CHECKING
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, TYPE_CHECKING
 
 from .._util import RngLike, make_rng
 from ..exceptions import SimulationError
@@ -288,7 +288,9 @@ class Network:
       links.  ``link_bytes`` is a read-only :class:`LinkBytes` view that
       looks up and compares by ``(src, dst)``,
     * ``delivered`` -- messages handled per destination node (the
-      message-level notion of per-peer load).
+      message-level notion of per-peer load),
+    * ``by_kind`` -- ``[messages, bytes]`` offered per message kind,
+      counted at send time like ``link_bytes``.
     """
 
     def __init__(
@@ -318,6 +320,7 @@ class Network:
         self._link_ledger: Dict[int, int] = {}
         self.link_bytes = LinkBytes(self._link_ledger)
         self.delivered: Dict[int, int] = {}
+        self.by_kind: Dict[str, List[int]] = {}
         self._partition_of: Optional[Dict[int, int]] = None
 
     def register(self, node: "SimNode") -> None:
@@ -394,6 +397,11 @@ class Network:
         link = (src << _LINK_SHIFT) | dst
         ledger = self._link_ledger
         ledger[link] = ledger.get(link, 0) + size
+        tally = self.by_kind.get(kind)
+        if tally is None:
+            tally = self.by_kind[kind] = [0, 0]
+        tally[0] += 1
+        tally[1] += size
         nodes = self.nodes
         sender = nodes.get(src)
         if sender is not None and not sender.online:

@@ -29,7 +29,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from repro.pgrid.bits import Path
-from repro.pgrid.keyspace import float_to_key
+from repro.pgrid.keyspace import KEY_BITS, float_to_key
 from repro.pgrid.liveness import (
     CONFIRM_INTERVAL_MAX_S,
     CONFIRM_INTERVAL_S,
@@ -1027,10 +1027,225 @@ def test_pick_draws_what_ref_pick_draws(levels, suspects, seed, asked):
     assert set(table.strikes) == suspects & set(table.all_refs())
     ours, theirs = random.Random(seed), random.Random(seed)
     for level in asked:
-        assert table.pick(level, ours) == ref_pick(
+        assert table.pick(level, ours, None) == ref_pick(
             table.levels.get(level), table.strikes, theirs
         )
     assert ours.getstate() == theirs.getstate()  # draw for draw
+
+
+# -- the key-aware pick of a first attempt --------------------------------------
+
+
+def key_in(bits):
+    """The lowest key under the path ``bits``."""
+    return Path.from_string(bits).key_range(KEY_BITS)[0]
+
+
+#: (case, level, key path, {ref: known path or None}, suspects, the refs
+#: that may win).  The owner's path is all zeros, so a reference at
+#: ``level`` lives under ``0 * level + "1"``.
+PICK_CASES = [
+    ("the deepest path the key is inside wins",
+     0, "10110", {1: "10", 2: "1011", 3: None}, (), {2}),
+    ("a longer partial match beats an unknown path",
+     0, "10110", {1: "111", 2: None, 3: "100"}, (), {3}),
+    ("a path the key is inside beats any partial match",
+     0, "10110", {1: "101111", 2: "10"}, (), {2}),
+    ("an unknown path counts as level + 1 bits",
+     2, "00110", {1: None, 2: "0010"}, (), {1, 2}),
+    ("...so a match one bit deeper beats it",
+     2, "00110", {1: None, 2: "00111"}, (), {2}),
+    ("unknown paths tie among themselves",
+     1, "011", {1: None, 2: None, 3: None}, (), {1, 2, 3}),
+    ("a suspect is routed around",
+     0, "10110", {1: "1011", 2: None}, (1,), {2}),
+    ("...unless every reference is suspect",
+     0, "10110", {1: "1011", 2: None}, (1, 2), {1}),
+    ("one reference is the only choice",
+     3, "00011", {4: "00010"}, (), {4}),
+]
+
+
+def pick_table(level, known, suspects):
+    table = ReferenceTable(0, 4)
+    table.install({level: list(known)})
+    for ref, path in known.items():
+        if path is not None:
+            table.note_path(ref, Path.from_string(path))
+    for ref in suspects:
+        table.strike(ref, 0.0)
+    return table
+
+
+@pytest.mark.parametrize(
+    "level,key,known,suspects,winners",
+    [case[1:] for case in PICK_CASES],
+    ids=[case[0] for case in PICK_CASES],
+)
+def test_a_key_picks_the_best_known_match(level, key, known, suspects, winners):
+    table = pick_table(level, known, suspects)
+    picked = {table.pick(level, random.Random(seed), key_in(key)) for seed in range(40)}
+    assert picked == winners  # every tied winner is reachable, nothing else
+
+
+@pytest.mark.parametrize(
+    "known,draws",
+    [({1: None, 2: None, 3: "100"}, 0), ({1: None, 2: None}, 1), ({1: "11", 2: "11"}, 1)],
+)
+def test_a_tie_costs_one_draw_and_a_single_best_none(known, draws):
+    table = pick_table(0, known, ())
+    ours, theirs = random.Random(7), random.Random(7)
+    picked = table.pick(0, ours, key_in("1000"))
+    if draws:
+        tied = [ref for ref in known]
+        assert picked == tied[theirs._randbelow(len(tied))]
+    assert ours.getstate() == theirs.getstate()
+
+
+def test_a_key_on_an_empty_level_finds_nothing_and_draws_nothing():
+    table = pick_table(0, {1: None}, ())
+    rng = random.Random(3)
+    state = rng.getstate()
+    assert table.pick(4, rng, key_in("0000111")) is None
+    assert rng.getstate() == state
+
+
+class TestKnownPaths:
+    """The map from each reference to its known path: filled by the
+    bootstrap, by a sponsored placement and by the path a ``pong`` or
+    an exchange carries; dropped wherever the reference leaves."""
+
+    def test_bootstrap_shares_the_blueprints_paths(self):
+        blueprint = [Path.from_string(p) for p in ("00", "01", "10", "11")]
+        table = ReferenceTable(0, 4)
+        table.bootstrap({0: [2, 3], 1: [1]}, blueprint)
+        # A pick reads the blueprint before anything is built per reference.
+        assert table.pick(0, random.Random(1), key_in("11")) == 3
+        known = table.known_paths()
+        assert known == {1: blueprint[1], 2: blueprint[2], 3: blueprint[3]}
+        assert all(known[r] is blueprint[r] for r in (1, 2, 3))
+
+    @pytest.mark.parametrize("change", ["add", "gossip", "remove", "evict"])
+    def test_only_the_drawn_references_get_blueprint_paths(self, change):
+        # The first change to a level comes before any read of the map:
+        # a reference it adds is unknown, one it removes is forgotten.
+        blueprint = [Path.from_string(p) for p in ("000", "001", "01", "10", "11")]
+        table = ReferenceTable(0, 4)
+        table.bootstrap({0: [3], 1: [2]}, blueprint)
+        if change == "add":
+            table.add(0, 4)
+        elif change == "gossip":  # node 1 ("001") gossips 4 for its level 0
+            table.accept_gossip(blueprint[0], blueprint[1], {0: [4]}, now=0.0)
+        elif change == "remove":
+            table.remove(3)
+        else:
+            for _ in range(EVICT_AFTER):
+                table.strike(3, 0.0)
+        expected = {2: blueprint[2], 3: blueprint[3]}
+        if change in ("add", "gossip"):
+            assert 4 in table.levels[0]
+        else:
+            del expected[3]
+        assert table.known_paths() == expected
+
+    def test_a_path_is_learned_from_references_only(self):
+        table = table_of(7)
+        table.note_path(7, Path.from_string("10"))
+        table.note_path(8, Path.from_string("11"))  # a stranger
+        assert table.ref_paths == {7: Path.from_string("10")}
+        table.note_path(7, Path.from_string("101"))
+        assert table.ref_paths == {7: Path.from_string("101")}
+
+    def test_eviction_removal_and_displacement_drop_the_path(self):
+        table = ReferenceTable(0, 2)
+        table.install({0: [1, 2], 1: [2]})
+        table.note_path(1, Path.from_string("1"))
+        table.note_path(2, Path.from_string("1"))
+        table.add(0, 3)  # displaces 1, the oldest, from its only level
+        assert set(table.ref_paths) == {2}
+        table.add(0, 4)  # displaces 2 from level 0; it is still at level 1
+        assert set(table.ref_paths) == {2}
+        for _ in range(EVICT_AFTER):
+            table.strike(2, 0.0)
+        assert 2 not in table and table.ref_paths == {}
+
+    def test_adopt_copies_levels_and_paths(self):
+        sponsor = ReferenceTable(5, 4)
+        sponsor.install({0: [1], 1: [2]})
+        sponsor.note_path(2, Path.from_string("01"))
+        node = ReferenceTable(6, 4)
+        node.adopt(sponsor)
+        assert node.levels == sponsor.levels and node.levels is not sponsor.levels
+        assert node.ref_paths == {2: Path.from_string("01")}
+        node.remove(2)
+        assert sponsor.ref_paths == {2: Path.from_string("01")}  # a copy
+
+    def test_a_restart_forgets_every_path(self):
+        table = ReferenceTable(0, 4)
+        table.install({0: [1, 2]})
+        table.note_path(1, Path.from_string("1"))
+        table.note_path(2, Path.from_string("11"))
+        confirmed, evicted = table.belief_ages(now=100.0)
+        table.restore(dict(table.levels), confirmed, evicted, now=200.0)
+        assert table.levels == {0: [1, 2]} and table.ref_paths == {}
+        table.note_path(1, Path.from_string("1"))
+        table.wipe()  # a cold restart's loss of state
+        assert table.ref_paths == {}
+        table.note_path(1, Path.from_string("1"))
+        table.install({0: [1]})  # a whole table replaced: nothing known
+        assert table.ref_paths == {}
+
+
+class TestFirstAttemptIsGreedy:
+    """A first attempt leaves through the reference whose known path
+    best matches the key; a retry draws uniformly, as every hop did
+    before, so it can route around a best match that dead-ends."""
+
+    def test_first_attempt_leaves_through_the_best_known_match(self):
+        for seed in range(6):
+            sim, net, nodes = build_wire(QUADRANTS)
+            nodes[0].rng = random.Random(seed)
+            nodes[0].liveness.note_path(2, nodes[2].path)
+            nodes[0].liveness.note_path(3, nodes[3].path)
+            sent = record_sends(net)
+            forward_query(sim, nodes[0], float_to_key(0.85))  # quadrant 11
+            assert [(d, k) for _, d, k, _ in sent] == [(3, P.QUERY)]
+
+    def test_pong_and_exchange_teach_the_senders_path(self):
+        sim, net, nodes = build_wire(QUADRANTS)
+        nodes[0]._send_probe(2)  # short of references: the ping asks
+        nodes[1].initiate_exchange(0)
+        sim.run_until(5.0)
+        known = nodes[0].liveness.ref_paths
+        assert known == {2: Path.from_string("10"), 1: Path.from_string("01")}
+        assert nodes[1].liveness.ref_paths == {0: Path.from_string("00")}
+
+    def test_a_retry_routes_around_a_best_match_with_no_way_on(self):
+        # Origin 0 holds G (2, known path "110": the best match for a key
+        # under "111") and H (1, "10") at level 0.  G has no reference
+        # onward, so attempt 1 dead-ends there; attempt 2 draws
+        # uniformly -- the first reference, H, under this rng -- and H
+        # reaches the owner T (3).  A greedy retry would go to G again.
+        sim, net, nodes = build_wire(
+            [("0", []), ("10", []), ("110", []), ("111", [float_to_key(0.9)])]
+        )
+        origin, h, g, t = nodes
+        origin.liveness.remove(t.node_id)
+        g.liveness.remove(t.node_id)
+        h.liveness.remove(g.node_id)
+        assert origin.routing == {0: [h.node_id, g.node_id]} and not g.routing.get(2)
+        origin.liveness.note_path(h.node_id, h.path)
+        origin.liveness.note_path(g.node_id, g.path)
+        origin.rng = _FirstPick()
+        outcomes = []
+        origin.on_query_done = lambda nid, qid, out: outcomes.append(out)
+        sent = record_sends(net)
+        origin.issue_query(float_to_key(0.9))
+        sim.run_until(60.0)
+        (outcome,) = outcomes
+        assert outcome.success and outcome.attempts == 2 and outcome.timeouts == 0
+        first_hops = [d for src, d, k, _ in sent if src == origin.node_id and k == P.QUERY]
+        assert first_hops == [g.node_id, h.node_id]
 
 
 # -- scenario level ----------------------------------------------------------

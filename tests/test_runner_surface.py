@@ -227,6 +227,9 @@ class TestBoxIsOneRangeQuery:
             return route(payload)
 
         origin._on_range_part, origin._route_range = lossy, launches
+        # The one lost slice above is the only loss: the default random
+        # loss would otherwise decide whether a retry's pieces arrive.
+        runner.transport.loss_rate = 0.0
         outcomes = []
         origin.on_range_done = lambda nid, qid, outcome: outcomes.append(outcome)
         origin.issue_range_query(*box.span, box)
