@@ -543,10 +543,29 @@ class TestMdimScenarios:
         assert m["box_success_rate"] == 1.0
 
     def test_skewed_spans_show_in_selectivity(self, reports):
-        m = reports[("correlated-hotspot-2d", "dataplane")].mdim
+        # Only the storm's boxes are skewed (box_spans=(0.10, 0.004));
+        # calm and cooldown draw range_span on both sides.  So the
+        # selectivity a dimension must show is the per-phase mix of the
+        # spans, weighted by each phase's boxes -- not a fixed ratio,
+        # which moves with how many boxes each phase happens to draw.
+        spec = scenario("correlated-hotspot-2d", n_peers=64, seed=5, duration_scale=0.05)
+        report = reports[("correlated-hotspot-2d", "dataplane")]
+        m = report.mdim
+        boxes = [phase["range_queries"] for phase in report.phases]
+        assert sum(boxes) == m["boxes"]  # every range of a 2-D spec is a box
+        storm = [p.mix.box_spans is not None for p in spec.phases].index(True)
+        assert boxes[storm] > 0
+        spans = [p.mix.box_spans or (p.mix.range_span,) * 2 for p in spec.phases]
+        # A side of span s covers at least s/cell and at most s/cell + 2
+        # whole cells (the cells its two ends fall into count whole); one
+        # cell of slack below absorbs float rounding.
+        cell = 1.0 / spec.codec.cells_per_dim
         sel = m["selectivity_per_dim"]
-        # box_spans=(0.10, 0.004): dimension 0 is ~25x wider.
-        assert sel[0] > 10 * sel[1]
+        for dim in (0, 1):
+            want = sum(n * side[dim] for n, side in zip(boxes, spans)) / m["boxes"]
+            assert want - cell <= sel[dim] <= want + 2 * cell
+        wide, narrow = spans[storm]
+        assert sel[0] - sel[1] >= boxes[storm] / m["boxes"] * (wide - narrow) - 3 * cell
 
     @pytest.mark.parametrize("name", ["geo-box-serving", "correlated-hotspot-2d"])
     @pytest.mark.parametrize("backend", ["dataplane", "message"])
