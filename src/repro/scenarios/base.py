@@ -54,12 +54,12 @@ so their columns come from one procedure:
 Determinism
 -----------
 One master RNG seeds independent per-concern streams (workload, overlay
-build, queries, churn, membership, maintenance) in a fixed order;
-backends may append *extra* streams at the end only
-(:meth:`_derive_extra_streams`).  The simulator breaks ties by sequence
-number and no iteration order depends on hash randomization, so the
-same spec + seed + backend reproduces a byte-identical report
-(golden-trace tested per backend).
+build, queries, churn, membership, maintenance, then writes, restarts
+and the data plane's routing) in a fixed order; backends may append
+*extra* streams after the first six only (:meth:`_derive_extra_streams`).
+The simulator breaks ties by sequence number and no iteration order
+depends on hash randomization, so the same spec + seed + backend
+reproduces a byte-identical report (golden-trace tested per backend).
 """
 
 from __future__ import annotations
@@ -307,12 +307,17 @@ class ScenarioRunnerBase:
             )
         (
             keys_rng, build_rng, query_rng, churn_rng,
-            member_rng, maint_rng, write_rng, restart_rng,
+            member_rng, maint_rng, write_rng, restart_rng, route_rng,
         ) = self._derive_streams()
         #: Backend restart hooks (cold-rejoin placement) draw from the
         #: restart stream too, so restart scheduling and rejoin
         #: randomness live in one stream.
         self._restart_rng = restart_rng
+        #: What a synchronous backend's routing draws (start peers,
+        #: references, join walks): kept apart from the streams that
+        #: decide *which* operations are asked, so a change of routing
+        #: leaves the workload as it was.
+        self._route_rng = route_rng
         if self._restarts_active:
             self._recovery = {
                 "first_shutdown": None,
@@ -431,9 +436,9 @@ class ScenarioRunnerBase:
 
         Order: the six shared streams (keys, build, query, churn,
         member, maintenance), the backend extras
-        (:meth:`_derive_extra_streams`), then write and restart -- each
-        appended after the streams the then-existing goldens depended
-        on, so deriving it could not shift any of them.
+        (:meth:`_derive_extra_streams`), then write, restart and route --
+        each appended after the streams the then-existing goldens
+        depended on, so deriving it could not shift any of them.
         """
         master = make_rng(self.spec.seed)
         keys_rng = make_rng(master.randrange(2**31))
@@ -445,9 +450,10 @@ class ScenarioRunnerBase:
         self._derive_extra_streams(master)
         write_rng = make_rng(master.randrange(2**31))
         restart_rng = make_rng(master.randrange(2**31))
+        route_rng = make_rng(master.randrange(2**31))
         return (
             keys_rng, build_rng, query_rng, churn_rng,
-            member_rng, maint_rng, write_rng, restart_rng,
+            member_rng, maint_rng, write_rng, restart_rng, route_rng,
         )
 
     # -- backend hook surface ----------------------------------------------
@@ -954,9 +960,11 @@ class ScenarioRunnerBase:
         Inserts mint a fresh key from the (possibly hotspot-focused)
         sampler and track it in the pool; deletes and updates target the
         tracked key *nearest* the sampled point, so a write hotspot
-        concentrates all three operations on the same region.  Both
-        backends draw from the same stream, so the logical mutation
-        sequence is identical across them.
+        concentrates all three operations on the same region.  The
+        draws come from the write stream alone, so routing never shifts
+        the sequence; the two backends' sequences still differ, because
+        the message backend derives two extra streams
+        (:meth:`_derive_extra_streams`) before the write stream.
         """
         pool = self._key_pool
         total = mix.insert_weight + mix.delete_weight + mix.update_weight

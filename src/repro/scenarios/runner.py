@@ -16,7 +16,10 @@ Design notes
   simnet pays per-hop wire latency.  Use the message backend when
   latency/loss/timeout behavior is the question.
 * **Determinism**: inherited from the base runner -- same spec + seed
-  reproduces a byte-identical report (golden-trace tested).
+  reproduces a byte-identical report (golden-trace tested).  Every
+  routing draw (start peers, references, join walks) comes from the
+  base's route stream, never from the stream that drew the operation,
+  so a change of routing leaves the asked operations as they were.
 * **Bandwidth** uses the nominal byte model of
   :mod:`repro.scenarios.report` (`HEADER_BYTES` per message, `KEY_BYTES`
   per shipped key); the message backend accounts real wire bytes
@@ -112,7 +115,7 @@ class ScenarioRunner(ScenarioRunnerBase):
                 keys,
                 d_max=spec.d_max,
                 n_min=spec.n_min,
-                rng=rng,
+                rng=self._route_rng,
                 max_refs=spec.max_refs,
             )
         except RoutingError:
@@ -163,6 +166,7 @@ class ScenarioRunner(ScenarioRunnerBase):
     ) -> None:
         net = self.network
         sim = self.simulator
+        route_rng = self._route_rng
         attempts = 1 + self.spec.query_retries
         kind = sampler.draw_kind(rng)
         if kind == POINT:
@@ -184,7 +188,7 @@ class ScenarioRunner(ScenarioRunnerBase):
             success = False
             for _ in range(attempts):
                 try:
-                    res = net.lookup(key, rng=rng)
+                    res = net.lookup(key, rng=route_rng)
                 except RoutingError:
                     # Whole population offline: the query cannot start.
                     break
@@ -218,7 +222,7 @@ class ScenarioRunner(ScenarioRunnerBase):
             partitions = set()
             for _ in range(attempts):
                 try:
-                    res = net.range_query(lo, hi, rng=rng, box=box)
+                    res = net.range_query(lo, hi, rng=route_rng, box=box)
                 except RoutingError:
                     break
                 messages += res.messages
@@ -254,7 +258,7 @@ class ScenarioRunner(ScenarioRunnerBase):
         write = net.delete if op == "delete" else net.insert
         for _ in range(attempts):
             try:
-                res = write(key, rng=rng)
+                res = write(key, rng=self._route_rng)
             except RoutingError:
                 break  # whole population offline: the write cannot start
             sent = res.hops + res.replicas_written
