@@ -152,11 +152,14 @@ from the sponsor on a sponsored join, and refreshed from the ``path``
 every ``pong``, ``exchange_req`` and ``exchange_resp`` already
 carries.  Paths only extend, so a known path is a prefix of the true
 one; a snapshot does not keep them.  A first attempt's forward is
-greedy, Kademlia's rule: :meth:`ReferenceTable.pick` with the key
-returns the reference whose known path shares the longest prefix with
-it, so a hop fixes as many bits as the table knows how to, not one.  A retry's forward draws uniformly, as every hop did before:
-greedy on every attempt sends each retry to the same best match, and a
-best match with no live way onward dead-ends it every time.  On the
+greedy, Kademlia's rule: :meth:`ReferenceTable.pick` with the key hands
+the known paths to :func:`~repro.pgrid.search.closest_ref`, the step
+the data plane routes every hop by too, which returns the reference
+whose path shares the longest prefix with the key -- so a hop fixes as
+many bits as the table knows how to, not one.  A retry's forward draws
+uniformly, as every hop did before: greedy on every attempt sends each
+retry to the same best match, and a best match with no live way onward
+dead-ends it every time.  On the
 layered benchmark's wire workloads (seed 20050830, no loss),
 messages per operation fell 5.372 -> 3.787 on ``wire-reads`` (held-out
 seed 11: 5.356 -> 3.740), 11.858 -> 10.567 on ``wire-maint`` and
@@ -174,9 +177,9 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .._util import RngLike, make_rng
 from .bits import Path
-from .keyspace import KEY_BITS
 from .network import PGridNetwork
 from .routing import RoutingTable
+from .search import closest_ref
 
 __all__ = ["ReferenceTable", "repair_routes"]
 
@@ -359,12 +362,9 @@ class ReferenceTable(RoutingTable):
         reference there is suspect: gamble rather than dead-end.
 
         ``key=None`` draws uniformly (one draw per non-empty level).
-        Given a key, the reference whose known path shares the longest
-        prefix with it wins: a path the key falls inside beats any
-        partial match (the deeper the better), and an unknown path
-        counts as ``level + 1`` bits -- all a reference at ``level`` is
-        known to share with a key leaving through it.  A tie costs one
-        draw, a single best none.
+        Given a key, the reference whose known path best matches it
+        wins: :func:`~repro.pgrid.search.closest_ref`, the step the data
+        plane routes by too, over the known paths.
         """
         if key is None:
             return self.choose(level, rng, self.strikes)
@@ -377,26 +377,7 @@ class ReferenceTable(RoutingTable):
         blueprint = self._blueprint
         # Untouched since the bootstrap, every reference is a drawn one.
         paths_get = self.ref_paths.get if blueprint is None else blueprint.__getitem__
-        best: List[int] = []
-        top = -1
-        for ref in refs:
-            path = paths_get(ref)
-            if path is None:
-                match = level + 1
-            else:
-                length = path.length
-                diff = (key >> (KEY_BITS - length)) ^ path.bits
-                # Inside: ranked above every partial match (no partial
-                # match can exceed KEY_BITS bits).
-                match = length - diff.bit_length() if diff else KEY_BITS + 1 + length
-            if match > top:
-                top = match
-                best = [ref]
-            elif match == top:
-                best.append(ref)
-        if len(best) == 1:
-            return best[0]
-        return best[rng._randbelow(len(best))]
+        return closest_ref(refs, key, level, rng, path_of=paths_get)
 
     def audit(self, alive: Set[int], depth: int) -> Tuple[int, int]:
         """Ground truth against beliefs: how many references are not in

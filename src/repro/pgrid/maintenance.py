@@ -54,7 +54,9 @@ class JoinStats:
 def _route_to_partition(
     network: PGridNetwork, key: int, rand
 ) -> tuple[Optional[PGridPeer], int]:
-    """Greedy prefix-route toward the partition holding ``key``.
+    """Greedy prefix-route toward the partition holding ``key``: every
+    hop takes the online reference whose path best matches it
+    (:func:`~repro.pgrid.search.alive_ref`).
 
     Returns the responsible peer (or ``None`` on failure) and the number
     of messages spent.
@@ -67,7 +69,7 @@ def _route_to_partition(
         level = level_toward(current.path, key)
         if level is None:
             return current, messages
-        nxt = alive_ref(network, current, level, rand)
+        nxt = alive_ref(network, current, level, key, rand)
         if nxt is None:
             return None, messages
         current = nxt

@@ -27,6 +27,7 @@ import random as _random
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from math import ceil as _ceil, log as _log
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .._util import RngLike, make_rng, mean, sample_online
@@ -48,6 +49,9 @@ __all__ = [
 ]
 
 KeyLike = Union[int, float, str]
+
+#: ``peer.online`` as a C-level call: the test every start-peer probe makes.
+_ONLINE = attrgetter("online")
 
 
 @dataclass
@@ -381,9 +385,7 @@ class PGridNetwork:
         the online list per query -- the old O(N) scan dominated lookup
         latency at a few thousand peers.
         """
-        return sample_online(
-            self._peer_tuple(), lambda peer: peer.online, make_rng(rng)
-        )
+        return sample_online(self._peer_tuple(), _ONLINE, make_rng(rng))
 
     def online_count(self) -> int:
         """Number of currently online peers (the live population)."""
