@@ -2,13 +2,14 @@
 
 :func:`repro.pgrid.search.closest_ref` is the step every greedy hop
 takes: the wire's :meth:`ReferenceTable.pick` feeds it the known paths
-(``path_of``), the data plane's :func:`alive_ref` the oracle's peers
-(``peers``).  Pinned here:
+(``path_of``; its cases, unknown paths and suspects included, are
+``PICK_CASES`` in ``tests/test_liveness.py``), the data plane's
+:func:`alive_ref` the oracle's peers (``peers``).  Pinned here:
 
-* the rule itself, table-driven, in both modes -- the ranking cases
-  through both, the unknown-path cases through the wire's mode, the
-  offline cases through the data plane's;
-* what a pick draws: one ``_randbelow`` on a tie, nothing otherwise;
+* the rule through the data plane, table-driven: the ranking cases, and
+  the references it passes over (offline, or unknown to the network);
+* what a data-plane pick draws: one ``_randbelow`` on a tie, nothing
+  otherwise;
 * **backend agreement**: the same references, exact paths and key give
   references of equal rank -- the best one -- on both backends;
 * over ideal overlays (``U`` and ``P1.0``), a greedy lookup reaches the
@@ -28,7 +29,7 @@ from repro.pgrid.liveness import ReferenceTable
 from repro.pgrid.network import PGridNetwork
 from repro.pgrid.peer import PGridPeer
 from repro.pgrid.routing import RoutingTable
-from repro.pgrid.search import alive_ref, closest_ref, lookup
+from repro.pgrid.search import alive_ref, lookup
 from repro.workloads.datasets import workload_keys
 
 OWNER = 0
@@ -39,29 +40,22 @@ def key_in(bits):
     return Path.from_string(bits).key_range(KEY_BITS)[0]
 
 
-def rank(path, key, level):
+def rank(path, key):
     """What a reference is worth toward ``key``, spelled out: a path the
     key is inside ranks above every partial match, deeper first; a
-    partial match ranks by the bits it shares; an unknown path shares
-    ``level + 1``."""
-    if path is None:
-        return (0, level + 1)
+    partial match ranks by the bits it shares."""
     shared = 0
     while shared < path.length and path.bit(shared) == (key >> (KEY_BITS - 1 - shared)) & 1:
         shared += 1
     return (1, path.length) if shared == path.length else (0, shared)
 
 
-# -- the two callers' modes, on the same table ------------------------------------
-
-
-def wire_pick(level, key, paths, rng):
-    """The wire's mode: reference ids and their known paths."""
-    return closest_ref(list(paths), key, level, rng, path_of=paths.get)
+# -- the rule on the data plane ----------------------------------------------------
 
 
 def dataplane_pick(level, key, paths, rng, offline=(), missing=()):
-    """The data plane's mode: the owner's routing table and the peers."""
+    """:func:`alive_ref` at ``level`` of an owner whose references there
+    are ``paths``' keys, with those paths."""
     net = PGridNetwork()
     net.peers[OWNER] = PGridPeer(OWNER, routing=RoutingTable(levels={level: list(paths)}))
     for ref, path in paths.items():
@@ -72,12 +66,12 @@ def dataplane_pick(level, key, paths, rng, offline=(), missing=()):
 
 
 def as_paths(known):
-    return {ref: None if p is None else Path.from_string(p) for ref, p in known.items()}
+    return {ref: Path.from_string(p) for ref, p in known.items()}
 
 
 #: (case, level, key path, {ref: path}, the refs that may win).  The
 #: owner's path is all zeros, so a reference at ``level`` lives under
-#: ``"0" * level + "1"``.  Every path is known: both modes take these.
+#: ``"0" * level + "1"``.
 RANKING_CASES = [
     ("the deepest path the key is inside wins",
      0, "10110", {1: "10", 2: "1011", 3: "1"}, {2}),
@@ -93,20 +87,8 @@ RANKING_CASES = [
      3, "00011", {4: "00010"}, {4}),
 ]
 
-#: The wire alone knows paths it does not know.
-UNKNOWN_CASES = [
-    ("an unknown path counts as level + 1 bits",
-     2, "00110", {1: None, 2: "0010"}, {1, 2}),
-    ("...so a match one bit deeper beats it",
-     2, "00110", {1: None, 2: "00111"}, {2}),
-    ("a path the key is inside beats an unknown one",
-     0, "10110", {1: None, 2: "1011"}, {2}),
-    ("unknown paths tie among themselves",
-     1, "011", {1: None, 2: None, 3: None}, {1, 2, 3}),
-]
-
-#: The data plane alone sees who is offline: (case, level, key path,
-#: {ref: path}, offline refs, refs missing from the network, winners).
+#: (case, level, key path, {ref: path}, offline refs, refs missing from
+#: the network, the refs that may win).
 OFFLINE_CASES = [
     ("an offline best match is passed over",
      0, "10110", {1: "1011", 2: "10", 3: "11"}, (1,), (), {2}),
@@ -128,21 +110,10 @@ def winners(pick, seeds=40):
     [case[1:] for case in RANKING_CASES],
     ids=[case[0] for case in RANKING_CASES],
 )
-@pytest.mark.parametrize("mode", [wire_pick, dataplane_pick], ids=["wire", "dataplane"])
-def test_the_ranking_rule(mode, level, key, known, expected):
+def test_the_ranking_rule(level, key, known, expected):
     paths = as_paths(known)
     # Every tied winner is reachable, and nothing else is.
-    assert winners(lambda rng: mode(level, key_in(key), paths, rng)) == expected
-
-
-@pytest.mark.parametrize(
-    "level,key,known,expected",
-    [case[1:] for case in UNKNOWN_CASES],
-    ids=[case[0] for case in UNKNOWN_CASES],
-)
-def test_an_unknown_path_on_the_wire(level, key, known, expected):
-    paths = as_paths(known)
-    assert winners(lambda rng: wire_pick(level, key_in(key), paths, rng)) == expected
+    assert winners(lambda rng: dataplane_pick(level, key_in(key), paths, rng)) == expected
 
 
 @pytest.mark.parametrize(
@@ -164,10 +135,9 @@ def test_the_data_plane_ranks_online_references_only(
     [({1: "11", 2: "11", 3: "100"}, [1, 2]), ({1: "1000", 2: "11"}, None), ({3: "10"}, None)],
     ids=["a tie draws once", "a single best draws nothing", "one reference draws nothing"],
 )
-@pytest.mark.parametrize("mode", [wire_pick, dataplane_pick], ids=["wire", "dataplane"])
-def test_a_tie_costs_one_draw(mode, known, tied):
+def test_a_tie_costs_one_draw(known, tied):
     ours, theirs = random.Random(7), random.Random(7)
-    picked = mode(0, key_in("1100"), as_paths(known), ours)
+    picked = dataplane_pick(0, key_in("1100"), as_paths(known), ours)
     if tied is not None:
         assert picked == tied[theirs._randbelow(len(tied))]
     assert ours.getstate() == theirs.getstate()
@@ -205,8 +175,8 @@ def test_backends_pick_references_of_equal_rank(case, seed):
         table.note_path(ref, path)
     on_wire = table.pick(level, random.Random(seed), key)
     on_dataplane = dataplane_pick(level, key, paths, random.Random(seed))
-    best = max(rank(path, key, level) for path in paths.values())
-    assert rank(paths[on_wire], key, level) == rank(paths[on_dataplane], key, level) == best
+    best = max(rank(path, key) for path in paths.values())
+    assert rank(paths[on_wire], key) == rank(paths[on_dataplane], key) == best
 
 
 # -- greedy lookups on ideal overlays ---------------------------------------------
