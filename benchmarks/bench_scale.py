@@ -3,26 +3,26 @@
 
 Measures how far the message backend reaches on one kernel, in one run:
 
-* **Throughput cells** -- events/sec and wall-clock for the
+* **Throughput cells** -- events/sec, wall-clock and peak RSS for the
   uniform-baseline scenario at N in {4096, 16384, 65536}, each one
-  overlay on one :class:`~repro.simnet.engine.Simulator`.
-  ``check_regression.scale_cells_gate`` matches cells on ``n_peers``
-  across snapshots.
+  overlay on one :class:`~repro.simnet.engine.Simulator`.  These host
+  numbers are recorded, not gated: host time is judged by
+  ``benchmarks/layered/run.py``.  ``peak_rss_mb`` is the process's
+  ``ru_maxrss`` high-water mark; cells run in ascending N, so each
+  reading is the largest cell so far, i.e. that cell's own.
 * **Heap-health audit** -- every cell records the pending-event peak
   of the kernel, and the bench fails if it exceeds a generous per-peer
   bound -- the guard against an unbounded-heap regression hiding inside
   a wall-clock win.
 
-Modes::
+Usage::
 
     python benchmarks/bench_scale.py             # N = 4096, 16,384, 65,536
-    python benchmarks/bench_scale.py --nightly   # N = 16,384 only
 
-The section is merged into the snapshot alongside the perf and
-scenario sections (same idiom as ``bench_scenarios.py``), and
-``check_regression.py`` gates it: intra-snapshot pending bounds, plus
-events/sec and wall-clock ratios against the committed numbers when
-the populations are comparable.
+The section is merged into the snapshot alongside the scenario
+sections (same idiom as ``bench_scenarios.py``), and
+``check_regression.scale_bounds_gate`` gates its pending bounds.
+``benchmarks/profile_kernel.py`` profiles the same cell.
 
 Decision: one kernel (ROADMAP items 3 and 10)
 ---------------------------------------------
@@ -50,6 +50,7 @@ seed 20050830, 2-core x86-64 Linux host):
 from __future__ import annotations
 
 import argparse
+import resource
 import sys
 import time
 from pathlib import Path
@@ -61,7 +62,6 @@ if SRC not in sys.path:
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from bench_scenarios import merge_into_snapshot  # noqa: E402
-from profile_kernel import format_profile  # noqa: E402
 
 from repro.scenarios import scenario  # noqa: E402
 from repro.scenarios.message_runner import MessageScenarioRunner  # noqa: E402
@@ -75,9 +75,8 @@ SCENARIO = "uniform-baseline"
 SEED = 20050830
 DURATION_SCALE = 0.05
 
-#: Populations per profile, one cell each.
-FULL_CELLS = (4096, 16384, 65536)
-NIGHTLY_CELLS = (16384,)
+#: Populations, one cell each, in ascending order (see ``peak_rss_mb``).
+CELLS = (4096, 16384, 65536)
 
 #: Pending-heap bound: no kernel may ever hold more than this many
 #: events per resident peer (plus slack for control timers).  Measured
@@ -86,24 +85,6 @@ NIGHTLY_CELLS = (16384,)
 #: attempt instead of re-arming a timer.
 PENDING_PER_PEER = 4
 PENDING_SLACK = 1024
-
-
-def run_cell_best(
-    n_peers: int, *, seed: int, duration_scale: float, repeats: int = 1
-) -> dict:
-    """Best-of-``repeats`` runs of one cell (min wall clock kept).
-
-    The workload is deterministic -- every repeat processes the same
-    events and produces the same report -- so repeats differ only in
-    wall clock, and the minimum is the least-noise measurement.
-    """
-    best = None
-    for _ in range(max(1, repeats)):
-        entry = run_cell(n_peers, seed=seed, duration_scale=duration_scale)
-        if best is None or entry["wall_s"] < best["wall_s"]:
-            best = entry
-    best["repeats"] = max(1, repeats)
-    return best
 
 
 def run_cell(n_peers: int, *, seed: int, duration_scale: float) -> dict:
@@ -130,62 +111,31 @@ def run_cell(n_peers: int, *, seed: int, duration_scale: float) -> dict:
         "pending_peak": pending_peak,
         "pending_bound": pending_bound,
         "pending_bound_ok": pending_peak <= pending_bound,
+        # ru_maxrss is in KiB on Linux.
+        "peak_rss_mb": round(
+            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1
+        ),
     }
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--nightly", action="store_true",
-        help="nightly mode: the N=16,384 cell only",
-    )
     parser.add_argument("--seed", type=int, default=SEED)
     parser.add_argument(
         "--scale", type=float, default=DURATION_SCALE,
         help=f"duration scale for every cell (default: {DURATION_SCALE})",
     )
     parser.add_argument(
-        "--repeats", type=int, default=1,
-        help="run each cell this many times and keep the fastest wall "
-             "clock (default: 1); the workload is deterministic, so "
-             "repeats only de-noise the timing",
-    )
-    parser.add_argument(
-        "--profile", type=Path, nargs="?", metavar="PATH",
-        const=REPO_ROOT / "bench_scale_profile.txt", default=None,
-        help="run the throughput cells under cProfile and write the "
-             "top-40 cumulative table to PATH (default: "
-             "bench_scale_profile.txt); profiler overhead inflates the "
-             "recorded walls, so don't commit a snapshot from a "
-             "profiled run",
-    )
-    parser.add_argument(
         "--output", type=Path, default=DEFAULT_OUTPUT,
-        help=f"perf snapshot to update (default: {DEFAULT_OUTPUT})",
+        help=f"snapshot to update (default: {DEFAULT_OUTPUT})",
     )
     args = parser.parse_args(argv)
 
-    if args.nightly:
-        profile, cells = "nightly", NIGHTLY_CELLS
-    else:
-        profile, cells = "full", FULL_CELLS
-
     failures = []
     bench_start = time.perf_counter()
-
-    profiler = None
-    if args.profile is not None:
-        import cProfile
-
-        profiler = cProfile.Profile()
-        profiler.enable()
-
     results = []
-    for n_peers in cells:
-        entry = run_cell_best(
-            n_peers, seed=args.seed, duration_scale=args.scale,
-            repeats=args.repeats,
-        )
+    for n_peers in CELLS:
+        entry = run_cell(n_peers, seed=args.seed, duration_scale=args.scale)
         results.append(entry)
         success = entry["success_rate"]
         print(
@@ -195,7 +145,8 @@ def main(argv=None) -> int:
             f"ev/s {entry['events_per_s']:10.1f}  "
             f"queries {entry['queries']:6d}  "
             f"success {'n/a' if success is None else format(success, '.4f')}  "
-            f"pend-peak {entry['pending_peak']}"
+            f"pend-peak {entry['pending_peak']}  "
+            f"rss {entry['peak_rss_mb']:.0f} MiB"
         )
         if not entry["pending_bound_ok"]:
             failures.append(
@@ -204,19 +155,11 @@ def main(argv=None) -> int:
                 f"{entry['pending_bound']} "
                 f"({PENDING_PER_PEER}/peer + {PENDING_SLACK})"
             )
-
-    if profiler is not None:
-        profiler.disable()
-        table = format_profile(profiler, top=40, sort="cumulative")
-        args.profile.write_text(table)
-        print(f"wrote cProfile table to {args.profile}")
-
     total_wall = time.perf_counter() - bench_start
 
     section = {
         "generated_by": "benchmarks/bench_scale.py",
         "schema": "scale/v1",
-        "profile": profile,
         "scenario": SCENARIO,
         "seed": args.seed,
         "duration_scale": args.scale,
@@ -224,7 +167,7 @@ def main(argv=None) -> int:
         "cells": results,
     }
     path = merge_into_snapshot(section, args.output, "scale")
-    print(f"updated {path} (scale @ {profile}, total wall {total_wall:.1f}s)")
+    print(f"updated {path} (scale, total wall {total_wall:.1f}s)")
 
     if failures:
         print("\nscale bench failures:", file=sys.stderr)

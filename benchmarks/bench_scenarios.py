@@ -16,8 +16,8 @@ likewise run twice, once with caches on and once with
 geo-box-serving and correlated-hotspot-2d, whose entries carry the
 box-recall audit and z-order decomposition stats under ``mdim``) on
 one or both execution backends and
-merges the results into the repo's perf snapshot, so the stress
-trajectory travels with the perf trajectory:
+merges the results into the repo's snapshot of deterministic, gated
+numbers:
 
 * ``--backend dataplane`` (default) -> the ``scenarios`` section:
   synchronous data-plane queries, nominal byte model.
@@ -31,8 +31,8 @@ and bandwidth timelines (per report bin), mirroring the paper's
 Figs. 7-9 churn window.
 
 Sections are *merged* into the existing snapshot -- running this before
-or after ``bench_perf_suite.py`` yields the same file (both sides
-preserve each other's sections).
+or after ``bench_scale.py`` yields the same file (both preserve each
+other's sections).
 
 Usage::
 
@@ -72,7 +72,7 @@ from repro.scenarios import (  # noqa: E402
     scenario,
 )
 
-#: Default location of the shared perf snapshot.
+#: Default location of the shared snapshot.
 DEFAULT_OUTPUT = REPO_ROOT / "BENCH_core.json"
 
 #: The ROADMAP scale point (full mode) and the CI smoke population.
@@ -264,7 +264,7 @@ def run_all(n_peers: int, *, seed: int, duration_scale: float, backend: str) -> 
 
 def merge_into_snapshot(section: dict, output: Path, key: str = "scenarios") -> Path:
     """Merge one backend's section into ``BENCH_core.json``, preserving
-    every other section (order-independent with ``bench_perf_suite.py``)."""
+    every other section, so the bench scripts may run in any order."""
     if output.exists():
         payload = json.loads(output.read_text())
     else:
@@ -298,7 +298,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=20050830)
     parser.add_argument(
         "--output", type=Path, default=DEFAULT_OUTPUT,
-        help=f"perf snapshot to update (default: {DEFAULT_OUTPUT})",
+        help=f"snapshot to update (default: {DEFAULT_OUTPUT})",
     )
     args = parser.parse_args(argv)
 

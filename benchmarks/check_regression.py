@@ -1,55 +1,53 @@
 #!/usr/bin/env python
-"""Perf-regression gate: fail when fresh numbers regress vs a baseline.
+"""Regression gate: fail when a snapshot's deterministic numbers regress.
 
-Compares a freshly generated ``BENCH_core.json`` (the *candidate*,
-typically ``bench_perf_suite.py --quick`` output) against a committed
-snapshot (the *baseline*) and exits non-zero when ``lookup_us``,
-``range_us`` or ``build_s`` regressed beyond ``--tolerance`` (default
-1.5x -- wide enough to absorb shared-runner noise, tight enough to
-catch a lost fast path) at any overlapping overlay size.
+Checks a freshly generated ``BENCH_core.json`` (the *candidate*)
+against a committed snapshot (the *baseline*) and exits non-zero when a
+scenario metric regressed beyond tolerance or an intra-snapshot
+invariant broke.  Every gated number is a modelled quantity --
+success rates, bytes, simulated latency, recall, heap peaks -- never
+host time: host time is judged by ``benchmarks/layered/run.py
+--compare`` over alternating parent/change pairs.
 
-CI usage (the ``perf-smoke`` job)::
+CI usage (the ``deterministic-gates`` job)::
 
-    cp BENCH_core.json /tmp/BENCH_baseline.json   # committed numbers
-    python benchmarks/bench_perf_suite.py --quick # regenerate in place
+    cp BENCH_core.json /tmp/BENCH_baseline.json            # committed numbers
+    python benchmarks/bench_scenarios.py --quick --backend both
     python benchmarks/check_regression.py \\
         --baseline /tmp/BENCH_baseline.json --candidate BENCH_core.json
 
-Only sizes present in *both* snapshots are compared (the quick suite
-skips N=4096), so the committed full-suite snapshot doubles as the
-baseline.  Improvements are reported but never fail the gate.  Exit
-codes: 0 ok, 1 regression, 2 unusable input (unreadable snapshots or no
-overlapping perf metrics -- a misconfigured gate must not pass
-silently).
+Improvements are reported but never fail the gate.  Exit codes: 0 ok,
+1 regression, 2 unusable input (unreadable snapshots, or no gate
+yielded a single row -- a misconfigured gate must not pass silently).
 
 **Adding a gate:** write a function returning ``Gate(name, title,
-columns, rows)``, one :class:`Row` per verdict (``_compared`` /
-``_ratio_row`` build a baseline row, ``_check`` an intra-snapshot one),
-and add it to the list in ``main``: console block, summary table,
-failure list and exit code all come from that list.  A new per-scenario
-metric is one more ``(key, direction)`` in ``SCENARIO_METRICS``.
+columns, rows)``, one :class:`Row` per verdict (``_compared`` builds a
+baseline row, ``_check`` an intra-snapshot one), and add it to the list
+in ``main``: console block, summary table, failure list and exit code
+all come from that list.  A new per-scenario metric is one more
+``(key, direction)`` in ``SCENARIO_METRICS``.
 
 **Baseline gates** compare the candidate with the committed numbers:
-:func:`perf_gate` (above), :func:`scenario_gate` for the ``scenarios``
-/ ``scenarios_message`` sections ``bench_scenarios.py`` writes, one per
-execution backend -- every metric of ``SCENARIO_METRICS`` a scenario
-entry carries, each in its known direction, instead of silently
-ignoring unknown keys -- and :func:`scale_cells_gate` for the ``scale``
-matrix ``bench_scale.py`` writes.  A ratio is growth over the baseline:
-from a zero baseline any growth is unbounded and fails (a data-plane
-scenario that starts emitting maintenance bytes), 0 -> 0 is 1.0 and
-passes.  Sections are only compared when both snapshots ran the same
-population, seed and duration scale (the quick CI candidate at N=256 is
-incomparable to the committed N=4096 section and is skipped with a
-note; the nightly full run compares for real).
+:func:`scenario_gate` for the ``scenarios`` / ``scenarios_message``
+sections ``bench_scenarios.py`` writes, one per execution backend --
+every metric of ``SCENARIO_METRICS`` a scenario entry carries, each in
+its known direction, instead of silently ignoring unknown keys.  A
+ratio is growth over the baseline: from a zero baseline any growth is
+unbounded and fails (a data-plane scenario that starts emitting
+maintenance bytes), 0 -> 0 is 1.0 and passes.  Sections are only
+compared when both snapshots ran the same population, seed and
+duration scale (the quick CI candidate at N=256 is incomparable to the
+committed N=4096 section and is skipped with a note; the nightly full
+run compares for real).
 
 **Intra-snapshot gates** hold on the *candidate* alone -- no baseline
-needed, so they run in the perf-smoke quick job too -- because the
-bench scripts record what they compare against inline:
+needed, so they run in the quick CI job too -- because the bench
+scripts record what they compare against inline:
 :func:`recovery_gate` (warm rejoin beats the inline ``recovery.cold``
 pass, clean shutdowns lose nothing), :func:`serving_gate` (caches on
 beat the inline ``serving.off`` pass), :func:`mdim_gate` (box recall
-floor) and :func:`scale_bounds_gate` (bounded heaps).
+floor) and :func:`scale_bounds_gate` (bounded heaps in the ``scale``
+cells ``bench_scale.py`` writes).
 
 When ``$GITHUB_STEP_SUMMARY`` is set (every GitHub Actions step) -- or
 ``--summary PATH`` is passed -- the gate also appends a markdown
@@ -67,9 +65,6 @@ import sys
 from pathlib import Path
 from typing import Callable, Iterator, List, NamedTuple, Optional, Tuple
 
-#: Gated metrics: per-operation query latencies and end-to-end build time.
-METRICS = ("lookup_us", "range_us", "build_s")
-
 #: Default regression tolerance (candidate/baseline ratio).
 DEFAULT_TOLERANCE = 1.5
 
@@ -83,7 +78,7 @@ SCENARIO_SECTIONS = ("scenarios", "scenarios_message")
 #: Gated per-scenario metrics, as ``(key, direction)``:
 #: ``"drop"`` -- an absolute drop beyond the scenario tolerance fails;
 #: ``"rise"`` -- an absolute rise beyond the scenario tolerance fails;
-#: ``"ratio"`` -- growth beyond the perf ratio tolerance fails.
+#: ``"ratio"`` -- growth beyond the ratio tolerance fails.
 SCENARIO_METRICS = (
     # Repair / write path losing what it used to land.
     ("success_rate", "drop"),
@@ -140,40 +135,6 @@ def _ratio(base: float, cand: float) -> float:
     if base > 0:
         return cand / base
     return float("inf") if cand > 0 else 1.0
-
-
-def _ratio_row(
-    lead: Tuple[str, str], label: str, base: float, cand: float, ratio: float,
-    tolerance: float,
-) -> Row:
-    return Row(
-        lead + (f"{base:g}", f"{cand:g}", f"{ratio:.2f}x"),
-        ratio > tolerance,
-        f"{label}: {cand:g} vs baseline {base:g} "
-        f"({ratio:.2f}x > {tolerance:g}x tolerance)",
-    )
-
-
-def perf_gate(baseline: dict, candidate: dict, tolerance: float) -> Gate:
-    """``METRICS`` at every overlay size both snapshots measured."""
-    rows: List[Row] = []
-    for metric in METRICS:
-        base = baseline.get("results", {}).get(metric, {})
-        cand = candidate.get("results", {}).get(metric, {})
-        for size in sorted(set(base) & set(cand), key=int):
-            base_value, cand_value = float(base[size]), float(cand[size])
-            rows.append(_ratio_row(
-                (metric, size), f"{metric} @ N={size}", base_value, cand_value,
-                _ratio(base_value, cand_value), tolerance,
-            ))
-    if not rows:
-        raise ValueError("no overlapping perf metrics -- gate is misconfigured")
-    return Gate(
-        f"perf regression gate (tolerance {tolerance:g}x)",
-        f"Perf (tolerance {tolerance:g}x)",
-        ("metric", "N", "baseline", "candidate", "ratio"),
-        rows,
-    )
 
 
 def _sections(
@@ -396,46 +357,6 @@ def mdim_gate(candidate: dict, tolerance: float) -> Gate:
     )
 
 
-def scale_cells_gate(baseline: dict, candidate: dict, tolerance: float) -> Gate:
-    """The ``scale`` sections cell by cell, matched on ``n_peers``:
-    ``wall_s`` growing, or ``events_per_s`` shrinking, beyond
-    ``tolerance`` fails.  Only cells present in both snapshots are
-    compared, so the committed full matrix doubles as the baseline for
-    the nightly's N=16,384 cell.
-    """
-    base, cand, skip = _sections(
-        baseline, candidate, "scale", ("scenario", "seed", "duration_scale")
-    )
-    base_cells, cand_cells = (
-        {c["n_peers"]: c for c in section.get("cells", [])}
-        for section in (base, cand)
-    )
-    rows: List[Row] = []
-    for key in sorted(set(base_cells) & set(cand_cells)):
-        label = f"N={key}"
-        for metric in ("wall_s", "events_per_s"):
-            base_value = base_cells[key].get(metric)
-            cand_value = cand_cells[key].get(metric)
-            if base_value is None or cand_value is None:
-                continue
-            base_value, cand_value = float(base_value), float(cand_value)
-            if metric == "wall_s":  # growth regresses
-                ratio = _ratio(base_value, cand_value)
-            else:  # shrinkage regresses
-                ratio = _ratio(cand_value, base_value)
-            rows.append(_ratio_row(
-                (label, metric), f"scale/{label} {metric}", base_value, cand_value,
-                ratio, tolerance,
-            ))
-    return Gate(
-        f"scale gate (tolerance {tolerance:g}x)",
-        f"Scale cells (tolerance {tolerance:g}x)",
-        ("cell", "metric", "baseline", "candidate", "ratio"),
-        rows,
-        skip and f"cell comparison skipped: {skip}",
-    )
-
-
 def scale_bounds_gate(candidate: dict) -> Gate:
     """**Heaps stay bounded**, checkable without a baseline because
     ``bench_scale.py`` records it inline: every cell's pending-event
@@ -495,7 +416,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--tolerance", type=float, default=DEFAULT_TOLERANCE,
-        help=f"max allowed candidate/baseline ratio (default {DEFAULT_TOLERANCE})",
+        help="max allowed candidate/baseline ratio of a scenario's bytes or "
+        f"latency (default {DEFAULT_TOLERANCE})",
     )
     parser.add_argument(
         "--scenario-tolerance", type=float, default=DEFAULT_SCENARIO_TOLERANCE,
@@ -514,15 +436,13 @@ def main(argv=None) -> int:
         candidate = json.loads(args.candidate.read_text())
         tol, abs_tol = args.tolerance, args.scenario_tolerance
         gates = [
-            perf_gate(baseline, candidate, tol),
             *(scenario_gate(baseline, candidate, s, abs_tol, tol) for s in SCENARIO_SECTIONS),
             recovery_gate(candidate),
             serving_gate(candidate, abs_tol),
             mdim_gate(candidate, abs_tol),
-            scale_cells_gate(baseline, candidate, tol),
             scale_bounds_gate(candidate),
         ]
-    except (OSError, ValueError) as exc:  # unreadable, not JSON, or no shared perf metric
+    except (OSError, ValueError) as exc:  # unreadable or not JSON
         print(f"check_regression: unusable input: {exc}", file=sys.stderr)
         return 2
 
@@ -536,6 +456,13 @@ def main(argv=None) -> int:
                 cells = (cell.ljust(width) for cell, width in zip(row.cells, widths))
                 verdict = "FAIL" if row.breached else "ok  "
                 print(f"  [{verdict}] " + "  ".join(cells).rstrip())
+    if not any(gate.rows for gate in gates):
+        print(
+            "check_regression: unusable input: no gate yielded a row (every "
+            "section missing or incomparable) -- the gate is misconfigured",
+            file=sys.stderr,
+        )
+        return 2
 
     failures = [row.failure for gate in gates for row in gate.rows if row.breached]
     summary = args.summary or os.environ.get("GITHUB_STEP_SUMMARY")

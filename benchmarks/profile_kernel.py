@@ -4,9 +4,10 @@
 Runs the scale bench's canonical workload (``uniform-baseline``, same
 seed and duration scale as ``bench_scale.py``) on the single-process
 message backend under :mod:`cProfile` and prints the top-N functions as
-a table -- the first stop when chasing an events/sec regression, and
-the nightly workflow uploads its output as an artifact so the hot-path
-shape is on record next to every full-scale snapshot.
+a table -- the first stop when chasing a host-time regression that
+``benchmarks/layered/run.py`` reports, and the nightly workflow uploads
+its output as an artifact so the hot-path shape is on record next to
+every full-scale snapshot.
 
 Usage::
 
@@ -22,11 +23,11 @@ bounds the (profiler-inflated) run so a pathological kernel fails fast
 instead of eating the CI job's timeout.
 
 ``--target build`` profiles :func:`build_overlay` instead -- the
-decentralized construction plus its anti-entropy sweeps, on the perf
-suite's scale-point input (``perf_harness.construction_keys``, 25 keys
-per peer, the seeds ``bench_construction`` uses) -- with the same
-``--sort`` / ``--top`` / ``--output`` / ``--budget-s`` flags; the
-nightly workflow uploads it as ``build_profile.txt``.
+decentralized construction plus its anti-entropy sweeps, on seeded
+uniform keys (:func:`construction_keys`, 25 keys per peer, ~100k keys
+at N=4096) -- with the same ``--sort`` / ``--top`` / ``--output`` /
+``--budget-s`` flags; the nightly workflow uploads it as
+``build_profile.txt``.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ import argparse
 import cProfile
 import io
 import pstats
+import random
 import sys
 import time
 from pathlib import Path
@@ -43,9 +45,8 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = str(REPO_ROOT / "src")
 if SRC not in sys.path:
     sys.path.insert(0, SRC)
-sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from perf_harness import construction_keys  # noqa: E402
+from repro.pgrid.keyspace import float_to_key  # noqa: E402
 from repro.pgrid.network import build_overlay  # noqa: E402
 from repro.scenarios import MessageScenarioRunner, scenario  # noqa: E402
 
@@ -54,7 +55,7 @@ from repro.scenarios import MessageScenarioRunner, scenario  # noqa: E402
 SCENARIO = "uniform-baseline"
 SEED = 20050830
 DURATION_SCALE = 0.05
-#: The perf suite's ~100k-key scale point uses 25 keys per peer.
+#: ~100k keys at N=4096, the ROADMAP's scale point.
 BUILD_KEYS_PER_PEER = 25
 
 
@@ -64,6 +65,15 @@ def format_profile(profiler: cProfile.Profile, *, top: int, sort: str) -> str:
     stats = pstats.Stats(profiler, stream=buf)
     stats.sort_stats(sort).print_stats(top)
     return buf.getvalue()
+
+
+def construction_keys(n_peers: int, keys_per_peer: int) -> list:
+    """The construction input: seeded uniform keys per peer."""
+    rand = random.Random(7)
+    return [
+        [float_to_key(rand.random()) for _ in range(keys_per_peer)]
+        for _ in range(n_peers)
+    ]
 
 
 def profile_run(
@@ -100,7 +110,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--target", choices=("kernel", "build"), default="kernel",
         help="what to profile: the wire kernel over a scenario run "
-        "(default) or build_overlay on the perf suite's construction input",
+        "(default) or build_overlay on seeded uniform keys",
     )
     parser.add_argument(
         "--n-peers", type=int, default=4096,
