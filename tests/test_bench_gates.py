@@ -839,6 +839,26 @@ class TestScaleGate:
         assert "### Scale" in text
         assert "pending_peak<=bound" in text
 
+    def test_candidate_without_scale_section_yields_no_scale_rows(self, tmp_path, capsys):
+        # The quick CI candidate carries scenario sections but no scale
+        # cells: the bounds gate pins nothing, the other gates still read.
+        base = write(tmp_path, "base.json",
+                     snapshot(extra={"scenarios_message": recovery_section()}))
+        cand_payload = snapshot(extra={"scenarios_message": recovery_section()})
+        del cand_payload["scale"]
+        cand = write(tmp_path, "cand.json", cand_payload)
+        assert check_regression.main(
+            ["--baseline", str(base), "--candidate", str(cand)]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "scale gate" not in out and "recovery gate" in out
+
+    def test_every_cell_is_audited(self, tmp_path, capsys):
+        argv = self.pair(tmp_path, scale_section(), scale_section())
+        assert check_regression.main(argv) == 0
+        out = capsys.readouterr().out
+        assert "scale/N=16384" in out and "scale/N=4096" in out
+
 
 class TestZeroBaselineRatio:
     """Growth from a zero baseline is unbounded: the committed data-plane
@@ -875,6 +895,105 @@ class TestZeroBaselineRatio:
             write_section(bytes_maintenance=0, bytes_update=0),
         )
         assert check_regression.main(argv) == 0
+
+
+#: Per direction: (baseline, a candidate past the default bound, a
+#: candidate that moved the good way).
+#: Each gated scenario metric and the direction it regresses in, stated
+#: here rather than read from the table under test.
+WORSE_DIRECTION = {
+    "success_rate": "drop",
+    "write_success_rate": "drop",
+    "divergence_final": "rise",
+    "bytes_update": "ratio",
+    "bytes_maintenance": "ratio",
+    "recovery_time_s": "ratio",
+    "recovery_maint_bytes": "ratio",
+    "lost_acked_writes": "rise",
+    "tombstone_resurrections": "rise",
+    "cache_hit_rate": "drop",
+    "stale_read_rate": "rise",
+    "serving_p99_s": "ratio",
+    "box_recall": "drop",
+    "partitions_per_box": "ratio",
+}
+
+DIRECTION_VALUES = {
+    "drop": (0.9, 0.8, 1.0),
+    "rise": (0.1, 0.2, 0.0),
+    "ratio": (100.0, 200.0, 50.0),
+}
+
+
+class TestEveryScenarioMetric:
+    """Every gated scenario metric is gated in the direction that is
+    worse for it: moved past the default bound it fails by name, moved
+    the other way it never does.  The probe entry carries the one metric
+    and no inline baseline, so only the scenario gate reads it."""
+
+    def test_the_table_gates_these_metrics_in_these_directions(self):
+        assert dict(check_regression.SCENARIO_METRICS) == WORSE_DIRECTION
+
+    def pair(self, tmp_path, metric, base_value, cand_value):
+        def section(value):
+            payload = scenario_section()
+            payload["results"]["probe"] = {metric: value, "queries": 100}
+            return payload
+
+        base = write(tmp_path, "base.json",
+                     snapshot(extra={"scenarios_message": section(base_value)}))
+        cand = write(tmp_path, "cand.json",
+                     snapshot(extra={"scenarios_message": section(cand_value)}))
+        return ["--baseline", str(base), "--candidate", str(cand)]
+
+    @pytest.mark.parametrize(
+        "metric, direction", WORSE_DIRECTION.items(), ids=list(WORSE_DIRECTION)
+    )
+    def test_regression_past_the_bound_fails(self, tmp_path, capsys, metric, direction):
+        base, worse, _ = DIRECTION_VALUES[direction]
+        argv = self.pair(tmp_path, metric, base, worse)
+        assert check_regression.main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"scenarios_message/probe {metric}:" in err
+        assert "mass-leave" not in err  # the untouched scenarios still pass
+
+    @pytest.mark.parametrize(
+        "metric, direction", WORSE_DIRECTION.items(), ids=list(WORSE_DIRECTION)
+    )
+    def test_improvement_never_fails(self, tmp_path, capsys, metric, direction):
+        base, _, better = DIRECTION_VALUES[direction]
+        argv = self.pair(tmp_path, metric, base, better)
+        assert check_regression.main(argv) == 0
+        row = next(
+            line for line in capsys.readouterr().out.splitlines()
+            if line.split()[-4:-2] == ["probe", metric]
+        )
+        assert row.startswith("  [ok  ]")
+
+
+class TestSummaryFileErrors:
+    def test_unwritable_summary_never_fails_the_gate(self, tmp_path, capsys):
+        base = write(tmp_path, "base.json", snapshot())
+        cand = write(tmp_path, "cand.json", snapshot())
+        summary = tmp_path / "no-such-dir" / "summary.md"
+        assert check_regression.main([
+            "--baseline", str(base), "--candidate", str(cand),
+            "--summary", str(summary),
+        ]) == 0
+        assert "cannot write summary" in capsys.readouterr().err
+
+    def test_unwritable_summary_keeps_a_failing_verdict(self, tmp_path, capsys):
+        base = write(tmp_path, "base.json", snapshot())
+        cand = write(tmp_path, "cand.json", snapshot(
+            extra={"scale": scale_section(pending_peak=99999, pending_ok=False)}
+        ))
+        summary = tmp_path / "no-such-dir" / "summary.md"
+        assert check_regression.main([
+            "--baseline", str(base), "--candidate", str(cand),
+            "--summary", str(summary),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert "cannot write summary" in err and "pending peak" in err
 
 
 def every_gate_payload():
