@@ -30,7 +30,6 @@ Stress scenarios::
 
 from __future__ import annotations
 
-from .core.aut import aut_cost_per_peer, aut_interactions
 from .core.bisection import BisectionOutcome, simulate_aep, simulate_aut
 from .core.construction import (
     ConstructionConfig,
@@ -71,8 +70,6 @@ __all__ = [
     "simulate_aep",
     "simulate_aut",
     "BisectionOutcome",
-    "aut_interactions",
-    "aut_cost_per_peer",
     "reference_partition",
     "ReferencePartition",
     "load_balance_deviation",

@@ -1,9 +1,3 @@
-"""Numerical analysis support: root finding, derivatives, error models.
-
-``repro.analysis.error`` (the Sec. 3.2 error propagation) is imported on
-demand rather than here: it depends on ``repro.core.probabilities``,
-which itself uses ``repro.analysis.numerics``, and an eager import would
-close that cycle.
-"""
+"""Numerical analysis support: root finding and second derivatives."""
 
 from . import numerics  # noqa: F401

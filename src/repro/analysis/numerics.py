@@ -1,4 +1,4 @@
-"""Small numerical toolbox: root bracketing, bisection and derivatives.
+"""Small numerical toolbox: root bracketing, bisection and second derivatives.
 
 The paper determines the decision probabilities ``alpha(p)`` and
 ``beta(p)`` by inverting transcendental relations (Eqs. 2 and 4) and
@@ -61,28 +61,6 @@ def bisect(
         else:
             lo, f_lo = mid, f_mid
     raise ConvergenceError(f"bisection did not converge within {max_iter} iterations")
-
-
-def derivative(
-    func: Callable[[float], float],
-    x: float,
-    *,
-    h: float = 1e-5,
-    lo: float = float("-inf"),
-    hi: float = float("inf"),
-) -> float:
-    """First derivative by central differences, clamped to ``[lo, hi]``.
-
-    When ``x`` is within ``h`` of a domain boundary the stencil degrades
-    gracefully to a one-sided difference, which keeps the piecewise
-    definitions of ``alpha``/``beta`` differentiable-by-branch near the
-    regime boundary ``p* = 1 - ln 2``.
-    """
-    x_plus = min(x + h, hi)
-    x_minus = max(x - h, lo)
-    if x_plus == x_minus:
-        raise ValueError("degenerate stencil: domain narrower than step size")
-    return (func(x_plus) - func(x_minus)) / (x_plus - x_minus)
 
 
 def second_derivative(

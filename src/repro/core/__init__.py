@@ -7,8 +7,6 @@ Sub-modules
     sampling-bias corrections and the interaction-count predictions.
 ``mva``
     Mean-value (expected-dynamics) models MVA and SAM.
-``aut``
-    The autonomous-partitioning baseline's fluid model.
 ``bisection``
     Discrete simulations of a single bisection (models AEP, COR, AUT).
 ``reference``
@@ -26,7 +24,6 @@ Sub-modules
 """
 
 from . import (  # noqa: F401
-    aut,
     bisection,
     constants,
     construction,

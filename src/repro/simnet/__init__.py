@@ -11,9 +11,7 @@ under controlled, reproducible networking conditions:
     per-category byte accounting.
 ``topology``
     The pre-existing unstructured overlay (random graph) used for
-    bootstrap, random walks and vote flooding.
-``vote``
-    The decentralized decision to start indexing (Sec. 4.1).
+    bootstrap and the construction's walks.
 ``churn``
     On/off availability process (peers offline 1-5 min every 5-10 min).
 ``node``/``protocol``
@@ -26,4 +24,4 @@ under controlled, reproducible networking conditions:
     The five-phase timeline driver reproducing the Sec. 5 deployment.
 """
 
-from . import churn, engine, experiment, node, protocol, stats, topology, transport, vote  # noqa: F401
+from . import churn, engine, experiment, node, protocol, stats, topology, transport  # noqa: F401

@@ -1,32 +1,28 @@
 """The pre-existing unstructured overlay (bootstrap substrate).
 
 The construction algorithm assumes "a pre-existing, generic, unstructured
-overlay network" for random peer encounters (Sec. 2.2) and vote flooding
-(Sec. 4.1).  We model it as an undirected random graph maintained by a
-bootstrap server: each joining node receives ``degree`` random existing
-nodes as neighbors, yielding a connected Erdos-Renyi-like topology.
+overlay network" for random peer encounters (Sec. 2.2).  We model it as an
+undirected random graph maintained by a bootstrap server: each joining
+node receives ``degree`` random existing nodes as neighbors, yielding a
+connected Erdos-Renyi-like topology.
 
 Uniform random peer sampling -- "a non-trivial problem in itself which we
-solve by a variant of random walks" -- is provided by fixed-length random
-walks over this graph.
+solve by a variant of random walks" -- is done by the wire nodes' ``WALK``
+messages over these neighbor lists (:mod:`repro.simnet.node`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Set
 
 from .._util import RngLike, make_rng
 from ..exceptions import SimulationError
 
-__all__ = ["UnstructuredOverlay", "DEFAULT_DEGREE", "DEFAULT_WALK_LENGTH"]
+__all__ = ["UnstructuredOverlay", "DEFAULT_DEGREE"]
 
 #: Neighbors handed to each joining node.
 DEFAULT_DEGREE = 5
-
-#: Random-walk length for ~uniform sampling (mixing time of a random
-#: graph is O(log n); 10 steps is comfortably above it for n <= 10^4).
-DEFAULT_WALK_LENGTH = 10
 
 
 @dataclass
@@ -53,72 +49,6 @@ class UnstructuredOverlay:
                 self.neighbors[other].add(node_id)
         return sorted(self.neighbors[node_id])
 
-    def leave(self, node_id: int) -> None:
-        """Remove a node and all its edges (permanent departure)."""
-        for other in self.neighbors.pop(node_id, set()):
-            self.neighbors[other].discard(node_id)
-
     def neighbors_of(self, node_id: int) -> List[int]:
         """Sorted neighbor list."""
         return sorted(self.neighbors.get(node_id, ()))
-
-    def random_walk(
-        self,
-        start: int,
-        *,
-        length: int = DEFAULT_WALK_LENGTH,
-        rng: RngLike = None,
-        alive: Optional[Set[int]] = None,
-    ) -> int:
-        """A ``length``-step random walk from ``start``.
-
-        ``alive`` restricts steps to currently online nodes; if the walk
-        gets stuck (no live neighbor) it stays put, which mimics a walk
-        timing out at a dead end.  Returns the terminal node.
-        """
-        rand = make_rng(rng)
-        current = start
-        for _ in range(length):
-            options = [
-                n
-                for n in self.neighbors.get(current, ())
-                if alive is None or n in alive
-            ]
-            if not options:
-                break
-            current = options[rand.randrange(len(options))]
-        return current
-
-    def components(self) -> List[Set[int]]:
-        """Connected components, each a set of node ids.
-
-        Ordered by smallest member for determinism.  A partitioned
-        overlay (e.g. after the nodes bridging two regions leave) shows
-        up as multiple components; random walks can never cross between
-        them, so peer sampling -- and with it construction progress --
-        is confined to the walker's own component.
-        """
-        out: List[Set[int]] = []
-        seen: Set[int] = set()
-        for start in self.neighbors:
-            if start in seen:
-                continue
-            component: Set[int] = set()
-            stack = [start]
-            while stack:
-                node = stack.pop()
-                if node in component:
-                    continue
-                component.add(node)
-                stack.extend(self.neighbors[node] - component)
-            seen |= component
-            out.append(component)
-        out.sort(key=min)
-        return out
-
-    def is_connected(self) -> bool:
-        """Whole-graph connectivity check (used by tests)."""
-        return len(self.components()) <= 1
-
-    def __len__(self) -> int:
-        return len(self.neighbors)
