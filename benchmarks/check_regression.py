@@ -47,7 +47,11 @@ scripts record what they compare against inline:
 pass, clean shutdowns lose nothing), :func:`serving_gate` (caches on
 beat the inline ``serving.off`` pass), :func:`mdim_gate` (box recall
 floor) and :func:`scale_bounds_gate` (bounded heaps in the ``scale``
-cells ``bench_scale.py`` writes).
+cells ``bench_scale.py`` writes; it also holds each cell to the
+baseline's cell of the same population when both ran the same scale
+knobs, which on PR CI is the committed section against itself and in
+the nightly the fresh N=16,384 / 65,536 cells against the committed
+ones).
 
 When ``$GITHUB_STEP_SUMMARY`` is set (every GitHub Actions step) -- or
 ``--summary PATH`` is passed -- the gate also appends a markdown
@@ -357,13 +361,26 @@ def mdim_gate(candidate: dict, tolerance: float) -> Gate:
     )
 
 
-def scale_bounds_gate(candidate: dict) -> Gate:
+#: The fields of a ``scale`` cell the code alone decides; the rest of a
+#: cell (``wall_s``, ``events_per_s``, ``peak_rss_mb``) are host readings.
+SCALE_FIELDS = ("events", "queries", "success_rate", "n_peers_end", "pending_peak")
+
+
+def scale_bounds_gate(baseline: dict, candidate: dict) -> Gate:
     """**Heaps stay bounded**, checkable without a baseline because
     ``bench_scale.py`` records it inline: every cell's pending-event
     peak must sit under its recorded per-peer bound
     (``pending_bound_ok``), so a wall-clock win can't smuggle in an
     unbounded event heap.
+
+    **Cells match the committed run**: where the baseline's ``scale``
+    section ran the same scenario, seed and duration scale, a candidate
+    cell of a population the baseline also ran must equal it on every
+    :data:`SCALE_FIELDS` field -- the run is deterministic, so any
+    difference means the committed cell is stale.
     """
+    base, _, _ = _sections(baseline, candidate, "scale", ("scenario", "seed", "duration_scale"))
+    committed = {cell.get("n_peers"): cell for cell in base.get("cells", [])}
     rows: List[Row] = []
     for cell in (candidate.get("scale") or {}).get("cells", []):
         where = f"scale/N={cell.get('n_peers')}"
@@ -374,9 +391,21 @@ def scale_bounds_gate(candidate: dict) -> Gate:
             f"{where}: pending peak {peak} exceeds bound {bound} -- event "
             "heap no longer bounded",
         ))
+        old = committed.get(cell.get("n_peers"))
+        if old is not None:
+            differ = ", ".join(
+                f"{field} {cell.get(field)} vs {old.get(field)}"
+                for field in SCALE_FIELDS if cell.get(field) != old.get(field)
+            )
+            rows.append(Row(
+                (where, "deterministic==baseline", differ or "equal"),
+                bool(differ),
+                f"{where}: {differ} (candidate vs baseline) -- the committed "
+                "cell is stale or the run changed",
+            ))
     return Gate(
-        "scale gate (intra-snapshot: pending bounds)",
-        "Scale bounds (intra-snapshot: pending heap)",
+        "scale gate (intra-snapshot: pending bounds; cells vs baseline)",
+        "Scale bounds (intra-snapshot: pending heap; cells vs baseline)",
         ("cell", "check", "values"),
         rows,
     )
@@ -440,7 +469,7 @@ def main(argv=None) -> int:
             recovery_gate(candidate),
             serving_gate(candidate, abs_tol),
             mdim_gate(candidate, abs_tol),
-            scale_bounds_gate(candidate),
+            scale_bounds_gate(baseline, candidate),
         ]
     except (OSError, ValueError) as exc:  # unreadable or not JSON
         print(f"check_regression: unusable input: {exc}", file=sys.stderr)

@@ -853,6 +853,30 @@ class TestScaleGate:
         out = capsys.readouterr().out
         assert "scale gate" not in out and "recovery gate" in out
 
+    def test_a_cell_the_code_no_longer_produces_fails(self, tmp_path, capsys):
+        stale = scale_section()
+        stale["cells"][0]["events"] += 1
+        argv = self.pair(tmp_path, scale_section(), stale)
+        assert check_regression.main(argv) == 1
+        err = capsys.readouterr().err
+        assert "scale/N=16384: events 15457 vs 15456" in err and "N=4096" not in err
+
+    def test_host_readings_of_a_cell_are_not_compared(self, tmp_path, capsys):
+        cand = scale_section()
+        cand["cells"][0].update(wall_s=60.0, events_per_s=250.0, peak_rss_mb=999.0)
+        argv = self.pair(tmp_path, scale_section(), cand)
+        assert check_regression.main(argv) == 0
+        out = capsys.readouterr().out
+        assert out.count("deterministic==baseline") == 2 and "FAIL" not in out
+
+    def test_a_scale_run_of_other_knobs_is_not_compared(self, tmp_path, capsys):
+        cand = scale_section()
+        cand["duration_scale"] = 0.1
+        cand["cells"][0]["events"] += 1
+        argv = self.pair(tmp_path, scale_section(), cand)
+        assert check_regression.main(argv) == 0
+        assert "deterministic==baseline" not in capsys.readouterr().out
+
     def test_every_cell_is_audited(self, tmp_path, capsys):
         argv = self.pair(tmp_path, scale_section(), scale_section())
         assert check_regression.main(argv) == 0

@@ -74,7 +74,7 @@ def test_a_heap_bound_breach_fails_the_bench_and_the_gate(
     assert bench_scale.main(["--output", str(output)]) == 1
     assert "exceeds bound" in capsys.readouterr().err
     # The section is still written, and the gate refuses it on its own.
-    gate = check_regression.scale_bounds_gate(json.loads(output.read_text()))
+    gate = check_regression.scale_bounds_gate({}, json.loads(output.read_text()))
     assert len(gate.rows) == len(TINY_CELLS)
     assert all(row.breached for row in gate.rows)
 
@@ -93,3 +93,16 @@ def test_committed_section_holds_the_full_matrix():
             bench_scale.PENDING_PER_PEER * cell["n_peers"] + bench_scale.PENDING_SLACK
         )
         assert cell["peak_rss_mb"] > 0
+
+
+def test_committed_smallest_cell_matches_the_code():
+    # The run is deterministic: a committed cell the code no longer
+    # produces is stale.  Host readings (wall_s, events_per_s,
+    # peak_rss_mb) are not compared.
+    committed = json.loads((ROOT / "BENCH_core.json").read_text())["scale"]["cells"][0]
+    cell = bench_scale.run_cell(
+        4096, seed=bench_scale.SEED, duration_scale=bench_scale.DURATION_SCALE
+    )
+    assert committed["n_peers"] == 4096
+    for field in check_regression.SCALE_FIELDS:
+        assert cell[field] == committed[field], field
