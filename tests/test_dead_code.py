@@ -142,9 +142,8 @@ def imports(path: pathlib.Path, package: str):
             for alias in node.names:
                 yield alias.name, ()
         elif isinstance(node, ast.ImportFrom):
-            parts = package.split(".")[: len(package.split(".")) - node.level + 1]
-            base = parts if node.level else []
-            yield ".".join(base + [node.module] * bool(node.module)), node.names
+            base = package.rsplit(".", node.level - 1)[0] if node.level else ""
+            yield ".".join(filter(None, (base, node.module))), node.names
 
 
 def unimported_modules(root: pathlib.Path = ROOT):
@@ -183,14 +182,14 @@ def unimported_modules(root: pathlib.Path = ROOT):
     reached = set()
     for tree in ("src", "benchmarks", "examples"):
         for path in (root / tree).rglob("*.py"):
-            name = module_name(src, path) if tree == "src" else ""
+            package = module_name(src, path) if tree == "src" else ""
             used = None
             if path.name == "__init__.py":
                 code = ast.parse(path.read_text())
                 used = {node.id for node in ast.walk(code) if isinstance(node, ast.Name)}
             else:
-                name = name.rpartition(".")[0]
-            for module, aliases in imports(path, name):
+                package = package.rpartition(".")[0]
+            for module, aliases in imports(path, package):
                 if used is not None:
                     aliases = [a for a in aliases if (a.asname or a.name) in used]
                     if not aliases:
