@@ -5,11 +5,22 @@ import statistics
 
 import pytest
 
-from repro.core.bisection import simulate_aep, simulate_aut
+from repro.core.bisection import BisectionOutcome, simulate_aep, simulate_aut
 from repro.core.probabilities import t_star_interactions
 from repro.exceptions import DomainError
 
 LN2 = math.log(2.0)
+
+
+class TestOutcome:
+    def test_derived_quantities(self):
+        out = BisectionOutcome(
+            n=100, p=0.3, n0=35, n1=65, interactions=150,
+            referential_integrity=True,
+        )
+        assert out.deviation == pytest.approx(5.0)
+        assert out.achieved_fraction == pytest.approx(0.35)
+        assert out.per_peer_cost == pytest.approx(1.5)
 
 
 class TestAEPDiscrete:
@@ -118,3 +129,42 @@ class TestAUTDiscrete:
         # same side; the simulator must still terminate with integrity.
         out = simulate_aut(4, 0.01, rng=0)
         assert out.referential_integrity
+
+    def test_counts_conserved(self):
+        out = simulate_aut(500, 0.4, rng=1)
+        assert out.n0 + out.n1 == 500
+
+    def test_deterministic_given_seed(self):
+        a = simulate_aut(200, 0.4, m=10, rng=42)
+        b = simulate_aut(200, 0.4, m=10, rng=42)
+        assert (a.n0, a.interactions) == (b.n0, b.interactions)
+
+    def test_cost_falls_as_p_moves_toward_half(self):
+        # The larger the minority side, the sooner a random contact sits
+        # on the other side or already holds a reference to it.
+        costs = [
+            statistics.mean(
+                simulate_aut(1000, p, rng=s).per_peer_cost for s in range(10)
+            )
+            for p in (0.05, 0.15, 0.3, 0.5)
+        ]
+        assert costs == sorted(costs, reverse=True)
+
+    def test_per_peer_cost_does_not_depend_on_population(self):
+        small = statistics.mean(
+            simulate_aut(200, 0.3, rng=s).per_peer_cost for s in range(10)
+        )
+        large = statistics.mean(
+            simulate_aut(2000, 0.3, rng=s).per_peer_cost for s in range(10)
+        )
+        assert small == pytest.approx(large, rel=0.05)
+
+    def test_validation(self):
+        with pytest.raises(DomainError):
+            simulate_aut(1, 0.4)
+        with pytest.raises(DomainError):
+            simulate_aut(100, 0.0)
+        with pytest.raises(DomainError):
+            simulate_aut(100, 0.8)
+        with pytest.raises(DomainError):
+            simulate_aut(100, 0.4, m=0)

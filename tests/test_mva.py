@@ -70,6 +70,27 @@ class TestSAM:
         bias_corr = abs(sum(t.deviation for t in corr) / len(corr))
         assert bias_corr < bias_plain
 
+    def test_bias_moves_peers_onto_the_minority_side(self):
+        # Sec. 3.2: plug-in estimates shift the side-1 count down, so the
+        # side-0 (minority) count ends above its target N p.
+        runs = [mva.run_sam(1000, 0.35, m=10, rng=seed) for seed in range(25)]
+        assert sum(t.deviation for t in runs) / len(runs) > 0
+
+    def test_bias_shrinks_with_sample_size(self):
+        def bias(m):
+            runs = [mva.run_sam(1000, 0.35, m=m, rng=seed) for seed in range(25)]
+            return abs(sum(t.deviation for t in runs) / len(runs))
+
+        assert bias(100) < bias(10) < bias(5)
+
+    def test_spread_grows_with_population(self):
+        def spread(n):
+            devs = [mva.run_sam(n, 0.4, m=10, rng=seed).deviation for seed in range(30)]
+            mean = sum(devs) / len(devs)
+            return math.sqrt(sum((d - mean) ** 2 for d in devs) / len(devs))
+
+        assert 0 < spread(500) < spread(2000)
+
     def test_large_samples_converge_to_mva(self):
         sam = mva.run_sam(1000, 0.4, m=5000, rng=1)
         exact = mva.run_mva(1000, 0.4)

@@ -25,6 +25,49 @@ class TestOverlay:
         with pytest.raises(SimulationError):
             overlay.join(0)
 
+    def test_rejected_join_leaves_the_graph_unchanged(self):
+        overlay = UnstructuredOverlay(degree=2)
+        for i in range(6):
+            overlay.join(i, rng=i)
+        before = {node: set(adj) for node, adj in overlay.neighbors.items()}
+        with pytest.raises(SimulationError):
+            overlay.join(3, rng=99)
+        assert overlay.neighbors == before
+
+    def test_newcomer_gets_up_to_degree_neighbors(self):
+        overlay = UnstructuredOverlay(degree=3)
+        assigned = [overlay.join(i, rng=i) for i in range(10)]
+        assert assigned[0] == []
+        assert assigned[1] == [0]
+        assert [len(a) for a in assigned] == [0, 1, 2, 3, 3, 3, 3, 3, 3, 3]
+        for i, nbrs in enumerate(assigned):
+            assert nbrs == sorted(nbrs)
+            assert all(n < i for n in nbrs)
+
+    def test_edges_are_symmetric(self):
+        overlay = UnstructuredOverlay(degree=4)
+        for i in range(40):
+            overlay.join(i, rng=i)
+        for node, adj in overlay.neighbors.items():
+            assert node not in adj
+            for other in adj:
+                assert node in overlay.neighbors[other]
+            assert overlay.neighbors_of(node) == sorted(adj)
+
+    def test_neighbors_of_an_unknown_node_is_empty(self):
+        overlay = UnstructuredOverlay()
+        overlay.join(0)
+        assert overlay.neighbors_of(7) == []
+
+    def test_same_seeds_build_the_same_graph(self):
+        def build():
+            overlay = UnstructuredOverlay(degree=3)
+            for i in range(30):
+                overlay.join(i, rng=100 + i)
+            return overlay.neighbors
+
+        assert build() == build()
+
 
 class TestChurn:
     def test_alternates_online_offline(self):
