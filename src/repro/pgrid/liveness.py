@@ -33,37 +33,44 @@ Who owns what on the wire
 -------------------------
 :class:`ReferenceTable` is a node's whole routing state: the levels,
 the per-reference beliefs, the trusted pick, gossip out and in, what a
-snapshot keeps, and the refresh sweep with its skip cache.  The node
+snapshot keeps, and the refresh sweep with its arming.  The node
 owns what needs a path or a transport: the level a key leaves through,
 the ``ping``s the table says are due, and what their connects said.
 The scenario runner and :mod:`repro.pgrid.state` go through the
 table's methods; ``tests/test_reference_table_scan.py`` fails if
-another file under ``src/`` names the belief dicts or the cache field.
+another file under ``src/`` names the belief dicts or the sweep's flag.
 
 What a probe is for
 -------------------
 A level routes as long as *one* reference in it is alive, and a dead
 reference is found for free the moment a send to it is refused
-(correction on use).  So the periodic sweep
-(:meth:`ReferenceTable.due`, sent by ``PGridNode.refresh_routes``) does
-not keep every reference fresh; it keeps every *level* routable, and
-leaves dead spares to be found by use or by rotation.  Four rules, one
-staleness test (:meth:`ReferenceTable.confirmed_until`) behind both
-probe sources, the sweep and use:
+(correction on use).  So the sweep (:meth:`ReferenceTable.due`, sent
+by ``PGridNode.refresh_routes`` at the maintenance cadence) does not
+keep every reference fresh, and it does not run on a clock: after a
+failure it makes every *level* routable again, and it leaves dead
+spares to be found by use or by rotation.  Four rules, one staleness
+test (:meth:`ReferenceTable.confirmed_until`) behind both probe
+sources, the sweep and use:
 
-1. **One confirmed reference per level.**  A reference is *covered*
-   while it is unsuspected and its last confirmation has not run out.
-   The sweep probes a level only when nothing in it is covered, and
-   then its stalest reference, so successive lapses rotate through the
-   spares: a dead one is found once rotation reaches it, one per lapse.
+1. **Probe on evidence, one confirmed reference per level.**  The
+   sweep probes only if the node has taken failure evidence since its
+   last sweep: a strike (a timeout, a refused or partitioned connect,
+   a refused probe's included) or a restart
+   (:meth:`ReferenceTable.wipe`, warm or cold).  One piece of evidence
+   arms one sweep.  A node that takes none sends no sweep ``ping``: its
+   references are confirmed by the connects of their use (rule 4), and
+   a dead one is found when a use of it is refused.  An armed sweep
+   probes a level only when nothing in it is *covered* -- unsuspected,
+   with a confirmation that has not run out -- and then its stalest
+   reference, so successive armed sweeps rotate through the spares.
 2. **Back-off on success, reset on a strike.**  A confirmation is good
    for :data:`CONFIRM_INTERVAL_S`, doubled each time one of our probes
    to an unsuspected reference is answered, up to
    :data:`CONFIRM_INTERVAL_MAX_S` -- a reference that keeps answering
-   has earned a longer wait (session lengths are heavy-tailed).
-   Passive traffic refreshes the confirmation without doubling; any
-   strike, eviction or restart (:meth:`ReferenceTable.wipe`) returns
-   the reference to the base.
+   has earned a longer wait (session lengths are heavy-tailed), and an
+   armed sweep leaves its level alone.  Passive traffic refreshes the
+   confirmation without doubling; any strike, eviction or restart
+   returns the reference to the base.
 3. **Gossip on demand, where it can land.**  A ``ping`` says whether
    the prober wants candidates (``want``); only then is it answered, by
    a ``pong`` carrying :data:`GOSSIP_REFS` candidates per level.  It
@@ -142,6 +149,25 @@ levels already hold their whole complementary subtree, smaller than
 the bound: those can place nothing either, but telling that would take
 the subtree's replica set.
 
+Arming the sweep on evidence (rule 1 as it stands) then stopped the
+probes no failure asked for.  Before it, every level lapsed at every
+tick after the bootstrap's stamps ran out, and was probed whether or
+not anything had failed: on the layered benchmark's ``wire-maint``,
+3,427 of 3,576 ``ping``s left at t = 60 s, none of them refused --
+56% of the workload's 6,097 messages.  Messages per operation there
+went 10.567 -> 4.205 (seed 3: 10.348 -> 4.175; held-out seed 11:
+9.844 -> 4.073), and on ``uniform-baseline`` at N=4,096
+(``duration_scale=2.0``, seed 5) ``ping``s went 130,772 -> 2,890 of
+176,870 -> 47,241 sends, query success 0.99937 -> 0.99958.  Same 18
+scenarios, seeds 1-6, N=512, ``duration_scale=0.5``: maintenance bytes
+181.0 -> 82.8 MB summed (0.458x), messages 0.637x, levels with no live
+reference 276 -> 252 summed at the end; no scenario's mean query or
+write success rate fell by more than 0.0018 (``regional-outage``,
+paired standard error 0.0011).  The cost is rule 1's: dead spares wait
+for use.  Dead references at the end went 10,330 -> 13,016 summed, all
+of the rise on ``mass-leave`` (6,394 -> 9,072) and
+``paper-sec51-churn`` (3,936 -> 3,944).
+
 Which reference a forward takes
 -------------------------------
 The table also keeps the path each reference was last known to hold
@@ -193,9 +219,10 @@ CONFIRM_INTERVAL_S = 60.0
 #: Cap of the per-reference confirm interval (four doublings of the
 #: base): the longest a reference that keeps answering goes unprobed.
 CONFIRM_INTERVAL_MAX_S = 960.0
-#: Lapsed levels probed per node per maintenance tick, stalest first.
-#: Binds only where a path is longer than this (N=4096 and up), on the
-#: first sweeps after every level lapses at once.
+#: Lapsed levels probed per armed sweep, stalest first.  Binds only
+#: where a path is longer than this (N=4096 and up), on a sweep that
+#: finds every level lapsed: after a restart, or a node's first strike
+#: once the stamps it started with have run out.
 REFRESH_PROBES = 8
 #: Candidate references gossiped per routing level on every
 #: anti-entropy exchange and every ``pong``.
@@ -218,9 +245,9 @@ class ReferenceTable(RoutingTable):
     bookkeeping -- the owning node sends the pings and reports their
     connects -- so it is unit-testable without a node or a simulator.
 
-    Whatever can leave a level without cover sooner than the last sweep
-    computed is a method of this class and calls :meth:`_uncover`: the
-    whole invariant of the skip cache in :meth:`due`.
+    The sweep (:meth:`due`) runs only once failure evidence has armed
+    it, and the only evidence is a strike (:meth:`_strike`) or a
+    restart (:meth:`wipe`): both are methods of this class.
 
     Counters (``suspects``, ``probes``, ``evictions``, ``replacements``,
     ``repair_bytes``) feed the scenario report's ``message_level.repair``
@@ -251,19 +278,15 @@ class ReferenceTable(RoutingTable):
         #: levels are still the drawn ones; the first change to a level
         #: turns it into ``ref_paths`` (the drawn references' entries).
         self._blueprint: Optional[Sequence[Path]] = None
-        #: The sweep's skip cache: the earliest instant a level can
-        #: lapse, left by a sweep that found every level covered.
-        self._lapse_at: Optional[float] = None
+        #: Failure evidence taken since the last sweep (a strike or a
+        #: restart): the only thing that lets :meth:`due` probe.
+        self._armed = False
         # -- counters ------------------------------------------------------
         self.suspects = 0
         self.probes = 0
         self.evictions = 0
         self.replacements = 0
         self.repair_bytes = 0
-
-    def _uncover(self) -> None:
-        """Some level may now lapse sooner than the last sweep saw."""
-        self._lapse_at = None
 
     # -- the levels ----------------------------------------------------------
 
@@ -276,7 +299,6 @@ class ReferenceTable(RoutingTable):
         oldest = refs[0] if refs and len(refs) >= self.max_refs_per_level else None
         if not super().add(level, ref):
             return False
-        self._uncover()  # may open, or displace the cover of, a level
         if oldest is not None and oldest not in self:
             known.pop(oldest, None)  # displaced from its last level
         return True
@@ -285,7 +307,6 @@ class ReferenceTable(RoutingTable):
         """Replace the levels with a copy of ``levels``; every path is
         unknown."""
         super().install(levels)
-        self._uncover()
         self._blueprint = None
         self.ref_paths = {}
 
@@ -455,7 +476,6 @@ class ReferenceTable(RoutingTable):
                     and not self.recently_evicted(ref, now)
                 ):
                     refs.append(ref)
-                    self._uncover()  # may open a level, with a stale reference
                     self.replacements += 1
 
     # -- evidence ----------------------------------------------------------
@@ -493,9 +513,10 @@ class ReferenceTable(RoutingTable):
             )
 
     def _strike(self, ref: int) -> int:
-        """One more strike: the reference stops covering its level and
-        its earned interval is gone.  Returns the new count."""
-        self._uncover()
+        """One more strike: the reference stops covering its level, its
+        earned interval is gone, and the next sweep is armed.  Returns
+        the new count."""
+        self._armed = True
         strikes = self.strikes[ref] = self.strikes.get(ref, 0) + 1
         self.confirm_interval.pop(ref, None)
         return strikes
@@ -537,7 +558,6 @@ class ReferenceTable(RoutingTable):
         its state (a gossip re-add starts fresh).  If it was still in
         the table -- newer references may have displaced it -- count it
         and leave a tombstone against gossip from slower peers."""
-        self._uncover()
         self.strikes.pop(ref, None)
         if ref in self:
             self.remove(ref)
@@ -551,7 +571,7 @@ class ReferenceTable(RoutingTable):
         evicted = self.evicted_at.get(ref)
         return evicted is not None and now - evicted < READD_COOLDOWN_S
 
-    # -- the periodic sweep ----------------------------------------------------
+    # -- the refresh sweep -----------------------------------------------------
 
     def due(self, now: float) -> List[int]:
         """The stalest reference of each *lapsed* level, to be probed.
@@ -559,9 +579,9 @@ class ReferenceTable(RoutingTable):
         A level routes as long as one reference in it is alive, so that
         is all the sweep pays for: a level has lapsed when no reference
         in it is *covered* -- is unsuspected with a confirmation that
-        has not run out (:meth:`confirmed_until`).  Successive lapses of
-        a level rotate through its references, stalest first, so dead
-        spares are still found, one per lapse; use finds the rest.  At
+        has not run out (:meth:`confirmed_until`).  Successive sweeps of
+        a lapsed level rotate through its references, stalest first, so
+        dead spares are still found, one per sweep; use finds the rest.  At
         most :data:`REFRESH_PROBES` are due per sweep, those of the
         stalest levels.
 
@@ -570,33 +590,22 @@ class ReferenceTable(RoutingTable):
         evicts at level ``j`` has made ``j`` short before the deeper
         levels' probes go out, so those still ask for gossip
         (:meth:`wants_gossip`).
+
+        Nothing is due unless failure evidence has been taken since the
+        last sweep (module docstring, rule 1); the sweep disarms itself.
         """
-        lapse_at = self._lapse_at
-        if lapse_at is not None and now < lapse_at:
-            # A previous sweep found every level covered until then, and
-            # whatever could uncover one sooner called _uncover.
+        if not self._armed:
             return []
+        self._armed = False
         strikes = self.strikes
         confirmed_until = self.confirmed_until
         last_confirmed_get = self.last_confirmed.get
         lapsed = []
-        lapse_at = None
         for _, refs in sorted(self.levels.items()):
-            until = now  # when this level's cover runs out
-            for ref in refs:
-                if ref in strikes:
-                    continue
-                ref_until = confirmed_until(ref)
-                if ref_until > until:
-                    until = ref_until
-            if until > now:
-                if lapse_at is None or until < lapse_at:
-                    lapse_at = until
-            elif refs:
+            if refs and not any(
+                ref not in strikes and confirmed_until(ref) > now for ref in refs
+            ):
                 lapsed.append(min((last_confirmed_get(r, 0.0), r) for r in refs))
-        if not lapsed:
-            self._lapse_at = lapse_at
-            return []
         # ``last_confirmed`` is keyed by reference id, so a reference
         # that is the stalest of two levels appears once, at the first.
         chosen = set(sorted(set(lapsed))[:REFRESH_PROBES])
@@ -607,8 +616,8 @@ class ReferenceTable(RoutingTable):
     def wipe(self) -> None:
         """Forget every belief about every reference, its path included
         (levels and counters stay): what a restart leaves of this state,
-        warm or cold."""
-        self._uncover()
+        warm or cold.  It arms the next sweep: every level has lapsed."""
+        self._armed = True
         self.strikes.clear()
         self.last_confirmed.clear()
         self.confirm_interval.clear()

@@ -73,7 +73,9 @@ Restoring a snapshot makes the peer *operational*, not *trusted*:
    only while a node is offline) and every restored ``last_confirmed``
    stamp is rebased and capped so
    :meth:`~repro.pgrid.liveness.ReferenceTable.needs_confirmation` is
-   immediately true.  Every level has therefore lapsed: the next
+   immediately true.  Every level has therefore lapsed, and the
+   restart is failure evidence that arms the sweep
+   (:meth:`~repro.pgrid.liveness.ReferenceTable.wipe`): the next
    ``refresh_routes`` pass probes one reference per level, each
    confirmed or struck by its ``ping``'s connect, and a spare is
    confirmed by the accepted connect of its first use (struck by a

@@ -221,9 +221,9 @@ class MessageScenarioRunner(ScenarioRunnerBase):
                 node.keys = set(leaf_keys)
                 node.original_keys = original
                 node.replicas = group - {pid}
-                # The table is fresh (no skip cache to reset), so it
-                # takes the drawn levels as they are, without a copy,
-                # and its references' paths from the blueprint.
+                # The table is fresh, so it takes the drawn levels as
+                # they are, without a copy, and its references' paths
+                # from the blueprint.
                 node.liveness.bootstrap(drawn[pid], paths)
             first = ids.stop
         cache = spec.cache
@@ -389,10 +389,12 @@ class MessageScenarioRunner(ScenarioRunnerBase):
                 exchanges += 1
         for pid in online:
             node = self.nodes[pid]
-            # The periodic half of route repair: probe the stalest
-            # references (bounded per tick), so dead references are
-            # discovered by maintenance instead of each costing a query
-            # its timeout.
+            # Route repair after evidence: a node that took a strike or
+            # restarted since its last sweep probes the stalest
+            # reference of each lapsed level (bounded per tick), so the
+            # dead ones near a failure are found by maintenance instead
+            # of each costing a query its timeout; a quiet node sends
+            # nothing.
             node.refresh_routes()
             # Route-deficient nodes (an empty level means some keys are
             # unreachable -- e.g. after an outage evicted a whole

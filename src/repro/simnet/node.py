@@ -601,9 +601,9 @@ class PGridNode:
 
     def refresh_routes(self) -> int:
         """Probe the stalest reference of each *lapsed* routing level
-        (:meth:`ReferenceTable.due`): the periodic half of failure
-        detection, called at the maintenance cadence.  Returns the
-        number of probes launched."""
+        (:meth:`ReferenceTable.due`), called at the maintenance cadence:
+        a no-op unless the node has taken a strike or restarted since
+        its last sweep.  Returns the number of probes launched."""
         if not self.online:
             return 0
         due = self.liveness.due(self.sim.now)

@@ -5,8 +5,8 @@ Four layers:
 * **Table unit tests** -- the suspect -> probe -> evict state machine
   and the per-reference confirm interval on a bare
   :class:`ReferenceTable` (no node, no simulator); under Hypothesis,
-  its gossip placement, its refresh sweep (skip cache included) and its
-  trusted pick against references kept in this file.
+  its gossip placement, its refresh sweep (armed by evidence only) and
+  its trusted pick against references kept in this file.
 * **Wire protocol tests** -- hand-built overlays driving the evidence
   paths: refused connects, partition refusals (set_partitions drops are
   *visible* to the sender's routing state), pings decided by their
@@ -39,6 +39,7 @@ from repro.pgrid.liveness import (
     repair_routes,
 )
 from repro.scenarios import (
+    MessageNetConfig,
     MessageScenarioRunner,
     ScenarioRunner,
     run_scenario,
@@ -355,26 +356,36 @@ class TestWireEvidence:
         assert node.routing == {0: [2, 3], 1: [1]}
         nodes[3].online = False
         sim.run_until(70.0)  # both levels have lapsed (> CONFIRM_INTERVAL_S)
+        # Evidence arms the sweep: a restart, which loses nothing here
+        # (no reference has been heard from yet).
+        tracker.wipe()
         # One probe per lapsed level, to its stalest reference (ties go
         # to the lower id): 2 stands for level 0, the dead 3 is a spare.
         assert node.refresh_routes() == 2
         # Their accepted connects answered them: both confirmed at once.
         assert tracker.last_confirmed[1] == tracker.last_confirmed[2] == 70.0
         assert node.refresh_routes() == 0  # covered
+        assert min(tracker.confirmed_until(ref) for ref in (1, 2)) > sim.now
         assert tracker.evictions == 0 and 3 in node.routing[0]
-        # The answers doubled the wait: nothing is due at the old cadence.
+        # The answers doubled the wait: nothing is due at the old cadence,
+        # though a timeout against the dead spare (a strike no probe has
+        # decided yet, as one taken offline is) arms the sweep.
         sim.run_until(140.0)
+        assert tracker.strike(3, sim.now) and 3 in node.routing[0]
         assert node.refresh_routes() == 0
-        # Next lapse: rotation reaches the dead spare, whose refused
-        # connects evict it on the spot.
+        # Next lapse, armed by a strike against 2: rotation reaches the
+        # dead spare, whose refused connect evicts it on the spot.
         sim.run_until(195.0)
+        assert tracker.strike(2, sim.now)
         assert node.refresh_routes() == 2
         assert tracker.evictions == 1
         assert node.routing == {0: [2], 1: [1]}
-        # Level 0 is still unconfirmed; the following tick probes 2.
+        # Level 0 is still unconfirmed; the refused connect armed the
+        # following tick, which probes 2.
         assert node.refresh_routes() == 1
         assert tracker.last_confirmed[2] == 195.0
         assert node.refresh_routes() == 0  # every level covered again
+        assert min(tracker.confirmed_until(ref) for ref in (1, 2)) > sim.now
 
     def test_full_levels_get_no_pong(self):
         # Gossip on demand: a prober with nowhere to put candidates
@@ -516,6 +527,7 @@ class TestConnectIsTheVerdict:
         node, table = nodes[0], nodes[0].liveness
         assert node.routing == {0: [3], 1: [1]}
         sim.run_until(70.0)
+        table.wipe()  # a restart arms the sweep (nothing was heard yet)
         pending = sim.pending
         sent = record_sends(net)
         assert node.refresh_routes() == 2
@@ -656,6 +668,7 @@ class TestWantBoundedByTheReferencesLevel:
         nodes[1].routing[0] = [2]  # what 1's pong will gossip for level 0
         nodes[3].online = False
         sim.run_until(70.0)
+        table.wipe()  # a restart arms the sweep (nothing was heard yet)
         sent = record_sends(net)
         assert node.refresh_routes() == 2
         # Level 0 first: its refused probes evict 3 and leave the level
@@ -668,6 +681,66 @@ class TestWantBoundedByTheReferencesLevel:
         sim.run_until(71.0)
         assert table.evictions == 1 and table.replacements == 1
         assert node.routing == {0: [2], 1: [1]}
+
+
+class TestSweepNeedsEvidence:
+    """The sweep probes only after the node took failure evidence since
+    its last sweep -- a strike (a timeout, a refused or partitioned
+    connect, a refused probe) or a restart -- and one piece of evidence
+    arms one sweep."""
+
+    @staticmethod
+    def sweeps(sim, nodes, until, every=60.0):
+        """What the sweeps of ``nodes`` probe, one maintenance tick every
+        ``every`` s from now to ``until``: per tick, per node."""
+        probed = []
+        while sim.now + every <= until:
+            sim.run_until(sim.now + every)
+            probed.append([node.refresh_routes() for node in nodes])
+        return probed
+
+    def test_a_node_that_takes_no_strike_sends_no_sweep_ping(self):
+        sim, net, nodes = build_wire(QUADRANTS)
+        sent = record_sends(net)
+        probed = self.sweeps(sim, nodes, 2000.0)
+        assert len(probed) == 33 and not any(map(any, probed))
+        assert sent == []
+        # Not for want of lapses: no reference was ever confirmed.
+        assert all(
+            node.liveness.needs_confirmation(ref, sim.now)
+            for node in nodes for ref in node.liveness.all_refs()
+        )
+
+    def test_one_refused_connect_arms_exactly_one_sweep(self):
+        sim, net, nodes = build_wire(QUADRANTS)
+        node, table = nodes[0], nodes[0].liveness
+        nodes[3].online = False
+        sim.run_until(70.0)
+        assert node.refresh_routes() == 0  # lapsed, but nothing armed it
+        sent = record_sends(net)
+        assert node.send(3, P.PING, {"want": False}) == "refused"
+        # The refused connect struck 3 and its probe evicted it.
+        assert table.evictions == 1 and node.routing == {0: [2], 1: [1]}
+        del sent[:]
+        # The next tick sweeps both lapsed levels; none after it does,
+        # though every level lapses again while the horizon runs.
+        assert self.sweeps(sim, [node], 2070.0) == [[2]] + [[0]] * 32
+        assert [(d, k) for s, d, k, _ in sent if s == 0] == [(2, P.PING), (1, P.PING)]
+        assert all(table.needs_confirmation(ref, sim.now) for ref in (1, 2))
+
+    @pytest.mark.parametrize("restart", ["warm", "cold"])
+    def test_a_restart_arms_one_sweep(self, restart):
+        sim, net, nodes = build_wire(QUADRANTS)
+        node = nodes[0]
+        sim.run_until(70.0)
+        assert node.refresh_routes() == 0
+        if restart == "warm":
+            node.restore_state(node.snapshot_state())
+        else:
+            node.lose_state()
+        # One probe per level, then nothing until the next evidence.
+        assert node.refresh_routes() == 2
+        assert self.sweeps(sim, [node], 2070.0) == [[0]] * 33
 
 
 # -- gossip placement against the per-level reference --------------------------
@@ -707,7 +780,6 @@ def ref_accept_gossip(table, path, their_path, gossip, now):
                 and not table.recently_evicted(ref, now)
             ):
                 refs.append(ref)
-                table._lapse_at = None
                 table.replacements += 1
 
 
@@ -740,7 +812,6 @@ class TestAcceptGossipAgainstReference:
         table = ReferenceTable(0, MAX_REFS)
         table.install(levels)
         table.evicted_at = dict.fromkeys(evicted, 0.0)
-        table._lapse_at = 1.0  # as a sweep that found every level covered left it
         return table
 
     @given(case=gossip_cases())
@@ -756,7 +827,8 @@ class TestAcceptGossipAgainstReference:
         # same empty levels created on the way, in the same order.
         assert list(actual.levels.items()) == list(expected.levels.items())
         assert actual.replacements == expected.replacements
-        assert actual._lapse_at == expected._lapse_at
+        # A gossiped candidate is no failure evidence: no sweep is armed.
+        assert not actual._armed
 
     @given(case=gossip_cases())
     @settings(max_examples=int(FUZZ_EXAMPLES or 400), deadline=None)
@@ -781,10 +853,12 @@ class TestAcceptGossipAgainstReference:
 # -- the refresh sweep against a brute-force reference --------------------------
 
 
-def ref_refresh_routes(table, now):
-    """``ReferenceTable.due`` by definition: no skip cache, cover
-    recomputed from the belief dicts.  Returns the references to probe
-    at ``now``, in order, and how many levels have lapsed."""
+def ref_refresh_routes(table, now, armed):
+    """``ReferenceTable.due`` by definition: cover recomputed from the
+    belief dicts.  ``armed`` says whether the table took failure
+    evidence (a strike or a restart) since its last sweep; unarmed,
+    nothing is probed.  Returns the references to probe at ``now``, in
+    order, and how many levels have lapsed."""
 
     def last(ref):
         return table.last_confirmed.get(ref, 0.0)
@@ -799,6 +873,8 @@ def ref_refresh_routes(table, now):
         for _, refs in sorted(table.levels.items())
         if refs and not any(covered(r) for r in refs)
     ]
+    if not armed:
+        return [], len(stalest)
     chosen = sorted(set(stalest), key=lambda r: (last(r), r))[:REFRESH_PROBES]
     # Sent in level order: a reference standing for two levels goes at
     # the shallower.
@@ -823,7 +899,7 @@ _ref_step = st.tuples(
     st.integers(0, 60),
 )
 _steps = st.one_of(
-    # Repeated on purpose: most skip-cache bugs need "sweep, touch one
+    # Repeated on purpose: most cover bugs need "sweep, touch one
     # reference twice, wait" with no table change in between.
     *[st.tuples(st.just("advance"), _waits)] * 3,
     *[_ref_step] * 5,
@@ -868,17 +944,25 @@ def sweep_cases(draw):
     }
 
 
-def one_level_case(steps, beliefs, refused=()):
+#: A level-1 reference of :func:`one_level_case`: its strikes are the
+#: evidence that arms a sweep of level 0 without touching level 0.
+WITNESS = 98
+
+
+def one_level_case(steps, beliefs, refused=(), *, armed=True):
     """A sweep case at t=100 whose level 0 holds ``beliefs``'s
-    references: id -> (age, interval)."""
+    references: id -> (age, interval).  ``armed``: a strike against the
+    :data:`WITNESS` follows the start and every step, so every instant
+    of ``steps`` is swept; otherwise only ``steps`` take evidence."""
+    witness = [("witness",)] if armed else []
     return {
-        "table": {0: sorted(beliefs)},
+        "table": {0: sorted(beliefs), 1: [WITNESS]},
         "now": 100.0,
         "beliefs": {
             ref: {"age": age, "interval": interval, "suspect": False}
-            for ref, (age, interval) in beliefs.items()
+            for ref, (age, interval) in {**beliefs, WITNESS: (0.0, None)}.items()
         },
-        "steps": steps,
+        "steps": witness + [s for step in steps for s in [step] + witness],
         "refused": set(refused),
     }
 
@@ -887,7 +971,9 @@ class TestRefreshRoutesAgainstBruteForce:
     """The table alone, driven the way ``PGridNode`` drives it: a probe
     is decided at its connect, refused for the case's ``refused``
     references and answered for the rest -- except that a strike is
-    left standing, as one taken while the node is offline is."""
+    left standing, as one taken while the node is offline is.  The
+    harness keeps its own account of the evidence that arms a sweep:
+    a strike against a reference of the table, a restart, a wipe."""
 
     @staticmethod
     def make_table(case):
@@ -907,28 +993,36 @@ class TestRefreshRoutesAgainstBruteForce:
     def probe(table, ref, now, refused):
         """What ``PGridNode._send_probe`` tells the table: a refused
         connect strikes, and the suspect's own probe is refused too,
-        until the strikes evict."""
+        until the strikes evict.  Returns whether it struck."""
         if ref in refused:
             while table.strike(ref, now):
                 pass
-        else:
-            table.note_answered(ref, now)
+            return True
+        table.note_answered(ref, now)
+        return False
 
     def apply(self, table, now, step):
-        """One step at ``now``; returns the time after it."""
+        """One step at ``now``; returns the time after it and whether
+        the step was failure evidence."""
         kind, args = step[0], step[1:]
         if kind == "advance":
-            return now + args[0]
+            return now + args[0], False
         if kind == "add":
             table.add(*args)
         elif kind == "gossip":
             table.accept_gossip(SWEEP_PATH, Path.from_string(args[0]), args[1], now)
         elif kind == "restart":  # warm: what a snapshot keeps comes back
             table.restore(table.levels, *table.belief_ages(now), now)
+            return now, True
         elif kind == "wipe":  # cold: the references stay, every belief goes
             table.wipe()
+            return now, True
         elif kind == "install":  # a sponsored placement
             table.install(*args)
+        elif kind == "witness":  # see one_level_case
+            held = WITNESS in table
+            table.strike(WITNESS, now)
+            return now, held
         else:
             known = sorted(table.all_refs())
             known.append(99)  # a stranger
@@ -936,17 +1030,20 @@ class TestRefreshRoutesAgainstBruteForce:
             if kind == "heard":  # passive traffic
                 table.note_alive(ref, now)
             elif kind == "strike":  # taken offline: no probe decides it yet
+                evidence = ref in table  # evidence against a stranger is dropped
                 table.strike(ref, now)
+                return now, evidence
             elif kind == "answered":  # a forward's accepted connect
                 table.note_answered(ref, now)
             else:
                 table.evict(ref, now)
-        return now
+        return now, False
 
     @given(case=sweep_cases())
-    # The ways a level is uncovered before the cached instant, each
-    # needing a sequence random steps rarely produce.  A struck
-    # reference that answers is back at the base interval:
+    # The ways a level is uncovered sooner than its last sweep saw,
+    # each needing a sequence random steps rarely produce (the witness
+    # arms a sweep after every step).  A struck reference that answers
+    # is back at the base interval:
     @example(case=one_level_case([("strike", 0), ("heard", 0)], {1: (0.0, 960.0)}))
     @example(case=one_level_case([("strike", 0), ("answered", 0)], {1: (0.0, 960.0)}))
     # an answered sweep probe covers for its doubled interval only:
@@ -962,37 +1059,48 @@ class TestRefreshRoutesAgainstBruteForce:
         [("evict", 0)], {1: (0.0, 960.0), 2: (100.0, None)}
     ))
     # probes go out in level order, whatever the staleness or the order
-    # the levels were created in:
+    # the levels were created in (the wipe ties every staleness):
     @example(case={
         "table": {1: [1]},
         "now": 100.0,
         "beliefs": {1: {"age": 0.0, "interval": 960.0, "suspect": False}},
-        "steps": [("add", 0, 2), ("advance", 960.0)],
+        "steps": [("add", 0, 2), ("advance", 960.0), ("wipe",)],
         "refused": set(),
     })
-    # and a restart or a placement leaves nothing confirmed.
+    # a restart or a placement leaves nothing confirmed;
     @example(case=one_level_case([("wipe",)], {1: (0.0, 960.0)}))
-    @example(case=one_level_case([("install", {0: [2]})], {1: (0.0, 960.0)}))
+    @example(case=one_level_case(
+        [("install", {0: [2], 1: [WITNESS]})], {1: (0.0, 960.0)}
+    ))
+    # and a quiet table stays quiet: lapses, traffic, gossip, an
+    # eviction and a placement are no evidence, so nothing is ever due.
+    @example(case=one_level_case(
+        [
+            ("advance", 960.0), ("heard", 0), ("add", 0, 5), ("evict", 0),
+            ("gossip", "01", {0: [6]}), ("install", {0: [7], 1: [WITNESS]}),
+            ("advance", 960.0),
+        ],
+        {1: (100.0, None), 2: (0.0, 960.0)},
+        armed=False,
+    ))
     @settings(max_examples=int(FUZZ_EXAMPLES or 300), deadline=None)
     def test_same_probes_in_the_same_order(self, case):
         table, now = self.make_table(case), case["now"]
+        # A suspect belief is a strike the table took before the case.
+        armed = any(belief["suspect"] for belief in case["beliefs"].values())
         for step in [("advance", 0.0)] + case["steps"]:
-            now = self.apply(table, now, step)
-            skip_until = table._lapse_at
-            if skip_until is not None and skip_until > now:
-                # A skip cache that outlived the step still has to hold:
-                # nothing lapses before it (cover only ever runs out, so
-                # the last instant before it speaks for all of them).
-                assert ref_refresh_routes(table, skip_until - 0.25)[1] == 0
-            expected, lapsed_levels = ref_refresh_routes(table, now)
+            now, evidence = self.apply(table, now, step)
+            armed = armed or evidence
+            expected, lapsed_levels = ref_refresh_routes(table, now, armed)
             due = table.due(now)
             assert due == expected
             assert len(due) <= min(lapsed_levels, REFRESH_PROBES)
             assert len(set(due)) == len(due)  # at most one per lapsed level
-            if not due:
+            if armed and not due:
                 assert lapsed_levels == 0  # every non-empty level is covered
-            for ref in due:
-                self.probe(table, ref, now, case["refused"])
+            armed = False  # the sweep disarms itself ...
+            for ref in due:  # ... and a refused probe re-arms it
+                armed = self.probe(table, ref, now, case["refused"]) or armed
 
 
 # -- the trusted pick against a filter-then-randrange reference -----------------
@@ -1325,6 +1433,27 @@ class TestScenarioRepair:
         assert dead and dark  # churn is still on when the run ends
         assert repair["dead_refs_final"] == len(dead)
         assert repair["dark_levels_final"] == len(dark)
+
+    def test_a_run_without_suspects_never_sweeps(self, monkeypatch):
+        # No churn and no loss: no timeout and no refused connect, so no
+        # node is ever armed, over a horizon of at least four base
+        # confirm intervals.  References are confirmed by their use.
+        sweeps = []
+        refresh_routes = PGridNode.refresh_routes
+
+        def spy(node):
+            sweeps.append(refresh_routes(node))
+            return sweeps[-1]
+
+        monkeypatch.setattr(PGridNode, "refresh_routes", spy)
+        spec = scenario("uniform-baseline", n_peers=128, seed=5, duration_scale=0.5)
+        report = run_scenario(
+            spec, backend="message", net_config=MessageNetConfig(loss_rate=0.0)
+        )
+        assert report.totals["churn_transitions"] == 0
+        assert report.message_level["repair"]["suspects"] == 0
+        assert report.duration_s >= 4 * CONFIRM_INTERVAL_S
+        assert len(sweeps) >= 4 * 128 and not any(sweeps)
 
     @pytest.mark.parametrize("name", ["paper-sec51-churn", "mass-leave"])
     def test_gossip_carried_refs_survive_structural_invariants(self, name):

@@ -196,7 +196,7 @@ class TestNodeSnapshotRoundTrip:
         for ref in (1, 2, 3):
             tracker.last_confirmed[ref] = sim.now
             tracker.confirm_interval[ref] = CONFIRM_INTERVAL_MAX_S
-        assert node.refresh_routes() == 0  # and the sweep cached that
+        assert node.refresh_routes() == 0  # covered (and nothing armed the sweep)
         node.restore_state(node.snapshot_state())
         assert not tracker.confirm_interval
         assert all(tracker.needs_confirmation(ref, sim.now) for ref in (1, 2, 3))

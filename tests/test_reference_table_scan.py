@@ -1,14 +1,14 @@
 """A wire node's routing state is reached through its table's methods.
 
-``repro.pgrid.liveness.ReferenceTable`` keeps the sweep's skip cache
-valid by resetting it inside every method that can uncover a level.
-That holds only while nothing else writes the state those methods
-guard, so this scan (by text, like ``test_dead_code.py``) fails when
-another file under ``src/`` names the cache field or one of the belief
-dicts.  The map of known paths is one of them: its keys must stay the
-table's references, which only the table's own methods can promise
-(the bootstrap and a sponsored join go through ``bootstrap`` and
-``adopt``).
+``repro.pgrid.liveness.ReferenceTable`` arms its refresh sweep inside
+the methods that take failure evidence (a strike, a restart), and keeps
+its beliefs consistent with its levels.  That holds only while nothing
+else writes the state those methods guard, so this scan (by text, like
+``test_dead_code.py``) fails when another file under ``src/`` names the
+sweep's flag or one of the belief dicts.  The map of known paths is
+one of them: its keys must stay the table's references, which only the
+table's own methods can promise (the bootstrap and a sponsored join go
+through ``bootstrap`` and ``adopt``).
 """
 
 import pathlib
@@ -19,14 +19,14 @@ from repro.scenarios import MessageScenarioRunner, scenario
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 TABLE_MODULE = SRC / "repro" / "pgrid" / "liveness.py"
-CACHE_FIELD = "_lapse_at"
+SWEEP_FLAG = "_armed"
 BELIEF_DICTS = (
     "strikes", "last_confirmed", "confirm_interval", "evicted_at", "ref_paths"
 )
 
 
-def test_the_skip_cache_field_is_named_in_the_tables_module_only():
-    named = [path for path in sorted(SRC.rglob("*.py")) if CACHE_FIELD in path.read_text()]
+def test_the_sweep_flag_is_named_in_the_tables_module_only():
+    named = [path for path in sorted(SRC.rglob("*.py")) if SWEEP_FLAG in path.read_text()]
     assert named == [TABLE_MODULE]
 
 

@@ -65,13 +65,13 @@ def peer_state(peer):
 def beliefs(table):
     return (
         table.strikes, table.last_confirmed,
-        table.confirm_interval, table.evicted_at, table._lapse_at,
+        table.confirm_interval, table.evicted_at, table._armed,
         table.suspects, table.probes, table.evictions, table.replacements,
         table.repair_bytes,
     )
 
 
-NO_BELIEFS = ({}, {}, {}, {}, None, 0, 0, 0, 0, 0)
+NO_BELIEFS = ({}, {}, {}, {}, False, 0, 0, 0, 0, 0)
 
 
 def captured(spec):
