@@ -229,7 +229,7 @@ def check_sec52(report):
              "mean path length"),
         Band("replication factor", report.replication_factor, ">=", 3.0),
         Band("query success, static", report.success_rate_static, ">=", 0.97),
-        Band("query success, churn", report.success_rate_churn, ">=", 0.85),
+        Band("query success, churn", report.success_rate_churn, ">=", 0.95),
     ]
 
 

@@ -45,9 +45,9 @@ What a probe is for
 A level routes as long as *one* reference in it is alive, and a dead
 reference is found for free the moment a send to it is refused
 (correction on use).  So the sweep (:meth:`ReferenceTable.due`, sent
-by ``PGridNode.refresh_routes`` at the maintenance cadence) does not
-keep every reference fresh, and it does not run on a clock: after a
-failure it makes every *level* routable again, and it leaves dead
+by ``PGridNode.refresh_routes`` from the node's own repair step) does
+not keep every reference fresh, and it does not run on a clock: after
+a failure it makes every *level* routable again, and it leaves dead
 spares to be found by use or by rotation.  Four rules, one staleness
 test (:meth:`ReferenceTable.confirmed_until`) behind both probe
 sources, the sweep and use:
@@ -57,7 +57,11 @@ sources, the sweep and use:
    last sweep: a strike (a timeout, a refused or partitioned connect,
    a refused probe's included) or a restart
    (:meth:`ReferenceTable.wipe`, warm or cold).  One piece of evidence
-   arms one sweep.  A node that takes none sends no sweep ``ping``: its
+   arms one sweep, and the node runs it one repair interval later
+   (:attr:`ReferenceTable.step_pending`: one step pending at most, so a
+   burst of strikes sweeps once, and each node's sweep leaves when its
+   own evidence says, not with every other node's at a global tick).
+   A node that takes none sends no sweep ``ping``: its
    references are confirmed by the connects of their use (rule 4), and
    a dead one is found when a use of it is refused.  An armed sweep
    probes a level only when nothing in it is *covered* -- unsuspected,
@@ -227,6 +231,10 @@ REFRESH_PROBES = 8
 #: Candidate references gossiped per routing level on every
 #: anti-entropy exchange and every ``pong``.
 GOSSIP_REFS = 2
+#: Seconds between the owner's repair steps unless its runner sets them
+#: (every node of the experiment driver): the library's steady-phase
+#: maintenance interval.
+REPAIR_INTERVAL_S = 120.0
 #: Seconds during which gossip may not re-install a reference this
 #: node just evicted (a negative cache: peers that have not noticed
 #: the death yet keep gossiping it; direct traffic from the
@@ -251,7 +259,7 @@ class ReferenceTable(RoutingTable):
 
     Counters (``suspects``, ``probes``, ``evictions``, ``replacements``,
     ``repair_bytes``) feed the scenario report's ``message_level.repair``
-    section.
+    section, and ``refills`` its ``repairs`` total.
     """
 
     def __init__(self, owner: int, max_refs_per_level: int):
@@ -281,12 +289,20 @@ class ReferenceTable(RoutingTable):
         #: Failure evidence taken since the last sweep (a strike or a
         #: restart): the only thing that lets :meth:`due` probe.
         self._armed = False
+        #: The owner's repair step (``PGridNode``): seconds between steps
+        #: (``None``: no node repair; the scenario runner writes its
+        #: phase's maintenance interval), and whether one is scheduled.
+        #: Neither is a belief, so a restart keeps both.
+        self.repair_interval: Optional[float] = REPAIR_INTERVAL_S
+        self.step_pending = False
         # -- counters ------------------------------------------------------
         self.suspects = 0
         self.probes = 0
         self.evictions = 0
         self.replacements = 0
         self.repair_bytes = 0
+        #: Exchanges the owner started because a level of its path was empty.
+        self.refills = 0
 
     # -- the levels ----------------------------------------------------------
 

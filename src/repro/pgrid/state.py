@@ -75,8 +75,9 @@ Restoring a snapshot makes the peer *operational*, not *trusted*:
    :meth:`~repro.pgrid.liveness.ReferenceTable.needs_confirmation` is
    immediately true.  Every level has therefore lapsed, and the
    restart is failure evidence that arms the sweep
-   (:meth:`~repro.pgrid.liveness.ReferenceTable.wipe`): the next
-   ``refresh_routes`` pass probes one reference per level, each
+   (:meth:`~repro.pgrid.liveness.ReferenceTable.wipe`), which the
+   return online schedules: the node's repair step one interval later
+   (``refresh_routes``) probes one reference per level, each
    confirmed or struck by its ``ping``'s connect, and a spare is
    confirmed by the accepted connect of its first use (struck by a
    refused one) instead of being trusted blindly -- or, while the node

@@ -27,16 +27,14 @@ How phases compile here
   replicas learn about the newcomer through ordinary anti-entropy
   exchanges, never by fiat.
 * **Maintenance** ticks make a fixed fraction of online nodes
-  (:data:`MAINTENANCE_FRACTION`) initiate one protocol exchange
-  (anti-entropy with a replica, or a
-  random peer when a node knows none), so repair traffic is real
-  messages, unlike the data-plane backend's nominal byte model.  The
-  tick also runs each node's stale-reference refresh probes
-  (:mod:`repro.pgrid.liveness`: a ``ping`` each, decided by its
-  connect, with no reply awaited) and lets route-deficient nodes (an
-  emptied level) initiate an extra exchange -- gossip on exchanges and
-  on the ``pong`` a short node's ``ping`` asks for is how evicted
-  references get replaced.
+  (:data:`MAINTENANCE_FRACTION`) initiate one protocol exchange, with
+  the partner each picks from its own beliefs
+  (:meth:`~repro.simnet.node.PGridNode.exchange_partner`), so repair
+  traffic is real messages, unlike the data-plane backend's nominal
+  byte model.  Route repair is the nodes' own: each phase hands its
+  ``maintenance_interval_s`` to every node as it starts, and a node
+  sweeps that long after a strike or restart and refills an emptied
+  level at once (:mod:`repro.simnet.node`, "repair").
 
 The overlay starts as the ideal overlay the data-plane backend
 starts from (scenarios stress *operation*, not construction; for
@@ -59,6 +57,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from .._util import make_rng, mean, sample_online
@@ -85,7 +84,8 @@ __all__ = [
 #: ``(retries + 1)`` window of it, so every issued operation resolves.
 QUERY_TIMEOUT_S = 30.0
 #: Fraction of online nodes initiating one anti-entropy exchange per
-#: maintenance tick.
+#: maintenance tick: sampled anti-entropy only, since each node repairs
+#: its own routes.
 MAINTENANCE_FRACTION = 0.05
 
 
@@ -164,6 +164,12 @@ class MessageScenarioRunner(ScenarioRunnerBase):
 
     def _setup(self, peer_keys, build_rng) -> None:
         spec, cfg, sim = self.spec, self.net_config, self.simulator
+        # Each phase hands its maintenance interval to the nodes: the
+        # first at spawn, a later one as it starts, before the phase's
+        # own start event (whose joiners take it at spawn).
+        self._repair_interval = spec.phases[0].maintenance_interval_s
+        for phase, (start, _) in list(zip(spec.phases, spec.boundaries()))[1:]:
+            sim.schedule(start, partial(self._hand_interval, phase.maintenance_interval_s))
         # The transport writes every wire byte into the run's ledger.
         self.transport = Network(
             sim,
@@ -264,12 +270,18 @@ class MessageScenarioRunner(ScenarioRunnerBase):
             rng=make_rng(self._node_seed_rng.randrange(2**31)),
         )
         node.joined = True
+        node.liveness.repair_interval = self._repair_interval
         (
             node.on_query_done, node.on_range_done, node.on_write_done, node.on_cache_hit
         ) = self._observers
         self.nodes[pid] = node
         self._node_tuple = None
         return node
+
+    def _hand_interval(self, interval: Optional[float]) -> None:
+        self._repair_interval = interval
+        for node in self.nodes.values():
+            node.liveness.repair_interval = interval
 
     def _population(self):
         return self.nodes
@@ -313,6 +325,7 @@ class MessageScenarioRunner(ScenarioRunnerBase):
             {"keys": sorted(keys)},
             n_keys=len(keys),
         )
+        node.refill_routes()  # the sponsor's table may have an empty level
 
     # -- persistence & recovery (pgrid.state) --------------------------------
 
@@ -379,46 +392,15 @@ class MessageScenarioRunner(ScenarioRunnerBase):
         if len(online) < 2:
             return
         count = max(1, int(round(MAINTENANCE_FRACTION * len(online))))
-        initiators = set(rng.sample(online, min(count, len(online))))
-        exchanges = 0
-        for pid in sorted(initiators):
+        for pid in sorted(rng.sample(online, min(count, len(online)))):
             node = self.nodes[pid]
-            partner = self._pick_partner(node, rng)
+            partner = node.exchange_partner(rng)
             if partner is not None:
                 node.initiate_exchange(partner)
-                exchanges += 1
-        for pid in online:
-            node = self.nodes[pid]
-            # Route repair after evidence: a node that took a strike or
-            # restarted since its last sweep probes the stalest
-            # reference of each lapsed level (bounded per tick), so the
-            # dead ones near a failure are found by maintenance instead
-            # of each costing a query its timeout; a quiet node sends
-            # nothing.
-            node.refresh_routes()
-            # Route-deficient nodes (an empty level means some keys are
-            # unreachable -- e.g. after an outage evicted a whole
-            # region) ask for anti-entropy *now*: exchange gossip is how
-            # replacements travel, and waiting for the sampled cadence
-            # would leave them dark for ticks.
-            if pid in initiators or not node.liveness.thin(node.path.length, 1):
-                continue  # every level populated: not deficient
-            partner = self._pick_partner(node, rng)
-            if partner is not None:
-                node.initiate_exchange(partner)
-                exchanges += 1
-        # For this backend "repairs" counts initiated anti-entropy
-        # exchanges; bytes are accounted by the transport, not here.
-        tally.repairs += exchanges
-
-    def _pick_partner(self, node: PGridNode, rng) -> Optional[int]:
-        known = sorted(r for r in node.replicas if r in self.nodes)
-        if known:
-            return known[rng.randrange(len(known))]
-        others = [pid for pid in sorted(self.nodes) if pid != node.node_id]
-        if not others:
-            return None
-        return others[rng.randrange(len(others))]
+                # For this backend "repairs" counts initiated anti-entropy
+                # exchanges (with the nodes' own refills, added at the
+                # end); bytes are accounted by the transport, not here.
+                tally.repairs += 1
 
     def _set_partitions(self, groups: List[List[int]]) -> None:
         # A real cut: the transport refuses messages crossing region
@@ -587,6 +569,7 @@ class MessageScenarioRunner(ScenarioRunnerBase):
     # -- run wiring --------------------------------------------------------
 
     def _finish(self, tally: _Tally) -> None:
+        self._hand_interval(None)  # the drain is no phase: no node repair
         # Let in-flight queries resolve: every pending query is bounded
         # by (retries + 1) timeout windows.  All phase generators have
         # stopped (they check phase end), so only completions run.
@@ -606,6 +589,7 @@ class MessageScenarioRunner(ScenarioRunnerBase):
         # What the observers added up per operation is the origin's
         # estimate; the report's message total is the transport's count.
         tally.messages = self.transport.messages_sent
+        tally.repairs += sum(node.liveness.refills for node in self.nodes.values())
 
     # -- assembly hooks ----------------------------------------------------
 

@@ -35,6 +35,7 @@ from repro.pgrid.liveness import (
     CONFIRM_INTERVAL_S,
     EVICT_AFTER,
     REFRESH_PROBES,
+    REPAIR_INTERVAL_S,
     ReferenceTable,
     repair_routes,
 )
@@ -381,7 +382,7 @@ class TestWireEvidence:
         assert tracker.evictions == 1
         assert node.routing == {0: [2], 1: [1]}
         # Level 0 is still unconfirmed; the refused connect armed the
-        # following tick, which probes 2.
+        # following sweep, which probes 2.
         assert node.refresh_routes() == 1
         assert tracker.last_confirmed[2] == 195.0
         assert node.refresh_routes() == 0  # every level covered again
@@ -564,7 +565,10 @@ class TestConnectIsTheVerdict:
         assert [(s, d, k) for s, d, k, _ in sent] == [(0, 3, P.PING)] * EVICT_AFTER
         assert all(3 not in refs for refs in node.routing.values())
         assert (table.suspects, table.evictions) == (1, 1)
-        assert not table.suspected(3) and sim.pending == pending
+        # No probe arms a timer: the one new event is the repair step
+        # the strike scheduled (its sweep, an interval later).
+        assert not table.suspected(3) and sim.pending == pending + 1
+        assert table.step_pending
 
     @pytest.mark.parametrize("use", ["ping", "forward"])
     def test_a_lost_message_confirms(self, use):
@@ -672,11 +676,14 @@ class TestWantBoundedByTheReferencesLevel:
         sent = record_sends(net)
         assert node.refresh_routes() == 2
         # Level 0 first: its refused probes evict 3 and leave the level
-        # empty before level 1's ping goes out, so that ping asks.
-        assert [(d, k, p) for _, d, k, p in sent] == [
-            (3, P.PING, {"want": False}),
-            (3, P.PING, {"want": False}),
-            (1, P.PING, {"want": True}),
+        # empty before level 1's ping goes out, so that ping asks.  (The
+        # emptied level also sends its refill exchange at once, to the
+        # reference at the deepest level: node 0 has no replica.)
+        assert [(d, k, p.get("want")) for _, d, k, p in sent] == [
+            (3, P.PING, False),
+            (3, P.PING, False),
+            (1, P.EXCHANGE_REQ, None),
+            (1, P.PING, True),
         ]
         sim.run_until(71.0)
         assert table.evictions == 1 and table.replacements == 1
@@ -687,24 +694,29 @@ class TestSweepNeedsEvidence:
     """The sweep probes only after the node took failure evidence since
     its last sweep -- a strike (a timeout, a refused or partitioned
     connect, a refused probe) or a restart -- and one piece of evidence
-    arms one sweep."""
+    arms one sweep, which the node's own repair step runs one interval
+    (:data:`~repro.pgrid.liveness.REPAIR_INTERVAL_S`) later."""
 
     @staticmethod
-    def sweeps(sim, nodes, until, every=60.0):
-        """What the sweeps of ``nodes`` probe, one maintenance tick every
-        ``every`` s from now to ``until``: per tick, per node."""
-        probed = []
-        while sim.now + every <= until:
-            sim.run_until(sim.now + every)
-            probed.append([node.refresh_routes() for node in nodes])
-        return probed
+    def sweeps(nodes):
+        """``(time, node, probes)`` of every sweep ``nodes`` run from now."""
+        ran = []
+        for node in nodes:
+            refresh = node.refresh_routes
+
+            def spy(node=node, refresh=refresh):
+                ran.append((node.sim.now, node.node_id, refresh()))
+                return ran[-1][2]
+
+            node.refresh_routes = spy
+        return ran
 
     def test_a_node_that_takes_no_strike_sends_no_sweep_ping(self):
         sim, net, nodes = build_wire(QUADRANTS)
         sent = record_sends(net)
-        probed = self.sweeps(sim, nodes, 2000.0)
-        assert len(probed) == 33 and not any(map(any, probed))
-        assert sent == []
+        ran = self.sweeps(nodes)
+        sim.run_until(2000.0)
+        assert ran == [] and sent == []
         # Not for want of lapses: no reference was ever confirmed.
         assert all(
             node.liveness.needs_confirmation(ref, sim.now)
@@ -715,32 +727,40 @@ class TestSweepNeedsEvidence:
         sim, net, nodes = build_wire(QUADRANTS)
         node, table = nodes[0], nodes[0].liveness
         nodes[3].online = False
+        ran = self.sweeps([node])
         sim.run_until(70.0)
-        assert node.refresh_routes() == 0  # lapsed, but nothing armed it
+        assert ran == []  # lapsed, but nothing armed it
         sent = record_sends(net)
         assert node.send(3, P.PING, {"want": False}) == "refused"
         # The refused connect struck 3 and its probe evicted it.
         assert table.evictions == 1 and node.routing == {0: [2], 1: [1]}
         del sent[:]
-        # The next tick sweeps both lapsed levels; none after it does,
-        # though every level lapses again while the horizon runs.
-        assert self.sweeps(sim, [node], 2070.0) == [[2]] + [[0]] * 32
+        # The step an interval later sweeps both lapsed levels; none
+        # follows, though every level lapses again while the horizon runs.
+        sim.run_until(2070.0)
+        assert ran == [(70.0 + REPAIR_INTERVAL_S, 0, 2)]
         assert [(d, k) for s, d, k, _ in sent if s == 0] == [(2, P.PING), (1, P.PING)]
         assert all(table.needs_confirmation(ref, sim.now) for ref in (1, 2))
 
     @pytest.mark.parametrize("restart", ["warm", "cold"])
     def test_a_restart_arms_one_sweep(self, restart):
+        # The restart as the scenario runner drives one: down, then back
+        # warm from a snapshot or cold with its beliefs lost.
         sim, net, nodes = build_wire(QUADRANTS)
         node = nodes[0]
+        ran = self.sweeps([node])
         sim.run_until(70.0)
-        assert node.refresh_routes() == 0
+        snapshot = node.snapshot_state()
+        node.set_online(False)
         if restart == "warm":
-            node.restore_state(node.snapshot_state())
+            node.restore_state(snapshot)
+            node.set_online(True, warm=True)
         else:
+            node.set_online(True)
             node.lose_state()
         # One probe per level, then nothing until the next evidence.
-        assert node.refresh_routes() == 2
-        assert self.sweeps(sim, [node], 2070.0) == [[0]] * 33
+        sim.run_until(2070.0)
+        assert ran == [(70.0 + REPAIR_INTERVAL_S, 0, 2)]
 
 
 # -- gossip placement against the per-level reference --------------------------
@@ -1437,7 +1457,8 @@ class TestScenarioRepair:
     def test_a_run_without_suspects_never_sweeps(self, monkeypatch):
         # No churn and no loss: no timeout and no refused connect, so no
         # node is ever armed, over a horizon of at least four base
-        # confirm intervals.  References are confirmed by their use.
+        # confirm intervals.  References are confirmed by their use, and
+        # no node's repair step even runs the sweep.
         sweeps = []
         refresh_routes = PGridNode.refresh_routes
 
@@ -1453,7 +1474,7 @@ class TestScenarioRepair:
         assert report.totals["churn_transitions"] == 0
         assert report.message_level["repair"]["suspects"] == 0
         assert report.duration_s >= 4 * CONFIRM_INTERVAL_S
-        assert len(sweeps) >= 4 * 128 and not any(sweeps)
+        assert sweeps == []
 
     @pytest.mark.parametrize("name", ["paper-sec51-churn", "mass-leave"])
     def test_gossip_carried_refs_survive_structural_invariants(self, name):
