@@ -36,8 +36,8 @@ from repro.simnet.transport import ConstantLatency, Network
 INTERVAL = 50.0
 
 
-def wire(paths, *, interval=INTERVAL):
-    """One node per path string, with ``interval`` between repair steps;
+def wire(paths):
+    """One node per path string, :data:`INTERVAL` between repair steps;
     replicas (equal paths) and references are wired by the test."""
     sim = Simulator()
     net = Network(sim, latency=ConstantLatency(0.01), loss_rate=0.0, rng=1)
@@ -47,7 +47,7 @@ def wire(paths, *, interval=INTERVAL):
         node.path = Path.from_string(path)
         node.keys = {float_to_key(0.25 if path.startswith("0") else 0.75)}
         node.joined = True
-        node.liveness.repair_interval = interval
+        node.liveness.repair_interval = INTERVAL
         nodes.append(node)
     return sim, net, nodes
 
@@ -274,46 +274,26 @@ class TestRunExperiment:
 
 
 class Tripwire(dict):
-    """The runner's ``nodes`` table, refusing every read while a node
-    event runs."""
+    """The runner's ``nodes`` table, refusing every read while ``armed``
+    (set for the duration of a node repair event)."""
 
     armed = False
 
-    def _check(self):
+
+def _refuse_while_armed(name):
+    read = getattr(dict, name)
+
+    def guarded(self, *args):
         if self.armed:
             raise AssertionError("a node event read the runner's nodes table")
+        return read(self, *args)
 
-    def __getitem__(self, key):
-        self._check()
-        return super().__getitem__(key)
+    return guarded
 
-    def get(self, *args):
-        self._check()
-        return super().get(*args)
 
-    def __contains__(self, key):
-        self._check()
-        return super().__contains__(key)
-
-    def __iter__(self):
-        self._check()
-        return super().__iter__()
-
-    def __len__(self):
-        self._check()
-        return super().__len__()
-
-    def items(self):
-        self._check()
-        return super().items()
-
-    def values(self):
-        self._check()
-        return super().values()
-
-    def keys(self):
-        self._check()
-        return super().keys()
+for _name in ("__getitem__", "get", "__contains__", "__iter__", "__len__",
+              "items", "values", "keys"):
+    setattr(Tripwire, _name, _refuse_while_armed(_name))
 
 
 def test_node_timers_never_read_the_runners_nodes_table(monkeypatch):
