@@ -2,8 +2,9 @@
 """The paper's claims, one row each, checked against this reproduction.
 
 Each row of :data:`CLAIMS` names a figure or table of the paper, the
-claim the repo checks for it, the :mod:`repro.experiments` callable
-that measures it, the bands its measurement must fall in, and two sets
+claim the repo checks for it, the callable that measures it (a
+:mod:`repro.experiments` harness, or :func:`paper_sec52_planetlab` for
+the Sec. 5 rows), the bands its measurement must fall in, and two sets
 of explicit arguments: ``full`` (the paper-scale sizes REPRODUCTION.md
 records) and ``quick`` (reduced sizes at which the same bands hold,
 run by ``tests/test_paper_claims.py`` in tier-1).  Rows with the same
@@ -30,9 +31,12 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 if SRC not in sys.path:
     sys.path.insert(0, SRC)
 
-from repro._util import SEED, mean  # noqa: E402
+from repro._util import SEED, mean, std  # noqa: E402
+from repro.core.deviation import load_balance_deviation  # noqa: E402
+from repro.core.reference import reference_partition  # noqa: E402
 from repro.experiments import ablations, complexity, fig3, fig45, fig6, rangecost  # noqa: E402
-from repro.simnet.experiment import ExperimentConfig, run_experiment  # noqa: E402
+from repro.scenarios import MessageScenarioRunner, library  # noqa: E402
+from repro.scenarios.message_runner import JOIN_END, REPLICATE_END  # noqa: E402
 
 OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
        "==": operator.eq}
@@ -175,41 +179,87 @@ def check_fig6f(fig):
     ]
 
 
-def check_fig7(report):
-    config = report.config
-    pop = dict(report.population)
-    plateau_t = (config.construct_start + config.query_start) / 2
+class Sec5(NamedTuple):
+    """The Sec. 5 run: its spec and report, what its nodes show at the
+    end, and the Fig. 9 latency windows of their queries."""
+
+    spec: object
+    report: object
+    deviation: float
+    mean_path_length: float
+    replication_factor: float
+    latency: List[tuple]  # (minute, mean, std) over 10-bin windows
+
+
+def paper_sec52_planetlab(n_peers, seed, duration_scale) -> Sec5:
+    """Run the ``paper-sec52-planetlab`` scenario on the wire."""
+    spec = library.paper_sec52_planetlab(n_peers, seed=seed, duration_scale=duration_scale)
+    runner = MessageScenarioRunner(spec)
+    report = runner.run()
+    nodes = [runner.nodes[pid] for pid in sorted(runner.nodes)]
+    paths = [node.path for node in nodes]
+    keys = sorted({k for node in nodes for k in node.original_keys})
+    reference = reference_partition(keys, n_peers, d_max=spec.d_max, n_min=spec.n_min)
+    by_bin: Dict[int, List[float]] = {}
+    for node in nodes:
+        for out in node.query_results:
+            if out.success:
+                by_bin.setdefault(int(out.issued_at // spec.report_bin_s), []).append(out.latency)
+    latency = []
+    for b in sorted(by_bin):
+        window = [x for w in range(b - 9, b + 1) for x in by_bin.get(w, ())]
+        latency.append((b * spec.report_bin_s / 60.0, mean(window), std(window)))
+    return Sec5(spec, report, load_balance_deviation(paths, reference),
+                mean(p.length for p in paths), len(paths) / len(set(paths)), latency)
+
+
+def _timeline(run):
+    """Minutes where joins end, construction starts, queries start and
+    churn starts, from the spec's phase boundaries."""
+    (_, query), (_, churn), _ = run.spec.boundaries()
+    return JOIN_END * query / 60, REPLICATE_END * query / 60, query / 60, churn / 60
+
+
+def _column(run, name):
+    """``{minute: value}`` of one report series column (sampled bins)."""
+    return {row["minute"]: row[name] for row in run.report.series if row[name] is not None}
+
+
+def check_fig7(run):
+    join_end, construct_start, query_start, churn_start = _timeline(run)
+    pop = _column(run, "online")
+    plateau_t = (construct_start + query_start) / 2
     plateau = max(c for m, c in pop.items() if abs(m - plateau_t) < 30)
-    early = min(c for m, c in pop.items() if m <= config.join_end / 4)
-    churn_min = min(c for m, c in pop.items() if m > config.churn_start + 2)
+    early = min(c for m, c in pop.items() if m <= join_end / 4)
+    churn_min = min(c for m, c in pop.items() if m > churn_start + 2)
     return [
-        Band("plateau population", plateau, "==", config.peers, "peers"),
+        Band("plateau population", plateau, "==", run.spec.n_peers, "peers"),
         Band("early population", early, "<", plateau, "plateau"),
         Band("min population under churn", churn_min, "<", plateau, "plateau"),
     ]
 
 
-def check_fig8(report):
-    config = report.config
-    maint = dict(report.maintenance_bandwidth)
+def check_fig8(run):
+    _, construct_start, query_start, _ = _timeline(run)
+    maint = _column(run, "maint_Bps")
     construction = [bps for m, bps in maint.items()
-                    if config.construct_start < m <= config.query_start]
-    late = [bps for m, bps in maint.items() if m > config.query_start + 10]
-    query = dict(report.query_bandwidth)
+                    if construct_start < m <= query_start]
+    late = [bps for m, bps in maint.items() if m > query_start + 10]
+    query = _column(run, "query_Bps")
     return [
         Band("peak construction maintenance Bps", max(construction), ">",
              4 * (max(late) if late else 1.0), "4 × peak maintenance Bps after queries"),
         Band("query bytes in the query phase",
-             sum(bps for m, bps in query.items() if m > config.query_start), ">",
-             sum(bps for m, bps in query.items() if m <= config.query_start), "before it"),
+             sum(bps for m, bps in query.items() if m > query_start), ">",
+             sum(bps for m, bps in query.items() if m <= query_start), "before it"),
     ]
 
 
-def check_fig9(report):
-    config = report.config
-    static = [(avg, sd) for m, avg, sd in report.latency
-              if config.query_start < m <= config.churn_start]
-    churn = [(avg, sd) for m, avg, sd in report.latency if m > config.churn_start + 3]
+def check_fig9(run):
+    _, _, query_start, churn_start = _timeline(run)
+    static = [(avg, sd) for m, avg, sd in run.latency
+              if query_start < m <= churn_start]
+    churn = [(avg, sd) for m, avg, sd in run.latency if m > churn_start + 3]
     return [
         Band("latency samples in the sparser phase", min(len(static), len(churn)), ">=", 1),
         Band("churn mean latency", _avg(a for a, _ in churn), ">=",
@@ -219,17 +269,18 @@ def check_fig9(report):
     ]
 
 
-def check_sec52(report):
+def check_sec52(run):
+    _, query, churn = run.report.phases
+    hops = run.report.totals["mean_hops"]
     return [
-        Band("load-balance deviation", report.deviation, "<", 0.8),
-        Band("mean path length", report.mean_path_length, ">=", 2.0),
-        Band("mean path length", report.mean_path_length, "<=", 9.0),
-        Band("mean query hops", report.mean_query_hops, ">=", 1.0),
-        Band("mean query hops", report.mean_query_hops, "<=", report.mean_path_length,
-             "mean path length"),
-        Band("replication factor", report.replication_factor, ">=", 3.0),
-        Band("query success, static", report.success_rate_static, ">=", 0.97),
-        Band("query success, churn", report.success_rate_churn, ">=", 0.95),
+        Band("load-balance deviation", run.deviation, "<", 0.8),
+        Band("mean path length", run.mean_path_length, ">=", 2.0),
+        Band("mean path length", run.mean_path_length, "<=", 9.0),
+        Band("mean query hops", hops, ">=", 1.0),
+        Band("mean query hops", hops, "<=", run.mean_path_length, "mean path length"),
+        Band("replication factor", run.replication_factor, ">=", 3.0),
+        Band("query success, static", query["success_rate"], ">=", 0.97),
+        Band("query success, churn", churn["success_rate"], ">=", 0.95),
     ]
 
 
@@ -272,8 +323,8 @@ FIG6_FULL = dict(populations=(256, 512, 1024), n=256, n_mins=(5, 10, 15, 20, 25)
                  factors=(10.0, 20.0, 30.0), reps=2, seed=SEED)
 FIG6_QUICK = dict(populations=(64, 128, 256), n=128, n_mins=(5, 10, 15, 20, 25),
                   factors=(10.0, 20.0, 30.0), reps=1, seed=SEED)
-SYSTEM_FULL = dict(config=ExperimentConfig(peers=296, seed=SEED))
-SYSTEM_QUICK = dict(config=ExperimentConfig.compressed(peers=80, seed=SEED))
+SYSTEM_FULL = dict(n_peers=296, seed=SEED, duration_scale=1.0)
+SYSTEM_QUICK = dict(n_peers=80, seed=SEED, duration_scale=110 / 525)
 
 CLAIMS = [
     Claim("fig3", "Fig. 3",
@@ -316,20 +367,20 @@ CLAIMS = [
     Claim("fig7", "Fig. 7",
           "the population ramps up during the join phase, every peer participates on the "
           "plateau, and churn makes a visible dip",
-          run_experiment, check_fig7, SYSTEM_FULL, SYSTEM_QUICK),
+          paper_sec52_planetlab, check_fig7, SYSTEM_FULL, SYSTEM_QUICK),
     Claim("fig8", "Fig. 8",
           "maintenance traffic peaks during construction and decays afterwards; query "
           "traffic belongs to the query phase",
-          run_experiment, check_fig8, SYSTEM_FULL, SYSTEM_QUICK),
+          paper_sec52_planetlab, check_fig8, SYSTEM_FULL, SYSTEM_QUICK),
     Claim("fig9", "Fig. 9",
           "churn does not make queries faster and widens the latency spread (offline "
           "peers force retries)",
-          run_experiment, check_fig9, SYSTEM_FULL, SYSTEM_QUICK),
+          paper_sec52_planetlab, check_fig9, SYSTEM_FULL, SYSTEM_QUICK),
     Claim("sec5.2", "Sec. 5.2 statistics",
           "paper: deviation 0.39 (simulation 0.38), mean path length slightly below 6, "
           "~3 query hops, replication factor 5, query success 95-100% even under churn; "
           "the bands are loose because the substrate is a simulator, not PlanetLab",
-          run_experiment, check_sec52, SYSTEM_FULL, SYSTEM_QUICK),
+          paper_sec52_planetlab, check_sec52, SYSTEM_FULL, SYSTEM_QUICK),
     Claim("correction", "Ablation of Eqs. (9)/(10)",
           "at the paper's m = 10 and above the bias correction beats plain AEP, and the "
           "uncorrected bias shrinks with the sample size m (p = 0.4)",
@@ -395,7 +446,8 @@ def main() -> int:
     print("\n| run | full arguments |\n|---|---|")
     for run, args, _ in runs:
         arguments = ", ".join(f"{name}={value!r}" for name, value in args.items())
-        print(f"| `{run.__module__}.{run.__name__}` | `{arguments}` |")
+        module = "paper_claims" if run.__module__ == "__main__" else run.__module__
+        print(f"| `{module}.{run.__name__}` | `{arguments}` |")
     return int(any(not band.ok for _, bands in verdicts for band in bands))
 
 

@@ -18,9 +18,9 @@ the same spec on either backend:
   route-repair counters in ``report.message_level`` (see
   :mod:`repro.pgrid.liveness`).
 
-For the full message-level five-phase deployment (join/replicate/
-construct/query/churn with construction itself on the simulated wire),
-see :func:`repro.simnet.experiment.run_experiment`.
+For the paper's full Sec. 5 deployment (join/replicate/construct/
+query/churn with construction itself on the simulated wire), run the
+``paper-sec52-planetlab`` scenario on the message backend.
 """
 
 from repro.scenarios import run_scenario, scenario

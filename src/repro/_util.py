@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from typing import Union
 
-from .exceptions import DomainError, SimulationError
+from .exceptions import DomainError
 
 RngLike = Union[random.Random, int, None]
 
@@ -58,18 +58,6 @@ def sample_online(items, is_online, rand, probes: int = 8):
     if not online:
         return None
     return online[rand.randrange(len(online))]
-
-
-def ensure_monotonic(times, what: str = "phases") -> None:
-    """Validate that ``times`` is non-decreasing (a sane phase timeline).
-
-    Used by :meth:`repro.simnet.experiment.ExperimentConfig.validate`;
-    raises :class:`~repro.exceptions.SimulationError` on the first
-    inversion.  A NaN time compares false both ways and counts as one.
-    """
-    times = list(times)
-    if not all(a <= b for a, b in zip(times, times[1:])):
-        raise SimulationError(f"{what} out of order: {times}")
 
 
 def check_probability(value: float, name: str = "p") -> float:

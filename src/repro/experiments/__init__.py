@@ -13,8 +13,9 @@ REPRODUCTION.md records the verdicts:
 ``ablations``    sample size / correction ablations
 ===============  ==================================================
 
-Figs. 7-9 and the Sec. 5.2 statistics come from one
-:func:`repro.simnet.experiment.run_experiment`.  Sizes, repetitions and
+Figs. 7-9 and the Sec. 5.2 statistics come from one run of the
+``paper-sec52-planetlab`` scenario (:mod:`repro.scenarios.library`) on
+the message backend.  Sizes, repetitions and
 seeds are explicit arguments; the claims table passes the paper's.
 """
 

@@ -32,12 +32,13 @@ This package turns the repo's stress ingredients -- churn processes
     message/bandwidth totals, per-peer load imbalance and replication
     health over time, with byte-stable JSON for golden-trace testing.
 ``library``
-    Eighteen named scenarios (uniform-baseline, pareto-hotspot,
-    flash-crowd, mass-join, mass-leave, paper-sec51-churn,
-    regional-outage, correlated-churn, the write workloads
-    read-write-balanced, write-hotspot-adversarial and
-    asymmetric-partition-writes, the persistence/restart
-    scenarios restart-storm, rolling-deploy and
+    Nineteen named scenarios (uniform-baseline, pareto-hotspot,
+    flash-crowd, mass-join, mass-leave, paper-sec51-churn, the
+    paper's Sec. 5 timeline paper-sec52-planetlab, which constructs
+    the overlay from nothing (``Phase.construct``), regional-outage,
+    correlated-churn, the write workloads read-write-balanced,
+    write-hotspot-adversarial and asymmetric-partition-writes, the
+    persistence/restart scenarios restart-storm, rolling-deploy and
     datacenter-power-cycle, the serving-layer scenarios
     zipf-serving and cache-coherence-storm, plus the
     multi-dimensional scenarios geo-box-serving and

@@ -367,8 +367,10 @@ class ScenarioRunnerBase:
         boundaries = spec.boundaries()
         total_end = spec.duration_s
 
-        # Join id allocation shared by all phase closures.
-        self._alloc_id = count(max(self._population(), default=-1) + 1).__next__
+        # Join id allocation shared by all phase closures: the initial
+        # population holds ids 0 .. n_peers - 1 (a construct phase
+        # spawns them over its join window).
+        self._alloc_id = count(spec.n_peers).__next__
 
         # -- per-phase compilation ----------------------------------------
         for idx, (phase, (start, end)) in enumerate(zip(spec.phases, boundaries)):

@@ -1,6 +1,6 @@
 """Named, ready-to-run stress scenarios (the ISSUE-2 library).
 
-Eighteen scenarios cover the stress axes of the paper's evaluation and
+Nineteen scenarios cover the stress axes of the paper's evaluation and
 the ROADMAP's "as many scenarios as you can imagine" ambition:
 
 ==================  ====================================================
@@ -19,6 +19,11 @@ the ROADMAP's "as many scenarios as you can imagine" ambition:
 ``paper-sec51-churn`` the paper's Sec. 5.1 schedule: every peer offline
                       1-5 minutes every 5-10 minutes, with periodic
                       repair -- the query-success-under-churn headline
+``paper-sec52-planetlab``  the paper's Sec. 5 deployment: the overlay
+                      is constructed from nothing over the wire, then
+                      queried, then churned -- the run Figs. 7-9 and
+                      the Sec. 5.2 statistics are read off (296 peers
+                      by default)
 ``regional-outage``   a 20% region is cut off for five minutes, then
                       heals -- on the message backend a true transport
                       partition driving the route-repair machinery
@@ -70,7 +75,8 @@ the ROADMAP's "as many scenarios as you can imagine" ambition:
                       mid-storm
 ==================  ====================================================
 
-Every factory takes ``n_peers`` (default 4096, the ROADMAP scale point),
+Every factory takes ``n_peers`` (default 4096, the ROADMAP scale point;
+296, the paper's deployment, for ``paper-sec52-planetlab``),
 ``seed`` and ``duration_scale`` (time-dilates the whole scenario; CI
 uses ~0.25).  ``scenario(name, ...)`` looks factories up by name;
 ``SCENARIOS`` is the registry that ``benchmarks/bench_scenarios.py``
@@ -106,6 +112,7 @@ __all__ = [
     "mass_join",
     "mass_leave",
     "paper_sec51_churn",
+    "paper_sec52_planetlab",
     "regional_outage",
     "correlated_churn",
     "read_write_balanced",
@@ -261,6 +268,46 @@ def paper_sec51_churn(
         n_peers,
         seed,
         duration_scale,
+    )
+
+
+def paper_sec52_planetlab(
+    n_peers: int = 296, *, seed: int = 20050830, duration_scale: float = 1.0
+) -> ScenarioSpec:
+    """The paper's Sec. 5 PlanetLab timeline, the run behind Figs. 7-9.
+
+    300 minutes build the overlay from nothing over the wire (joins,
+    replication, then the Fig. 2 interactions), 175 minutes of point
+    queries follow -- one per peer every 1-2 minutes -- and the last 50
+    minutes add the Sec. 5.1 churn.  Ten ``"A"`` keys per peer,
+    ``n_min`` 5 and ``d_max`` 50 as in the deployment; 296 peers.
+    """
+    queries = dict(
+        query_rate=n_peers / 90.0,
+        mix=QueryMix(point_weight=1.0, range_weight=0.0),
+        maintenance_interval_s=120.0,
+    )
+    return _build(
+        "paper-sec52-planetlab",
+        [
+            Phase(
+                name="construct",
+                duration_s=300 * 60.0,
+                query_rate=0.0,
+                maintenance_interval_s=120.0,
+                construct=True,
+            ),
+            Phase(name="query", duration_s=175 * 60.0, **queries),
+            Phase(name="churn", duration_s=50 * 60.0, churn=ChurnSpec(), **queries),
+        ],
+        n_peers,
+        seed,
+        duration_scale,
+        keys_per_peer=10,
+        distribution="A",
+        d_max=50.0,
+        n_min=5,
+        query_retries=4,
     )
 
 
@@ -814,6 +861,7 @@ SCENARIOS: Dict[str, Callable[..., ScenarioSpec]] = {
     "mass-join": mass_join,
     "mass-leave": mass_leave,
     "paper-sec51-churn": paper_sec51_churn,
+    "paper-sec52-planetlab": paper_sec52_planetlab,
     "regional-outage": regional_outage,
     "correlated-churn": correlated_churn,
     "read-write-balanced": read_write_balanced,

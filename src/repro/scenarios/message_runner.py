@@ -37,14 +37,14 @@ How phases compile here
   level at once (:mod:`repro.simnet.node`, "repair").
 
 The overlay starts as the ideal overlay the data-plane backend
-starts from (scenarios stress *operation*, not construction; for
-construction-over-the-wire see :mod:`repro.simnet.experiment`).  The
-nodes are spawned straight from the two steps
+starts from.  The nodes are spawned straight from the two steps
 :meth:`~repro.pgrid.network.PGridNetwork.ideal` takes over the same keys
 and build stream -- Algorithm 1's layout
 (:func:`~repro.pgrid.network.ideal_layout`) and the reference draw
 (:func:`~repro.pgrid.network.draw_references`) -- so no
 :class:`~repro.pgrid.network.PGridNetwork` is built and copied first.
+A first phase with ``construct`` set starts from nothing instead and
+runs the paper's Sec. 5 timeline over the wire (:data:`JOIN_END`).
 
 Determinism: the backend derives two extra RNG streams (transport,
 per-node seeds) *after* the six shared ones, and all bookkeeping uses
@@ -68,6 +68,7 @@ from ..pgrid.state import DurabilityPolicy
 from ..pgrid.routing import RoutingTable
 from ..simnet import protocol as P
 from ..simnet.node import NodeConfig, PGridNode, QueryOutcome
+from ..simnet.topology import UnstructuredOverlay
 from ..simnet.transport import LatencyModel, LogNormalLatency, Network
 from ..workloads.queries import POINT, QuerySampler
 from .base import ScenarioRunnerBase, _Tally
@@ -87,6 +88,16 @@ QUERY_TIMEOUT_S = 30.0
 #: maintenance tick: sampled anti-entropy only, since each node repairs
 #: its own routes.
 MAINTENANCE_FRACTION = 0.05
+#: A construct phase's timeline, as fractions of the phase (the paper's
+#: 300 minutes): every peer but the bootstrap, node 0, joins at a
+#: uniform instant before ``JOIN_END``, replicates its keys at one
+#: before ``REPLICATE_END``, and from then to the phase end the nodes
+#: run the Fig. 2 interactions.
+JOIN_END = 75 / 300
+REPLICATE_END = 100 / 300
+#: Seconds after which a peer asks the bootstrap to join again, until
+#: the reply has arrived.
+JOIN_RETRY_S = 45.0
 
 
 @dataclass
@@ -200,38 +211,10 @@ class MessageScenarioRunner(ScenarioRunnerBase):
         self._observers = (
             self._query_done, self._range_done, self._write_done, self._audit_cache_hit
         )
-        # The ideal overlay, spawned straight into nodes: Algorithm 1's
-        # layout and the reference draw, the two steps PGridNetwork.ideal
-        # takes over the same keys and build stream.  Ids count up from 0
-        # in key order, and each leaf's nodes are each other's replicas.
-        layout = ideal_layout(
-            [k for keys in peer_keys for k in keys],
-            spec.n_peers,
-            d_max=spec.d_max,
-            n_min=spec.n_min,
-        )
-        paths = [path for path, _, count in layout for _ in range(count)]
-        drawn = draw_references(
-            list(enumerate(paths)), rng=build_rng, max_refs=spec.max_refs
-        )
-        first = 0
-        for path, leaf_keys, count in layout:
-            ids = range(first, first + count)
-            group = set(ids)
-            # One immutable key set per leaf, shared by its replicas; each
-            # node's own ``keys`` is its own set.
-            original = frozenset(leaf_keys)
-            for pid in ids:
-                node = self._spawn_node(pid)
-                node.path = path
-                node.keys = set(leaf_keys)
-                node.original_keys = original
-                node.replicas = group - {pid}
-                # The table is fresh, so it takes the drawn levels as
-                # they are, without a copy, and its references' paths
-                # from the blueprint.
-                node.liveness.bootstrap(drawn[pid], paths)
-            first = ids.stop
+        if spec.phases[0].construct:
+            self._construct(peer_keys, build_rng)
+        else:
+            self._spawn_ideal(peer_keys, build_rng)
         cache = spec.cache
         if cache is not None and cache.front_ends > 0:
             # Gateway tier: queries enter through a fixed, evenly spaced
@@ -260,6 +243,89 @@ class MessageScenarioRunner(ScenarioRunnerBase):
                     sim.schedule(interval, serving_tick)
 
             sim.schedule(interval, serving_tick)
+
+    def _spawn_ideal(self, peer_keys, build_rng) -> None:
+        """The ideal overlay, spawned straight into nodes: Algorithm 1's
+        layout and the reference draw, the two steps PGridNetwork.ideal
+        takes over the same keys and build stream.  Ids count up from 0
+        in key order, and each leaf's nodes are each other's replicas."""
+        spec = self.spec
+        layout = ideal_layout(
+            [k for keys in peer_keys for k in keys],
+            spec.n_peers,
+            d_max=spec.d_max,
+            n_min=spec.n_min,
+        )
+        paths = [path for path, _, count in layout for _ in range(count)]
+        drawn = draw_references(
+            list(enumerate(paths)), rng=build_rng, max_refs=spec.max_refs
+        )
+        first = 0
+        for path, leaf_keys, count in layout:
+            ids = range(first, first + count)
+            group = set(ids)
+            # One immutable key set per leaf, shared by its replicas; each
+            # node's own ``keys`` is its own set.
+            original = frozenset(leaf_keys)
+            for pid in ids:
+                node = self._spawn_node(pid)
+                node.path = path
+                node.keys = set(leaf_keys)
+                node.original_keys = original
+                node.replicas = group - {pid}
+                # The table is fresh, so it takes the drawn levels as
+                # they are, without a copy, and its references' paths
+                # from the blueprint.
+                node.liveness.bootstrap(drawn[pid], paths)
+            first = ids.stop
+
+    def _construct(self, peer_keys, rng) -> None:
+        """A construct phase (:data:`JOIN_END`): node 0 bootstraps the
+        unstructured overlay, and each peer is spawned with its own drawn
+        keys at the instant it asks to join.  A peer counts in the
+        population from then on, so the report's ``online`` series is
+        the paper's Fig. 7 ramp."""
+        sim, spec = self.simulator, self.spec
+        span = spec.phases[0].duration_s
+        overlay = UnstructuredOverlay()
+        overlay.join(0, rng=rng)
+
+        def join(pid: int) -> None:
+            node = self._spawn_node(pid)
+            node.original_keys = frozenset(peer_keys[pid])
+            node.keys = set(node.original_keys)
+            if pid == 0:
+                node.overlay = overlay
+            else:
+                node.joined = False
+                knock(node)
+
+        def knock(node: PGridNode) -> None:
+            if not node.joined:
+                node.send(0, P.JOIN, {"overlay": overlay})
+                sim.schedule(JOIN_RETRY_S, partial(knock, node))
+
+        def replicate(pid: int) -> None:
+            self.nodes[pid].replicate_keys(spec.n_min - 1)
+
+        def start() -> None:
+            for pid in sorted(self.nodes):
+                self.nodes[pid].start_constructing()
+
+        def stop() -> None:
+            for node in self.nodes.values():
+                node.constructing = False
+
+        join(0)
+        for pid in range(1, len(peer_keys)):
+            sim.schedule(rng.uniform(0.0, JOIN_END * span), partial(join, pid))
+        for pid in range(len(peer_keys)):
+            sim.schedule(
+                rng.uniform(JOIN_END * span, REPLICATE_END * span),
+                partial(replicate, pid),
+            )
+        sim.schedule(REPLICATE_END * span, start)
+        sim.schedule(span, stop)
 
     def _spawn_node(self, pid: int) -> PGridNode:
         node = PGridNode(

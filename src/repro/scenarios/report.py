@@ -80,6 +80,12 @@ class ScenarioReport:
     phases: List[Dict[str, Any]] = field(default_factory=list)
     series: List[Dict[str, Any]] = field(default_factory=list)
     totals: Dict[str, Any] = field(default_factory=dict)
+    #: Per-peer load: ``mean``, ``max``, ``cv`` and ``max_over_mean`` of
+    #: a count per peer that differs by backend.  The data plane counts
+    #: only the peers a point lookup or a write visits; the message
+    #: backend counts every message delivered to the peer, maintenance
+    #: and replies included.  Compare ``max`` and ``max_over_mean``
+    #: within one backend only, never across the two.
     load: Dict[str, Any] = field(default_factory=dict)
     #: Message-level backend section (query latency percentiles,
     #: timeout/retry counts, drop breakdown, in-flight peak, per-link
@@ -176,8 +182,7 @@ class ScenarioReport:
         ]
 
     def summary_rows(self) -> List[Tuple[str, float]]:
-        """Headline numbers as printable rows (mirrors
-        :meth:`repro.simnet.experiment.ExperimentReport.summary_rows`)."""
+        """Headline numbers as printable ``(name, value)`` rows."""
 
         def _f(value) -> float:
             # Undefined aggregates are stored as None (NaN is not valid

@@ -30,10 +30,11 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Set
 
+from ..core.construction import ConstructionConfig
 from ..exceptions import RoutingError
 from ..pgrid.liveness import repair_routes
 from ..pgrid.maintenance import sequential_join
-from ..pgrid.network import PGridNetwork
+from ..pgrid.network import PGridNetwork, build_overlay
 from ..pgrid.replication import anti_entropy_sweep
 from ..pgrid.routing import RoutingTable
 from ..pgrid.serving import RESULT_CAPACITY, ResultCache
@@ -77,16 +78,27 @@ class ScenarioRunner(ScenarioRunnerBase):
 
     def _setup(self, peer_keys, build_rng) -> None:
         spec = self.spec
-        # The ideal (Algorithm 1) overlay; the message backend spawns its
-        # nodes from the same two steps (see PGridNetwork.ideal).
-        self.network = PGridNetwork.ideal(
-            [k for keys in peer_keys for k in keys],
-            spec.n_peers,
-            d_max=spec.d_max,
-            n_min=spec.n_min,
-            max_refs=spec.max_refs,
-            rng=build_rng,
-        )
+        if spec.phases[0].construct:
+            # The paper's parallel construction, run to its end state
+            # before the first event: this backend has no wire to run
+            # it over.
+            self.network = build_overlay(
+                peer_keys,
+                config=ConstructionConfig(n_min=spec.n_min, d_max=spec.d_max),
+                rng=build_rng,
+                max_refs=spec.max_refs,
+            )
+        else:
+            # The ideal (Algorithm 1) overlay; the message backend spawns
+            # its nodes from the same two steps (see PGridNetwork.ideal).
+            self.network = PGridNetwork.ideal(
+                [k for keys in peer_keys for k in keys],
+                spec.n_peers,
+                d_max=spec.d_max,
+                n_min=spec.n_min,
+                max_refs=spec.max_refs,
+                rng=build_rng,
+            )
         cache = self._cache
         if cache is not None and cache.enabled:
             self._dp_cache = ResultCache(cache.result_ttl_s, RESULT_CAPACITY)

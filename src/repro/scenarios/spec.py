@@ -352,6 +352,13 @@ class Phase:
     #: Process-restart regime for this phase (``None`` = no restarts,
     #: the pre-persistence behavior, bit-for-bit).
     restarts: Optional[RestartSpec] = None
+    #: Build the overlay from nothing during this phase (first phase
+    #: only) instead of starting from the ideal one: on the wire every
+    #: peer joins, replicates its keys and runs the Fig. 2 interactions
+    #: until the phase ends (the paper's Sec. 5 timeline, see
+    #: :mod:`repro.scenarios.message_runner`); the data plane starts
+    #: from :func:`~repro.pgrid.network.build_overlay`.
+    construct: bool = False
 
     def validate(self, codec: Optional[KeyCodec] = None) -> None:
         # Finite too: an infinite duration or rate never lets the run end
@@ -480,6 +487,8 @@ class ScenarioSpec:
             raise SimulationError("codec must index at least one dimension")
         for phase in self.phases:
             phase.validate(self.codec)
+        if any(phase.construct for phase in self.phases[1:]):
+            raise SimulationError("only the first phase may construct the overlay")
 
     # -- convenience -------------------------------------------------------
 

@@ -18,10 +18,11 @@ under controlled, reproducible networking conditions:
     P-Grid peers as asynchronous message handlers: replication,
     construction interactions, queries.
 ``stats``
-    Time-binned series: online population, bandwidth by category,
-    query latency -- exactly the series of Figs. 7, 8 and 9.
-``experiment``
-    The five-phase timeline driver reproducing the Sec. 5 deployment.
+    The byte ledger: wire bytes by traffic category and time bin (the
+    bandwidth series of Fig. 8).
+
+The Sec. 5 deployment itself runs as the ``paper-sec52-planetlab``
+scenario (:mod:`repro.scenarios.library`).
 """
 
-from . import churn, engine, experiment, node, protocol, stats, topology, transport  # noqa: F401
+from . import churn, engine, node, protocol, stats, topology, transport  # noqa: F401

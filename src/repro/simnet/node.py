@@ -63,7 +63,11 @@ name beyond the budget moves the instance to a full dict (measured on
 3.11.7: 328 B per instance with 29 names, 1,647 B with 30).  A wire
 node sets 29 names at spawn and writes no other -- the repair step's
 interval and pending flag live on its reference table -- and a restore
-writes a class-default flag only when it changes.
+writes a class-default flag only when it changes.  A node of a
+construct phase (:attr:`repro.scenarios.spec.Phase.construct`) is the
+exception: joining and constructing shadow ``overlay``, ``joined``,
+``constructing`` and ``idle_strikes``, 32 names in all, which only that
+phase's populations pay for.
 ``original_keys`` is the leaf's key set, one immutable ``frozenset``
 shared by every replica the scenario backend spawns into the leaf; a
 rejoin or a restore assigns a new set, never mutates it.
@@ -103,8 +107,8 @@ from .transport import HEADER_BYTES, Message, Network, REF_BYTES
 
 __all__ = ["PGridNode", "NodeConfig", "QueryOutcome"]
 
-# Construction-phase pacing (only :mod:`repro.simnet.experiment` runs
-# this phase, and never gave any of the three a second value).
+# Construction-phase pacing (only a scenario's construct phase runs it,
+# and nothing gives any of the three a second value).
 #: Seconds between a constructing node's interaction attempts: each
 #: delay is uniform in ``[0.2, 1.8]`` times this.
 INTERACTION_INTERVAL = 20.0
@@ -312,8 +316,7 @@ class PGridNode:
     docstring."""
 
     # Immutable class defaults, shadowed by the first write (module
-    # docstring).  The construction phase (repro.simnet.experiment) sets
-    # the first four.
+    # docstring).  A scenario's construct phase sets the first four.
     #: The live unstructured overlay (set when joining); neighbor lists
     #: are read from it dynamically because the bootstrap keeps wiring
     #: newcomers to existing nodes after our own join completed.

@@ -10,8 +10,9 @@ shifts them.  Three tiers live in one file:
 * ``smoke`` -- the same scenarios at a small population, cheap enough
   for the CI digest-staleness step to recompute on every PR;
 * ``long`` -- the same scenarios at N=48 with unscaled durations
-  (600-1,200 simulated seconds, against at most 120 in the other two),
-  so the 60 -> 960 s probe back-off ladder, cache expiry and retry
+  (600-1,200 simulated seconds, against at most 120 in the other two;
+  ``paper-sec52-planetlab`` is the exception, its 525 minutes scaled
+  alike), so the 60 -> 960 s probe back-off ladder, cache expiry and retry
   exhaustion all happen under a pin; also recomputed by ``--check`` and
   asserted by ``tests/test_message_scenarios.py``.
 
@@ -22,11 +23,12 @@ in the commit message::
 
 ``--check`` recomputes the *smoke* and *long* tiers, both golden traces
 (``scenario_golden.json`` / ``scenario_message_golden.json``) and the
-wire-construction digests (``wire_construction_digests.json``, whose
-recipe and regeneration live in ``tests/test_wire_construction_digests.py``)
-and exits non-zero on any drift from the committed files -- the CI step that
-catches "changed the protocol, forgot to regenerate" PRs before the
-nightly full run does::
+wire-construction digests (``wire_construction_digests.json``: three
+seeds of the ``paper-sec52-planetlab`` scenario, which constructs its
+overlay on the wire; recipe and regeneration live in
+``tests/test_wire_construction_digests.py``) and exits non-zero on any
+drift from the committed files -- the CI step that catches "changed the
+protocol, forgot to regenerate" PRs before the nightly full run does::
 
     PYTHONPATH=src python tests/data/regen_message_digests.py --check
 """

@@ -21,8 +21,8 @@ from repro.pgrid.serving import CachePolicy
 from repro.pgrid.state import DurabilityPolicy
 from repro.scenarios.message_runner import MessageNetConfig, MessageScenarioRunner
 from repro.scenarios.runner import ScenarioRunner
+from repro.scenarios.spec import Phase
 from repro.simnet.churn import ChurnConfig
-from repro.simnet.experiment import ExperimentConfig
 from repro.simnet.node import NodeConfig
 
 SURFACE = {
@@ -39,9 +39,11 @@ SURFACE = {
     ],
     DurabilityPolicy: ["enabled"],
     ConstructionConfig: ["n_min", "d_max", "strategy", "sample_size", "seed"],
-    ExperimentConfig: [
-        "peers", "n_min", "d_max", "join_end", "replicate_start",
-        "construct_start", "query_start", "churn_start", "end", "seed",
+    # construct replaced the Sec. 5 driver's ten-field config.
+    Phase: [
+        "name", "duration_s", "query_rate", "mix", "churn", "join_peers",
+        "leave_peers", "maintenance_interval_s", "partitions", "writes",
+        "restarts", "construct",
     ],
     ChurnConfig: ["min_offline", "max_offline", "min_online", "max_online"],
     # split_budget went when a box became one showered range query.

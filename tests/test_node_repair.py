@@ -10,8 +10,7 @@ One mechanism serves every driver, from the node's evidence and clock:
   with one repair step pending per node at most;
 * the scenario runner hands each phase's ``maintenance_interval_s`` to
   its nodes (``None``: no node repair), and a node no runner configures
-  -- every node of ``run_experiment`` -- repairs every
-  :data:`~repro.pgrid.liveness.REPAIR_INTERVAL_S` (120 s);
+  repairs every :data:`~repro.pgrid.liveness.REPAIR_INTERVAL_S` (120 s);
 * the runner keeps only sampled anti-entropy, whose initiators pick
   partners by the node's own rule, and no node event reads the runner's
   ``nodes`` table.
@@ -26,10 +25,10 @@ from repro.scenarios import (
     Phase,
     QueryMix,
     ScenarioSpec,
+    library,
 )
 from repro.simnet import protocol as P
 from repro.simnet.engine import Simulator
-from repro.simnet.experiment import ExperimentConfig, run_experiment
 from repro.simnet.node import NodeConfig, PGridNode
 from repro.simnet.transport import ConstantLatency, Network
 
@@ -253,9 +252,9 @@ class TestPhaseInterval:
         assert spawned == [(0.0, 20.0)] * 32 + [(120.0, 45.0)] * 4
 
 
-class TestRunExperiment:
+class TestConstructPhase:
     def test_churn_that_empties_a_level_is_repaired_after_query_start(self, monkeypatch):
-        config = ExperimentConfig.compressed(peers=40, seed=5)
+        spec = library.paper_sec52_planetlab(40, seed=5, duration_scale=110 / 525)
         refills = []
         refill = PGridNode.refill_routes
 
@@ -266,11 +265,11 @@ class TestRunExperiment:
                 refills.append(self.sim.now)
 
         monkeypatch.setattr(PGridNode, "refill_routes", spy)
-        report = run_experiment(config)
-        # No driver code asked for them: every one came after
+        report = MessageScenarioRunner(spec).run()
+        # No runner code asked for them: every one came after
         # construction stopped, from the nodes' own evidence.
-        assert refills and min(refills) > config.query_start * 60.0
-        assert report.success_rate_churn >= 0.95
+        assert refills and min(refills) > spec.boundaries()[0][1]
+        assert report.phases[2]["success_rate"] >= 0.95
 
 
 class Tripwire(dict):

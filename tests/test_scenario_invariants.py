@@ -129,6 +129,20 @@ def test_invariants_hold_after_library_scenarios(name):
     assert net.is_consistent()
 
 
+def test_invariants_hold_after_the_construct_scenario():
+    """The Sec. 5 timeline on the data plane starts from build_overlay,
+    whose lagging peers can keep a path beside its refinements: the
+    tiling holds in the mid-refinement sense."""
+    runner = ScenarioRunner(
+        scenario("paper-sec52-planetlab", n_peers=48, seed=9, duration_scale=0.1)
+    )
+    runner.run()
+    net = runner.network
+    check_partition_tiling(net, allow_refinement=True)
+    check_routing_complementarity(net)
+    assert net.is_consistent()
+
+
 def test_skewed_ideal_overlay_tiles_completely():
     """Empty-side leaves of Algorithm 1 must still be owned by a peer
     (the operational overlay leaves no key range unowned)."""

@@ -127,6 +127,7 @@ class TestSpecValidation:
             "mass-join",
             "mass-leave",
             "paper-sec51-churn",
+            "paper-sec52-planetlab",
             "pareto-hotspot",
             "read-write-balanced",
             "regional-outage",

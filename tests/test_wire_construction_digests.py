@@ -1,16 +1,16 @@
 """Pinned outcomes of the construction *on the wire*.
 
 ``tests/data/wire_construction_digests.json`` holds one SHA-256 per seed
-over everything the compressed five-phase experiment
-(``run_experiment(ExperimentConfig.compressed(peers=80, seed=s))``: join,
-replicate, construct from scratch, query, churn) lets a caller observe:
-every numeric field and series of the report, plus each node's id, path,
-sorted keys, routing table by level and sorted replica list.  The
-scenario digests start from a built overlay and almost never reach the
-Fig. 2 split / decide branches of ``simnet/node.py``; these three runs
-execute them thousands of times.  A change to the node that claims "no
-behaviour change" must leave every digest as it is.  Regenerate only when
-a change of the protocol is intended, and say so::
+over everything the compressed Sec. 5 timeline (the
+``paper-sec52-planetlab`` scenario at 80 peers and
+``duration_scale=110/525``: join, replicate, construct from scratch,
+query, churn) lets a caller observe: the report's JSON, plus each node's
+id, path, sorted keys, routing table by level and sorted replica list.
+The other scenario digests start from a built overlay and almost never
+reach the Fig. 2 split / decide branches of ``simnet/node.py``; these
+three runs execute them thousands of times.  A change to the node that
+claims "no behaviour change" must leave every digest as it is.
+Regenerate only when a change of the protocol is intended, and say so::
 
     PYTHONPATH=src python tests/test_wire_construction_digests.py
 
@@ -20,47 +20,29 @@ imports nothing beyond the standard library and ``repro``: the seeds
 are parametrized through the ``pytest_generate_tests`` hook.
 """
 
-import dataclasses
 import hashlib
 import json
 import pathlib
-from unittest import mock
 
-from repro.simnet import experiment
-from repro.simnet.experiment import ExperimentConfig, run_experiment
+from repro.scenarios import MessageScenarioRunner, library
 
 DATA = pathlib.Path(__file__).parent / "data" / "wire_construction_digests.json"
 N_PEERS = 80
 SEEDS = (23, 24, 25)
+DURATION_SCALE = 110 / 525
 
 
 def cell_name(seed: int) -> str:
-    return f"compressed/peers{N_PEERS}/seed{seed}"
-
-
-def run_with_nodes(seed: int):
-    """The compressed experiment's report and the nodes it built (the
-    driver returns only the report; the nodes are caught at construction)."""
-    nodes = []
-
-    class Recorded(experiment.PGridNode):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            nodes.append(self)
-
-    with mock.patch.object(experiment, "PGridNode", Recorded):
-        report = run_experiment(ExperimentConfig.compressed(peers=N_PEERS, seed=seed))
-    return report, nodes
+    return f"paper-sec52-planetlab/peers{N_PEERS}/seed{seed}"
 
 
 def compute(seed: int) -> str:
-    """SHA-256 over the report (minus its config) and every node's end state."""
-    report, nodes = run_with_nodes(seed)
-    h = hashlib.sha256()
-    for f in dataclasses.fields(report):
-        if f.name != "config":
-            h.update(repr((f.name, getattr(report, f.name))).encode())
-    for node in nodes:
+    """SHA-256 over the report and every node's end state."""
+    spec = library.paper_sec52_planetlab(N_PEERS, seed=seed, duration_scale=DURATION_SCALE)
+    runner = MessageScenarioRunner(spec)
+    h = hashlib.sha256(runner.run().to_json().encode())
+    for pid in sorted(runner.nodes):
+        node = runner.nodes[pid]
         h.update(
             repr(
                 (
@@ -88,7 +70,7 @@ def test_wire_construction_digest_unchanged(seed):
 
 if __name__ == "__main__":
     payload = {
-        "_comment": "sha256 per compressed run_experiment; see "
+        "_comment": "sha256 per compressed paper-sec52-planetlab run; see "
         "tests/test_wire_construction_digests.py",
         "n_peers": N_PEERS,
         "digests": {cell_name(seed): compute(seed) for seed in SEEDS},
