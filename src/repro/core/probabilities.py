@@ -202,6 +202,7 @@ def _invert_monotone(p: float, xs: list, ps: list, forward) -> float:
         return lo
     if f_hi == 0.0:
         return hi
+    kept = 0  # endpoint retained by the last step: -1 lo, +1 hi
     for _ in range(100):
         x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
         if not lo < x < hi:  # numerical corner: fall back to the midpoint
@@ -211,10 +212,14 @@ def _invert_monotone(p: float, xs: list, ps: list, forward) -> float:
             return x
         if (fx < 0.0) == (f_lo < 0.0):
             lo, f_lo = x, fx
-            f_hi *= 0.5
+            if kept == 1:  # hi retained twice in a row: Illinois halving
+                f_hi *= 0.5
+            kept = 1
         else:
             hi, f_hi = x, fx
-            f_lo *= 0.5
+            if kept == -1:
+                f_lo *= 0.5
+            kept = -1
     return 0.5 * (lo + hi)
 
 

@@ -107,6 +107,28 @@ class TestTableDrivenInversions:
             else:
                 assert pr.p_of_alpha(pr.alpha_of_p(p)) == pytest.approx(p, abs=1e-9)
 
+    @pytest.mark.parametrize("regime", ["alpha", "beta"])
+    def test_inversion_converges_in_few_forward_evaluations(self, regime):
+        # Illinois damping halves the retained endpoint only when it is
+        # kept twice in a row; halving it on every step converges linearly
+        # (~24 evaluations per alpha inversion, ~18 per beta).
+        if regime == "alpha":
+            (xs, ps), forward, lo, hi = pr._alpha_table(), pr.p_of_alpha, 1e-6, pr.P_STAR
+        else:
+            (xs, ps), forward, lo, hi = pr._beta_table(), pr.p_of_beta, pr.P_STAR, 0.5
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return forward(x)
+
+        for i in range(1, 400):
+            p = lo + (hi - lo) * i / 400
+            calls.clear()
+            x = pr._invert_monotone(p, xs, ps, counted)
+            assert forward(x) == pytest.approx(p, abs=1e-12)
+            assert len(calls) <= 6, f"{len(calls)} evaluations at p={p}"
+
     def test_exact_variants_share_domain_errors(self):
         for bad in (0.7, -0.1):
             with pytest.raises(DomainError):
