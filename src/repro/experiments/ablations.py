@@ -5,9 +5,9 @@
   paper notes "even very small samples lead to the same results" for
   load balance, while the *systematic shift* does depend on m);
 * ``replication_floor_ablation`` -- the ``n_min`` floor of Algorithm 1
-  inside the decentralized split policy (DESIGN.md calls this the
-  "decentralized analogue of lines 6-10"): with the floor disabled,
-  highly skewed splits starve one side of replicas.
+  inside the decentralized split policy (the "decentralized analogue of
+  lines 6-10" in :func:`repro.core.fig2.split_probabilities`): with the
+  floor disabled, highly skewed splits starve one side of replicas.
 """
 
 from __future__ import annotations

@@ -1,11 +1,16 @@
 """Tests for the AEP decision probabilities (Eqs. 1-4, 9, 10)."""
 
 import math
+import random
+import tracemalloc
 
 import pytest
 
+from repro.analysis.numerics import clamp
 from repro.core import probabilities as pr
 from repro.exceptions import DomainError
+from repro.pgrid.network import build_overlay
+from repro.workloads import datasets
 
 LN2 = math.log(2.0)
 
@@ -77,7 +82,7 @@ class TestInverseMaps:
 
 
 class TestTableDrivenInversions:
-    """The memoized table-seeded inverters must agree with the exact
+    """The table-seeded inverters must agree with the exact
     full-bracket bisections they replaced on the hot path."""
 
     def test_beta_table_matches_bisection(self):
@@ -202,6 +207,94 @@ class TestDecisionProbabilities:
         h = pr.heuristic_probabilities(0.35)
         t = pr.decision_probabilities(0.35)
         assert abs(h.beta - t.beta) > 0.05
+
+
+def _clear_memo():
+    pr._PAIRS.clear()
+    pr._LATTICE_ROWS.clear()
+
+
+def _reference_corrected(p, m):
+    """``corrected_probabilities_exact`` without memo: the binomial window
+    summed directly over :func:`pr._raw_pair` at each estimate ``k/m``."""
+    alpha_t, beta_t = pr._raw_pair(p)
+    if m > 400:
+        return alpha_t, beta_t
+    q = round(p, 6)
+    sigma = math.sqrt(max(m * q * (1.0 - q), 1.0))
+    k_lo = max(0, int(m * q - 8 * sigma))
+    k_hi = min(m, int(m * q + 8 * sigma) + 1)
+    e_alpha = e_beta = total = 0.0
+    weight = pr._binomial_pmf(m, k_lo, q)
+    for k in range(k_lo, k_hi + 1):
+        side = min(max(k / m, 1.0 / (4.0 * m)), 0.5)
+        alpha, beta = pr._raw_pair(side)
+        e_alpha += weight * alpha
+        e_beta += weight * beta
+        total += weight
+        weight *= (m - k) / (k + 1.0) * (q / (1.0 - q))
+    e_alpha /= total
+    e_beta /= total
+    return (
+        clamp(alpha_t - (e_alpha - alpha_t), 0.0, 1.0),
+        clamp(beta_t - (e_beta - beta_t), 0.0, 1.0),
+    )
+
+
+def _overlay(peer_keys, build_seed):
+    net = build_overlay(peer_keys, rng=build_seed)
+    return sorted((p.peer_id, str(p.path), sorted(p.keys)) for p in net.peers.values())
+
+
+class TestMemo:
+    """The ``(p, m)`` memo and the per-``m`` lattice rows change no value."""
+
+    def test_corrected_pairs_equal_unmemoized_reference(self):
+        _clear_memo()
+        cases = [(k / m, m) for m in range(1, 65) for k in range(1, m // 2 + 1)]
+        cases += [(k / m, m) for m in (97, 250, 400) for k in range(1, m // 2 + 1, 7)]
+        cases += [(1.0 / (4.0 * m), m) for m in (1, 2, 10, 64, 400)]  # k = 0 floor
+        cases += [(0.5, m) for m in (1, 3, 10, 63, 400)]  # window past m/2
+        cases += [(5 / 37.3, 10), (5 / 1234.5, 25), (0.3, 401), (0.1, 5000)]
+        for p, m in cases:
+            probs = pr.corrected_probabilities_exact(p, m)
+            assert (probs.alpha, probs.beta) == _reference_corrected(p, m), (p, m)
+            assert pr.decision_probabilities(p, m=m) == probs
+
+    def test_uncorrected_pairs_equal_raw_pair(self):
+        _clear_memo()
+        for p in (1e-9, 0.01, 0.2, pr.P_STAR, 0.4, 0.5):
+            probs = pr.decision_probabilities(p)
+            assert (probs.alpha, probs.beta) == pr._raw_pair(p)
+            assert pr.decision_probabilities(p) is probs
+
+    def test_warm_memo_builds_the_same_overlay(self):
+        a = datasets.workload_keys("P1.0", 64, 10, seed=1)
+        b = datasets.workload_keys("P1.0", 64, 10, seed=2)
+        _clear_memo()
+        _overlay(a, 5)
+        warm = _overlay(b, 6)
+        _clear_memo()
+        assert _overlay(b, 6) == warm
+
+    def test_construction_footprint(self):
+        # The ``construct`` benchmark unit: 256 peers x 25 Pareto keys.
+        # Per-float LRU memos held 9.66 MiB here.
+        rng = random.Random(20050830)
+        key_seed, build_seed = rng.randrange(2**31), rng.randrange(2**31)
+        peer_keys = datasets.workload_keys("P1.0", 256, 25, seed=key_seed)
+        _clear_memo()
+        tracemalloc.start()
+        try:
+            build_overlay(peer_keys, rng=build_seed)
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        held = sum(
+            stat.size for stat in snapshot.statistics("filename")
+            if stat.traceback[0].filename.endswith("core/probabilities.py")
+        )
+        assert held <= 2 * 2**20, f"{held / 2**20:.2f} MiB"
 
 
 class TestInteractionCounts:
