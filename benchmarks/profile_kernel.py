@@ -28,6 +28,10 @@ uniform keys (:func:`construction_keys`, 25 keys per peer, ~100k keys
 at N=4096) -- with the same ``--sort`` / ``--top`` / ``--output`` /
 ``--budget-s`` flags; the nightly workflow uploads it as
 ``build_profile.txt``.
+
+Both targets print the process's peak RSS (``ru_maxrss``, import floor
+included) next to the wall time, so the build profile records
+construction memory at N=4096 too.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ import cProfile
 import io
 import pstats
 import random
+import resource
 import sys
 import time
 from pathlib import Path
@@ -156,16 +161,22 @@ def main(argv=None) -> int:
             f"scale={args.scale:g}"
         )
         work = f"{events} events"
+    # ru_maxrss is in KiB on Linux.
+    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     header = (
         f"{what}\n"
         f"wall {wall_s:.2f}s (profiler overhead included), "
+        f"peak RSS {peak_rss_mb:.1f} MiB, "
         f"{work}, top {args.top} by {args.sort}\n\n"
     )
     table = header + format_profile(profiler, top=args.top, sort=args.sort)
 
     if args.output is not None:
         args.output.write_text(table)
-        print(f"wrote profile to {args.output} (wall {wall_s:.2f}s)")
+        print(
+            f"wrote profile to {args.output} "
+            f"(wall {wall_s:.2f}s, peak RSS {peak_rss_mb:.1f} MiB)"
+        )
     else:
         print(table, end="")
 
