@@ -5,7 +5,7 @@ Pareto with shapes 0.5/1.0/1.5 (``P0.5``/``P1.0``/``P1.5``), a sharply
 concentrated Normal ``N``, and keys extracted from the Alvis text
 collection ``A``.  Alvis is proprietary; :mod:`repro.workloads.corpus`
 substitutes a synthetic Zipf-vocabulary corpus whose induced key skew
-exercises the same code paths (see :mod:`repro.workloads.corpus`).
+exercises the same code paths (its module docstring describes the corpus).
 """
 
 from . import corpus, datasets, distributions, queries  # noqa: F401
