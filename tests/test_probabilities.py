@@ -25,10 +25,12 @@ class TestForwardMaps:
         values = [pr.p_of_beta(b) for b in grid]
         assert all(a < b for a, b in zip(values, values[1:]))
 
-    def test_p_of_beta_taylor_matches_exact_near_zero(self):
-        # The series branch and the exact branch must agree at the switch.
-        exact = 1.0 - (1.0 - 2.0 ** (-2e-9)) / 2e-9
-        assert pr.p_of_beta(2e-9) == pytest.approx(exact, abs=1e-12)
+    @pytest.mark.parametrize("beta", [0.5e-9, 2e-9])
+    def test_p_of_beta_taylor_matches_exact_near_zero(self, beta):
+        # Both sides of the 1e-9 series switch against the expm1 form,
+        # which keeps every digit of 1 - 2^-beta for small beta.
+        reference = 1.0 + math.expm1(-beta * LN2) / beta
+        assert pr.p_of_beta(beta) == pytest.approx(reference, abs=1e-15)
 
     def test_p_of_alpha_endpoints(self):
         assert pr.p_of_alpha(1.0) == pytest.approx(1.0 - LN2)
@@ -133,6 +135,15 @@ class TestTableDrivenInversions:
             x = pr._invert_monotone(p, xs, ps, counted)
             assert forward(x) == pytest.approx(p, abs=1e-12)
             assert len(calls) <= 6, f"{len(calls)} evaluations at p={p}"
+        if regime == "beta":
+            # Within 2e-4 of p* the residual is near the rounding of
+            # Eq. (2) itself: a direct 1 - 2^-beta cancelled four digits
+            # there and took up to 9 evaluations (at p - p* ~ 1e-5).
+            for i in range(1, 21):
+                p = lo + (hi - lo) * i / 20000
+                calls.clear()
+                pr._invert_monotone(p, xs, ps, counted)
+                assert len(calls) <= 4, f"{len(calls)} evaluations at p - p* = {p - lo}"
 
     def test_exact_variants_share_domain_errors(self):
         for bad in (0.7, -0.1):
