@@ -22,13 +22,16 @@ Four layers, mirroring the subsystem's span (ROADMAP open item 2):
 """
 
 import dataclasses
+import hashlib
 
 import pytest
 
 from repro.exceptions import DomainError, SimulationError
 from repro.pgrid.bits import Path
 from repro.pgrid.keyspace import float_to_key
-from repro.pgrid.serving import CachePolicy, ResultCache, RouteCache, gini
+from repro.pgrid.serving import (
+    REPLICA_BOOST, CachePolicy, ResultCache, RouteCache, gini,
+)
 from repro.scenarios import QueryMix, run_scenario, scenario
 from repro.scenarios.message_runner import _latency_stats
 from repro.simnet.engine import Simulator
@@ -398,6 +401,132 @@ class TestWriteInvalidation:
         assert nodes[0].route_cache.pick(key, sim.now) is not None
 
 
+#: A policy whose owner turns hot after three served queries.
+HOT = CachePolicy(result_ttl_s=30.0, route_ttl_s=60.0, hot_threshold=3,
+                  grant_ttl_s=100.0)
+#: The owner "11" (node 3) and keys of its range; node 3 stores 0.8 and
+#: 0.95, so 0.87 is covered but absent.
+OWNER, STORED, ABSENT = 3, float_to_key(0.8), float_to_key(0.87)
+
+
+def load(sim, nodes):
+    """Node 1 asks the owner for three distinct keys of its range
+    (distinct, so none is a result-cache hit): a hot window."""
+    for i in range(3):
+        nodes[1].issue_query(float_to_key(0.76 + 0.01 * i))
+        sim.run_until(sim.now + 1.0)
+
+
+def heat(sim, nodes):
+    """A hot window, then its end: the owner grants."""
+    load(sim, nodes)
+    nodes[OWNER].serving_tick()
+    sim.run_until(sim.now + 1.0)
+
+
+class TestAdaptiveReplication:
+    """Owner and helper sides of adaptive replication, hand-driven on
+    the quadrant overlay: node 3 ("11") has references 0 and 1 at level
+    0 and 2 at level 1; node 4 is its replica twin."""
+
+    def test_hot_owner_grants_to_the_deepest_references_first(self):
+        sim, net, nodes = build_wire(policy=HOT)
+        heat(sim, nodes)
+        assert REPLICA_BOOST == 2
+        assert set(nodes[OWNER]._helpers) == {2, 0}
+        assert nodes[OWNER].serving_stats["grants"] == 2
+        assert net.by_kind["replica_grant"][0] == 2
+        for helper in (2, 0):
+            (path,) = nodes[helper]._grants
+            assert path == nodes[OWNER].path
+        assert not nodes[1]._grants
+
+    def test_suspected_references_are_not_candidates(self):
+        sim, net, nodes = build_wire(policy=HOT)
+        load(sim, nodes)
+        nodes[OWNER].liveness.strike(2, sim.now)
+        nodes[OWNER].serving_tick()
+        assert set(nodes[OWNER]._helpers) == {0, 1}
+
+    def test_a_grant_refused_at_connect_is_not_recorded(self):
+        sim, net, nodes = build_wire(policy=HOT)
+        load(sim, nodes)
+        nodes[2].set_online(False)
+        nodes[OWNER].serving_tick()
+        assert net.by_kind["replica_grant"][0] == 3  # 2's connect was refused
+        assert set(nodes[OWNER]._helpers) == {0, 1}
+        assert nodes[OWNER].serving_stats["grants"] == 2
+
+    def test_a_helper_answers_a_covered_key_from_the_grant(self):
+        sim, net, nodes = build_wire(policy=HOT)
+        heat(sim, nodes)
+        outcomes = []
+        nodes[2].on_query_done = lambda nid, qid, out: outcomes.append(out)
+        for key in (STORED, ABSENT):
+            nodes[2].issue_query(key)
+            sim.run_until(sim.now + 1.0)
+        # Answered at the helper itself: no hop, no message.
+        assert [(o.success, o.hops, o.messages) for o in outcomes] == [
+            (True, 0, 0), (True, 0, 0)
+        ]
+        assert nodes[2].serving_stats["grant_hits"] == 2
+        assert nodes[2].result_cache.get(STORED, sim.now) is True
+        assert nodes[2].result_cache.get(ABSENT, sim.now) is False
+
+    def test_an_expired_grant_is_dropped_and_no_longer_answers(self):
+        sim, net, nodes = build_wire(policy=dataclasses.replace(HOT, grant_ttl_s=5.0))
+        heat(sim, nodes)
+        assert nodes[2]._grants
+        sim.run_until(sim.now + 10.0)
+        outcomes = []
+        nodes[2].on_query_done = lambda nid, qid, out: outcomes.append(out)
+        nodes[2].issue_query(STORED)
+        sim.run_until(sim.now + 1.0)
+        assert not nodes[2]._grants
+        assert nodes[2].serving_stats["grant_hits"] == 0
+        (outcome,) = outcomes
+        assert outcome.success and outcome.hops == 1  # the owner answered
+
+    def test_an_owner_write_reaches_its_helpers_and_their_grants(self):
+        sim, net, nodes = build_wire(policy=HOT)
+        heat(sim, nodes)
+        fresh = float_to_key(0.9)
+        nodes[1].issue_insert(fresh)
+        sim.run_until(sim.now + 1.0)
+        # The twin replica and both helpers hear the write.
+        assert net.by_kind["replica_sync"][0] == 3
+        nodes[1].issue_delete(STORED)
+        sim.run_until(sim.now + 1.0)
+        assert net.by_kind["replica_sync"][0] == 6
+        for helper in (2, 0):
+            ((keys, _),) = nodes[helper]._grants.values()
+            assert fresh in keys and STORED not in keys
+        nodes[2].issue_query(fresh)
+        sim.run_until(sim.now + 1.0)
+        assert nodes[2].result_cache.get(fresh, sim.now) is True
+
+    def test_a_cooled_owner_revokes_and_the_helper_forgets(self):
+        sim, net, nodes = build_wire(policy=HOT)
+        heat(sim, nodes)
+        nodes[OWNER].serving_tick()  # a window without load
+        sim.run_until(sim.now + 1.0)
+        assert not nodes[OWNER]._helpers
+        assert nodes[OWNER].serving_stats["revokes"] == 2
+        assert net.by_kind["replica_revoke"][0] == 2
+        assert not nodes[2]._grants and not nodes[0]._grants
+
+    def test_restore_clears_grants_helpers_and_the_window(self):
+        sim, net, nodes = build_wire(policy=HOT)
+        heat(sim, nodes)
+        nodes[1].issue_query(STORED)
+        sim.run_until(sim.now + 1.0)
+        assert nodes[OWNER]._served_window == 1
+        for node in (nodes[OWNER], nodes[2]):
+            node.restore_state(node.snapshot_state())
+        assert not nodes[OWNER]._helpers and nodes[OWNER]._served_window == 0
+        assert not nodes[2]._grants
+
+
 def serving_spec(name="zipf-serving", n_peers=64, seed=9, scale=0.1, **cache_kw):
     spec = scenario(name, n_peers=n_peers, seed=seed, duration_scale=scale)
     if cache_kw:
@@ -442,6 +571,25 @@ class TestServingScenarios:
         assert section["enabled"] is False
         assert section["cache_hits"] == 0 and section["cache_misses"] == 0
         assert with_off == plain
+
+    @pytest.mark.parametrize(
+        "name, digest",
+        [
+            ("zipf-serving",
+             "da386a5c18474fd63537b9349832245212238f53a4c3796ebc75da9c75717176"),
+            ("cache-coherence-storm",
+             "b4c4a5bb78e201be0d54785b1f01b7f86f12762c1b90e2ecf85d0027ae21d80f"),
+        ],
+    )
+    def test_inert_policy_report_is_pinned(self, name, digest):
+        # The cache-off pass of bench_scenarios.py: the scenario's own
+        # policy with enabled=False, so its front-end gateways stay.
+        spec = scenario(name, n_peers=96, seed=5, duration_scale=0.05)
+        off = dataclasses.replace(
+            spec, cache=dataclasses.replace(spec.cache, enabled=False)
+        )
+        report = run_scenario(off, backend="message").to_json()
+        assert hashlib.sha256(report.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("backend", ["dataplane", "message"])
     def test_serving_runs_are_deterministic(self, backend):
