@@ -5,9 +5,11 @@
   separately, so a new one should arrive as a reviewed one-line diff to
   this file (in the manner of ``test_config_surface.py``), not unnoticed.
 * **Tracer names**: ``benchmarks/layered/tracing.py`` wraps runner
-  methods by ``owner.__dict__[attr]``; moving one of them to another
-  class must fail here with a sentence, not with a ``KeyError`` in the
-  traced benchmark pass.
+  and node methods by ``owner.__dict__[attr]``; moving one of them to
+  another class must fail here with a sentence, not with a ``KeyError``
+  in the traced benchmark pass.  The benchmark's share groups count a
+  node's operations by the labels of the callbacks its ``issue_*``
+  methods schedule, so those are pinned too.
 * **A runner runs once**, **bytes go to one ledger** (per-phase and
   per-bin figures add up to the totals on both backends, by the
   bin-window rule of ``scenarios/report.py``), and **a box is one range
@@ -31,6 +33,9 @@ from repro.scenarios import (
     scenario,
 )
 from repro.pgrid.keyspace import KEY_BITS
+from repro.simnet.engine import Simulator
+from repro.simnet.node import PGridNode
+from repro.simnet.transport import ConstantLatency, Network
 
 HOOKS = {
     "_derive_extra_streams", "_setup", "_population", "_depart",
@@ -77,6 +82,42 @@ class TestHookSurface:
         assert "workload_keys" in vars(scenario_base), (
             "benchmarks/layered/tracing.py patches workload_keys in scenarios.base"
         )
+
+    def test_node_names_the_layered_tracer_reads_live_where_it_looks(self):
+        for attr in (
+            "receive", "issue_query", "issue_range_query", "issue_insert",
+            "issue_delete", "refresh_routes", "set_online", "initiate_exchange",
+            "_issue_write", "_send_probe",
+        ):
+            assert attr in PGridNode.__dict__, (
+                f"benchmarks/layered tracing.py and workloads.py read PGridNode.{attr}"
+            )
+
+    def test_issue_callbacks_carry_the_labels_the_share_groups_read(self, monkeypatch):
+        """The share groups of ``benchmarks/layered/workloads.py`` count
+        an operation's first attempt by its event label, made from the
+        scheduled callback's module and qualname."""
+        sim = Simulator()
+        node = PGridNode(0, sim, Network(sim, latency=ConstantLatency(0.01), rng=1))
+        scheduled = []
+        monkeypatch.setattr(
+            Simulator, "schedule", lambda self, delay, callback: scheduled.append(callback)
+        )
+
+        def label(callback):
+            module = callback.__module__.rsplit(".", 1)[-1]
+            qual = callback.__qualname__.replace(".<locals>", "").replace(".<lambda>", "")
+            return f"event.{module}.{qual}"
+
+        for issue, want in (
+            (lambda: node.issue_query(5), "issue_query"),
+            (lambda: node.issue_range_query(5, 9), "issue_range_query"),
+            (lambda: node.issue_insert(5), "_issue_write"),
+            (lambda: node.issue_delete(5), "_issue_write"),
+        ):
+            scheduled.clear()
+            issue()
+            assert [label(cb) for cb in scheduled] == ["event.node.PGridNode." + want]
 
 
 class TestRunsOnce:
