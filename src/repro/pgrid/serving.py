@@ -1,83 +1,75 @@
 """Query-serving front end: caches, batching and adaptive replication.
 
-This module holds the policy object and the cache primitives for the
-serving layer that sits above the overlay (ROADMAP open item 2).  The
-overlay itself answers every query from the responsible replica group;
-under Zipf traffic ("millions of users" hit few keys) that concentrates
-load on a handful of partitions.  The serving layer attacks that three
-ways, all switched by one :class:`CachePolicy` carried on
-``ScenarioSpec.cache``:
+The overlay answers every query from the responsible replica group
+(Sec. 2.1); under Zipf traffic ("millions of users" hit few keys) that
+concentrates load on a handful of partitions.  The front end above it
+attacks that three ways, all switched by one :class:`CachePolicy`
+carried on ``ScenarioSpec.cache``.  A wire node holds its share as
+``serving``: a :class:`ServingState`, which makes every decision that
+needs no transport, when the policy is enabled, else ``None``.
 
 **Result caches with write invalidation.**  Each query origin keeps a
-:class:`ResultCache` mapping key -> (present, stored_at).  A hit answers
-locally at zero wire cost.  Entries stop serving after
-``result_ttl_s`` (a TTL of 0 therefore never serves -- the trivially
-coherent configuration), and are *invalidated eagerly by write
-traffic*: every node that applies, forwards or replica-syncs an
-``insert``/``delete`` for key *k* drops its cached entry for *k*.
-Coherence is not assumed but **audited**: every cache hit is compared
-against the runner's authoritative view of the durable key set
-(initialised from the workload keys and updated at write-ack time), and
-reports carry the measured ``stale_read_rate`` = stale hits / hits.
+:class:`ResultCache` of key -> presence; a hit answers locally at zero
+wire cost.  Every node that routes (as origin, forwarder or owner) or
+replica-syncs an ``insert``/``delete`` for a key drops its entry.
+Coherence is not assumed but **audited**: every hit is compared against
+the runner's authoritative view of the durable key set (updated at
+write-ack time), and reports carry ``stale_read_rate`` = stale / hits.
 
-**Route caches.**  Independently of results, origins remember *who
-answered* for a key (:class:`RouteCache`).  Result entries die on every
-write to their key; route entries survive writes -- the owner of the
-partition did not move -- and only die on routing evidence (timeout of
-a direct-sent attempt) or TTL.  After an invalidation the re-query goes
-straight to the remembered owner (or one of its grant helpers, rotated
-deterministically) instead of re-walking the trie.
+**Route caches.**  Origins also remember *who answered* for a key
+(:class:`RouteCache`).  Route entries survive writes -- the owner did
+not move -- and die only on routing evidence (a direct-sent attempt
+refused or timed out) or TTL, so a re-query after an invalidation goes
+straight to the owner or one of its grant helpers, rotated
+deterministically, instead of re-walking the trie.
 
 **Batched issue with in-flight dedup.**  ``QueryMix.batch_size``
-releases ``batch_size`` concurrent queries per arrival tick (arrival
-rate is divided by the batch size so the mean query rate is unchanged).
-A node that already has an identical lookup in flight attaches the new
-query as a *waiter* on the primary; when the primary resolves, all
-waiters resolve exactly once with the same outcome and zero additional
-messages -- including the moot path when the origin churns offline
-mid-flight (``abort_inflight``).
+releases that many concurrent queries per arrival tick (at a divided
+arrival rate, so the mean query rate is unchanged).  A lookup identical
+to one in flight at its origin joins it as a *waiter*: all waiters
+resolve exactly once with the primary's outcome and zero additional
+messages -- also when the origin churns offline (``abort_inflight``).
 
-**Adaptive replication.**  Owners count queries served per decay
-window.  Crossing ``hot_threshold`` makes the owner grant its key range
-to up to :data:`REPLICA_BOOST` routing-table neighbours
-(``REPLICA_GRANT``: path + keys, expiring after ``grant_ttl_s``).
-Helpers answer queries for the granted range and receive the owner's
-``REPLICA_SYNC`` fan-out so grants stay write-coherent.  When the
-window load decays below the threshold the owner revokes
-(``REPLICA_REVOKE``).  Owners advertise their helpers in ``QUERY_HIT``
-replies so origin route caches rotate direct sends across the whole
-replica set -- that rotation, not the grant itself, is what flattens
-the per-peer load Gini.
+**Adaptive replication.**  An owner whose served queries in one decay
+window reach ``hot_threshold`` grants its key range to up to
+:data:`REPLICA_BOOST` routing-table neighbours (``REPLICA_GRANT``: path
+and keys, expiring after ``grant_ttl_s``); helpers answer for the range
+and join the owner's ``REPLICA_SYNC`` fan-out, so grants stay
+write-coherent.  A cooler window revokes (``REPLICA_REVOKE``).  Owners
+advertise their helpers in ``QUERY_HIT`` replies, and the route caches'
+rotation over them -- not the grant itself -- flattens the per-peer
+load Gini.
 
 **Front-end gateways.**  ``front_ends`` > 0 funnels message-backend
-query origins through that many evenly spaced gateway nodes instead of
-uniformly random ones -- the deployment shape the serving layer models
-(clients attach to a front-end tier, not to arbitrary overlay nodes),
-and the reason per-node caches see repeats at all.  The restriction is
-applied for ``enabled=False`` runs too, so the on/off A/B isolates the
-cache machinery.
+query origins through that many evenly spaced gateway nodes -- clients
+attach to a front-end tier, not to arbitrary overlay nodes, which is
+why per-node caches see repeats at all.  It applies to ``enabled=False``
+runs too, so the on/off A/B isolates the cache machinery.
 
-The dataplane backend has no wire and no per-node origins; it models
-the serving layer as a single front-end :class:`ResultCache` with the
-same TTL/invalidation contract and reports adaptive-replication
-counters as zeros.
-
-``CachePolicy(enabled=False)`` runs the unmodified protocol but still
-emits the report's ``serving`` section (baseline latency percentiles
-and load Gini), giving the same on/off A/B story as route repair (PR 4)
-and durability (PR 6).  ``cache=None`` omits the section entirely so
-pre-existing goldens stay byte-identical.
+The dataplane backend has no wire and no per-node origins: one
+front-end :class:`ResultCache` with the same TTL/invalidation contract,
+and adaptive-replication counters of zero.  ``CachePolicy(enabled=False)``
+runs the unmodified protocol but still emits the report's ``serving``
+section (baseline latencies and load Gini), the off side of the A/B;
+``cache=None`` omits the section, so older goldens stay byte-identical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple,
+)
 
 from .._util import is_count
 from ..exceptions import DomainError
+from .bits import Path
+from .keyspace import KEY_BITS
 
-__all__ = ["CachePolicy", "ResultCache", "RouteCache", "gini"]
+if TYPE_CHECKING:
+    from .liveness import ReferenceTable
+
+__all__ = ["CachePolicy", "ResultCache", "RouteCache", "ServingState", "gini"]
 
 # Fixed values: no scenario or benchmark ever asked for another, so
 # they are not fields of the policy (reports still echo them under
@@ -88,6 +80,12 @@ RESULT_CAPACITY = 256
 ROUTE_CAPACITY = 128
 #: Helpers granted to a hot owner.
 REPLICA_BOOST = 2
+
+#: A node's serving counters, in report order.
+COUNTERS = (
+    "result_hits", "result_misses", "dedup_joined", "invalidations",
+    "route_uses", "route_invalidations", "grants", "revokes", "grant_hits",
+)
 
 
 @dataclass(frozen=True)
@@ -111,14 +109,8 @@ class CachePolicy:
     decay_interval_s: float = 60.0
     #: Backstop: helpers drop a grant this long after receiving it.
     grant_ttl_s: float = 300.0
-    #: Number of gateway nodes queries enter through on the message
-    #: backend (0 = every node is a front end, i.e. unrestricted random
-    #: origins).  A front end *is* the thing that owns caches: with
-    #: origins spread over thousands of nodes no per-node cache ever
-    #: sees a repeat.  The restriction applies to ``enabled=False`` runs
-    #: too, so the cache on/off A/B differs only in the cache machinery,
-    #: never in where queries enter.  The data plane models a single
-    #: shared front end and ignores this knob.
+    #: Gateway nodes message-backend queries enter through (0: any node;
+    #: module docstring).  The data plane's one front end ignores it.
     front_ends: int = 0
 
     def validate(self) -> None:
@@ -146,43 +138,36 @@ class CachePolicy:
         )
 
 
-class ResultCache:
-    """TTL + invalidation cache of key -> presence-at-responsible.
-
-    Entries are ``key -> (present, stored_at)``.  ``get`` serves only
-    entries strictly younger than the TTL, so ``ttl_s == 0`` never
-    serves.  Eviction is oldest-inserted-first (dict order), which is
-    deterministic and cheap; hits do not refresh insertion order.
-    """
+class _TtlCache:
+    """Entries ``key -> (value, stored_at, ...)``, served only while
+    strictly younger than the TTL (so ``ttl_s == 0`` never serves) and
+    evicted oldest-inserted first at capacity (dict order: deterministic
+    and cheap; reads do not refresh the order)."""
 
     __slots__ = ("_ttl", "_cap", "_entries")
 
     def __init__(self, ttl_s: float, capacity: int) -> None:
         self._ttl = ttl_s
         self._cap = capacity
-        self._entries: Dict[int, Tuple[bool, float]] = {}
+        self._entries: Dict[int, Sequence] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, key: int, now: float) -> Optional[bool]:
-        """Return the cached ``present`` flag, or None on miss/expiry."""
+    def _live(self, key: int, now: float) -> Optional[Sequence]:
         entry = self._entries.get(key)
-        if entry is None:
-            return None
-        present, stored_at = entry
-        if now - stored_at >= self._ttl:
+        if entry is not None and now - entry[1] >= self._ttl:
             del self._entries[key]
             return None
-        return present
+        return entry
 
-    def put(self, key: int, present: bool, now: float) -> None:
-        if key in self._entries:
-            del self._entries[key]
-        elif len(self._entries) >= self._cap:
-            oldest = next(iter(self._entries))
-            del self._entries[oldest]
-        self._entries[key] = (present, now)
+    def _store(self, key: int, entry: Sequence) -> None:
+        entries = self._entries
+        if key in entries:
+            del entries[key]
+        elif len(entries) >= self._cap:
+            del entries[next(iter(entries))]
+        entries[key] = entry
 
     def invalidate(self, key: int) -> bool:
         """Drop the entry for ``key``; True if one was present."""
@@ -192,53 +177,205 @@ class ResultCache:
         self._entries.clear()
 
 
-class RouteCache:
-    """Remembered responders per key, with deterministic rotation.
+class ResultCache(_TtlCache):
+    """TTL + invalidation cache of key -> presence-at-responsible."""
 
-    Entries are ``key -> (targets, stored_at, next_index)`` where
-    ``targets`` is the answering node plus any advertised grant
-    helpers.  ``pick`` rotates through the targets round-robin so
-    repeat queries for a hot key spread across the replica set.
-    """
+    __slots__ = ()
 
-    __slots__ = ("_ttl", "_cap", "_entries")
+    def get(self, key: int, now: float) -> Optional[bool]:
+        """Return the cached ``present`` flag, or None on miss/expiry."""
+        entry = self._live(key, now)
+        return None if entry is None else entry[0]
 
-    def __init__(self, ttl_s: float, capacity: int) -> None:
-        self._ttl = ttl_s
-        self._cap = capacity
-        self._entries: Dict[int, List] = {}
+    def put(self, key: int, present: bool, now: float) -> None:
+        self._store(key, (present, now))
 
-    def __len__(self) -> int:
-        return len(self._entries)
+
+class RouteCache(_TtlCache):
+    """Remembered responders per key -- the answering node plus any
+    grant helpers it advertised -- picked round-robin, so repeat
+    queries for a hot key spread across the replica set."""
+
+    __slots__ = ()
 
     def put(self, key: int, targets: Iterable[int], now: float) -> None:
         ordered = list(dict.fromkeys(targets))
-        if not ordered:
-            return
-        if key in self._entries:
-            del self._entries[key]
-        elif len(self._entries) >= self._cap:
-            oldest = next(iter(self._entries))
-            del self._entries[oldest]
-        self._entries[key] = [ordered, now, 0]
+        if ordered:
+            self._store(key, [ordered, now, 0])
 
     def pick(self, key: int, now: float) -> Optional[int]:
         """Return the next target for ``key``, or None on miss/expiry."""
-        entry = self._entries.get(key)
+        entry = self._live(key, now)
         if entry is None:
             return None
-        targets, stored_at, nxt = entry
-        if now - stored_at >= self._ttl:
-            del self._entries[key]
-            return None
+        targets, _, nxt = entry
         entry[2] = (nxt + 1) % len(targets)
         return targets[nxt]
 
-    def invalidate(self, key: int) -> bool:
-        return self._entries.pop(key, None) is not None
+
+class ServingState:
+    """One wire node's serving front end (module docstring): its caches,
+    in-flight lookups, both sides of adaptive replication, the served
+    window and the :data:`COUNTERS` (``stats``).  Each method decides or
+    books; the node does the sends a decision calls for."""
+
+    __slots__ = (
+        "policy", "result_cache", "route_cache", "inflight", "waiters",
+        "helpers", "grants", "window", "stats",
+    )
+
+    def __init__(self, policy: CachePolicy) -> None:
+        self.policy = policy
+        self.result_cache = ResultCache(policy.result_ttl_s, RESULT_CAPACITY)
+        self.route_cache = RouteCache(policy.route_ttl_s, ROUTE_CAPACITY)
+        #: key -> qid of its in-flight primary lookup (dedup joins it).
+        self.inflight: Dict[int, int] = {}
+        #: primary qid -> waiter qids resolved with the primary's outcome.
+        self.waiters: Dict[int, List[int]] = {}
+        #: Owner side: helper id -> grant time.
+        self.helpers: Dict[int, float] = {}
+        #: Helper side: granted path -> (key set, expires_at).
+        self.grants: Dict[Path, Tuple[Set[int], float]] = {}
+        #: Queries answered as owner within the current decay window.
+        self.window = 0
+        self.stats = dict.fromkeys(COUNTERS, 0)
+
+    # -- origin side: results, dedup, routes ----------------------------------
+
+    def cached(self, key: int, now: float) -> Optional[bool]:
+        """A new lookup's cached answer, or None (a hit or miss, counted)."""
+        present = self.result_cache.get(key, now)
+        self.stats["result_misses" if present is None else "result_hits"] += 1
+        return present
+
+    def join(self, key: int, qid: int, pending: Dict[int, object]) -> bool:
+        """Whether ``qid`` joins a pending lookup of ``key`` as its waiter
+        (if not, it becomes the key's primary)."""
+        primary = self.inflight.get(key)
+        if primary is not None and primary in pending:
+            self.waiters.setdefault(primary, []).append(qid)
+            self.stats["dedup_joined"] += 1
+            return True
+        self.inflight[key] = qid
+        return False
+
+    def release(self, key: int, qid: int) -> Sequence[int]:
+        """Lookup ``qid`` of ``key`` finished; returns its waiters."""
+        if self.inflight.get(key) == qid:
+            del self.inflight[key]
+        return self.waiters.pop(qid, ())
+
+    def route(self, key: int, now: float, own_id: int) -> Optional[int]:
+        """The remembered responder to send a first attempt to, or None."""
+        target = self.route_cache.pick(key, now)
+        if target is None or target == own_id:
+            return None
+        self.stats["route_uses"] += 1
+        return target
+
+    def forget_route(self, key: int) -> None:
+        """A direct send was refused or timed out: drop the route."""
+        self.stats["route_invalidations"] += 1
+        self.route_cache.invalidate(key)
+
+    def remember(
+        self, key: int, reply: dict, responder: Optional[int], own_id: int, now: float
+    ) -> None:
+        """Cache an answer's presence flag and, from a remote responder,
+        whom to ask next: it first, then the helpers its reply named."""
+        self.result_cache.put(key, reply["present"], now)
+        if responder is not None:
+            targets = [responder] + [
+                t for t in reply.get("targets", ()) if t != own_id and t != responder
+            ]
+            self.route_cache.put(key, targets, now)
+
+    def invalidate(self, key: int) -> None:
+        """A write to ``key`` passed through: drop its cached result."""
+        if self.result_cache.invalidate(key):
+            self.stats["invalidations"] += 1
+
+    # -- helper side ----------------------------------------------------------
+
+    def grant_presence(self, key: int, now: float) -> Optional[bool]:
+        """Presence flag if a live grant covers ``key`` (a grant hit,
+        counted), else None; expired grants met are dropped."""
+        grants = self.grants
+        if not grants:
+            return None
+        for path, (keys, expires) in list(grants.items()):
+            if now >= expires:
+                del grants[path]
+            elif path.contains_key(key, KEY_BITS):
+                self.stats["grant_hits"] += 1
+                return key in keys
+        return None
+
+    def accept_grant(self, path: Path, keys: Iterable[int], expires: float) -> None:
+        self.grants[path] = (set(keys), expires)
+
+    def drop_grant(self, path: Path) -> None:
+        self.grants.pop(path, None)
+
+    def synced(self, op: str, key: int) -> None:
+        """A replica sync: drop the cached result, update covering grants."""
+        self.invalidate(key)
+        for path, (keys, _) in self.grants.items():
+            if path.contains_key(key, KEY_BITS):
+                if op == "insert":
+                    keys.add(key)
+                else:
+                    keys.discard(key)
+
+    # -- owner side -----------------------------------------------------------
+
+    def served(self) -> List[int]:
+        """One query answered as owner; returns the helpers to advertise."""
+        self.window += 1
+        return sorted(self.helpers)
+
+    def end_window(self) -> bool:
+        """Close the decay window; True if its load makes the owner hot."""
+        hot = self.window >= self.policy.hot_threshold
+        self.window = 0
+        return hot
+
+    def grant_candidates(self, table: "ReferenceTable") -> Iterator[int]:
+        """References of ``table`` to offer a grant while fewer than
+        :data:`REPLICA_BOOST` helpers hold one: deepest levels first
+        (closest in the trie, so grant traffic stays local), live-believed
+        only, helpers skipped.  The order is fixed before the first is
+        offered, so a refused grant's strike does not change it."""
+        levels = table.levels
+        order = dict.fromkeys(
+            ref for level in sorted(levels, reverse=True) for ref in levels[level]
+            if not table.suspected(ref)
+        )
+        for ref in order:
+            if len(self.helpers) >= REPLICA_BOOST:
+                return
+            if ref not in self.helpers:
+                yield ref
+
+    def add_helper(self, helper: int, now: float) -> None:
+        """A grant's connect was accepted: ``helper`` serves our range."""
+        self.helpers[helper] = now
+        self.stats["grants"] += 1
+
+    def revoke_all(self) -> List[int]:
+        """The owner cooled: forget every helper; returns them to tell."""
+        helpers = sorted(self.helpers)
+        self.stats["revokes"] += len(helpers)
+        self.helpers.clear()
+        return helpers
 
     def clear(self) -> None:
-        self._entries.clear()
+        """A restart: caches, grants, helpers and window did not survive."""
+        self.result_cache.clear()
+        self.route_cache.clear()
+        self.grants.clear()
+        self.helpers.clear()
+        self.window = 0
 
 
 def gini(values: Iterable[float]) -> float:

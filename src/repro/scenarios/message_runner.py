@@ -66,6 +66,7 @@ from ..pgrid.network import PGridNetwork, draw_references, ideal_layout
 from ..pgrid.peer import PGridPeer
 from ..pgrid.state import DurabilityPolicy
 from ..pgrid.routing import RoutingTable
+from ..pgrid.serving import COUNTERS
 from ..simnet import protocol as P
 from ..simnet.node import NodeConfig, PGridNode, QueryOutcome
 from ..simnet.topology import UnstructuredOverlay
@@ -732,13 +733,13 @@ class MessageScenarioRunner(ScenarioRunnerBase):
     def _serving_counters(self) -> Dict[str, int]:
         """Node-aggregated serving-layer counters (zeros when the cache
         is off -- the section still reports them for the A/B)."""
-        totals: Dict[str, int] = {}
-        for pid in sorted(self.nodes):
-            for key, value in self.nodes[pid].serving_stats.items():
-                totals[key] = totals.get(key, 0) + value
-        totals["helpers_final"] = sum(
-            len(self.nodes[pid]._helpers) for pid in sorted(self.nodes)
-        )
+        totals = dict.fromkeys(COUNTERS + ("helpers_final",), 0)
+        for node in self.nodes.values():
+            serving = node.serving
+            if serving is not None:
+                for key, value in serving.stats.items():
+                    totals[key] += value
+                totals["helpers_final"] += len(serving.helpers)
         return totals
 
     def _serving_latency(self) -> dict:

@@ -53,15 +53,17 @@ identity, path, keys, replicas, references, tombstones, pending
 operations and observers -- every attribute the per-message path reads
 among them, since CPython 3.11 does not specialize a read that falls
 through to the class.  State only the construction phase uses
-(``overlay``, ``constructing``, ``idle_strikes``) and the serving
-containers of a node without the policy are immutable class defaults;
-the first write shadows one (``_strike`` writes the idle count only
-while constructing).  The budget is 29 instance attributes.  CPython
-3.11 keeps an instance's attributes in a compact array, sized when the
-instance is built for the names its class has seen so far plus one; a
-name beyond the budget moves the instance to a full dict (measured on
-3.11.7: 328 B per instance with 29 names, 1,647 B with 30).  A wire
-node sets 29 names at spawn and writes no other -- the repair step's
+(``overlay``, ``constructing``, ``idle_strikes``) is immutable class
+defaults; the first write shadows one (``_strike`` writes the idle
+count only while constructing).  The serving front end is one name,
+``serving``: a :class:`~repro.pgrid.serving.ServingState` with the
+policy enabled, else ``None``, which each hook point tests first.  The
+budget is 29 instance attributes.  CPython 3.11 keeps an instance's
+attributes in a compact array, sized when the instance is built for the
+names its class has seen so far plus one; a name beyond the budget
+moves the instance to a full dict (measured on 3.11.7: 328 B per
+instance with 29 names, 1,647 B with 30).  A wire node, serving or
+not, sets 29 names at spawn and writes no other -- the repair step's
 interval and pending flag live on its reference table -- and a restore
 writes a class-default flag only when it changes.  A node of a
 construct phase (:attr:`repro.scenarios.spec.Phase.construct`) is the
@@ -81,10 +83,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import partial
-from types import MappingProxyType
-from typing import (
-    Callable, ClassVar, Dict, FrozenSet, List, Mapping, Optional, Set, Tuple,
-)
+from typing import Callable, ClassVar, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .._util import RngLike, make_rng
 from ..core import fig2
@@ -93,14 +92,7 @@ from ..pgrid.keyspace import KEY_BITS, bit_at
 from ..pgrid.liveness import ReferenceTable
 from ..pgrid.mdim import ZBox
 from ..pgrid.search import level_toward, split_range
-from ..pgrid.serving import (
-    REPLICA_BOOST,
-    RESULT_CAPACITY,
-    ROUTE_CAPACITY,
-    CachePolicy,
-    ResultCache,
-    RouteCache,
-)
+from ..pgrid.serving import CachePolicy, ServingState
 from . import protocol as P
 from .engine import DeadlineTimer, Simulator
 from .transport import HEADER_BYTES, Message, Network, REF_BYTES
@@ -116,16 +108,6 @@ INTERACTION_INTERVAL = 20.0
 WALK_LENGTH = 6
 #: Fruitless interactions in a row before a node turns passive.
 MAX_IDLE_ATTEMPTS = 4
-
-#: The serving layer's per-node counters, in report order.
-_SERVING_COUNTERS = (
-    "result_hits", "result_misses", "dedup_joined", "invalidations",
-    "route_uses", "route_invalidations", "grants", "revokes", "grant_hits",
-)
-
-#: The class default of a serving container a node without the policy
-#: reads (``PGridNode``): empty, and nothing can be added to it.
-_EMPTY: Mapping = MappingProxyType({})
 
 #: Every declared message kind -> name of the ``PGridNode`` method handling it.
 _HANDLER = {kind: "_on_" + kind for kind in P.CATEGORY}
@@ -149,10 +131,8 @@ class NodeConfig:
     #: resurrect a deleted key until the next delete or exchange with a
     #: fresher peer.
     tombstone_ttl_s: float = 600.0
-    #: Query-serving front end (:mod:`repro.pgrid.serving`): result/route
-    #: caches with write invalidation, in-flight dedup and adaptive
-    #: replication.  ``None`` or ``enabled=False`` reproduces the
-    #: serving-less protocol bit-for-bit.
+    #: Query-serving front end (:mod:`repro.pgrid.serving`).  ``None`` or
+    #: ``enabled=False`` reproduces the serving-less protocol bit-for-bit.
     serving: Optional[CachePolicy] = None
 
 
@@ -202,16 +182,12 @@ class _PendingQuery(_PendingOp):
     observer = "on_query_done"
 
     key: int
-    #: Served from the local result cache (no wire traffic at all).
-    cached: bool = False
     #: Joined an identical in-flight lookup as a waiter: resolves with
     #: the primary's outcome and zero additional messages.
     shared: bool = False
     #: Route-cache target the current attempt was direct-sent to (a
     #: timeout invalidates the route entry as well as suspecting it).
     direct: Optional[int] = None
-    #: Presence flag learned from the answering node (rides QUERY_HIT).
-    present: Optional[bool] = None
 
     def messages(self) -> int:
         # A waiter shares the primary's wire traffic: its outcome
@@ -327,19 +303,6 @@ class PGridNode:
     #: The workload keys this peer joined with; replaced by assignment,
     #: never mutated (replicas of one leaf share one set).
     original_keys: FrozenSet[int] = frozenset()
-    # The serving containers (created in __init__ only with the policy
-    # on; read-only and empty without it).
-    result_cache: Optional[ResultCache] = None
-    route_cache: Optional[RouteCache] = None
-    _inflight_by_key: Mapping[int, int] = _EMPTY
-    _waiters: Mapping[int, List[int]] = _EMPTY
-    _helpers: Mapping[int, float] = _EMPTY
-    _grants: Mapping[Path, Tuple[Set[int], float]] = _EMPTY
-    serving_stats: Mapping[str, int] = MappingProxyType(
-        dict.fromkeys(_SERVING_COUNTERS, 0)
-    )
-    #: Queries answered as owner within the current decay window.
-    _served_window = 0
 
     def __init__(
         self,
@@ -394,26 +357,12 @@ class PGridNode:
         #: cache hit, before it serves (the runner compares the cached
         #: presence against its authoritative durable view).
         self.on_cache_hit: Optional[Callable[[int, int, bool], None]] = None
-        # Query-serving front end (pgrid.serving).  ``_serving`` is the
-        # active policy or None; an ``enabled=False`` policy behaves
-        # exactly like no policy at the protocol level, and its nodes
-        # carry none of the containers below.
-        sv = self.config.serving
-        self._serving: Optional[CachePolicy] = (
-            sv if (sv is not None and sv.enabled) else None
+        #: The query-serving front end (pgrid.serving), or None: an
+        #: ``enabled=False`` policy is no policy at the protocol level.
+        policy = self.config.serving
+        self.serving: Optional[ServingState] = (
+            ServingState(policy) if policy is not None and policy.enabled else None
         )
-        if self._serving is not None:
-            self.result_cache = ResultCache(sv.result_ttl_s, RESULT_CAPACITY)
-            self.route_cache = RouteCache(sv.route_ttl_s, ROUTE_CAPACITY)
-            #: key -> primary qid of the in-flight lookup (dedup joins it).
-            self._inflight_by_key: Dict[int, int] = {}
-            #: primary qid -> waiter qids resolved with the primary's outcome.
-            self._waiters: Dict[int, List[int]] = {}
-            #: Owner side: helper id -> grant time (adaptive replication).
-            self._helpers: Dict[int, float] = {}
-            #: Helper side: granted path -> (key set, expires_at).
-            self._grants: Dict[Path, Tuple[Set[int], float]] = {}
-            self.serving_stats = dict.fromkeys(_SERVING_COUNTERS, 0)
         network.register(self)
 
     # -- helpers -----------------------------------------------------------
@@ -501,14 +450,8 @@ class PGridNode:
         if self.idle_strikes:  # keep the class default unshadowed
             self.idle_strikes = 0
         self._inflight_exchange = None
-        # Serving state is transient: caches, grants and the served-load
-        # window did not survive the process restart.
-        if self._serving is not None:
-            self.result_cache.clear()
-            self.route_cache.clear()
-            self._grants.clear()
-            self._helpers.clear()
-            self._served_window = 0
+        if self.serving is not None:
+            self.serving.clear()  # transient: it did not survive the restart
 
     def lose_state(self) -> None:
         """The cold twin of :meth:`restore_state`: no snapshot survived,
@@ -1267,24 +1210,17 @@ class PGridNode:
         qid = (self.node_id << 20) | self._query_seq
         pending = _PendingQuery(key=key, issued_at=self.sim.now)
         self._queries[qid] = pending
-        if self._serving is not None:
-            present = self.result_cache.get(key, self.sim.now)
+        serving = self.serving
+        if serving is not None:
+            present = serving.cached(key, self.sim.now)
             if present is not None:
-                self.serving_stats["result_hits"] += 1
-                pending.cached = True
-                pending.present = present
                 if self.on_cache_hit is not None:
                     self.on_cache_hit(self.node_id, key, present)
                 self.sim.schedule(0.0, lambda: self._complete_query(qid, 0))
                 return qid
-            self.serving_stats["result_misses"] += 1
-            primary = self._inflight_by_key.get(key)
-            if primary is not None and primary in self._queries:
+            if serving.join(key, qid, self._queries):
                 pending.shared = True
-                self._waiters.setdefault(primary, []).append(qid)
-                self.serving_stats["dedup_joined"] += 1
                 return qid
-            self._inflight_by_key[key] = qid
         self.sim.schedule(0.0, lambda: self._attempt(qid, pending))
         return qid
 
@@ -1298,20 +1234,18 @@ class PGridNode:
             "attempt": pending.attempts,
             "hops": 0,
         }
-        if self._serving is not None and pending.attempts == 1:
+        serving = self.serving
+        if serving is not None and pending.attempts == 1:
             # First attempt may shortcut straight to a remembered
-            # responder (rotating across the owner's advertised replica
-            # set); a visible connect failure or a timeout falls back to
-            # trie routing and drops the route entry.
-            target = self.route_cache.pick(key, self.sim.now)
-            if target is not None and target != self.node_id:
-                self.serving_stats["route_uses"] += 1
+            # responder; a visible connect failure or a timeout falls
+            # back to trie routing and drops the route entry.
+            target = serving.route(key, self.sim.now, self.node_id)
+            if target is not None:
                 pending.direct = pending.via = target
                 cause = self.send(target, P.QUERY, {**payload, "hops": 1})
                 if cause in (None, "loss", "offline"):
                     return
-                self.serving_stats["route_invalidations"] += 1
-                self.route_cache.invalidate(key)
+                serving.forget_route(key)
                 pending.direct = pending.via = None
         self._route_query(payload)
 
@@ -1362,15 +1296,10 @@ class PGridNode:
             # suspicion (an innocent one answers the probe and is
             # cleared).
             self._suspect_ref(pending.via)
-        if (
-            isinstance(pending, _PendingQuery)
-            and pending.direct is not None
-            and self._serving is not None
-        ):
-            # The remembered responder did not answer: routing evidence,
-            # the one thing (besides TTL) that kills a route entry.
-            self.serving_stats["route_invalidations"] += 1
-            self.route_cache.invalidate(pending.key)
+        if isinstance(pending, _PendingQuery) and pending.direct is not None:
+            # The remembered responder did not answer (only a node
+            # with serving state sends direct).
+            self.serving.forget_route(pending.key)
             pending.direct = None
         self._retry_or_fail(opid, pending)
 
@@ -1419,21 +1348,16 @@ class PGridNode:
         observer = getattr(self, pending.observer)
         if observer is not None:
             observer(self.node_id, opid, outcome)
-        if self._serving is not None and isinstance(pending, _PendingQuery):
-            if self._inflight_by_key.get(pending.key) == opid:
-                del self._inflight_by_key[pending.key]
-            waiters = self._waiters.pop(opid, None)
-            if waiters:
-                # Resolve every waiter exactly once with the primary's
-                # outcome -- including the moot path, where the abort
-                # loop's done-guard keeps them from resolving twice.
-                for wqid in waiters:
-                    wpending = self._queries.get(wqid)
-                    if wpending is None or wpending.done:
-                        continue
-                    wpending.present = pending.present
-                    wpending.hops = pending.hops
-                    self._finish(wqid, wpending, success, moot=moot)
+        if self.serving is not None and isinstance(pending, _PendingQuery):
+            # Resolve every waiter exactly once with the primary's
+            # outcome -- including the moot path, where the abort
+            # loop's done-guard keeps them from resolving twice.
+            for wqid in self.serving.release(pending.key, opid):
+                wpending = self._queries.get(wqid)
+                if wpending is None or wpending.done:
+                    continue
+                wpending.hops = pending.hops
+                self._finish(wqid, wpending, success, moot=moot)
 
     # -- the relay step: the forwarder-side twin, all three routed kinds --------
 
@@ -1490,9 +1414,10 @@ class PGridNode:
         hops = payload["hops"]
         level = level_toward(self.path, key)
         responsible = level is None
+        serving = self.serving
         grant_present: Optional[bool] = None
-        if not responsible and self._serving is not None:
-            grant_present = self._grant_presence(key)
+        if not responsible and serving is not None:
+            grant_present = serving.grant_presence(key, self.sim.now)
         if responsible or grant_present is not None:
             # Reaching an online responsible peer IS query success, the
             # same semantics as the data plane's LookupResult.found --
@@ -1500,17 +1425,11 @@ class PGridNode:
             # routing outcome.  A grant helper answers for the owner's
             # range the same way (adaptive replication).
             reply = {"qid": qid, "hops": hops}
-            if self._serving is not None:
-                if responsible:
-                    self._served_window += 1
-                    reply["present"] = key in self.keys
-                    # Advertise the current replica set so origin route
-                    # caches rotate direct sends across it.
-                    reply["targets"] = [self.node_id] + sorted(self._helpers)
-                else:
-                    self.serving_stats["grant_hits"] += 1
-                    reply["present"] = grant_present
-                    reply["targets"] = [self.node_id]
+            if serving is not None:
+                # The presence flag, and the replica set origin route
+                # caches rotate direct sends across (an owner's helpers).
+                reply["present"] = key in self.keys if responsible else grant_present
+                reply["targets"] = [self.node_id] + (serving.served() if responsible else [])
             if origin == self.node_id:
                 self._complete_query(qid, hops, info=reply)
             else:
@@ -1537,17 +1456,8 @@ class PGridNode:
         pending = self._queries.get(qid)
         if pending is None or pending.done:
             return
-        if self._serving is not None and info is not None and "present" in info:
-            pending.present = info["present"]
-            now = self.sim.now
-            if not pending.cached:
-                self.result_cache.put(pending.key, info["present"], now)
-            if responder is not None:
-                targets = [responder] + [
-                    t for t in info.get("targets", ())
-                    if t != self.node_id and t != responder
-                ]
-                self.route_cache.put(pending.key, targets, now)
+        if self.serving is not None and info is not None and "present" in info:
+            self.serving.remember(pending.key, info, responder, self.node_id, self.sim.now)
         pending.hops = hops
         self._finish(qid, pending, True)
 
@@ -1600,7 +1510,8 @@ class PGridNode:
         # Write traffic passing through (origin, forwarder or owner)
         # invalidates our cached result for the key: the cheapest
         # coherence signal the serving layer gets for free.
-        self._serving_invalidate(key)
+        if self.serving is not None:
+            self.serving.invalidate(key)
         level = level_toward(self.path, key)
         if level is None:
             self.apply_mutation(op, key)
@@ -1620,7 +1531,6 @@ class PGridNode:
         evidence than the delete that left it); a delete leaves one so
         union-style anti-entropy cannot resurrect the key.
         """
-        self._serving_invalidate(key)
         if not self.responsible_for(key):
             return
         if op == "insert":
@@ -1664,27 +1574,22 @@ class PGridNode:
         miss the write -- they converge later through anti-entropy
         exchanges (that lag is the measurable replica divergence).
         """
-        for rid in sorted(self.replicas):
-            if rid != self.node_id:
-                self.send(rid, P.REPLICA_SYNC, {"op": op, "keys": [key]}, n_keys=1)
-        if self._serving is not None and self._helpers:
+        targets = sorted(self.replicas)
+        if self.serving is not None:
             # Grant helpers serve our range, so they join the eager
             # fan-out -- grants stay write-coherent, not just TTL-fresh.
-            for hid in sorted(self._helpers):
-                if hid != self.node_id and hid not in self.replicas:
-                    self.send(hid, P.REPLICA_SYNC, {"op": op, "keys": [key]}, n_keys=1)
+            targets += [h for h in sorted(self.serving.helpers) if h not in self.replicas]
+        for rid in targets:
+            if rid != self.node_id:
+                self.send(rid, P.REPLICA_SYNC, {"op": op, "keys": [key]}, n_keys=1)
 
     def _on_replica_sync(self, msg: Message) -> None:
         op = msg.payload["op"]
+        serving = self.serving
         for key in msg.payload["keys"]:
             self.apply_mutation(op, key)
-            if self._serving is not None:
-                for path, (keys, _) in self._grants.items():
-                    if path.contains_key(key, KEY_BITS):
-                        if op == "insert":
-                            keys.add(key)
-                        else:
-                            keys.discard(key)
+            if serving is not None:
+                serving.synced(op, key)
 
     def _on_insert(self, msg: Message) -> None:
         self._route_write(msg.payload)
@@ -1694,93 +1599,43 @@ class PGridNode:
 
     # -- query-serving front end (pgrid.serving) -----------------------------
     #
-    # Result caches invalidate on every write signal a node observes
-    # (routing a mutation, applying one, hearing a replica sync); route
-    # caches invalidate only on routing evidence.  Adaptive replication
-    # is owner-driven: the per-window served-query counter crosses
-    # ``hot_threshold`` -> grant the range to routing-table neighbours,
-    # decays below it -> revoke.  ``serving_tick`` is driven by the
-    # scenario runner at the policy's ``decay_interval_s`` cadence.
-
-    def _serving_invalidate(self, key: int) -> None:
-        if self._serving is None:
-            return
-        if self.result_cache.invalidate(key):
-            self.serving_stats["invalidations"] += 1
-
-    def _grant_presence(self, key: int) -> Optional[bool]:
-        """Presence flag if a live grant covers ``key``, else None."""
-        if not self._grants:
-            return None
-        now = self.sim.now
-        for path, (keys, expires) in list(self._grants.items()):
-            if now >= expires:
-                del self._grants[path]
-                continue
-            if path.contains_key(key, KEY_BITS):
-                return key in keys
-        return None
-
-    def _grant_candidates(self) -> List[int]:
-        """Helper candidates, deepest routing levels first (closest in
-        the trie, so grant traffic stays local), live-believed only."""
-        out: List[int] = []
-        seen = {self.node_id}
-        for level in sorted(self.routing, reverse=True):
-            for ref in self.routing[level]:
-                if ref in seen or self.liveness.suspected(ref):
-                    continue
-                seen.add(ref)
-                out.append(ref)
-        return out
+    # The node's ``ServingState`` decides; the node sends.  ``serving_tick``
+    # is driven by the scenario runner every ``decay_interval_s``.
 
     def serving_tick(self) -> None:
-        """One decay-window boundary: examine the served-query counter
-        and grant/revoke helper replicas accordingly."""
-        sv = self._serving
-        if sv is None:
+        """One decay-window boundary: close the served-query window and
+        grant or revoke helper replicas accordingly."""
+        serving = self.serving
+        if serving is None:
             return
-        load = self._served_window
-        self._served_window = 0
+        hot = serving.end_window()
         if not self.online:
             return
         now = self.sim.now
-        if load >= sv.hot_threshold and self.path.length > 0:
+        if hot and self.path.length > 0:
             keys = sorted(self.keys)
-            for cand in self._grant_candidates():
-                if len(self._helpers) >= REPLICA_BOOST:
-                    break
-                if cand in self._helpers:
-                    continue
+            expires = now + serving.policy.grant_ttl_s
+            for cand in serving.grant_candidates(self.liveness):
                 cause = self.send(
                     cand,
                     P.REPLICA_GRANT,
-                    {
-                        "path": self.path,
-                        "keys": keys,
-                        "expires": now + sv.grant_ttl_s,
-                    },
+                    {"path": self.path, "keys": keys, "expires": expires},
                     n_keys=len(keys),
                 )
                 if cause in (None, "loss", "offline"):
-                    self._helpers[cand] = now
-                    self.serving_stats["grants"] += 1
-        elif self._helpers:
-            for hid in sorted(self._helpers):
+                    serving.add_helper(cand, now)
+        else:
+            for hid in serving.revoke_all():
                 self.send(hid, P.REPLICA_REVOKE, {"path": self.path})
-                self.serving_stats["revokes"] += 1
-            self._helpers.clear()
 
     def _on_replica_grant(self, msg: Message) -> None:
-        if self._serving is None:
-            return
-        payload = msg.payload
-        self._grants[payload["path"]] = (set(payload["keys"]), payload["expires"])
+        if self.serving is not None:
+            payload = msg.payload
+            self.serving.accept_grant(payload["path"], payload["keys"], payload["expires"])
 
     def _on_replica_revoke(self, msg: Message) -> None:
-        if self._serving is None:
-            return
-        self._grants.pop(msg.payload["path"], None)
+        if self.serving is not None:
+            self.serving.drop_grant(msg.payload["path"])
 
     def _on_update_ack(self, msg: Message) -> None:
         self._complete_write(msg.payload["qid"], msg.payload["hops"])

@@ -187,7 +187,10 @@ class TestPendingOpContract:
         for opid, pending in zip(opids, records):
             assert op.fired[opid][0].moot and op.fired[opid][0].timeouts == 0
             op.assert_terminal(opid, pending, recorded=False)
-        assert not nodes[0]._waiters and not nodes[0]._inflight_by_key
+        serving = nodes[0].serving
+        assert (serving is None) == (policy is None)
+        if serving is not None:
+            assert not serving.waiters and not serving.inflight
         # The heap never held more than one event per operation (its
         # launch, then its timer) and one per message in flight (a probe
         # arms no timer) -- and the stale ones have all run.  What is

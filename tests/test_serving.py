@@ -1,21 +1,23 @@
 """The query-serving front end: caches, dedup, coherence, reporting.
 
-Four layers, mirroring the subsystem's span (ROADMAP open item 2):
+Four layers, mirroring the subsystem's span:
 
 * **Primitives** (:mod:`repro.pgrid.serving`): ``CachePolicy``
   validation/scaling, ``ResultCache`` TTL + invalidation + eviction
   semantics (a TTL of 0 never serves), ``RouteCache`` round-robin
   rotation, and the ``gini`` load-spread statistic.
-* **Protocol** (:mod:`repro.simnet.node`): cache hits answer locally at
-  zero wire cost, identical in-flight lookups join as waiters and
-  resolve exactly once -- including through ``abort_inflight`` (the
-  waiter-leak regression), writes invalidate result caches on every
-  hearer (origin, owner, replica-sync receivers) while route entries
-  survive writes.
+* **Protocol** (:mod:`repro.simnet.node` and its ``ServingState``):
+  cache hits answer locally at zero wire cost, identical in-flight
+  lookups join as waiters and resolve exactly once -- including through
+  ``abort_inflight`` (the waiter-leak regression), writes invalidate
+  result caches on every hearer (origin, owner, replica-sync receivers)
+  while route entries survive writes, and adaptive replication grants,
+  answers from, syncs, expires, revokes and forgets on restart.
 * **Scenario layer**: the report's ``serving`` section, the measured
   ``stale_read_rate`` (zero by construction at TTL=0), the
   ``CachePolicy(enabled=False)`` A/B contract (identical report modulo
-  the serving section), and determinism on both backends.
+  the serving section; the scenarios' own inert policies digest-pinned),
+  and determinism on both backends.
 * **Stats**: nearest-rank percentile correctness of the message
   backend's latency summaries (p50 of two samples is the *smaller*
   one; single-sample bins are their own mean; p999 exists).
@@ -262,7 +264,7 @@ class TestNodeCacheHits:
         assert len(outcomes) == 2 and outcomes[1].success
         assert outcomes[1].messages == 0 and outcomes[1].hops == 0
         assert net.delivered == delivered_before  # nothing touched the wire
-        assert nodes[0].serving_stats["result_hits"] == 1
+        assert nodes[0].serving.stats["result_hits"] == 1
         assert audits == [(0, key, key in nodes[3].keys)]
 
     def test_ttl_zero_policy_never_hits(self):
@@ -273,8 +275,8 @@ class TestNodeCacheHits:
         sim.run_until(10.0)
         nodes[0].issue_query(key)
         sim.run_until(20.0)
-        assert nodes[0].serving_stats["result_hits"] == 0
-        assert nodes[0].serving_stats["result_misses"] == 2
+        assert nodes[0].serving.stats["result_hits"] == 0
+        assert nodes[0].serving.stats["result_misses"] == 2
 
     def test_expired_entry_never_serves_on_the_node(self):
         policy = dataclasses.replace(POLICY, result_ttl_s=5.0)
@@ -285,8 +287,8 @@ class TestNodeCacheHits:
         sim.run_until(30.0)  # ... which has long expired by now
         nodes[0].issue_query(key)
         sim.run_until(40.0)
-        assert nodes[0].serving_stats["result_hits"] == 0
-        assert nodes[0].serving_stats["result_misses"] == 2
+        assert nodes[0].serving.stats["result_hits"] == 0
+        assert nodes[0].serving.stats["result_misses"] == 2
 
 
 class TestNodeDedup:
@@ -300,7 +302,7 @@ class TestNodeDedup:
         qid_a = nodes[0].issue_query(key)
         qid_b = nodes[0].issue_query(key)
         sim.run_until(10.0)
-        assert nodes[0].serving_stats["dedup_joined"] == 1
+        assert nodes[0].serving.stats["dedup_joined"] == 1
         assert sorted(outcomes) == sorted([qid_a, qid_b])
         for qid, fired in outcomes.items():
             assert len(fired) == 1, f"qid {qid} resolved {len(fired)} times"
@@ -330,7 +332,7 @@ class TestNodeDedup:
         # No pending state leaks, and the already-scheduled zero-delay
         # attempt finds nothing to resume.
         assert not nodes[0]._queries
-        assert not nodes[0]._inflight_by_key and not nodes[0]._waiters
+        assert not nodes[0].serving.inflight and not nodes[0].serving.waiters
         sim.run_until(30.0)
         assert all(len(fired) == 1 for fired in outcomes.values())
 
@@ -370,11 +372,11 @@ class TestWriteInvalidation:
         key = float_to_key(0.87)
         nodes[0].issue_query(key)
         sim.run_until(10.0)
-        assert nodes[0].result_cache.get(key, sim.now) is not None
+        assert nodes[0].serving.result_cache.get(key, sim.now) is not None
         nodes[0].issue_insert(key)
         sim.run_until(20.0)
-        assert nodes[0].result_cache.get(key, sim.now) is None
-        assert nodes[0].serving_stats["invalidations"] >= 1
+        assert nodes[0].serving.result_cache.get(key, sim.now) is None
+        assert nodes[0].serving.stats["invalidations"] >= 1
 
     def test_replica_sync_invalidates_the_hearer(self):
         sim, net, nodes = build_wire(policy=POLICY, twin=True)
@@ -382,11 +384,11 @@ class TestWriteInvalidation:
         # The replica twin holds a (manually planted) cached result for
         # a key in its own range; the owner's replica_sync fan-out for
         # the write must kill it.
-        nodes[4].result_cache.put(key, False, sim.now)
+        nodes[4].serving.result_cache.put(key, False, sim.now)
         nodes[0].issue_insert(key)
         sim.run_until(30.0)
         assert key in nodes[4].keys  # the sync arrived
-        assert nodes[4].result_cache.get(key, sim.now) is None
+        assert nodes[4].serving.result_cache.get(key, sim.now) is None
 
     def test_route_entries_survive_writes(self):
         # The partition owner did not move because a key changed: only
@@ -395,10 +397,10 @@ class TestWriteInvalidation:
         key = float_to_key(0.87)
         nodes[0].issue_query(key)
         sim.run_until(10.0)
-        assert nodes[0].route_cache.pick(key, sim.now) is not None
+        assert nodes[0].serving.route_cache.pick(key, sim.now) is not None
         nodes[0].issue_insert(key)
         sim.run_until(20.0)
-        assert nodes[0].route_cache.pick(key, sim.now) is not None
+        assert nodes[0].serving.route_cache.pick(key, sim.now) is not None
 
 
 #: A policy whose owner turns hot after three served queries.
@@ -433,20 +435,20 @@ class TestAdaptiveReplication:
         sim, net, nodes = build_wire(policy=HOT)
         heat(sim, nodes)
         assert REPLICA_BOOST == 2
-        assert set(nodes[OWNER]._helpers) == {2, 0}
-        assert nodes[OWNER].serving_stats["grants"] == 2
+        assert set(nodes[OWNER].serving.helpers) == {2, 0}
+        assert nodes[OWNER].serving.stats["grants"] == 2
         assert net.by_kind["replica_grant"][0] == 2
         for helper in (2, 0):
-            (path,) = nodes[helper]._grants
+            (path,) = nodes[helper].serving.grants
             assert path == nodes[OWNER].path
-        assert not nodes[1]._grants
+        assert not nodes[1].serving.grants
 
     def test_suspected_references_are_not_candidates(self):
         sim, net, nodes = build_wire(policy=HOT)
         load(sim, nodes)
         nodes[OWNER].liveness.strike(2, sim.now)
         nodes[OWNER].serving_tick()
-        assert set(nodes[OWNER]._helpers) == {0, 1}
+        assert set(nodes[OWNER].serving.helpers) == {0, 1}
 
     def test_a_grant_refused_at_connect_is_not_recorded(self):
         sim, net, nodes = build_wire(policy=HOT)
@@ -454,8 +456,8 @@ class TestAdaptiveReplication:
         nodes[2].set_online(False)
         nodes[OWNER].serving_tick()
         assert net.by_kind["replica_grant"][0] == 3  # 2's connect was refused
-        assert set(nodes[OWNER]._helpers) == {0, 1}
-        assert nodes[OWNER].serving_stats["grants"] == 2
+        assert set(nodes[OWNER].serving.helpers) == {0, 1}
+        assert nodes[OWNER].serving.stats["grants"] == 2
 
     def test_a_helper_answers_a_covered_key_from_the_grant(self):
         sim, net, nodes = build_wire(policy=HOT)
@@ -469,21 +471,21 @@ class TestAdaptiveReplication:
         assert [(o.success, o.hops, o.messages) for o in outcomes] == [
             (True, 0, 0), (True, 0, 0)
         ]
-        assert nodes[2].serving_stats["grant_hits"] == 2
-        assert nodes[2].result_cache.get(STORED, sim.now) is True
-        assert nodes[2].result_cache.get(ABSENT, sim.now) is False
+        assert nodes[2].serving.stats["grant_hits"] == 2
+        assert nodes[2].serving.result_cache.get(STORED, sim.now) is True
+        assert nodes[2].serving.result_cache.get(ABSENT, sim.now) is False
 
     def test_an_expired_grant_is_dropped_and_no_longer_answers(self):
         sim, net, nodes = build_wire(policy=dataclasses.replace(HOT, grant_ttl_s=5.0))
         heat(sim, nodes)
-        assert nodes[2]._grants
+        assert nodes[2].serving.grants
         sim.run_until(sim.now + 10.0)
         outcomes = []
         nodes[2].on_query_done = lambda nid, qid, out: outcomes.append(out)
         nodes[2].issue_query(STORED)
         sim.run_until(sim.now + 1.0)
-        assert not nodes[2]._grants
-        assert nodes[2].serving_stats["grant_hits"] == 0
+        assert not nodes[2].serving.grants
+        assert nodes[2].serving.stats["grant_hits"] == 0
         (outcome,) = outcomes
         assert outcome.success and outcome.hops == 1  # the owner answered
 
@@ -499,32 +501,32 @@ class TestAdaptiveReplication:
         sim.run_until(sim.now + 1.0)
         assert net.by_kind["replica_sync"][0] == 6
         for helper in (2, 0):
-            ((keys, _),) = nodes[helper]._grants.values()
+            ((keys, _),) = nodes[helper].serving.grants.values()
             assert fresh in keys and STORED not in keys
         nodes[2].issue_query(fresh)
         sim.run_until(sim.now + 1.0)
-        assert nodes[2].result_cache.get(fresh, sim.now) is True
+        assert nodes[2].serving.result_cache.get(fresh, sim.now) is True
 
     def test_a_cooled_owner_revokes_and_the_helper_forgets(self):
         sim, net, nodes = build_wire(policy=HOT)
         heat(sim, nodes)
         nodes[OWNER].serving_tick()  # a window without load
         sim.run_until(sim.now + 1.0)
-        assert not nodes[OWNER]._helpers
-        assert nodes[OWNER].serving_stats["revokes"] == 2
+        assert not nodes[OWNER].serving.helpers
+        assert nodes[OWNER].serving.stats["revokes"] == 2
         assert net.by_kind["replica_revoke"][0] == 2
-        assert not nodes[2]._grants and not nodes[0]._grants
+        assert not nodes[2].serving.grants and not nodes[0].serving.grants
 
     def test_restore_clears_grants_helpers_and_the_window(self):
         sim, net, nodes = build_wire(policy=HOT)
         heat(sim, nodes)
         nodes[1].issue_query(STORED)
         sim.run_until(sim.now + 1.0)
-        assert nodes[OWNER]._served_window == 1
+        assert nodes[OWNER].serving.window == 1
         for node in (nodes[OWNER], nodes[2]):
             node.restore_state(node.snapshot_state())
-        assert not nodes[OWNER]._helpers and nodes[OWNER]._served_window == 0
-        assert not nodes[2]._grants
+        assert not nodes[OWNER].serving.helpers and nodes[OWNER].serving.window == 0
+        assert not nodes[2].serving.grants
 
 
 def serving_spec(name="zipf-serving", n_peers=64, seed=9, scale=0.1, **cache_kw):

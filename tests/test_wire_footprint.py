@@ -1,9 +1,10 @@
 """What a wire node holds after set-up: the lean record's invariants.
 
 A leaf's replicas share one immutable key set as ``original_keys``; a
-node without the serving policy carries none of its containers; and
-every node stays within the attribute budget of ``PGridNode`` (module
-docstring of :mod:`repro.simnet.node`).  A snapshot/restore round trip
+node without the serving policy has ``serving`` None, one with it a
+:class:`~repro.pgrid.serving.ServingState` of its own; and every node,
+with or without the policy, stays within the attribute budget of
+``PGridNode`` (module docstring of :mod:`repro.simnet.node`).  A snapshot/restore round trip
 and a cold rejoin each give the node a set of its own, and leave the
 one its former replicas share as it was.
 """
@@ -14,7 +15,7 @@ from collections import defaultdict
 import pytest
 
 from repro.pgrid.network import ideal_layout
-from repro.pgrid.serving import CachePolicy
+from repro.pgrid.serving import CachePolicy, ServingState
 from repro.scenarios import SCENARIOS
 from repro.scenarios.message_runner import MessageScenarioRunner
 
@@ -23,9 +24,11 @@ from repro.scenarios.message_runner import MessageScenarioRunner
 #: from its compact layout to a full dict, 328 B -> 1,647 B per node.
 ATTRIBUTE_BUDGET = 29
 
-SERVING_CONTAINERS = (
-    "result_cache", "route_cache", "_inflight_by_key", "_waiters",
-    "_helpers", "_grants", "serving_stats",
+#: What a node held before its serving state was one ``serving``
+#: attribute: none of it may come back as a node attribute.
+FORMER_SERVING_NAMES = (
+    "_serving", "result_cache", "route_cache", "_inflight_by_key", "_waiters",
+    "_helpers", "_grants", "serving_stats", "_served_window",
 )
 
 
@@ -93,13 +96,8 @@ def test_replicas_of_a_leaf_share_one_frozen_key_set(plain):
 
 def test_no_serving_container_without_the_policy(plain):
     for node in plain.nodes.values():
-        assert not set(SERVING_CONTAINERS) & set(vars(node))
-        assert node.result_cache is None and node.route_cache is None
-        # What a node without the policy reads cannot be written into.
-        with pytest.raises(TypeError):
-            node._helpers[0] = 0.0
-        with pytest.raises(TypeError):
-            node.serving_stats["grants"] = 1
+        assert node.serving is None
+        assert not set(FORMER_SERVING_NAMES) & set(vars(node))
     counters = plain._serving_counters()
     assert counters and set(counters.values()) == {0}
     assert "helpers_final" in counters and "result_hits" in counters
@@ -140,22 +138,36 @@ def test_construction_shadows_its_three_class_defaults():
 
 def test_serving_containers_are_per_node():
     runner = set_up(baseline_spec(cache=CachePolicy(enabled=True)))
-    a, b = runner.nodes[0], runner.nodes[1]
-    for name in SERVING_CONTAINERS:
-        assert name in vars(a) and name in vars(b)
+    a, b = runner.nodes[0].serving, runner.nodes[1].serving
+    assert isinstance(a, ServingState) and isinstance(b, ServingState)
+    for name in (
+        "result_cache", "route_cache", "inflight", "waiters", "helpers",
+        "grants", "stats",
+    ):
         assert getattr(a, name) is not getattr(b, name)
-    a.serving_stats["grants"] += 1
-    a._helpers[7] = 0.0
-    a._waiters[1] = [2]
-    a._inflight_by_key[3] = 1
-    a._grants[a.path] = ({3}, 10.0)
+    a.stats["grants"] += 1
+    a.helpers[7] = 0.0
+    a.waiters[1] = [2]
+    a.inflight[3] = 1
+    a.grants[runner.nodes[0].path] = ({3}, 10.0)
     a.result_cache.put(3, True, 0.0)
     a.route_cache.put(3, [7], 0.0)
-    assert b.serving_stats["grants"] == 0
-    assert not b._helpers and not b._waiters and not b._inflight_by_key
-    assert not b._grants
+    assert b.stats["grants"] == 0
+    assert not b.helpers and not b.waiters and not b.inflight
+    assert not b.grants
     assert b.result_cache.get(3, 0.0) is None
     assert b.route_cache.pick(3, 0.0) is None
+
+
+@pytest.mark.parametrize("name", ["zipf-serving", "cache-coherence-storm"])
+def test_serving_nodes_stay_within_the_budget_through_a_run(name):
+    """Full-length runs (at N=48 zipf-serving grants and revokes; the
+    storm's writes invalidate): the serving state is one attribute."""
+    runner = MessageScenarioRunner(SCENARIOS[name](48, seed=5, duration_scale=1.0))
+    report = runner.run()
+    assert report.serving["cache_hits"] > 0
+    assert all(node.serving is not None for node in runner.nodes.values())
+    assert max(len(vars(node)) for node in runner.nodes.values()) <= ATTRIBUTE_BUDGET
 
 
 def replicated_leaf(runner):
