@@ -49,11 +49,14 @@ the universe: faster at N=256, slower and 85 MiB heavier at N=4096 with
 100k keys.)  The price is paid at the root: until the first splits, each
 of the ``N`` peers holds a root-frame bitmap of ``|universe| / 8`` bytes,
 ``N * |universe| / 8`` in all (about 50 MiB at N=4096 with 100k keys).
-The initial replication phase therefore still copies the raw input
-batches, and the bitmaps are packed once from its outcome, so only one
-generation of root-frame bitmaps ever exists.  In-flight keys
-(``outbox``) are few and stay plain sets; ``ConstructionPeer.keys`` is
-filled in, as a plain set, when the process has settled.
+No replicated key set is ever built: the initial replication phase only
+draws which peers receive a copy of each input batch, and the batches
+are then dealt one at a time -- packed once into a root-frame bitmap,
+OR-ed into the owner's and the receivers' bitmaps, and dropped -- so
+besides the ``N`` peer bitmaps only one batch bitmap is alive at a
+time.  In-flight keys (``outbox``) are few and stay plain sets;
+``ConstructionPeer.keys`` is filled in, as a plain set, when the process
+has settled.
 """
 
 from __future__ import annotations
@@ -190,12 +193,13 @@ class ConstructionConfig:
 class ConstructionPeer:
     """State of one peer during and after construction.
 
-    ``keys`` is the set of data keys the peer stores (all lie inside its
-    ``path`` partition; while the rounds run the engine holds them as a
-    bitmap and fills this set in at the end); ``outbox`` holds displaced
-    keys in flight to a responsible peer; ``routing`` maps each level of the
-    path to peer ids whose paths have the complementary bit at that
-    level; ``replicas`` are same-partition peers discovered so far.
+    ``keys`` is the set of data keys the peer stores: its input batch
+    until the engine deals it into key bitmaps, empty while the rounds
+    run, and at the end the keys it was left with, all inside its
+    ``path`` partition.  ``outbox`` holds displaced keys in flight to a
+    responsible peer; ``routing`` maps each level of the path to peer ids
+    whose paths have the complementary bit at that level; ``replicas``
+    are same-partition peers discovered so far.
     """
 
     peer_id: int
@@ -272,13 +276,6 @@ class ConstructionResult:
         """All peer paths (input to the deviation metric)."""
         return [peer.path for peer in self.peers]
 
-    def distinct_keys(self) -> set:
-        """Union of all stored keys."""
-        out: set = set()
-        for peer in self.peers:
-            out |= peer.keys
-        return out
-
     def replication_factor(self) -> float:
         """Mean number of peers per distinct leaf path."""
         by_path: Dict[Path, int] = {}
@@ -291,28 +288,6 @@ class ConstructionResult:
     def mean_path_length(self) -> float:
         """Average peer path length (trie depth actually reached)."""
         return sum(p.path.length for p in self.peers) / len(self.peers)
-
-    def routing_is_consistent(self) -> bool:
-        """Every routing entry must point into the complementary subtree."""
-        peers_by_id = {p.peer_id: p for p in self.peers}
-        for peer in self.peers:
-            for level, refs in peer.routing.items():
-                if level >= peer.path.length:
-                    return False
-                want_prefix = peer.path.prefix(level).extend(1 - peer.path.bit(level))
-                for ref in refs:
-                    other = peers_by_id[ref]
-                    if not want_prefix.is_prefix_of(other.path):
-                        return False
-        return True
-
-    def storage_is_consistent(self) -> bool:
-        """Every stored key must fall inside its peer's partition."""
-        return all(
-            peer.path.contains_key(key, KEY_BITS)
-            for peer in self.peers
-            for key in peer.keys
-        )
 
 
 def construct_overlay(
@@ -378,8 +353,11 @@ class _Construction:
         self.undeliverable_keys = 0
         self.bilateral_interactions = 0
         self.bandwidth_keys = 0
+        # Receivers of each peer's input batch, by peer id: drawn by
+        # replication_phase() and dealt by frame_keys().
+        self.receivers: Dict[int, List[int]] = {}
         # Key bitmaps (module docstring), indexed by peer id; filled by
-        # frame_keys() once the replication phase has dealt the input.
+        # frame_keys().
         self.universe: List[int] = []
         self.bitmap: List[int] = []
         self.frame: List[Tuple[int, int]] = []
@@ -387,33 +365,39 @@ class _Construction:
     # -- phase 1: initial replication (Sec. 4.2) -------------------------
 
     def replication_phase(self) -> None:
-        """Copy every peer's keys to ``n_min - 1`` random other peers so
-        each key starts with ``n_min`` replicas -- the calibration the
-        replica-count estimator relies on."""
+        """Draw, for every peer's input batch, ``n_min - 1`` random other
+        peers that receive a copy, so each key starts with ``n_min``
+        replicas -- the calibration the replica-count estimator relies on.
+        Only the receivers are recorded; :meth:`frame_keys` deals the
+        copies."""
         n = len(self.peers)
         copies = self.config.n_min - 1
         if copies <= 0:
             return
-        snapshots = [list(peer.keys) for peer in self.peers]
-        for i, keys in enumerate(snapshots):
-            if not keys:
+        for i, peer in enumerate(self.peers):
+            if not peer.keys:
                 continue
             others = self.rand.sample(range(n - 1), min(copies, n - 1))
-            for j in others:
-                target = j + 1 if j >= i else j
-                self.peers[target].keys.update(keys)
-                self.replication_keys_moved += len(keys)
+            self.receivers[i] = [j + 1 if j >= i else j for j in others]
+            self.replication_keys_moved += len(peer.keys) * len(others)
 
     def frame_keys(self) -> None:
-        """Sort the distinct keys into the universe and pack every peer's
-        keys into a root-frame bitmap; until :meth:`result`, a peer's keys
-        live in ``self.bitmap``, not in ``peer.keys``."""
-        self.universe = sorted(set().union(*(peer.keys for peer in self.peers)))
+        """Sort the distinct keys into the universe and deal every input
+        batch: pack it once into a root-frame bitmap, OR that into its
+        owner's and its receivers' bitmaps, and empty the batch.  Until
+        :meth:`result`, a peer's keys live in ``self.bitmap``, not in
+        ``peer.keys``."""
+        peers = self.peers
+        self.universe = sorted(set().union(*(peer.keys for peer in peers)))
         root = (0, len(self.universe))
-        for peer in self.peers:
-            self.bitmap.append(self._pack(peer.keys, *root))
-            self.frame.append(root)
+        bitmap = self.bitmap = [0] * len(peers)
+        self.frame = [root] * len(peers)
+        for i, peer in enumerate(peers):
+            batch = self._pack(peer.keys, *root)
             peer.keys = set()
+            bitmap[i] |= batch
+            for j in self.receivers.pop(i, ()):
+                bitmap[j] |= batch
 
     def _pack(self, keys, offset: int, end: int) -> int:
         """Bitmap, in the frame ``(offset, end)``, of ``keys`` inside it."""

@@ -25,6 +25,13 @@ class Path:
     ``bits`` holds the path's bits as an integer (first bit = most
     significant of the ``length`` low bits); ``length`` is the number of
     bits.  The empty path (``length == 0``) denotes the whole key space.
+
+    ``Path(bits, length)`` checks that ``bits`` fits in ``length`` bits.
+    Paths derived from a valid one (:meth:`extend`, :meth:`prefix`,
+    :meth:`parent`, :meth:`sibling`) fit by construction, so they come
+    from the trusted constructor :func:`_derived`, which fills the two
+    slots without re-validating: an overlay build derives a path per split
+    and per routing level of every peer.
     """
 
     __slots__ = ("bits", "length")
@@ -34,8 +41,8 @@ class Path:
             raise ValueError(f"path length must be >= 0, got {length}")
         if bits < 0 or bits >> length:
             raise ValueError(f"bits {bits:#x} do not fit in {length} bit(s)")
-        object.__setattr__(self, "bits", bits)
-        object.__setattr__(self, "length", length)
+        _set_bits(self, bits)
+        _set_length(self, length)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("Path is immutable")
@@ -51,18 +58,6 @@ class Path:
                 raise ValueError(f"invalid path character {ch!r} in {text!r}")
             bits = (bits << 1) | (ch == "1")
         return cls(bits, len(text))
-
-    @classmethod
-    def from_bits(cls, sequence) -> "Path":
-        """Build a path from an iterable of 0/1 integers."""
-        bits = 0
-        length = 0
-        for b in sequence:
-            if b not in (0, 1):
-                raise ValueError(f"invalid bit {b!r}")
-            bits = (bits << 1) | b
-            length += 1
-        return cls(bits, length)
 
     # -- basic accessors -------------------------------------------------
 
@@ -123,25 +118,25 @@ class Path:
         """The child path obtained by appending one bit."""
         if bit not in (0, 1):
             raise ValueError(f"invalid bit {bit!r}")
-        return Path((self.bits << 1) | bit, self.length + 1)
+        return _derived((self.bits << 1) | bit, self.length + 1)
 
     def prefix(self, n: int) -> "Path":
         """The prefix consisting of the first ``n`` bits."""
         if not 0 <= n <= self.length:
             raise ValueError(f"prefix length {n} out of range for length {self.length}")
-        return Path(self.bits >> (self.length - n), n)
+        return _derived(self.bits >> (self.length - n), n)
 
     def parent(self) -> "Path":
         """The path with the last bit removed."""
         if self.length == 0:
             raise ValueError("the root path has no parent")
-        return Path(self.bits >> 1, self.length - 1)
+        return _derived(self.bits >> 1, self.length - 1)
 
     def sibling(self) -> "Path":
         """The path differing only in its last bit."""
         if self.length == 0:
             raise ValueError("the root path has no sibling")
-        return Path(self.bits ^ 1, self.length)
+        return _derived(self.bits ^ 1, self.length)
 
     def is_prefix_of(self, other: "Path") -> bool:
         """True iff ``self``'s interval contains ``other``'s."""
@@ -159,11 +154,6 @@ class Path:
             return n
         return n - diff.bit_length()
 
-    def diverges_from(self, other: "Path") -> bool:
-        """True iff neither path is a prefix of the other (disjoint intervals)."""
-        cpl = self.common_prefix_length(other)
-        return cpl < self.length and cpl < other.length
-
     # -- key-space geometry --------------------------------------------------
 
     def interval(self) -> Tuple[float, float]:
@@ -174,20 +164,6 @@ class Path:
     def width(self) -> float:
         """Interval width ``2^-length``."""
         return 2.0 ** (-self.length)
-
-    def overlap_fraction(self, other: "Path") -> float:
-        """``|I(self) ∩ I(other)| / |I(self)|`` -- the share of this path's
-        interval covered by ``other``.
-
-        Used by the deviation metric to attribute a decentralized peer to
-        the reference partitions it spans.
-        """
-        cpl = self.common_prefix_length(other)
-        if cpl < min(self.length, other.length):
-            return 0.0
-        if other.length <= self.length:
-            return 1.0  # other contains self
-        return 2.0 ** (self.length - other.length)
 
     def key_range(self, key_bits: int) -> Tuple[int, int]:
         """Integer key range ``[lo, hi)`` for keys of ``key_bits`` precision."""
@@ -202,6 +178,20 @@ class Path:
         """True iff the integer ``key`` (of ``key_bits`` precision) falls
         inside this path's partition."""
         return key >> (key_bits - self.length) == self.bits if self.length else True
+
+
+_new = object.__new__
+_set_bits = Path.bits.__set__
+_set_length = Path.length.__set__
+
+
+def _derived(bits: int, length: int) -> Path:
+    """Trusted constructor: a :class:`Path` of ``bits`` and ``length``,
+    which the caller guarantees are valid (``0 <= bits < 2 ** length``)."""
+    path = _new(Path)
+    _set_bits(path, bits)
+    _set_length(path, length)
+    return path
 
 
 #: The empty path: the whole (un-partitioned) key space.

@@ -14,14 +14,9 @@ class TestConstruction:
         for text in ["0", "1", "0110", "111000111"]:
             assert str(Path.from_string(text)) == text
 
-    def test_from_bits(self):
-        assert Path.from_bits([0, 1, 1]) == Path.from_string("011")
-
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
             Path.from_string("01x")
-        with pytest.raises(ValueError):
-            Path.from_bits([0, 2])
         with pytest.raises(ValueError):
             Path(bits=4, length=2)  # 100 does not fit in 2 bits
         with pytest.raises(ValueError):
@@ -75,9 +70,52 @@ class TestStructure:
         assert a.common_prefix_length(a) == 4
         assert ROOT.common_prefix_length(a) == 0
 
-    def test_diverges_from(self):
-        assert Path.from_string("01").diverges_from(Path.from_string("10"))
-        assert not Path.from_string("01").diverges_from(Path.from_string("011"))
+
+class TestDerivedPaths:
+    """``extend``, ``prefix``, ``parent`` and ``sibling`` skip the
+    constructor's checks; their results must be indistinguishable from
+    validated paths."""
+
+    SOURCES = [ROOT] + [Path.from_string(s) for s in ("0", "1", "0110", "111000111")]
+
+    def derived(self):
+        for p in self.SOURCES:
+            for bit in (0, 1):
+                yield p.extend(bit), (p.bits << 1) | bit, p.length + 1
+            for n in range(p.length + 1):
+                yield p.prefix(n), p.bits >> (p.length - n), n
+            if p.length:
+                yield p.parent(), p.bits >> 1, p.length - 1
+                yield p.sibling(), p.bits ^ 1, p.length
+
+    def test_equal_hash_equal_and_order_equal_to_validated_paths(self):
+        derived = list(self.derived())
+        for path, bits, length in derived:
+            checked = Path(bits, length)
+            assert type(path) is Path
+            assert (path.bits, path.length) == (bits, length)
+            assert path == checked and not path != checked
+            assert hash(path) == hash(checked)
+            assert not path < checked and not checked < path
+        assert sorted(p for p, _, _ in derived) == sorted(Path(b, n) for _, b, n in derived)
+
+    def test_derived_paths_stay_immutable(self):
+        for path, _, _ in self.derived():
+            with pytest.raises(AttributeError):
+                path.length = 3
+            with pytest.raises(AttributeError):
+                path.bits = 0
+            with pytest.raises(AttributeError):
+                path.extra = 1
+
+    def test_out_of_range_arguments_still_raise(self):
+        for p in self.SOURCES:
+            with pytest.raises(ValueError):
+                p.extend(2)
+            with pytest.raises(ValueError):
+                p.prefix(-1)
+            with pytest.raises(ValueError):
+                p.prefix(p.length + 1)
 
 
 class TestGeometry:
@@ -89,13 +127,6 @@ class TestGeometry:
         assert edges[-1][1] == 1.0
         for (_, hi), (lo, _) in zip(edges, edges[1:]):
             assert hi == lo
-
-    def test_overlap_fraction(self):
-        parent = Path.from_string("0")
-        child = Path.from_string("01")
-        assert parent.overlap_fraction(child) == pytest.approx(0.5)
-        assert child.overlap_fraction(parent) == pytest.approx(1.0)
-        assert parent.overlap_fraction(Path.from_string("1")) == 0.0
 
     def test_key_range_and_contains(self):
         p = Path.from_string("10")

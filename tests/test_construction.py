@@ -1,5 +1,7 @@
 """Tests for the full decentralized construction process."""
 
+import random
+
 import pytest
 
 from repro._util import make_rng
@@ -12,7 +14,40 @@ from repro.core.construction import (
 from repro.core.deviation import load_balance_deviation
 from repro.core.reference import reference_partition
 from repro.exceptions import ConstructionError, DomainError
+from repro.pgrid.keyspace import KEY_BITS
 from repro.workloads.datasets import flatten, workload_keys
+
+
+def routing_is_consistent(result):
+    """Every routing entry must point into the complementary subtree."""
+    peers_by_id = {p.peer_id: p for p in result.peers}
+    for peer in result.peers:
+        for level, refs in peer.routing.items():
+            if level >= peer.path.length:
+                return False
+            want_prefix = peer.path.prefix(level).extend(1 - peer.path.bit(level))
+            for ref in refs:
+                other = peers_by_id[ref]
+                if not want_prefix.is_prefix_of(other.path):
+                    return False
+    return True
+
+
+def storage_is_consistent(result):
+    """Every stored key must fall inside its peer's partition."""
+    return all(
+        peer.path.contains_key(key, KEY_BITS)
+        for peer in result.peers
+        for key in peer.keys
+    )
+
+
+def distinct_keys(result):
+    """Union of all stored keys."""
+    out = set()
+    for peer in result.peers:
+        out |= peer.keys
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -32,21 +67,21 @@ def skewed_run():
 class TestStructuralInvariants:
     def test_storage_consistency(self, uniform_run):
         _, res = uniform_run
-        assert res.storage_is_consistent()
+        assert storage_is_consistent(res)
 
     def test_routing_consistency(self, uniform_run):
         _, res = uniform_run
-        assert res.routing_is_consistent()
+        assert routing_is_consistent(res)
 
     def test_no_keys_lost(self, uniform_run):
         pk, res = uniform_run
         assert res.undeliverable_keys == 0
-        assert res.distinct_keys() == set(flatten(pk))
+        assert distinct_keys(res) == set(flatten(pk))
 
     def test_skewed_storage_and_routing(self, skewed_run):
         _, res = skewed_run
-        assert res.storage_is_consistent()
-        assert res.routing_is_consistent()
+        assert storage_is_consistent(res)
+        assert routing_is_consistent(res)
         assert res.undeliverable_keys == 0
 
     def test_every_peer_has_full_routing_depth(self, uniform_run):
@@ -69,7 +104,54 @@ class TestStructuralInvariants:
         assert all(type(peer.keys) is set for peer in res.peers)
         assert all(type(peer.outbox) is set and not peer.outbox for peer in res.peers)
         assert all(type(key) is int for peer in res.peers for key in peer.keys)
-        assert res.storage_is_consistent()
+        assert storage_is_consistent(res)
+
+
+def overlapping_batches(seed, n=12):
+    """``n`` input batches of 6 keys drawn from a pool of 20, so they
+    overlap; batch 3 is empty."""
+    rand = random.Random(seed)
+    pool = [rand.getrandbits(KEY_BITS) for _ in range(20)]
+    batches = [rand.sample(pool, 6) for _ in range(n)]
+    batches[3] = []
+    return batches
+
+
+def replicated_as_sets(batches, n_min, seed):
+    """The initial replication done by copying keys: every non-empty batch
+    is copied into the key sets of ``n_min - 1`` other peers, drawn as the
+    engine draws them.  Returns each peer's keys, the keys copied and the
+    generator after the draws."""
+    rand = make_rng(seed)
+    held = [set(batch) for batch in batches]
+    moved = 0
+    for i, batch in enumerate(batches):
+        if not batch or n_min <= 1:
+            continue
+        for j in rand.sample(range(len(batches) - 1), min(n_min - 1, len(batches) - 1)):
+            held[j + 1 if j >= i else j].update(batch)
+            moved += len(batch)
+    return held, moved, rand
+
+
+class TestInitialReplication:
+    @pytest.mark.parametrize("n_min", [1, 2, 5])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_dealt_bitmaps_equal_the_packed_replicated_sets(self, seed, n_min):
+        batches = overlapping_batches(seed)
+        peers = [ConstructionPeer(peer_id=i, keys=set(b)) for i, b in enumerate(batches)]
+        state = _Construction(peers, ConstructionConfig(n_min=n_min), make_rng(seed))
+        state.replication_phase()
+        state.frame_keys()
+        held, moved, rand = replicated_as_sets(batches, n_min, seed)
+        root = (0, len(state.universe))
+        assert state.universe == sorted(set().union(*held))
+        assert state.frame == [root] * len(peers)
+        assert state.bitmap == [state._pack(keys, *root) for keys in held]
+        assert state.replication_keys_moved == moved
+        assert state.rand.random() == rand.random()  # the same draws
+        assert all(peer.keys == set() for peer in peers)
+        assert not state.receivers
 
 
 class TestLoadBalancing:
@@ -167,14 +249,14 @@ class TestStrategies:
         res = construct_overlay(
             pk, ConstructionConfig(n_min=5, d_max=50, strategy="uncorrected"), rng=1
         )
-        assert res.storage_is_consistent()
+        assert storage_is_consistent(res)
 
     def test_sample_size_limits_estimation(self):
         pk = workload_keys("U", peers=64, keys_per_peer=10, seed=3)
         res = construct_overlay(
             pk, ConstructionConfig(n_min=5, d_max=50, sample_size=2), rng=1
         )
-        assert res.storage_is_consistent()
+        assert storage_is_consistent(res)
 
 
 def full_scan_referral(peers, initiator, partner):
@@ -208,7 +290,7 @@ class _AuditedConstruction(_Construction):
     def _interact(self, initiator, partner):
         if self.rounds != self.audited_round:  # first meeting of a new round
             self.audited_round = self.rounds
-            assert self.result().routing_is_consistent()
+            assert routing_is_consistent(self.result())
         super()._interact(initiator, partner)
 
     def _refer(self, initiator, partner):
@@ -229,6 +311,6 @@ class TestReferral:
         state.run_rounds()
         state.flush_outboxes()
         result = state.result()
-        assert result.routing_is_consistent()
+        assert routing_is_consistent(result)
         assert state.audited_round == result.rounds > 1
         assert state.refers == result.refer_meetings > 100
